@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -174,7 +173,6 @@ func TestDispatchAcceptance(t *testing.T) {
 		"-dispatch", w1.addr + "," + w2.addr,
 		"-data-dir", dataDir,
 		"-probe-interval", "100ms",
-		"-poll-interval", "25ms",
 		"-debug-addr", "127.0.0.1:0",
 	}
 	disp := startProc(t, bin, dispArgs...)
@@ -319,18 +317,7 @@ func TestDispatchAcceptance(t *testing.T) {
 		t.Fatalf("restart replayed nothing: %v", stats2)
 	}
 
-	// Graceful exit: SIGTERM drains and exits 0.
-	if err := disp2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- disp2.cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("graceful dispatcher shutdown: %v; logs:\n%s", err, disp2.logs)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("dispatcher did not exit on SIGTERM; logs:\n%s", disp2.logs)
-	}
+	// Graceful exit: SIGTERM drains and exits 0, even with a client parked
+	// on a long-poll for a job still running on the surviving worker.
+	termWithParkedWait(t, disp2)
 }

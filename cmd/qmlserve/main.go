@@ -8,7 +8,7 @@
 // Submit the quickstart bundle and poll it:
 //
 //	curl -s -X POST --data-binary @job.json localhost:8080/v1/jobs
-//	  → {"id":"job-00000001","state":"queued","cache_hit":false}
+//	  → {"id":"job-00000001","state":"queued","cache_hit":false,"rev":0}
 //	curl -s localhost:8080/v1/jobs/job-00000001
 //	  → {"id":"job-00000001","state":"done","engine":"gate.aer_simulator",...}
 //	curl -s localhost:8080/v1/jobs/job-00000001/result
@@ -40,6 +40,9 @@
 // /v1/jobs/{id} reports grid progress (points/points_done). Status
 // polls long-poll with ?wait=<duration> (capped at 60s): the request
 // parks until the job reaches a terminal state or the wait expires.
+// Adding &rev=N — the "rev" of the 202 reply or of the last status
+// document — turns the poll into a watch that also returns on the next
+// change after revision N (queued→running, each finished sweep point).
 //
 // # Observability
 //
@@ -95,9 +98,11 @@
 // fsync barrier), "terminal" or "none". Without -data-dir the service is
 // in-memory, as before.
 //
-// On SIGINT/SIGTERM the server drains: in-flight HTTP requests get up to
-// 10 s, the pool finishes running and queued jobs (new submissions fail
-// fast with 503), and the journal is flushed and closed before exit.
+// On SIGINT/SIGTERM the server drains: parked ?wait= polls answer at
+// once with the current status (request contexts descend from the
+// signal context), other in-flight HTTP requests get up to 10 s, the
+// pool finishes running and queued jobs (new submissions fail fast with
+// 503), and the journal is flushed and closed before exit.
 //
 // # Fleet dispatch
 //
@@ -113,8 +118,10 @@
 // with -data-dir every accepted job plus its worker assignment is
 // journaled — by default under the group-commit fsync policy — so both
 // worker deaths and dispatcher restarts preserve accepted work.
-// -probe-interval and -poll-interval tune the health and job-status
-// cadences.
+// -probe-interval tunes the health-probe cadence. Job status has no
+// cadence to tune: the dispatcher parks a revisioned long-poll
+// (GET /v1/jobs/{id}?wait=D&rev=N) on the owning worker, which answers
+// the moment the job changes.
 //
 // The dispatcher speaks the sweep surface too: a POST /v1/sweeps grid
 // is scattered point-range-wise across the healthy workers as
@@ -122,7 +129,8 @@
 // those) re-forward to survivors, and GET /v1/sweeps/{id} merges the
 // per-range documents back into one globally indexed result set —
 // per-point identical to a single-node run of the same grid. ?wait=
-// long-polling works on the dispatcher's GET /v1/jobs/{id} as well.
+// long-polling, with or without &rev=, works on the dispatcher's
+// GET /v1/jobs/{id} as well.
 package main
 
 import (
@@ -166,7 +174,6 @@ func main() {
 	fsync := flag.String("fsync", "", "journal fsync policy: always|group|terminal|none (default: always, or group in -dispatch mode)")
 	dispatch := flag.String("dispatch", "", "comma-separated worker base URLs: serve as a fleet dispatcher instead of a worker")
 	probeInterval := flag.Duration("probe-interval", time.Second, "dispatcher: worker health probe cadence")
-	pollInterval := flag.Duration("poll-interval", 100*time.Millisecond, "dispatcher: remote job status poll cadence")
 	logFormat := flag.String("log-format", "text", "structured log format: text|json")
 	debugAddr := flag.String("debug-addr", "", "debug listener address for /debug/pprof and /metrics (empty = off; keep it private)")
 	flag.Parse()
@@ -203,7 +210,7 @@ func main() {
 	obs.RegisterBuildInfo(cfg.reg)
 	var err error
 	if *dispatch != "" {
-		err = runDispatch(cfg, *dispatch, *probeInterval, *pollInterval)
+		err = runDispatch(cfg, *dispatch, *probeInterval)
 	} else {
 		err = run(cfg, *workers, *queue, *cache, *maxShards)
 	}
@@ -241,11 +248,23 @@ func startDebug(cfg config) (func(), error) {
 	return func() { srv.Close() }, nil
 }
 
+// newServer builds the service listener's http.Server with every request
+// context descending from the signal context. Shutdown alone does not
+// cancel request contexts, so without this one client parked on
+// ?wait=30s would hold the drain for its whole 10 s budget; with it,
+// parked waits return the current status the moment the signal lands.
+func newServer(sigCtx context.Context, h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:     h,
+		BaseContext: func(net.Listener) context.Context { return sigCtx },
+	}
+}
+
 // runDispatch brings up the fleet front-end, blocks until
 // SIGINT/SIGTERM, and tears down in order: HTTP drain, dispatcher stop,
 // journal flush + close. Jobs still running on workers keep running;
 // the journal carries their assignments to the next dispatcher life.
-func runDispatch(cfg config, dispatch string, probeInterval, pollInterval time.Duration) error {
+func runDispatch(cfg config, dispatch string, probeInterval time.Duration) error {
 	var st *store.Store
 	if cfg.dataDir != "" {
 		policy, err := store.ParseSyncPolicy(cfg.fsync)
@@ -261,7 +280,6 @@ func runDispatch(cfg config, dispatch string, probeInterval, pollInterval time.D
 		Workers:       strings.Split(dispatch, ","),
 		Store:         st,
 		ProbeInterval: probeInterval,
-		PollInterval:  pollInterval,
 		Logger:        cfg.log,
 		Metrics:       cfg.reg,
 	})
@@ -293,10 +311,9 @@ func runDispatch(cfg config, dispatch string, probeInterval, pollInterval time.D
 		}
 		return err
 	}
-	srv := &http.Server{Handler: fleet.NewHandler(d)}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	srv := newServer(ctx, fleet.NewHandler(d))
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -378,10 +395,9 @@ func run(cfg config, workers, queue, cache, maxShards int) error {
 		}
 		return err
 	}
-	srv := &http.Server{Handler: jobs.NewHandler(pool)}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	srv := newServer(ctx, jobs.NewHandler(pool))
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

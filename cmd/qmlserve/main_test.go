@@ -3,14 +3,17 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -277,18 +280,84 @@ func TestRestartAcceptance(t *testing.T) {
 		t.Fatalf("history listing: %v", list)
 	}
 
-	// Graceful path: SIGTERM drains and exits 0, flushing the journal.
-	if err := s2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	// Graceful path: SIGTERM drains and exits 0, flushing the journal —
+	// with a client parked on a long-poll, which must not hold the drain.
+	termWithParkedWait(t, s2)
+}
+
+// termWithParkedWait is the SIGTERM tail of the process tests: it submits
+// a slow job, parks GET ?wait=30s on it, sends SIGTERM and requires that
+// the parked poll is answered at once — with the job's current,
+// unfinished status, not held until the drain finishes the job — and that
+// the process exits 0 well inside its 10 s shutdown budget, without the
+// "shutdown" warning that budget running out would log.
+func termWithParkedWait(t *testing.T, s *server) {
+	t.Helper()
+	id := postJob(t, s, slowBundle(t, 99))
+	wrote := make(chan struct{})
+	type reply struct {
+		code  int
+		state string
+		err   error
+	}
+	parked := make(chan reply, 1)
+	go func() {
+		trace := &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { close(wrote) }}
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+			http.MethodGet, s.url("/v1/jobs/"+id+"?wait=30s"), nil)
+		if err != nil {
+			parked <- reply{err: err}
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			parked <- reply{err: err}
+			return
+		}
+		var st struct {
+			State string `json:"state"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		parked <- reply{code: resp.StatusCode, state: st.State, err: err}
+	}()
+	<-wrote
+	// One full round trip on another connection after the poll was
+	// written: the server has had the poll for longer than it takes to
+	// park it.
+	if st := getJSON(t, s.url("/v1/jobs/"+id), http.StatusOK); st["state"] == "done" {
+		t.Fatalf("slow job finished before the signal; nothing would be parked: %v", st)
+	}
+
+	start := time.Now()
+	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case r := <-parked:
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("parked poll across SIGTERM: code=%d err=%v; logs:\n%s", r.code, r.err, s.logs)
+		}
+		if r.state != "queued" && r.state != "running" {
+			t.Fatalf("parked poll was held until the job was %s; the signal should have released it; logs:\n%s", r.state, s.logs)
+		}
+	case <-time.After(8 * time.Second):
+		t.Fatalf("parked poll still unanswered 8s after SIGTERM; logs:\n%s", s.logs)
+	}
 	done := make(chan error, 1)
-	go func() { done <- s2.cmd.Wait() }()
+	go func() { done <- s.cmd.Wait() }()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("graceful shutdown exit: %v; logs:\n%s", err, s2.logs)
+			t.Fatalf("graceful shutdown exit: %v; logs:\n%s", err, s.logs)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatalf("qmlserve did not exit on SIGTERM; logs:\n%s", s2.logs)
+		t.Fatalf("qmlserve did not exit on SIGTERM; logs:\n%s", s.logs)
+	}
+	if took := time.Since(start); took > 8*time.Second {
+		t.Fatalf("shutdown took %v with a parked poll, want well under the 10s budget; logs:\n%s", took, s.logs)
+	}
+	if logs := s.logs.String(); strings.Contains(logs, "msg=shutdown ") {
+		t.Fatalf("shutdown budget ran out:\n%s", logs)
 	}
 }

@@ -91,7 +91,6 @@ func TestProfiledAcceptance(t *testing.T) {
 		"-dispatch", w1.addr+","+w2.addr,
 		"-data-dir", t.TempDir(),
 		"-probe-interval", "100ms",
-		"-poll-interval", "25ms",
 		"-debug-addr", "127.0.0.1:0",
 	)
 

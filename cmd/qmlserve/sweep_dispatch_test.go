@@ -137,7 +137,6 @@ func TestSweepDispatchAcceptance(t *testing.T) {
 		"-dispatch", w1.addr+","+w2.addr,
 		"-data-dir", dataDir,
 		"-probe-interval", "100ms",
-		"-poll-interval", "25ms",
 	)
 
 	const n = 8

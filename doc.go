@@ -82,8 +82,12 @@
 // goroutine. With a journal attached the dispatcher records every
 // accepted job and worker assignment: a worker SIGKILLed mid-job has its
 // jobs re-forwarded and re-run to identical counts elsewhere, and a
-// dispatcher restart replays the journal, re-polls workers for in-flight
-// state, and keeps answering status/result for pre-crash jobs.
+// dispatcher restart replays the journal, watches workers for in-flight
+// state, and keeps answering status/result for pre-crash jobs. The
+// dispatcher follows a forwarded job with a revisioned long-poll parked
+// on its worker (GET /v1/jobs/{id}?wait=D&rev=N returns the moment the
+// job's "rev" passes N), not on a polling cadence, so the fleet hop adds
+// a few milliseconds to a short job rather than a poll interval.
 //
 // # Parametric plans and sweeps
 //
@@ -109,7 +113,8 @@
 // concrete-angle submissions — the determinism invariant the cache and
 // replication story rests on. Over HTTP the grid is POST /v1/sweeps and
 // the indexed result set is GET /v1/sweeps/{id}; GET /v1/jobs/{id}
-// supports long-polling via ?wait=<duration> on both tiers. The fleet
+// supports long-polling via ?wait=<duration> — and watching per-point
+// progress via &rev=<revision> — on both tiers. The fleet
 // dispatcher scatters a sweep point-range-wise across healthy workers
 // as independent sub-sweeps and re-forwards only the unfinished ranges
 // when a worker dies; the merged, re-indexed result set is

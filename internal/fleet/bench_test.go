@@ -102,8 +102,9 @@ func BenchmarkDirectRoundTrip(b *testing.B) {
 
 // BenchmarkDispatchRoundTrip runs the same submit→result loop through a
 // dispatcher fronting that worker — the delta against
-// BenchmarkDirectRoundTrip is the fleet layer's per-job overhead (one
-// forward hop plus the remote status poll cadence).
+// BenchmarkDirectRoundTrip is the fleet layer's per-job overhead on the
+// options everybody runs (the defaults): one forward hop plus one watch
+// parked on the worker, answered the moment the job finishes.
 func BenchmarkDispatchRoundTrip(b *testing.B) {
 	backend.Register("fake.fleet_bench", func() backend.Backend { return benchFake{} })
 	defer backend.Unregister("fake.fleet_bench")
@@ -111,10 +112,7 @@ func BenchmarkDispatchRoundTrip(b *testing.B) {
 	defer pool.Close()
 	workerSrv := httptest.NewServer(jobs.NewHandler(pool))
 	defer workerSrv.Close()
-	d, err := New(Options{
-		Workers:      []string{workerSrv.URL},
-		PollInterval: time.Millisecond,
-	})
+	d, err := New(Options{Workers: []string{workerSrv.URL}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	neturl "net/url"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -40,6 +41,9 @@ type remoteSubmit struct {
 	ID       string `json:"id"`
 	State    string `json:"state"`
 	CacheHit bool   `json:"cache_hit"`
+	// Rev is the remote job's revision at acceptance: where the
+	// dispatcher's first watch starts from.
+	Rev uint64 `json:"rev"`
 }
 
 // remoteStatus is a worker's GET /v1/jobs/{id} document (the fields the
@@ -61,6 +65,8 @@ type remoteStatus struct {
 	// aggregate). Proxied opaquely — the dispatcher never parses it, so
 	// worker-side profile schema evolution needs no fleet change.
 	Profile json.RawMessage `json:"profile"`
+	// Rev is the remote job's revision; handed back on the next watch.
+	Rev uint64 `json:"rev"`
 }
 
 type remoteError struct {
@@ -164,11 +170,13 @@ func (c *client) sweepResultRaw(ctx context.Context, id string) (code int, body 
 	return resp.StatusCode, body, nil
 }
 
-// status polls a remote job. notFound=true means the worker answered but
-// no longer knows the ID (it restarted without durable state) — the
-// re-forward signal, distinct from a transport error.
-func (c *client) status(ctx context.Context, id string) (st remoteStatus, notFound bool, err error) {
-	resp, err := c.get(ctx, "/v1/jobs/"+id)
+// watch parks a revisioned long-poll on a remote job: the worker answers
+// as soon as the job's revision exceeds since, the job is terminal, or
+// wait elapses. notFound=true means the worker answered but no longer
+// knows the ID (it restarted without durable state) — the re-forward
+// signal, distinct from a transport error.
+func (c *client) watch(ctx context.Context, id string, wait time.Duration, since uint64) (st remoteStatus, notFound bool, err error) {
+	resp, err := c.get(ctx, fmt.Sprintf("/v1/jobs/%s?wait=%s&rev=%d", id, wait, since))
 	if err != nil {
 		return remoteStatus{}, false, err
 	}

@@ -33,13 +33,10 @@ type Options struct {
 	RequestTimeout time.Duration
 	// ProbeInterval is the health/stats probe cadence (default 1s).
 	ProbeInterval time.Duration
-	// PollInterval is the per-job remote status poll cadence (default
-	// 100ms).
-	PollInterval time.Duration
 	// EjectAfter is the consecutive probe failures that mark a worker
 	// unhealthy; one success readmits it (default 3).
 	EjectAfter int
-	// ReforwardAfter is the consecutive per-job poll failures after
+	// ReforwardAfter is the consecutive failed watches (see runJob) after
 	// which the job abandons its worker and re-forwards (default 3).
 	ReforwardAfter int
 	// AffinitySlack is how many more outstanding dispatched jobs the
@@ -71,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 100 * time.Millisecond
 	}
 	if o.EjectAfter <= 0 {
 		o.EjectAfter = 3
@@ -118,8 +112,8 @@ type Stats struct {
 	Ejected        uint64 `json:"ejected"`
 	Readmitted     uint64 `json:"readmitted"`
 	// Recovered counts job records replayed from the journal at boot;
-	// Reattached the non-terminal subset whose workers are re-polled (and
-	// the job re-forwarded if the fleet no longer knows it).
+	// Reattached the non-terminal subset whose workers are watched again
+	// (and the job re-forwarded if the fleet no longer knows it).
 	Recovered  uint64 `json:"recovered"`
 	Reattached uint64 `json:"reattached"`
 	// Sweeps counts parameter-sweep jobs accepted (each one queue slot,
@@ -243,6 +237,10 @@ type Status struct {
 	SubmittedAt time.Time
 	StartedAt   time.Time
 	FinishedAt  time.Time
+	// Rev is the record's revision, the dispatcher tier's counterpart of
+	// jobs.Status.Rev: it advances whenever this snapshot may have changed
+	// (assignment, remote state, sweep progress, profile, terminal).
+	Rev uint64
 }
 
 // RangeInfo is one sweep range's dispatch snapshot in a fleet status
@@ -291,6 +289,7 @@ type fwdJob struct {
 	state     jobs.State
 	worker    string // assigned node ("" while unassigned)
 	remote    string // job ID on that node
+	remoteRev uint64 // remote job's revision as last reported by that node
 	avoid     string // node to skip on the next forward (it just lost the job)
 	cacheHit  bool
 	coalesced bool
@@ -306,6 +305,7 @@ type fwdJob struct {
 	// completes (re-captured from the replacement worker after a
 	// re-forward). Nil for unprofiled submissions.
 	profileDoc json.RawMessage
+	rev        jobs.Revision // this record's own revision, for ?wait=&rev= on the dispatcher
 	done       chan struct{}
 	// Journal event queue (see the type comment). evGen counts events
 	// ever enqueued; flushedGen is the newest generation known appended
@@ -429,7 +429,7 @@ func New(opts Options) (*Dispatcher, error) {
 
 // recover replays the journal into the job table. Terminal records
 // become queryable; queued/running records keep their assignment (their
-// runner re-polls the worker for the in-flight state and re-forwards if
+// runner watches the worker for the in-flight state and re-forwards if
 // it is gone) and records that never got assigned forward from scratch.
 func (d *Dispatcher) recover() []*fwdJob {
 	var reattach []*fwdJob
@@ -665,65 +665,95 @@ func (d *Dispatcher) SubmitTraced(b *bundle.Bundle, pin int, traceID string, pro
 }
 
 // runJob owns one job's forwarding lifecycle: assign a worker, watch the
-// remote status, and re-forward when the worker dies or forgets the job.
-// It exits when the job is terminal or the dispatcher closes (the
-// journal then carries the state to the next process life).
+// remote job, and re-forward when the worker dies or forgets the job. The
+// watch is a revisioned long-poll parked on the worker (?wait=D&rev=N):
+// the worker answers the moment the job changes, so every remote
+// transition reaches the dispatcher without a polling cadence, and a
+// short job costs two status requests (→running, →done). runJob exits
+// when the job is terminal or the dispatcher closes (the journal then
+// carries the state to the next process life).
 func (d *Dispatcher) runJob(j *fwdJob) {
 	defer d.wg.Done()
+	// The runner's context ends when the dispatcher stops or the job turns
+	// terminal, so neither Close nor a client-side DELETE waits out a
+	// parked watch.
+	ctx, cancel := context.WithCancel(d.ctx)
+	defer cancel()
+	go func() {
+		select {
+		case <-j.done:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
 	if j.sweep != nil {
-		d.runSweep(j)
+		d.runSweep(ctx, j)
 		return
 	}
-	pollFails := 0
-	for d.ctx.Err() == nil {
+	fails := 0 // consecutive failed watches
+	for ctx.Err() == nil {
 		d.mu.Lock()
 		if j.state.Terminal() {
 			d.mu.Unlock()
 			return
 		}
-		workerName, remote := j.worker, j.remote
+		workerName, remote, since := j.worker, j.remote, j.remoteRev
 		d.mu.Unlock()
 
 		if workerName == "" || remote == "" {
 			if !d.forward(j) {
 				// No worker reachable right now; journal already holds the
 				// job, so keep retrying until the fleet comes back.
-				if !d.sleep(d.opts.ProbeInterval, j) {
-					return
-				}
+				sleep(ctx, d.opts.ProbeInterval)
 			}
-			pollFails = 0
+			fails = 0
 			continue
 		}
 
-		w := d.workerByName(workerName)
-		ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
-		st, notFound, err := w.c.status(ctx, remote)
-		cancel()
+		st, notFound, err := d.watch(ctx, workerName, remote, since)
 		switch {
 		case err != nil:
-			pollFails++
-			if pollFails >= d.opts.ReforwardAfter {
+			if ctx.Err() != nil {
+				return // the job finished or the dispatcher is closing; the worker did not fail
+			}
+			if fails++; fails >= d.opts.ReforwardAfter {
 				d.detach(j, workerName)
-				pollFails = 0
+				fails = 0
 				continue
 			}
+			sleep(ctx, d.backoff(fails))
 		case notFound:
 			// The worker answered but no longer knows the job: it
 			// restarted without durable state. Re-forward immediately.
 			d.detach(j, workerName)
-			pollFails = 0
-			continue
+			fails = 0
 		default:
-			pollFails = 0
+			fails = 0
 			if d.observe(j, st) {
 				return
 			}
 		}
-		if !d.sleep(d.opts.PollInterval, j) {
-			return
-		}
 	}
+}
+
+// watch parks one revisioned long-poll on the named worker. The poll asks
+// for half the request timeout, so an idle watch returns (and is
+// re-issued) well inside the context deadline, which stays RequestTimeout:
+// a hung worker holds the runner no longer than any other call.
+func (d *Dispatcher) watch(ctx context.Context, workerName, remote string, since uint64) (remoteStatus, bool, error) {
+	ctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
+	defer cancel()
+	return d.workerByName(workerName).c.watch(ctx, remote, d.opts.RequestTimeout/2, since)
+}
+
+// backoff is the pause after the n-th consecutive failed watch: 10 ms,
+// doubling, capped at the probe cadence. A dead worker fails a watch at
+// once (connection refused or reset), so without the pause ReforwardAfter
+// would be spent in microseconds — before a worker that is merely
+// restarting could answer.
+func (d *Dispatcher) backoff(fails int) time.Duration {
+	pause := 10 * time.Millisecond << min(fails-1, 16)
+	return min(pause, d.opts.ProbeInterval)
 }
 
 // forward assigns the job to a worker and POSTs it. It tries the routing
@@ -734,8 +764,13 @@ func (d *Dispatcher) runJob(j *fwdJob) {
 func (d *Dispatcher) forward(j *fwdJob) bool {
 	tried := map[string]bool{}
 	d.mu.Lock()
-	avoid := j.avoid
+	// raw is read here, not at the POST: finishLocked drops it under the
+	// lock when a concurrent Cancel finishes the job.
+	avoid, raw := j.avoid, j.raw
 	d.mu.Unlock()
+	if raw == nil {
+		return true // already terminal; nothing left to forward
+	}
 	if avoid != "" {
 		tried[avoid] = true
 	}
@@ -755,7 +790,7 @@ func (d *Dispatcher) forward(j *fwdJob) bool {
 		w := d.workerByName(name)
 		ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
 		rtStart := time.Now()
-		sub, err := w.c.submit(ctx, j.raw, j.pin, j.trace, j.profile)
+		sub, err := w.c.submit(ctx, raw, j.pin, j.trace, j.profile)
 		rt := time.Since(rtStart)
 		cancel()
 		if err != nil {
@@ -771,9 +806,10 @@ func (d *Dispatcher) forward(j *fwdJob) bool {
 			ccancel()
 			return true
 		}
-		j.worker, j.remote = name, sub.ID
+		j.worker, j.remote, j.remoteRev = name, sub.ID, sub.Rev
 		j.avoid = ""
 		j.forwards++
+		j.rev.Bump()
 		reforward := j.forwards > 1
 		if reforward {
 			d.met.reforwarded.Inc()
@@ -859,6 +895,7 @@ func (d *Dispatcher) detach(j *fwdJob, workerName string) {
 	if w := d.workers[workerName]; w != nil {
 		w.outstanding--
 	}
+	j.rev.Bump()
 	j.spanLocked("detached", 0, "worker "+workerName+" lost the job")
 	obs.Record(obs.FlightFleetDetach, j.id, "worker "+workerName+" lost the job")
 	d.log.Warn("job detached", "job", j.id, "trace", j.trace, "worker", workerName)
@@ -872,6 +909,11 @@ func (d *Dispatcher) observe(j *fwdJob, st remoteStatus) bool {
 		d.mu.Unlock()
 		return true
 	}
+	// Every reply is either a change on the worker or an idle watch
+	// running out; counting the latter as a revision too costs a
+	// dispatcher-side watcher one spurious wake-up per RequestTimeout/2.
+	j.remoteRev = st.Rev
+	j.rev.Bump()
 	if st.Engine != "" {
 		j.engine = st.Engine
 	}
@@ -947,6 +989,7 @@ func (d *Dispatcher) finishLocked(j *fwdJob, state jobs.State) {
 		delete(d.inflight, j.key)
 	}
 	j.raw = nil
+	j.rev.Bump()
 	close(j.done)
 	d.finishRetention(j)
 }
@@ -972,18 +1015,14 @@ func (d *Dispatcher) finishRetention(j *fwdJob) {
 	}
 }
 
-// sleep waits one cadence interval, waking early on dispatcher shutdown
-// (returns false) or the job turning terminal.
-func (d *Dispatcher) sleep(dur time.Duration, j *fwdJob) bool {
+// sleep pauses a runner — no worker reachable, or backing off after a
+// failed watch — and returns early when its context ends.
+func sleep(ctx context.Context, dur time.Duration) {
 	t := time.NewTimer(dur)
 	defer t.Stop()
 	select {
-	case <-d.ctx.Done():
-		return false
-	case <-j.done:
-		return true
+	case <-ctx.Done():
 	case <-t.C:
-		return true
 	}
 }
 
@@ -1139,6 +1178,7 @@ func (d *Dispatcher) statusLocked(j *fwdJob) Status {
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
+		Rev:         j.rev.N(),
 	}
 }
 

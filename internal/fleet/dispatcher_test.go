@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,12 +82,23 @@ func fleetBundle(t testing.TB, engine string, seed uint64) *bundle.Bundle {
 }
 
 // flakyWorker is a real jobs pool behind a handler that can be switched
-// to answer 503 on everything — the probe- and poll-visible "down" state
-// that does not stop the pool itself.
+// to answer 503 on everything — the probe- and watch-visible "down" state
+// that does not stop the pool itself. It counts the status requests
+// (GET /v1/jobs/{id}, with or without ?wait=) it has been sent and how
+// many of them are in its handler right now.
 type flakyWorker struct {
-	srv  *httptest.Server
-	pool *jobs.Pool
-	down atomic.Bool
+	srv        *httptest.Server
+	pool       *jobs.Pool
+	down       atomic.Bool
+	statusReqs atomic.Int64
+	parked     atomic.Int64
+}
+
+// kill is what SIGKILL looks like from the dispatcher: everything new is
+// refused and every open connection — a parked watch included — resets.
+func (fw *flakyWorker) kill() {
+	fw.down.Store(true)
+	fw.srv.CloseClientConnections()
 }
 
 func startWorker(t *testing.T, workers int) *flakyWorker {
@@ -97,6 +109,11 @@ func startWorker(t *testing.T, workers int) *flakyWorker {
 		if fw.down.Load() {
 			http.Error(w, `{"error":"worker down"}`, http.StatusServiceUnavailable)
 			return
+		}
+		if id, ok := strings.CutPrefix(r.URL.Path, "/v1/jobs/"); ok && r.Method == http.MethodGet && !strings.Contains(id, "/") {
+			fw.statusReqs.Add(1)
+			fw.parked.Add(1)
+			defer fw.parked.Add(-1)
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -117,7 +134,6 @@ func fastOpts(workers ...*flakyWorker) Options {
 		Workers:        names,
 		RequestTimeout: 2 * time.Second,
 		ProbeInterval:  20 * time.Millisecond,
-		PollInterval:   10 * time.Millisecond,
 		EjectAfter:     2,
 		ReforwardAfter: 2,
 	}
@@ -300,7 +316,9 @@ func TestReforwardOnWorkerLoss(t *testing.T) {
 	fake.block = make(chan struct{})
 	fake.ran = make(chan struct{}, 8)
 	w1, w2 := startWorker(t, 1), startWorker(t, 1)
-	d := newDispatcher(t, fastOpts(w1, w2))
+	opts := fastOpts(w1, w2)
+	opts.RequestTimeout = time.Minute // an unanswered watch parks for 30 s
+	d := newDispatcher(t, opts)
 
 	st, err := d.Submit(fleetBundle(t, "fake.fleet_reforward", 7), 0)
 	if err != nil {
@@ -312,11 +330,16 @@ func TestReforwardOnWorkerLoss(t *testing.T) {
 	if running.Worker == w2.srv.URL {
 		victim, survivor = w2, w1
 	}
-	victim.down.Store(true)
-
-	// The dispatcher must abandon the dark worker and re-run on the
-	// survivor; unblock the engine once the second execution starts.
-	<-fake.ran
+	// The dispatcher's watch is parked on the victim (the job is blocked,
+	// so nothing else can answer it): the kill resets it, and the
+	// dispatcher must abandon the dead worker and re-run on the survivor
+	// long before the parked watch would have run out on its own.
+	victim.kill()
+	select {
+	case <-fake.ran:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job not re-forwarded within 10s of its worker's death")
+	}
 	close(fake.block)
 	fin, err := d.Wait(st.ID)
 	if err != nil || fin.State != jobs.StateDone {
@@ -403,14 +426,18 @@ func TestCancelCoalescedDuplicateRemote(t *testing.T) {
 func TestHungWorkerDoesNotWedge(t *testing.T) {
 	registerFake(t, "fake.fleet_hung")
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done() // hold every request until the client gives up
+		// Hold every request until the client gives up. The server only
+		// watches a connection for a hang-up once the request body has
+		// been consumed, so drain it first — or a forwarded POST would
+		// hold this handler, and hung.Close, forever.
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
 	}))
 	defer hung.Close()
 	opts := Options{
 		Workers:        []string{hung.URL},
 		RequestTimeout: 200 * time.Millisecond,
 		ProbeInterval:  time.Hour, // keep the prober out of the picture
-		PollInterval:   10 * time.Millisecond,
 	}
 	d := newDispatcher(t, opts)
 

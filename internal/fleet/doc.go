@@ -21,6 +21,27 @@
 // duplicates are pinned to its worker even if the ring has shifted, so
 // dispatcher-level coalescing survives ejects and readmissions.
 //
+// # Watching
+//
+// Once a job is forwarded, its runner follows the remote job with a
+// revisioned long-poll instead of polling on a cadence: every status
+// document (and the 202 submit reply) carries "rev", and
+// GET /v1/jobs/{id}?wait=D&rev=N parks on the worker until the job's
+// revision exceeds N, the job is terminal, or D (half of RequestTimeout)
+// elapses. Every remote transition — queued→running, each finished sweep
+// point, terminal — therefore reaches the dispatcher the moment it
+// happens: a short job costs two status requests and no sleep, a long job
+// costs one idle re-issue per RequestTimeout/2 rather than ten polls a
+// second. The watch's context ends when the dispatcher stops or the job
+// turns terminal locally (a client-side DELETE), so neither waits out a
+// parked call. A watch that fails (the worker died: its parked connection
+// resets at once) is retried after a back-off that starts at 10 ms,
+// doubles, and is capped at ProbeInterval; ReforwardAfter consecutive
+// failures — or one answer that the worker no longer knows the job —
+// detach the job and re-forward it elsewhere. The dispatcher's own
+// GET /v1/jobs/{id} speaks the same ?wait=D&rev=N, so both tiers share
+// one wire format (internal/jobs.Revision, jobs.WaitParams).
+//
 // # Health
 //
 // A prober polls every worker's /v1/stats on ProbeInterval. EjectAfter
@@ -47,8 +68,9 @@
 // is harmless for the same reason). After a dispatcher crash, New
 // replays the journal: terminal jobs answer status again (results are
 // proxied from the worker that holds them), and non-terminal jobs are
-// re-attached — the dispatcher re-polls the assigned worker for their
-// in-flight state, and re-forwards any the fleet no longer knows.
+// re-attached — the dispatcher parks a fresh watch on the assigned
+// worker for their in-flight state, and re-forwards any the fleet no
+// longer knows.
 //
 // cmd/qmlserve exposes all of this as `-dispatch worker1,worker2,...`,
 // so one binary serves both roles.

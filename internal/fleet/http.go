@@ -18,9 +18,9 @@ import (
 // NewHandler exposes a Dispatcher over the same /v1 surface the workers
 // serve, so clients cannot tell a fleet front-end from a single node:
 //
-//	POST   /v1/jobs             submit → routed to a worker (202 {id,state})
+//	POST   /v1/jobs             submit → routed to a worker (202 {id,state,rev})
 //	GET    /v1/jobs             fleet-merged history (?state=&limit=)
-//	GET    /v1/jobs/{id}        dispatch status incl. worker + remote ID
+//	GET    /v1/jobs/{id}        dispatch status incl. worker + remote ID + "rev"
 //	GET    /v1/jobs/{id}/result result proxied from the owning worker
 //	DELETE /v1/jobs/{id}        cancel, forwarded to the owning worker
 //	POST   /v1/sweeps           parameter sweep → scattered range-wise (202)
@@ -31,7 +31,12 @@ import (
 // POST /v1/jobs?shards=N forwards the pin to whichever worker runs the
 // job. GET /v1/jobs/{id} and GET /v1/sweeps/{id} accept ?wait=<duration>
 // to long-poll: the response is delayed until the job turns terminal or
-// the duration (capped at 60s) elapses, whichever is first. Submissions
+// the duration (capped at 60s) elapses, whichever is first — and, with
+// &rev=<revision> from a previous status document or the 202 reply,
+// until the dispatcher's record moves past that revision (assignment,
+// remote state, sweep progress). Same wire format as the workers
+// (jobs.WaitParams parses both), and the dispatcher itself follows its
+// workers' jobs through exactly this watch. Submissions
 // are accepted as long as the dispatcher is up — if no worker is
 // reachable the job queues (durably, when journaled) until the fleet
 // returns.
@@ -44,11 +49,11 @@ func NewHandler(d *Dispatcher) http.Handler {
 		handleList(d, w, r)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		wait, ok := waitParam(w, r)
+		wait, since, ok := jobs.WaitParams(w, r)
 		if !ok {
 			return
 		}
-		st, err := d.WaitTimeout(r.PathValue("id"), wait)
+		st, err := d.WaitTimeout(r.Context(), r.PathValue("id"), wait, since)
 		if err != nil {
 			jobs.WriteJSON(w, http.StatusNotFound, jobs.ErrorJSON{Error: err.Error()})
 			return
@@ -115,28 +120,7 @@ type statusJSON struct {
 	// Profile is the kernel-granular execution profile proxied from the
 	// owning worker (profiled submissions only).
 	Profile json.RawMessage `json:"profile,omitempty"`
-}
-
-// maxLongPoll caps ?wait= so a stuck client cannot pin a handler
-// goroutine indefinitely; clients re-issue the poll to keep waiting.
-const maxLongPoll = 60 * time.Second
-
-// waitParam parses ?wait=<duration>. ok=false means the handler already
-// answered 400.
-func waitParam(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
-	raw := r.URL.Query().Get("wait")
-	if raw == "" {
-		return 0, true
-	}
-	d, err := time.ParseDuration(raw)
-	if err != nil || d < 0 {
-		jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: fmt.Sprintf("fleet: invalid wait %q", raw)})
-		return 0, false
-	}
-	if d > maxLongPoll {
-		d = maxLongPoll
-	}
-	return d, true
+	Rev     uint64          `json:"rev"`
 }
 
 func statusToJSON(st Status) statusJSON {
@@ -159,6 +143,7 @@ func statusToJSON(st Status) statusJSON {
 		EtaMS:       float64(st.ETA) / float64(time.Millisecond),
 		Ranges:      st.Ranges,
 		Profile:     st.Profile,
+		Rev:         st.Rev,
 		Error:       st.Error,
 		SubmittedAt: st.SubmittedAt.UTC().Format(time.RFC3339Nano),
 	}
@@ -210,7 +195,7 @@ func handleSubmit(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
 	// callers can correlate without parsing the body.
 	w.Header().Set(obs.TraceHeader, st.Trace)
 	jobs.WriteJSON(w, http.StatusAccepted, map[string]any{
-		"id": st.ID, "trace_id": st.Trace, "state": st.State, "cache_hit": st.CacheHit,
+		"id": st.ID, "trace_id": st.Trace, "state": st.State, "cache_hit": st.CacheHit, "rev": st.Rev,
 	})
 }
 
@@ -296,17 +281,17 @@ func handleSweepSubmit(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(obs.TraceHeader, st.Trace)
 	jobs.WriteJSON(w, http.StatusAccepted, map[string]any{
-		"id": st.ID, "trace_id": st.Trace, "state": st.State, "points": st.Points,
+		"id": st.ID, "trace_id": st.Trace, "state": st.State, "points": st.Points, "rev": st.Rev,
 	})
 }
 
 func handleSweepResult(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
-	wait, ok := waitParam(w, r)
+	wait, since, ok := jobs.WaitParams(w, r)
 	if !ok {
 		return
 	}
 	id := r.PathValue("id")
-	st, err := d.WaitTimeout(id, wait)
+	st, err := d.WaitTimeout(r.Context(), id, wait, since)
 	if err != nil {
 		jobs.WriteJSON(w, http.StatusNotFound, jobs.ErrorJSON{Error: err.Error()})
 		return

@@ -213,7 +213,7 @@ func TestProfileSurvivesReforward(t *testing.T) {
 	if running.Worker == w2.srv.URL {
 		victim, survivor = w2, w1
 	}
-	victim.down.Store(true)
+	victim.kill()
 
 	<-fake.ran // second execution started on the survivor
 	close(fake.block)

@@ -42,6 +42,7 @@ type sweepRange struct {
 	prefer     string          // scatter-time worker choice, for initial spread
 	worker     string          // owning node ("" while unassigned)
 	remote     string          // sweep job ID on that node
+	remoteRev  uint64          // sub-sweep's revision as last reported by that node
 	avoid      string          // node to skip on the next forward
 	forwards   int
 	pointsDone int // remote progress, range-local
@@ -224,8 +225,9 @@ func (d *Dispatcher) SubmitSweepTraced(b *bundle.Bundle, traceID string, profile
 }
 
 // runSweep owns one sweep's scatter-and-watch lifecycle. Called from
-// runJob, which holds the WaitGroup slot.
-func (d *Dispatcher) runSweep(j *fwdJob) {
+// runJob, which holds the WaitGroup slot and supplies the runner context
+// (ends on dispatcher stop or the job turning terminal).
+func (d *Dispatcher) runSweep(ctx context.Context, j *fwdJob) {
 	tmpl, err := bundle.FromJSON(j.raw, qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit})
 	if err != nil {
 		d.failSweep(j, fmt.Sprintf("fleet: sweep template: %v", err))
@@ -236,20 +238,14 @@ func (d *Dispatcher) runSweep(j *fwdJob) {
 	// Scatter over however many workers are healthy right now; with none
 	// reachable, wait — the journal already holds the job.
 	var names []string
-	for d.ctx.Err() == nil {
-		names = d.healthyNames()
-		if len(names) > 0 {
-			break
-		}
-		d.mu.Lock()
-		terminal := j.state.Terminal()
-		d.mu.Unlock()
-		if terminal || !d.sleep(d.opts.ProbeInterval, j) {
+	for {
+		if ctx.Err() != nil {
 			return
 		}
-	}
-	if d.ctx.Err() != nil {
-		return
+		if names = d.healthyNames(); len(names) > 0 {
+			break
+		}
+		sleep(ctx, d.opts.ProbeInterval)
 	}
 	k := len(names)
 	if k > len(points) {
@@ -278,6 +274,7 @@ func (d *Dispatcher) runSweep(j *fwdJob) {
 		return
 	}
 	j.sweep.ranges = ranges
+	j.rev.Bump()
 	j.spanLocked("scattered", 0, fmt.Sprintf("%d points over %d ranges", len(points), k))
 	d.mu.Unlock()
 	d.log.Info("sweep scattered", "job", j.id, "trace", j.trace, "points", len(points), "ranges", k)
@@ -287,7 +284,7 @@ func (d *Dispatcher) runSweep(j *fwdJob) {
 		wg.Add(1)
 		go func(r *sweepRange) {
 			defer wg.Done()
-			d.runRange(j, r)
+			d.runRange(ctx, j, r)
 		}(r)
 	}
 	wg.Wait()
@@ -339,53 +336,48 @@ func (d *Dispatcher) failSweep(j *fwdJob, msg string) {
 }
 
 // runRange owns one range's forwarding lifecycle, mirroring runJob: it
-// assigns a worker, watches the remote sub-sweep, and re-forwards THIS
-// range — and only this range — when its worker dies or forgets it.
-func (d *Dispatcher) runRange(j *fwdJob, r *sweepRange) {
-	pollFails := 0
-	for d.ctx.Err() == nil {
+// assigns a worker, parks a revisioned watch on the remote sub-sweep (so
+// per-point progress arrives as it happens), and re-forwards THIS range —
+// and only this range — when its worker dies or forgets it.
+func (d *Dispatcher) runRange(ctx context.Context, j *fwdJob, r *sweepRange) {
+	fails := 0 // consecutive failed watches
+	for ctx.Err() == nil {
 		d.mu.Lock()
 		if j.state.Terminal() || r.done || r.failed {
 			d.mu.Unlock()
 			return
 		}
-		workerName, remote := r.worker, r.remote
+		workerName, remote, since := r.worker, r.remote, r.remoteRev
 		d.mu.Unlock()
 
 		if workerName == "" || remote == "" {
 			if !d.forwardRange(j, r) {
-				if !d.sleep(d.opts.ProbeInterval, j) {
-					return
-				}
+				sleep(ctx, d.opts.ProbeInterval)
 			}
-			pollFails = 0
+			fails = 0
 			continue
 		}
 
-		w := d.workerByName(workerName)
-		ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
-		st, notFound, err := w.c.status(ctx, remote)
-		cancel()
+		st, notFound, err := d.watch(ctx, workerName, remote, since)
 		switch {
 		case err != nil:
-			pollFails++
-			if pollFails >= d.opts.ReforwardAfter {
+			if ctx.Err() != nil {
+				return
+			}
+			if fails++; fails >= d.opts.ReforwardAfter {
 				d.detachRange(j, r, workerName)
-				pollFails = 0
+				fails = 0
 				continue
 			}
+			sleep(ctx, d.backoff(fails))
 		case notFound:
 			d.detachRange(j, r, workerName)
-			pollFails = 0
-			continue
+			fails = 0
 		default:
-			pollFails = 0
+			fails = 0
 			if d.observeRange(j, r, st) {
 				return
 			}
-		}
-		if !d.sleep(d.opts.PollInterval, j) {
-			return
 		}
 	}
 }
@@ -439,9 +431,10 @@ func (d *Dispatcher) forwardRange(j *fwdJob, r *sweepRange) bool {
 			ccancel()
 			return true
 		}
-		r.worker, r.remote = name, sub.ID
+		r.worker, r.remote, r.remoteRev = name, sub.ID, sub.Rev
 		r.avoid = ""
 		r.forwards++
+		j.rev.Bump()
 		reforward := r.forwards > 1
 		if reforward {
 			d.met.reforwarded.Inc()
@@ -525,6 +518,7 @@ func (d *Dispatcher) detachRange(j *fwdJob, r *sweepRange, workerName string) {
 	if w := d.workers[workerName]; w != nil {
 		w.outstanding--
 	}
+	j.rev.Bump()
 	j.spanLocked("detached", 0, fmt.Sprintf("range [%d,%d): worker %s lost the sub-sweep", r.from, r.to, workerName))
 	obs.Record(obs.FlightFleetDetach, j.id, fmt.Sprintf("range [%d,%d): worker %s lost the sub-sweep", r.from, r.to, workerName))
 	d.log.Warn("sweep range detached", "job", j.id, "trace", j.trace, "from", r.from, "to", r.to, "worker", workerName)
@@ -538,6 +532,8 @@ func (d *Dispatcher) observeRange(j *fwdJob, r *sweepRange, st remoteStatus) boo
 		d.mu.Unlock()
 		return true
 	}
+	r.remoteRev = st.Rev
+	j.rev.Bump() // see observe
 	if st.Engine != "" {
 		j.engine = st.Engine
 	}
@@ -697,25 +693,18 @@ func (d *Dispatcher) SweepResult(ctx context.Context, id string) ([]SweepPointJS
 	return merged, engine, nil
 }
 
-// WaitTimeout blocks until the job is terminal or the duration elapses,
-// then returns its snapshot — the long-poll primitive behind ?wait=.
-// Non-positive durations degenerate to Status.
-func (d *Dispatcher) WaitTimeout(id string, dur time.Duration) (Status, error) {
+// WaitTimeout is the dispatcher tier's long-poll primitive, with the
+// semantics of jobs.Pool.WaitTimeout: it blocks until the record's
+// revision exceeds since, the job is terminal, dur elapses or ctx ends,
+// then returns the snapshot at that moment. since = jobs.NoRev waits for
+// the terminal transition only.
+func (d *Dispatcher) WaitTimeout(ctx context.Context, id string, dur time.Duration, since uint64) (Status, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	j, ok := d.jobs[id]
-	d.mu.Unlock()
 	if !ok {
 		return Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
 	}
-	if dur > 0 {
-		t := time.NewTimer(dur)
-		select {
-		case <-j.done:
-		case <-t.C:
-		}
-		t.Stop()
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	j.rev.Await(ctx, &d.mu, j.done, dur, since)
 	return d.statusLocked(j), nil
 }

@@ -249,7 +249,7 @@ func TestFleetSweepRangeReforward(t *testing.T) {
 	if victimURL == w2.srv.URL {
 		victim = w2
 	}
-	victim.down.Store(true)
+	victim.kill()
 	release()
 
 	fin, err := d.Wait(st.ID)

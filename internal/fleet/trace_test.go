@@ -69,7 +69,6 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		Store:          st,
 		RequestTimeout: 2 * time.Second,
 		ProbeInterval:  20 * time.Millisecond,
-		PollInterval:   10 * time.Millisecond,
 	}
 	d := newDispatcher(t, opts)
 	dispH := NewHandler(d)

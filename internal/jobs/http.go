@@ -24,12 +24,12 @@ const MaxBodyBytes = 8 << 20
 // NewHandler exposes a Pool over HTTP, speaking the job.json bundle schema
 // from internal/schemas:
 //
-//	POST   /v1/jobs             submit a job.json bundle → 202 {id,state,cache_hit}
+//	POST   /v1/jobs             submit a job.json bundle → 202 {id,state,cache_hit,rev}
 //	GET    /v1/jobs             job history listing (?state=done&limit=100)
-//	GET    /v1/jobs/{id}        lifecycle status + timing (?wait=5s long-polls)
+//	GET    /v1/jobs/{id}        lifecycle status + timing + "rev" (?wait=5s&rev=N long-polls)
 //	GET    /v1/jobs/{id}/result decoded result (202 while pending)
 //	DELETE /v1/jobs/{id}        cancel a queued (or coalesced) job
-//	POST   /v1/sweeps           submit a sweep bundle → 202 {id,state,points}
+//	POST   /v1/sweeps           submit a sweep bundle → 202 {id,state,points,rev}
 //	GET    /v1/sweeps/{id}      indexed per-point result set (?wait=5s long-polls)
 //	GET    /v1/engines          registered engine names
 //	GET    /v1/stats            pool counters incl. cache_hits, coalesced, wide_jobs
@@ -46,7 +46,14 @@ const MaxBodyBytes = 8 << 20
 // the response is held until the job turns terminal or the duration
 // (capped at 60s) elapses, whichever is first, then carries the status at
 // that moment. Pollers get an answer in one round-trip instead of a
-// retry loop.
+// retry loop. Every status document and 202 submit reply carries "rev",
+// the record's revision; handing it back as ?wait=D&rev=N makes the poll
+// a watch that also returns as soon as the revision exceeds N — on
+// queued→running, on each finished sweep point, on an attached profile —
+// so a watcher follows the whole lifecycle without a polling cadence
+// (the fleet dispatcher watches its workers this way). A stale N returns
+// at once. A parked poll also ends when its client disconnects or the
+// server begins shutting down.
 //
 // POST /v1/jobs?shards=N pins the statevector parallelism grant for that
 // job (0 or absent: the scheduler gives a lone simulation the pool's
@@ -108,6 +115,7 @@ type submitJSON struct {
 	TraceID  string `json:"trace_id,omitempty"`
 	State    State  `json:"state"`
 	CacheHit bool   `json:"cache_hit"`
+	Rev      uint64 `json:"rev"`
 }
 
 type statusJSON struct {
@@ -131,6 +139,7 @@ type statusJSON struct {
 	RunMS       float64         `json:"run_ms"`
 	Spans       []obs.Span      `json:"spans,omitempty"`
 	Profile     json.RawMessage `json:"profile,omitempty"`
+	Rev         uint64          `json:"rev"`
 }
 
 type entryJSON struct {
@@ -207,7 +216,7 @@ func handleSubmit(p *Pool, w http.ResponseWriter, r *http.Request) {
 	// Echo the accepted (possibly server-generated) trace ID so callers
 	// can correlate without parsing the body.
 	w.Header().Set(obs.TraceHeader, st.Trace)
-	writeJSON(w, http.StatusAccepted, submitJSON{ID: st.ID, TraceID: st.Trace, State: st.State, CacheHit: st.CacheHit})
+	writeJSON(w, http.StatusAccepted, submitJSON{ID: st.ID, TraceID: st.Trace, State: st.State, CacheHit: st.CacheHit, Rev: st.Rev})
 }
 
 // listDefaultLimit caps GET /v1/jobs responses unless ?limit= overrides.
@@ -242,34 +251,43 @@ func handleList(p *Pool, w http.ResponseWriter, r *http.Request) {
 }
 
 // maxLongPoll caps the ?wait= long-poll duration so a handler goroutine
-// never hangs past proxy/server timeouts.
+// never hangs past proxy/server timeouts; clients re-issue the poll to
+// keep waiting.
 const maxLongPoll = 60 * time.Second
 
-// waitParam parses the ?wait= long-poll duration. ok=false means the
-// parameter was present but invalid (the caller has already replied).
-func waitParam(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
-	raw := r.URL.Query().Get("wait")
-	if raw == "" {
-		return 0, true
+// WaitParams parses the long-poll query ?wait=<duration>&rev=<revision>
+// for both serving tiers. An absent wait is zero (answer now), an absent
+// rev is NoRev (wake at terminal only). ok=false means a parameter was
+// present but invalid and the 400 has been written.
+func WaitParams(w http.ResponseWriter, r *http.Request) (wait time.Duration, since uint64, ok bool) {
+	q := r.URL.Query()
+	since = NoRev
+	if raw := q.Get("rev"); raw != "" {
+		n, err := strconv.ParseUint(raw, 10, 64)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorJSON{fmt.Sprintf("jobs: invalid rev %q", raw)})
+			return 0, 0, false
+		}
+		since = n
 	}
-	d, err := time.ParseDuration(raw)
-	if err != nil || d < 0 {
-		writeJSON(w, http.StatusBadRequest, errorJSON{fmt.Sprintf("jobs: invalid wait %q", raw)})
-		return 0, false
+	if raw := q.Get("wait"); raw != "" {
+		d, err := time.ParseDuration(raw)
+		if err != nil || d < 0 {
+			writeJSON(w, http.StatusBadRequest, errorJSON{fmt.Sprintf("jobs: invalid wait %q", raw)})
+			return 0, 0, false
+		}
+		wait = min(d, maxLongPoll)
 	}
-	if d > maxLongPoll {
-		d = maxLongPoll
-	}
-	return d, true
+	return wait, since, true
 }
 
 func handleStatus(p *Pool, w http.ResponseWriter, r *http.Request) {
-	wait, ok := waitParam(w, r)
+	wait, since, ok := WaitParams(w, r)
 	if !ok {
 		return
 	}
 	id := r.PathValue("id")
-	st, err := p.WaitTimeout(id, wait)
+	st, err := p.WaitTimeout(r.Context(), id, wait, since)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, errorJSON{err.Error()})
 		return
@@ -321,6 +339,7 @@ type sweepSubmitJSON struct {
 	TraceID string `json:"trace_id,omitempty"`
 	State   State  `json:"state"`
 	Points  int    `json:"points"`
+	Rev     uint64 `json:"rev"`
 }
 
 // sweepPointJSON is one indexed per-point result in a sweep result set.
@@ -381,16 +400,16 @@ func handleSweepSubmit(p *Pool, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(obs.TraceHeader, st.Trace)
-	writeJSON(w, http.StatusAccepted, sweepSubmitJSON{ID: st.ID, TraceID: st.Trace, State: st.State, Points: st.Points})
+	writeJSON(w, http.StatusAccepted, sweepSubmitJSON{ID: st.ID, TraceID: st.Trace, State: st.State, Points: st.Points, Rev: st.Rev})
 }
 
 func handleSweepResult(p *Pool, w http.ResponseWriter, r *http.Request) {
-	wait, ok := waitParam(w, r)
+	wait, since, ok := WaitParams(w, r)
 	if !ok {
 		return
 	}
 	id := r.PathValue("id")
-	st, err := p.WaitTimeout(id, wait)
+	st, err := p.WaitTimeout(r.Context(), id, wait, since)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, errorJSON{err.Error()})
 		return
@@ -461,6 +480,7 @@ func statusToJSON(st Status) statusJSON {
 		EtaMS:       float64(st.ETA) / float64(time.Millisecond),
 		Spans:       st.Spans,
 		Profile:     st.Profile,
+		Rev:         st.Rev,
 	}
 	if !st.StartedAt.IsZero() {
 		out.StartedAt = st.StartedAt.UTC().Format(time.RFC3339Nano)

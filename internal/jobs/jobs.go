@@ -75,7 +75,8 @@
 // crash requeue, fleet re-forwarding) needs no sweep-specific cases.
 // SweepResult returns the indexed per-point result set; the HTTP layer
 // surfaces the pair as POST /v1/sweeps and GET /v1/sweeps/{id}, and
-// GET /v1/jobs/{id} long-polls with ?wait=<duration>.
+// GET /v1/jobs/{id} long-polls with ?wait=<duration>, waking on the next
+// change after ?rev=<revision> when one is given (see Revision).
 //
 // cmd/qmlserve wraps a Pool in an HTTP server (see NewHandler) and wires
 // -data-dir to a store; cmd/qmlrun -parallel uses the same Pool for
@@ -83,6 +84,7 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -241,6 +243,11 @@ type Status struct {
 	// Spans is the job's lifecycle log: queued/started/stage timings/
 	// persisted/terminal, in order, with monotonic timestamps.
 	Spans []obs.Span
+	// Rev is the record's revision: it advances on every change this
+	// snapshot can show other than the span log (state, sweep progress,
+	// profile), so a poller that hands it back as ?rev= is answered the
+	// moment there is something newer.
+	Rev uint64
 }
 
 // Stats aggregates pool-level counters and timing metrics.
@@ -379,6 +386,7 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	spans     []obs.Span // lifecycle log, appended in transition order
+	rev       Revision   // bumped on every status-visible change (see Revision)
 	done      chan struct{}
 }
 
@@ -743,6 +751,7 @@ func (p *Pool) journalCacheHitLocked(j *job, res *result.Result) {
 // Options.MaxRecords. Callers hold p.mu and must have set the terminal
 // state and finished time already.
 func (p *Pool) finishLocked(j *job) {
+	j.rev.Bump()
 	close(j.done)
 	j.bundle = nil
 	if p.opts.MaxRecords < 0 {
@@ -860,6 +869,7 @@ func (p *Pool) runJob(j *job) {
 		granted = p.opts.MaxShards
 	}
 	j.granted = granted
+	j.rev.Bump()
 	if granted > 1 {
 		p.met.wideJobs.Inc()
 	}
@@ -1004,6 +1014,7 @@ func (p *Pool) statusLocked(j *job) Status {
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
 		Spans:       append([]obs.Span(nil), j.spans...),
+		Rev:         j.rev.N(),
 	}
 	s.Profile = j.profileDoc
 	if j.sweep != nil {
@@ -1067,7 +1078,9 @@ func (p *Pool) Result(id string) (*result.Result, error) {
 				return nil, fmt.Errorf("jobs: result file for %q (%s) is gone", id, j.resKey)
 			}
 			j.res = res
-			j.profileDoc = profileRaw(res)
+			if j.profileDoc = profileRaw(res); j.profileDoc != nil {
+				j.rev.Bump()
+			}
 		}
 		return j.res, nil
 	case StateFailed:
@@ -1147,6 +1160,23 @@ func (p *Pool) Wait(id string) (Status, error) {
 	<-j.done
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.statusLocked(j), nil
+}
+
+// WaitTimeout is the long-poll primitive behind GET /v1/jobs/{id}?wait=D&rev=N:
+// it blocks until the job's revision exceeds since, the job is terminal,
+// d elapses or ctx ends (the client hung up, the server is shutting
+// down), then returns the job's status at that moment. since = NoRev
+// waits for the terminal transition only; a non-positive d degenerates
+// to Status.
+func (p *Pool) WaitTimeout(ctx context.Context, id string, d time.Duration, since uint64) (Status, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	j, ok := p.jobs[id]
+	if !ok {
+		return Status{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+	}
+	j.rev.Await(ctx, &p.mu, j.done, d, since)
 	return p.statusLocked(j), nil
 }
 

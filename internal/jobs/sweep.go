@@ -41,6 +41,14 @@ type sweepState struct {
 	completed int
 }
 
+// pointDoneLocked publishes one completed point: its result, the progress
+// count and a revision bump for progress watchers. Callers hold Pool.mu.
+func (j *job) pointDoneLocked(i int, res *result.Result) {
+	j.sweep.results[i] = res
+	j.sweep.completed++
+	j.rev.Bump()
+}
+
 // SubmitSweep registers a sweep bundle — a bundle whose context carries a
 // sweep block — as ONE job and enqueues it, returning the job ID
 // immediately. Unlike Submit there is no whole-sweep result cache or
@@ -157,6 +165,7 @@ func (p *Pool) runSweepJob(j *job) {
 		granted = p.opts.MaxShards
 	}
 	j.granted = granted
+	j.rev.Bump()
 	if granted > 1 {
 		p.met.wideJobs.Inc()
 	}
@@ -205,8 +214,7 @@ func (p *Pool) runSweepJob(j *job) {
 		if p.cache != nil {
 			for i := range keys {
 				if res, ok := p.cache.get(keys[i]); ok {
-					j.sweep.results[i] = res
-					j.sweep.completed++
+					j.pointDoneLocked(i, res)
 					served[i] = true
 					p.met.cacheHits.Inc()
 				}
@@ -222,8 +230,7 @@ func (p *Pool) runSweepJob(j *job) {
 				}
 				if res, ok, derr := p.opts.Store.GetResult(keys[i]); derr == nil && ok {
 					p.mu.Lock()
-					j.sweep.results[i] = res
-					j.sweep.completed++
+					j.pointDoneLocked(i, res)
 					if p.cache != nil {
 						p.cache.put(keys[i], res)
 					}
@@ -255,8 +262,7 @@ func (p *Pool) runSweepJob(j *job) {
 				_ = p.opts.Store.PutResult(keys[i], res)
 			}
 			p.mu.Lock()
-			j.sweep.results[i] = res
-			j.sweep.completed++
+			j.pointDoneLocked(i, res)
 			if p.cache != nil {
 				p.cache.put(keys[i], res)
 			}
@@ -345,6 +351,7 @@ func (p *Pool) SweepResult(id string) ([]*result.Result, error) {
 			j.sweep.results = loaded
 			if j.profile && j.profileDoc == nil {
 				j.profileDoc = aggregateSweepProfiles(loaded)
+				j.rev.Bump()
 			}
 		}
 		return append([]*result.Result(nil), j.sweep.results...), nil
@@ -355,28 +362,4 @@ func (p *Pool) SweepResult(id string) ([]*result.Result, error) {
 	default:
 		return nil, fmt.Errorf("%w: %q is %s", ErrNotFinished, id, j.state)
 	}
-}
-
-// WaitTimeout blocks until the job reaches a terminal state or the
-// timeout elapses, then returns the job's status at that moment — the
-// long-poll primitive behind GET /v1/jobs/{id}?wait=. A non-positive
-// timeout degenerates to Status.
-func (p *Pool) WaitTimeout(id string, d time.Duration) (Status, error) {
-	p.mu.Lock()
-	j, ok := p.jobs[id]
-	p.mu.Unlock()
-	if !ok {
-		return Status{}, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	if d > 0 {
-		t := time.NewTimer(d)
-		select {
-		case <-j.done:
-		case <-t.C:
-		}
-		t.Stop()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.statusLocked(j), nil
 }

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -317,9 +318,9 @@ func TestSubmitSweepValidation(t *testing.T) {
 	}
 }
 
-// TestWaitTimeout pins the long-poll primitive: a short wait on a pending
-// job returns its non-terminal state; a wait spanning completion returns
-// the terminal state.
+// TestWaitTimeout pins the long-poll primitive without a revision: a short
+// wait on a pending job returns its non-terminal state; a wait spanning
+// completion returns the terminal state. (watch_test.go covers ?rev=.)
 func TestWaitTimeout(t *testing.T) {
 	block := make(chan struct{})
 	ran := make(chan struct{}, 1)
@@ -327,12 +328,13 @@ func TestWaitTimeout(t *testing.T) {
 	registerFake(t, "fake.wait", fb)
 	p := NewPool(Options{Workers: 1})
 	defer p.Close()
+	ctx := context.Background()
 	id, err := p.Submit(bundleFor(t, "fake.wait", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-ran // executing and parked on block
-	st, err := p.WaitTimeout(id, 20*time.Millisecond)
+	st, err := p.WaitTimeout(ctx, id, 20*time.Millisecond, NoRev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +343,7 @@ func TestWaitTimeout(t *testing.T) {
 	}
 	done := make(chan Status, 1)
 	go func() {
-		st, _ := p.WaitTimeout(id, 10*time.Second)
+		st, _ := p.WaitTimeout(ctx, id, 10*time.Second, NoRev)
 		done <- st
 	}()
 	close(block)
@@ -349,7 +351,7 @@ func TestWaitTimeout(t *testing.T) {
 	if !st.State.Terminal() {
 		t.Fatalf("long-poll across completion returned %s", st.State)
 	}
-	if _, err := p.WaitTimeout("job-junk", time.Millisecond); !errors.Is(err, ErrNotFound) {
+	if _, err := p.WaitTimeout(ctx, "job-junk", time.Millisecond, NoRev); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown job: %v", err)
 	}
 }
