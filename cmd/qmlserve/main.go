@@ -28,8 +28,10 @@
 // The pool doubles as the statevector shard scheduler: a job that starts
 // while the pool is otherwise idle is granted -max-shards parallel shards
 // (default GOMAXPROCS) so one big simulation spans every core, while jobs
-// running alongside others stay single-shard. POST /v1/jobs?shards=N pins
-// the grant per job; /v1/stats reports max_shards and wide_jobs.
+// running alongside others stay single-shard. A sweep spends the same
+// grant on concurrent points first (lanes × shards, see internal/jobs).
+// POST /v1/jobs?shards=N pins the grant per job; /v1/stats reports
+// max_shards and wide_jobs.
 //
 // A parameter sweep — one bundle whose context carries a sweep block
 // (parameter names + point grid) — submits as ONE job via POST
@@ -169,7 +171,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines (0 = NumCPU)")
 	queue := flag.Int("queue", 64, "bounded queue depth (full queue → 429)")
 	cache := flag.Int("cache", 1024, "result-cache entries (negative disables)")
-	maxShards := flag.Int("max-shards", 0, "statevector shards granted to a lone simulation job (0 = GOMAXPROCS)")
+	maxShards := flag.Int("max-shards", 0, "cores granted to a lone job: statevector shards for a simulation, concurrent points (lanes × shards) for a sweep (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "journal + result directory for crash-safe restarts (empty = in-memory)")
 	fsync := flag.String("fsync", "", "journal fsync policy: always|group|terminal|none (default: always, or group in -dispatch mode)")
 	dispatch := flag.String("dispatch", "", "comma-separated worker base URLs: serve as a fleet dispatcher instead of a worker")

@@ -111,7 +111,28 @@
 // submitted for that point alone. Per-point cache keys, fingerprints
 // and sampled counts are therefore bit-identical to individual
 // concrete-angle submissions — the determinism invariant the cache and
-// replication story rests on. Over HTTP the grid is POST /v1/sweeps and
+// replication story rests on.
+//
+// How a grid is scheduled onto cores is the middle layer's own decision
+// and never shows in a result. A sweep job's core grant G (the pool's
+// shard grant: -max-shards for a lone job, one beside other work) is
+// spent as L lanes × G/L shards: runtime.PrepareSweep validates, lowers,
+// transpiles and compiles the template once and returns a handle whose
+// per-point call is safe for concurrent use, and the pool runs
+// L = min(G, points still to execute) goroutines that each pull the next
+// point, execute it on a sim.Runner they keep (planes, CDF and scratch
+// allocated once per lane, reset per point), persist it and publish it.
+// Cores go to whole points before they go to shards of one small state,
+// whose every kernel would end in a barrier; a lone point, or a lone
+// large state, degenerates to one lane × G shards. One rule narrows L,
+// read off the input and not a setting: the lanes together never hold
+// more amplitudes than the largest single job the engine admits,
+// L·2^n ≤ 2^sim.MaxQubits. Points therefore complete out of order —
+// points_done is a count, not a prefix of the grid — and the first
+// failing point stops every lane. runtime.SubmitSweep is the serial
+// driver over the same handle: one goroutine, points in the order given.
+//
+// Over HTTP the grid is POST /v1/sweeps and
 // the indexed result set is GET /v1/sweeps/{id}; GET /v1/jobs/{id}
 // supports long-polling via ?wait=<duration> — and watching per-point
 // progress via &rev=<revision> — on both tiers. The fleet

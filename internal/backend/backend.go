@@ -38,6 +38,26 @@ type Sharded interface {
 // duration. The jobs layer turns these into per-job span logs.
 type StageFunc func(stage string, d time.Duration)
 
+// ExecOptions is how an execution is scheduled and observed — never what
+// it computes: results are bit-identical for any value. Shards is the
+// parallelism grant (≤ 0 lets the engine choose), Stages an optional
+// per-stage timing callback, Profile requests the kernel-granular profile
+// under Meta["profile"]. Sweeper takes it whole; the positional
+// Sharded/Staged/Profiled variants predate it.
+type ExecOptions struct {
+	Shards  int
+	Stages  StageFunc
+	Profile bool
+}
+
+// stage reports the time since start as one pipeline stage, if anyone
+// listens.
+func (o ExecOptions) stage(name string, start time.Time) {
+	if o.Stages != nil {
+		o.Stages(name, time.Since(start))
+	}
+}
+
 // Staged is implemented by backends that can report per-stage timings.
 // stages may be nil (equivalent to ExecuteSharded).
 type Staged interface {

@@ -42,7 +42,7 @@ func (g *Gate) ExecuteSharded(b *bundle.Bundle, shards int) (*result.Result, err
 // timing callbacks ("transpile" here; "compile"/"execute"/"sample" from
 // the simulator).
 func (g *Gate) ExecuteStaged(b *bundle.Bundle, shards int, stages StageFunc) (*result.Result, error) {
-	return g.executeStaged(b, shards, stages, false)
+	return g.execute(b, ExecOptions{Shards: shards, Stages: stages})
 }
 
 // ExecuteProfiled implements backend.Profiled: ExecuteStaged with the
@@ -50,18 +50,14 @@ func (g *Gate) ExecuteStaged(b *bundle.Bundle, shards int, stages StageFunc) (*r
 // the result's Meta["profile"]. The noise-trajectory path has no plan
 // execution to profile, so noisy contexts return no profile.
 func (g *Gate) ExecuteProfiled(b *bundle.Bundle, shards int, stages StageFunc) (*result.Result, error) {
-	return g.executeStaged(b, shards, stages, true)
+	return g.execute(b, ExecOptions{Shards: shards, Stages: stages, Profile: true})
 }
 
-func (g *Gate) executeStaged(b *bundle.Bundle, shards int, stages StageFunc, profile bool) (*result.Result, error) {
+func (g *Gate) execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return nil, err
 	}
-	regs := algolib.Registers{}
-	for _, d := range b.QDTs {
-		regs[d.ID] = d
-	}
-	lowered, err := algolib.Lower(b.Operators, regs)
+	lowered, err := algolib.Lower(b.Operators, registers(b))
 	if err != nil {
 		return nil, err
 	}
@@ -86,9 +82,7 @@ func (g *Gate) executeStaged(b *bundle.Bundle, shards int, stages StageFunc, pro
 	if err != nil {
 		return nil, err
 	}
-	if stages != nil {
-		stages("transpile", time.Since(transpileStart))
-	}
+	o.stage("transpile", transpileStart)
 	circ = tr.Circuit
 	meta["transpile"] = tr.Stats
 
@@ -112,27 +106,20 @@ func (g *Gate) executeStaged(b *bundle.Bundle, shards int, stages StageFunc, pro
 		meta["qec"] = *overhead
 	}
 
-	shots := DefaultShots
-	seed := uint64(0)
-	if ctx.Exec != nil {
-		if ctx.Exec.Samples > 0 {
-			shots = ctx.Exec.Samples
-		}
-		seed = ctx.Exec.Seed
-	}
+	shots, seed := shotsAndSeed(ctx)
 	noise, err := noiseFromOptions(ctx)
 	if err != nil {
 		return nil, err
 	}
 	var run *sim.Result
 	if noise.Zero() {
-		run, err = sim.Run(circ, sim.Options{Shots: shots, Seed: seed, Shards: shards, Stages: stages, Profile: profile})
+		run, err = sim.Run(circ, sim.Options{Shots: shots, Seed: seed, Shards: o.Shards, Stages: o.Stages, Profile: o.Profile})
 	} else {
 		// The trajectory engine interleaves noise injection with gate
 		// application, so there is no clean compile/execute split to time;
 		// only the process-wide sim histograms its Run path shares apply.
 		meta["noise"] = noise
-		run, err = sim.RunNoisy(circ, noise, sim.Options{Shots: shots, Seed: seed, Shards: shards})
+		run, err = sim.RunNoisy(circ, noise, sim.Options{Shots: shots, Seed: seed, Shards: o.Shards})
 	}
 	if err != nil {
 		return nil, err
@@ -155,6 +142,27 @@ func (g *Gate) executeStaged(b *bundle.Bundle, shards int, stages StageFunc, pro
 		res.Sort()
 	}
 	return res, nil
+}
+
+// registers is the register table lowering takes.
+func registers(b *bundle.Bundle) algolib.Registers {
+	regs := algolib.Registers{}
+	for _, d := range b.QDTs {
+		regs[d.ID] = d
+	}
+	return regs
+}
+
+// shotsAndSeed resolves the sample count and seed a gate job runs with.
+func shotsAndSeed(ctx *ctxdesc.Context) (shots int, seed uint64) {
+	shots = DefaultShots
+	if ctx.Exec != nil {
+		if ctx.Exec.Samples > 0 {
+			shots = ctx.Exec.Samples
+		}
+		seed = ctx.Exec.Seed
+	}
+	return shots, seed
 }
 
 // noiseFromOptions reads the engine-specific noise block from

@@ -2,172 +2,176 @@ package backend
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/algolib"
 	"repro/internal/bundle"
 	"repro/internal/qdt"
+	"repro/internal/qop"
 	"repro/internal/result"
 	"repro/internal/sim"
 	"repro/internal/transpile"
 )
 
-// Sweeper is implemented by backends that can execute a parameter sweep
-// against a single compiled plan. b is the template bundle whose context
-// carries the sweep block and whose operator parameters may hold "$name"
-// markers; concrete[k] is the fully materialized bundle for global point
-// index indices[k] — exactly the bundle a caller would submit for that
-// point alone — used for per-point fallback and provenance. each is
-// invoked once per point, in indices order.
+// Sweeper is implemented by backends that can prepare a parameter sweep
+// once and then serve its points one call at a time. b is the template
+// bundle whose context carries the sweep block and whose operator
+// parameters may hold "$name" markers.
 //
-// The contract is bit-identity: the result delivered for point i equals,
-// entry for entry, what Execute(concrete[k]) would return. A backend
-// unable to honor that for some point must execute that point through
-// its concrete path rather than approximate.
+// The contract is bit-identity: the result Point delivers for point i
+// equals, entry for entry, what Execute(concrete) would return for that
+// point's materialized bundle. A backend unable to honor that for some
+// point must execute that point through its concrete path rather than
+// approximate.
 //
-// When profile is set, each point's result carries its kernel-granular
+// With o.Profile set, each point's result carries its kernel-granular
 // execution profile under Meta["profile"] (observational only — entries
 // are unchanged); the serving layer aggregates the per-point tables.
 type Sweeper interface {
-	ExecuteSweep(b *bundle.Bundle, concrete []*bundle.Bundle, indices []int, shards int, stages StageFunc, profile bool, each func(i int, res *result.Result) error) error
+	PrepareSweep(b *bundle.Bundle, o ExecOptions) (PreparedSweep, error)
 }
 
-// ExecuteSweep implements Sweeper for the gate engine: lower the
-// template once with symbolic parameter references, transpile and
-// compile once, then Bind per point. Points the parametric fast path
-// cannot express exactly — degenerate angles the optimizer would have
-// dropped, contexts with comm/QEC/noise blocks, transpile options
-// outside the parametric subset — run through ExecuteStaged on their
-// concrete bundle instead, so every point keeps the bit-identity
-// contract regardless of which path served it.
-func (g *Gate) ExecuteSweep(b *bundle.Bundle, concrete []*bundle.Bundle, indices []int, shards int, stages StageFunc, profile bool, each func(i int, res *result.Result) error) error {
-	if len(concrete) != len(indices) {
-		return fmt.Errorf("backend: %d concrete bundles for %d indices", len(concrete), len(indices))
-	}
+// PreparedSweep serves the points of one prepared sweep. Point executes
+// global point index i, whose materialized bundle — exactly what a caller
+// would submit for that point alone — is concrete; it is safe for
+// concurrent use, each call occupying o.Shards cores, and o.Stages is
+// invoked on the calling goroutine. Close releases what the calls kept
+// for reuse, once none is in flight.
+type PreparedSweep interface {
+	Point(i int, concrete *bundle.Bundle) (*result.Result, error)
+	Close()
+}
+
+// gateSweep is the gate engine's prepared sweep: the template lowered with
+// symbolic parameter references, transpiled and compiled once; a point is
+// a Bind, a run on a reused sim.Runner and a decode. pp is nil when the
+// template has no parametric form, and every point then runs concretely.
+type gateSweep struct {
+	g      *Gate
+	o      ExecOptions
+	points [][]float64
+
+	pp       *sim.ParamPlan
+	tr       *transpile.Result
+	optLevel int
+	shots    int
+	seed     uint64
+	m        *qop.Operator
+	reg      *qdt.DataType
+
+	mu   sync.Mutex
+	idle []*sim.Runner // parked between Point calls: one per concurrent caller at most
+}
+
+// PrepareSweep implements Sweeper for the gate engine. Templates the
+// parametric pipeline cannot express — contexts with comm/QEC/noise
+// blocks, markers on an operator kind without a symbolic lowering,
+// transpile options outside the parametric subset — prepare to a handle
+// that runs every point through the concrete path on its own bundle, so
+// every point keeps the bit-identity contract whichever path serves it.
+func (g *Gate) PrepareSweep(b *bundle.Bundle, o ExecOptions) (PreparedSweep, error) {
 	ctx := b.Context
 	if ctx == nil || ctx.Sweep == nil {
-		return fmt.Errorf("backend: sweep execution without a sweep context block")
+		return nil, fmt.Errorf("backend: sweep execution without a sweep context block")
 	}
-	sw := ctx.Sweep
-	for _, gi := range indices {
-		if gi < 0 || gi >= len(sw.Points) {
-			return fmt.Errorf("backend: point index %d out of range [0,%d)", gi, len(sw.Points))
-		}
-	}
-
-	fallbackPoint := func(k int) error {
-		res, err := g.executeStaged(concrete[k], shards, stages, profile)
-		if err != nil {
-			return fmt.Errorf("point %d: %w", indices[k], err)
-		}
-		return each(indices[k], res)
-	}
-	fallbackAll := func() error {
-		for k := range concrete {
-			if err := fallbackPoint(k); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Blocks the parametric pipeline does not model run concretely.
+	s := &gateSweep{g: g, o: o, points: ctx.Sweep.Points}
 	noise, err := noiseFromOptions(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if ctx.Comm != nil || ctx.QEC != nil || !noise.Zero() {
-		return fallbackAll()
+		return s, nil
 	}
-
-	regs := algolib.Registers{}
-	for _, d := range b.QDTs {
-		regs[d.ID] = d
+	lowered, err := algolib.LowerParametric(b.Operators, registers(b), ctx.Sweep.Params)
+	if err != nil || !lowered.Circuit.HasRefs() {
+		// Not symbolic (or nothing symbolic in it): the concrete bundles
+		// still lower point by point.
+		return s, nil
 	}
-	lowered, err := algolib.LowerParametric(b.Operators, regs, sw.Params)
-	if err != nil {
-		// The template did not lower symbolically (e.g. markers on an
-		// operator kind without a parametric lowering); the concrete
-		// bundles still lower point by point.
-		return fallbackAll()
-	}
-	if !lowered.Circuit.HasRefs() {
-		// Nothing symbolic: all points are the same circuit.
-		return fallbackAll()
-	}
-
 	opts := transpile.FromContext(ctx)
 	transpileStart := time.Now()
 	tr, ok, err := transpile.TranspileParametric(lowered.Circuit, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !ok {
-		return fallbackAll()
+		return s, nil
 	}
-	if stages != nil {
-		stages("transpile", time.Since(transpileStart))
-	}
-	circ := tr.Circuit
-
+	o.stage("transpile", transpileStart)
 	compileStart := time.Now()
-	pp, err := sim.CompileParametric(circ)
+	pp, err := sim.CompileParametric(tr.Circuit)
 	if err != nil {
-		return fallbackAll()
+		return s, nil
 	}
-	if stages != nil {
-		stages("compile", time.Since(compileStart))
+	o.stage("compile", compileStart)
+	if s.m = b.Operators.FinalMeasurement(); s.m != nil {
+		if s.reg, err = measuredRegister(b, s.m); err != nil {
+			return nil, err
+		}
 	}
+	s.pp, s.tr, s.optLevel = pp, tr, opts.OptimizationLevel
+	s.shots, s.seed = shotsAndSeed(ctx)
+	return s, nil
+}
 
-	shots := DefaultShots
-	seed := uint64(0)
-	if ctx.Exec != nil {
-		if ctx.Exec.Samples > 0 {
-			shots = ctx.Exec.Samples
-		}
-		seed = ctx.Exec.Seed
+func (s *gateSweep) Point(i int, concrete *bundle.Bundle) (*result.Result, error) {
+	if i < 0 || i >= len(s.points) {
+		return nil, fmt.Errorf("backend: point index %d out of range [0,%d)", i, len(s.points))
 	}
-	m := b.Operators.FinalMeasurement()
-	var reg *qdt.DataType
-	if m != nil {
-		if reg, err = measuredRegister(b, m); err != nil {
-			return err
-		}
+	v := s.points[i]
+	if s.pp == nil || s.optLevel >= 1 && transpile.ParamAngleZero(s.tr.Circuit, v) {
+		// No template, or the concrete optimizer would drop this point's
+		// zero-angle rotation — a structural change the template cannot
+		// express.
+		return s.g.execute(concrete, s.o)
 	}
+	pl, err := s.pp.Bind(v)
+	if err != nil {
+		return nil, err
+	}
+	run, err := s.run(pl)
+	if err != nil {
+		return nil, err
+	}
+	res := &result.Result{Engine: s.g.engine, Samples: s.shots, Meta: map[string]any{"transpile": s.tr.Stats}}
+	if run.Profile != nil {
+		res.Meta["profile"] = run.Profile
+	}
+	if s.m != nil {
+		if res.Entries, err = result.DecodeCounts(run.Counts, s.m.Result, s.reg); err != nil {
+			return nil, err
+		}
+		res.Sort()
+	}
+	return res, nil
+}
 
-	for k, gi := range indices {
-		v := sw.Points[gi]
-		if opts.OptimizationLevel >= 1 && transpile.ParamAngleZero(circ, v) {
-			// The concrete optimizer would drop this point's zero-angle
-			// rotation — a structural change the template cannot express.
-			if err := fallbackPoint(k); err != nil {
-				return err
-			}
-			continue
-		}
-		pl, err := pp.Bind(v)
-		if err != nil {
-			return fmt.Errorf("point %d: %w", gi, err)
-		}
-		run, err := sim.RunPlan(circ, pl, sim.Options{Shots: shots, Seed: seed, Shards: shards, Stages: stages, Profile: profile})
-		if err != nil {
-			return fmt.Errorf("point %d: %w", gi, err)
-		}
-		res := &result.Result{Engine: g.engine, Samples: shots, Meta: map[string]any{"transpile": tr.Stats}}
-		if run.Profile != nil {
-			res.Meta["profile"] = run.Profile
-		}
-		if m != nil {
-			entries, err := result.DecodeCounts(run.Counts, m.Result, reg)
-			if err != nil {
-				return fmt.Errorf("point %d: %w", gi, err)
-			}
-			res.Entries = entries
-			res.Sort()
-		}
-		if err := each(gi, res); err != nil {
-			return err
+// run executes one bound plan on a parked Runner, or a new one when every
+// Runner is in use: a caller that loops over points reuses one arena.
+func (s *gateSweep) run(pl *sim.Plan) (*sim.Result, error) {
+	var r *sim.Runner
+	s.mu.Lock()
+	if n := len(s.idle); n > 0 {
+		r, s.idle = s.idle[n-1], s.idle[:n-1]
+	}
+	s.mu.Unlock()
+	if r == nil {
+		var err error
+		if r, err = sim.NewRunner(s.tr.Circuit.NumQubits, s.o.Shards); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	run, err := r.Run(s.tr.Circuit, pl, sim.Options{Shots: s.shots, Seed: s.seed, Stages: s.o.Stages, Profile: s.o.Profile})
+	s.mu.Lock()
+	s.idle = append(s.idle, r)
+	s.mu.Unlock()
+	return run, err
+}
+
+func (s *gateSweep) Close() {
+	for _, r := range s.idle {
+		r.Close()
+	}
+	s.idle = nil
 }

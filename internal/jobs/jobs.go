@@ -54,7 +54,7 @@
 // A bundle whose context carries a sweep block — parameter names plus a
 // point grid — enters through SubmitSweep as ONE job: one journal
 // record (the submitted event stores the template with its grid), one
-// queue slot, one worker fanning out per point. The worker materializes
+// queue slot, one worker turn fanning out per point. The worker materializes
 // each point with bundle.BindPoint, which substitutes the point's
 // values into the "$name" markers and strips the sweep block: the
 // result is byte-for-byte the bundle a caller would have submitted for
@@ -65,8 +65,19 @@
 // jobs — a sweep after a per-point run (or vice versa) re-executes
 // nothing.
 //
-// Execution goes through runtime.SubmitSweep: the symbolic template
+// Execution goes through runtime.PrepareSweep: the symbolic template
 // compiles once into a sim.ParamPlan and each point binds into it. The
+// job's grant G — the same shard grant a plain job gets — is spent as
+// lanes × shards (see sweepLanes): L = min(G, points not served from a
+// cache) goroutines, the worker one of them, each pulling the next point
+// from a shared counter, executing it on G/L shards, persisting and
+// publishing it; L·2^qubits never exceeds 2^sim.MaxQubits resident
+// amplitudes. A sweep beside other running work has G = 1 and is the
+// plain serial loop. Points complete out of order, so Status.PointsDone
+// is a count, not a prefix of the grid; Status.Shards stays G, and the
+// "started" and "executed" spans carry the split. Points of one grid with
+// equal cache keys execute once. The first failing point stops the lanes
+// and fails the job. The
 // bind-invariance contract (see internal/sim: structure, kernel order
 // and stats fixed across bindings; bound execution bit-identical to a
 // concrete compile) is what makes this sound — per-point counts,

@@ -6,14 +6,16 @@
 // submitted for that point alone, so per-point cache keys, fingerprints
 // and counts are bit-identical to individual submissions. Points whose
 // concrete twin already has a cached or on-disk result are served from it
-// without execution; the rest run through runtime.SubmitSweep, which
-// compiles the parametric plan once and binds per point.
+// without execution; the rest run on lanes over one runtime.PrepareSweep
+// handle, which compiles the parametric plan once and binds per point.
 
 package jobs
 
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bundle"
@@ -21,14 +23,16 @@ import (
 	"repro/internal/obs"
 	"repro/internal/result"
 	rt "repro/internal/runtime"
+	"repro/internal/sim"
 )
 
 // MaxSweepPoints bounds one sweep submission's parameter grid.
 const MaxSweepPoints = 4096
 
 // sweepState is the per-point progress of a sweep job. All fields are
-// guarded by Pool.mu; the worker running the sweep is the only writer, so
-// it may read fields it already wrote without the lock.
+// guarded by Pool.mu; the lanes of the worker running the sweep are the
+// only writers, so once they have returned that worker may read what they
+// wrote without the lock.
 type sweepState struct {
 	points int
 	// keys holds the per-point result content addresses in point order
@@ -135,12 +139,29 @@ func (p *Pool) submitSweep(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	return p.statusLocked(j), nil
 }
 
+// sweepLanes splits a sweep's core grant over the points it still has to
+// execute: as many concurrent lanes as the grant and the work allow, each
+// lane sweeping its state over grant/lanes shards, so lanes × shards never
+// exceeds the grant. Points are independent and a small state gains little
+// from sharding (every kernel ends in a barrier), so cores go to whole
+// points first; a lone point, or a grant of one, degenerates to one lane.
+// The one rule that narrows the lanes is footprint: together they never
+// hold more resident amplitudes than the largest single job the engine
+// admits, lanes · 2^qubits ≤ 2^sim.MaxQubits.
+func sweepLanes(grant, points, qubits int) (lanes, shards int) {
+	lanes = max(1, min(grant, points, 1<<max(0, sim.MaxQubits-qubits)))
+	return lanes, max(1, grant/lanes)
+}
+
 // runSweepJob executes a sweep job on the worker goroutine that dequeued
 // it: materialize every point, serve points whose concrete twin already
-// has a result from the memory or disk cache, run the rest through
-// runtime.SubmitSweep (compile once, bind per point), persist each result
-// under its per-point content address, and journal ONE terminal event
-// whose Results field lists every address in point order.
+// has a result from the memory or disk cache, prepare the rest once
+// (runtime.PrepareSweep: validate, lower, transpile, compile the template)
+// and run them on lanes — goroutines that each pull the next missing point
+// from a shared counter, execute it, persist its result under its
+// per-point content address and publish it — then journal ONE terminal
+// event whose Results field lists every address in point order. Points
+// complete in no particular order; the first failure stops every lane.
 func (p *Pool) runSweepJob(j *job) {
 	p.mu.Lock()
 	if j.state != StateQueued { // canceled while queued
@@ -151,8 +172,9 @@ func (p *Pool) runSweepJob(j *job) {
 	j.started = time.Now()
 	p.running++
 	// Same shard grant policy as plain jobs: a sweep starting into an
-	// otherwise idle pool takes the full cap (the points run sequentially,
-	// each wide); alongside other work it stays narrow.
+	// otherwise idle pool takes the full cap, alongside other work it
+	// stays at one core. How the grant splits into lanes × shards is
+	// decided below, once the points to execute are known.
 	granted := j.shards
 	if granted <= 0 {
 		if p.running == 1 && len(p.pending) == 0 {
@@ -172,16 +194,23 @@ func (p *Pool) runSweepJob(j *job) {
 	b := j.bundle
 	sw := b.Context.Sweep
 	n := len(sw.Points)
+	qubits := 0
+	for _, d := range b.QDTs {
+		qubits += d.Width
+	}
 	j.sweep.points = n
 	j.sweep.keys = make([]string, n)
 	j.sweep.results = make([]*result.Result, n)
 	p.met.queueWait.Observe(j.started.Sub(j.submitted))
-	j.spanLocked("started", j.started.Sub(j.submitted), fmt.Sprintf("sweep points=%d shards=%d", n, granted))
+	// The split announced here is the plan for a grid with nothing cached;
+	// the "executed" span carries the one that ran.
+	lanes, shards := sweepLanes(granted, n, qubits)
+	note := fmt.Sprintf("sweep points=%d lanes=%d shards=%d", n, lanes, shards)
+	j.spanLocked("started", j.started.Sub(j.submitted), note)
 	p.journal(store.Event{T: store.EvStarted, Job: j.id, At: j.started, Shards: granted})
-	obs.Record(obs.FlightJobRunning, j.id, fmt.Sprintf("sweep points=%d shards=%d", n, granted))
+	obs.Record(obs.FlightJobRunning, j.id, note)
 	p.log.Info("sweep started", "job", j.id, "trace", j.trace, "engine", j.engine, "points", n, "shards", granted)
 	runOpts := p.opts.Run
-	runOpts.Shards = granted
 	runOpts.Profile = j.profile
 	// No per-stage span callback: a sweep would log stage spans per point
 	// and drown the lifecycle log; the coarse spans below cover it.
@@ -205,79 +234,104 @@ func (p *Pool) runSweepJob(j *job) {
 		}
 	}
 
-	var missIdx []int
+	// Points with equal keys are one piece of work: the first index with a
+	// key owns it, and whatever serves the owner serves its twins.
+	var owners, fromMem, miss []int
+	twins := map[int][]int{}
+	// publishLocked completes point i and its twins with res. Callers hold
+	// p.mu. A twin is a cache hit in all but name: served without executing.
+	publishLocked := func(i int, res *result.Result) {
+		j.pointDoneLocked(i, res)
+		for _, t := range twins[i] {
+			j.pointDoneLocked(t, copyResult(res))
+			p.met.cacheHits.Inc()
+		}
+	}
 	if err == nil {
-		served := make([]bool, n)
+		owner := make(map[string]int, n)
+		for i, k := range keys {
+			if o, dup := owner[k]; dup {
+				twins[o] = append(twins[o], i)
+			} else {
+				owner[k] = i
+				owners = append(owners, i)
+			}
+		}
 		p.mu.Lock()
 		copy(j.sweep.keys, keys)
 		j.spanLocked("materialized", time.Since(bindStart), fmt.Sprintf("points=%d", n))
-		if p.cache != nil {
-			for i := range keys {
+		for _, i := range owners {
+			if p.cache != nil {
 				if res, ok := p.cache.get(keys[i]); ok {
-					j.pointDoneLocked(i, res)
-					served[i] = true
+					publishLocked(i, res)
 					p.met.cacheHits.Inc()
+					fromMem = append(fromMem, i)
+					continue
 				}
 			}
+			miss = append(miss, i)
 		}
 		p.mu.Unlock()
 		if p.opts.Store != nil {
 			// Second-level lookup: a point's result may live on disk (from
 			// a previous process life) without being in the memory LRU.
-			for i := range keys {
-				if served[i] {
+			still := miss[:0]
+			for _, i := range miss {
+				res, ok, derr := p.opts.Store.GetResult(keys[i])
+				if derr != nil || !ok {
+					still = append(still, i)
 					continue
 				}
-				if res, ok, derr := p.opts.Store.GetResult(keys[i]); derr == nil && ok {
-					p.mu.Lock()
-					j.pointDoneLocked(i, res)
-					if p.cache != nil {
-						p.cache.put(keys[i], res)
-					}
-					p.mu.Unlock()
-					served[i] = true
-					p.met.diskHits.Inc()
+				p.mu.Lock()
+				publishLocked(i, res)
+				if p.cache != nil {
+					p.cache.put(keys[i], res)
 				}
+				p.mu.Unlock()
+				p.met.diskHits.Inc()
 			}
-		}
-		for i := range served {
-			if !served[i] {
-				missIdx = append(missIdx, i)
-			}
+			miss = still
 		}
 	}
 
-	if err == nil && len(missIdx) > 0 {
-		missB := make([]*bundle.Bundle, len(missIdx))
-		for k, i := range missIdx {
-			missB[k] = concrete[i]
-		}
+	if err == nil && len(miss) > 0 {
 		execStart := time.Now()
-		err = rt.SubmitSweep(b, missB, missIdx, runOpts, func(i int, res *result.Result) error {
-			// Persist before publishing, so the terminal journal event's
-			// Results list never references a missing file. PutResult is
-			// lock-free by design; the cache is not — it needs p.mu.
-			if p.opts.Store != nil {
-				//lint:ignore journalerr persistence failures count in store_journal_errors_total; the sweep degrades to in-memory results rather than failing
-				_ = p.opts.Store.PutResult(keys[i], res)
-			}
-			p.mu.Lock()
-			j.pointDoneLocked(i, res)
-			if p.cache != nil {
-				p.cache.put(keys[i], res)
-			}
-			p.mu.Unlock()
-			return nil
-		})
+		lanes, shards = sweepLanes(granted, len(miss), qubits)
+		runOpts.Shards = shards
+		var sweep *rt.Sweep
+		if sweep, err = rt.PrepareSweep(b, runOpts); err == nil {
+			err = runLanes(lanes, miss, func(i int) error {
+				res, err := sweep.Point(i, concrete[i])
+				if err != nil {
+					return err
+				}
+				// Persist before publishing, so the terminal journal event's
+				// Results list never references a missing file. PutResult is
+				// lock-free by design; the cache is not — it needs p.mu.
+				if p.opts.Store != nil {
+					//lint:ignore journalerr persistence failures count in store_journal_errors_total; the sweep degrades to in-memory results rather than failing
+					_ = p.opts.Store.PutResult(keys[i], res)
+				}
+				p.mu.Lock()
+				publishLocked(i, res)
+				if p.cache != nil {
+					p.cache.put(keys[i], res)
+				}
+				p.mu.Unlock()
+				return nil
+			})
+			sweep.Close()
+		}
 		p.mu.Lock()
-		j.spanLocked("executed", time.Since(execStart), fmt.Sprintf("points=%d cached=%d", len(missIdx), n-len(missIdx)))
+		j.spanLocked("executed", time.Since(execStart), fmt.Sprintf("points=%d cached=%d lanes=%d shards=%d", len(miss), n-len(miss), lanes, shards))
 		p.mu.Unlock()
 	}
 	if err == nil && p.opts.Store != nil {
 		// Backfill points served from the memory cache whose files an
 		// earlier process life never persisted (mirrors the single-job
 		// cache-hit backfill), so the done record below is self-contained.
-		for i := range keys {
+		// Every other point was just written to, or read from, its file.
+		for _, i := range fromMem {
 			if !p.opts.Store.HasResult(keys[i]) {
 				//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from memory
 				_ = p.opts.Store.PutResult(keys[i], j.sweep.results[i])
@@ -299,7 +353,7 @@ func (p *Pool) runSweepJob(j *job) {
 		p.log.Warn("sweep failed", "job", j.id, "trace", j.trace, "engine", j.engine, "err", err)
 	} else {
 		j.state = StateDone
-		if len(missIdx) == 0 {
+		if len(miss) == 0 {
 			j.cacheHit = true // every point served without execution
 		}
 		if j.profile {
@@ -314,6 +368,41 @@ func (p *Pool) runSweepJob(j *job) {
 	}
 	p.finishLocked(j)
 	p.mu.Unlock()
+}
+
+// runLanes calls point(i) once for every i in work, on lanes goroutines
+// that each pull the next index from a shared counter, and returns the
+// first error; after an error no lane starts another point. The caller is
+// lane zero, so lanes goroutines run, not lanes+1.
+func runLanes(lanes int, work []int, point func(i int) error) error {
+	var (
+		next   atomic.Int64 // position in work of the next point to take
+		failed atomic.Bool
+		first  error // written by the lane that sets failed, read after wg.Wait
+		wg     sync.WaitGroup
+	)
+	lane := func() {
+		defer wg.Done()
+		for !failed.Load() {
+			k := int(next.Add(1)) - 1
+			if k >= len(work) {
+				return
+			}
+			if err := point(work[k]); err != nil {
+				if failed.CompareAndSwap(false, true) {
+					first = err
+				}
+				return
+			}
+		}
+	}
+	wg.Add(lanes)
+	for l := 1; l < lanes; l++ {
+		go lane()
+	}
+	lane()
+	wg.Wait()
+	return first
 }
 
 // SweepResult returns the per-point results of a done sweep job, indexed

@@ -8,12 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/algolib"
 	"repro/internal/bundle"
-	"repro/internal/ctxdesc"
-	"repro/internal/graph"
 	"repro/internal/jobs/store"
-	"repro/internal/qdt"
 	"repro/internal/result"
 	rt "repro/internal/runtime"
 	"repro/internal/sim"
@@ -31,21 +27,11 @@ func sweepGrid64() [][]float64 {
 	return points
 }
 
-// sweepTestBundle builds a symbolic one-layer QAOA sweep template.
+// sweepTestBundle builds a symbolic one-layer QAOA sweep template on four
+// qubits for the statevector engine.
 func sweepTestBundle(t testing.TB, points [][]float64) *bundle.Bundle {
 	t.Helper()
-	reg := qdt.NewIsingVars("ising_vars", "s", 4)
-	seq, err := algolib.BuildQAOASymbolic(reg, graph.Cycle(4), []string{"gamma0"}, []string{"beta0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := ctxdesc.NewGate("gate.statevector", 256, 11)
-	ctx.Sweep = &ctxdesc.Sweep{Params: []string{"gamma0", "beta0"}, Points: points}
-	b, err := bundle.New([]*qdt.DataType{reg}, seq, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return laneSweepBundle(t, "gate.statevector", 4, points)
 }
 
 func sweepEntriesEqual(a, b *result.Result) error {

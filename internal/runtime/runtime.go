@@ -75,28 +75,31 @@ func SelectEngine(b *bundle.Bundle) (string, error) {
 // MaxGateTwoQ is the scheduler guardrail on hinted two-qubit counts.
 const MaxGateTwoQ = 1_000_000
 
-// Submit validates and executes a bundle.
-func Submit(b *bundle.Bundle, opts Options) (*result.Result, error) {
+// prepare validates a bundle and resolves the backend that will run it.
+func prepare(b *bundle.Bundle, opts Options) (engine string, be backend.Backend, err error) {
 	if err := b.Validate(qop.ValidateOptions{AllowMidCircuit: opts.AllowMidCircuit}); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if !opts.SkipSchemaValidation {
 		if err := b.ValidateAgainstSchemas(); err != nil {
-			return nil, err
+			return "", nil, err
 		}
 	}
-	engine := ""
 	if b.Context != nil && b.Context.Exec != nil {
 		engine = b.Context.Exec.Engine
 	}
 	if engine == "" {
-		selected, err := SelectEngine(b)
-		if err != nil {
-			return nil, err
+		if engine, err = SelectEngine(b); err != nil {
+			return "", nil, err
 		}
-		engine = selected
 	}
-	be, err := backend.Get(engine)
+	be, err = backend.Get(engine)
+	return engine, be, err
+}
+
+// Submit validates and executes a bundle.
+func Submit(b *bundle.Bundle, opts Options) (*result.Result, error) {
+	engine, be, err := prepare(b, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -120,89 +123,4 @@ func Submit(b *bundle.Bundle, opts Options) (*result.Result, error) {
 		res.Meta["intent_fingerprint"] = fp
 	}
 	return res, nil
-}
-
-// SubmitSweep validates the sweep template bundle once and executes the
-// given points, invoking each per completed point with its global index.
-// concrete[k] is the materialized bundle for point indices[k] (see
-// bundle.BindPoint); backends implementing backend.Sweeper compile the
-// template once and bind per point, others — and points the sweep path
-// cannot serve exactly — run their concrete bundle through the ordinary
-// Submit path. Either way each point's result, including its
-// intent_fingerprint, is what Submit(concrete[k]) would have produced.
-func SubmitSweep(b *bundle.Bundle, concrete []*bundle.Bundle, indices []int, opts Options, each func(i int, res *result.Result) error) error {
-	if len(concrete) != len(indices) {
-		return fmt.Errorf("runtime: %d concrete bundles for %d indices", len(concrete), len(indices))
-	}
-	if b.Context == nil || b.Context.Sweep == nil {
-		return fmt.Errorf("runtime: sweep submission without a sweep context block")
-	}
-	if err := b.Validate(qop.ValidateOptions{AllowMidCircuit: opts.AllowMidCircuit}); err != nil {
-		return err
-	}
-	if !opts.SkipSchemaValidation {
-		if err := b.ValidateAgainstSchemas(); err != nil {
-			return err
-		}
-	}
-	engine := ""
-	if b.Context.Exec != nil {
-		engine = b.Context.Exec.Engine
-	}
-	if engine == "" {
-		selected, err := SelectEngine(b)
-		if err != nil {
-			return err
-		}
-		engine = selected
-	}
-	be, err := backend.Get(engine)
-	if err != nil {
-		return err
-	}
-	sweeper, ok := be.(backend.Sweeper)
-	if !ok {
-		// Engines without a parametric path run every point concretely.
-		for k, gi := range indices {
-			res, err := Submit(concrete[k], opts)
-			if err != nil {
-				return fmt.Errorf("runtime: point %d: %w", gi, err)
-			}
-			if err := each(gi, res); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	pos := make(map[int]int, len(indices))
-	for k, gi := range indices {
-		pos[gi] = k
-	}
-	err = sweeper.ExecuteSweep(b, concrete, indices, opts.Shards, opts.Stages, opts.Profile, func(i int, res *result.Result) error {
-		if k, known := pos[i]; known {
-			// BindPoint stamps the bound bundle's provenance with a fresh
-			// intent fingerprint; reuse it rather than re-hashing the whole
-			// bundle on the per-point hot path.
-			fp := ""
-			if concrete[k].Provenance != nil {
-				fp = concrete[k].Provenance.IntentFingerprint
-			}
-			if fp == "" {
-				if h, ferr := concrete[k].Fingerprint(); ferr == nil {
-					fp = h
-				}
-			}
-			if fp != "" {
-				if res.Meta == nil {
-					res.Meta = map[string]any{}
-				}
-				res.Meta["intent_fingerprint"] = fp
-			}
-		}
-		return each(i, res)
-	})
-	if err != nil {
-		return fmt.Errorf("runtime: engine %s: %w", engine, err)
-	}
-	return nil
 }

@@ -62,6 +62,26 @@
 // consumers such as the noise-trajectory path, built on the same
 // pair-index sweeps.
 //
+// # Runner: one arena, many runs
+//
+// Everything a run needs that is O(2^n) lives in a Runner: the shard
+// pool, the two aligned planes (and, through the State, its lazily
+// allocated staging planes), the 2^n-entry sampling CDF and its per-block
+// sums. Run and RunPlan build a Runner, run once and close it; a caller
+// with many plans of one qubit count — a sweep lane binding point after
+// point — keeps its Runner, and a warm run allocates only what it
+// returns (the Counts map, the profile) plus one closure per kernel,
+// nothing that grows with the state. What reuse costs is the reset: every
+// run begins by clearing both planes to |0…0⟩ on the pool, 16·2^n bytes
+// of streaming writes, which is the very pass a fresh state gets as its
+// first touch. There is no second execution path — fresh or reused, the
+// same reset, kernels, CDF build and sampling run over the same data —
+// so amplitudes and counts cannot depend on what a Runner ran before
+// (runner_test.go pins it bitwise); the staging planes and the CDF are
+// fully overwritten before they are read. With KeepState the Result takes
+// the state and the Runner allocates new planes next time. A Runner is
+// single-goroutine; concurrent lanes each own one.
+//
 // # Parametric plans
 //
 // A circuit whose rotation angles carry symbolic ParamRefs (the sweep
@@ -106,7 +126,7 @@
 // and init kernels that cannot run in place) are allocated the same way,
 // lazily, and reused for the life of the State.
 //
-// First-touch ownership: a State created for plan execution (newStateOn)
+// First-touch ownership: a state created for plan execution (Runner.reset)
 // has its planes zeroed by the shard pool itself — each worker clears
 // exactly the contiguous range of re and im it will later sweep, before
 // any kernel runs. On NUMA machines first touch decides page placement,

@@ -189,22 +189,25 @@ func runReadoutOnly(c *circuit.Circuit, noise NoiseModel, opts Options, res *Res
 	if opts.Shots == 0 {
 		return res, nil
 	}
-	pool := newShardPool(resolveShards(1<<c.NumQubits, opts.Shards))
-	defer pool.close()
-	st, err := newStateOn(c.NumQubits, pool)
+	runner, err := NewRunner(c.NumQubits, opts.Shards)
+	if err != nil {
+		return nil, err
+	}
+	defer runner.Close()
+	st, err := runner.reset()
 	if err != nil {
 		return nil, err
 	}
 	// Evolve even when nothing is measured: runtime errors (an init on
 	// qubits not in |0…0⟩) must surface exactly as the per-shot
 	// trajectory path surfaced them.
-	if err := pl.executeOn(st, pool, nil); err != nil {
+	if err := pl.executeOn(st, runner.pool, nil); err != nil {
 		return nil, err
 	}
 	if len(mm) == 0 {
 		return res, nil
 	}
-	cdf, _, lastPos := buildCDF(st, pool)
+	cdf, _, lastPos := runner.buildCDF(st)
 	for shot := 0; shot < opts.Shots; shot++ {
 		r := rngs[shot]
 		// Unscaled draw, matching sampleIndex's trajectory semantics: the

@@ -193,12 +193,15 @@ func BenchmarkBuildCDF20(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := newShardPool(resolveShards(st.Dim(), 0))
-	defer pool.close()
+	runner, err := NewRunner(st.NumQubits(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer runner.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, acc, _ := buildCDF(st, pool); acc <= 0 {
+		if _, acc, _ := runner.buildCDF(st); acc <= 0 {
 			b.Fatal("empty distribution")
 		}
 	}
@@ -220,13 +223,16 @@ func BenchmarkSamplingStage20(b *testing.B) {
 		qubits = append(qubits, q)
 	}
 	sort.Ints(qubits)
-	pool := newShardPool(resolveShards(st.Dim(), 0))
-	defer pool.close()
+	runner, err := NewRunner(st.NumQubits(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer runner.Close()
 	const shots = 4096
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cdf, acc, lastPos := buildCDF(st, pool)
+		cdf, acc, lastPos := runner.buildCDF(st)
 		r := rng.New(42)
 		counts := Counts{}
 		for shot := 0; shot < shots; shot++ {

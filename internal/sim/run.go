@@ -8,7 +8,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/obs"
-	"repro/internal/rng"
 )
 
 // Engine stage histograms, registered process-wide: the sim layer has no
@@ -29,11 +28,6 @@ func observeStage(h *obs.Histogram, stages func(string, time.Duration), name str
 		stages(name, d)
 	}
 }
-
-// cdfBlock is the fixed accumulation block of the sampling CDF build.
-// Block boundaries — not shard boundaries — define the float summation
-// order, so sampled counts are bit-identical across shard counts.
-const cdfBlock = 4096
 
 // Counts maps a classical-bit register value (clbit i = bit i of the key)
 // to the number of shots observing it.
@@ -97,7 +91,8 @@ type Options struct {
 	// 0 selects automatically (single-shard for small states, GOMAXPROCS
 	// for large ones); the serving layer passes an explicit value so a
 	// lone big simulation takes every core while concurrent jobs stay
-	// narrow.
+	// narrow. Runner.Run ignores it: a Runner's shard count is fixed when
+	// it is built.
 	Shards int
 	// Stages, when non-nil, receives one callback per engine stage
 	// ("compile", "execute", "sample") with its wall-clock duration — the
@@ -122,26 +117,14 @@ func Evolve(c *circuit.Circuit) (*State, error) {
 	return EvolveShards(c, 0)
 }
 
-// EvolveShards is Evolve with an explicit shard count (0 = auto).
+// EvolveShards is Evolve with an explicit shard count (0 = auto): a
+// zero-shot Run that keeps its state.
 func EvolveShards(c *circuit.Circuit, shards int) (*State, error) {
-	start := time.Now()
-	pl, err := Compile(c)
+	res, err := Run(c, Options{Shards: shards, KeepState: true})
 	if err != nil {
 		return nil, err
 	}
-	simCompile.Observe(time.Since(start))
-	pool := newShardPool(resolveShards(1<<c.NumQubits, shards))
-	defer pool.close()
-	st, err := newStateOn(c.NumQubits, pool)
-	if err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	if err := pl.executeOn(st, pool, nil); err != nil {
-		return nil, err
-	}
-	simExecute.Observe(time.Since(start))
-	return st, nil
+	return res.Final, nil
 }
 
 // applyInstruction is the direct per-gate path: one State method call per
@@ -188,143 +171,28 @@ func applyInstruction(st *State, ins circuit.Instruction) error {
 // the same shard pool. A circuit with no measurements yields empty counts
 // (but still evolves, and the state is available with KeepState).
 func Run(c *circuit.Circuit, opts Options) (*Result, error) {
-	if opts.Shots < 0 {
-		return nil, fmt.Errorf("sim: negative shot count %d", opts.Shots)
-	}
 	stageStart := time.Now()
 	pl, err := Compile(c)
 	if err != nil {
 		return nil, err
 	}
 	observeStage(simCompile, opts.Stages, "compile", stageStart)
-	return runCompiled(c, pl, opts)
+	return RunPlan(c, pl, opts)
 }
 
-// RunPlan is Run with a precompiled plan: the sweep path binds a
-// ParamPlan per parameter point and executes each bound plan here,
-// skipping recompilation. pl must have been compiled from c or from a
-// bound copy of it — the measurement map and qubit count are read from
-// c, and execution, CDF build, and sampling follow the exact code path
-// Run takes, so counts are bit-identical to Run on the bound circuit.
+// RunPlan is Run with a precompiled plan: one Runner, one run. pl must
+// have been compiled from c or from a bound copy of it — the measurement
+// map and qubit count are read from c. Callers with many plans of one
+// width (a sweep's bound points) keep a Runner instead and skip the
+// per-run allocation; either way it is the same execution, CDF build and
+// sampling code, so counts are bit-identical.
 func RunPlan(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error) {
-	if opts.Shots < 0 {
-		return nil, fmt.Errorf("sim: negative shot count %d", opts.Shots)
-	}
-	if pl.n != c.NumQubits {
-		return nil, fmt.Errorf("sim: plan compiled for %d qubits, circuit has %d", pl.n, c.NumQubits)
-	}
-	return runCompiled(c, pl, opts)
-}
-
-func runCompiled(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error) {
-	pool := newShardPool(resolveShards(1<<c.NumQubits, opts.Shards))
-	defer pool.close()
-	st, err := newStateOn(c.NumQubits, pool)
+	r, err := newRunner(c.NumQubits, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
-	var prof *execProfiler
-	if opts.Profile {
-		prof = newExecProfiler(pool.shards, len(pl.kernels))
-	}
-	stageStart := time.Now()
-	if err := pl.executeOn(st, pool, prof); err != nil {
-		return nil, err
-	}
-	observeStage(simExecute, opts.Stages, "execute", stageStart)
-	res := &Result{Counts: Counts{}, Shots: opts.Shots}
-	if opts.KeepState {
-		res.Final = st
-	}
-	if prof != nil {
-		res.Profile = prof.finish()
-	}
-	mm := c.MeasureMap()
-	if len(mm) == 0 || opts.Shots == 0 {
-		return res, nil
-	}
-
-	stageStart = time.Now()
-	cdf, acc, lastPos := buildCDF(st, pool)
-
-	qubits := make([]int, 0, len(mm))
-	for q := range mm {
-		qubits = append(qubits, q)
-	}
-	sort.Ints(qubits)
-
-	r := rng.New(opts.Seed)
-	for shot := 0; shot < opts.Shots; shot++ {
-		k := sampleCDF(cdf, lastPos, r.Float64()*acc)
-		res.Counts[projectRegister(k, qubits, mm, 0, nil)]++
-	}
-	observeStage(simSample, opts.Stages, "sample", stageStart)
-	return res, nil
-}
-
-// buildCDF computes the inclusive prefix sums of the state's Born
-// distribution, the total mass, and the index of the last basis state with
-// positive probability. The prefix sum builds over the shard pool in
-// fixed-size blocks: each block's probability mass sums left to right with
-// the per-amplitude probabilities stashed into the cdf slice (computed
-// exactly once — the second pass reads them back instead of re-deriving
-// |amp|² for the whole state again), block offsets accumulate serially,
-// and each block then overwrites its cdf slice with the running prefix
-// from its exact offset. Because the block boundaries do not depend on
-// the shard count, the float associativity — and therefore every sampled
-// count — is bit-identical for any parallelism grant: the shard count is
-// a scheduling decision, never a result change (the jobs result cache
-// dedups on bundle+shots+seed alone and relies on this).
-func buildCDF(st *State, pool *shardPool) (cdf []float64, acc float64, lastPos int) {
-	dim := st.Dim()
-	cdf = make([]float64, dim)
-	nBlocks := (dim + cdfBlock - 1) / cdfBlock
-	blockSum := make([]float64, nBlocks)
-	blockLast := make([]int, nBlocks)
-	re, im := st.re, st.im
-	pool.do(nBlocks, func(_, lo, hi int) {
-		for b := lo; b < hi; b++ {
-			sum := 0.0
-			last := -1
-			base, end := b*cdfBlock, min((b+1)*cdfBlock, dim)
-			// Equal-length block slices over the split planes: |amp|² is
-			// the same expression, and the same float grouping, as
-			// State.Probability, so the CDF — and every sampled count —
-			// is unchanged by reading the planes directly.
-			rr, ii := re[base:end], im[base:end:end]
-			out := cdf[base:end:end]
-			for k := range rr {
-				p := rr[k]*rr[k] + ii[k]*ii[k]
-				out[k] = p
-				sum += p
-				if p > 0 {
-					last = base + k
-				}
-			}
-			blockSum[b] = sum
-			blockLast[b] = last
-		}
-	})
-	for b, s := range blockSum {
-		blockSum[b] = acc // reuse as the block's starting offset
-		acc += s
-	}
-	for b := nBlocks - 1; b >= 0; b-- {
-		if blockLast[b] >= 0 {
-			lastPos = blockLast[b]
-			break
-		}
-	}
-	pool.do(nBlocks, func(_, lo, hi int) {
-		for b := lo; b < hi; b++ {
-			run := blockSum[b]
-			for i := b * cdfBlock; i < min((b+1)*cdfBlock, dim); i++ {
-				run += cdf[i]
-				cdf[i] = run
-			}
-		}
-	})
-	return cdf, acc, lastPos
+	defer r.Close()
+	return r.Run(c, pl, opts)
 }
 
 // sampleCDF inverts the CDF for one draw u: the first index with

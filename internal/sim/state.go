@@ -61,7 +61,7 @@ func NewState(n int) (*State, error) {
 
 // newStateUninit allocates the aligned planes without setting any
 // amplitude. The planes are logically zero (Go allocation guarantees it)
-// but their pages may be untouched; newStateOn first-touches them on the
+// but their pages may be untouched; Runner.reset first-touches them on the
 // shard workers.
 func newStateUninit(n int) (*State, error) {
 	if n < 1 || n > MaxQubits {
@@ -69,28 +69,6 @@ func newStateUninit(n int) (*State, error) {
 	}
 	dim := 1 << uint(n)
 	return &State{n: n, re: alignedFloats(dim), im: alignedFloats(dim)}, nil
-}
-
-// newStateOn returns |0…0⟩ with both amplitude planes first-touched on the
-// pool's workers: each worker writes (zeroes) exactly the contiguous shard
-// range it will sweep for the rest of the execution, so on NUMA systems
-// with first-touch page placement every shard's pages land on the memory
-// node of the core that streams them. Best-effort by construction — the Go
-// allocator may hand back an already-touched span, whose pages keep their
-// prior placement — but fresh large slabs come straight from the OS
-// untouched, which is exactly the 2^n-amplitude case that matters.
-func newStateOn(n int, pool *shardPool) (*State, error) {
-	s, err := newStateUninit(n)
-	if err != nil {
-		return nil, err
-	}
-	re, im := s.re, s.im
-	pool.do(len(re), func(_, lo, hi int) {
-		clear(re[lo:hi])
-		clear(im[lo:hi])
-	})
-	s.re[0] = 1
-	return s, nil
 }
 
 // NumQubits returns n.
