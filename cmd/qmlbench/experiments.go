@@ -105,9 +105,11 @@ func runE1(seed uint64) error {
 		if err != nil {
 			return err
 		}
-		if oldIDs[i], err = poolOld.Submit(pb); err != nil {
+		st, err := poolOld.Submit(pb, jobs.SubmitOptions{})
+		if err != nil {
 			return err
 		}
+		oldIDs[i] = st.ID
 	}
 	oldRes := make([]*result.Result, len(points))
 	for i, id := range oldIDs {
@@ -133,14 +135,14 @@ func runE1(seed uint64) error {
 	poolNew := jobs.NewPool(jobs.Options{Workers: 1, QueueDepth: 1, CacheSize: -1, MaxRecords: -1})
 	defer poolNew.Close()
 	startNew := time.Now()
-	sweepID, err := poolNew.SubmitSweep(tmpl)
+	sweep, err := poolNew.SubmitSweep(tmpl, jobs.SubmitOptions{})
 	if err != nil {
 		return err
 	}
-	if _, err := poolNew.Wait(sweepID); err != nil {
+	if _, err := poolNew.Wait(sweep.ID); err != nil {
 		return err
 	}
-	sweepRes, err := poolNew.SweepResult(sweepID)
+	sweepRes, err := poolNew.SweepResult(sweep.ID)
 	if err != nil {
 		return err
 	}

@@ -237,11 +237,11 @@ func runParallel(paths []string, engineOverride string, workers, maxShards, top 
 		if err != nil {
 			return err
 		}
-		id, err := pool.Submit(b)
+		st, err := pool.Submit(b, jobs.SubmitOptions{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		ids[i] = id
+		ids[i] = st.ID
 	}
 
 	failed := 0
@@ -257,7 +257,7 @@ func runParallel(paths []string, engineOverride string, workers, maxShards, top 
 			fmt.Printf(", coalesced")
 		} else {
 			fmt.Printf(", queued %.1fms, ran %.1fms",
-				float64(st.QueueWait.Microseconds())/1000, float64(st.RunTime.Microseconds())/1000)
+				float64(st.QueueWait().Microseconds())/1000, float64(st.RunTime().Microseconds())/1000)
 		}
 		fmt.Println(") ==")
 		res, err := pool.Result(id)

@@ -18,6 +18,9 @@
 //	curl -s localhost:8080/v1/stats
 //	curl -s localhost:8080/metrics                         # Prometheus text format
 //
+// Every route, document, status code and the long-poll semantics are
+// specified once, on jobs.NewHandler; what follows is the operator's view.
+//
 // Re-POSTing an identical bundle (same intent, context, shots, seed)
 // returns a new job ID already in state "done" with "cache_hit": true —
 // the result is served from the content-addressed cache without
@@ -125,14 +128,16 @@
 // (GET /v1/jobs/{id}?wait=D&rev=N) on the owning worker, which answers
 // the moment the job changes.
 //
-// The dispatcher speaks the sweep surface too: a POST /v1/sweeps grid
+// The dispatcher is served by the same handler as a worker, so every
+// route above works on it unchanged; its status documents add "worker",
+// "remote", "reforwards" and "ranges", and its /v1/stats is
+// {"dispatcher", "workers", "fleet", "build"}. A POST /v1/sweeps grid
 // is scattered point-range-wise across the healthy workers as
-// independent sub-sweeps, a dead worker's unfinished ranges (and only
-// those) re-forward to survivors, and GET /v1/sweeps/{id} merges the
-// per-range documents back into one globally indexed result set —
-// per-point identical to a single-node run of the same grid. ?wait=
-// long-polling, with or without &rev=, works on the dispatcher's
-// GET /v1/jobs/{id} as well.
+// independent sub-sweeps (a ?shards= pin goes with each), a dead
+// worker's unfinished ranges (and only those) re-forward to survivors,
+// and GET /v1/sweeps/{id} merges the per-range documents back into one
+// globally indexed result set — per-point identical to a single-node run
+// of the same grid.
 package main
 
 import (
@@ -212,9 +217,28 @@ func main() {
 	obs.RegisterBuildInfo(cfg.reg)
 	var err error
 	if *dispatch != "" {
-		err = runDispatch(cfg, *dispatch, *probeInterval)
+		// Jobs still running on workers when a dispatcher stops keep running;
+		// the journal carries their assignments to its next life.
+		err = serve(cfg, func(st *store.Store) (service, error) {
+			return fleet.New(fleet.Options{
+				Workers:       strings.Split(*dispatch, ","),
+				Store:         st,
+				ProbeInterval: *probeInterval,
+				Logger:        cfg.log,
+				Metrics:       cfg.reg,
+			})
+		}, "mode", "dispatcher", "fleet", *dispatch)
 	} else {
-		err = run(cfg, *workers, *queue, *cache, *maxShards)
+		// A pool drains when it stops: running and queued jobs finish
+		// (journaling their terminal states), coalesced waiters are released
+		// with their primaries, late submissions fail fast with ErrClosed.
+		err = serve(cfg, func(st *store.Store) (service, error) {
+			return jobs.NewPool(jobs.Options{
+				Workers: *workers, QueueDepth: *queue, CacheSize: *cache,
+				MaxShards: *maxShards, Store: st,
+				Logger: cfg.log, Metrics: cfg.reg,
+			}), nil
+		}, "mode", "worker", "engines", fmt.Sprint(backend.Engines()))
 	}
 	if err != nil {
 		cfg.log.Error("qmlserve exiting", "err", err)
@@ -262,156 +286,65 @@ func newServer(sigCtx context.Context, h http.Handler) *http.Server {
 	}
 }
 
-// runDispatch brings up the fleet front-end, blocks until
-// SIGINT/SIGTERM, and tears down in order: HTTP drain, dispatcher stop,
-// journal flush + close. Jobs still running on workers keep running;
-// the journal carries their assignments to the next dispatcher life.
-func runDispatch(cfg config, dispatch string, probeInterval time.Duration) error {
-	var st *store.Store
-	if cfg.dataDir != "" {
-		policy, err := store.ParseSyncPolicy(cfg.fsync)
-		if err != nil {
-			return err
-		}
-		st, err = store.Open(cfg.dataDir, store.Options{Sync: policy, Metrics: cfg.reg})
-		if err != nil {
-			return err
-		}
-	}
-	d, err := fleet.New(fleet.Options{
-		Workers:       strings.Split(dispatch, ","),
-		Store:         st,
-		ProbeInterval: probeInterval,
-		Logger:        cfg.log,
-		Metrics:       cfg.reg,
-	})
-	if err != nil {
-		if st != nil {
-			st.Close()
-		}
-		return err
-	}
-	if st != nil {
-		s := d.Stats()
-		cfg.log.Info("dispatcher recovered journal", "dir", cfg.dataDir, "recovered", s.Recovered, "reattached", s.Reattached)
-	}
-
-	stopDebug, err := startDebug(cfg)
-	if err != nil {
-		d.Close()
-		if st != nil {
-			st.Close()
-		}
-		return err
-	}
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		stopDebug()
-		d.Close()
-		if st != nil {
-			st.Close()
-		}
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	srv := newServer(ctx, fleet.NewHandler(d))
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	cfg.log.Info("qmlserve listening", "addr", ln.Addr().String(), "mode", "dispatcher", "fleet", dispatch)
-
-	select {
-	case err := <-errc:
-		stopDebug()
-		d.Close()
-		if st != nil {
-			st.Close()
-		}
-		return err
-	case <-ctx.Done():
-	}
-
-	cfg.log.Info("dispatcher shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		cfg.log.Warn("shutdown", "err", err)
-	}
-	stopDebug()
-	d.Close()
-	if st != nil {
-		if err := st.Close(); err != nil {
-			cfg.log.Warn("closing journal", "err", err)
-		}
-	}
-	s := d.Stats()
-	cfg.log.Info("dispatcher done",
-		"submitted", s.Submitted, "completed", s.Completed, "failed", s.Failed,
-		"forwarded", s.Forwarded, "reforwarded", s.Reforwarded, "journal_events", s.Events)
-	return nil
+// service is what serve runs: either implementation of the /v1 protocol,
+// and a way to stop it.
+type service interface {
+	jobs.Service
+	Close()
 }
 
-// run brings the service up, blocks until SIGINT/SIGTERM or a listener
-// failure, and tears it down in order: HTTP drain, pool drain, journal
-// flush + close.
-func run(cfg config, workers, queue, cache, maxShards int) error {
+// serve runs one server life: open the journal (with -data-dir), build the
+// service over it, bring up the debug and service listeners, block until
+// SIGINT/SIGTERM or a listener failure, and tear down in reverse — HTTP
+// drain, debug listener, service, journal flush + close. The two modes
+// differ only in build; about describes the mode on the "listening" line.
+func serve(cfg config, build func(*store.Store) (service, error), about ...any) error {
 	var st *store.Store
 	if cfg.dataDir != "" {
 		policy, err := store.ParseSyncPolicy(cfg.fsync)
 		if err != nil {
 			return err
 		}
-		st, err = store.Open(cfg.dataDir, store.Options{Sync: policy, Metrics: cfg.reg})
-		if err != nil {
+		if st, err = store.Open(cfg.dataDir, store.Options{Sync: policy, Metrics: cfg.reg}); err != nil {
 			return err
 		}
+		defer func() {
+			if cerr := st.Close(); cerr != nil {
+				cfg.log.Warn("closing journal", "err", cerr)
+			}
+		}()
 	}
-
-	pool := jobs.NewPool(jobs.Options{
-		Workers: workers, QueueDepth: queue, CacheSize: cache,
-		MaxShards: maxShards, Store: st,
-		Logger: cfg.log, Metrics: cfg.reg,
-	})
+	svc, err := build(st)
+	if err != nil {
+		return err
+	}
+	defer svc.Close()
 	if st != nil {
-		s := pool.Stats()
-		cfg.log.Info("recovered journal", "dir", cfg.dataDir, "recovered", s.Recovered, "requeued", s.Requeued, "disk_results", s.Results)
+		s := st.Stats()
+		cfg.log.Info("recovered journal", "dir", cfg.dataDir, "records", s.Records, "disk_results", s.Results)
 	}
 
 	stopDebug, err := startDebug(cfg)
 	if err != nil {
-		pool.Close()
-		if st != nil {
-			st.Close()
-		}
 		return err
 	}
+	defer stopDebug()
 	// An explicit listener (not ListenAndServe) so ":0" works and the
 	// bound address is known — the restart test leans on both.
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
-		stopDebug()
-		pool.Close()
-		if st != nil {
-			st.Close()
-		}
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	srv := newServer(ctx, jobs.NewHandler(pool))
+	srv := newServer(ctx, jobs.NewHandler(svc))
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	cfg.log.Info("qmlserve listening", "addr", ln.Addr().String(), "mode", "worker", "engines", fmt.Sprint(backend.Engines()))
+	cfg.log.Info("qmlserve listening", append([]any{"addr", ln.Addr().String()}, about...)...)
 
 	select {
 	case err := <-errc:
-		stopDebug()
-		pool.Close()
-		if st != nil {
-			st.Close()
-		}
 		return err
 	case <-ctx.Done():
 	}
@@ -423,19 +356,5 @@ func run(cfg config, workers, queue, cache, maxShards int) error {
 		// DeadlineExceeded here means in-flight requests were cut off.
 		cfg.log.Warn("shutdown", "err", err)
 	}
-	stopDebug()
-	// Drain the pool: running and queued jobs finish (journaling their
-	// terminal states), coalesced waiters are released with their
-	// primaries, late submissions fail fast with ErrClosed.
-	pool.Close()
-	if st != nil {
-		if err := st.Close(); err != nil {
-			cfg.log.Warn("closing journal", "err", err)
-		}
-	}
-	s := pool.Stats()
-	cfg.log.Info("done",
-		"submitted", s.Submitted, "completed", s.Completed, "failed", s.Failed,
-		"cache_hits", s.CacheHits, "journal_events", s.Events)
 	return nil
 }

@@ -71,7 +71,12 @@
 // dispatcher that fronts N worker qmlserve nodes over the same /v1
 // protocol the workers speak, so workers need zero changes to join a
 // fleet and clients cannot tell the front-end from a single node
-// (qmlserve -dispatch w1,w2,...). Routing is load-aware (least
+// (qmlserve -dispatch w1,w2,...). The protocol is written down once:
+// jobs.Service is /v1 as Go calls, a worker's Pool and the fleet's
+// Dispatcher both implement it, and the one jobs.NewHandler — whose doc
+// comment is the route table — serves either; a dispatcher's status
+// documents only add "worker", "remote", "reforwards" and "ranges".
+// Routing is load-aware (least
 // outstanding dispatched jobs) with cache-key affinity via consistent
 // hashing — identical bundles land on the worker that already caches
 // their result, and duplicates of an in-flight job are pinned to its
@@ -212,7 +217,8 @@
 // is checked against the invariants automatically.
 //
 // Two consumers wrap the pool. cmd/qmlserve exposes it over HTTP
-// (stdlib net/http) speaking the job.json schema:
+// (stdlib net/http) speaking the job.json schema (every route, document
+// and status code: jobs.NewHandler):
 //
 //	qmlserve -addr :8080 -workers 8 -queue 256 -cache 4096 -data-dir /var/lib/qmlserve
 //	curl -s -X POST --data-binary @job.json localhost:8080/v1/jobs

@@ -36,8 +36,9 @@ type EmbeddingInfo struct {
 
 // Execute realizes the Ising problem, optionally minor-embeds it onto a
 // Chimera hardware graph per the anneal context, samples, unembeds, and
-// decodes.
-func (a *Anneal) Execute(b *bundle.Bundle) (*result.Result, error) {
+// decodes. The anneal sampler has no shards, stages or profiler, so the
+// options are ignored.
+func (a *Anneal) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error) {
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return nil, err
 	}

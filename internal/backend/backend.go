@@ -20,17 +20,9 @@ import (
 type Backend interface {
 	// Name is the canonical engine name.
 	Name() string
-	// Execute realizes and runs the bundle, returning decoded results.
-	Execute(b *bundle.Bundle) (*result.Result, error)
-}
-
-// Sharded is implemented by backends whose hot loop can exploit a per-job
-// parallelism grant. The serving layer's scheduler decides the grant — a
-// large lone simulation gets every shard, concurrent small jobs stay
-// single-shard — and the runtime forwards it here; shards ≤ 0 means "let
-// the engine choose".
-type Sharded interface {
-	ExecuteSharded(b *bundle.Bundle, shards int) (*result.Result, error)
+	// Execute realizes and runs the bundle, returning decoded results. An
+	// engine ignores the options it cannot use.
+	Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error)
 }
 
 // StageFunc receives one callback per pipeline stage a backend times
@@ -40,10 +32,11 @@ type StageFunc func(stage string, d time.Duration)
 
 // ExecOptions is how an execution is scheduled and observed — never what
 // it computes: results are bit-identical for any value. Shards is the
-// parallelism grant (≤ 0 lets the engine choose), Stages an optional
-// per-stage timing callback, Profile requests the kernel-granular profile
-// under Meta["profile"]. Sweeper takes it whole; the positional
-// Sharded/Staged/Profiled variants predate it.
+// parallelism grant (≤ 0 lets the engine choose; the serving layer's
+// scheduler gives a large lone simulation every shard and keeps
+// concurrent small jobs single-shard), Stages an optional per-stage
+// timing callback, Profile requests the kernel-granular profile (the
+// sim.Profile kernel table for the gate engine) under Meta["profile"].
 type ExecOptions struct {
 	Shards  int
 	Stages  StageFunc
@@ -56,22 +49,6 @@ func (o ExecOptions) stage(name string, start time.Time) {
 	if o.Stages != nil {
 		o.Stages(name, time.Since(start))
 	}
-}
-
-// Staged is implemented by backends that can report per-stage timings.
-// stages may be nil (equivalent to ExecuteSharded).
-type Staged interface {
-	ExecuteStaged(b *bundle.Bundle, shards int, stages StageFunc) (*result.Result, error)
-}
-
-// Profiled is implemented by backends that can attach a kernel-granular
-// execution profile to the result document: ExecuteProfiled behaves like
-// ExecuteStaged and additionally stores the profile (the sim.Profile
-// kernel table for the gate engine) under Meta["profile"] in the result.
-// The profile is observational only — entries and counts are bit-identical
-// to the unprofiled run.
-type Profiled interface {
-	ExecuteProfiled(b *bundle.Bundle, shards int, stages StageFunc) (*result.Result, error)
 }
 
 // DefaultShots is used when the context specifies no sample count.

@@ -83,7 +83,7 @@ func TestGateBackendMaxCutQAOA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := be.Execute(b)
+	res, err := be.Execute(b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestGateBackendMaxCutQAOA(t *testing.T) {
 func TestGateBackendDeterministicSeed(t *testing.T) {
 	gamma, beta := 0.65, 0.39
 	ctx := ctxdesc.NewGate("gate.statevector", 512, 7)
-	a, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx))
+	a, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx))
+	b, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestAnnealBackendMaxCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := be.Execute(annealMaxCutBundle(t, ctx))
+	res, err := be.Execute(annealMaxCutBundle(t, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestAnnealBackendWithEmbedding(t *testing.T) {
 	ctx.Anneal.UnitCells = 1
 	ctx.Anneal.Sweeps = 500
 	be, _ := Get("anneal.sa")
-	res, err := be.Execute(annealMaxCutBundle(t, ctx))
+	res, err := be.Execute(annealMaxCutBundle(t, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestAnnealBackendRejectsGateOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	be, _ := Get("anneal.sa")
-	if _, err := be.Execute(b); err == nil {
+	if _, err := be.Execute(b, ExecOptions{}); err == nil {
 		t.Error("anneal backend accepted a QAOA gate stack")
 	}
 }
@@ -228,7 +228,7 @@ func TestPulseBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := be.Execute(b)
+	res, err := be.Execute(b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestGateBackendWithQECContext(t *testing.T) {
 	gamma, beta := 0.5, 0.3
 	ctx := ctxdesc.NewGate("gate.statevector", 256, 3)
 	ctx.QEC = &ctxdesc.QEC{CodeFamily: "surface", Distance: 7, Allocator: "auto", PhysErrorRate: 1e-3}
-	res, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx))
+	res, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestGateBackendWithCommContext(t *testing.T) {
 	gamma, beta := 0.5, 0.3
 	ctx := ctxdesc.NewGate("gate.statevector", 256, 3)
 	ctx.Comm = &ctxdesc.Comm{QPUs: 2, QubitsPerQPU: 2, AllowTeleport: true}
-	res, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx))
+	res, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestRegistry(t *testing.T) {
 type stubBackend struct{ name string }
 
 func (s *stubBackend) Name() string { return s.name }
-func (s *stubBackend) Execute(b *bundle.Bundle) (*result.Result, error) {
+func (s *stubBackend) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error) {
 	return &result.Result{Engine: s.name}, nil
 }
 

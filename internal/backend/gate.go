@@ -26,34 +26,12 @@ func (g *Gate) Name() string { return g.engine }
 
 // Execute lowers the descriptor sequence to a circuit, transpiles it
 // under the context's target, consults the comm and QEC context services,
-// simulates, and decodes through the final measurement's result schema.
-func (g *Gate) Execute(b *bundle.Bundle) (*result.Result, error) {
-	return g.ExecuteSharded(b, 0)
-}
-
-// ExecuteSharded implements backend.Sharded: the statevector sweep runs
-// across the granted number of persistent shards (≤ 0 lets the simulator
-// choose). The grant changes scheduling only, never results.
-func (g *Gate) ExecuteSharded(b *bundle.Bundle, shards int) (*result.Result, error) {
-	return g.ExecuteStaged(b, shards, nil)
-}
-
-// ExecuteStaged implements backend.Staged: ExecuteSharded plus per-stage
-// timing callbacks ("transpile" here; "compile"/"execute"/"sample" from
-// the simulator).
-func (g *Gate) ExecuteStaged(b *bundle.Bundle, shards int, stages StageFunc) (*result.Result, error) {
-	return g.execute(b, ExecOptions{Shards: shards, Stages: stages})
-}
-
-// ExecuteProfiled implements backend.Profiled: ExecuteStaged with the
-// simulator's kernel-granular profiler on; the per-kernel table lands in
-// the result's Meta["profile"]. The noise-trajectory path has no plan
-// execution to profile, so noisy contexts return no profile.
-func (g *Gate) ExecuteProfiled(b *bundle.Bundle, shards int, stages StageFunc) (*result.Result, error) {
-	return g.execute(b, ExecOptions{Shards: shards, Stages: stages, Profile: true})
-}
-
-func (g *Gate) execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
+// simulates across o.Shards persistent shards, and decodes through the
+// final measurement's result schema. o.Stages hears "transpile" here and
+// "compile"/"execute"/"sample" from the simulator; o.Profile lands the
+// per-kernel table in Meta["profile"] (the noise-trajectory path has no
+// plan execution to profile, so noisy contexts return none).
+func (g *Gate) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return nil, err
 	}

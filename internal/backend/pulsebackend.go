@@ -30,8 +30,9 @@ type PulseInfo struct {
 }
 
 // Execute lowers, transpiles to the Listing-4 basis (pulse hardware
-// drives a calibrated native set), and schedules.
-func (p *Pulse) Execute(b *bundle.Bundle) (*result.Result, error) {
+// drives a calibrated native set), and schedules. Scheduling is serial
+// and untimed, so the options are ignored.
+func (p *Pulse) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error) {
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return nil, err
 	}

@@ -124,7 +124,7 @@ func (s *gateSweep) Point(i int, concrete *bundle.Bundle) (*result.Result, error
 		// No template, or the concrete optimizer would drop this point's
 		// zero-angle rotation — a structural change the template cannot
 		// express.
-		return s.g.execute(concrete, s.o)
+		return s.g.Execute(concrete, s.o)
 	}
 	pl, err := s.pp.Bind(v)
 	if err != nil {

@@ -23,7 +23,7 @@ import (
 type benchFake struct{}
 
 func (benchFake) Name() string { return "fake.fleet_bench" }
-func (benchFake) Execute(b *bundle.Bundle) (*result.Result, error) {
+func (benchFake) Execute(b *bundle.Bundle, _ backend.ExecOptions) (*result.Result, error) {
 	return &result.Result{
 		Engine:  "fake.fleet_bench",
 		Samples: 1,

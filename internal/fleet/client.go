@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
@@ -20,10 +21,34 @@ import (
 // signal: try another node rather than failing the submission.
 var errWorkerBusy = errors.New("fleet: worker queue full")
 
-// client speaks the /v1 worker protocol. Every call runs under both the
-// caller's context and the http.Client's hard timeout, so a worker that
-// accepts a connection and then hangs releases the dispatcher goroutine
-// when the deadline fires — it can never wedge it.
+// workerError is a failure on the far side of the dispatcher. It names
+// the HTTP status the dispatcher's own client gets (jobs.NewHandler asks
+// an error for HTTPStatus before consulting the sentinels): 502 when a
+// worker could not be reached or its answer made no sense, 503 when there
+// is no worker to ask, and a worker's own status and message when the
+// dispatcher only passes its verdict on.
+type workerError struct {
+	code int
+	msg  string
+}
+
+func (e *workerError) Error() string   { return e.msg }
+func (e *workerError) HTTPStatus() int { return e.code }
+
+// badGateway is the workerError of an unreachable or incoherent worker.
+func badGateway(format string, args ...any) error {
+	return &workerError{http.StatusBadGateway, fmt.Sprintf(format, args...)}
+}
+
+// maxReply bounds how much of a worker's reply is read; a sweep result
+// set is the largest document a worker serves.
+const maxReply = 64 << 20
+
+// client speaks the /v1 worker protocol, decoding replies into the
+// documents internal/jobs encodes them from. Every call runs under both
+// the caller's context and the http.Client's hard timeout, so a worker
+// that accepts a connection and then hangs releases the dispatcher
+// goroutine when the deadline fires — it can never wedge it.
 type client struct {
 	base string
 	hc   *http.Client
@@ -36,51 +61,57 @@ func newClient(base string, hc *http.Client) *client {
 	return &client{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
-// remoteSubmit is a worker's 202 response to POST /v1/jobs.
-type remoteSubmit struct {
-	ID       string `json:"id"`
-	State    string `json:"state"`
-	CacheHit bool   `json:"cache_hit"`
-	// Rev is the remote job's revision at acceptance: where the
-	// dispatcher's first watch starts from.
-	Rev uint64 `json:"rev"`
+// do sends one request and returns the worker's status code and body. A
+// non-empty trace rides the X-Trace-Id header so the worker's journal,
+// logs and spans carry the fleet-wide ID the dispatcher assigned.
+func (c *client) do(ctx context.Context, method, path string, body []byte, trace string) (int, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return 0, nil, badGateway("fleet: %v", err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if trace != "" {
+		req.Header.Set(obs.TraceHeader, trace)
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return 0, nil, badGateway("fleet: %v", err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(io.LimitReader(resp.Body, maxReply))
+	if err != nil {
+		return 0, nil, badGateway("fleet: %s: reading reply: %v", c.base, err)
+	}
+	return resp.StatusCode, reply, nil
 }
 
-// remoteStatus is a worker's GET /v1/jobs/{id} document (the fields the
-// dispatcher consumes).
-type remoteStatus struct {
-	ID        string `json:"id"`
-	State     string `json:"state"`
-	Engine    string `json:"engine"`
-	CacheHit  bool   `json:"cache_hit"`
-	Coalesced bool   `json:"coalesced"`
-	Shards    int    `json:"shards"`
-	Error     string `json:"error"`
-	// Sweep fields: a sub-sweep job reports its range-local progress.
-	Sweep      bool `json:"sweep"`
-	Points     int  `json:"points"`
-	PointsDone int  `json:"points_done"`
-	// Profile is the worker's kernel-granular execution profile document
-	// (profiled jobs only; for sub-sweeps, the worker's per-kind
-	// aggregate). Proxied opaquely — the dispatcher never parses it, so
-	// worker-side profile schema evolution needs no fleet change.
-	Profile json.RawMessage `json:"profile"`
-	// Rev is the remote job's revision; handed back on the next watch.
-	Rev uint64 `json:"rev"`
+// get is do for the calls that expect 200 and a document to decode.
+func (c *client) get(ctx context.Context, what, path string, into any) error {
+	code, body, err := c.do(ctx, http.MethodGet, path, nil, "")
+	if err != nil {
+		return err
+	}
+	if code != http.StatusOK {
+		return badGateway("fleet: %s: %s: %s", c.base, what, decodeErr(code, body))
+	}
+	if err := json.Unmarshal(body, into); err != nil {
+		return badGateway("fleet: %s: %s body: %v", c.base, what, err)
+	}
+	return nil
 }
 
-type remoteError struct {
-	Error string `json:"error"`
-}
-
-// submit forwards a canonical bundle. A 429 surfaces as errWorkerBusy so
-// the router can spill to another node. A non-empty trace rides the
-// X-Trace-Id header so the worker's journal, logs and spans carry the
-// same fleet-wide ID the dispatcher assigned. profile rides the
-// ?profile=true query form, since the forwarded body is re-derived from
-// the parsed bundle and cannot carry the submission's top-level flag.
-func (c *client) submit(ctx context.Context, raw []byte, pin int, trace string, profile bool) (remoteSubmit, error) {
-	url := c.base + "/v1/jobs"
+// submit forwards a canonical bundle to path — /v1/jobs, or /v1/sweeps
+// for a sub-sweep. A 429 or 503 surfaces as errWorkerBusy so the router
+// can spill to another node. The pin and the profile flag ride the query
+// (?shards=N, ?profile=true): the forwarded body is re-derived from the
+// parsed bundle and cannot carry the submission's top-level flag.
+func (c *client) submit(ctx context.Context, path string, raw []byte, pin int, trace string, profile bool) (jobs.SubmitDoc, error) {
 	q := neturl.Values{}
 	if pin > 0 {
 		q.Set("shards", strconv.Itoa(pin))
@@ -89,85 +120,24 @@ func (c *client) submit(ctx context.Context, raw []byte, pin int, trace string, 
 		q.Set("profile", "true")
 	}
 	if len(q) > 0 {
-		url += "?" + q.Encode()
+		path += "?" + q.Encode()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
+	code, body, err := c.do(ctx, http.MethodPost, path, raw, trace)
 	if err != nil {
-		return remoteSubmit{}, fmt.Errorf("fleet: %w", err)
+		return jobs.SubmitDoc{}, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return remoteSubmit{}, fmt.Errorf("fleet: %w", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	switch resp.StatusCode {
+	switch code {
 	case http.StatusAccepted:
-		var out remoteSubmit
+		var out jobs.SubmitDoc
 		if err := json.Unmarshal(body, &out); err != nil || out.ID == "" {
-			return remoteSubmit{}, fmt.Errorf("fleet: %s accepted with unreadable body: %v", c.base, err)
+			return jobs.SubmitDoc{}, badGateway("fleet: %s accepted with unreadable body: %v", c.base, err)
 		}
 		return out, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		return remoteSubmit{}, errWorkerBusy
+		return jobs.SubmitDoc{}, errWorkerBusy
 	default:
-		return remoteSubmit{}, fmt.Errorf("fleet: %s: submit: %s", c.base, decodeErr(resp.StatusCode, body))
+		return jobs.SubmitDoc{}, badGateway("fleet: %s: submit: %s", c.base, decodeErr(code, body))
 	}
-}
-
-// submitSweep forwards a sub-sweep bundle to a worker's POST /v1/sweeps.
-// Backpressure spills to another node exactly like plain submissions;
-// profile rides ?profile=true like plain submissions too.
-func (c *client) submitSweep(ctx context.Context, raw []byte, trace string, profile bool) (remoteSubmit, error) {
-	url := c.base + "/v1/sweeps"
-	if profile {
-		url += "?profile=true"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
-	if err != nil {
-		return remoteSubmit{}, fmt.Errorf("fleet: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return remoteSubmit{}, fmt.Errorf("fleet: %w", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-		var out remoteSubmit
-		if err := json.Unmarshal(body, &out); err != nil || out.ID == "" {
-			return remoteSubmit{}, fmt.Errorf("fleet: %s accepted sweep with unreadable body: %v", c.base, err)
-		}
-		return out, nil
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		return remoteSubmit{}, errWorkerBusy
-	default:
-		return remoteSubmit{}, fmt.Errorf("fleet: %s: sweep submit: %s", c.base, decodeErr(resp.StatusCode, body))
-	}
-}
-
-// sweepResultRaw fetches a worker's indexed sub-sweep result document
-// for range merging.
-func (c *client) sweepResultRaw(ctx context.Context, id string) (code int, body []byte, err error) {
-	resp, err := c.get(ctx, "/v1/sweeps/"+id)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return 0, nil, fmt.Errorf("fleet: %s: sweep result body: %w", c.base, err)
-	}
-	return resp.StatusCode, body, nil
 }
 
 // watch parks a revisioned long-poll on a remote job: the worker answers
@@ -175,110 +145,57 @@ func (c *client) sweepResultRaw(ctx context.Context, id string) (code int, body 
 // wait elapses. notFound=true means the worker answered but no longer
 // knows the ID (it restarted without durable state) — the re-forward
 // signal, distinct from a transport error.
-func (c *client) watch(ctx context.Context, id string, wait time.Duration, since uint64) (st remoteStatus, notFound bool, err error) {
-	resp, err := c.get(ctx, fmt.Sprintf("/v1/jobs/%s?wait=%s&rev=%d", id, wait, since))
-	if err != nil {
-		return remoteStatus{}, false, err
+func (c *client) watch(ctx context.Context, id string, wait time.Duration, since uint64) (st jobs.StatusDoc, notFound bool, err error) {
+	code, body, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/jobs/%s?wait=%s&rev=%d", id, wait, since), nil, "")
+	switch {
+	case err != nil:
+		return st, false, err
+	case code == http.StatusNotFound:
+		return st, true, nil
+	case code != http.StatusOK:
+		return st, false, badGateway("fleet: %s: status: %s", c.base, decodeErr(code, body))
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if err := json.Unmarshal(body, &st); err != nil {
-			return remoteStatus{}, false, fmt.Errorf("fleet: %s: status body: %w", c.base, err)
-		}
-		return st, false, nil
-	case http.StatusNotFound:
-		return remoteStatus{}, true, nil
-	default:
-		return remoteStatus{}, false, fmt.Errorf("fleet: %s: status: %s", c.base, decodeErr(resp.StatusCode, body))
+	if err := json.Unmarshal(body, &st); err != nil {
+		return st, false, badGateway("fleet: %s: status body: %v", c.base, err)
 	}
-}
-
-// resultRaw fetches a remote result document verbatim for proxying.
-func (c *client) resultRaw(ctx context.Context, id string) (code int, body []byte, err error) {
-	resp, err := c.get(ctx, "/v1/jobs/"+id+"/result")
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return 0, nil, fmt.Errorf("fleet: %s: result body: %w", c.base, err)
-	}
-	return resp.StatusCode, body, nil
+	return st, false, nil
 }
 
 // cancel forwards DELETE /v1/jobs/{id} and relays the worker's verdict.
 func (c *client) cancel(ctx context.Context, id string) (code int, body []byte, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return 0, nil, fmt.Errorf("fleet: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, nil, fmt.Errorf("fleet: %w", err)
-	}
-	defer resp.Body.Close()
-	body, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	return resp.StatusCode, body, nil
+	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, "")
 }
 
 // stats fetches /v1/stats as a generic document — the probe heartbeat
 // and the raw material for fleet-wide aggregation.
 func (c *client) stats(ctx context.Context) (map[string]any, error) {
-	resp, err := c.get(ctx, "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: %s: stats: %s", c.base, decodeErr(resp.StatusCode, body))
-	}
 	out := map[string]any{}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("fleet: %s: stats body: %w", c.base, err)
-	}
-	return out, nil
+	err := c.get(ctx, "stats", "/v1/stats", &out)
+	return out, err
 }
 
 // engines fetches a worker's registered engine names.
 func (c *client) engines(ctx context.Context) ([]string, error) {
-	resp, err := c.get(ctx, "/v1/engines")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: %s: engines: %s", c.base, decodeErr(resp.StatusCode, body))
-	}
 	var out struct {
 		Engines []string `json:"engines"`
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("fleet: %s: engines body: %w", c.base, err)
-	}
-	return out.Engines, nil
+	err := c.get(ctx, "engines", "/v1/engines", &out)
+	return out.Engines, err
 }
 
-func (c *client) get(ctx context.Context, path string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
+// errorText is the message of a worker's error reply, or the raw body when
+// it is not an ErrorDoc.
+func errorText(body []byte) string {
+	var doc jobs.ErrorDoc
+	if json.Unmarshal(body, &doc) == nil && doc.Error != "" {
+		return doc.Error
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	return resp, nil
+	return strings.TrimSpace(string(body))
 }
 
 func decodeErr(code int, body []byte) string {
-	var re remoteError
-	if json.Unmarshal(body, &re) == nil && re.Error != "" {
-		return fmt.Sprintf("%d: %s", code, re.Error)
+	if msg := errorText(body); msg != "" {
+		return fmt.Sprintf("%d: %s", code, msg)
 	}
-	return fmt.Sprintf("%d", code)
+	return strconv.Itoa(code)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/jobs/store"
 	"repro/internal/obs"
+	"repro/internal/qop"
 )
 
 // Options configure a Dispatcher. Workers is required; everything else
@@ -194,70 +196,6 @@ func newFleetMetrics(reg *obs.Registry, d *Dispatcher) *fleetMetrics {
 	return m
 }
 
-// Status is one dispatched job's externally visible snapshot.
-type Status struct {
-	ID string
-	// Trace is the job's fleet-wide trace ID (inbound X-Trace-Id, or
-	// dispatcher-generated); Spans its dispatch lifecycle log.
-	Trace  string
-	Spans  []obs.Span
-	State  jobs.State
-	Engine string
-	// Worker is the fleet node currently (or finally) owning the job;
-	// Remote is the job's ID in that worker's own pool.
-	Worker string
-	Remote string
-	// CacheHit and Coalesced mirror the owning worker's verdict for the
-	// remote job (served from its cache / attached to its in-flight twin).
-	CacheHit  bool
-	Coalesced bool
-	Shards    int
-	// Reforwards counts how many times the job changed workers.
-	Reforwards int
-	// Sweep marks a parameter-sweep job; Points is its grid size and
-	// PointsDone the fleet-wide per-point progress summed over ranges.
-	Sweep      bool
-	Points     int
-	PointsDone int
-	// Progress is the completed-point fraction for sweeps (0..1, 1 once
-	// terminal); ETA extrapolates the remaining run time of a running
-	// sweep from fleet-wide progress so far. Both zero for plain jobs.
-	Progress float64
-	ETA      time.Duration
-	// Ranges is the per-range dispatch detail of a sweep: which worker
-	// owns each slice of the grid and how far along it is. Nil for plain
-	// jobs and for terminal sweeps recovered without range assignments.
-	Ranges []RangeInfo
-	// Profile is the kernel-granular execution profile of a profiled
-	// job, proxied opaquely from the owning worker's status document
-	// (for sweeps: per-kind tables merged over the ranges). Nil unless
-	// the submission asked for profiling and the work has completed.
-	Profile     json.RawMessage
-	Error       string
-	SubmittedAt time.Time
-	StartedAt   time.Time
-	FinishedAt  time.Time
-	// Rev is the record's revision, the dispatcher tier's counterpart of
-	// jobs.Status.Rev: it advances whenever this snapshot may have changed
-	// (assignment, remote state, sweep progress, profile, terminal).
-	Rev uint64
-}
-
-// RangeInfo is one sweep range's dispatch snapshot in a fleet status
-// document: the [From,To) grid slice, its owning worker and remote
-// sub-sweep ID, and range-local progress.
-type RangeInfo struct {
-	From       int    `json:"from"`
-	To         int    `json:"to"`
-	State      string `json:"state"` // queued | running | done | failed
-	Worker     string `json:"worker,omitempty"`
-	Remote     string `json:"remote,omitempty"`
-	PointsDone int    `json:"points_done"`
-	// Forwards counts handoffs; >1 means the range moved workers.
-	Forwards int    `json:"forwards"`
-	Error    string `json:"error,omitempty"`
-}
-
 type worker struct {
 	name        string
 	c           *client
@@ -331,8 +269,8 @@ func (j *fwdJob) spanLocked(stage string, d time.Duration, note string) {
 }
 
 // Dispatcher fronts a fleet of /v1 workers: it routes submissions,
-// watches their remote lifecycle, re-forwards orphans, and serves the
-// same /v1 surface itself (see NewHandler).
+// watches their remote lifecycle, re-forwards orphans, and is itself a
+// jobs.Service, so jobs.NewHandler serves it over the same /v1 surface.
 type Dispatcher struct {
 	opts Options
 	ring *ring
@@ -588,30 +526,29 @@ func (d *Dispatcher) flushJob(j *fwdJob) {
 }
 
 // Submit validates, journals and routes one bundle. The returned status
-// is the accepted job's snapshot (state queued). The raw canonical JSON
-// is re-derived from the parsed bundle so the journal, the cache key and
-// the forwarded payload all agree byte-for-byte.
-func (d *Dispatcher) Submit(b *bundle.Bundle, pin int) (Status, error) {
-	return d.SubmitTraced(b, pin, "", false)
+// is the accepted job's snapshot (state queued). o.TraceID is normally
+// the inbound X-Trace-Id; the accepted ID rides the journal, every forward
+// to a worker, and the status document. o.Shards and o.Profile are
+// forwarded to whichever worker runs the job; the worker's kernel profile
+// is proxied back into this job's status once it reports one.
+func (d *Dispatcher) Submit(b *bundle.Bundle, o jobs.SubmitOptions) (jobs.Status, error) {
+	if b == nil {
+		return jobs.Status{}, errors.New("fleet: nil bundle")
+	}
+	return d.accept(b, o, 0)
 }
 
-// SubmitTraced is Submit with an explicit trace ID (normally the inbound
-// X-Trace-Id header) and profile flag. Empty or invalid IDs are replaced
-// with a generated one; the accepted ID rides the journal, every forward
-// to a worker, and the status document. profile asks the executing
-// worker for a kernel-granular profile, which the dispatcher proxies
-// back into this job's status once the worker reports it.
-func (d *Dispatcher) SubmitTraced(b *bundle.Bundle, pin int, traceID string, profile bool) (Status, error) {
-	if b == nil {
-		return Status{}, errors.New("fleet: nil bundle")
-	}
+// accept does the work of Submit and, for points > 0, of SubmitSweep. The
+// raw canonical JSON is re-derived from the parsed bundle so the journal,
+// the cache key and the forwarded payload all agree byte-for-byte.
+func (d *Dispatcher) accept(b *bundle.Bundle, o jobs.SubmitOptions, points int) (jobs.Status, error) {
 	key, err := jobs.CacheKey(b)
 	if err != nil {
-		return Status{}, err
+		return jobs.Status{}, err
 	}
 	raw, err := json.Marshal(b)
 	if err != nil {
-		return Status{}, fmt.Errorf("fleet: marshal bundle: %w", err)
+		return jobs.Status{}, fmt.Errorf("fleet: marshal bundle: %w", err)
 	}
 	engine := jobs.ResolveEngine(b)
 	now := time.Now()
@@ -619,38 +556,48 @@ func (d *Dispatcher) SubmitTraced(b *bundle.Bundle, pin int, traceID string, pro
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return Status{}, jobs.ErrClosed
+		return jobs.Status{}, jobs.ErrClosed
 	}
 	d.nextID++
 	j := &fwdJob{
 		id:        fmt.Sprintf("job-%08d", d.nextID),
-		trace:     obs.EnsureTraceID(traceID),
+		trace:     obs.EnsureTraceID(o.TraceID),
 		key:       key,
 		engine:    engine,
 		raw:       raw,
-		pin:       pin,
-		profile:   profile,
+		pin:       o.Shards,
+		profile:   o.Profile,
 		state:     jobs.StateQueued,
 		submitted: now,
 		done:      make(chan struct{}),
 	}
 	d.jobs[j.id] = j
 	d.met.submitted.Inc()
-	if primary := d.inflight[key]; primary != nil {
+	note := ""
+	switch primary := d.inflight[key]; {
+	case points > 0:
+		// Sweeps skip the in-flight coalescing table: their work is spread
+		// over the fleet, so there is no single "primary worker" to pin a
+		// twin to. The grid journals as ONE record; the scatter happens
+		// after acceptance.
+		j.sweep = &sweepScatter{points: points}
+		d.met.sweeps.Inc()
+		note = fmt.Sprintf("sweep points=%d", points)
+	case primary != nil:
 		// A twin is already in flight through the dispatcher: the router
 		// will pin this job to the primary's worker so the worker-side
 		// pool coalesces them onto one execution.
 		d.met.coalesced.Inc()
-		j.spanLocked("queued", 0, "coalesces with "+primary.id)
-	} else {
+		note = "coalesces with " + primary.id
+	default:
 		d.inflight[key] = j
-		j.spanLocked("queued", 0, "")
 	}
-	d.enqueueLocked(j, store.Event{T: store.EvSubmitted, Job: j.id, Trace: j.trace, At: now, Key: key, Engine: engine, Bundle: raw, Pin: pin, Profile: profile})
+	j.spanLocked("queued", 0, note)
+	d.enqueueLocked(j, store.Event{T: store.EvSubmitted, Job: j.id, Trace: j.trace, At: now, Key: key, Engine: engine, Bundle: raw, Pin: o.Shards, Profile: o.Profile, Points: points})
 	d.wg.Add(1)
 	st := d.statusLocked(j)
 	d.mu.Unlock()
-	d.log.Info("job accepted", "job", j.id, "trace", j.trace, "engine", engine)
+	d.log.Info("job accepted", "job", j.id, "trace", j.trace, "engine", engine, "points", points)
 
 	// Append after releasing the dispatcher lock: concurrent submitters
 	// then share group-commit fsync barriers instead of serializing
@@ -740,7 +687,7 @@ func (d *Dispatcher) runJob(j *fwdJob) {
 // for half the request timeout, so an idle watch returns (and is
 // re-issued) well inside the context deadline, which stays RequestTimeout:
 // a hung worker holds the runner no longer than any other call.
-func (d *Dispatcher) watch(ctx context.Context, workerName, remote string, since uint64) (remoteStatus, bool, error) {
+func (d *Dispatcher) watch(ctx context.Context, workerName, remote string, since uint64) (jobs.StatusDoc, bool, error) {
 	ctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
 	defer cancel()
 	return d.workerByName(workerName).c.watch(ctx, remote, d.opts.RequestTimeout/2, since)
@@ -790,7 +737,7 @@ func (d *Dispatcher) forward(j *fwdJob) bool {
 		w := d.workerByName(name)
 		ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
 		rtStart := time.Now()
-		sub, err := w.c.submit(ctx, raw, j.pin, j.trace, j.profile)
+		sub, err := w.c.submit(ctx, "/v1/jobs", raw, j.pin, j.trace, j.profile)
 		rt := time.Since(rtStart)
 		cancel()
 		if err != nil {
@@ -903,7 +850,7 @@ func (d *Dispatcher) detach(j *fwdJob, workerName string) {
 
 // observe folds a remote status snapshot into the local record. Returns
 // true when the job reached a terminal state.
-func (d *Dispatcher) observe(j *fwdJob, st remoteStatus) bool {
+func (d *Dispatcher) observe(j *fwdJob, st jobs.StatusDoc) bool {
 	d.mu.Lock()
 	if j.state.Terminal() {
 		d.mu.Unlock()
@@ -928,7 +875,7 @@ func (d *Dispatcher) observe(j *fwdJob, st remoteStatus) bool {
 		// table describes the execution that actually produced the result.
 		j.profileDoc = st.Profile
 	}
-	switch jobs.State(st.State) {
+	switch st.State {
 	case jobs.StateRunning:
 		if j.state == jobs.StateQueued {
 			j.state = jobs.StateRunning
@@ -1098,71 +1045,21 @@ func (d *Dispatcher) probeOnce() {
 }
 
 // Status returns a job's snapshot.
-func (d *Dispatcher) Status(id string) (Status, error) {
+func (d *Dispatcher) Status(id string) (jobs.Status, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	j, ok := d.jobs[id]
 	if !ok {
-		return Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
+		return jobs.Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
 	}
 	return d.statusLocked(j), nil
 }
 
-func (d *Dispatcher) statusLocked(j *fwdJob) Status {
-	reforwards := j.forwards - 1
-	if reforwards < 0 {
-		reforwards = 0
-	}
-	var sweep bool
-	var points, pointsDone int
-	var progress float64
-	var eta time.Duration
-	var ranges []RangeInfo
-	profile := j.profileDoc
-	if j.sweep != nil {
-		sweep = true
-		points = j.sweep.points
-		pointsDone = j.sweep.pointsDoneLocked()
-		if j.state == jobs.StateDone {
-			pointsDone = points // incl. terminal records recovered without ranges
-		}
-		// Reforwards for a sweep counts range re-assignments.
-		reforwards = 0
-		for _, r := range j.sweep.ranges {
-			if r.forwards > 1 {
-				reforwards += r.forwards - 1
-			}
-			ranges = append(ranges, RangeInfo{
-				From:       r.from,
-				To:         r.to,
-				State:      r.stateLocked(),
-				Worker:     r.worker,
-				Remote:     r.remote,
-				PointsDone: r.pointsDoneLocked(),
-				Forwards:   r.forwards,
-				Error:      r.errMsg,
-			})
-		}
-		if points > 0 {
-			progress = float64(pointsDone) / float64(points)
-		}
-		if j.state == jobs.StateRunning && pointsDone > 0 && pointsDone < points && !j.started.IsZero() {
-			elapsed := time.Since(j.started)
-			eta = elapsed / time.Duration(pointsDone) * time.Duration(points-pointsDone)
-		}
-		profile = j.sweep.mergedProfileLocked()
-	}
-	if j.state.Terminal() && sweep {
-		progress = 1
-	}
-	return Status{
-		Sweep:       sweep,
-		Points:      points,
-		PointsDone:  pointsDone,
-		Progress:    progress,
-		ETA:         eta,
-		Ranges:      ranges,
-		Profile:     profile,
+// statusLocked snapshots a job: the dispatcher's own record of it, with
+// the owning worker's verdicts (CacheHit, Coalesced, Shards, Profile)
+// folded in as last reported. Callers hold d.mu.
+func (d *Dispatcher) statusLocked(j *fwdJob) jobs.Status {
+	st := jobs.Status{
 		ID:          j.id,
 		Trace:       j.trace,
 		Spans:       append([]obs.Span(nil), j.spans...),
@@ -1173,20 +1070,49 @@ func (d *Dispatcher) statusLocked(j *fwdJob) Status {
 		CacheHit:    j.cacheHit,
 		Coalesced:   j.coalesced,
 		Shards:      j.shards,
-		Reforwards:  reforwards,
+		Reforwards:  max(0, j.forwards-1),
+		Profile:     j.profileDoc,
 		Error:       j.errMsg,
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
 		Rev:         j.rev.N(),
 	}
+	if j.sweep == nil {
+		st.SetProgress()
+		return st
+	}
+	st.Sweep = true
+	st.Points = j.sweep.points
+	st.PointsDone = j.sweep.pointsDoneLocked()
+	if j.state == jobs.StateDone {
+		st.PointsDone = st.Points // incl. terminal records recovered without ranges
+	}
+	// Reforwards for a sweep counts range re-assignments.
+	st.Reforwards = 0
+	for _, r := range j.sweep.ranges {
+		st.Reforwards += max(0, r.forwards-1)
+		st.Ranges = append(st.Ranges, jobs.RangeInfo{
+			From:       r.from,
+			To:         r.to,
+			State:      r.stateLocked(),
+			Worker:     r.worker,
+			Remote:     r.remote,
+			PointsDone: r.pointsDoneLocked(),
+			Forwards:   r.forwards,
+			Error:      r.errMsg,
+		})
+	}
+	st.SetProgress() // fleet-wide: PointsDone sums the ranges
+	st.Profile = j.sweep.mergedProfileLocked()
+	return st
 }
 
 // List returns snapshots of every tracked job, newest first; a non-empty
 // state filters, limit caps (<= 0: no cap). The dispatcher's table IS
 // the fleet-merged history: every job submitted through the front-end,
 // with its owning worker in each snapshot.
-func (d *Dispatcher) List(state jobs.State, limit int) []Status {
+func (d *Dispatcher) List(state jobs.State, limit int) []jobs.Status {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ids := make([]string, 0, len(d.jobs))
@@ -1200,7 +1126,7 @@ func (d *Dispatcher) List(state jobs.State, limit int) []Status {
 	if limit > 0 && len(ids) > limit {
 		ids = ids[:limit]
 	}
-	out := make([]Status, len(ids))
+	out := make([]jobs.Status, len(ids))
 	for i, id := range ids {
 		out[i] = d.statusLocked(d.jobs[id])
 	}
@@ -1208,12 +1134,12 @@ func (d *Dispatcher) List(state jobs.State, limit int) []Status {
 }
 
 // Wait blocks until the job is terminal, then returns its snapshot.
-func (d *Dispatcher) Wait(id string) (Status, error) {
+func (d *Dispatcher) Wait(id string) (jobs.Status, error) {
 	d.mu.Lock()
 	j, ok := d.jobs[id]
 	d.mu.Unlock()
 	if !ok {
-		return Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
+		return jobs.Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
 	}
 	<-j.done
 	d.mu.Lock()
@@ -1221,50 +1147,41 @@ func (d *Dispatcher) Wait(id string) (Status, error) {
 	return d.statusLocked(j), nil
 }
 
-// Result proxies the job's result document from its owning worker,
-// returning the worker's HTTP status code and body verbatim. Jobs that
-// never reached a worker follow the pool's error semantics.
-func (d *Dispatcher) Result(ctx context.Context, id string) (int, []byte, error) {
+// WriteResult passes on the job's result document from its owning worker,
+// byte for byte; a worker that answers anything but 200 has its verdict
+// passed on as well. Jobs that never reached a worker follow the pool's
+// error semantics.
+func (d *Dispatcher) WriteResult(ctx context.Context, out io.Writer, id string) error {
 	d.mu.Lock()
 	j, ok := d.jobs[id]
 	if !ok {
 		d.mu.Unlock()
-		return 0, nil, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
+		return fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
 	}
-	state, workerName, remote, errMsg := j.state, j.worker, j.remote, j.errMsg
+	sweep, state, workerName, remote, errMsg := j.sweep != nil, j.state, j.worker, j.remote, j.errMsg
 	d.mu.Unlock()
-	switch state {
-	case jobs.StateFailed:
-		return 0, nil, fmt.Errorf("%w: %s", ErrJobFailed, errMsg)
-	case jobs.StateCanceled:
-		return 0, nil, fmt.Errorf("%w: %q", jobs.ErrCanceled, id)
-	case jobs.StateDone:
-		if workerName == "" || remote == "" {
-			return 0, nil, fmt.Errorf("fleet: job %q has no worker assignment on record", id)
-		}
-		w := d.workerByName(workerName)
-		if w == nil {
-			return 0, nil, fmt.Errorf("fleet: job %q belongs to unknown worker %q", id, workerName)
-		}
-		cctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
-		defer cancel()
-		code, body, err := w.c.resultRaw(cctx, remote)
-		if err != nil {
-			return 0, nil, err
-		}
-		return code, body, nil
-	default:
-		return 0, nil, fmt.Errorf("%w: %q is %s", jobs.ErrNotFinished, id, state)
+	if sweep {
+		return fmt.Errorf("%w: its results are at GET /v1/sweeps/%s", jobs.ErrIsSweep, id)
 	}
+	if err := jobs.NotDoneError(id, state, fmt.Errorf("%w: %s", jobs.ErrJobFailed, errMsg)); err != nil {
+		return err
+	}
+	w := d.workerByName(workerName)
+	if w == nil || remote == "" {
+		return badGateway("fleet: job %q has no assignment to a known worker on record (worker %q)", id, workerName)
+	}
+	cctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
+	defer cancel()
+	code, body, err := w.c.do(cctx, http.MethodGet, "/v1/jobs/"+remote+"/result", nil, "")
+	if err != nil {
+		return err
+	}
+	if code != http.StatusOK {
+		return &workerError{code, errorText(body)}
+	}
+	_, _ = out.Write(body) // see jobs.Service: a failed write is not reported
+	return nil
 }
-
-// ErrConflict marks a cancel refused by state (already terminal, or
-// running remotely and not preemptible); the HTTP layer maps it to 409.
-var ErrConflict = errors.New("fleet: conflict")
-
-// ErrJobFailed wraps a dispatched job's execution failure so the HTTP
-// layer can serve it as a 500 exactly like a worker would.
-var ErrJobFailed = errors.New("fleet: job failed")
 
 // Cancel cancels a dispatched job. An unassigned job cancels locally; an
 // assigned one forwards DELETE to its owning worker under the caller's
@@ -1276,13 +1193,13 @@ var ErrJobFailed = errors.New("fleet: job failed")
 // lock: if the job moved workers meanwhile, the cancel chases it to the
 // new node rather than reporting success while a live copy keeps
 // running elsewhere.
-func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
+func (d *Dispatcher) Cancel(ctx context.Context, id string) (jobs.Status, error) {
 	for attempt := 0; attempt < 4; attempt++ {
 		d.mu.Lock()
 		j, ok := d.jobs[id]
 		if !ok {
 			d.mu.Unlock()
-			return Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
+			return jobs.Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
 		}
 		if j.state.Terminal() {
 			st := d.statusLocked(j)
@@ -1292,7 +1209,7 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
 				// earlier DELETE landing); nothing left to cancel.
 				return st, nil
 			}
-			return st, fmt.Errorf("%w: %q is already %s", ErrConflict, id, st.State)
+			return st, fmt.Errorf("%w: %q is already %s", jobs.ErrConflict, id, st.State)
 		}
 		if j.sweep != nil {
 			// Cancel every assigned range's remote sub-sweep best-effort
@@ -1345,7 +1262,7 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
 		code, body, err := w.c.cancel(cctx, remote)
 		cancel()
 		if err != nil {
-			return Status{}, fmt.Errorf("fleet: cancel %q on %s: %w", id, workerName, err)
+			return jobs.Status{}, badGateway("fleet: cancel %q on %s: %v", id, workerName, err)
 		}
 		switch code {
 		case http.StatusOK, http.StatusNotFound:
@@ -1366,10 +1283,10 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
 			d.flushJob(j) // the 200 must not outrun the canceled event's fsync
 			return st, nil
 		default:
-			return Status{}, fmt.Errorf("%w: %s", ErrConflict, decodeErr(code, body))
+			return jobs.Status{}, fmt.Errorf("%w: %s", jobs.ErrConflict, decodeErr(code, body))
 		}
 	}
-	return Status{}, fmt.Errorf("fleet: cancel %q: assignment kept moving; retry", id)
+	return jobs.Status{}, badGateway("fleet: cancel %q: assignment kept moving; retry", id)
 }
 
 // Engines returns the union of engine names across healthy workers.
@@ -1383,7 +1300,7 @@ func (d *Dispatcher) Engines(ctx context.Context) ([]string, error) {
 	}
 	d.mu.Unlock()
 	if len(clients) == 0 {
-		return nil, errors.New("fleet: no healthy workers")
+		return nil, &workerError{http.StatusServiceUnavailable, "fleet: no healthy workers"}
 	}
 	type outcome struct {
 		engines []string
@@ -1413,7 +1330,7 @@ func (d *Dispatcher) Engines(ctx context.Context) ([]string, error) {
 		}
 	}
 	if !got {
-		return nil, lastErr
+		return nil, &workerError{http.StatusServiceUnavailable, lastErr.Error()}
 	}
 	out := make([]string, 0, len(union))
 	for e := range union {
@@ -1456,9 +1373,30 @@ func (d *Dispatcher) Stats() Stats {
 	return s
 }
 
+// StatsDoc is the GET /v1/stats document of a fleet front-end: the
+// dispatcher's own counters, per-worker health, the sum of the workers'
+// counters, and the dispatcher's build.
+func (d *Dispatcher) StatsDoc() any {
+	return map[string]any{
+		"dispatcher": d.Stats(),
+		"workers":    d.WorkerInfos(),
+		"fleet":      d.FleetStats(),
+		"build":      obs.Build(),
+	}
+}
+
 // Metrics returns the registry the dispatcher's instruments live in
 // (Options.Metrics, or the private one created when that was nil).
 func (d *Dispatcher) Metrics() *obs.Registry { return d.reg }
+
+// Logger returns the dispatcher's logger (Options.Logger, or one that
+// discards).
+func (d *Dispatcher) Logger() *slog.Logger { return d.log }
+
+// ValidateOptions is how a submitted bundle is validated before Submit.
+func (d *Dispatcher) ValidateOptions() qop.ValidateOptions {
+	return qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit}
+}
 
 // WorkerInfos snapshots per-node health for /v1/stats, in configured
 // order.

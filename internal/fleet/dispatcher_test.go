@@ -35,7 +35,7 @@ type fakeBackend struct {
 
 func (f *fakeBackend) Name() string { return f.name }
 
-func (f *fakeBackend) Execute(b *bundle.Bundle) (*result.Result, error) {
+func (f *fakeBackend) Execute(b *bundle.Bundle, _ backend.ExecOptions) (*result.Result, error) {
 	if f.ran != nil {
 		f.ran <- struct{}{}
 	}
@@ -149,7 +149,14 @@ func newDispatcher(t *testing.T, opts Options) *Dispatcher {
 	return d
 }
 
-func waitState(t *testing.T, d *Dispatcher, id string, want jobs.State) Status {
+// resultJSON is the result document WriteResult passes on.
+func resultJSON(d *Dispatcher, id string) ([]byte, error) {
+	var buf bytes.Buffer
+	err := d.WriteResult(context.Background(), &buf, id)
+	return buf.Bytes(), err
+}
+
+func waitState(t *testing.T, d *Dispatcher, id string, want jobs.State) jobs.Status {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -166,7 +173,7 @@ func waitState(t *testing.T, d *Dispatcher, id string, want jobs.State) Status {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %s", id, want)
-	return Status{}
+	return jobs.Status{}
 }
 
 // TestDispatchBasic: jobs submitted to the dispatcher run on the fleet
@@ -179,7 +186,7 @@ func TestDispatchBasic(t *testing.T) {
 
 	ids := make([]string, 4)
 	for i := range ids {
-		st, err := d.Submit(fleetBundle(t, "fake.fleet_basic", uint64(i)), 0)
+		st, err := d.Submit(fleetBundle(t, "fake.fleet_basic", uint64(i)), jobs.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,9 +203,9 @@ func TestDispatchBasic(t *testing.T) {
 		if st.Worker == "" || st.Remote == "" {
 			t.Fatalf("job %s has no assignment: %+v", id, st)
 		}
-		code, body, err := d.Result(context.Background(), id)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("result %s: %d %v", id, code, err)
+		body, err := resultJSON(d, id)
+		if err != nil {
+			t.Fatalf("result %s: %v", id, err)
 		}
 		var doc struct {
 			Entries []any `json:"entries"`
@@ -211,7 +218,7 @@ func TestDispatchBasic(t *testing.T) {
 	// A duplicate of job 0 must route to the same worker and be served
 	// from that worker's cache (or coalesce) — no second execution path.
 	first, _ := d.Status(ids[0])
-	dup, err := d.Submit(fleetBundle(t, "fake.fleet_basic", 0), 0)
+	dup, err := d.Submit(fleetBundle(t, "fake.fleet_basic", 0), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +262,7 @@ func TestEjectReadmitRejoin(t *testing.T) {
 	// Everything routes to w2 while w1 is out — including keys whose ring
 	// affinity is w1.
 	for i := 0; i < 6; i++ {
-		st, err := d.Submit(fleetBundle(t, "fake.fleet_rejoin", uint64(100+i)), 0)
+		st, err := d.Submit(fleetBundle(t, "fake.fleet_rejoin", uint64(100+i)), jobs.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +303,7 @@ func TestEjectReadmitRejoin(t *testing.T) {
 	if b == nil {
 		t.Fatal("ring maps no key to w1 — the ring is broken")
 	}
-	st, err := d.Submit(b, 0)
+	st, err := d.Submit(b, jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +327,7 @@ func TestReforwardOnWorkerLoss(t *testing.T) {
 	opts.RequestTimeout = time.Minute // an unanswered watch parks for 30 s
 	d := newDispatcher(t, opts)
 
-	st, err := d.Submit(fleetBundle(t, "fake.fleet_reforward", 7), 0)
+	st, err := d.Submit(fleetBundle(t, "fake.fleet_reforward", 7), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,9 +361,9 @@ func TestReforwardOnWorkerLoss(t *testing.T) {
 	if s := d.Stats(); s.Reforwarded != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
-	code, body, err := d.Result(context.Background(), st.ID)
-	if err != nil || code != http.StatusOK || !bytes.Contains(body, []byte("0101")) {
-		t.Fatalf("result after reforward: %d %v %s", code, err, body)
+	body, err := resultJSON(d, st.ID)
+	if err != nil || !bytes.Contains(body, []byte("0101")) {
+		t.Fatalf("result after reforward: %v %s", err, body)
 	}
 }
 
@@ -371,14 +378,14 @@ func TestCancelCoalescedDuplicateRemote(t *testing.T) {
 	w1 := startWorker(t, 1)
 	d := newDispatcher(t, fastOpts(w1))
 
-	primary, err := d.Submit(fleetBundle(t, "fake.fleet_coalcancel", 9), 0)
+	primary, err := d.Submit(fleetBundle(t, "fake.fleet_coalcancel", 9), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-fake.ran
 	waitState(t, d, primary.ID, jobs.StateRunning)
 
-	dup, err := d.Submit(fleetBundle(t, "fake.fleet_coalcancel", 9), 0)
+	dup, err := d.Submit(fleetBundle(t, "fake.fleet_coalcancel", 9), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,9 +415,8 @@ func TestCancelCoalescedDuplicateRemote(t *testing.T) {
 	if err != nil || fin.State != jobs.StateDone {
 		t.Fatalf("primary after duplicate cancel: %+v %v", fin, err)
 	}
-	code, _, err := d.Result(context.Background(), primary.ID)
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("primary result: %d %v", code, err)
+	if _, err := resultJSON(d, primary.ID); err != nil {
+		t.Fatalf("primary result: %v", err)
 	}
 	if fake.execs.Load() != 1 {
 		t.Fatalf("execs = %d, want 1 (duplicate must not re-run)", fake.execs.Load())
@@ -442,7 +448,7 @@ func TestHungWorkerDoesNotWedge(t *testing.T) {
 	d := newDispatcher(t, opts)
 
 	start := time.Now()
-	st, err := d.Submit(fleetBundle(t, "fake.fleet_hung", 1), 0)
+	st, err := d.Submit(fleetBundle(t, "fake.fleet_hung", 1), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +490,7 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 	}
 
 	// One finished job...
-	doneSt, err := d1.Submit(fleetBundle(t, "fake.fleet_recover", 1), 0)
+	doneSt, err := d1.Submit(fleetBundle(t, "fake.fleet_recover", 1), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +500,7 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 	// ...and one still executing when the dispatcher "crashes".
 	fake.block = make(chan struct{})
 	fake.ran = make(chan struct{}, 4)
-	inflightSt, err := d1.Submit(fleetBundle(t, "fake.fleet_recover", 2), 0)
+	inflightSt, err := d1.Submit(fleetBundle(t, "fake.fleet_recover", 2), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,9 +526,9 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 	if err != nil || got.State != jobs.StateDone {
 		t.Fatalf("recovered terminal: %+v %v", got, err)
 	}
-	code, body, err := d2.Result(context.Background(), doneSt.ID)
-	if err != nil || code != http.StatusOK || !bytes.Contains(body, []byte("0101")) {
-		t.Fatalf("recovered result: %d %v %s", code, err, body)
+	body, err := resultJSON(d2, doneSt.ID)
+	if err != nil || !bytes.Contains(body, []byte("0101")) {
+		t.Fatalf("recovered result: %v %s", err, body)
 	}
 	// In-flight job: re-attached under its original ID and finishes.
 	close(fake.block)
@@ -617,15 +623,6 @@ func TestHTTPSurface(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("engines: %v", engines)
-	}
-
-	// Unknown job: 404 on every per-job verb.
-	if resp, _ := http.Get(front.URL + "/v1/jobs/job-99999999"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status of unknown job: %d", resp.StatusCode)
-	}
-	req, _ := http.NewRequest(http.MethodDelete, front.URL+"/v1/jobs/job-99999999", nil)
-	if resp, _ := http.DefaultClient.Do(req); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cancel of unknown job: %d", resp.StatusCode)
 	}
 }
 

@@ -1,10 +1,16 @@
 // Package fleet is the serving layer's horizontal scale-out subsystem: a
 // dispatcher that fronts N worker qmlserve nodes over the same /v1 HTTP
 // protocol the workers themselves speak. Workers need zero changes to
-// join a fleet — the dispatcher is just another /v1 client — and clients
-// need zero changes to use one: POST /v1/jobs, GET status/result, DELETE
-// cancel, /v1/jobs history and /v1/stats all behave as on a single node,
-// with the fleet behind them.
+// join a fleet — the dispatcher is just another /v1 client, decoding
+// their replies into the documents internal/jobs exports — and clients
+// need zero changes to use one: Dispatcher implements jobs.Service, so
+// the handler that serves a worker (jobs.NewHandler, where the routes,
+// documents, status codes and long-poll semantics are stated) serves the
+// fleet as well. What the dispatcher adds to the protocol is small: the
+// "worker", "remote", "reforwards" and (sweeps) "ranges" members of a
+// status document, and a /v1/stats document in four parts — "dispatcher"
+// (its own counters), "workers" (per-node health), "fleet" (the sum of
+// the workers' counters) and "build".
 //
 // # Routing
 //
@@ -38,9 +44,9 @@
 // resets at once) is retried after a back-off that starts at 10 ms,
 // doubles, and is capped at ProbeInterval; ReforwardAfter consecutive
 // failures — or one answer that the worker no longer knows the job —
-// detach the job and re-forward it elsewhere. The dispatcher's own
-// GET /v1/jobs/{id} speaks the same ?wait=D&rev=N, so both tiers share
-// one wire format (internal/jobs.Revision, jobs.WaitParams).
+// detach the job and re-forward it elsewhere. A client can watch the
+// dispatcher's record the same way; its revision (jobs.Revision) moves on
+// assignment, remote state, sweep progress and every folded worker reply.
 //
 // # Health
 //

@@ -61,7 +61,7 @@ func TestEventOrderUnderConcurrentSubmitCancel(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sub, err := d.Submit(bundles[i], 0)
+			sub, err := d.Submit(bundles[i], jobs.SubmitOptions{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -73,7 +73,7 @@ func TestEventOrderUnderConcurrentSubmitCancel(t *testing.T) {
 				// already running remotely, or terminal) is a legal
 				// outcome; only the journal grammar below must hold.
 				if _, err := d.Cancel(context.Background(), sub.ID); err != nil &&
-					!errors.Is(err, ErrConflict) && !errors.Is(err, jobs.ErrNotFound) {
+					!errors.Is(err, jobs.ErrConflict) && !errors.Is(err, jobs.ErrNotFound) {
 					errs[i] = err
 				}
 			}

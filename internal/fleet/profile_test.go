@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -15,17 +14,17 @@ import (
 	"repro/internal/result"
 )
 
-// profiledFake is the injectable engine with profiling support: its
-// ExecuteProfiled attaches a recognizable kernel table under
+// profiledFake is the injectable engine with profiling support: asked
+// for a profile, it attaches a recognizable kernel table under
 // Meta["profile"], the way the gate engine attaches sim.Profile.
 type profiledFake struct {
 	fakeBackend
 }
 
-func (f *profiledFake) ExecuteProfiled(b *bundle.Bundle, shards int, stages backend.StageFunc) (*result.Result, error) {
-	res, err := f.Execute(b)
-	if err != nil {
-		return nil, err
+func (f *profiledFake) Execute(b *bundle.Bundle, o backend.ExecOptions) (*result.Result, error) {
+	res, err := f.fakeBackend.Execute(b, o)
+	if err != nil || !o.Profile {
+		return res, err
 	}
 	if res.Meta == nil {
 		res.Meta = map[string]any{}
@@ -77,7 +76,7 @@ func TestProfileProxiedThroughDispatcher(t *testing.T) {
 	w1, w2 := startWorker(t, 2), startWorker(t, 2)
 	d := newDispatcher(t, fastOpts(w1, w2))
 
-	st, err := d.SubmitTraced(fleetBundle(t, "fake.fleet_profile", 3), 0, "", true)
+	st, err := d.Submit(fleetBundle(t, "fake.fleet_profile", 3), jobs.SubmitOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +89,13 @@ func TestProfileProxiedThroughDispatcher(t *testing.T) {
 	}
 	checkProfileDoc(t, fin.Profile)
 
-	code, body, err := d.Result(context.Background(), st.ID)
-	if err != nil || code != http.StatusOK || !bytes.Contains(body, []byte(`"profile"`)) {
-		t.Fatalf("proxied result lost the profile: %d %v %s", code, err, body)
+	body, err := resultJSON(d, st.ID)
+	if err != nil || !bytes.Contains(body, []byte(`"profile"`)) {
+		t.Fatalf("proxied result lost the profile: %v %s", err, body)
 	}
 
 	// An unprofiled job (different key) carries no profile document.
-	plain, err := d.Submit(fleetBundle(t, "fake.fleet_profile", 4), 0)
+	plain, err := d.Submit(fleetBundle(t, "fake.fleet_profile", 4), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestProfileSurvivesReforward(t *testing.T) {
 	w1, w2 := startWorker(t, 1), startWorker(t, 1)
 	d := newDispatcher(t, fastOpts(w1, w2))
 
-	st, err := d.SubmitTraced(fleetBundle(t, "fake.fleet_profile_reforward", 7), 0, "", true)
+	st, err := d.Submit(fleetBundle(t, "fake.fleet_profile_reforward", 7), jobs.SubmitOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +227,8 @@ func TestProfileSurvivesReforward(t *testing.T) {
 		t.Fatal("profile lost across the re-forward")
 	}
 	checkProfileDoc(t, fin.Profile)
-	code, body, err := d.Result(context.Background(), st.ID)
-	if err != nil || code != http.StatusOK || !bytes.Contains(body, []byte(`"profile"`)) {
-		t.Fatalf("result after reforward lost the profile: %d %v %s", code, err, body)
+	body, err := resultJSON(d, st.ID)
+	if err != nil || !bytes.Contains(body, []byte(`"profile"`)) {
+		t.Fatalf("result after reforward lost the profile: %v %s", err, body)
 	}
 }

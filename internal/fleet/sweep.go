@@ -16,8 +16,8 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -28,10 +28,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qop"
 )
-
-// ErrNotSweep marks a sweep-only operation on a plain job; the HTTP
-// layer maps it to 400.
-var ErrNotSweep = errors.New("fleet: not a sweep job")
 
 // sweepRange is one contiguous slice [from,to) of the point grid,
 // forwarded to a worker as an independent sub-sweep. Mutable fields are
@@ -97,33 +93,20 @@ func (s *sweepScatter) pointsDoneLocked() int {
 	return n
 }
 
-// rangeProfileDoc mirrors the worker jobs layer's aggregated sweep
-// profile shape for merging range documents; kinds stay opaque rows.
-type rangeProfileDoc struct {
-	Points         int   `json:"points"`
-	PointsProfiled int   `json:"points_profiled"`
-	TotalNs        int64 `json:"total_ns"`
-	Kinds          []struct {
-		Kind    string `json:"kind"`
-		Kernels int    `json:"kernels"`
-		Ns      int64  `json:"ns"`
-	} `json:"kinds"`
-}
-
 // mergedProfileLocked folds the per-range worker profile documents into
 // one fleet-wide per-kind table, byte-compatible with a single worker's
 // aggregated sweep profile. Nil until at least one range reported a
 // profile (i.e. always nil for unprofiled sweeps). Callers hold
 // Dispatcher.mu.
 func (s *sweepScatter) mergedProfileLocked() json.RawMessage {
-	var out rangeProfileDoc
+	var out jobs.SweepProfileDoc
 	idx := map[string]int{}
 	seen := false
 	for _, r := range s.ranges {
 		if len(r.profile) == 0 {
 			continue
 		}
-		var doc rangeProfileDoc
+		var doc jobs.SweepProfileDoc
 		if err := json.Unmarshal(r.profile, &doc); err != nil {
 			continue
 		}
@@ -155,73 +138,15 @@ func (s *sweepScatter) mergedProfileLocked() json.RawMessage {
 }
 
 // SubmitSweep accepts a parameter-sweep bundle as one dispatched job.
-func (d *Dispatcher) SubmitSweep(b *bundle.Bundle) (Status, error) {
-	return d.SubmitSweepTraced(b, "", false)
-}
-
-// SubmitSweepTraced is SubmitSweep with an explicit trace ID and profile
-// flag. The grid journals as ONE record; the scatter happens after
-// acceptance. profile forwards to every range's worker, whose per-kind
-// kernel tables merge back into this job's status document.
-func (d *Dispatcher) SubmitSweepTraced(b *bundle.Bundle, traceID string, profile bool) (Status, error) {
-	if b == nil {
-		return Status{}, errors.New("fleet: nil bundle")
-	}
-	if b.Context == nil || b.Context.Sweep == nil {
-		return Status{}, errors.New("fleet: bundle has no sweep context block")
-	}
-	n := len(b.Context.Sweep.Points)
-	if n == 0 {
-		return Status{}, errors.New("fleet: sweep has no points")
-	}
-	if n > jobs.MaxSweepPoints {
-		return Status{}, fmt.Errorf("fleet: sweep has %d points, max %d", n, jobs.MaxSweepPoints)
-	}
-	key, err := jobs.CacheKey(b)
+// o.Shards and o.Profile are forwarded with every range's sub-sweep; the
+// workers' per-kind kernel tables merge back into this job's status
+// document.
+func (d *Dispatcher) SubmitSweep(b *bundle.Bundle, o jobs.SubmitOptions) (jobs.Status, error) {
+	n, err := jobs.SweepPoints(b)
 	if err != nil {
-		return Status{}, err
+		return jobs.Status{}, err
 	}
-	raw, err := json.Marshal(b)
-	if err != nil {
-		return Status{}, fmt.Errorf("fleet: marshal bundle: %w", err)
-	}
-	engine := jobs.ResolveEngine(b)
-	now := time.Now()
-
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return Status{}, jobs.ErrClosed
-	}
-	d.nextID++
-	j := &fwdJob{
-		id:        fmt.Sprintf("job-%08d", d.nextID),
-		trace:     obs.EnsureTraceID(traceID),
-		key:       key,
-		engine:    engine,
-		raw:       raw,
-		profile:   profile,
-		state:     jobs.StateQueued,
-		submitted: now,
-		sweep:     &sweepScatter{points: n},
-		done:      make(chan struct{}),
-	}
-	// Sweeps skip the in-flight coalescing table: their work is spread
-	// over the fleet, so there is no single "primary worker" to pin a
-	// twin to.
-	d.jobs[j.id] = j
-	d.met.submitted.Inc()
-	d.met.sweeps.Inc()
-	j.spanLocked("queued", 0, fmt.Sprintf("sweep points=%d", n))
-	d.enqueueLocked(j, store.Event{T: store.EvSubmitted, Job: j.id, Trace: j.trace, At: now, Key: key, Engine: engine, Bundle: raw, Points: n, Profile: profile})
-	d.wg.Add(1)
-	st := d.statusLocked(j)
-	d.mu.Unlock()
-	d.log.Info("sweep accepted", "job", j.id, "trace", j.trace, "engine", engine, "points", n)
-	d.flushDirty()
-	d.flushJob(j) // the 202 must not outrun the submitted event's fsync
-	go d.runJob(j)
-	return st, nil
+	return d.accept(b, o, n)
 }
 
 // runSweep owns one sweep's scatter-and-watch lifecycle. Called from
@@ -416,7 +341,7 @@ func (d *Dispatcher) forwardRange(j *fwdJob, r *sweepRange) bool {
 		w := d.workerByName(name)
 		ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
 		rtStart := time.Now()
-		sub, err := w.c.submitSweep(ctx, r.raw, j.trace, j.profile)
+		sub, err := w.c.submit(ctx, "/v1/sweeps", r.raw, j.pin, j.trace, j.profile)
 		rt := time.Since(rtStart)
 		cancel()
 		if err != nil {
@@ -526,7 +451,7 @@ func (d *Dispatcher) detachRange(j *fwdJob, r *sweepRange, workerName string) {
 
 // observeRange folds a remote sub-sweep status into the range. Returns
 // true when the range reached a terminal state.
-func (d *Dispatcher) observeRange(j *fwdJob, r *sweepRange, st remoteStatus) bool {
+func (d *Dispatcher) observeRange(j *fwdJob, r *sweepRange, st jobs.StatusDoc) bool {
 	d.mu.Lock()
 	if j.state.Terminal() || r.done || r.failed {
 		d.mu.Unlock()
@@ -537,6 +462,9 @@ func (d *Dispatcher) observeRange(j *fwdJob, r *sweepRange, st remoteStatus) boo
 	if st.Engine != "" {
 		j.engine = st.Engine
 	}
+	if st.Shards > 0 {
+		j.shards = st.Shards // the grant of the range heard from last
+	}
 	if st.PointsDone > r.pointsDone {
 		r.pointsDone = st.PointsDone
 	}
@@ -546,7 +474,7 @@ func (d *Dispatcher) observeRange(j *fwdJob, r *sweepRange, st remoteStatus) boo
 		r.profile = st.Profile
 	}
 	enqueued := false
-	switch jobs.State(st.State) {
+	switch st.State {
 	case jobs.StateRunning:
 		if j.state == jobs.StateQueued {
 			j.state = jobs.StateRunning
@@ -602,95 +530,59 @@ func subSweepRaw(tmpl *bundle.Bundle, from, to int) (json.RawMessage, error) {
 	return raw, nil
 }
 
-// SweepPointJSON is one merged per-point result in a dispatcher sweep
-// result document; Index is the global grid index.
-type SweepPointJSON struct {
-	Index   int            `json:"index"`
-	Engine  string         `json:"engine,omitempty"`
-	Samples int            `json:"samples,omitempty"`
-	Entries []any          `json:"entries"`
-	Meta    map[string]any `json:"meta,omitempty"`
-}
-
-// remoteSweepDoc is a worker's GET /v1/sweeps/{id} document (the fields
-// the dispatcher merges).
-type remoteSweepDoc struct {
-	Engine  string           `json:"engine"`
-	Results []SweepPointJSON `json:"results"`
-}
-
-// SweepResult merges the per-range result sets from their owning
-// workers into one globally indexed set. Only terminal sweeps answer;
-// a sweep recovered as terminal from the journal after a dispatcher
-// restart no longer knows its range assignments and reports that
-// explicitly.
-func (d *Dispatcher) SweepResult(ctx context.Context, id string) ([]SweepPointJSON, string, error) {
+// WriteSweepResult merges the per-range result sets from their owning
+// workers into one globally indexed SweepResultDoc. Only terminal sweeps
+// answer; a sweep recovered as terminal from the journal after a
+// dispatcher restart no longer knows its range assignments and reports
+// that explicitly.
+func (d *Dispatcher) WriteSweepResult(ctx context.Context, out io.Writer, id string) error {
 	d.mu.Lock()
 	j, ok := d.jobs[id]
 	if !ok {
 		d.mu.Unlock()
-		return nil, "", fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
+		return fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
 	}
 	if j.sweep == nil {
 		d.mu.Unlock()
-		return nil, "", fmt.Errorf("%w: %q", ErrNotSweep, id)
+		return fmt.Errorf("%w: %q", jobs.ErrNotSweep, id)
 	}
-	state, engine, errMsg := j.state, j.engine, j.errMsg
-	type rloc struct {
-		from, to       int
-		worker, remote string
-	}
-	locs := make([]rloc, 0, len(j.sweep.ranges))
-	for _, r := range j.sweep.ranges {
-		locs = append(locs, rloc{from: r.from, to: r.to, worker: r.worker, remote: r.remote})
-	}
-	points := j.sweep.points
+	st := d.statusLocked(j)
 	d.mu.Unlock()
 
-	switch state {
-	case jobs.StateFailed:
-		return nil, "", fmt.Errorf("%w: %s", ErrJobFailed, errMsg)
-	case jobs.StateCanceled:
-		return nil, "", fmt.Errorf("%w: %q", jobs.ErrCanceled, id)
-	case jobs.StateDone:
-	default:
-		return nil, "", fmt.Errorf("%w: %q is %s", jobs.ErrNotFinished, id, state)
+	if err := jobs.NotDoneError(id, st.State, fmt.Errorf("%w: %s", jobs.ErrJobFailed, st.Error)); err != nil {
+		return err
 	}
-	if len(locs) == 0 {
-		return nil, "", fmt.Errorf("fleet: sweep %q finished before this dispatcher started; its range assignments were not retained — resubmit the sweep", id)
+	if len(st.Ranges) == 0 {
+		return badGateway("fleet: sweep %q finished before this dispatcher started; its range assignments were not retained — resubmit the sweep", id)
 	}
-	merged := make([]SweepPointJSON, points)
-	for _, loc := range locs {
-		w := d.workerByName(loc.worker)
+	doc := jobs.NewSweepResultDoc(st)
+	doc.Results = make([]jobs.SweepPointDoc, st.Points)
+	for _, rg := range st.Ranges {
+		w := d.workerByName(rg.Worker)
 		if w == nil {
-			return nil, "", fmt.Errorf("fleet: sweep %q range [%d,%d) belongs to unknown worker %q", id, loc.from, loc.to, loc.worker)
+			return badGateway("fleet: sweep %q range [%d,%d) belongs to unknown worker %q", id, rg.From, rg.To, rg.Worker)
 		}
+		var part jobs.SweepResultDoc
 		cctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
-		code, body, err := w.c.sweepResultRaw(cctx, loc.remote)
+		err := w.c.get(cctx, fmt.Sprintf("sweep result for range [%d,%d)", rg.From, rg.To), "/v1/sweeps/"+rg.Remote, &part)
 		cancel()
 		if err != nil {
-			return nil, "", err
+			return err
 		}
-		if code != 200 {
-			return nil, "", fmt.Errorf("fleet: %s: sweep result for range [%d,%d): %s", loc.worker, loc.from, loc.to, decodeErr(code, body))
+		if len(part.Results) != rg.To-rg.From {
+			return badGateway("fleet: %s answered %d results for range [%d,%d)", rg.Worker, len(part.Results), rg.From, rg.To)
 		}
-		var doc remoteSweepDoc
-		if err := json.Unmarshal(body, &doc); err != nil {
-			return nil, "", fmt.Errorf("fleet: %s: sweep result body: %w", loc.worker, err)
-		}
-		if len(doc.Results) != loc.to-loc.from {
-			return nil, "", fmt.Errorf("fleet: %s answered %d results for range [%d,%d)", loc.worker, len(doc.Results), loc.from, loc.to)
-		}
-		for _, pt := range doc.Results {
-			gi := loc.from + pt.Index
-			if gi < 0 || gi >= points {
-				return nil, "", fmt.Errorf("fleet: %s answered out-of-range point %d for range [%d,%d)", loc.worker, pt.Index, loc.from, loc.to)
+		for _, pt := range part.Results {
+			gi := rg.From + pt.Index
+			if gi < rg.From || gi >= rg.To {
+				return badGateway("fleet: %s answered out-of-range point %d for range [%d,%d)", rg.Worker, pt.Index, rg.From, rg.To)
 			}
 			pt.Index = gi
-			merged[gi] = pt
+			doc.Results[gi] = pt
 		}
 	}
-	return merged, engine, nil
+	jobs.WriteDoc(out, doc)
+	return nil
 }
 
 // WaitTimeout is the dispatcher tier's long-poll primitive, with the
@@ -698,12 +590,12 @@ func (d *Dispatcher) SweepResult(ctx context.Context, id string) ([]SweepPointJS
 // revision exceeds since, the job is terminal, dur elapses or ctx ends,
 // then returns the snapshot at that moment. since = jobs.NoRev waits for
 // the terminal transition only.
-func (d *Dispatcher) WaitTimeout(ctx context.Context, id string, dur time.Duration, since uint64) (Status, error) {
+func (d *Dispatcher) WaitTimeout(ctx context.Context, id string, dur time.Duration, since uint64) (jobs.Status, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	j, ok := d.jobs[id]
 	if !ok {
-		return Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
+		return jobs.Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
 	}
 	j.rev.Await(ctx, &d.mu, j.done, dur, since)
 	return d.statusLocked(j), nil

@@ -169,23 +169,6 @@ func TestFleetSweepScatterMerge(t *testing.T) {
 			t.Fatalf("point %d differs:\n fleet %s\n ref   %s", i, merged[i], ref[i])
 		}
 	}
-
-	// A plain job's route rejects the sweep-results endpoint.
-	plain, err := d.Submit(fleetBundle(t, "gate.statevector", 3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Wait(plain.ID); err != nil {
-		t.Fatal(err)
-	}
-	presp, err := http.Get(front.URL + "/v1/sweeps/" + plain.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("sweep result for plain job: %d", presp.StatusCode)
-	}
 }
 
 // TestFleetSweepRangeReforward: when a worker stops answering mid-sweep,
@@ -204,7 +187,7 @@ func TestFleetSweepRangeReforward(t *testing.T) {
 	d := newDispatcher(t, fastOpts(w1, w2))
 
 	const n = 6
-	st, err := d.SubmitSweep(sweepFleetBundle(t, "fake.fleet_sweep", sweepGrid(n)))
+	st, err := d.SubmitSweep(sweepFleetBundle(t, "fake.fleet_sweep", sweepGrid(n)), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +274,7 @@ func TestFleetSweepRecoveredTerminal(t *testing.T) {
 	d := newDispatcher(t, opts)
 
 	const n = 4
-	sub, err := d.SubmitSweep(sweepFleetBundle(t, "gate.statevector", sweepGrid(n)))
+	sub, err := d.SubmitSweep(sweepFleetBundle(t, "gate.statevector", sweepGrid(n)), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +298,7 @@ func TestFleetSweepRecoveredTerminal(t *testing.T) {
 	if got.State != jobs.StateDone || !got.Sweep || got.Points != n || got.PointsDone != n {
 		t.Fatalf("recovered status: %+v", got)
 	}
-	if _, _, err := d2.SweepResult(t.Context(), sub.ID); err == nil {
+	if err := d2.WriteSweepResult(t.Context(), io.Discard, sub.ID); err == nil {
 		t.Fatal("SweepResult after restart should report lost assignments")
 	}
 }

@@ -39,7 +39,7 @@ func TestWatchRequestCounts(t *testing.T) {
 	release := func() { once.Do(func() { close(fake.block) }) }
 	t.Cleanup(release) // registered last, so it runs before the pool's Close waits on the fake
 
-	st, err := d.Submit(fleetBundle(t, "fake.fleet_watch_count", 1), 0)
+	st, err := d.Submit(fleetBundle(t, "fake.fleet_watch_count", 1), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestWatchRequestCounts(t *testing.T) {
 
 	release() // from here on the fake answers at once
 	before := w.statusReqs.Load()
-	st, err = d.Submit(fleetBundle(t, "fake.fleet_watch_count", 2), 0)
+	st, err = d.Submit(fleetBundle(t, "fake.fleet_watch_count", 2), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCancelReleasesParkedWatch(t *testing.T) {
 	d := newDispatcher(t, eventOpts(w))
 	t.Cleanup(func() { close(fake.block) }) // runs before the pool's Close waits on the fake
 
-	st, err := d.SubmitSweep(sweepFleetBundle(t, "fake.fleet_watch_cancel", sweepGrid(3)))
+	st, err := d.SubmitSweep(sweepFleetBundle(t, "fake.fleet_watch_cancel", sweepGrid(3)), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDispatcherWaitContext(t *testing.T) {
 	}))
 	defer front.Close()
 
-	st, err := d.Submit(fleetBundle(t, "fake.fleet_watch_ctx", 1), 0)
+	st, err := d.Submit(fleetBundle(t, "fake.fleet_watch_ctx", 1), jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

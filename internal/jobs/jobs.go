@@ -17,7 +17,7 @@
 //
 // The pool is also the shard scheduler for the statevector engine: when a
 // job starts it is granted a parallelism level (Status.Shards) forwarded
-// to backends implementing backend.Sharded. A job that finds the pool
+// to the engine (backend.ExecOptions.Shards). A job that finds the pool
 // otherwise idle takes Options.MaxShards so one big simulation spans
 // every core; jobs running alongside others stay single-shard so
 // concurrent throughput is undisturbed. Submitters can pin an explicit
@@ -89,7 +89,10 @@
 // GET /v1/jobs/{id} long-polls with ?wait=<duration>, waking on the next
 // change after ?rev=<revision> when one is given (see Revision).
 //
-// cmd/qmlserve wraps a Pool in an HTTP server (see NewHandler) and wires
+// A Pool is one of the two implementations of Service, the /v1 protocol
+// as Go calls; the other is the fleet dispatcher, which forwards to Pools
+// on other nodes. cmd/qmlserve puts either behind NewHandler — where the
+// routes, documents and long-poll semantics are stated — and wires
 // -data-dir to a store; cmd/qmlrun -parallel uses the same Pool for
 // concurrent batch execution.
 package jobs
@@ -99,12 +102,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	stdruntime "runtime"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/bundle"
 	"repro/internal/jobs/store"
 	"repro/internal/obs"
@@ -131,7 +136,8 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Sentinel errors returned by Pool methods.
+// Sentinel errors of the /v1 protocol, returned by every Service;
+// httpStatus maps them to status codes.
 var (
 	// ErrQueueFull is the backpressure signal: the bounded queue is
 	// saturated and the submission was rejected, not enqueued.
@@ -144,6 +150,19 @@ var (
 	ErrNotFinished = errors.New("jobs: job not finished")
 	// ErrCanceled means the job was canceled before it ran.
 	ErrCanceled = errors.New("jobs: job canceled")
+	// ErrConflict means a cancel was refused by the job's state: it is
+	// already terminal, or running and not preemptible.
+	ErrConflict = errors.New("jobs: conflict")
+	// ErrJobFailed wraps the failure message of a job that ran elsewhere (a
+	// dispatcher knows its workers' failures only as text). A Pool returns
+	// the execution error itself.
+	ErrJobFailed = errors.New("jobs: job failed")
+	// ErrNotSweep means a sweep's result set was asked of a plain job, and
+	// ErrIsSweep a single result of a sweep: each kind has its own route.
+	ErrNotSweep = errors.New("jobs: not a sweep job")
+	ErrIsSweep  = errors.New("jobs: job is a sweep")
+	// ErrBadSweep means a sweep submission has no usable point grid.
+	ErrBadSweep = errors.New("jobs: malformed sweep")
 )
 
 // Options configure a Pool. The zero value is usable: NumCPU workers, a
@@ -214,10 +233,17 @@ type Status struct {
 	ID string
 	// Trace is the job's fleet-wide trace ID (inbound X-Trace-Id or
 	// server-generated).
-	Trace    string
-	State    State
-	Engine   string
-	CacheHit bool
+	Trace  string
+	State  State
+	Engine string
+	// Worker is the fleet node currently (or finally) owning the job and
+	// Remote the job's ID in that node's pool; Reforwards counts how many
+	// times the job (for a sweep: its ranges) changed workers. A dispatcher
+	// sets them, and Ranges; a Pool leaves all four zero.
+	Worker     string
+	Remote     string
+	Reforwards int
+	CacheHit   bool
 	// Coalesced reports that this job never executed: it attached to an
 	// identical in-flight job and shares its outcome.
 	Coalesced bool
@@ -236,6 +262,10 @@ type Status struct {
 	// point finishes, and for non-sweep jobs).
 	Progress float64
 	ETA      time.Duration
+	// Ranges is the per-range dispatch detail of a sweep scattered over a
+	// fleet: which worker owns each slice of the grid and how far along it
+	// is.
+	Ranges []RangeInfo
 	// Profile is the kernel-granular execution profile of a profiled job
 	// (SubmitOptions.Profile): the sim.Profile kernel table for plain
 	// jobs, the per-kind aggregate for sweeps. nil while the job runs and
@@ -246,11 +276,6 @@ type Status struct {
 	SubmittedAt time.Time
 	StartedAt   time.Time // zero until the job leaves the queue
 	FinishedAt  time.Time // zero until terminal
-	// QueueWait is StartedAt−SubmittedAt (or, for cache hits, coalesced
-	// and canceled jobs, FinishedAt−SubmittedAt).
-	QueueWait time.Duration
-	// RunTime is FinishedAt−StartedAt (zero for cache hits).
-	RunTime time.Duration
 	// Spans is the job's lifecycle log: queued/started/stage timings/
 	// persisted/terminal, in order, with monotonic timestamps.
 	Spans []obs.Span
@@ -259,6 +284,57 @@ type Status struct {
 	// profile), so a poller that hands it back as ?rev= is answered the
 	// moment there is something newer.
 	Rev uint64
+}
+
+// QueueWait is StartedAt−SubmittedAt, or, for a job that finished without
+// starting (cache hit, coalesced, canceled), FinishedAt−SubmittedAt.
+func (s Status) QueueWait() time.Duration {
+	switch {
+	case !s.StartedAt.IsZero():
+		return s.StartedAt.Sub(s.SubmittedAt)
+	case !s.FinishedAt.IsZero():
+		return s.FinishedAt.Sub(s.SubmittedAt)
+	}
+	return 0
+}
+
+// SetProgress derives Progress and ETA from the rest of the snapshot, the
+// same way on both tiers: 1 for any terminal job, PointsDone/Points for a
+// sweep in flight, and for a running sweep a coarse ETA extrapolated from
+// the average duration of the points completed so far.
+func (s *Status) SetProgress() {
+	switch {
+	case s.State.Terminal():
+		s.Progress = 1
+	case s.Points > 0:
+		s.Progress = float64(s.PointsDone) / float64(s.Points)
+	}
+	if s.State == StateRunning && s.PointsDone > 0 && s.PointsDone < s.Points && !s.StartedAt.IsZero() {
+		s.ETA = time.Since(s.StartedAt) / time.Duration(s.PointsDone) * time.Duration(s.Points-s.PointsDone)
+	}
+}
+
+// RunTime is FinishedAt−StartedAt (zero until both are set).
+func (s Status) RunTime() time.Duration {
+	if s.StartedAt.IsZero() || s.FinishedAt.IsZero() {
+		return 0
+	}
+	return s.FinishedAt.Sub(s.StartedAt)
+}
+
+// RangeInfo is one sweep range's dispatch snapshot in a fleet status
+// document: the [From,To) grid slice, its owning worker and remote
+// sub-sweep ID, and range-local progress.
+type RangeInfo struct {
+	From       int    `json:"from"`
+	To         int    `json:"to"`
+	State      string `json:"state"` // queued | running | done | failed
+	Worker     string `json:"worker,omitempty"`
+	Remote     string `json:"remote,omitempty"`
+	PointsDone int    `json:"points_done"`
+	// Forwards counts handoffs; >1 means the range moved workers.
+	Forwards int    `json:"forwards"`
+	Error    string `json:"error,omitempty"`
 }
 
 // Stats aggregates pool-level counters and timing metrics.
@@ -552,7 +628,7 @@ func (p *Pool) recoverLocked() {
 			p.jobs[j.id] = j
 			p.finishLocked(j)
 		default: // queued or running at crash time: requeue
-			b, err := bundle.FromJSON(rec.Bundle, qop.ValidateOptions{AllowMidCircuit: p.opts.Run.AllowMidCircuit})
+			b, err := bundle.FromJSON(rec.Bundle, p.ValidateOptions())
 			if err != nil {
 				// The journaled bundle no longer validates (schema drift,
 				// torn result of an older bug): surface it as a failed
@@ -608,28 +684,14 @@ type SubmitOptions struct {
 	Profile bool
 }
 
-// Submit registers the bundle as a job and enqueues it, returning the job
-// ID immediately. If an identical submission (same canonical bundle JSON,
-// shots and seed) already completed, the job is born terminal in StateDone
-// with the cached result and never touches the queue; if one is currently
-// executing, the job coalesces onto it and completes when it does. A
-// saturated queue rejects with ErrQueueFull.
-func (p *Pool) Submit(b *bundle.Bundle) (string, error) {
-	st, err := p.submit(b, SubmitOptions{})
-	return st.ID, err
-}
-
-// SubmitWith is Submit with per-job execution hints.
-func (p *Pool) SubmitWith(b *bundle.Bundle, o SubmitOptions) (string, error) {
-	st, err := p.submit(b, o)
-	return st.ID, err
-}
-
-// submit does the work of Submit and additionally returns the job's
-// status snapshot from the same critical section, so callers (the HTTP
-// front-end) need no follow-up lookup that could miss an already-evicted
-// record.
-func (p *Pool) submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
+// Submit registers the bundle as a job and enqueues it, returning the
+// job's snapshot from the same critical section (no follow-up lookup that
+// could miss an already-evicted record). If an identical submission (same
+// canonical bundle JSON, shots and seed) already completed, the job is
+// born terminal in StateDone with the cached result and never touches the
+// queue; if one is currently executing, the job coalesces onto it and
+// completes when it does. A saturated queue rejects with ErrQueueFull.
+func (p *Pool) Submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	if b == nil {
 		return Status{}, fmt.Errorf("jobs: nil bundle")
 	}
@@ -641,7 +703,7 @@ func (p *Pool) submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 		return Status{}, err
 	}
 	key = profiledKey(key, o.Profile)
-	engine := resolveEngine(b)
+	engine := ResolveEngine(b)
 	// The journal records the canonical bundle JSON so a job that is
 	// queued or running at crash time can be reconstructed and requeued.
 	var rawBundle json.RawMessage
@@ -1032,37 +1094,17 @@ func (p *Pool) statusLocked(j *job) Status {
 		s.Sweep = true
 		s.Points = j.sweep.points
 		s.PointsDone = j.sweep.completed
-		if s.Points > 0 {
-			s.Progress = float64(s.PointsDone) / float64(s.Points)
-		}
-		// Coarse ETA: extrapolate the remaining points from the average
-		// duration of the ones already completed this run.
-		if j.state == StateRunning && s.PointsDone > 0 && s.PointsDone < s.Points {
-			elapsed := time.Since(j.started)
-			s.ETA = elapsed / time.Duration(s.PointsDone) * time.Duration(s.Points-s.PointsDone)
-		}
 	}
-	if j.state.Terminal() {
-		s.Progress = 1
-	}
+	s.SetProgress()
 	if j.err != nil {
 		s.Error = j.err.Error()
-	}
-	switch {
-	case !j.started.IsZero():
-		s.QueueWait = j.started.Sub(j.submitted)
-		if !j.finished.IsZero() {
-			s.RunTime = j.finished.Sub(j.started)
-		}
-	case !j.finished.IsZero(): // cache hit or canceled in queue
-		s.QueueWait = j.finished.Sub(j.submitted)
 	}
 	return s
 }
 
 // Result returns the job's result once it is Done. A queued or running
 // job returns ErrNotFinished; a failed job returns its execution error; a
-// canceled job returns ErrCanceled. Repeated calls for the same job ID
+// canceled job returns ErrCanceled; a sweep returns ErrIsSweep. Repeated calls for the same job ID
 // share one Result (the cache keeps private copies, so mutating it cannot
 // poison other jobs) — concurrent readers of one job must coordinate
 // before calling methods that reorder Entries, such as Sort.
@@ -1073,47 +1115,69 @@ func (p *Pool) Result(id string) (*result.Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	switch j.state {
-	case StateDone:
-		if j.sweep != nil {
-			return nil, fmt.Errorf("jobs: %q is a sweep; use SweepResult", id)
-		}
-		// A job recovered from the journal holds only the content
-		// address of its result; load the file on first access.
-		if j.res == nil && j.resKey != "" && p.opts.Store != nil {
-			res, ok, err := p.opts.Store.GetResult(j.resKey)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, fmt.Errorf("jobs: result file for %q (%s) is gone", id, j.resKey)
-			}
-			j.res = res
-			if j.profileDoc = profileRaw(res); j.profileDoc != nil {
-				j.rev.Bump()
-			}
-		}
-		return j.res, nil
-	case StateFailed:
-		return nil, j.err
-	case StateCanceled:
-		return nil, fmt.Errorf("%w: %q", ErrCanceled, id)
-	default:
-		return nil, fmt.Errorf("%w: %q is %s", ErrNotFinished, id, j.state)
+	if j.sweep != nil {
+		return nil, fmt.Errorf("%w: its results are at GET /v1/sweeps/%s (SweepResult)", ErrIsSweep, id)
 	}
+	if err := NotDoneError(id, j.state, j.err); err != nil {
+		return nil, err
+	}
+	// A job recovered from the journal holds only the content address of
+	// its result; load the file on first access.
+	if j.res == nil && j.resKey != "" && p.opts.Store != nil {
+		res, ok, err := p.opts.Store.GetResult(j.resKey)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("jobs: result file for %q (%s) is gone", id, j.resKey)
+		}
+		j.res = res
+		if j.profileDoc = profileRaw(res); j.profileDoc != nil {
+			j.rev.Bump()
+		}
+	}
+	return j.res, nil
+}
+
+// NotDoneError is what asking for the result of a job in the given state
+// answers: nil when it is done, failure when it failed, ErrCanceled, or
+// ErrNotFinished while it is queued or running.
+func NotDoneError(id string, state State, failure error) error {
+	switch state {
+	case StateDone:
+		return nil
+	case StateFailed:
+		return failure
+	case StateCanceled:
+		return fmt.Errorf("%w: %q", ErrCanceled, id)
+	default:
+		return fmt.Errorf("%w: %q is %s", ErrNotFinished, id, state)
+	}
+}
+
+// WriteResult is Result as the encoded ResultDoc.
+func (p *Pool) WriteResult(_ context.Context, w io.Writer, id string) error {
+	res, err := p.Result(id)
+	if err != nil {
+		return err
+	}
+	WriteDoc(w, ResultDoc{ID: id, Engine: res.Engine, Samples: res.Samples, Entries: entryDocs(res), Meta: res.Meta})
+	return nil
 }
 
 // Cancel cancels a job that is still in the queue, including a duplicate
 // that coalesced onto a running primary: the duplicate detaches and
 // cancels alone — the primary and any other attached duplicates are
 // untouched. Running jobs cannot be preempted (the backends are
-// synchronous), and terminal jobs cannot be canceled.
-func (p *Pool) Cancel(id string) error {
+// synchronous), and terminal jobs cannot be canceled: both are
+// ErrConflict. The returned snapshot is taken before retention can evict
+// the canceled record.
+func (p *Pool) Cancel(_ context.Context, id string) (Status, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	j, ok := p.jobs[id]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, id)
+		return Status{}, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	switch j.state {
 	case StateQueued:
@@ -1149,11 +1213,11 @@ func (p *Pool) Cancel(id string) error {
 		obs.Record(obs.FlightJobCanceled, j.id, "")
 		p.log.Info("job canceled", "job", j.id, "trace", j.trace)
 		p.finishLocked(j)
-		return nil
+		return p.statusLocked(j), nil
 	case StateRunning:
-		return fmt.Errorf("jobs: %q is running and cannot be preempted", id)
+		return Status{}, fmt.Errorf("%w: %q is running and cannot be preempted", ErrConflict, id)
 	default:
-		return fmt.Errorf("jobs: %q is already %s", id, j.state)
+		return Status{}, fmt.Errorf("%w: %q is already %s", ErrConflict, id, j.state)
 	}
 }
 
@@ -1195,6 +1259,20 @@ func (p *Pool) WaitTimeout(ctx context.Context, id string, d time.Duration, sinc
 // from Options.Metrics, or the pool's private registry). NewHandler
 // serves it on GET /metrics.
 func (p *Pool) Metrics() *obs.Registry { return p.reg }
+
+// Logger returns the pool's logger (Options.Logger, or one that discards).
+func (p *Pool) Logger() *slog.Logger { return p.log }
+
+// ValidateOptions is how a submitted bundle is validated before Submit.
+func (p *Pool) ValidateOptions() qop.ValidateOptions {
+	return qop.ValidateOptions{AllowMidCircuit: p.opts.Run.AllowMidCircuit}
+}
+
+// Engines lists the engines registered in this process.
+func (p *Pool) Engines(context.Context) ([]string, error) { return backend.Engines(), nil }
+
+// StatsDoc is Stats as the GET /v1/stats document.
+func (p *Pool) StatsDoc() any { return p.Stats() }
 
 // Stats returns a snapshot of the pool's aggregate counters, including
 // the attached store's journal/result-file counters when persistent.
@@ -1285,12 +1363,7 @@ func (p *Pool) Close() {
 // else the scheduler's choice, else empty (such a job will fail with the
 // scheduler's error when it runs). The fleet dispatcher uses it to
 // journal and report an engine for jobs it forwards rather than runs.
-func ResolveEngine(b *bundle.Bundle) string { return resolveEngine(b) }
-
-// resolveEngine mirrors runtime.Submit's engine selection for status
-// reporting: the context's explicit engine, else the scheduler's choice,
-// else empty (the job will fail with the scheduler's error when it runs).
-func resolveEngine(b *bundle.Bundle) string {
+func ResolveEngine(b *bundle.Bundle) string {
 	if b.Context != nil && b.Context.Exec != nil && b.Context.Exec.Engine != "" {
 		return b.Context.Exec.Engine
 	}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -73,7 +74,7 @@ type fakeBackend struct {
 
 func (f *fakeBackend) Name() string { return f.name }
 
-func (f *fakeBackend) Execute(b *bundle.Bundle) (*result.Result, error) {
+func (f *fakeBackend) Execute(b *bundle.Bundle, _ backend.ExecOptions) (*result.Result, error) {
 	if f.ran != nil {
 		f.ran <- struct{}{}
 	}
@@ -96,6 +97,20 @@ func (f *fakeBackend) Execute(b *bundle.Bundle) (*result.Result, error) {
 			{Bitstring: "1010", Index: (seed + 5) % 16, Count: 40},
 		},
 	}, nil
+}
+
+// submit, submitWith and submitSweep are Pool.Submit and Pool.SubmitSweep
+// for the tests that want only the job ID.
+func submit(p *Pool, b *bundle.Bundle) (string, error) { return submitWith(p, b, SubmitOptions{}) }
+
+func submitWith(p *Pool, b *bundle.Bundle, o SubmitOptions) (string, error) {
+	st, err := p.Submit(b, o)
+	return st.ID, err
+}
+
+func submitSweep(p *Pool, b *bundle.Bundle) (string, error) {
+	st, err := p.SubmitSweep(b, SubmitOptions{})
+	return st.ID, err
 }
 
 // registerFake installs a fake backend under a unique name and removes it
@@ -128,7 +143,7 @@ func TestConcurrentSubmitPoll(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			engine := engines[i%len(engines)]
-			id, err := pool.Submit(bundleFor(t, engine, uint64(i)))
+			id, err := submit(pool, bundleFor(t, engine, uint64(i)))
 			if err != nil {
 				errs <- fmt.Errorf("submit %d (%s): %w", i, engine, err)
 				return
@@ -185,7 +200,7 @@ func TestCacheHitDeterminism(t *testing.T) {
 	pool := NewPool(Options{Workers: 2, QueueDepth: 8})
 	defer pool.Close()
 
-	id1, err := pool.Submit(annealBundle(t, "fake.cachetest", 50, 7))
+	id1, err := submit(pool, annealBundle(t, "fake.cachetest", 50, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +213,7 @@ func TestCacheHitDeterminism(t *testing.T) {
 	}
 
 	// Identical intent + context + seed → cache hit, no second execution.
-	id2, err := pool.Submit(annealBundle(t, "fake.cachetest", 50, 7))
+	id2, err := submit(pool, annealBundle(t, "fake.cachetest", 50, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +236,7 @@ func TestCacheHitDeterminism(t *testing.T) {
 	}
 
 	// Different seed → different content address → executes again.
-	id3, err := pool.Submit(annealBundle(t, "fake.cachetest", 50, 8))
+	id3, err := submit(pool, annealBundle(t, "fake.cachetest", 50, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,17 +266,17 @@ func TestQueueFullBackpressure(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 1, CacheSize: -1})
 	defer pool.Close()
 
-	id1, err := pool.Submit(annealBundle(t, "fake.backpressure", 50, 1))
+	id1, err := submit(pool, annealBundle(t, "fake.backpressure", 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-fake.ran // worker has dequeued id1 and is blocked inside Execute
 
-	id2, err := pool.Submit(annealBundle(t, "fake.backpressure", 50, 2))
+	id2, err := submit(pool, annealBundle(t, "fake.backpressure", 50, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Submit(annealBundle(t, "fake.backpressure", 50, 3)); !errors.Is(err, ErrQueueFull) {
+	if _, err := submit(pool, annealBundle(t, "fake.backpressure", 50, 3)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit: err = %v, want ErrQueueFull", err)
 	}
 	if s := pool.Stats(); s.Rejected != 1 || s.Submitted != 2 {
@@ -270,10 +285,10 @@ func TestQueueFullBackpressure(t *testing.T) {
 
 	// Canceling the queued job frees its slot: the next submit is
 	// accepted instead of rejected.
-	if err := pool.Cancel(id2); err != nil {
+	if _, err := pool.Cancel(context.Background(), id2); err != nil {
 		t.Fatal(err)
 	}
-	id4, err := pool.Submit(annealBundle(t, "fake.backpressure", 50, 4))
+	id4, err := submit(pool, annealBundle(t, "fake.backpressure", 50, 4))
 	if err != nil {
 		t.Fatalf("submit after cancel should reuse the freed slot: %v", err)
 	}
@@ -298,17 +313,17 @@ func TestCancel(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 4, CacheSize: -1})
 	defer pool.Close()
 
-	id1, err := pool.Submit(annealBundle(t, "fake.cancel", 50, 1))
+	id1, err := submit(pool, annealBundle(t, "fake.cancel", 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-fake.ran
 
-	id2, err := pool.Submit(annealBundle(t, "fake.cancel", 50, 2))
+	id2, err := submit(pool, annealBundle(t, "fake.cancel", 50, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Cancel(id2); err != nil {
+	if _, err := pool.Cancel(context.Background(), id2); err != nil {
 		t.Fatal(err)
 	}
 	st, err := pool.Status(id2)
@@ -318,10 +333,10 @@ func TestCancel(t *testing.T) {
 	if _, err := pool.Result(id2); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Result of canceled job: %v, want ErrCanceled", err)
 	}
-	if err := pool.Cancel(id1); err == nil {
+	if _, err := pool.Cancel(context.Background(), id1); err == nil {
 		t.Fatal("canceling a running job must fail")
 	}
-	if err := pool.Cancel("job-99999999"); !errors.Is(err, ErrNotFound) {
+	if _, err := pool.Cancel(context.Background(), "job-99999999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cancel unknown: %v, want ErrNotFound", err)
 	}
 	if s := pool.Stats(); s.QueueLen != 0 {
@@ -332,7 +347,7 @@ func TestCancel(t *testing.T) {
 	if st, err := pool.Wait(id1); err != nil || st.State != StateDone {
 		t.Fatalf("job %s: %v / %+v", id1, err, st)
 	}
-	if err := pool.Cancel(id1); err == nil {
+	if _, err := pool.Cancel(context.Background(), id1); err == nil {
 		t.Fatal("canceling a done job must fail")
 	}
 	// The canceled job must never have executed.
@@ -352,7 +367,7 @@ func TestRealEngineCacheDeterminism(t *testing.T) {
 
 	ids := [2]string{}
 	for i := range ids {
-		id, err := pool.Submit(gateBundle(t, "gate.statevector", 512, 42))
+		id, err := submit(pool, gateBundle(t, "gate.statevector", 512, 42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +395,7 @@ func TestFailedJob(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 4})
 	defer pool.Close()
 
-	id, err := pool.Submit(annealBundle(t, "no.such_engine", 50, 1))
+	id, err := submit(pool, annealBundle(t, "no.such_engine", 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +413,7 @@ func TestFailedJob(t *testing.T) {
 		t.Fatalf("stats: %+v", s)
 	}
 	// Failures are not cached: resubmission runs (and fails) again.
-	id2, err := pool.Submit(annealBundle(t, "no.such_engine", 50, 1))
+	id2, err := submit(pool, annealBundle(t, "no.such_engine", 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +426,7 @@ func TestFailedJob(t *testing.T) {
 func TestClosedPool(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 1})
 	pool.Close()
-	if _, err := pool.Submit(annealBundle(t, "anneal.sa", 10, 1)); !errors.Is(err, ErrClosed) {
+	if _, err := submit(pool, annealBundle(t, "anneal.sa", 10, 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 	if _, err := pool.Status("job-00000001"); !errors.Is(err, ErrNotFound) {
@@ -472,7 +487,7 @@ func TestInFlightDuplicatesCoalesce(t *testing.T) {
 
 	ids := make([]string, 3)
 	for i := range ids {
-		id, err := pool.Submit(annealBundle(t, "fake.inflight_dup", 50, 9))
+		id, err := submit(pool, annealBundle(t, "fake.inflight_dup", 50, 9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,12 +530,12 @@ func TestCoalescedDuplicateSharesFailure(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 2})
 	defer pool.Close()
 
-	id1, err := pool.Submit(annealBundle(t, "fake.inflight_fail", 50, 3))
+	id1, err := submit(pool, annealBundle(t, "fake.inflight_fail", 50, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-fake.ran
-	id2, err := pool.Submit(annealBundle(t, "fake.inflight_fail", 50, 3))
+	id2, err := submit(pool, annealBundle(t, "fake.inflight_fail", 50, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,13 +568,13 @@ func TestQueuedDuplicatesServedWithoutRerun(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 4})
 	defer pool.Close()
 
-	if _, err := pool.Submit(annealBundle(t, "fake.queued_blocker", 50, 1)); err != nil {
+	if _, err := submit(pool, annealBundle(t, "fake.queued_blocker", 50, 1)); err != nil {
 		t.Fatal(err)
 	}
 	<-blocker.ran // worker is now busy; everything below stays queued
 	ids := make([]string, 3)
 	for i := range ids {
-		id, err := pool.Submit(annealBundle(t, "fake.queued_dup", 50, 9))
+		id, err := submit(pool, annealBundle(t, "fake.queued_dup", 50, 9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -596,7 +611,7 @@ func TestShardGrantScheduling(t *testing.T) {
 	defer pool.Close()
 
 	// Idle pool: the lone job gets every shard.
-	id, err := pool.Submit(annealBundle(t, "fake.shards_lone", 50, 1))
+	id, err := submit(pool, annealBundle(t, "fake.shards_lone", 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,12 +620,12 @@ func TestShardGrantScheduling(t *testing.T) {
 	}
 
 	// A job starting while another is running stays single-shard.
-	blockID, err := pool.Submit(annealBundle(t, "fake.shards_blocked", 50, 2))
+	blockID, err := submit(pool, annealBundle(t, "fake.shards_blocked", 50, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-blocked.ran
-	rivalID, err := pool.Submit(annealBundle(t, "fake.shards_rival", 50, 3))
+	rivalID, err := submit(pool, annealBundle(t, "fake.shards_rival", 50, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,14 +638,14 @@ func TestShardGrantScheduling(t *testing.T) {
 	}
 
 	// Explicit pins are honored and clamped.
-	id, err = pool.SubmitWith(annealBundle(t, "fake.shards_lone", 50, 4), SubmitOptions{Shards: 3})
+	id, err = submitWith(pool, annealBundle(t, "fake.shards_lone", 50, 4), SubmitOptions{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := pool.Wait(id); st.Shards != 3 {
 		t.Errorf("pinned job granted %d shards, want 3", st.Shards)
 	}
-	id, err = pool.SubmitWith(annealBundle(t, "fake.shards_lone", 50, 5), SubmitOptions{Shards: 99})
+	id, err = submitWith(pool, annealBundle(t, "fake.shards_lone", 50, 5), SubmitOptions{Shards: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,7 +670,7 @@ func TestTerminalRecordEviction(t *testing.T) {
 
 	ids := make([]string, 3)
 	for i := range ids {
-		id, err := pool.Submit(annealBundle(t, "fake.evict", 50, uint64(i)))
+		id, err := submit(pool, annealBundle(t, "fake.evict", 50, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -689,7 +704,7 @@ func TestSubmitCloseRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 0; n < 100; n++ {
-				if _, err := pool.Submit(b); err != nil &&
+				if _, err := submit(pool, b); err != nil &&
 					!errors.Is(err, ErrClosed) && !errors.Is(err, ErrQueueFull) {
 					t.Errorf("submit: %v", err)
 					return
@@ -699,7 +714,7 @@ func TestSubmitCloseRace(t *testing.T) {
 	}
 	pool.Close()
 	wg.Wait()
-	if _, err := pool.Submit(b); !errors.Is(err, ErrClosed) {
+	if _, err := submit(pool, b); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 }
@@ -715,7 +730,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 	submit := func(seed uint64) Status {
 		t.Helper()
-		id, err := pool.Submit(annealBundle(t, "fake.lru", 50, seed))
+		id, err := submit(pool, annealBundle(t, "fake.lru", 50, seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -70,7 +71,7 @@ func TestRestartServesTerminalHistory(t *testing.T) {
 
 	s1 := openStore(t, dir)
 	p1 := NewPool(Options{Workers: 2, QueueDepth: 8, Store: s1})
-	idDone, err := p1.Submit(annealBundle(t, "fake.restart_hist", 50, 7))
+	idDone, err := submit(p1, annealBundle(t, "fake.restart_hist", 50, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestRestartServesTerminalHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idFail, err := p1.Submit(annealBundle(t, "no.such_engine", 50, 1))
+	idFail, err := submit(p1, annealBundle(t, "no.such_engine", 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestRestartServesTerminalHistory(t *testing.T) {
 	// The memory cache rehydrated from disk: an identical submission is
 	// served without re-executing.
 	execsBefore := fake.execs.Load()
-	idAgain, err := p2.Submit(annealBundle(t, "fake.restart_hist", 50, 7))
+	idAgain, err := submit(p2, annealBundle(t, "fake.restart_hist", 50, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,24 +149,24 @@ func persistCancelPair(t *testing.T, p *Pool) (canceled, completed string) {
 	registerFake(t, "fake.restart_pair", blocker)
 	// Both workers block on b1/b2, so the jobs behind them stay queued
 	// long enough to cancel one.
-	b1, err := p.Submit(annealBundle(t, "fake.restart_pair", 50, 1))
+	b1, err := submit(p, annealBundle(t, "fake.restart_pair", 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := p.Submit(annealBundle(t, "fake.restart_pair", 50, 2))
+	b2, err := submit(p, annealBundle(t, "fake.restart_pair", 50, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-blocker.ran
 	<-blocker.ran
-	cancelID, err := p.Submit(annealBundle(t, "fake.restart_pair", 50, 3))
+	cancelID, err := submit(p, annealBundle(t, "fake.restart_pair", 50, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Cancel(cancelID); err != nil {
+	if _, err := p.Cancel(context.Background(), cancelID); err != nil {
 		t.Fatal(err)
 	}
-	queuedID, err := p.Submit(annealBundle(t, "fake.restart_pair", 50, 4))
+	queuedID, err := submit(p, annealBundle(t, "fake.restart_pair", 50, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +194,14 @@ func TestCrashRequeuesAcceptedWork(t *testing.T) {
 
 	s1 := openStore(t, dir)
 	p1 := NewPool(Options{Workers: 1, QueueDepth: 8, MaxShards: 4, Store: s1})
-	running, err := p1.Submit(annealBundle(t, "fake.crash_requeue", 50, 11))
+	running, err := submit(p1, annealBundle(t, "fake.crash_requeue", 50, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-fake.ran // journaled "started", blocked inside Execute
 	// The queued job pins an explicit shard grant; the pin must survive
 	// the crash with it.
-	queued, err := p1.SubmitWith(annealBundle(t, "fake.crash_requeue", 50, 12), SubmitOptions{Shards: 2})
+	queued, err := submitWith(p1, annealBundle(t, "fake.crash_requeue", 50, 12), SubmitOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestRecoveryToleratesTornJournalTail(t *testing.T) {
 
 	s1 := openStore(t, dir)
 	p1 := NewPool(Options{Workers: 1, QueueDepth: 4, Store: s1})
-	id, err := p1.Submit(annealBundle(t, "fake.torn_tail", 50, 5))
+	id, err := submit(p1, annealBundle(t, "fake.torn_tail", 50, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,20 +301,20 @@ func TestCancelCoalescedWaiterDetaches(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 2})
 	defer pool.Close()
 
-	primary, err := pool.Submit(annealBundle(t, "fake.cancel_waiter", 50, 9))
+	primary, err := submit(pool, annealBundle(t, "fake.cancel_waiter", 50, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-fake.ran
-	w1, err := pool.Submit(annealBundle(t, "fake.cancel_waiter", 50, 9))
+	w1, err := submit(pool, annealBundle(t, "fake.cancel_waiter", 50, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := pool.Submit(annealBundle(t, "fake.cancel_waiter", 50, 9))
+	w2, err := submit(pool, annealBundle(t, "fake.cancel_waiter", 50, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Cancel(w1); err != nil {
+	if _, err := pool.Cancel(context.Background(), w1); err != nil {
 		t.Fatalf("canceling a coalesced duplicate: %v", err)
 	}
 	// The waiter is terminal immediately — not parked until the primary
@@ -371,20 +372,20 @@ func TestPrimaryTerminalPropagatesAroundCanceledWaiter(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 2})
 	defer pool.Close()
 
-	primary, err := pool.Submit(annealBundle(t, "fake.fail_waiters", 50, 3))
+	primary, err := submit(pool, annealBundle(t, "fake.fail_waiters", 50, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-fake.ran
-	w1, err := pool.Submit(annealBundle(t, "fake.fail_waiters", 50, 3))
+	w1, err := submit(pool, annealBundle(t, "fake.fail_waiters", 50, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := pool.Submit(annealBundle(t, "fake.fail_waiters", 50, 3))
+	w2, err := submit(pool, annealBundle(t, "fake.fail_waiters", 50, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Cancel(w1); err != nil {
+	if _, err := pool.Cancel(context.Background(), w1); err != nil {
 		t.Fatal(err)
 	}
 	close(fake.block)
@@ -422,12 +423,12 @@ func TestDrainingPoolRejectsSubmits(t *testing.T) {
 	registerFake(t, "fake.drain", fake)
 	pool := NewPool(Options{Workers: 1, QueueDepth: 4, CacheSize: -1})
 
-	running, err := pool.Submit(annealBundle(t, "fake.drain", 50, 1))
+	running, err := submit(pool, annealBundle(t, "fake.drain", 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-fake.ran
-	queued, err := pool.Submit(annealBundle(t, "fake.drain", 50, 2))
+	queued, err := submit(pool, annealBundle(t, "fake.drain", 50, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +447,7 @@ func TestDrainingPoolRejectsSubmits(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := pool.Submit(annealBundle(t, "fake.drain", 50, 3))
+		_, err := submit(pool, annealBundle(t, "fake.drain", 50, 3))
 		errc <- err
 	}()
 	select {
@@ -478,21 +479,21 @@ func TestListJobs(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 8, CacheSize: -1})
 	defer pool.Close()
 
-	runningID, err := pool.Submit(annealBundle(t, "fake.list_blocked", 50, 1))
+	runningID, err := submit(pool, annealBundle(t, "fake.list_blocked", 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-fake.ran
 	var doneIDs []string
 	for seed := uint64(2); seed < 5; seed++ {
-		id, err := pool.Submit(annealBundle(t, "fake.list_done", 50, seed))
+		id, err := submit(pool, annealBundle(t, "fake.list_done", 50, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		doneIDs = append(doneIDs, id)
 	}
 	cancelID := doneIDs[2]
-	if err := pool.Cancel(cancelID); err != nil {
+	if _, err := pool.Cancel(context.Background(), cancelID); err != nil {
 		t.Fatal(err)
 	}
 	close(fake.block)

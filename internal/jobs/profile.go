@@ -64,22 +64,23 @@ type profileView struct {
 	} `json:"kernels"`
 }
 
-// sweepKindJSON is one kernel-kind row of an aggregated sweep profile.
-type sweepKindJSON struct {
+// SweepKindDoc is one kernel-kind row of an aggregated sweep profile.
+type SweepKindDoc struct {
 	Kind    string `json:"kind"`
 	Kernels int    `json:"kernels"`
 	Ns      int64  `json:"ns"`
 }
 
-// sweepProfileJSON is the aggregated profile of a profiled sweep job:
-// per-point kernel tables folded into per-kind totals (points share one
-// compiled plan, so per-kernel rows across points would only repeat the
-// same structure N times).
-type sweepProfileJSON struct {
-	Points         int             `json:"points"`
-	PointsProfiled int             `json:"points_profiled"`
-	TotalNs        int64           `json:"total_ns"`
-	Kinds          []sweepKindJSON `json:"kinds"`
+// SweepProfileDoc is the aggregated profile of a profiled sweep job, the
+// "profile" of its status and result documents: per-point kernel tables
+// folded into per-kind totals (points share one compiled plan, so
+// per-kernel rows across points would only repeat the same structure N
+// times). A dispatcher folds its ranges' documents into one more of these.
+type SweepProfileDoc struct {
+	Points         int            `json:"points"`
+	PointsProfiled int            `json:"points_profiled"`
+	TotalNs        int64          `json:"total_ns"`
+	Kinds          []SweepKindDoc `json:"kinds"`
 }
 
 // aggregateSweepProfiles folds the per-point Meta["profile"] tables of a
@@ -87,8 +88,8 @@ type sweepProfileJSON struct {
 // the cache of an unprofiled run carry no profile and are counted out via
 // PointsProfiled; nil when no point carried a profile.
 func aggregateSweepProfiles(results []*result.Result) json.RawMessage {
-	agg := map[string]*sweepKindJSON{}
-	out := sweepProfileJSON{Points: len(results)}
+	agg := map[string]*SweepKindDoc{}
+	out := SweepProfileDoc{Points: len(results)}
 	for _, res := range results {
 		raw := profileRaw(res)
 		if raw == nil {
@@ -103,7 +104,7 @@ func aggregateSweepProfiles(results []*result.Result) json.RawMessage {
 		for _, k := range pv.Kernels {
 			row := agg[k.Kind]
 			if row == nil {
-				row = &sweepKindJSON{Kind: k.Kind}
+				row = &SweepKindDoc{Kind: k.Kind}
 				agg[k.Kind] = row
 			}
 			row.Kernels++

@@ -12,8 +12,10 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,38 +55,34 @@ func (j *job) pointDoneLocked(i int, res *result.Result) {
 	j.rev.Bump()
 }
 
-// SubmitSweep registers a sweep bundle — a bundle whose context carries a
-// sweep block — as ONE job and enqueues it, returning the job ID
-// immediately. Unlike Submit there is no whole-sweep result cache or
-// in-flight coalescing (the per-point caches below it make re-running a
-// sweep cheap anyway); a saturated queue still rejects with ErrQueueFull.
-func (p *Pool) SubmitSweep(b *bundle.Bundle) (string, error) {
-	st, err := p.submitSweep(b, SubmitOptions{})
-	return st.ID, err
-}
-
-// SubmitSweepWith is SubmitSweep with per-job execution hints.
-func (p *Pool) SubmitSweepWith(b *bundle.Bundle, o SubmitOptions) (string, error) {
-	st, err := p.submitSweep(b, o)
-	return st.ID, err
-}
-
-// submitSweep does the work of SubmitSweep and returns the job's status
-// snapshot from the same critical section (the HTTP front-end needs no
-// follow-up lookup).
-func (p *Pool) submitSweep(b *bundle.Bundle, o SubmitOptions) (Status, error) {
+// SweepPoints validates the shape of a sweep submission — a sweep block
+// with between one and MaxSweepPoints points — and returns the grid size.
+func SweepPoints(b *bundle.Bundle) (int, error) {
 	if b == nil {
-		return Status{}, fmt.Errorf("jobs: nil bundle")
+		return 0, fmt.Errorf("%w: nil bundle", ErrBadSweep)
 	}
 	if b.Context == nil || b.Context.Sweep == nil {
-		return Status{}, fmt.Errorf("jobs: sweep submission without a sweep context block")
+		return 0, fmt.Errorf("%w: submission without a sweep context block", ErrBadSweep)
 	}
 	n := len(b.Context.Sweep.Points)
 	if n == 0 {
-		return Status{}, fmt.Errorf("jobs: sweep has no points")
+		return 0, fmt.Errorf("%w: no points", ErrBadSweep)
 	}
 	if n > MaxSweepPoints {
-		return Status{}, fmt.Errorf("jobs: sweep has %d points, max %d", n, MaxSweepPoints)
+		return 0, fmt.Errorf("%w: %d points, max %d", ErrBadSweep, n, MaxSweepPoints)
+	}
+	return n, nil
+}
+
+// SubmitSweep registers a sweep bundle — a bundle whose context carries a
+// sweep block — as ONE job and enqueues it, returning its snapshot at
+// once. Unlike Submit there is no whole-sweep result cache or in-flight
+// coalescing (the per-point caches below it make re-running a sweep cheap
+// anyway); a saturated queue still rejects with ErrQueueFull.
+func (p *Pool) SubmitSweep(b *bundle.Bundle, o SubmitOptions) (Status, error) {
+	n, err := SweepPoints(b)
+	if err != nil {
+		return Status{}, err
 	}
 	// The template's own content address (the sweep block is part of the
 	// context, so it never collides with a per-point key) identifies the
@@ -94,7 +92,7 @@ func (p *Pool) submitSweep(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 		return Status{}, err
 	}
 	key = profiledKey(key, o.Profile)
-	engine := resolveEngine(b)
+	engine := ResolveEngine(b)
 	var rawBundle json.RawMessage
 	if p.opts.Store != nil {
 		rawBundle, err = json.Marshal(b)
@@ -407,48 +405,68 @@ func runLanes(lanes int, work []int, point func(i int) error) error {
 
 // SweepResult returns the per-point results of a done sweep job, indexed
 // by point order. A queued or running sweep returns ErrNotFinished; a
-// failed sweep returns its execution error. Jobs recovered from the
-// journal hold only the per-point content addresses; their results load
-// from the store on first access.
+// failed sweep returns its execution error; a plain job ErrNotSweep. Jobs
+// recovered from the journal hold only the per-point content addresses;
+// their results load from the store on first access.
 func (p *Pool) SweepResult(id string) ([]*result.Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	_, results, err := p.sweepResultLocked(id)
+	return results, err
+}
+
+// WriteSweepResult is SweepResult as the encoded SweepResultDoc, its head
+// snapshotted in the same critical section as the results (a recovered
+// sweep's aggregated profile materializes with them).
+func (p *Pool) WriteSweepResult(_ context.Context, w io.Writer, id string) error {
+	p.mu.Lock()
+	j, results, err := p.sweepResultLocked(id)
+	if err != nil {
+		p.mu.Unlock()
+		return err
+	}
+	doc := NewSweepResultDoc(p.statusLocked(j))
+	p.mu.Unlock()
+	doc.Results = make([]SweepPointDoc, len(results))
+	for i, res := range results {
+		doc.Results[i] = SweepPointDoc{Index: i, Engine: res.Engine, Samples: res.Samples, Entries: entryDocs(res), Meta: res.Meta}
+	}
+	WriteDoc(w, doc)
+	return nil
+}
+
+// sweepResultLocked does the work of SweepResult. Callers hold p.mu.
+func (p *Pool) sweepResultLocked(id string) (*job, []*result.Result, error) {
 	j, ok := p.jobs[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	if j.sweep == nil {
-		return nil, fmt.Errorf("jobs: %q is not a sweep", id)
+		return nil, nil, fmt.Errorf("%w: %q", ErrNotSweep, id)
 	}
-	switch j.state {
-	case StateDone:
-		if j.sweep.results == nil {
-			if p.opts.Store == nil {
-				return nil, fmt.Errorf("jobs: sweep results for %q are gone (no store attached)", id)
-			}
-			loaded := make([]*result.Result, len(j.sweep.keys))
-			for i, k := range j.sweep.keys {
-				res, ok, err := p.opts.Store.GetResult(k)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					return nil, fmt.Errorf("jobs: result file for %q point %d (%s) is gone", id, i, k)
-				}
-				loaded[i] = res
-			}
-			j.sweep.results = loaded
-			if j.profile && j.profileDoc == nil {
-				j.profileDoc = aggregateSweepProfiles(loaded)
-				j.rev.Bump()
-			}
+	if err := NotDoneError(id, j.state, j.err); err != nil {
+		return nil, nil, err
+	}
+	if j.sweep.results == nil {
+		if p.opts.Store == nil {
+			return nil, nil, fmt.Errorf("jobs: sweep results for %q are gone (no store attached)", id)
 		}
-		return append([]*result.Result(nil), j.sweep.results...), nil
-	case StateFailed:
-		return nil, j.err
-	case StateCanceled:
-		return nil, fmt.Errorf("%w: %q", ErrCanceled, id)
-	default:
-		return nil, fmt.Errorf("%w: %q is %s", ErrNotFinished, id, j.state)
+		loaded := make([]*result.Result, len(j.sweep.keys))
+		for i, k := range j.sweep.keys {
+			res, ok, err := p.opts.Store.GetResult(k)
+			if err != nil {
+				return nil, nil, err
+			}
+			if !ok {
+				return nil, nil, fmt.Errorf("jobs: result file for %q point %d (%s) is gone", id, i, k)
+			}
+			loaded[i] = res
+		}
+		j.sweep.results = loaded
+		if j.profile && j.profileDoc == nil {
+			j.profileDoc = aggregateSweepProfiles(loaded)
+			j.rev.Bump()
+		}
 	}
+	return j, append([]*result.Result(nil), j.sweep.results...), nil
 }

@@ -38,7 +38,8 @@ func sweepBundleJSON(t testing.TB, nq int, points [][]float64) []byte {
 // TestHTTPSweepEndToEnd drives the sweep surface over HTTP: POST
 // /v1/sweeps accepts the grid as one job, GET /v1/jobs/{id}?wait=
 // long-polls it to done, and GET /v1/sweeps/{id} answers the indexed
-// per-point result set.
+// per-point result set. (The refusals of the sweep routes: the conformance
+// test in internal/fleet.)
 func TestHTTPSweepEndToEnd(t *testing.T) {
 	pool := NewPool(Options{Workers: 2, QueueDepth: 8})
 	defer pool.Close()
@@ -72,19 +73,6 @@ func TestHTTPSweepEndToEnd(t *testing.T) {
 			t.Fatalf("point %d has no entries", i)
 		}
 	}
-
-	// The per-point route rejects non-sweep jobs, and the jobs route's
-	// single-result endpoint rejects sweeps.
-	plain := doJSON(t, h, "POST", "/v1/jobs", quickstartBundle(t), http.StatusAccepted)
-	pid, _ := plain["id"].(string)
-	doJSON(t, h, "GET", "/v1/jobs/"+pid+"?wait=30s", nil, http.StatusOK)
-	doJSON(t, h, "GET", "/v1/sweeps/"+pid, nil, http.StatusBadRequest)
-	doJSON(t, h, "GET", "/v1/jobs/"+id+"/result", nil, http.StatusInternalServerError)
-
-	// Validation surface: bad wait duration, missing sweep block, unknown id.
-	doJSON(t, h, "GET", "/v1/jobs/"+id+"?wait=banana", nil, http.StatusBadRequest)
-	doJSON(t, h, "POST", "/v1/sweeps", quickstartBundle(t), http.StatusBadRequest)
-	doJSON(t, h, "GET", "/v1/sweeps/job-junk", nil, http.StatusNotFound)
 }
 
 // BenchmarkSweepRoundTrip compares the two ways a client runs a

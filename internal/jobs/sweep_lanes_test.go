@@ -98,7 +98,7 @@ func TestSweepLanesParity(t *testing.T) {
 	for _, grant := range []int{1, 2, 4} {
 		p := NewPool(Options{Workers: 2, MaxShards: grant})
 		before := sim.CompileCount()
-		id, err := p.SubmitSweep(laneSweepBundle(t, "gate.statevector", 6, points))
+		id, err := submitSweep(p, laneSweepBundle(t, "gate.statevector", 6, points))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestSweepDuplicatePointsExecuteOnce(t *testing.T) {
 	p := NewPool(Options{Workers: 1, MaxShards: 4})
 	defer p.Close()
 	before := sim.CompileCount()
-	id, err := p.SubmitSweep(laneSweepBundle(t, "gate.statevector", 6, points))
+	id, err := submitSweep(p, laneSweepBundle(t, "gate.statevector", 6, points))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSweepProgressUnderLanes(t *testing.T) {
 	const n = 48
 	p := NewPool(Options{Workers: 1, MaxShards: 4, CacheSize: -1})
 	defer p.Close()
-	sub, err := p.submitSweep(laneSweepBundle(t, "fake.lane_progress", 4, distinctPoints(n)), SubmitOptions{})
+	sub, err := p.SubmitSweep(laneSweepBundle(t, "fake.lane_progress", 4, distinctPoints(n)), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +232,11 @@ type failNth struct {
 	nth   int64
 }
 
-func (f *failNth) Execute(b *bundle.Bundle) (*result.Result, error) {
+func (f *failNth) Execute(b *bundle.Bundle, o backend.ExecOptions) (*result.Result, error) {
 	if f.calls.Add(1) == f.nth {
 		return nil, fmt.Errorf("%s: injected failure", f.name)
 	}
-	return f.fakeBackend.Execute(b)
+	return f.fakeBackend.Execute(b, o)
 }
 
 // TestSweepPointFailureStopsLanes fails one point of a four-lane sweep:
@@ -254,7 +254,7 @@ func TestSweepPointFailureStopsLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPool(Options{Workers: 1, MaxShards: lanes, Store: st})
-	id, err := p.SubmitSweep(laneSweepBundle(t, f.name, 4, distinctPoints(n)))
+	id, err := submitSweep(p, laneSweepBundle(t, f.name, 4, distinctPoints(n)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestSweepLanesGoroutineBound(t *testing.T) {
 	defer p.Close()
 	baseline := runtime.NumGoroutine()
 
-	id, err := p.SubmitSweep(laneSweepBundle(t, "fake.lane_bound", 4, distinctPoints(3*grant)))
+	id, err := submitSweep(p, laneSweepBundle(t, "fake.lane_bound", 4, distinctPoints(3*grant)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestSweepLanesGoroutineBound(t *testing.T) {
 			}
 		}
 	}()
-	id, err = p.SubmitSweep(laneSweepBundle(t, "gate.statevector", 14, distinctPoints(16)))
+	id, err = submitSweep(p, laneSweepBundle(t, "gate.statevector", 14, distinctPoints(16)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,12 +383,12 @@ func TestSweepBesideRunningJobGetsOneLane(t *testing.T) {
 	registerFake(t, "fake.lane_neighbor", &fakeBackend{block: block, ran: ran})
 	p := NewPool(Options{Workers: 2, MaxShards: 4})
 	defer p.Close()
-	neighbor, err := p.Submit(bundleFor(t, "fake.lane_neighbor", 1))
+	neighbor, err := submit(p, bundleFor(t, "fake.lane_neighbor", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-ran // running, parked
-	id, err := p.SubmitSweep(laneSweepBundle(t, "gate.statevector", 6, distinctPoints(8)))
+	id, err := submitSweep(p, laneSweepBundle(t, "gate.statevector", 6, distinctPoints(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func BenchmarkSweepLanes14(b *testing.B) {
 				for k := range points {
 					points[k] = []float64{0.11 + 0.05*float64(k) + 1e-3*float64(i), 1.7 - 0.04*float64(k)}
 				}
-				id, err := p.SubmitSweep(laneSweepBundle(b, "gate.statevector", 14, points))
+				id, err := submitSweep(p, laneSweepBundle(b, "gate.statevector", 14, points))
 				if err != nil {
 					b.Fatal(err)
 				}

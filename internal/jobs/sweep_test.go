@@ -66,7 +66,7 @@ func TestSweepCompileOnce(t *testing.T) {
 
 	b := sweepTestBundle(t, points)
 	before := sim.CompileCount()
-	id, err := p.SubmitSweep(b)
+	id, err := submitSweep(p, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSweepCompileOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cst, err := p.submit(cb, SubmitOptions{})
+	cst, err := p.Submit(cb, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSweepResubmitCached(t *testing.T) {
 	p := NewPool(Options{Workers: 1})
 	defer p.Close()
 	b := sweepTestBundle(t, points)
-	id1, err := p.SubmitSweep(b)
+	id1, err := submitSweep(p, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSweepResubmitCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sim.CompileCount()
-	id2, err := p.SubmitSweep(sweepTestBundle(t, points))
+	id2, err := submitSweep(p, sweepTestBundle(t, points))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSweepRecovery(t *testing.T) {
 	}
 	p := NewPool(Options{Workers: 1, Store: st})
 	b := sweepTestBundle(t, points)
-	id, err := p.SubmitSweep(b)
+	id, err := submitSweep(p, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +287,11 @@ func TestSweepInterruptedRequeues(t *testing.T) {
 func TestSubmitSweepValidation(t *testing.T) {
 	p := NewPool(Options{Workers: 1})
 	defer p.Close()
-	if _, err := p.SubmitSweep(nil); err == nil {
+	if _, err := submitSweep(p, nil); err == nil {
 		t.Fatal("nil bundle accepted")
 	}
 	plain := gateBundle(t, "gate.statevector", 64, 1)
-	if _, err := p.SubmitSweep(plain); err == nil {
+	if _, err := submitSweep(p, plain); err == nil {
 		t.Fatal("bundle without sweep block accepted")
 	}
 	big := make([][]float64, MaxSweepPoints+1)
@@ -299,7 +299,7 @@ func TestSubmitSweepValidation(t *testing.T) {
 		big[i] = []float64{0.1, 0.2}
 	}
 	over := sweepTestBundle(t, big)
-	if _, err := p.SubmitSweep(over); err == nil {
+	if _, err := submitSweep(p, over); err == nil {
 		t.Fatal("oversized grid accepted")
 	}
 }
@@ -315,7 +315,7 @@ func TestWaitTimeout(t *testing.T) {
 	p := NewPool(Options{Workers: 1})
 	defer p.Close()
 	ctx := context.Background()
-	id, err := p.Submit(bundleFor(t, "fake.wait", 1))
+	id, err := submit(p, bundleFor(t, "fake.wait", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

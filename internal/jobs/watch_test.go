@@ -48,11 +48,11 @@ func TestWatchRevisions(t *testing.T) {
 	ctx := context.Background()
 
 	// A holds the only worker so B stays queued until the test says so.
-	if _, err := p.Submit(bundleFor(t, "fake.watch", 1)); err != nil {
+	if _, err := submit(p, bundleFor(t, "fake.watch", 1)); err != nil {
 		t.Fatal(err)
 	}
 	<-fb.ran
-	queued, err := p.submit(bundleFor(t, "fake.watch", 2), SubmitOptions{})
+	queued, err := p.Submit(bundleFor(t, "fake.watch", 2), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestWatchSweepPoints(t *testing.T) {
 	const n = 3
 	b := sweepTestBundle(t, sweepGrid64()[:n])
 	b.Context.Exec.Engine = "fake.watch_sweep"
-	id, err := p.SubmitSweep(b)
+	id, err := submitSweep(p, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,23 +23,25 @@ type Options struct {
 	SkipSchemaValidation bool
 	// AllowMidCircuit forwards to sequence validation.
 	AllowMidCircuit bool
-	// Shards is the per-job parallelism grant forwarded to backends that
-	// implement backend.Sharded (the statevector engine splits its
-	// amplitude sweeps into this many persistent shards). 0 lets the
-	// engine choose; the jobs scheduler sets it so a lone big simulation
-	// takes every core while concurrent jobs stay narrow.
+	// Shards is the per-job parallelism grant (the statevector engine
+	// splits its amplitude sweeps into this many persistent shards). 0
+	// lets the engine choose; the jobs scheduler sets it so a lone big
+	// simulation takes every core while concurrent jobs stay narrow.
 	Shards int
-	// Stages, when non-nil, receives per-stage timing callbacks from
-	// backends implementing backend.Staged (transpile/compile/execute/
-	// sample for the gate path). The jobs layer wires this to per-job
-	// span logs; backends without stage support ignore it.
+	// Stages, when non-nil, receives per-stage timing callbacks
+	// (transpile/compile/execute/sample for the gate path). The jobs
+	// layer wires this to per-job span logs.
 	Stages backend.StageFunc
-	// Profile requests the kernel-granular execution profile from
-	// backends implementing backend.Profiled: the per-kernel table lands
-	// in the result's Meta["profile"]. Backends without profiling support
-	// execute normally and return no profile. Observational only — the
-	// result entries are bit-identical with or without it.
+	// Profile requests the kernel-granular execution profile: the
+	// per-kernel table lands in the result's Meta["profile"].
+	// Observational only — the result entries are bit-identical with or
+	// without it.
 	Profile bool
+}
+
+// exec is the part of the options an engine sees.
+func (o Options) exec() backend.ExecOptions {
+	return backend.ExecOptions{Shards: o.Shards, Stages: o.Stages, Profile: o.Profile}
 }
 
 // SelectEngine picks an engine for a bundle with no explicit exec block:
@@ -103,16 +105,7 @@ func Submit(b *bundle.Bundle, opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res *result.Result
-	if pb, ok := be.(backend.Profiled); ok && opts.Profile {
-		res, err = pb.ExecuteProfiled(b, opts.Shards, opts.Stages)
-	} else if tb, ok := be.(backend.Staged); ok && (opts.Shards > 0 || opts.Stages != nil) {
-		res, err = tb.ExecuteStaged(b, opts.Shards, opts.Stages)
-	} else if sb, ok := be.(backend.Sharded); ok && opts.Shards > 0 {
-		res, err = sb.ExecuteSharded(b, opts.Shards)
-	} else {
-		res, err = be.Execute(b)
-	}
+	res, err := be.Execute(b, opts.exec())
 	if err != nil {
 		return nil, fmt.Errorf("runtime: engine %s: %w", engine, err)
 	}

@@ -32,7 +32,7 @@ func PrepareSweep(b *bundle.Bundle, opts Options) (*Sweep, error) {
 	}
 	s := &Sweep{engine: engine, opts: opts}
 	if sweeper, ok := be.(backend.Sweeper); ok {
-		s.prepared, err = sweeper.PrepareSweep(b, backend.ExecOptions{Shards: opts.Shards, Stages: opts.Stages, Profile: opts.Profile})
+		s.prepared, err = sweeper.PrepareSweep(b, opts.exec())
 		if err != nil {
 			return nil, fmt.Errorf("runtime: engine %s: %w", engine, err)
 		}
