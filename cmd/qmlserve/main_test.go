@@ -295,6 +295,12 @@ func termWithParkedWait(t *testing.T, s *server) {
 	t.Helper()
 	id := postJob(t, s, slowBundle(t, 99))
 	wrote := make(chan struct{})
+	var wroteOnce sync.Once
+	// The parked poll gets a client of its own, with keep-alives off: it
+	// always dials, and a request on a fresh connection is never silently
+	// retried — on a stale pooled one the transport may retry it, after the
+	// SIGTERM below has closed the listener.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	type reply struct {
 		code  int
 		state string
@@ -302,14 +308,14 @@ func termWithParkedWait(t *testing.T, s *server) {
 	}
 	parked := make(chan reply, 1)
 	go func() {
-		trace := &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { close(wrote) }}
+		trace := &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { wroteOnce.Do(func() { close(wrote) }) }}
 		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
 			http.MethodGet, s.url("/v1/jobs/"+id+"?wait=30s"), nil)
 		if err != nil {
 			parked <- reply{err: err}
 			return
 		}
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := client.Do(req)
 		if err != nil {
 			parked <- reply{err: err}
 			return

@@ -45,8 +45,11 @@
 // content-addressed LRU result cache, sound because every stochastic
 // stage is seeded; a duplicate of a job that is currently executing
 // coalesces onto the in-flight run instead of executing twice. Each job
-// records its lifecycle (queued → running → done/failed, or canceled
-// while queued) with queue-wait and run-time metrics.
+// records its lifecycle with queue-wait and run-time metrics. The
+// lifecycle itself — the states, the legal moves, the journal event each
+// emits — is written once, on jobs.Table.Transition, for this tier and
+// the fleet dispatcher alike: both keep a jobs.Record per job in a
+// jobs.Table and differ only in how a move's event reaches the journal.
 //
 // The pool is also the statevector shard scheduler: a job starting into
 // an otherwise idle pool is granted every shard (one big simulation spans
@@ -76,7 +79,9 @@
 // Dispatcher both implement it, and the one jobs.NewHandler — whose doc
 // comment is the route table — serves either; a dispatcher's status
 // documents only add "worker", "remote", "reforwards" and "ranges".
-// Routing is load-aware (least
+// Behind it a forwarded job is a sweep of one range: one run, forward,
+// detach and observe over (job, range) drive plain jobs and scattered
+// sweeps through the shared lifecycle. Routing is load-aware (least
 // outstanding dispatched jobs) with cache-key affinity via consistent
 // hashing — identical bundles land on the worker that already caches
 // their result, and duplicates of an in-flight job are pinned to its

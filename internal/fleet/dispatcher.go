@@ -191,7 +191,7 @@ func newFleetMetrics(reg *obs.Registry, d *Dispatcher) *fleetMetrics {
 	reg.GaugeFunc("fleet_jobs_tracked", "Jobs in the dispatcher's table (terminal records included until retention evicts them).", func() float64 {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		return float64(len(d.jobs))
+		return float64(d.Len())
 	})
 	return m
 }
@@ -205,46 +205,23 @@ type worker struct {
 	lastStats   map[string]any
 }
 
-// fwdJob is the dispatcher-side job record. Mutable fields are guarded
-// by Dispatcher.mu; done closes exactly once under mu. evq is the job's
-// pending journal events: transitions enqueue under the mutex (so the
-// journal's per-job order always equals the transition order, which
-// replay's last-writer-wins merge depends on) and a single claimant
-// appends them to the store off-lock (so fsyncs never stall the
-// dispatcher, and concurrent jobs' appends share group-commit
+// fwdJob is the dispatcher's record: the shared jobs.Record plus what is
+// forwarded, where to, and the job's pending journal events. Mutable
+// fields are guarded by Dispatcher.mu. evq is the event queue: moves
+// enqueue under the mutex (so the journal's per-job order always equals
+// the move order, which replay's last-writer-wins merge depends on) and a
+// single claimant appends them to the store off-lock (so fsyncs never
+// stall the dispatcher, and concurrent jobs' appends share group-commit
 // barriers).
 type fwdJob struct {
-	id     string
-	trace  string // fleet-wide trace ID, forwarded to workers
-	key    string
-	engine string
-	raw    json.RawMessage // canonical bundle, dropped when terminal
-	pin    int
-	// profile asks the executing worker for a kernel-granular profile;
-	// forwarded as ?profile=true (the raw bundle is re-derived from the
-	// parsed struct, so the body flag would not survive).
-	profile   bool
-	state     jobs.State
-	worker    string // assigned node ("" while unassigned)
-	remote    string // job ID on that node
-	remoteRev uint64 // remote job's revision as last reported by that node
-	avoid     string // node to skip on the next forward (it just lost the job)
-	cacheHit  bool
-	coalesced bool
-	shards    int
-	forwards  int
-	errMsg    string
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	spans     []obs.Span // dispatch lifecycle log, appended in transition order
-	// profileDoc is the owning worker's kernel-granular profile table,
-	// captured opaquely from its status document once the remote job
-	// completes (re-captured from the replacement worker after a
-	// re-forward). Nil for unprofiled submissions.
-	profileDoc json.RawMessage
-	rev        jobs.Revision // this record's own revision, for ?wait=&rev= on the dispatcher
-	done       chan struct{}
+	jobs.Record
+	raw json.RawMessage // canonical bundle (a sweep's template), dropped when terminal
+	pin int
+	// ranges is what is forwarded. A plain job is one range carrying the
+	// whole bundle; a sweep's grid is sliced into ranges at scatter time
+	// (see sweep.go), so ranges is nil until then — and for a sweep
+	// recovered from the journal in any state but done.
+	ranges []*sweepRange
 	// Journal event queue (see the type comment). evGen counts events
 	// ever enqueued; flushedGen is the newest generation known appended
 	// (and, per the store's fsync policy, durable). flushJob waits until
@@ -255,23 +232,42 @@ type fwdJob struct {
 	evGen      uint64
 	flushedGen uint64
 	flushing   bool
-	// sweep is non-nil for parameter-sweep jobs: the point grid is
-	// scattered range-wise over the fleet instead of forwarded whole
-	// (see sweep.go). worker/remote stay empty; assignments live on the
-	// ranges.
-	sweep *sweepScatter
 }
 
-// spanLocked appends one dispatch-lifecycle span. Callers hold
-// Dispatcher.mu (or run single-threaded in recovery).
-func (j *fwdJob) spanLocked(stage string, d time.Duration, note string) {
-	j.spans = append(j.spans, obs.NewSpan(stage, d, note))
+// Snapshot adds to the common status header what the ranges know: the
+// assignment of a plain job's one range, a sweep's range table, progress
+// and re-forward count summed over the ranges.
+func (j *fwdJob) Snapshot(st *jobs.Status) {
+	for _, r := range j.ranges {
+		st.Reforwards += max(0, r.forwards-1)
+		st.PointsDone += r.pointsDoneLocked()
+		if j.Points == 0 {
+			st.Worker, st.Remote = r.worker, r.remote
+			continue
+		}
+		st.Ranges = append(st.Ranges, jobs.RangeInfo{
+			From:       r.from,
+			To:         r.to,
+			State:      r.stateLocked(),
+			Worker:     r.worker,
+			Remote:     r.remote,
+			PointsDone: r.pointsDoneLocked(),
+			Forwards:   r.forwards,
+			Error:      r.errMsg,
+		})
+	}
+	if j.State == jobs.StateDone {
+		st.PointsDone = st.Points // incl. a done sweep journaled before range tables were
+	}
 }
 
 // Dispatcher fronts a fleet of /v1 workers: it routes submissions,
 // watches their remote lifecycle, re-forwards orphans, and is itself a
 // jobs.Service, so jobs.NewHandler serves it over the same /v1 surface.
 type Dispatcher struct {
+	// The job table: Status, List, Wait and WaitTimeout are its methods,
+	// and every lifecycle move goes through its Transition.
+	*jobs.Table[*fwdJob]
 	opts Options
 	ring *ring
 	hc   *http.Client
@@ -285,12 +281,9 @@ type Dispatcher struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // wakes flushJob waiters when a flush batch lands
 	workers  map[string]*worker
-	names    []string // configured order, for stable reporting
-	jobs     map[string]*fwdJob
+	names    []string           // configured order, for stable reporting
 	inflight map[string]*fwdJob // cache key → primary non-terminal job
-	terminal []string
-	dirty    []*fwdJob // jobs with enqueued journal events awaiting flush
-	nextID   uint64
+	dirty    []*fwdJob          // jobs with enqueued journal events awaiting flush
 	closed   bool
 }
 
@@ -319,10 +312,10 @@ func New(opts Options) (*Dispatcher, error) {
 			},
 		},
 		workers:  map[string]*worker{},
-		jobs:     map[string]*fwdJob{},
 		inflight: map[string]*fwdJob{},
 	}
 	d.cond = sync.NewCond(&d.mu)
+	d.Table = jobs.NewTable(&d.mu, opts.MaxRecords, d.enqueueLocked)
 	d.log = opts.Logger
 	if d.log == nil {
 		d.log = obs.Discard()
@@ -365,103 +358,61 @@ func New(opts Options) (*Dispatcher, error) {
 	return d, nil
 }
 
-// recover replays the journal into the job table. Terminal records
-// become queryable; queued/running records keep their assignment (their
-// runner watches the worker for the in-flight state and re-forwards if
-// it is gone) and records that never got assigned forward from scratch.
+// recover replays the journal into the job table. Terminal records become
+// queryable, with the ranges that say where their results are; a queued or
+// running plain job keeps its assignment (its runner watches the worker
+// for the in-flight state and re-forwards if it is gone), one that never
+// got assigned forwards from scratch, and a sweep scatters again.
 func (d *Dispatcher) recover() []*fwdJob {
 	var reattach []*fwdJob
 	for _, rec := range d.opts.Store.Records() {
-		var n uint64
-		if _, err := fmt.Sscanf(rec.Job, "job-%d", &n); err == nil && n > d.nextID {
-			d.nextID = n
+		j := &fwdJob{Record: jobs.Recovered(rec), pin: rec.Pin, raw: rec.Bundle}
+		if rec.Points == 0 {
+			j.ranges = []*sweepRange{{raw: rec.Bundle, worker: rec.Worker, remote: rec.Remote, done: j.State == jobs.StateDone}}
 		}
-		j := &fwdJob{
-			id:        rec.Job,
-			trace:     rec.Trace,
-			key:       rec.Key,
-			engine:    rec.Engine,
-			pin:       rec.Pin,
-			profile:   rec.Profile,
-			worker:    rec.Worker,
-			remote:    rec.Remote,
-			submitted: rec.Submitted,
-			started:   rec.Started,
-			finished:  rec.Finished,
-			done:      make(chan struct{}),
+		for _, rg := range rec.Ranges {
+			j.ranges = append(j.ranges, &sweepRange{from: rg.From, to: rg.To, worker: rg.Worker, remote: rg.Remote, done: true})
 		}
-		if rec.Points > 0 {
-			// A sweep record. Its range assignments are not folded into
-			// the record (they are per-range EvAssigned history), so a
-			// non-terminal sweep re-scatters from scratch; a terminal one
-			// answers Status but not SweepResult (see SweepResult).
-			j.sweep = &sweepScatter{points: rec.Points}
-			j.worker, j.remote = "", ""
-		}
+		d.Restore(j)
 		d.met.recovered.Inc()
-		switch rec.State {
-		case store.StateDone:
-			j.state = jobs.StateDone
-			j.cacheHit = rec.CacheHit
-			j.coalesced = rec.Coalesced
-			j.shards = rec.Shards
-		case store.StateFailed:
-			j.state = jobs.StateFailed
-			j.errMsg = rec.Error
-			j.shards = rec.Shards
-		case store.StateCanceled:
-			j.state = jobs.StateCanceled
-		default: // queued or running at crash time: re-attach
-			if len(rec.Bundle) == 0 {
-				// Nothing to re-forward with; surface rather than drop.
-				j.state = jobs.StateFailed
-				j.errMsg = "fleet: recovery: journal record has no bundle"
-				j.finished = time.Now()
-				d.met.failed.Inc()
-				j.spanLocked("failed", 0, "journal record has no bundle")
-				d.log.Warn("job failed at recovery", "job", j.id, "trace", j.trace, "err", j.errMsg)
-				d.jobs[j.id] = j
-				d.enqueueLocked(j, store.Event{T: store.EvFailed, Job: j.id, At: j.finished, Error: j.errMsg})
-				d.finishRetention(j)
-				close(j.done)
-				continue
-			}
-			j.state = jobs.StateQueued
-			j.raw = rec.Bundle
-			j.started = time.Time{} // re-observed from the worker
-			if j.worker != "" {
-				if w := d.workers[j.worker]; w != nil {
-					w.outstanding++
-				} else {
-					// The fleet config changed across the restart; the
-					// assigned node is gone. Forward from scratch.
-					j.worker, j.remote = "", ""
-				}
-			}
-			d.jobs[j.id] = j
-			if j.sweep == nil && d.inflight[j.key] == nil {
-				d.inflight[j.key] = j
-			}
-			d.met.reattached.Inc()
-			j.spanLocked("queued", 0, "re-attached after restart")
-			d.log.Info("job re-attached", "job", j.id, "trace", j.trace, "worker", j.worker)
-			reattach = append(reattach, j)
+		if j.State.Terminal() {
 			continue
 		}
-		d.jobs[j.id] = j
-		d.finishRetention(j)
-		close(j.done)
+		// Queued or running at crash time: re-attach.
+		if len(rec.Bundle) == 0 {
+			// Nothing to re-forward with; surface rather than drop.
+			d.finishLocked(j, jobs.StateFailed, "fleet: recovery: journal record has no bundle")
+			continue
+		}
+		for _, r := range j.ranges {
+			if w := d.workers[r.worker]; w != nil {
+				w.outstanding++
+			} else {
+				// Never assigned, or the fleet config changed across the
+				// restart and the node is gone. Forward from scratch.
+				r.worker, r.remote = "", ""
+			}
+		}
+		if j.Points == 0 && d.inflight[j.Key] == nil {
+			d.inflight[j.Key] = j
+		}
+		d.met.reattached.Inc()
+		j.Span("queued", 0, "re-attached after restart")
+		d.log.Info("job re-attached", "job", j.ID, "trace", j.Trace)
+		reattach = append(reattach, j)
 	}
 	return reattach
 }
 
-// enqueueLocked queues one journal event on its job, in transition
-// order. Callers hold d.mu and call flushDirty (and, on paths that
-// acknowledge the transition to a client, flushJob) after releasing it.
+// enqueueLocked is the Dispatcher's journal sink (see jobs.NewTable): it
+// queues one event on its job, in move order, under d.mu. Callers call
+// flushDirty (and, on paths that acknowledge the move to a client,
+// flushJob) after releasing the mutex.
 func (d *Dispatcher) enqueueLocked(j *fwdJob, ev store.Event) {
 	if d.opts.Store == nil {
 		return
 	}
+	ev.Trace = j.Trace
 	j.evq = append(j.evq, ev)
 	j.evGen++
 	d.dirty = append(d.dirty, j)
@@ -558,20 +509,11 @@ func (d *Dispatcher) accept(b *bundle.Bundle, o jobs.SubmitOptions, points int) 
 		d.mu.Unlock()
 		return jobs.Status{}, jobs.ErrClosed
 	}
-	d.nextID++
 	j := &fwdJob{
-		id:        fmt.Sprintf("job-%08d", d.nextID),
-		trace:     obs.EnsureTraceID(o.TraceID),
-		key:       key,
-		engine:    engine,
-		raw:       raw,
-		pin:       o.Shards,
-		profile:   o.Profile,
-		state:     jobs.StateQueued,
-		submitted: now,
-		done:      make(chan struct{}),
+		Record: jobs.Record{Trace: obs.EnsureTraceID(o.TraceID), Key: key, Engine: engine, Profile: o.Profile, Points: points},
+		raw:    raw,
+		pin:    o.Shards,
 	}
-	d.jobs[j.id] = j
 	d.met.submitted.Inc()
 	note := ""
 	switch primary := d.inflight[key]; {
@@ -580,7 +522,6 @@ func (d *Dispatcher) accept(b *bundle.Bundle, o jobs.SubmitOptions, points int) 
 		// over the fleet, so there is no single "primary worker" to pin a
 		// twin to. The grid journals as ONE record; the scatter happens
 		// after acceptance.
-		j.sweep = &sweepScatter{points: points}
 		d.met.sweeps.Inc()
 		note = fmt.Sprintf("sweep points=%d", points)
 	case primary != nil:
@@ -588,21 +529,23 @@ func (d *Dispatcher) accept(b *bundle.Bundle, o jobs.SubmitOptions, points int) 
 		// will pin this job to the primary's worker so the worker-side
 		// pool coalesces them onto one execution.
 		d.met.coalesced.Inc()
-		note = "coalesces with " + primary.id
+		note = "coalesces with " + primary.ID
 	default:
 		d.inflight[key] = j
 	}
-	j.spanLocked("queued", 0, note)
-	d.enqueueLocked(j, store.Event{T: store.EvSubmitted, Job: j.id, Trace: j.trace, At: now, Key: key, Engine: engine, Bundle: raw, Pin: o.Shards, Profile: o.Profile, Points: points})
+	if points == 0 {
+		j.ranges = []*sweepRange{{raw: raw}}
+	}
+	d.Add(j, jobs.Detail{At: now, Note: note, Ev: store.Event{Bundle: raw, Pin: o.Shards, Profile: o.Profile}})
 	d.wg.Add(1)
-	st := d.statusLocked(j)
+	st := d.Snapshot(j)
 	d.mu.Unlock()
-	d.log.Info("job accepted", "job", j.id, "trace", j.trace, "engine", engine, "points", points)
+	d.log.Info("job accepted", "job", j.ID, "trace", j.Trace, "engine", engine, "points", points)
 
 	// Append after releasing the dispatcher lock: concurrent submitters
 	// then share group-commit fsync barriers instead of serializing
 	// their syncs behind d.mu, while the per-job queue keeps this job's
-	// journal order equal to its transition order. flushJob then blocks
+	// journal order equal to its move order. flushJob then blocks
 	// until this job's submitted event is durable — the 202 must not
 	// outrun the fsync even if a concurrent flusher claimed the queue.
 	d.flushDirty()
@@ -611,14 +554,11 @@ func (d *Dispatcher) accept(b *bundle.Bundle, o jobs.SubmitOptions, points int) 
 	return st, nil
 }
 
-// runJob owns one job's forwarding lifecycle: assign a worker, watch the
-// remote job, and re-forward when the worker dies or forgets the job. The
-// watch is a revisioned long-poll parked on the worker (?wait=D&rev=N):
-// the worker answers the moment the job changes, so every remote
-// transition reaches the dispatcher without a polling cadence, and a
-// short job costs two status requests (→running, →done). runJob exits
-// when the job is terminal or the dispatcher closes (the journal then
-// carries the state to the next process life).
+// runJob owns one job's forwarding: it gets the job's ranges — the one a
+// plain job was accepted with, or a sweep's scatter — and runs each on its
+// own goroutine, itself being the first. It returns when the job is
+// terminal or the dispatcher closes (the journal then carries the state to
+// the next process life).
 func (d *Dispatcher) runJob(j *fwdJob) {
 	defer d.wg.Done()
 	// The runner's context ends when the dispatcher stops or the job turns
@@ -628,27 +568,59 @@ func (d *Dispatcher) runJob(j *fwdJob) {
 	defer cancel()
 	go func() {
 		select {
-		case <-j.done:
+		case <-j.Done():
 			cancel()
 		case <-ctx.Done():
 		}
 	}()
-	if j.sweep != nil {
-		d.runSweep(ctx, j)
-		return
+	// j.ranges is written before this goroutine starts or, under d.mu, by
+	// the scatter below: this unlocked read is ordered.
+	ranges := j.ranges
+	if ranges == nil {
+		var err error
+		if ranges, err = d.scatter(ctx, j); err != nil {
+			d.mu.Lock()
+			if !j.State.Terminal() {
+				d.finishLocked(j, jobs.StateFailed, err.Error())
+			}
+			d.mu.Unlock()
+			d.flushDirty()
+		}
+		if ranges == nil { // failed, or the dispatcher is closing
+			return
+		}
 	}
+	var wg sync.WaitGroup
+	for _, r := range ranges[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.run(ctx, j, r)
+		}()
+	}
+	d.run(ctx, j, ranges[0])
+	wg.Wait()
+}
+
+// run owns one range's forwarding: assign a worker, watch the remote job,
+// and re-forward this range — and only this range — when the worker dies
+// or forgets it. The watch is a revisioned long-poll parked on the worker
+// (?wait=D&rev=N): the worker answers the moment the job changes, so every
+// remote move reaches the dispatcher without a polling cadence, and a
+// short job costs two status requests (→running, →done).
+func (d *Dispatcher) run(ctx context.Context, j *fwdJob, r *sweepRange) {
 	fails := 0 // consecutive failed watches
 	for ctx.Err() == nil {
 		d.mu.Lock()
-		if j.state.Terminal() {
+		if j.State.Terminal() || r.done {
 			d.mu.Unlock()
 			return
 		}
-		workerName, remote, since := j.worker, j.remote, j.remoteRev
+		workerName, remote, since := r.worker, r.remote, r.remoteRev
 		d.mu.Unlock()
 
 		if workerName == "" || remote == "" {
-			if !d.forward(j) {
+			if !d.forward(j, r) {
 				// No worker reachable right now; journal already holds the
 				// job, so keep retrying until the fleet comes back.
 				sleep(ctx, d.opts.ProbeInterval)
@@ -664,7 +636,7 @@ func (d *Dispatcher) runJob(j *fwdJob) {
 				return // the job finished or the dispatcher is closing; the worker did not fail
 			}
 			if fails++; fails >= d.opts.ReforwardAfter {
-				d.detach(j, workerName)
+				d.detach(j, r, workerName)
 				fails = 0
 				continue
 			}
@@ -672,11 +644,11 @@ func (d *Dispatcher) runJob(j *fwdJob) {
 		case notFound:
 			// The worker answered but no longer knows the job: it
 			// restarted without durable state. Re-forward immediately.
-			d.detach(j, workerName)
+			d.detach(j, r, workerName)
 			fails = 0
 		default:
 			fails = 0
-			if d.observe(j, st) {
+			if d.observe(j, r, st) {
 				return
 			}
 		}
@@ -703,17 +675,18 @@ func (d *Dispatcher) backoff(fails int) time.Duration {
 	return min(pause, d.opts.ProbeInterval)
 }
 
-// forward assigns the job to a worker and POSTs it. It tries the routing
-// choice first and rotates through the remaining healthy workers on
-// transport errors or backpressure; the node that just lost the job
-// (j.avoid) is skipped unless it is the only one left. Returns false
-// when no worker accepted.
-func (d *Dispatcher) forward(j *fwdJob) bool {
+// forward assigns the range to a worker and POSTs it: the whole bundle to
+// /v1/jobs for a plain job, the sub-sweep to /v1/sweeps for a sweep's
+// range. It tries pick's choice first and rotates through the remaining
+// healthy workers on transport errors or backpressure; the node that just
+// lost the range (r.avoid) is skipped unless it is the only one left.
+// Returns false when no worker accepted.
+func (d *Dispatcher) forward(j *fwdJob, r *sweepRange) bool {
 	tried := map[string]bool{}
 	d.mu.Lock()
 	// raw is read here, not at the POST: finishLocked drops it under the
 	// lock when a concurrent Cancel finishes the job.
-	avoid, raw := j.avoid, j.raw
+	avoid, raw := r.avoid, r.raw
 	d.mu.Unlock()
 	if raw == nil {
 		return true // already terminal; nothing left to forward
@@ -721,8 +694,12 @@ func (d *Dispatcher) forward(j *fwdJob) bool {
 	if avoid != "" {
 		tried[avoid] = true
 	}
+	path, kind := "/v1/jobs", "job"
+	if j.Points > 0 {
+		path, kind = "/v1/sweeps", "sweep range"
+	}
 	for round := 0; ; {
-		name := d.pick(j, tried)
+		name := d.pick(j, r, tried)
 		if name == "" {
 			if round == 0 && avoid != "" {
 				// Every alternative is down; the avoided node may be the
@@ -737,7 +714,7 @@ func (d *Dispatcher) forward(j *fwdJob) bool {
 		w := d.workerByName(name)
 		ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
 		rtStart := time.Now()
-		sub, err := w.c.submit(ctx, "/v1/jobs", raw, j.pin, j.trace, j.profile)
+		sub, err := w.c.submit(ctx, path, raw, j.pin, j.Trace, j.Profile)
 		rt := time.Since(rtStart)
 		cancel()
 		if err != nil {
@@ -745,7 +722,7 @@ func (d *Dispatcher) forward(j *fwdJob) bool {
 		}
 		d.met.roundtrip.Observe(rt)
 		d.mu.Lock()
-		if j.state.Terminal() { // canceled while forwarding
+		if j.State.Terminal() { // canceled while forwarding
 			d.mu.Unlock()
 			// The worker now holds an orphan twin; best-effort cancel it.
 			cctx, ccancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
@@ -753,61 +730,63 @@ func (d *Dispatcher) forward(j *fwdJob) bool {
 			ccancel()
 			return true
 		}
-		j.worker, j.remote, j.remoteRev = name, sub.ID, sub.Rev
-		j.avoid = ""
-		j.forwards++
-		j.rev.Bump()
-		reforward := j.forwards > 1
-		if reforward {
-			d.met.reforwarded.Inc()
-			j.spanLocked("assigned", rt, fmt.Sprintf("re-forwarded to %s as %s", name, sub.ID))
-		} else {
-			j.spanLocked("assigned", rt, fmt.Sprintf("%s as %s", name, sub.ID))
-		}
-		d.met.forwarded.Inc()
+		r.worker, r.remote, r.remoteRev = name, sub.ID, sub.Rev
+		r.avoid = ""
+		r.forwards++
 		w.outstanding++
-		d.enqueueLocked(j, store.Event{T: store.EvAssigned, Job: j.id, Trace: j.trace, At: time.Now(), Worker: name, Remote: sub.ID})
-		d.mu.Unlock()
-		if reforward {
-			d.log.Warn("job re-forwarded", "job", j.id, "trace", j.trace, "worker", name, "remote", sub.ID)
-			obs.RecordDur(obs.FlightFleetForward, j.id, "re-forwarded to "+name+" as "+sub.ID, rt)
-		} else {
-			d.log.Info("job forwarded", "job", j.id, "trace", j.trace, "worker", name, "remote", sub.ID)
-			obs.RecordDur(obs.FlightFleetForward, j.id, name+" as "+sub.ID, rt)
+		d.met.forwarded.Inc()
+		note, msg, level := r.label(" "), kind+" forwarded", slog.LevelInfo
+		switch {
+		case r.forwards > 1:
+			d.met.reforwarded.Inc()
+			note, msg, level = note+"re-forwarded to ", kind+" re-forwarded", slog.LevelWarn
+		case note != "":
+			note += "to "
 		}
+		note += name + " as " + sub.ID
+		j.Span("assigned", rt, note)
+		j.Touch()
+		d.enqueueLocked(j, store.Event{T: store.EvAssigned, Job: j.ID, At: time.Now(), Worker: name, Remote: sub.ID, From: r.from, To: r.to})
+		d.mu.Unlock()
+		d.log.Log(d.ctx, level, msg, "job", j.ID, "trace", j.Trace, "from", r.from, "to", r.to, "worker", name, "remote", sub.ID)
+		obs.RecordDur(obs.FlightFleetForward, j.ID, note, rt)
 		d.flushDirty()
 		return true
 	}
 }
 
-// pick chooses a worker for the job: the in-flight primary's worker when
-// the key is already dispatched (dispatcher-level coalescing), else the
-// consistent-hash affinity node unless the slack rule spills to the
-// least-loaded healthy worker. Workers in tried are excluded.
-func (d *Dispatcher) pick(j *fwdJob, tried map[string]bool) string {
+// pick chooses a worker for the range. A sweep's range goes to the node
+// the scatter spread it to, else to the least-loaded healthy worker. A
+// plain job goes to the in-flight primary's worker when its key is already
+// dispatched (dispatcher-level coalescing), else to the consistent-hash
+// affinity node unless the slack rule spills to the least-loaded. Workers
+// in tried are excluded.
+func (d *Dispatcher) pick(j *fwdJob, r *sweepRange, tried map[string]bool) string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ok := func(name string) bool {
 		w := d.workers[name]
 		return w != nil && w.healthy && !tried[name]
 	}
-	if primary := d.inflight[j.key]; primary != nil && primary != j && primary.worker != "" && ok(primary.worker) {
-		return primary.worker
-	}
 	var least *worker
 	for _, name := range d.names {
-		if !ok(name) {
-			continue
-		}
-		w := d.workers[name]
-		if least == nil || w.outstanding < least.outstanding {
+		if w := d.workers[name]; ok(name) && (least == nil || w.outstanding < least.outstanding) {
 			least = w
 		}
 	}
-	if least == nil {
+	switch {
+	case least == nil:
 		return ""
+	case j.Points > 0:
+		if ok(r.prefer) {
+			return r.prefer
+		}
+		return least.name
 	}
-	affinity := d.ring.lookup(j.key, ok)
+	if primary := d.inflight[j.Key]; primary != nil && primary != j && ok(primary.ranges[0].worker) {
+		return primary.ranges[0].worker
+	}
+	affinity := d.ring.lookup(j.Key, ok)
 	if affinity == "" {
 		return least.name
 	}
@@ -819,147 +798,175 @@ func (d *Dispatcher) pick(j *fwdJob, tried map[string]bool) string {
 	return affinity
 }
 
-// detach severs the job from a worker that died or forgot it; the runner
-// loop forwards it elsewhere next.
-func (d *Dispatcher) detach(j *fwdJob, workerName string) {
+// detach severs the range from a worker that died or forgot it; its
+// runner forwards it elsewhere next, to re-run whole. Other ranges keep
+// their assignments — only unfinished work moves. A job none of whose
+// ranges is on a worker any more is queued again.
+func (d *Dispatcher) detach(j *fwdJob, r *sweepRange, workerName string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if j.state.Terminal() {
-		// A concurrent Cancel/observe already finished the job (and
-		// decremented the worker's outstanding count); detaching now
-		// would double-decrement.
+	// A concurrent Cancel/observe that finished the job or the range has
+	// released the worker already; so has a re-forward this call raced.
+	if j.State.Terminal() || r.done || r.worker != workerName {
 		return
 	}
-	if j.worker != workerName { // raced with a re-forward
-		return
+	d.releaseLocked(r)
+	r.worker, r.remote, r.avoid, r.pointsDone = "", "", workerName, 0
+	note, kind := "worker "+workerName+" lost the job", "job"
+	if j.Points > 0 {
+		note, kind = r.label(": ")+"worker "+workerName+" lost the sub-sweep", "sweep range"
 	}
-	j.worker, j.remote = "", ""
-	j.avoid = workerName
-	j.started = time.Time{}
-	if j.state == jobs.StateRunning {
-		j.state = jobs.StateQueued
+	assigned := false
+	for _, o := range j.ranges {
+		assigned = assigned || (o.worker != "" && !o.done)
 	}
-	if w := d.workers[workerName]; w != nil {
-		w.outstanding--
+	if j.State == jobs.StateRunning && !assigned {
+		_ = d.Transition(j, jobs.StateQueued, jobs.Detail{Note: note})
+	} else {
+		j.Span("detached", 0, note)
+		j.Touch()
 	}
-	j.rev.Bump()
-	j.spanLocked("detached", 0, "worker "+workerName+" lost the job")
-	obs.Record(obs.FlightFleetDetach, j.id, "worker "+workerName+" lost the job")
-	d.log.Warn("job detached", "job", j.id, "trace", j.trace, "worker", workerName)
+	obs.Record(obs.FlightFleetDetach, j.ID, note)
+	d.log.Warn(kind+" detached", "job", j.ID, "trace", j.Trace, "from", r.from, "to", r.to, "worker", workerName)
 }
 
-// observe folds a remote status snapshot into the local record. Returns
-// true when the job reached a terminal state.
-func (d *Dispatcher) observe(j *fwdJob, st jobs.StatusDoc) bool {
+// releaseLocked is the one place a range stops counting against its
+// worker: it finished there, lost it, or the job ended under it.
+func (d *Dispatcher) releaseLocked(r *sweepRange) {
+	if w := d.workers[r.worker]; w != nil {
+		w.outstanding--
+	}
+}
+
+// observe folds a remote status snapshot into the range and the job, then
+// settles the job if that completed it: a plain job finishes with its one
+// range, a sweep is done when every range is and fails with its first
+// failed one. Returns true when the range needs no more watching.
+func (d *Dispatcher) observe(j *fwdJob, r *sweepRange, st jobs.StatusDoc) bool {
 	d.mu.Lock()
-	if j.state.Terminal() {
-		d.mu.Unlock()
+	defer d.flushDirty()
+	defer d.mu.Unlock()
+	if j.State.Terminal() || r.done {
 		return true
 	}
 	// Every reply is either a change on the worker or an idle watch
 	// running out; counting the latter as a revision too costs a
 	// dispatcher-side watcher one spurious wake-up per RequestTimeout/2.
-	j.remoteRev = st.Rev
-	j.rev.Bump()
+	r.remoteRev = st.Rev
+	j.Touch()
 	if st.Engine != "" {
-		j.engine = st.Engine
+		j.Engine = st.Engine
 	}
-	j.cacheHit = st.CacheHit
-	j.coalesced = st.Coalesced
 	if st.Shards > 0 {
-		j.shards = st.Shards
+		j.Shards = st.Shards // for a sweep: the grant of the range heard from last
 	}
-	if len(st.Profile) > 0 {
-		// The worker's kernel table, proxied opaquely. Overwrite rather
-		// than keep-first: after a re-forward the replacement worker's
-		// table describes the execution that actually produced the result.
-		j.profileDoc = st.Profile
+	r.pointsDone = max(r.pointsDone, st.PointsDone)
+	sweep := j.Points > 0
+	// The worker's kernel table, proxied opaquely (a sweep's: merged over
+	// its ranges). Overwritten rather than kept: after a re-forward the
+	// replacement worker's table describes the execution that survived.
+	if !sweep {
+		j.CacheHit, j.Coalesced = st.CacheHit, st.Coalesced
+		if len(st.Profile) > 0 {
+			j.ProfileDoc = st.Profile
+		}
+	} else if len(st.Profile) > 0 {
+		r.profile = st.Profile
+		j.ProfileDoc = mergedProfile(j.ranges)
 	}
 	switch st.State {
+	case jobs.StateQueued:
+		return false
 	case jobs.StateRunning:
-		if j.state == jobs.StateQueued {
-			j.state = jobs.StateRunning
-			j.started = time.Now()
-			j.spanLocked("started", 0, "on "+j.worker)
-			d.enqueueLocked(j, store.Event{T: store.EvStarted, Job: j.id, Trace: j.trace, At: j.started, Shards: st.Shards})
+		if j.State == jobs.StateQueued {
+			note := "on " + r.worker
+			if sweep {
+				note = "first range running " + note
+			}
+			_ = d.Transition(j, jobs.StateRunning, jobs.Detail{Note: note})
 		}
-	case jobs.StateDone:
-		j.errMsg = ""
-		d.finishLocked(j, jobs.StateDone)
-		d.enqueueLocked(j, store.Event{T: store.EvDone, Job: j.id, Trace: j.trace, At: j.finished, Engine: j.engine, CacheHit: st.CacheHit, Coalesced: st.Coalesced})
-	case jobs.StateFailed:
-		j.errMsg = st.Error
-		d.finishLocked(j, jobs.StateFailed)
-		d.enqueueLocked(j, store.Event{T: store.EvFailed, Job: j.id, Trace: j.trace, At: j.finished, Engine: j.engine, Coalesced: st.Coalesced, Error: st.Error})
-	case jobs.StateCanceled:
-		// Canceled out-of-band on the worker itself.
-		d.finishLocked(j, jobs.StateCanceled)
-		d.enqueueLocked(j, store.Event{T: store.EvCanceled, Job: j.id, Trace: j.trace, At: j.finished})
+		return false
 	}
-	terminal := j.state.Terminal()
-	d.mu.Unlock()
-	d.flushDirty()
-	return terminal
+	// The remote job is terminal: the range leaves its worker.
+	d.releaseLocked(r)
+	outcome := "done"
+	switch st.State {
+	case jobs.StateDone:
+		r.done, r.pointsDone = true, r.to-r.from
+	case jobs.StateFailed:
+		r.failed, r.errMsg, outcome = true, st.Error, "failed"
+	case jobs.StateCanceled: // out-of-band, on the worker itself
+		r.failed, r.errMsg, outcome = true, fmt.Sprintf("fleet: range [%d,%d) canceled on worker %s", r.from, r.to, r.worker), "failed"
+	}
+	if sweep {
+		span := fmt.Sprintf("[%d,%d) on %s", r.from, r.to, r.worker)
+		flight := fmt.Sprintf("range [%d,%d) %s on %s", r.from, r.to, outcome, r.worker)
+		if r.failed {
+			span, flight = span+": "+r.errMsg, flight+": "+r.errMsg
+		}
+		j.Span("range "+outcome, 0, span)
+		obs.Record(obs.FlightSweepRange, j.ID, flight)
+	}
+	switch {
+	case st.State == jobs.StateCanceled && !sweep:
+		d.finishLocked(j, jobs.StateCanceled, "")
+	case r.failed:
+		// A sweep fails with its first failed range, a canceled sub-sweep
+		// included: the sweep must surface it rather than hang.
+		d.finishLocked(j, jobs.StateFailed, r.errMsg)
+	default:
+		for _, o := range j.ranges {
+			if !o.done {
+				return true
+			}
+		}
+		d.finishLocked(j, jobs.StateDone, "")
+	}
+	return true
 }
 
-// finishLocked moves the job to a terminal state: stats, worker
-// outstanding bookkeeping, in-flight pin cleanup, bundle drop, done
-// close, and bounded retention. Callers hold d.mu and journal the
-// terminal event themselves after unlocking.
-func (d *Dispatcher) finishLocked(j *fwdJob, state jobs.State) {
-	j.state = state
-	j.finished = time.Now()
-	var run time.Duration
-	if !j.started.IsZero() {
-		run = j.finished.Sub(j.started)
+// finishLocked moves the job to a terminal state: the tier's counter and
+// log line, the move itself (a done sweep's event carries its final range
+// table, so that a restarted dispatcher still finds the results), then
+// what the job no longer needs — its ranges' hold on their workers, the
+// in-flight pin, the bundles. Callers hold d.mu, have checked the job is
+// not terminal yet, and flush after unlocking.
+func (d *Dispatcher) finishLocked(j *fwdJob, to jobs.State, errMsg string) {
+	det := jobs.Detail{At: time.Now()}
+	if !j.Started.IsZero() && to != jobs.StateCanceled {
+		det.Dur = det.At.Sub(j.Started)
 	}
-	switch state {
+	worker := ""
+	for _, r := range j.ranges {
+		if r.worker != "" && !r.done && !r.failed {
+			d.releaseLocked(r) // the job ended under it
+		}
+		r.raw = nil
+		if j.Points == 0 {
+			worker = r.worker
+		} else if to == jobs.StateDone {
+			det.Ev.Ranges = append(det.Ev.Ranges, store.Range{From: r.from, To: r.to, Worker: r.worker, Remote: r.remote})
+		}
+	}
+	switch to {
 	case jobs.StateDone:
 		d.met.completed.Inc()
-		j.spanLocked("done", run, "")
-		d.log.Info("job done", "job", j.id, "trace", j.trace, "worker", j.worker, "run_ms", float64(run)/1e6)
+		d.log.Info("job done", "job", j.ID, "trace", j.Trace, "worker", worker, "run_ms", float64(det.Dur)/1e6)
 	case jobs.StateFailed:
 		d.met.failed.Inc()
-		j.spanLocked("failed", run, j.errMsg)
-		d.log.Warn("job failed", "job", j.id, "trace", j.trace, "worker", j.worker, "err", j.errMsg)
+		det.Note, det.Err = errMsg, errors.New(errMsg)
+		d.log.Warn("job failed", "job", j.ID, "trace", j.Trace, "worker", worker, "err", errMsg)
 	case jobs.StateCanceled:
 		d.met.canceled.Inc()
-		j.spanLocked("canceled", 0, "")
-		d.log.Info("job canceled", "job", j.id, "trace", j.trace, "worker", j.worker)
+		d.log.Info("job canceled", "job", j.ID, "trace", j.Trace, "worker", worker)
 	}
-	if j.worker != "" {
-		if w := d.workers[j.worker]; w != nil {
-			w.outstanding--
-		}
+	if err := d.Transition(j, to, det); err != nil {
+		d.log.Error("lifecycle move refused", "job", j.ID, "err", err)
 	}
-	if d.inflight[j.key] == j {
-		delete(d.inflight, j.key)
+	if d.inflight[j.Key] == j {
+		delete(d.inflight, j.Key)
 	}
 	j.raw = nil
-	j.rev.Bump()
-	close(j.done)
-	d.finishRetention(j)
-}
-
-// finishRetention appends the job to the terminal ring and evicts the
-// oldest records beyond MaxRecords, mirroring the worker pools' bounded
-// retention. Callers hold d.mu (or run single-threaded in recovery).
-func (d *Dispatcher) finishRetention(j *fwdJob) {
-	if d.opts.MaxRecords < 0 {
-		return
-	}
-	d.terminal = append(d.terminal, j.id)
-	for len(d.terminal) > d.opts.MaxRecords {
-		evicted := d.terminal[0]
-		d.terminal = d.terminal[1:]
-		if ej := d.jobs[evicted]; ej != nil {
-			// Enqueue on the evicted job's own queue so the forget event
-			// can never overtake a still-pending lifecycle event of that
-			// job in the journal.
-			d.enqueueLocked(ej, store.Event{T: store.EvForget, Job: evicted, At: time.Now()})
-		}
-		delete(d.jobs, evicted)
-	}
 }
 
 // sleep pauses a runner — no worker reachable, or backing off after a
@@ -1044,126 +1051,27 @@ func (d *Dispatcher) probeOnce() {
 	}
 }
 
-// Status returns a job's snapshot.
-func (d *Dispatcher) Status(id string) (jobs.Status, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j, ok := d.jobs[id]
-	if !ok {
-		return jobs.Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
-	}
-	return d.statusLocked(j), nil
-}
-
-// statusLocked snapshots a job: the dispatcher's own record of it, with
-// the owning worker's verdicts (CacheHit, Coalesced, Shards, Profile)
-// folded in as last reported. Callers hold d.mu.
-func (d *Dispatcher) statusLocked(j *fwdJob) jobs.Status {
-	st := jobs.Status{
-		ID:          j.id,
-		Trace:       j.trace,
-		Spans:       append([]obs.Span(nil), j.spans...),
-		State:       j.state,
-		Engine:      j.engine,
-		Worker:      j.worker,
-		Remote:      j.remote,
-		CacheHit:    j.cacheHit,
-		Coalesced:   j.coalesced,
-		Shards:      j.shards,
-		Reforwards:  max(0, j.forwards-1),
-		Profile:     j.profileDoc,
-		Error:       j.errMsg,
-		SubmittedAt: j.submitted,
-		StartedAt:   j.started,
-		FinishedAt:  j.finished,
-		Rev:         j.rev.N(),
-	}
-	if j.sweep == nil {
-		st.SetProgress()
-		return st
-	}
-	st.Sweep = true
-	st.Points = j.sweep.points
-	st.PointsDone = j.sweep.pointsDoneLocked()
-	if j.state == jobs.StateDone {
-		st.PointsDone = st.Points // incl. terminal records recovered without ranges
-	}
-	// Reforwards for a sweep counts range re-assignments.
-	st.Reforwards = 0
-	for _, r := range j.sweep.ranges {
-		st.Reforwards += max(0, r.forwards-1)
-		st.Ranges = append(st.Ranges, jobs.RangeInfo{
-			From:       r.from,
-			To:         r.to,
-			State:      r.stateLocked(),
-			Worker:     r.worker,
-			Remote:     r.remote,
-			PointsDone: r.pointsDoneLocked(),
-			Forwards:   r.forwards,
-			Error:      r.errMsg,
-		})
-	}
-	st.SetProgress() // fleet-wide: PointsDone sums the ranges
-	st.Profile = j.sweep.mergedProfileLocked()
-	return st
-}
-
-// List returns snapshots of every tracked job, newest first; a non-empty
-// state filters, limit caps (<= 0: no cap). The dispatcher's table IS
-// the fleet-merged history: every job submitted through the front-end,
-// with its owning worker in each snapshot.
-func (d *Dispatcher) List(state jobs.State, limit int) []jobs.Status {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids := make([]string, 0, len(d.jobs))
-	for id, j := range d.jobs {
-		if state != "" && j.state != state {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(ids)))
-	if limit > 0 && len(ids) > limit {
-		ids = ids[:limit]
-	}
-	out := make([]jobs.Status, len(ids))
-	for i, id := range ids {
-		out[i] = d.statusLocked(d.jobs[id])
-	}
-	return out
-}
-
-// Wait blocks until the job is terminal, then returns its snapshot.
-func (d *Dispatcher) Wait(id string) (jobs.Status, error) {
-	d.mu.Lock()
-	j, ok := d.jobs[id]
-	d.mu.Unlock()
-	if !ok {
-		return jobs.Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
-	}
-	<-j.done
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.statusLocked(j), nil
-}
-
 // WriteResult passes on the job's result document from its owning worker,
 // byte for byte; a worker that answers anything but 200 has its verdict
 // passed on as well. Jobs that never reached a worker follow the pool's
 // error semantics.
 func (d *Dispatcher) WriteResult(ctx context.Context, out io.Writer, id string) error {
 	d.mu.Lock()
-	j, ok := d.jobs[id]
-	if !ok {
+	j, err := d.Get(id)
+	if err != nil {
 		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
+		return err
 	}
-	sweep, state, workerName, remote, errMsg := j.sweep != nil, j.state, j.worker, j.remote, j.errMsg
+	sweep, state, failure := j.Points > 0, j.State, j.Err
+	var workerName, remote string
+	if !sweep {
+		workerName, remote = j.ranges[0].worker, j.ranges[0].remote
+	}
 	d.mu.Unlock()
 	if sweep {
 		return fmt.Errorf("%w: its results are at GET /v1/sweeps/%s", jobs.ErrIsSweep, id)
 	}
-	if err := jobs.NotDoneError(id, state, fmt.Errorf("%w: %s", jobs.ErrJobFailed, errMsg)); err != nil {
+	if err := jobs.NotDoneError(id, state, fmt.Errorf("%w: %v", jobs.ErrJobFailed, failure)); err != nil {
 		return err
 	}
 	w := d.workerByName(workerName)
@@ -1183,26 +1091,36 @@ func (d *Dispatcher) WriteResult(ctx context.Context, out io.Writer, id string) 
 	return nil
 }
 
-// Cancel cancels a dispatched job. An unassigned job cancels locally; an
-// assigned one forwards DELETE to its owning worker under the caller's
-// context plus the request timeout, so a hung worker cannot wedge the
-// canceling goroutine. A worker that already forgot the job (it
-// restarted) counts as canceled too — the runner would only re-run work
-// the client no longer wants. The DELETE races the runner's re-forward
-// path, so after each round trip the assignment is re-checked under the
-// lock: if the job moved workers meanwhile, the cancel chases it to the
-// new node rather than reporting success while a live copy keeps
-// running elsewhere.
+// Cancel cancels a dispatched job. A job with no range on a worker cancels
+// locally. A plain job that is assigned forwards DELETE to its owning
+// worker, under the caller's context plus the request timeout so a hung
+// worker cannot wedge the canceling goroutine, and the worker's verdict
+// decides: a running job is a conflict there, so it is one here. A worker
+// that already forgot the job (it restarted) counts as canceled too — the
+// runner would only re-run work the client no longer wants. The DELETE
+// races the runner's re-forward path, so after the round trip the
+// assignment is re-checked under the lock: if the job moved workers
+// meanwhile, the cancel chases it to the new node rather than reporting
+// success while a live copy keeps running elsewhere. A sweep cancels
+// locally whatever its ranges are doing — the range watchers wake on done
+// and exit — and then cancels every assigned range's remote sub-sweep
+// best-effort; one that slips through keeps running remotely but its
+// results are never fetched.
 func (d *Dispatcher) Cancel(ctx context.Context, id string) (jobs.Status, error) {
+	cancelOn := func(loc rangeLoc) (int, []byte, error) {
+		cctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
+		defer cancel()
+		return d.workerByName(loc.worker).c.cancel(cctx, loc.remote)
+	}
 	for attempt := 0; attempt < 4; attempt++ {
 		d.mu.Lock()
-		j, ok := d.jobs[id]
-		if !ok {
+		j, err := d.Get(id)
+		if err != nil {
 			d.mu.Unlock()
-			return jobs.Status{}, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
+			return jobs.Status{}, err
 		}
-		if j.state.Terminal() {
-			st := d.statusLocked(j)
+		if j.State.Terminal() {
+			st := d.Snapshot(j)
 			d.mu.Unlock()
 			if attempt > 0 {
 				// Went terminal during the chase (observe() or our own
@@ -1211,82 +1129,59 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (jobs.Status, error)
 			}
 			return st, fmt.Errorf("%w: %q is already %s", jobs.ErrConflict, id, st.State)
 		}
-		if j.sweep != nil {
-			// Cancel every assigned range's remote sub-sweep best-effort
-			// after finishing locally; the range watchers wake on done and
-			// exit. A range that slips through keeps running remotely but
-			// its results are never fetched.
-			type rloc struct{ worker, remote string }
-			var locs []rloc
-			for _, rg := range j.sweep.ranges {
-				if rg.worker != "" && !rg.done && !rg.failed {
-					if w := d.workers[rg.worker]; w != nil {
-						w.outstanding--
-					}
-					if rg.remote != "" {
-						locs = append(locs, rloc{rg.worker, rg.remote})
-					}
-				}
+		var live []rangeLoc
+		for _, r := range j.ranges {
+			if w := d.workers[r.worker]; w != nil && r.remote != "" && !r.done {
+				live = append(live, rangeLoc{r, r.worker, r.remote})
 			}
-			d.finishLocked(j, jobs.StateCanceled)
-			d.enqueueLocked(j, store.Event{T: store.EvCanceled, Job: j.id, Trace: j.trace, At: j.finished})
-			st := d.statusLocked(j)
-			d.mu.Unlock()
-			for _, loc := range locs {
-				if w := d.workerByName(loc.worker); w != nil {
-					cctx, ccancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
-					w.c.cancel(cctx, loc.remote)
-					ccancel()
-				}
-			}
-			d.flushDirty()
-			d.flushJob(j) // the 200 must not outrun the canceled event's fsync
-			return st, nil
 		}
-		workerName, remote := j.worker, j.remote
-		if workerName == "" || remote == "" {
-			// Not yet (or no longer) assigned: cancel locally; the runner
-			// wakes on done and exits.
-			d.finishLocked(j, jobs.StateCanceled)
-			d.enqueueLocked(j, store.Event{T: store.EvCanceled, Job: j.id, Trace: j.trace, At: j.finished})
-			st := d.statusLocked(j)
-			d.mu.Unlock()
-			d.flushDirty()
-			d.flushJob(j) // the 200 must not outrun the canceled event's fsync
+		if j.Points > 0 || len(live) == 0 {
+			st := d.canceledLocked(j)
+			for _, loc := range live {
+				cancelOn(loc)
+			}
 			return st, nil
 		}
 		d.mu.Unlock()
 
-		w := d.workerByName(workerName)
-		cctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
-		code, body, err := w.c.cancel(cctx, remote)
-		cancel()
+		loc := live[0]
+		code, body, err := cancelOn(loc)
 		if err != nil {
-			return jobs.Status{}, badGateway("fleet: cancel %q on %s: %v", id, workerName, err)
+			return jobs.Status{}, badGateway("fleet: cancel %q on %s: %v", id, loc.worker, err)
 		}
-		switch code {
-		case http.StatusOK, http.StatusNotFound:
-			d.mu.Lock()
-			if j.worker != workerName || j.remote != remote {
-				// Re-forwarded while the DELETE was in flight: the copy we
-				// canceled is not the live one. Chase the new assignment.
-				d.mu.Unlock()
-				continue
-			}
-			if !j.state.Terminal() {
-				d.finishLocked(j, jobs.StateCanceled)
-				d.enqueueLocked(j, store.Event{T: store.EvCanceled, Job: j.id, Trace: j.trace, At: j.finished})
-			}
-			st := d.statusLocked(j)
-			d.mu.Unlock()
-			d.flushDirty()
-			d.flushJob(j) // the 200 must not outrun the canceled event's fsync
-			return st, nil
-		default:
+		if code != http.StatusOK && code != http.StatusNotFound {
 			return jobs.Status{}, fmt.Errorf("%w: %s", jobs.ErrConflict, decodeErr(code, body))
 		}
+		d.mu.Lock()
+		if loc.r.worker == loc.worker && loc.r.remote == loc.remote {
+			return d.canceledLocked(j), nil
+		}
+		// Re-forwarded while the DELETE was in flight: the copy we
+		// canceled is not the live one. Chase the new assignment.
+		d.mu.Unlock()
 	}
 	return jobs.Status{}, badGateway("fleet: cancel %q: assignment kept moving; retry", id)
+}
+
+// rangeLoc is where a range was when Cancel looked.
+type rangeLoc struct {
+	r              *sweepRange
+	worker, remote string
+}
+
+// canceledLocked is the tail of every cancel: finish the job locally
+// unless something else just did, snapshot it, and acknowledge only once
+// the canceled event is durable — the 200 must not outrun its fsync.
+// Callers hold d.mu, which it releases.
+func (d *Dispatcher) canceledLocked(j *fwdJob) jobs.Status {
+	if !j.State.Terminal() {
+		d.finishLocked(j, jobs.StateCanceled, "")
+	}
+	st := d.Snapshot(j)
+	d.mu.Unlock()
+	d.flushDirty()
+	d.flushJob(j)
+	return st
 }
 
 // Engines returns the union of engine names across healthy workers.

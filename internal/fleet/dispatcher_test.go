@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -316,26 +318,46 @@ func TestEjectReadmitRejoin(t *testing.T) {
 	}
 }
 
-// TestReforwardOnWorkerLoss: a job whose worker goes dark mid-run is
-// re-forwarded to a surviving node and completes there.
-func TestReforwardOnWorkerLoss(t *testing.T) {
-	fake := registerFake(t, "fake.fleet_reforward")
+// reforwardOnWorkerLoss submits one job through a journaling dispatcher
+// over two workers, kills the worker it runs on mid-run and checks that it
+// is re-forwarded once and completes on the survivor. It returns the
+// finished job's snapshot and its journal grammar: the event types, in
+// journal order. A plain job and a sweep share one lifecycle, so the test
+// below drives both through here and wants the same grammar from both.
+func reforwardOnWorkerLoss(t *testing.T, engine string, submit func(*Dispatcher) (jobs.Status, error)) (fin jobs.Status, survivor string, grammar []string) {
+	t.Helper()
+	fake := registerFake(t, engine)
 	fake.block = make(chan struct{})
 	fake.ran = make(chan struct{}, 8)
 	w1, w2 := startWorker(t, 1), startWorker(t, 1)
+	dir := t.TempDir()
+	journal, err := store.Open(dir, store.Options{Sync: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
 	opts := fastOpts(w1, w2)
+	opts.Store = journal
 	opts.RequestTimeout = time.Minute // an unanswered watch parks for 30 s
-	d := newDispatcher(t, opts)
+	d, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
 
-	st, err := d.Submit(fleetBundle(t, "fake.fleet_reforward", 7), jobs.SubmitOptions{})
+	st, err := submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-fake.ran // executing on some worker
 	running := waitState(t, d, st.ID, jobs.StateRunning)
-	victim, survivor := w1, w2
-	if running.Worker == w2.srv.URL {
-		victim, survivor = w2, w1
+	on := running.Worker
+	if running.Sweep {
+		on = running.Ranges[0].Worker
+	}
+	victim, other := w1, w2
+	if on == w2.srv.URL {
+		victim, other = w2, w1
 	}
 	// The dispatcher's watch is parked on the victim (the job is blocked,
 	// so nothing else can answer it): the kill resets it, and the
@@ -347,13 +369,13 @@ func TestReforwardOnWorkerLoss(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("job not re-forwarded within 10s of its worker's death")
 	}
+	// Detached, so queued again; the replacement's →running reply makes it
+	// running a second time, and only then may it finish.
+	waitState(t, d, st.ID, jobs.StateRunning)
 	close(fake.block)
-	fin, err := d.Wait(st.ID)
+	fin, err = d.Wait(st.ID)
 	if err != nil || fin.State != jobs.StateDone {
 		t.Fatalf("after reforward: %+v %v", fin, err)
-	}
-	if fin.Worker != survivor.srv.URL {
-		t.Fatalf("job finished on %s, want survivor %s", fin.Worker, survivor.srv.URL)
 	}
 	if fin.Reforwards != 1 {
 		t.Fatalf("reforwards = %d, want 1", fin.Reforwards)
@@ -361,10 +383,62 @@ func TestReforwardOnWorkerLoss(t *testing.T) {
 	if s := d.Stats(); s.Reforwarded != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
-	body, err := resultJSON(d, st.ID)
-	if err != nil || !bytes.Contains(body, []byte("0101")) {
+	for _, w := range d.WorkerInfos() {
+		if w.Outstanding != 0 {
+			t.Errorf("worker %s still carries %d outstanding", w.Name, w.Outstanding)
+		}
+	}
+	if fin.Sweep {
+		if err := d.WriteSweepResult(t.Context(), io.Discard, st.ID); err != nil {
+			t.Fatalf("sweep result after reforward: %v", err)
+		}
+	} else if body, err := resultJSON(d, st.ID); err != nil || !bytes.Contains(body, []byte("0101")) {
 		t.Fatalf("result after reforward: %v %s", err, body)
 	}
+	d.Close() // flush the job's queued events before reading the journal
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range splitLines(raw) {
+		var ev store.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		grammar = append(grammar, ev.T)
+	}
+	return fin, other.srv.URL, grammar
+}
+
+// TestReforwardOnWorkerLoss: a job whose worker goes dark mid-run is
+// re-forwarded to a surviving node and completes there — a plain job and a
+// one-point sweep alike, with the same journal grammar: the running job is
+// queued again when its worker is lost (which journals nothing), then
+// assigned and started a second time.
+func TestReforwardOnWorkerLoss(t *testing.T) {
+	want := []string{store.EvSubmitted, store.EvAssigned, store.EvStarted, store.EvAssigned, store.EvStarted, store.EvDone}
+	t.Run("job", func(t *testing.T) {
+		fin, survivor, grammar := reforwardOnWorkerLoss(t, "fake.fleet_reforward", func(d *Dispatcher) (jobs.Status, error) {
+			return d.Submit(fleetBundle(t, "fake.fleet_reforward", 7), jobs.SubmitOptions{})
+		})
+		if fin.Worker != survivor || fin.Ranges != nil {
+			t.Fatalf("job finished on %s with ranges %+v, want survivor %s and none", fin.Worker, fin.Ranges, survivor)
+		}
+		if !slices.Equal(grammar, want) {
+			t.Fatalf("journal grammar %v, want %v", grammar, want)
+		}
+	})
+	t.Run("one-point sweep", func(t *testing.T) {
+		fin, survivor, grammar := reforwardOnWorkerLoss(t, "fake.fleet_reforward_sweep", func(d *Dispatcher) (jobs.Status, error) {
+			return d.SubmitSweep(sweepFleetBundle(t, "fake.fleet_reforward_sweep", sweepGrid(1)), jobs.SubmitOptions{})
+		})
+		if len(fin.Ranges) != 1 || fin.Ranges[0].Worker != survivor || fin.Worker != "" {
+			t.Fatalf("sweep finished with ranges %+v (worker %q), want one on survivor %s", fin.Ranges, fin.Worker, survivor)
+		}
+		if !slices.Equal(grammar, want) {
+			t.Fatalf("journal grammar %v, want %v", grammar, want)
+		}
+	})
 }
 
 // TestCancelCoalescedDuplicateRemote is the ISSUE edge case: a duplicate

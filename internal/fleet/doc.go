@@ -12,6 +12,22 @@
 // (its own counters), "workers" (per-node health), "fleet" (the sum of
 // the workers' counters) and "build".
 //
+// # Lifecycle
+//
+// The job lifecycle — states, legal moves, the span and journal event of
+// each — is jobs.Table.Transition's, shared with the worker pools: the
+// dispatcher keeps a jobs.Record per job in a jobs.Table and moves it only
+// through Transition. What this tier adds is routing, ranges and an event
+// queue. What is forwarded is a range: a plain job is one range carrying
+// the whole bundle, a sweep is sliced into one range per healthy worker
+// (sweep.go), and one run, forward, detach and observe over (job, range)
+// drive both: a job is running once a range of it runs, queued again when
+// no range of it is on a worker any more, failed with its first failed
+// range and done when every range is. The journal sink queues each event
+// on its job under the mutex and appends after unlocking (enqueueLocked,
+// flushDirty, flushJob), so that no fsync happens under the mutex the
+// watchers contend on while the journal order still equals the move order.
+//
 // # Routing
 //
 // Submissions are routed load-aware with cache-key affinity. A
@@ -73,10 +89,11 @@
 // a network-partitioned worker may also finish the original run, which
 // is harmless for the same reason). After a dispatcher crash, New
 // replays the journal: terminal jobs answer status again (results are
-// proxied from the worker that holds them), and non-terminal jobs are
-// re-attached — the dispatcher parks a fresh watch on the assigned
-// worker for their in-flight state, and re-forwards any the fleet no
-// longer knows.
+// proxied from the workers that hold them — a done sweep's event carries
+// its final range table for that), and non-terminal jobs are re-attached
+// — the dispatcher parks a fresh watch on the assigned worker for their
+// in-flight state, and re-forwards any the fleet no longer knows; a
+// non-terminal sweep scatters again.
 //
 // cmd/qmlserve exposes all of this as `-dispatch worker1,worker2,...`,
 // so one binary serves both roles.

@@ -209,12 +209,12 @@ func TestFleetSweepRangeReforward(t *testing.T) {
 	// before the dispatcher records the assignment under its own lock,
 	// so poll until a range shows its worker.
 	d.mu.Lock()
-	j := d.jobs[st.ID]
+	j, _ := d.Get(st.ID)
 	d.mu.Unlock()
 	var victimURL string
 	for deadline := time.Now().Add(10 * time.Second); victimURL == "" && time.Now().Before(deadline); {
 		d.mu.Lock()
-		for _, r := range j.sweep.ranges {
+		for _, r := range j.ranges {
 			if r.worker != "" {
 				victimURL = r.worker
 				break
@@ -251,7 +251,7 @@ func TestFleetSweepRangeReforward(t *testing.T) {
 	// Every range ended on the surviving worker or finished before the
 	// death; none is still assigned to the victim.
 	d.mu.Lock()
-	for _, r := range j.sweep.ranges {
+	for _, r := range j.ranges {
 		if !r.done {
 			t.Errorf("range [%d,%d) not done", r.from, r.to)
 		}
@@ -259,17 +259,18 @@ func TestFleetSweepRangeReforward(t *testing.T) {
 	d.mu.Unlock()
 }
 
-// TestFleetSweepRecoveredTerminal: a terminal sweep replayed from the
-// journal still answers Status with its grid size, and SweepResult
-// reports the lost range assignments explicitly instead of guessing.
+// TestFleetSweepRecoveredTerminal: a sweep that finished before a
+// dispatcher restart is replayed from the journal with its final range
+// table, so it still answers Status with its grid and progress, and its
+// merged result set is served again — byte for byte what it was before.
 func TestFleetSweepRecoveredTerminal(t *testing.T) {
 	dir := t.TempDir()
 	st1, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1 := startWorker(t, 2)
-	opts := fastOpts(w1)
+	w1, w2 := startWorker(t, 2), startWorker(t, 2)
+	opts := fastOpts(w1, w2)
 	opts.Store = st1
 	d := newDispatcher(t, opts)
 
@@ -278,7 +279,11 @@ func TestFleetSweepRecoveredTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Wait(sub.ID); err != nil {
+	if fin, err := d.Wait(sub.ID); err != nil || fin.State != jobs.StateDone || len(fin.Ranges) != 2 {
+		t.Fatalf("sweep before restart: %+v %v", fin, err)
+	}
+	var before bytes.Buffer
+	if err := d.WriteSweepResult(t.Context(), &before, sub.ID); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -295,10 +300,66 @@ func TestFleetSweepRecoveredTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != jobs.StateDone || !got.Sweep || got.Points != n || got.PointsDone != n {
+	if got.State != jobs.StateDone || !got.Sweep || got.Points != n || got.PointsDone != n || len(got.Ranges) != 2 {
 		t.Fatalf("recovered status: %+v", got)
 	}
-	if err := d2.WriteSweepResult(t.Context(), io.Discard, sub.ID); err == nil {
-		t.Fatal("SweepResult after restart should report lost assignments")
+	var after bytes.Buffer
+	if err := d2.WriteSweepResult(t.Context(), &after, sub.ID); err != nil {
+		t.Fatalf("sweep result after restart: %v", err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("merged result changed across the restart:\n before %s\n after  %s", before.Bytes(), after.Bytes())
+	}
+}
+
+// TestFleetSweepRangeCanceledOnWorker: a range whose sub-sweep is canceled
+// out-of-band, on its worker, fails the sweep with a message that says so
+// — and stops counting against that worker, as does the range the sweep
+// ended under: every worker's outstanding count returns to zero.
+func TestFleetSweepRangeCanceledOnWorker(t *testing.T) {
+	fb := registerFake(t, "fake.fleet_sweep_cancel")
+	fb.block = make(chan struct{})
+	fb.ran = make(chan struct{}, 8)
+	w1, w2 := startWorker(t, 1), startWorker(t, 1)
+	t.Cleanup(func() { close(fb.block) }) // runs before the pools' Close waits on the fake
+	// w1's only executor is taken, so the range it is handed stays queued
+	// there, where a cancel can still reach it.
+	if _, err := w1.pool.Submit(fleetBundle(t, "fake.fleet_sweep_cancel", 99), jobs.SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	<-fb.ran
+	d := newDispatcher(t, fastOpts(w1, w2))
+	st, err := d.SubmitSweep(sweepFleetBundle(t, "fake.fleet_sweep_cancel", sweepGrid(4)), jobs.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fb.ran // w2 is executing its range's first point, and stays so
+	var victim jobs.RangeInfo
+	for deadline := time.Now().Add(10 * time.Second); victim.Remote == ""; time.Sleep(5 * time.Millisecond) {
+		cur, err := d.Status(st.ID)
+		if err != nil || time.Now().After(deadline) {
+			t.Fatalf("no range assigned to w1 within 10s: %+v %v", cur, err)
+		}
+		for _, rg := range cur.Ranges {
+			if rg.Worker == w1.srv.URL {
+				victim = rg
+			}
+		}
+	}
+	if _, err := w1.pool.Cancel(t.Context(), victim.Remote); err != nil {
+		t.Fatalf("cancel %s on its worker: %v", victim.Remote, err)
+	}
+	fin, err := d.Wait(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("fleet: range [%d,%d) canceled on worker %s", victim.From, victim.To, w1.srv.URL)
+	if fin.State != jobs.StateFailed || fin.Error != want {
+		t.Fatalf("sweep finished %s %q, want failed %q", fin.State, fin.Error, want)
+	}
+	for _, w := range d.WorkerInfos() {
+		if w.Outstanding != 0 {
+			t.Errorf("worker %s still carries %d outstanding after the sweep ended", w.Name, w.Outstanding)
+		}
 	}
 }

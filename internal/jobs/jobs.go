@@ -11,9 +11,16 @@
 // cache keyed by the canonical bundle JSON plus resolved shots and seed.
 // A submission identical to a job that is *currently executing* does not
 // run twice either: it coalesces onto the in-flight job and completes
-// with the same result the moment the primary finishes. Every job records
-// its lifecycle (queued → running → done/failed, or canceled while
-// queued) with queue-wait and run-time metrics aggregated into Stats.
+// with the same result the moment the primary finishes. Queue-wait and
+// run-time metrics aggregate into Stats.
+//
+// The job lifecycle — states, legal moves, the span and journal event of
+// each — is stated once, on Table.Transition, and shared with the fleet
+// dispatcher: each tier keeps a Record per job in a Table and moves it
+// only through Transition. What a Pool adds is the bounded queue, the
+// result cache and coalescing described above, the shard grant below, and
+// its journal sink: it appends each event synchronously, inside the
+// critical section of the move (Pool.appendNow).
 //
 // The pool is also the shard scheduler for the statevector engine: when a
 // job starts it is granted a parallelism level (Status.Shards) forwarded
@@ -26,10 +33,10 @@
 // # Persistence and recovery
 //
 // With Options.Store attached (an internal/jobs/store journal + result
-// directory), accepted work is durable. Every lifecycle transition
-// appends one journal event — submitted (with the canonical bundle JSON),
-// started, done/failed/canceled, and forget when bounded retention evicts
-// a record — and completed results are written as content-addressed files
+// directory), accepted work is durable. Every lifecycle move appends one
+// journal event (see Table.Transition; the submitted event carries the
+// canonical bundle JSON), bounded retention a forget event per evicted
+// record, and completed results are written as content-addressed files
 // before the terminal event references them, so a "done" record on disk
 // never points at a missing result.
 //
@@ -105,7 +112,7 @@ import (
 	"io"
 	"log/slog"
 	stdruntime "runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -121,8 +128,8 @@ import (
 // State is a job lifecycle state.
 type State string
 
-// Lifecycle states. Queued jobs may move to Running or Canceled; Running
-// jobs finish Done or Failed. Done, Failed and Canceled are terminal.
+// Lifecycle states; Done, Failed and Canceled are terminal. The legal
+// moves between them are Table.Transition's.
 const (
 	StateQueued   State = "queued"
 	StateRunning  State = "running"
@@ -443,47 +450,34 @@ func newPoolMetrics(reg *obs.Registry, p *Pool) *poolMetrics {
 	return m
 }
 
-// job is the internal record; all fields after construction are guarded
-// by Pool.mu except done, which is closed exactly once under mu.
+// job is a Pool's record: the shared Record plus what only a pool holds.
+// Fields are guarded by Pool.mu.
 type job struct {
-	id        string
-	trace     string // fleet-wide trace ID
-	bundle    *bundle.Bundle
-	key       string
-	state     State
-	engine    string
-	cacheHit  bool
-	coalesced bool // served by attaching to an identical in-flight job
-	shards    int  // submitter's explicit parallelism request (0 = scheduler)
-	granted   int  // shards granted when the job started running
-	profile   bool // run with the kernel-granular profiler on
-	// profileDoc is the extracted Meta["profile"] JSON of a completed
-	// profiled job, surfaced in Status next to the span log.
-	profileDoc json.RawMessage
-	waiters    []*job // identical submissions coalesced onto this running job
-	primary    *job   // the running job this one is attached to (waiters only)
-	resKey     string // content address of the on-disk result (recovered jobs)
+	Record
+	bundle  *bundle.Bundle // dropped when terminal
+	pin     int            // submitter's explicit parallelism request (0 = scheduler)
+	waiters []*job         // identical submissions coalesced onto this running job
+	primary *job           // the running job this one is attached to (waiters only)
+	resKey  string         // content address of the on-disk result (recovered jobs)
 	// sweep is non-nil for sweep jobs (SubmitSweep): per-point progress,
 	// result keys and results. Such a job occupies one queue slot and one
 	// journal record but fans out per point when it runs.
-	sweep     *sweepState
-	err       error
-	res       *result.Result
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	spans     []obs.Span // lifecycle log, appended in transition order
-	rev       Revision   // bumped on every status-visible change (see Revision)
-	done      chan struct{}
+	sweep *sweepState
+	res   *result.Result
 }
 
-// spanLocked appends one lifecycle span. Callers hold p.mu.
-func (j *job) spanLocked(stage string, d time.Duration, note string) {
-	j.spans = append(j.spans, obs.NewSpan(stage, d, note))
+// Snapshot adds a sweep's progress to the common status header.
+func (j *job) Snapshot(s *Status) {
+	if j.sweep != nil {
+		s.PointsDone = j.sweep.completed
+	}
 }
 
 // Pool is a concurrent job scheduler over runtime.Submit.
 type Pool struct {
+	// The job table: Status, List, Wait and WaitTimeout are its methods,
+	// and every lifecycle move goes through its Transition.
+	*Table[*job]
 	opts Options
 	met  *poolMetrics
 	reg  *obs.Registry
@@ -496,19 +490,14 @@ type Pool struct {
 	// channel) so Cancel can remove a queued job and free its slot for
 	// backpressure accounting immediately.
 	pending []*job
-	jobs    map[string]*job
 	// inflight maps a cache key to the job currently executing it, so
 	// identical submissions coalesce onto the running job instead of
 	// executing twice. Entries exist only while the primary is running.
 	inflight map[string]*job
 	cache    *resultCache
-	nextID   uint64
 	running  int
 	closed   bool
 	stats    Stats
-	// terminal holds finished job IDs in completion order for bounded
-	// record retention (Options.MaxRecords).
-	terminal []string
 }
 
 // NewPool starts a pool with opts.Workers executor goroutines. Call Close
@@ -519,12 +508,13 @@ type Pool struct {
 // cache rehydrates from the on-disk result files.
 func NewPool(opts Options) *Pool {
 	opts = opts.withDefaults()
-	p := &Pool{
-		opts:     opts,
-		jobs:     map[string]*job{},
-		inflight: map[string]*job{},
-	}
+	p := &Pool{opts: opts, inflight: map[string]*job{}}
 	p.cond = sync.NewCond(&p.mu)
+	var sink func(*job, store.Event)
+	if opts.Store != nil {
+		sink = p.appendNow
+	}
+	p.Table = NewTable(&p.mu, opts.MaxRecords, sink)
 	p.log = opts.Logger
 	if p.log == nil {
 		p.log = obs.Discard()
@@ -550,16 +540,25 @@ func NewPool(opts Options) *Pool {
 	return p
 }
 
-// journal appends a lifecycle event to the attached store. Persistence
-// failures are counted by the store and deliberately do not fail the job
-// operation: the pool degrades to in-memory service instead of rejecting
-// accepted work.
-func (p *Pool) journal(ev store.Event) {
-	if p.opts.Store == nil {
-		return
-	}
+// appendNow is the Pool's journal sink (see NewTable): it appends the
+// event to the attached store before returning, under p.mu, so a worker's
+// state is never readable before its journal line met the fsync policy.
+// Persistence failures are counted by the store and deliberately do not
+// fail the job operation: the pool degrades to in-memory service instead
+// of rejecting accepted work.
+func (p *Pool) appendNow(_ *job, ev store.Event) {
 	//lint:ignore journalerr persistence failures count in store_journal_errors_total; the pool degrades to in-memory service rather than failing accepted work
 	_ = p.opts.Store.Append(ev)
+}
+
+// finishLocked moves j to a terminal state and drops the submission
+// payload: only the result and status are read after that. Callers hold
+// p.mu and have checked that j is not terminal yet.
+func (p *Pool) finishLocked(j *job, to State, d Detail) {
+	if err := p.Transition(j, to, d); err != nil {
+		p.log.Error("lifecycle move refused", "job", j.ID, "err", err)
+	}
+	j.bundle = nil
 }
 
 // recoverLocked replays the attached store's record table into the pool:
@@ -570,91 +569,35 @@ func (p *Pool) journal(ev store.Event) {
 // and the LRU cache warms from the newest on-disk results. Callers hold
 // p.mu; the workers have not started yet.
 func (p *Pool) recoverLocked() {
-	maxID := uint64(0)
 	for _, rec := range p.opts.Store.Records() {
-		var n uint64
-		if _, err := fmt.Sscanf(rec.Job, "job-%d", &n); err == nil && n > maxID {
-			maxID = n
-		}
-		j := &job{
-			id:        rec.Job,
-			trace:     rec.Trace,
-			key:       rec.Key,
-			engine:    rec.Engine,
-			profile:   rec.Profile,
-			submitted: rec.Submitted,
-			done:      make(chan struct{}),
-		}
+		j := &job{Record: Recovered(rec), pin: rec.Pin, resKey: rec.ResultKey}
 		p.met.recovered.Inc()
 		// Sweep records carry the grid size (and, when done, the per-point
 		// result addresses); reconstruct the sweep state so Status reports
 		// the job as a sweep and SweepResult can lazy-load from disk.
-		if rec.Points > 0 {
-			j.sweep = &sweepState{points: rec.Points}
+		if j.Points = max(rec.Points, len(rec.Results)); j.Points > 0 {
+			j.sweep = &sweepState{keys: rec.Results, completed: len(rec.Results)}
 		}
-		switch rec.State {
-		case store.StateDone:
-			j.state = StateDone
-			j.cacheHit = rec.CacheHit
-			j.coalesced = rec.Coalesced
-			j.granted = rec.Shards
-			j.started = rec.Started
-			j.finished = rec.Finished
-			j.resKey = rec.ResultKey
-			if len(rec.Results) > 0 {
-				if j.sweep == nil {
-					j.sweep = &sweepState{}
-				}
-				j.sweep.keys = append([]string(nil), rec.Results...)
-				j.sweep.completed = len(rec.Results)
-				if j.sweep.points == 0 {
-					j.sweep.points = len(rec.Results)
-				}
-			}
-			p.jobs[j.id] = j
-			p.finishLocked(j)
-		case store.StateFailed:
-			j.state = StateFailed
-			j.coalesced = rec.Coalesced
-			j.granted = rec.Shards
-			j.started = rec.Started
-			j.finished = rec.Finished
-			j.err = errors.New(rec.Error)
-			p.jobs[j.id] = j
-			p.finishLocked(j)
-		case store.StateCanceled:
-			j.state = StateCanceled
-			j.finished = rec.Finished
-			p.jobs[j.id] = j
-			p.finishLocked(j)
-		default: // queued or running at crash time: requeue
-			b, err := bundle.FromJSON(rec.Bundle, p.ValidateOptions())
-			if err != nil {
-				// The journaled bundle no longer validates (schema drift,
-				// torn result of an older bug): surface it as a failed
-				// job instead of dropping the record on the floor.
-				j.state = StateFailed
-				j.err = fmt.Errorf("jobs: recovery: %w", err)
-				j.finished = time.Now()
-				p.met.failed.Inc()
-				p.jobs[j.id] = j
-				p.journal(store.Event{T: store.EvFailed, Job: j.id, At: j.finished, Error: j.err.Error()})
-				p.finishLocked(j)
-				p.log.Warn("job failed at recovery", "job", j.id, "trace", j.trace, "err", j.err)
-				continue
-			}
-			j.state = StateQueued
-			j.bundle = b
-			j.shards = rec.Pin // explicit grant requests survive the crash
-			j.spanLocked("queued", 0, "requeued after restart")
-			p.jobs[j.id] = j
-			p.pending = append(p.pending, j)
-			p.met.requeued.Inc()
-			p.log.Info("job requeued", "job", j.id, "trace", j.trace, "engine", j.engine)
+		p.Restore(j)
+		if j.State.Terminal() {
+			continue
 		}
-	}
-	if maxID > p.nextID {
-		p.nextID = maxID
+		// Queued or running at crash time: requeue.
+		b, err := bundle.FromJSON(rec.Bundle, p.ValidateOptions())
+		if err != nil {
+			// The journaled bundle no longer validates (schema drift,
+			// torn result of an older bug): surface it as a failed
+			// job instead of dropping the record on the floor.
+			p.met.failed.Inc()
+			p.finishLocked(j, StateFailed, Detail{Err: fmt.Errorf("jobs: recovery: %w", err)})
+			p.log.Warn("job failed at recovery", "job", j.ID, "trace", j.Trace, "err", j.Err)
+			continue
+		}
+		j.bundle = b
+		j.Span("queued", 0, "requeued after restart")
+		p.pending = append(p.pending, j)
+		p.met.requeued.Inc()
+		p.log.Info("job requeued", "job", j.ID, "trace", j.Trace, "engine", j.Engine)
 	}
 	if p.cache != nil {
 		for _, key := range p.opts.Store.RecentResultKeys(p.opts.CacheSize) {
@@ -695,43 +638,16 @@ func (p *Pool) Submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	if b == nil {
 		return Status{}, fmt.Errorf("jobs: nil bundle")
 	}
-	// The content address feeds both the result cache and in-flight
-	// coalescing; profiled submissions key separately so the profile's
-	// presence is deterministic in the submission.
-	key, err := CacheKey(b)
+	j, submitted, err := p.prepare(b, o, 0)
 	if err != nil {
 		return Status{}, err
 	}
-	key = profiledKey(key, o.Profile)
-	engine := ResolveEngine(b)
-	// The journal records the canonical bundle JSON so a job that is
-	// queued or running at crash time can be reconstructed and requeued.
-	var rawBundle json.RawMessage
-	if p.opts.Store != nil {
-		rawBundle, err = json.Marshal(b)
-		if err != nil {
-			return Status{}, fmt.Errorf("jobs: marshal bundle: %w", err)
-		}
-	}
-	now := time.Now()
+	key, now := j.Key, submitted.At
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return Status{}, ErrClosed
-	}
-	p.nextID++
-	j := &job{
-		id:        fmt.Sprintf("job-%08d", p.nextID),
-		trace:     obs.EnsureTraceID(o.TraceID),
-		bundle:    b,
-		key:       key,
-		state:     StateQueued,
-		engine:    engine,
-		shards:    o.Shards,
-		profile:   o.Profile,
-		submitted: now,
-		done:      make(chan struct{}),
 	}
 	if p.cache != nil {
 		res, hit := p.cache.get(key)
@@ -745,22 +661,19 @@ func (p *Pool) Submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 			}
 		}
 		if hit {
-			j.state = StateDone
-			j.res = res
-			j.cacheHit = true
-			j.profileDoc = profileRaw(res)
-			j.finished = now
-			j.spanLocked("queued", 0, "")
-			j.spanLocked("done", 0, "cache hit")
+			// Born terminal: a submitted event without the bundle (nothing
+			// will ever requeue it), then a done event referencing the
+			// content-addressed result.
+			p.backfillLocked(key, res)
+			j.res, j.CacheHit, j.ProfileDoc = res, true, profileRaw(res)
+			p.Add(j, Detail{At: now})
+			p.finishLocked(j, StateDone, Detail{At: now, Note: "cache hit", Ev: store.Event{Result: key}})
 			p.met.submitted.Inc()
 			p.met.cacheHits.Inc()
 			p.met.completed.Inc()
-			p.jobs[j.id] = j
-			p.journalCacheHitLocked(j, res)
-			p.finishLocked(j)
-			obs.Record(obs.FlightJobDone, j.id, "cache hit")
-			p.log.Info("job done", "job", j.id, "trace", j.trace, "engine", j.engine, "cache_hit", true)
-			return p.statusLocked(j), nil
+			obs.Record(obs.FlightJobDone, j.ID, "cache hit")
+			p.log.Info("job done", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "cache_hit", true)
+			return p.Snapshot(j), nil
 		}
 	}
 	// In-flight coalescing: an identical job is executing right now, so
@@ -771,75 +684,68 @@ func (p *Pool) Submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	// its own at recovery.
 	if primary, ok := p.inflight[key]; ok {
 		attachLocked(primary, j)
-		j.spanLocked("queued", 0, "coalesced onto "+primary.id)
-		p.jobs[j.id] = j
+		submitted.Note = "coalesced onto " + primary.ID
+		p.Add(j, submitted)
 		p.met.submitted.Inc()
 		p.met.coalesced.Inc()
-		p.journal(store.Event{T: store.EvSubmitted, Job: j.id, At: now, Trace: j.trace, Key: key, Engine: engine, Bundle: rawBundle, Pin: o.Shards, Profile: o.Profile})
-		obs.Record(obs.FlightJobQueued, j.id, "coalesced onto "+primary.id)
-		p.log.Info("job coalesced", "job", j.id, "trace", j.trace, "engine", engine, "primary", primary.id)
-		return p.statusLocked(j), nil
+		obs.Record(obs.FlightJobQueued, j.ID, submitted.Note)
+		p.log.Info("job coalesced", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "primary", primary.ID)
+		return p.Snapshot(j), nil
 	}
 	if len(p.pending) >= p.opts.QueueDepth {
 		p.met.rejected.Inc()
 		return Status{}, ErrQueueFull
 	}
-	j.spanLocked("queued", 0, "")
+	p.Add(j, submitted)
 	p.pending = append(p.pending, j)
-	p.jobs[j.id] = j
 	p.met.submitted.Inc()
-	p.journal(store.Event{T: store.EvSubmitted, Job: j.id, At: now, Trace: j.trace, Key: key, Engine: engine, Bundle: rawBundle, Pin: o.Shards, Profile: o.Profile})
-	obs.Record(obs.FlightJobQueued, j.id, "")
-	p.log.Info("job queued", "job", j.id, "trace", j.trace, "engine", engine)
+	obs.Record(obs.FlightJobQueued, j.ID, "")
+	p.log.Info("job queued", "job", j.ID, "trace", j.Trace, "engine", j.Engine)
 	p.cond.Signal()
-	return p.statusLocked(j), nil
+	return p.Snapshot(j), nil
+}
+
+// prepare builds, off-lock, the record of a submission (points > 0: a
+// sweep's) and the detail of its submitted event. The content address
+// feeds the result cache and in-flight coalescing — a sweep template's
+// never collides with a per-point key, the sweep block being part of the
+// context — and profiled submissions key separately so the profile's
+// presence is deterministic in the submission. The event carries the
+// canonical bundle JSON so a job that is queued or running at crash time
+// can be reconstructed and requeued.
+func (p *Pool) prepare(b *bundle.Bundle, o SubmitOptions, points int) (*job, Detail, error) {
+	key, err := CacheKey(b)
+	if err != nil {
+		return nil, Detail{}, err
+	}
+	d := Detail{At: time.Now(), Ev: store.Event{Pin: o.Shards, Profile: o.Profile}}
+	if p.opts.Store != nil {
+		if d.Ev.Bundle, err = json.Marshal(b); err != nil {
+			return nil, Detail{}, fmt.Errorf("jobs: marshal bundle: %w", err)
+		}
+	}
+	return &job{
+		Record: Record{Trace: obs.EnsureTraceID(o.TraceID), Key: profiledKey(key, o.Profile), Engine: ResolveEngine(b), Profile: o.Profile, Points: points},
+		bundle: b,
+		pin:    o.Shards,
+	}, d, nil
+}
+
+// backfillLocked writes the file of a result served from the cache if no
+// earlier process life persisted it, so that the done event about to
+// reference it never points at a missing file. Like the sink it runs under
+// p.mu: a born-terminal submission is acknowledged with its result durable.
+func (p *Pool) backfillLocked(key string, res *result.Result) {
+	if p.opts.Store != nil && !p.opts.Store.HasResult(key) {
+		//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from cache
+		_ = p.opts.Store.PutResult(key, res)
+	}
 }
 
 // attachLocked coalesces j onto the running primary. Callers hold p.mu.
 func attachLocked(primary, j *job) {
 	j.primary = primary
 	primary.waiters = append(primary.waiters, j)
-}
-
-// journalCacheHitLocked records a submission that was born terminal from
-// the result cache: a submitted event (no bundle — nothing will ever
-// requeue it) followed by a done event referencing the content-addressed
-// result, which is written to disk first if some earlier process life
-// never persisted it. Callers hold p.mu.
-func (p *Pool) journalCacheHitLocked(j *job, res *result.Result) {
-	if p.opts.Store == nil {
-		return
-	}
-	if !p.opts.Store.HasResult(j.key) {
-		//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from cache
-		_ = p.opts.Store.PutResult(j.key, res)
-	}
-	p.journal(store.Event{T: store.EvSubmitted, Job: j.id, At: j.submitted, Trace: j.trace, Key: j.key, Engine: j.engine})
-	p.journal(store.Event{T: store.EvDone, Job: j.id, At: j.finished, Engine: j.engine, CacheHit: true, Result: j.key})
-}
-
-// finishLocked marks a job terminal: closes its done channel, drops the
-// submission payload (only the result and status are ever read after a
-// terminal transition), and evicts the oldest terminal records beyond
-// Options.MaxRecords. Callers hold p.mu and must have set the terminal
-// state and finished time already.
-func (p *Pool) finishLocked(j *job) {
-	j.rev.Bump()
-	close(j.done)
-	j.bundle = nil
-	if p.opts.MaxRecords < 0 {
-		return
-	}
-	p.terminal = append(p.terminal, j.id)
-	for len(p.terminal) > p.opts.MaxRecords {
-		evicted := p.terminal[0]
-		delete(p.jobs, evicted)
-		p.terminal = p.terminal[1:]
-		// Keep the journal's record table in lockstep with the pool's
-		// bounded retention, so compaction can drop the evicted job's
-		// lines and restarts replay the same bounded history.
-		p.journal(store.Event{T: store.EvForget, Job: evicted, At: time.Now()})
-	}
 }
 
 func (p *Pool) worker() {
@@ -860,6 +766,28 @@ func (p *Pool) worker() {
 	}
 }
 
+// grantLocked counts j as running and decides its shard grant: a job
+// starting into an otherwise idle pool takes the full cap so one big
+// simulation spans every core; a job running alongside others (or with
+// more work queued) stays single-shard; an explicit request is clamped to
+// the cap. Callers hold p.mu.
+func (p *Pool) grantLocked(j *job) int {
+	p.running++
+	granted := j.pin
+	if granted <= 0 {
+		granted = 1
+		if p.running == 1 && len(p.pending) == 0 {
+			granted = p.opts.MaxShards
+		}
+	}
+	granted = min(granted, p.opts.MaxShards)
+	if granted > 1 {
+		p.met.wideJobs.Inc()
+	}
+	j.Shards = granted
+	return granted
+}
+
 func (p *Pool) runJob(j *job) {
 	// j.sweep is assigned before the job ever enters the pending queue
 	// (under p.mu at submit or recovery), and the worker dequeued j under
@@ -869,15 +797,15 @@ func (p *Pool) runJob(j *job) {
 		return
 	}
 	p.mu.Lock()
-	if j.state != StateQueued { // canceled while queued
+	if j.State != StateQueued { // canceled while queued
 		p.mu.Unlock()
 		return
 	}
 	// Re-check the cache at dequeue time: an identical job may have
 	// completed while this one waited in the queue.
 	if p.cache != nil {
-		if res, ok := p.cache.get(j.key); ok {
-			if p.opts.Store != nil && !p.opts.Store.HasResult(j.key) {
+		if res, ok := p.cache.get(j.Key); ok {
+			if p.opts.Store != nil && !p.opts.Store.HasResult(j.Key) {
 				// Backfill the content-addressed result file (an earlier
 				// process life never persisted it) off-lock: its fsync must
 				// not stall submitters. Cancel can take the job while the
@@ -886,28 +814,21 @@ func (p *Pool) runJob(j *job) {
 				// the next identical job reuses it).
 				p.mu.Unlock()
 				//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from cache
-				_ = p.opts.Store.PutResult(j.key, res)
+				_ = p.opts.Store.PutResult(j.Key, res)
 				p.mu.Lock()
-				if j.state != StateQueued {
+				if j.State != StateQueued {
 					p.mu.Unlock()
 					return
 				}
 			}
-			j.state = StateDone
-			j.res = res
-			j.cacheHit = true
-			j.profileDoc = profileRaw(res)
-			j.finished = time.Now()
-			j.spanLocked("done", j.finished.Sub(j.submitted), "cache hit at dequeue")
-			p.met.queueWait.Observe(j.finished.Sub(j.submitted))
+			j.res, j.CacheHit, j.ProfileDoc = res, true, profileRaw(res)
+			now := time.Now()
+			p.finishLocked(j, StateDone, Detail{At: now, Dur: now.Sub(j.Submitted), Note: "cache hit at dequeue", Ev: store.Event{Result: j.Key}})
+			p.met.queueWait.Observe(now.Sub(j.Submitted))
 			p.met.cacheHits.Inc()
 			p.met.completed.Inc()
-			if p.opts.Store != nil {
-				p.journal(store.Event{T: store.EvDone, Job: j.id, At: j.finished, Engine: j.engine, CacheHit: true, Result: j.key})
-			}
-			p.finishLocked(j)
-			obs.Record(obs.FlightJobDone, j.id, "cache hit at dequeue")
-			p.log.Info("job done", "job", j.id, "trace", j.trace, "engine", j.engine, "cache_hit", true)
+			obs.Record(obs.FlightJobDone, j.ID, "cache hit at dequeue")
+			p.log.Info("job done", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "cache_hit", true)
 			p.mu.Unlock()
 			return
 		}
@@ -916,49 +837,28 @@ func (p *Pool) runJob(j *job) {
 	// behind this one's twin is attached rather than re-executed. No
 	// journal event — the job stays "queued" on disk and would requeue
 	// standalone after a crash.
-	if primary, ok := p.inflight[j.key]; ok && primary != j {
+	if primary, ok := p.inflight[j.Key]; ok && primary != j {
 		attachLocked(primary, j)
-		j.spanLocked("queued", 0, "coalesced onto "+primary.id)
+		j.Span("queued", 0, "coalesced onto "+primary.ID)
 		p.met.coalesced.Inc()
 		p.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now()
-	p.running++
-	p.inflight[j.key] = j
-	// Shard grant: a job starting into an otherwise idle pool takes the
-	// full cap so one big simulation spans every core; a job running
-	// alongside others (or with more work queued) stays single-shard.
-	granted := j.shards
-	if granted <= 0 {
-		if p.running == 1 && len(p.pending) == 0 {
-			granted = p.opts.MaxShards
-		} else {
-			granted = 1
-		}
-	}
-	if granted > p.opts.MaxShards {
-		granted = p.opts.MaxShards
-	}
-	j.granted = granted
-	j.rev.Bump()
-	if granted > 1 {
-		p.met.wideJobs.Inc()
-	}
-	p.met.queueWait.Observe(j.started.Sub(j.submitted))
-	j.spanLocked("started", j.started.Sub(j.submitted), fmt.Sprintf("shards=%d", granted))
-	p.journal(store.Event{T: store.EvStarted, Job: j.id, At: j.started, Shards: granted})
-	obs.Record(obs.FlightJobRunning, j.id, fmt.Sprintf("shards=%d", granted))
-	p.log.Info("job started", "job", j.id, "trace", j.trace, "engine", j.engine, "shards", granted)
+	p.inflight[j.Key] = j
+	granted := p.grantLocked(j)
+	started, note := time.Now(), fmt.Sprintf("shards=%d", granted)
+	_ = p.Transition(j, StateRunning, Detail{At: started, Dur: started.Sub(j.Submitted), Note: note})
+	p.met.queueWait.Observe(started.Sub(j.Submitted))
+	obs.Record(obs.FlightJobRunning, j.ID, note)
+	p.log.Info("job started", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "shards", granted)
 	runOpts := p.opts.Run
 	runOpts.Shards = granted
-	runOpts.Profile = j.profile
+	runOpts.Profile = j.Profile
 	// Per-stage timings from the engine become spans on this job; the
 	// callback runs on the worker goroutine with p.mu released.
 	runOpts.Stages = func(stage string, d time.Duration) {
 		p.mu.Lock()
-		j.spanLocked(stage, d, "")
+		j.Span(stage, d, "")
 		p.mu.Unlock()
 	}
 	p.mu.Unlock()
@@ -972,44 +872,38 @@ func (p *Pool) runJob(j *job) {
 	// identical.
 	persisted := false
 	if err == nil && res != nil && p.opts.Store != nil {
-		persisted = p.opts.Store.PutResult(j.key, res) == nil
+		persisted = p.opts.Store.PutResult(j.Key, res) == nil
 	}
 
 	p.mu.Lock()
-	j.finished = time.Now()
+	finished := time.Now()
+	run := finished.Sub(started)
 	p.running--
-	if p.inflight[j.key] == j {
-		delete(p.inflight, j.key)
+	if p.inflight[j.Key] == j {
+		delete(p.inflight, j.Key)
 	}
-	p.met.runTime.Observe(j.finished.Sub(j.started))
+	p.met.runTime.Observe(run)
 	if persisted {
-		j.spanLocked("persisted", 0, "")
+		j.Span("persisted", 0, "")
 	}
 	if err != nil {
-		j.state = StateFailed
-		j.err = err
-		j.spanLocked("failed", j.finished.Sub(j.started), "")
+		p.finishLocked(j, StateFailed, Detail{At: finished, Dur: run, Err: err})
 		p.met.failed.Inc()
-		p.journal(store.Event{T: store.EvFailed, Job: j.id, At: j.finished, Engine: j.engine, Error: err.Error()})
-		obs.Record(obs.FlightJobFailed, j.id, err.Error())
-		p.log.Warn("job failed", "job", j.id, "trace", j.trace, "engine", j.engine, "err", err)
+		obs.Record(obs.FlightJobFailed, j.ID, err.Error())
+		p.log.Warn("job failed", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "err", err)
 	} else {
-		j.state = StateDone
-		j.res = res
-		j.profileDoc = profileRaw(res)
+		j.res, j.ProfileDoc = res, profileRaw(res)
 		if res != nil {
-			j.engine = res.Engine
+			j.Engine = res.Engine
 		}
-		j.spanLocked("done", j.finished.Sub(j.started), "")
-		p.met.completed.Inc()
 		if p.cache != nil {
-			p.cache.put(j.key, res)
+			p.cache.put(j.Key, res)
 		}
-		p.journal(store.Event{T: store.EvDone, Job: j.id, At: j.finished, Engine: j.engine, Result: j.key})
-		obs.RecordDur(obs.FlightJobDone, j.id, "", j.finished.Sub(j.started))
-		p.log.Info("job done", "job", j.id, "trace", j.trace, "engine", j.engine, "run_ms", j.finished.Sub(j.started).Milliseconds())
+		p.finishLocked(j, StateDone, Detail{At: finished, Dur: run, Ev: store.Event{Result: j.Key}})
+		p.met.completed.Inc()
+		obs.RecordDur(obs.FlightJobDone, j.ID, "", run)
+		p.log.Info("job done", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "run_ms", run.Milliseconds())
 	}
-	p.finishLocked(j)
 	waiters := j.waiters
 	j.waiters = nil
 	p.mu.Unlock()
@@ -1033,73 +927,27 @@ func (p *Pool) runJob(j *job) {
 	}
 	p.mu.Lock()
 	for i, w := range waiters {
-		if w.state != StateQueued { // canceled while attached
+		if w.State != StateQueued { // canceled while attached
 			continue
 		}
 		w.primary = nil
-		w.finished = j.finished
-		w.coalesced = true
-		w.engine = j.engine
+		w.Coalesced = true
+		w.Engine = j.Engine
+		with := Detail{At: finished, Note: "with primary " + j.ID, Err: err}
 		if err != nil {
-			w.state = StateFailed
-			w.err = err
-			w.spanLocked("failed", 0, "with primary "+j.id)
+			p.finishLocked(w, StateFailed, with)
 			p.met.failed.Inc()
-			p.journal(store.Event{T: store.EvFailed, Job: w.id, At: w.finished, Engine: w.engine, Coalesced: true, Error: err.Error()})
-			p.log.Warn("job failed", "job", w.id, "trace", w.trace, "engine", w.engine, "coalesced", true, "err", err)
+			p.log.Warn("job failed", "job", w.ID, "trace", w.Trace, "engine", w.Engine, "coalesced", true, "err", err)
 		} else {
-			w.state = StateDone
-			w.res = copies[i]
-			w.profileDoc = j.profileDoc
-			w.spanLocked("done", 0, "with primary "+j.id)
+			w.res, w.ProfileDoc = copies[i], j.ProfileDoc
+			with.Ev.Result = w.Key
+			p.finishLocked(w, StateDone, with)
 			p.met.completed.Inc()
-			p.journal(store.Event{T: store.EvDone, Job: w.id, At: w.finished, Engine: w.engine, Coalesced: true, Result: w.key})
-			p.log.Info("job done", "job", w.id, "trace", w.trace, "engine", w.engine, "coalesced", true)
+			p.log.Info("job done", "job", w.ID, "trace", w.Trace, "engine", w.Engine, "coalesced", true)
 		}
-		p.met.queueWait.Observe(w.finished.Sub(w.submitted))
-		p.finishLocked(w)
+		p.met.queueWait.Observe(finished.Sub(w.Submitted))
 	}
 	p.mu.Unlock()
-}
-
-// Status returns a snapshot of the job's lifecycle.
-func (p *Pool) Status(id string) (Status, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	j, ok := p.jobs[id]
-	if !ok {
-		return Status{}, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	return p.statusLocked(j), nil
-}
-
-// statusLocked snapshots a job; callers hold p.mu.
-func (p *Pool) statusLocked(j *job) Status {
-	s := Status{
-		ID:          j.id,
-		Trace:       j.trace,
-		State:       j.state,
-		Engine:      j.engine,
-		CacheHit:    j.cacheHit,
-		Coalesced:   j.coalesced,
-		Shards:      j.granted,
-		SubmittedAt: j.submitted,
-		StartedAt:   j.started,
-		FinishedAt:  j.finished,
-		Spans:       append([]obs.Span(nil), j.spans...),
-		Rev:         j.rev.N(),
-	}
-	s.Profile = j.profileDoc
-	if j.sweep != nil {
-		s.Sweep = true
-		s.Points = j.sweep.points
-		s.PointsDone = j.sweep.completed
-	}
-	s.SetProgress()
-	if j.err != nil {
-		s.Error = j.err.Error()
-	}
-	return s
 }
 
 // Result returns the job's result once it is Done. A queued or running
@@ -1111,14 +959,14 @@ func (p *Pool) statusLocked(j *job) Status {
 func (p *Pool) Result(id string) (*result.Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	j, ok := p.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+	j, err := p.Get(id)
+	if err != nil {
+		return nil, err
 	}
 	if j.sweep != nil {
 		return nil, fmt.Errorf("%w: its results are at GET /v1/sweeps/%s (SweepResult)", ErrIsSweep, id)
 	}
-	if err := NotDoneError(id, j.state, j.err); err != nil {
+	if err := NotDoneError(id, j.State, j.Err); err != nil {
 		return nil, err
 	}
 	// A job recovered from the journal holds only the content address of
@@ -1132,11 +980,17 @@ func (p *Pool) Result(id string) (*result.Result, error) {
 			return nil, fmt.Errorf("jobs: result file for %q (%s) is gone", id, j.resKey)
 		}
 		j.res = res
-		if j.profileDoc = profileRaw(res); j.profileDoc != nil {
-			j.rev.Bump()
-		}
+		j.attachProfile(profileRaw(res))
 	}
 	return j.res, nil
+}
+
+// attachProfile attaches the profile of a recovered job, materialized with
+// its lazily loaded results, as a change its watchers see.
+func (j *job) attachProfile(doc json.RawMessage) {
+	if j.ProfileDoc = doc; doc != nil {
+		j.Touch()
+	}
 }
 
 // NotDoneError is what asking for the result of a job in the given state
@@ -1175,84 +1029,36 @@ func (p *Pool) WriteResult(_ context.Context, w io.Writer, id string) error {
 func (p *Pool) Cancel(_ context.Context, id string) (Status, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	j, ok := p.jobs[id]
-	if !ok {
-		return Status{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+	j, err := p.Get(id)
+	if err != nil {
+		return Status{}, err
 	}
-	switch j.state {
-	case StateQueued:
-		if j.primary != nil {
-			// Coalesced duplicate: detach only this waiter so the
-			// primary stops referencing it (a long-running primary must
-			// not pin every canceled duplicate in memory) and its
-			// completion sweep no longer considers it.
-			ws := j.primary.waiters
-			for i, w := range ws {
-				if w == j {
-					j.primary.waiters = append(ws[:i], ws[i+1:]...)
-					break
-				}
-			}
-			j.primary = nil
-		} else {
-			// Drop the job from the pending FIFO (if a worker has not
-			// already popped it) so the queue slot frees immediately and
-			// backpressure relaxes without waiting for a worker.
-			for i, q := range p.pending {
-				if q == j {
-					p.pending = append(p.pending[:i], p.pending[i+1:]...)
-					break
-				}
-			}
-		}
-		j.state = StateCanceled
-		j.finished = time.Now()
-		j.spanLocked("canceled", j.finished.Sub(j.submitted), "")
-		p.met.canceled.Inc()
-		p.journal(store.Event{T: store.EvCanceled, Job: j.id, At: j.finished})
-		obs.Record(obs.FlightJobCanceled, j.id, "")
-		p.log.Info("job canceled", "job", j.id, "trace", j.trace)
-		p.finishLocked(j)
-		return p.statusLocked(j), nil
-	case StateRunning:
+	if j.State == StateRunning {
 		return Status{}, fmt.Errorf("%w: %q is running and cannot be preempted", ErrConflict, id)
-	default:
-		return Status{}, fmt.Errorf("%w: %q is already %s", ErrConflict, id, j.state)
 	}
-}
-
-// Wait blocks until the job reaches a terminal state, then returns its
-// status. The snapshot comes from the job record Wait already holds, so
-// it stays valid even if the record is evicted from lookup (MaxRecords)
-// while waiting.
-func (p *Pool) Wait(id string) (Status, error) {
-	p.mu.Lock()
-	j, ok := p.jobs[id]
-	p.mu.Unlock()
-	if !ok {
-		return Status{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+	now := time.Now()
+	if err := p.Transition(j, StateCanceled, Detail{At: now, Dur: now.Sub(j.Submitted)}); err != nil {
+		return Status{}, err // already terminal
 	}
-	<-j.done
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.statusLocked(j), nil
-}
-
-// WaitTimeout is the long-poll primitive behind GET /v1/jobs/{id}?wait=D&rev=N:
-// it blocks until the job's revision exceeds since, the job is terminal,
-// d elapses or ctx ends (the client hung up, the server is shutting
-// down), then returns the job's status at that moment. since = NoRev
-// waits for the terminal transition only; a non-positive d degenerates
-// to Status.
-func (p *Pool) WaitTimeout(ctx context.Context, id string, d time.Duration, since uint64) (Status, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	j, ok := p.jobs[id]
-	if !ok {
-		return Status{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+	j.bundle = nil
+	same := func(q *job) bool { return q == j }
+	if j.primary != nil {
+		// Coalesced duplicate: detach only this waiter so the primary
+		// stops referencing it (a long-running primary must not pin every
+		// canceled duplicate in memory) and its completion sweep no longer
+		// considers it.
+		j.primary.waiters = slices.DeleteFunc(j.primary.waiters, same)
+		j.primary = nil
+	} else {
+		// Drop the job from the pending FIFO (if a worker has not already
+		// popped it) so the queue slot frees immediately and backpressure
+		// relaxes without waiting for a worker.
+		p.pending = slices.DeleteFunc(p.pending, same)
 	}
-	j.rev.Await(ctx, &p.mu, j.done, d, since)
-	return p.statusLocked(j), nil
+	p.met.canceled.Inc()
+	obs.Record(obs.FlightJobCanceled, j.ID, "")
+	p.log.Info("job canceled", "job", j.ID, "trace", j.Trace)
+	return p.Snapshot(j), nil
 }
 
 // Metrics returns the registry the pool's instruments live in (the one
@@ -1312,30 +1118,6 @@ func (p *Pool) Stats() Stats {
 		s.Stats = p.opts.Store.Stats()
 	}
 	return s
-}
-
-// List returns status snapshots of every job the pool still tracks,
-// newest first (job IDs are monotonic). A non-empty state filters; limit
-// caps the result (<= 0: no cap).
-func (p *Pool) List(state State, limit int) []Status {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ids := make([]string, 0, len(p.jobs))
-	for id, j := range p.jobs {
-		if state != "" && j.state != state {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(ids)))
-	if limit > 0 && len(ids) > limit {
-		ids = ids[:limit]
-	}
-	out := make([]Status, len(ids))
-	for i, id := range ids {
-		out[i] = p.statusLocked(p.jobs[id])
-	}
-	return out
 }
 
 // Close stops accepting submissions, drains the queue, and waits for the

@@ -13,11 +13,11 @@ const NoRev uint64 = math.MaxUint64
 
 // Revision is a job record's change counter plus the wake-up for waiters
 // parked on it — a condition variable that composes with a timer and a
-// request context in one select. The worker pools and the fleet
-// dispatcher each embed one per job, guarded by their own mutex: Bump on
-// every change a status document can show (state, progress, profile,
-// assignment; not the span log), Await from the ?wait=D&rev=N long-poll.
-// With nobody parked a Bump is one increment.
+// request context in one select. Every Record holds one, guarded by its
+// tier's mutex: Table.Transition and Record.Touch Bump it on every change
+// a status document can show (state, progress, profile, assignment; not
+// the span log), Table.WaitTimeout Awaits it for the ?wait=D&rev=N
+// long-poll. With nobody parked a Bump is one increment.
 type Revision struct {
 	n uint64
 	// changed is closed and dropped by the next Bump; nil while no

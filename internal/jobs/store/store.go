@@ -37,13 +37,14 @@
 // renames are always written via temp-file + rename, and fsynced unless
 // SyncNone.
 //
-// The pool journals inside its own critical sections, which keeps the
-// event order trivially equal to the transition order but puts the fsync
-// on the submission path: under SyncAlways, sustained submission
-// throughput from one pool is bounded by disk sync latency. SyncGroup is
-// the lever when many goroutines journal concurrently — the fleet
-// dispatcher, which journals every forwarded job from per-request
-// goroutines, uses it by default.
+// Both tiers journal from one place, jobs.Table.Transition, which hands
+// each move's event to the tier's sink in move order. The pool's sink
+// (jobs.Pool.appendNow) appends inside the pool's critical section, which
+// puts the fsync on the submission path: under SyncAlways, sustained
+// submission throughput from one pool is bounded by disk sync latency.
+// SyncGroup is the lever when many goroutines journal concurrently — the
+// fleet dispatcher, whose sink queues events per job and appends them from
+// per-request goroutines after unlocking, uses it by default.
 //
 // # Compaction
 //
@@ -152,10 +153,15 @@ type Event struct {
 	Remote string `json:"remote,omitempty"`
 	// From/To bound the contiguous point range [From,To) covered by a
 	// sweep-range assignment (fleet dispatcher; both zero on whole-job
-	// assignments). Range history is observability, not folded state: a
-	// restarted dispatcher re-scatters non-terminal sweeps from scratch.
+	// assignments, which alone fold into Record.Worker/Remote). Range
+	// assignments are history: a restarted dispatcher re-scatters a
+	// non-terminal sweep from scratch. What a finished sweep needs after a
+	// restart — where each range's results are — is Ranges.
 	From int `json:"from,omitempty"`
 	To   int `json:"to,omitempty"`
+	// Ranges (on a dispatched sweep's done event) is the final range
+	// table, the way Results is a pool's sweep's.
+	Ranges []Range `json:"ranges,omitempty"`
 	// Started fields.
 	Shards int `json:"shards,omitempty"`
 	// Sweep fields: Points (on submitted events) is the parameter-grid
@@ -171,6 +177,15 @@ type Event struct {
 	Result    string `json:"result,omitempty"` // content address of the result file
 }
 
+// Range is one slice [From,To) of a dispatched sweep's grid and the
+// worker, and sub-sweep ID there, that hold its results.
+type Range struct {
+	From   int    `json:"from"`
+	To     int    `json:"to"`
+	Worker string `json:"worker"`
+	Remote string `json:"remote"`
+}
+
 // Record is the folded journal state of one job.
 type Record struct {
 	Job       string
@@ -181,8 +196,9 @@ type Record struct {
 	Bundle    json.RawMessage // retained only while queued/running
 	Pin       int             // submitter's explicit shard request
 	Profile   bool            // submitter asked for the execution profile
-	Worker    string          // fleet dispatcher: assigned worker node
+	Worker    string          // fleet dispatcher: a plain job's assigned worker node
 	Remote    string          // fleet dispatcher: job ID on that worker
+	Ranges    []Range         // fleet dispatcher: a done sweep's final range table
 	Shards    int
 	Points    int      // sweep jobs: parameter-grid size (0 for plain jobs)
 	Results   []string // sweep jobs: per-point result content addresses
@@ -459,8 +475,10 @@ func (s *Store) apply(ev Event) {
 		r.Points = ev.Points
 		r.Submitted = ev.At
 	case EvAssigned:
-		r.Worker = ev.Worker
-		r.Remote = ev.Remote
+		if ev.To == 0 { // a whole job, not one range of a sweep
+			r.Worker = ev.Worker
+			r.Remote = ev.Remote
+		}
 	case EvStarted:
 		r.State = StateRunning
 		r.Started = ev.At
@@ -471,6 +489,7 @@ func (s *Store) apply(ev Event) {
 			r.State = StateDone
 			r.ResultKey = ev.Result
 			r.Results = ev.Results
+			r.Ranges = ev.Ranges
 		case EvFailed:
 			r.State = StateFailed
 			r.Error = ev.Error
@@ -709,7 +728,7 @@ func recordEvents(r *Record) []Event {
 		evs = append(evs, Event{
 			T: EvDone, Job: r.Job, At: r.Finished, Engine: r.Engine,
 			CacheHit: r.CacheHit, Coalesced: r.Coalesced, Result: r.ResultKey,
-			Results: r.Results,
+			Results: r.Results, Ranges: r.Ranges,
 		})
 	case StateFailed:
 		evs = append(evs, Event{

@@ -81,3 +81,72 @@ func TestSweepRecordReplayAndCompaction(t *testing.T) {
 	defer s3.Close()
 	check("reopened after compaction", s3)
 }
+
+// TestDispatchedSweepRangesReplayAndCompaction pins what a dispatcher's
+// journal keeps of a scattered sweep: the per-range assigned events are
+// history (they fold into no record field, a plain job's Worker/Remote
+// included), and the done event's final range table survives replay AND a
+// compaction rewrite, so a restarted dispatcher still knows which worker
+// holds which slice of the results.
+func TestDispatchedSweepRangesReplayAndCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := []Range{{From: 0, To: 2, Worker: "w1", Remote: "job-00000007"}, {From: 2, To: 4, Worker: "w2", Remote: "job-00000003"}}
+	evs := []Event{
+		{T: EvSubmitted, Job: "job-00000001", At: tstamp(1), Key: sampleKey(9), Engine: "e", Bundle: json.RawMessage(`{"fake":"sweep"}`), Points: 4},
+		{T: EvAssigned, Job: "job-00000001", At: tstamp(2), Worker: "w1", Remote: "job-00000007", From: 0, To: 2},
+		{T: EvAssigned, Job: "job-00000001", At: tstamp(2), Worker: "w1", Remote: "job-00000002", From: 2, To: 4},
+		{T: EvStarted, Job: "job-00000001", At: tstamp(3), Shards: 2},
+		{T: EvAssigned, Job: "job-00000001", At: tstamp(4), Worker: "w2", Remote: "job-00000003", From: 2, To: 4},
+		{T: EvDone, Job: "job-00000001", At: tstamp(5), Engine: "e", Ranges: ranges},
+		// A plain job beside it: its whole-job assignment is its record's.
+		{T: EvSubmitted, Job: "job-00000002", At: tstamp(1), Key: sampleKey(8), Engine: "e"},
+		{T: EvAssigned, Job: "job-00000002", At: tstamp(2), Worker: "w2", Remote: "job-00000009"},
+		{T: EvDone, Job: "job-00000002", At: tstamp(3), Engine: "e"},
+	}
+	for _, ev := range evs {
+		if err := s.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(stage string, st *Store) {
+		t.Helper()
+		recs := st.Records()
+		if len(recs) != 2 {
+			t.Fatalf("%s: %d records, want 2", stage, len(recs))
+		}
+		sweep, plain := recs[0], recs[1]
+		if sweep.State != StateDone || sweep.Points != 4 || !reflect.DeepEqual(sweep.Ranges, ranges) {
+			t.Fatalf("%s: sweep record state=%s points=%d ranges=%+v", stage, sweep.State, sweep.Points, sweep.Ranges)
+		}
+		if sweep.Worker != "" || sweep.Remote != "" {
+			t.Fatalf("%s: a range assignment folded into the sweep's record: worker=%q remote=%q", stage, sweep.Worker, sweep.Remote)
+		}
+		if plain.Worker != "w2" || plain.Remote != "job-00000009" || plain.Ranges != nil {
+			t.Fatalf("%s: plain record worker=%q remote=%q ranges=%+v", stage, plain.Worker, plain.Remote, plain.Ranges)
+		}
+	}
+	check("live", s)
+	s2, err := Open(dir, Options{}) // crash image: reopen without closing
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("replayed", s2)
+	if err := s2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", s2)
+	s.Close()
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	check("reopened after compaction", s3)
+}

@@ -13,7 +13,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -36,7 +35,6 @@ const MaxSweepPoints = 4096
 // only writers, so once they have returned that worker may read what they
 // wrote without the lock.
 type sweepState struct {
-	points int
 	// keys holds the per-point result content addresses in point order
 	// (each equals CacheKey of that point's materialized bundle).
 	keys []string
@@ -52,7 +50,7 @@ type sweepState struct {
 func (j *job) pointDoneLocked(i int, res *result.Result) {
 	j.sweep.results[i] = res
 	j.sweep.completed++
-	j.rev.Bump()
+	j.Touch()
 }
 
 // SweepPoints validates the shape of a sweep submission — a sweep block
@@ -84,23 +82,12 @@ func (p *Pool) SubmitSweep(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	// The template's own content address (the sweep block is part of the
-	// context, so it never collides with a per-point key) identifies the
-	// job in the journal.
-	key, err := CacheKey(b)
+	j, submitted, err := p.prepare(b, o, n)
 	if err != nil {
 		return Status{}, err
 	}
-	key = profiledKey(key, o.Profile)
-	engine := ResolveEngine(b)
-	var rawBundle json.RawMessage
-	if p.opts.Store != nil {
-		rawBundle, err = json.Marshal(b)
-		if err != nil {
-			return Status{}, fmt.Errorf("jobs: marshal bundle: %w", err)
-		}
-	}
-	now := time.Now()
+	j.sweep = &sweepState{}
+	submitted.Note = fmt.Sprintf("sweep points=%d", n)
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -111,30 +98,14 @@ func (p *Pool) SubmitSweep(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 		p.met.rejected.Inc()
 		return Status{}, ErrQueueFull
 	}
-	p.nextID++
-	j := &job{
-		id:        fmt.Sprintf("job-%08d", p.nextID),
-		trace:     obs.EnsureTraceID(o.TraceID),
-		bundle:    b,
-		key:       key,
-		state:     StateQueued,
-		engine:    engine,
-		shards:    o.Shards,
-		profile:   o.Profile,
-		submitted: now,
-		sweep:     &sweepState{points: n},
-		done:      make(chan struct{}),
-	}
-	j.spanLocked("queued", 0, fmt.Sprintf("sweep points=%d", n))
+	p.Add(j, submitted)
 	p.pending = append(p.pending, j)
-	p.jobs[j.id] = j
 	p.met.submitted.Inc()
 	p.met.sweeps.Inc()
-	p.journal(store.Event{T: store.EvSubmitted, Job: j.id, At: now, Trace: j.trace, Key: key, Engine: engine, Bundle: rawBundle, Pin: o.Shards, Profile: o.Profile, Points: n})
-	obs.Record(obs.FlightJobQueued, j.id, fmt.Sprintf("sweep points=%d", n))
-	p.log.Info("sweep queued", "job", j.id, "trace", j.trace, "engine", engine, "points", n)
+	obs.Record(obs.FlightJobQueued, j.ID, submitted.Note)
+	p.log.Info("sweep queued", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "points", n)
 	p.cond.Signal()
-	return p.statusLocked(j), nil
+	return p.Snapshot(j), nil
 }
 
 // sweepLanes splits a sweep's core grant over the points it still has to
@@ -162,33 +133,13 @@ func sweepLanes(grant, points, qubits int) (lanes, shards int) {
 // complete in no particular order; the first failure stops every lane.
 func (p *Pool) runSweepJob(j *job) {
 	p.mu.Lock()
-	if j.state != StateQueued { // canceled while queued
+	if j.State != StateQueued { // canceled while queued
 		p.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now()
-	p.running++
-	// Same shard grant policy as plain jobs: a sweep starting into an
-	// otherwise idle pool takes the full cap, alongside other work it
-	// stays at one core. How the grant splits into lanes × shards is
-	// decided below, once the points to execute are known.
-	granted := j.shards
-	if granted <= 0 {
-		if p.running == 1 && len(p.pending) == 0 {
-			granted = p.opts.MaxShards
-		} else {
-			granted = 1
-		}
-	}
-	if granted > p.opts.MaxShards {
-		granted = p.opts.MaxShards
-	}
-	j.granted = granted
-	j.rev.Bump()
-	if granted > 1 {
-		p.met.wideJobs.Inc()
-	}
+	// Same shard grant policy as plain jobs. How the grant splits into
+	// lanes × shards is decided below, once the points to execute are known.
+	granted := p.grantLocked(j)
 	b := j.bundle
 	sw := b.Context.Sweep
 	n := len(sw.Points)
@@ -196,20 +147,19 @@ func (p *Pool) runSweepJob(j *job) {
 	for _, d := range b.QDTs {
 		qubits += d.Width
 	}
-	j.sweep.points = n
+	j.Points = n
 	j.sweep.keys = make([]string, n)
 	j.sweep.results = make([]*result.Result, n)
-	p.met.queueWait.Observe(j.started.Sub(j.submitted))
 	// The split announced here is the plan for a grid with nothing cached;
 	// the "executed" span carries the one that ran.
 	lanes, shards := sweepLanes(granted, n, qubits)
-	note := fmt.Sprintf("sweep points=%d lanes=%d shards=%d", n, lanes, shards)
-	j.spanLocked("started", j.started.Sub(j.submitted), note)
-	p.journal(store.Event{T: store.EvStarted, Job: j.id, At: j.started, Shards: granted})
-	obs.Record(obs.FlightJobRunning, j.id, note)
-	p.log.Info("sweep started", "job", j.id, "trace", j.trace, "engine", j.engine, "points", n, "shards", granted)
+	started, note := time.Now(), fmt.Sprintf("sweep points=%d lanes=%d shards=%d", n, lanes, shards)
+	_ = p.Transition(j, StateRunning, Detail{At: started, Dur: started.Sub(j.Submitted), Note: note})
+	p.met.queueWait.Observe(started.Sub(j.Submitted))
+	obs.Record(obs.FlightJobRunning, j.ID, note)
+	p.log.Info("sweep started", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "points", n, "shards", granted)
 	runOpts := p.opts.Run
-	runOpts.Profile = j.profile
+	runOpts.Profile = j.Profile
 	// No per-stage span callback: a sweep would log stage spans per point
 	// and drown the lifecycle log; the coarse spans below cover it.
 	p.mu.Unlock()
@@ -227,7 +177,7 @@ func (p *Pool) runSweepJob(j *job) {
 			if keys[i], err = CacheKey(concrete[i]); err == nil {
 				// Same keying rule as standalone submissions: a profiled
 				// sweep's points share the cache with profiled single jobs.
-				keys[i] = profiledKey(keys[i], j.profile)
+				keys[i] = profiledKey(keys[i], j.Profile)
 			}
 		}
 	}
@@ -257,7 +207,7 @@ func (p *Pool) runSweepJob(j *job) {
 		}
 		p.mu.Lock()
 		copy(j.sweep.keys, keys)
-		j.spanLocked("materialized", time.Since(bindStart), fmt.Sprintf("points=%d", n))
+		j.Span("materialized", time.Since(bindStart), fmt.Sprintf("points=%d", n))
 		for _, i := range owners {
 			if p.cache != nil {
 				if res, ok := p.cache.get(keys[i]); ok {
@@ -321,7 +271,7 @@ func (p *Pool) runSweepJob(j *job) {
 			sweep.Close()
 		}
 		p.mu.Lock()
-		j.spanLocked("executed", time.Since(execStart), fmt.Sprintf("points=%d cached=%d lanes=%d shards=%d", len(miss), n-len(miss), lanes, shards))
+		j.Span("executed", time.Since(execStart), fmt.Sprintf("points=%d cached=%d lanes=%d shards=%d", len(miss), n-len(miss), lanes, shards))
 		p.mu.Unlock()
 	}
 	if err == nil && p.opts.Store != nil {
@@ -338,33 +288,26 @@ func (p *Pool) runSweepJob(j *job) {
 	}
 
 	p.mu.Lock()
-	j.finished = time.Now()
+	finished := time.Now()
+	run := finished.Sub(started)
 	p.running--
-	p.met.runTime.Observe(j.finished.Sub(j.started))
+	p.met.runTime.Observe(run)
 	if err != nil {
-		j.state = StateFailed
-		j.err = err
-		j.spanLocked("failed", j.finished.Sub(j.started), "")
+		p.finishLocked(j, StateFailed, Detail{At: finished, Dur: run, Err: err})
 		p.met.failed.Inc()
-		p.journal(store.Event{T: store.EvFailed, Job: j.id, At: j.finished, Engine: j.engine, Error: err.Error()})
-		obs.Record(obs.FlightJobFailed, j.id, err.Error())
-		p.log.Warn("sweep failed", "job", j.id, "trace", j.trace, "engine", j.engine, "err", err)
+		obs.Record(obs.FlightJobFailed, j.ID, err.Error())
+		p.log.Warn("sweep failed", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "err", err)
 	} else {
-		j.state = StateDone
-		if len(miss) == 0 {
-			j.cacheHit = true // every point served without execution
+		j.CacheHit = len(miss) == 0 // every point served without execution
+		if j.Profile {
+			j.ProfileDoc = aggregateSweepProfiles(j.sweep.results)
 		}
-		if j.profile {
-			j.profileDoc = aggregateSweepProfiles(j.sweep.results)
-		}
-		j.spanLocked("done", j.finished.Sub(j.started), fmt.Sprintf("points=%d", n))
+		p.finishLocked(j, StateDone, Detail{At: finished, Dur: run, Note: fmt.Sprintf("points=%d", n), Ev: store.Event{Results: keys}})
 		p.met.completed.Inc()
 		p.met.sweepPoints.Add(uint64(n))
-		p.journal(store.Event{T: store.EvDone, Job: j.id, At: j.finished, Engine: j.engine, Results: append([]string(nil), keys...)})
-		obs.RecordDur(obs.FlightJobDone, j.id, fmt.Sprintf("sweep points=%d", n), j.finished.Sub(j.started))
-		p.log.Info("sweep done", "job", j.id, "trace", j.trace, "engine", j.engine, "points", n, "run_ms", j.finished.Sub(j.started).Milliseconds())
+		obs.RecordDur(obs.FlightJobDone, j.ID, fmt.Sprintf("sweep points=%d", n), run)
+		p.log.Info("sweep done", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "points", n, "run_ms", run.Milliseconds())
 	}
-	p.finishLocked(j)
 	p.mu.Unlock()
 }
 
@@ -425,7 +368,7 @@ func (p *Pool) WriteSweepResult(_ context.Context, w io.Writer, id string) error
 		p.mu.Unlock()
 		return err
 	}
-	doc := NewSweepResultDoc(p.statusLocked(j))
+	doc := NewSweepResultDoc(p.Snapshot(j))
 	p.mu.Unlock()
 	doc.Results = make([]SweepPointDoc, len(results))
 	for i, res := range results {
@@ -437,14 +380,14 @@ func (p *Pool) WriteSweepResult(_ context.Context, w io.Writer, id string) error
 
 // sweepResultLocked does the work of SweepResult. Callers hold p.mu.
 func (p *Pool) sweepResultLocked(id string) (*job, []*result.Result, error) {
-	j, ok := p.jobs[id]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+	j, err := p.Get(id)
+	if err != nil {
+		return nil, nil, err
 	}
 	if j.sweep == nil {
 		return nil, nil, fmt.Errorf("%w: %q", ErrNotSweep, id)
 	}
-	if err := NotDoneError(id, j.state, j.err); err != nil {
+	if err := NotDoneError(id, j.State, j.Err); err != nil {
 		return nil, nil, err
 	}
 	if j.sweep.results == nil {
@@ -463,9 +406,8 @@ func (p *Pool) sweepResultLocked(id string) (*job, []*result.Result, error) {
 			loaded[i] = res
 		}
 		j.sweep.results = loaded
-		if j.profile && j.profileDoc == nil {
-			j.profileDoc = aggregateSweepProfiles(loaded)
-			j.rev.Bump()
+		if j.Profile && j.ProfileDoc == nil {
+			j.attachProfile(aggregateSweepProfiles(loaded))
 		}
 	}
 	return j, append([]*result.Result(nil), j.sweep.results...), nil

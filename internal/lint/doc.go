@@ -56,5 +56,6 @@
 // fixture trees under testdata/src/<case>/ exercise the same rules as
 // the real packages they mirror. The analysis is intra-procedural by
 // design: a blocking call hidden behind a same-package wrapper (see
-// jobs.Pool.journal) is documented at the wrapper instead.
+// jobs.Pool.appendNow, the pool's journal sink) is documented at the
+// wrapper instead.
 package lint
