@@ -68,6 +68,20 @@
 // counts (execution is deterministic in bundle+shots+seed), and a torn
 // final journal line from a mid-append crash is dropped, not fatal.
 //
+// A result takes two forms, and each is appended straight from the
+// result's entry table rather than built as a tree and reflected over —
+// per outcome it carries bitstring, index, typed value and count, which
+// makes it the heaviest thing this tier produces. The served form, the
+// /v1 result documents, is encoded in internal/jobs (resultdoc.go) and a
+// sweep's document leaves point by point; the stored form, the result
+// files, in internal/jobs/store (results.go), byte for byte what
+// json.Marshal of a result.Result always wrote — the file format is
+// unchanged and unversioned, and files of any build serve any other.
+// Both reproduce encoding/json's output exactly and are held to it by a
+// golden wire capture, a committed result file and a fuzz target
+// (jobs.FuzzResultEncoding); a result no JSON can carry (a NaN in an
+// engine's meta) is refused before the first byte, as a 500.
+//
 // # Fleet dispatch
 //
 // The serving layer scales past one machine with internal/fleet: a

@@ -13,9 +13,7 @@ import (
 
 	"repro/internal/bundle"
 	"repro/internal/obs"
-	"repro/internal/qdt"
 	"repro/internal/qop"
-	"repro/internal/result"
 )
 
 // MaxBodyBytes bounds a POST /v1/jobs body; larger submissions are
@@ -41,9 +39,13 @@ type Service interface {
 	// WriteResult and WriteSweepResult write the encoded ResultDoc of a
 	// done job, or SweepResultDoc of a done sweep, to w — a writer, so that
 	// a pool encodes straight onto the connection and a dispatcher passes
-	// on a worker's result document untouched. An error means nothing was
-	// written; a write that fails halfway is not reported (there is no one
-	// left to tell).
+	// on a worker's result document untouched. A pool writes a sweep's
+	// document point by point, in several Writes. An error means nothing
+	// was written — whatever can refuse the document (the job's state, a
+	// lost result file, a result with no JSON form) is settled before the
+	// first byte — so the caller may still answer with an error document;
+	// a write that fails halfway ends the encoding and is not reported
+	// (there is no one left to tell).
 	WriteResult(ctx context.Context, w io.Writer, id string) error
 	WriteSweepResult(ctx context.Context, w io.Writer, id string) error
 	// Cancel cancels a job that has not started and returns its snapshot
@@ -314,55 +316,6 @@ func (s Status) Doc() StatusDoc {
 	}
 }
 
-// EntryDoc is one decoded outcome of a result.
-type EntryDoc struct {
-	Bitstring string   `json:"bitstring"`
-	Index     uint64   `json:"index"`
-	Value     any      `json:"value,omitempty"`
-	Count     int      `json:"count"`
-	Energy    *float64 `json:"energy,omitempty"`
-}
-
-// ResultDoc is GET /v1/jobs/{id}/result.
-type ResultDoc struct {
-	ID      string         `json:"id"`
-	Engine  string         `json:"engine"`
-	Samples int            `json:"samples"`
-	Entries []EntryDoc     `json:"entries"`
-	Meta    map[string]any `json:"meta,omitempty"`
-}
-
-// SweepPointDoc is one indexed per-point result in a sweep result set.
-type SweepPointDoc struct {
-	Index   int            `json:"index"`
-	Engine  string         `json:"engine"`
-	Samples int            `json:"samples"`
-	Entries []EntryDoc     `json:"entries"`
-	Meta    map[string]any `json:"meta,omitempty"`
-}
-
-// SweepResultDoc is GET /v1/sweeps/{id} for a done sweep.
-type SweepResultDoc struct {
-	ID         string          `json:"id"`
-	TraceID    string          `json:"trace_id,omitempty"`
-	State      State           `json:"state"`
-	Engine     string          `json:"engine,omitempty"`
-	Points     int             `json:"points"`
-	PointsDone int             `json:"points_done"`
-	Progress   float64         `json:"progress"`
-	Profile    json.RawMessage `json:"profile,omitempty"`
-	Results    []SweepPointDoc `json:"results"`
-}
-
-// NewSweepResultDoc is the document's head, taken from the sweep's
-// snapshot; the caller fills Results.
-func NewSweepResultDoc(st Status) SweepResultDoc {
-	return SweepResultDoc{
-		ID: st.ID, TraceID: st.Trace, State: st.State, Engine: st.Engine,
-		Points: st.Points, PointsDone: st.PointsDone, Progress: st.Progress, Profile: st.Profile,
-	}
-}
-
 // submission reads one POST body and its modifiers: the bundle (at most
 // MaxBodyBytes, validated under the service's options), the profile flag
 // from the body or ?profile=true, the ?shards= pin and the X-Trace-Id.
@@ -490,40 +443,12 @@ func awaitStatus(s Service, w http.ResponseWriter, r *http.Request) (st Status, 
 	return st, true
 }
 
-// entryDocs renders a result's decoded outcomes for a ResultDoc or a
-// SweepPointDoc.
-func entryDocs(res *result.Result) []EntryDoc {
-	out := make([]EntryDoc, len(res.Entries))
-	for i, e := range res.Entries {
-		out[i] = EntryDoc{Bitstring: e.Bitstring, Index: e.Index, Value: valueToJSON(e.Value), Count: e.Count}
-		if e.HasEnergy {
-			energy := e.Energy
-			out[i].Energy = &energy
-		}
-	}
-	return out
-}
-
-// valueToJSON renders a decoded qdt.Value in its natural JSON shape per
-// the register's measurement semantics.
-func valueToJSON(v qdt.Value) any {
-	switch v.Semantics {
-	case qdt.AsInt:
-		return v.Int
-	case qdt.AsPhase, qdt.AsFixed:
-		return v.Float
-	case qdt.AsBool:
-		return v.Bools
-	case qdt.AsSpin:
-		return v.Spins
-	default:
-		return nil
-	}
-}
-
 // WriteDoc writes v in the one encoding every /v1 document has: indented
 // by two spaces, newline-terminated. A failed write is not reported: the
-// status line is out, and there is no one left to tell.
+// status line is out, and there is no one left to tell. Nor is a value
+// encoding/json refuses — every document written here is built from
+// strings, numbers and times; a Pool's result documents, which carry
+// whatever an engine put in Meta, are written by appendResult instead.
 func WriteDoc(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

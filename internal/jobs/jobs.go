@@ -644,6 +644,21 @@ func (p *Pool) Submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	}
 	key, now := j.Key, submitted.At
 
+	// Second-level lookup: the result may live on disk (from a previous
+	// process life) without being in the memory LRU. The file is read and
+	// decoded with the pool unlocked; only a memory miss pays for it.
+	var onDisk *result.Result
+	if p.cache != nil && p.opts.Store != nil {
+		p.mu.Lock()
+		lookup := !p.closed && !p.cache.has(key)
+		p.mu.Unlock()
+		if lookup {
+			if res, ok, err := p.opts.Store.GetResult(key); err == nil && ok {
+				onDisk = res
+			}
+		}
+	}
+
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -651,14 +666,10 @@ func (p *Pool) Submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	}
 	if p.cache != nil {
 		res, hit := p.cache.get(key)
-		if !hit && p.opts.Store != nil {
-			// Second-level lookup: the result may live on disk (from a
-			// previous process life) without being in the memory LRU.
-			if dres, ok, derr := p.opts.Store.GetResult(key); derr == nil && ok {
-				res, hit = dres, true
-				p.cache.put(key, dres)
-				p.met.diskHits.Inc()
-			}
+		if !hit && onDisk != nil {
+			res, hit = onDisk, true
+			p.cache.put(key, onDisk)
+			p.met.diskHits.Inc()
 		}
 		if hit {
 			// Born terminal: a submitted event without the bundle (nothing
@@ -958,31 +969,39 @@ func (p *Pool) runJob(j *job) {
 // before calling methods that reorder Entries, such as Sort.
 func (p *Pool) Result(id string) (*result.Result, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	j, err := p.Get(id)
+	if err == nil && j.sweep != nil {
+		err = fmt.Errorf("%w: its results are at GET /v1/sweeps/%s (SweepResult)", ErrIsSweep, id)
+	}
+	if err == nil {
+		err = NotDoneError(id, j.State, j.Err)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if j.sweep != nil {
-		return nil, fmt.Errorf("%w: its results are at GET /v1/sweeps/%s (SweepResult)", ErrIsSweep, id)
-	}
-	if err := NotDoneError(id, j.State, j.Err); err != nil {
+		p.mu.Unlock()
 		return nil, err
 	}
 	// A job recovered from the journal holds only the content address of
-	// its result; load the file on first access.
+	// its result; the first access loads the file, with the pool unlocked,
+	// and the first load to come back is the one every caller shares.
 	if j.res == nil && j.resKey != "" && p.opts.Store != nil {
-		res, ok, err := p.opts.Store.GetResult(j.resKey)
+		key := j.resKey
+		p.mu.Unlock()
+		res, ok, err := p.opts.Store.GetResult(key)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return nil, fmt.Errorf("jobs: result file for %q (%s) is gone", id, j.resKey)
+			return nil, fmt.Errorf("jobs: result file for %q (%s) is gone", id, key)
 		}
-		j.res = res
-		j.attachProfile(profileRaw(res))
+		p.mu.Lock()
+		if j.res == nil {
+			j.res = res
+			j.attachProfile(profileRaw(res))
+		}
 	}
-	return j.res, nil
+	res := j.res
+	p.mu.Unlock()
+	return res, nil
 }
 
 // attachProfile attaches the profile of a recovered job, materialized with
@@ -1015,8 +1034,7 @@ func (p *Pool) WriteResult(_ context.Context, w io.Writer, id string) error {
 	if err != nil {
 		return err
 	}
-	WriteDoc(w, ResultDoc{ID: id, Engine: res.Engine, Samples: res.Samples, Entries: entryDocs(res), Meta: res.Meta})
-	return nil
+	return writeResultDoc(w, id, res)
 }
 
 // Cancel cancels a job that is still in the queue, including a duplicate

@@ -7,31 +7,33 @@
 // with per-shard min/max and the imbalance ratio — without fetching the
 // full result.
 //
-// Profiled submissions get a distinct cache key (CacheKey + "+profile"),
-// so whether a status document carries a kernel table is deterministic in
-// the submission: a profiled job never silently reuses an unprofiled
-// run's cached result, and vice versa. Everything else — counts,
-// fingerprints, shard grants — is bit-identical either way.
+// Profiled submissions get a distinct cache key (profiledKey), so whether
+// a status document carries a kernel table is deterministic in the
+// submission: a profiled job never silently reuses an unprofiled run's
+// cached result, and vice versa. Everything else — counts, fingerprints,
+// shard grants — is bit-identical either way.
 
 package jobs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"sort"
 
 	"repro/internal/result"
 )
 
-// profiledKeySuffix distinguishes a profiled submission's cache key from
-// its unprofiled twin's.
-const profiledKeySuffix = "+profile"
-
-// profiledKey derives the content address of a profiled submission.
+// profiledKey derives the content address of a profiled submission from
+// its unprofiled twin's: distinct, and a well-formed address like any
+// other, because it also names the result's file in the store, which
+// accepts nothing but "sha256:" and a hex digest.
 func profiledKey(key string, profile bool) string {
-	if profile {
-		return key + profiledKeySuffix
+	if !profile {
+		return key
 	}
-	return key
+	sum := sha256.Sum256([]byte(key + "+profile"))
+	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
 // profileRaw extracts the result's Meta["profile"] as canonical JSON, or

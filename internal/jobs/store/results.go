@@ -8,8 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
+	"repro/internal/jsonenc"
 	"repro/internal/result"
 )
 
@@ -40,8 +43,9 @@ func (s *Store) PutResult(key string, res *result.Result) error {
 		s.met.errors.Inc()
 		return err
 	}
-	raw, err := json.Marshal(res)
-	if err != nil {
+	buf := resultBufs.Get().(*[]byte)
+	defer resultBufs.Put(buf)
+	if *buf, err = appendResult((*buf)[:0], res); err != nil {
 		s.met.errors.Inc()
 		return fmt.Errorf("store: result %s: %w", key, err)
 	}
@@ -51,7 +55,7 @@ func (s *Store) PutResult(key string, res *result.Result) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(raw); err != nil {
+	if _, err := tmp.Write(*buf); err != nil {
 		tmp.Close()
 		s.met.errors.Inc()
 		return fmt.Errorf("store: %w", err)
@@ -75,6 +79,107 @@ func (s *Store) PutResult(key string, res *result.Result) error {
 		syncDir(filepath.Dir(path))
 	}
 	return nil
+}
+
+// resultBufs recycles PutResult's encode buffers (*[]byte): a result file
+// is tens of kilobytes and one is written per executed job or sweep point.
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendResult appends the stored form of res: byte for byte what
+// encoding/json's Marshal prints for it — the Go field names of
+// result.Result, result.Entry and qdt.Value in declaration order, every
+// field present, null for a nil Entries, Bools, Spins or Meta — which is
+// the format of every result file since the store exists. The file
+// carries no version, and GetResult, which decodes it with encoding/json,
+// reads files written by either encoder. Only Meta, engine-specific and
+// open-ended, still goes through encoding/json. A NaN or infinite Float or
+// Energy has no JSON form and is an error, as it is there; unlike the /v1
+// document this form prints both fields of every entry, whatever its
+// semantics. TestStoredFormMatchesEncodingJSON and the fuzz target
+// jobs.FuzzResultEncoding hold the two encoders together.
+func appendResult(dst []byte, res *result.Result) ([]byte, error) {
+	if res == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, `{"Engine":`...)
+	dst = jsonenc.AppendString(dst, res.Engine)
+	dst = append(dst, `,"Samples":`...)
+	dst = strconv.AppendInt(dst, int64(res.Samples), 10)
+	dst = append(dst, `,"Entries":`...)
+	if res.Entries == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range res.Entries {
+			e := &res.Entries[i]
+			if !jsonenc.Finite(e.Value.Float) {
+				return dst, fmt.Errorf("Entries[%d].Value.Float is %v, which JSON cannot carry", i, e.Value.Float)
+			}
+			if !jsonenc.Finite(e.Energy) {
+				return dst, fmt.Errorf("Entries[%d].Energy is %v, which JSON cannot carry", i, e.Energy)
+			}
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"Bitstring":`...)
+			dst = jsonenc.AppendString(dst, e.Bitstring)
+			dst = append(dst, `,"Index":`...)
+			dst = strconv.AppendUint(dst, e.Index, 10)
+			dst = append(dst, `,"Value":{"Semantics":`...)
+			dst = jsonenc.AppendString(dst, string(e.Value.Semantics))
+			dst = append(dst, `,"Int":`...)
+			dst = strconv.AppendInt(dst, e.Value.Int, 10)
+			dst = append(dst, `,"Float":`...)
+			dst = jsonenc.AppendFloat(dst, e.Value.Float)
+			dst = append(dst, `,"Bools":`...)
+			if e.Value.Bools == nil {
+				dst = append(dst, "null"...)
+			} else {
+				dst = append(dst, '[')
+				for k, b := range e.Value.Bools {
+					if k > 0 {
+						dst = append(dst, ',')
+					}
+					dst = strconv.AppendBool(dst, b)
+				}
+				dst = append(dst, ']')
+			}
+			dst = append(dst, `,"Spins":`...)
+			if e.Value.Spins == nil {
+				dst = append(dst, "null"...)
+			} else {
+				dst = append(dst, '[')
+				for k, s := range e.Value.Spins {
+					if k > 0 {
+						dst = append(dst, ',')
+					}
+					dst = strconv.AppendInt(dst, int64(s), 10)
+				}
+				dst = append(dst, ']')
+			}
+			dst = append(dst, `,"Index":`...)
+			dst = strconv.AppendUint(dst, e.Value.Index, 10)
+			dst = append(dst, `},"Count":`...)
+			dst = strconv.AppendInt(dst, int64(e.Count), 10)
+			dst = append(dst, `,"Energy":`...)
+			dst = jsonenc.AppendFloat(dst, e.Energy)
+			dst = append(dst, `,"HasEnergy":`...)
+			dst = strconv.AppendBool(dst, e.HasEnergy)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"Meta":`...)
+	if res.Meta == nil {
+		dst = append(dst, "null"...)
+	} else {
+		meta, err := json.Marshal(res.Meta)
+		if err != nil {
+			return dst, fmt.Errorf("Meta: %w", err)
+		}
+		dst = append(dst, meta...)
+	}
+	return append(dst, '}'), nil
 }
 
 // GetResult loads a result by content address; ok=false when no file

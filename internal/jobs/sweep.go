@@ -13,8 +13,10 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -352,63 +354,72 @@ func runLanes(lanes int, work []int, point func(i int) error) error {
 // recovered from the journal hold only the per-point content addresses;
 // their results load from the store on first access.
 func (p *Pool) SweepResult(id string) ([]*result.Result, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, results, err := p.sweepResultLocked(id)
+	_, results, err := p.sweepResult(id)
 	return results, err
 }
 
 // WriteSweepResult is SweepResult as the encoded SweepResultDoc, its head
 // snapshotted in the same critical section as the results (a recovered
-// sweep's aggregated profile materializes with them).
+// sweep's aggregated profile materializes with them) and its points
+// written to w as they are encoded.
 func (p *Pool) WriteSweepResult(_ context.Context, w io.Writer, id string) error {
-	p.mu.Lock()
-	j, results, err := p.sweepResultLocked(id)
+	st, results, err := p.sweepResult(id)
 	if err != nil {
-		p.mu.Unlock()
 		return err
 	}
-	doc := NewSweepResultDoc(p.Snapshot(j))
-	p.mu.Unlock()
-	doc.Results = make([]SweepPointDoc, len(results))
-	for i, res := range results {
-		doc.Results[i] = SweepPointDoc{Index: i, Engine: res.Engine, Samples: res.Samples, Entries: entryDocs(res), Meta: res.Meta}
-	}
-	WriteDoc(w, doc)
-	return nil
+	return writeSweepResultDoc(w, NewSweepResultDoc(st), results)
 }
 
-// sweepResultLocked does the work of SweepResult. Callers hold p.mu.
-func (p *Pool) sweepResultLocked(id string) (*job, []*result.Result, error) {
+// sweepResult does the work of SweepResult and also returns the sweep's
+// snapshot. The per-point files of a recovered sweep are read and decoded
+// with the pool unlocked — a grid is up to MaxSweepPoints files of a
+// millisecond each — from the addresses snapshotted under the lock (a done
+// sweep's never change). Concurrent first readers may each load them; the
+// first to come back installs its results, and the aggregated profile, for
+// everyone.
+func (p *Pool) sweepResult(id string) (Status, []*result.Result, error) {
+	p.mu.Lock()
 	j, err := p.Get(id)
+	if err == nil && j.sweep == nil {
+		err = fmt.Errorf("%w: %q", ErrNotSweep, id)
+	}
+	if err == nil {
+		err = NotDoneError(id, j.State, j.Err)
+	}
+	if err == nil && j.sweep.results == nil && p.opts.Store == nil {
+		err = fmt.Errorf("jobs: sweep results for %q are gone (no store attached)", id)
+	}
 	if err != nil {
-		return nil, nil, err
-	}
-	if j.sweep == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNotSweep, id)
-	}
-	if err := NotDoneError(id, j.State, j.Err); err != nil {
-		return nil, nil, err
+		p.mu.Unlock()
+		return Status{}, nil, err
 	}
 	if j.sweep.results == nil {
-		if p.opts.Store == nil {
-			return nil, nil, fmt.Errorf("jobs: sweep results for %q are gone (no store attached)", id)
-		}
-		loaded := make([]*result.Result, len(j.sweep.keys))
-		for i, k := range j.sweep.keys {
+		keys, profiled := j.sweep.keys, j.Profile && j.ProfileDoc == nil
+		p.mu.Unlock()
+		loaded := make([]*result.Result, len(keys))
+		for i, k := range keys {
 			res, ok, err := p.opts.Store.GetResult(k)
 			if err != nil {
-				return nil, nil, err
+				return Status{}, nil, err
 			}
 			if !ok {
-				return nil, nil, fmt.Errorf("jobs: result file for %q point %d (%s) is gone", id, i, k)
+				return Status{}, nil, fmt.Errorf("jobs: result file for %q point %d (%s) is gone", id, i, k)
 			}
 			loaded[i] = res
 		}
-		j.sweep.results = loaded
-		if j.Profile && j.ProfileDoc == nil {
-			j.attachProfile(aggregateSweepProfiles(loaded))
+		var profile json.RawMessage
+		if profiled {
+			profile = aggregateSweepProfiles(loaded)
+		}
+		p.mu.Lock()
+		if j.sweep.results == nil {
+			j.sweep.results = loaded
+			if profiled {
+				j.attachProfile(profile)
+			}
 		}
 	}
-	return j, append([]*result.Result(nil), j.sweep.results...), nil
+	st, results := p.Snapshot(j), slices.Clone(j.sweep.results)
+	p.mu.Unlock()
+	return st, results, nil
 }

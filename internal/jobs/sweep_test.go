@@ -1,10 +1,13 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,6 +236,157 @@ func TestSweepRecovery(t *testing.T) {
 		if err := sweepEntriesEqual(got[i], want[i]); err != nil {
 			t.Errorf("recovered point %d: %v", i, err)
 		}
+	}
+}
+
+// TestRecoveredSweepConcurrentReaders: a done, profiled sweep recovered
+// from the journal holds only its per-point addresses; the first readers
+// of its result load the files with the pool unlocked, so several may load
+// at once while submissions and status polls go on. Every reader must get
+// the same document — the one a restart always served, the pre-restart
+// document up to the key order of the reloaded meta — and the results and
+// the aggregated profile must attach exactly once: one revision bump, one
+// shared result set.
+func TestRecoveredSweepConcurrentReaders(t *testing.T) {
+	points := distinctPoints(8)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Sync: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(Options{Workers: 2, Store: st})
+	sub, err := p.SubmitSweep(sweepTestBundle(t, points), SubmitOptions{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sub.ID
+	if st, err := p.Wait(id); err != nil || st.State != StateDone || st.Profile == nil {
+		t.Fatalf("sweep: %v / %+v", err, st)
+	}
+	var before bytes.Buffer
+	if err := p.WriteSweepResult(context.Background(), &before, id); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := submit(p, gateBundle(t, "gate.statevector", 64, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Wait(plain); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{Sync: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	p2 := NewPool(Options{Workers: 2, Store: st2})
+	defer p2.Close()
+	recovered, err := p2.Status(id)
+	if err != nil || recovered.State != StateDone || recovered.Profile != nil {
+		t.Fatalf("recovered status: %v / %+v (the profile materializes with the results)", err, recovered)
+	}
+
+	const readers = 8
+	docs := make([]bytes.Buffer, readers)
+	plains := make([]*result.Result, readers) // the recovered plain job's result, as each reader got it
+	var reading, others sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			if err := p2.WriteSweepResult(context.Background(), &docs[r], id); err != nil {
+				t.Errorf("reader %d: %v", r, err)
+			}
+			var err error
+			if plains[r], err = p2.Result(plain); err != nil {
+				t.Errorf("reader %d: plain job: %v", r, err)
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		others.Add(2)
+		go func() { // submissions, each a memory miss that looks on disk
+			defer others.Done()
+			for seed := uint64(100 * (w + 1)); ; seed++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				jid, err := submit(p2, gateBundle(t, "gate.statevector", 64, seed))
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				if st, err := p2.Wait(jid); err != nil || st.State != StateDone {
+					t.Errorf("job %s: %v / %+v", jid, err, st)
+					return
+				}
+			}
+		}()
+		go func() { // status polls of the sweep being read
+			defer others.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if st, err := p2.Status(id); err != nil || st.State != StateDone || st.Rev > recovered.Rev+1 {
+					t.Errorf("status poll: %v / rev %d (recovered at %d)", err, st.Rev, recovered.Rev)
+					return
+				}
+			}
+		}()
+	}
+	reading.Wait()
+	close(stop)
+	others.Wait()
+
+	for r := 1; r < readers; r++ {
+		if !bytes.Equal(docs[r].Bytes(), docs[0].Bytes()) {
+			t.Fatalf("readers 0 and %d got different documents", r)
+		}
+		if plains[r] == nil || plains[r] != plains[0] {
+			t.Errorf("readers 0 and %d hold different results of the recovered plain job; the first load is shared", r)
+		}
+	}
+	after, err := p2.Status(id)
+	if err != nil || after.Profile == nil || after.Rev != recovered.Rev+1 {
+		t.Errorf("after the reads: err=%v profile=%s rev=%d, want the profile attached by one bump from %d", err, after.Profile, after.Rev, recovered.Rev)
+	}
+	r1, err1 := p2.SweepResult(id)
+	r2, err2 := p2.SweepResult(id)
+	if err1 != nil || err2 != nil || len(r1) != len(points) {
+		t.Fatalf("SweepResult: %v / %v / %d points", err1, err2, len(r1))
+	}
+	for i := range r1 {
+		if r1[i] != r2[i] {
+			t.Errorf("point %d: two reads hold different results; they attach once and are shared", i)
+		}
+	}
+	var again bytes.Buffer
+	if err := p2.WriteSweepResult(context.Background(), &again, id); err != nil || !bytes.Equal(again.Bytes(), docs[0].Bytes()) {
+		t.Errorf("a later read differs from the first ones (err %v)", err)
+	}
+	// Reloaded meta is a generic map (sorted keys) where the fresh run held
+	// typed values (declaration order), so across the restart the document is
+	// the same JSON value, not necessarily the same bytes.
+	var was, is any
+	if err := json.Unmarshal(before.Bytes(), &was); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(docs[0].Bytes(), &is); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(was, is) {
+		t.Errorf("the recovered sweep's document is a different JSON value from the one served before the restart\nbefore: %.400s\n after: %.400s", before.Bytes(), docs[0].Bytes())
 	}
 }
 

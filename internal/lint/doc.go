@@ -19,9 +19,10 @@
 //     bundle+shots+seed reproduces counts bit-identically.
 //
 //   - lockblock — in internal/jobs, internal/jobs/store and
-//     internal/fleet, no blocking call (journal/store mutators, fsync,
-//     net/http round trips, time.Sleep, WaitGroup waits, channel
-//     operations) while a sync.Mutex/RWMutex is held. Intra-function:
+//     internal/fleet, no blocking call (journal/store mutators and
+//     result-file reads, fsync, net/http round trips, time.Sleep,
+//     WaitGroup waits, channel operations) while a sync.Mutex/RWMutex
+//     is held. Intra-function:
 //     lock state is tracked linearly, branches analyzed on copies,
 //     function literals as fresh scopes; sync.Cond.Wait is exempt.
 //

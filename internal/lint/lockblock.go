@@ -18,18 +18,20 @@ var lockblockScopes = []string{
 	"internal/fleet",
 }
 
-// storeMutators are the journal/store methods that reach the disk (and
-// so block on fsync or rename) — calling one with a mutex held puts the
-// durability barrier on every contending goroutine's critical path.
-var storeMutators = map[string]bool{
+// storeDiskCalls are the journal/store methods that reach the disk —
+// the mutators block on fsync or rename, GetResult reads and decodes a
+// whole result file — so calling one with a mutex held puts the disk on
+// every contending goroutine's critical path.
+var storeDiskCalls = map[string]bool{
 	"Append":    true,
 	"Sync":      true,
 	"Compact":   true,
 	"Close":     true,
 	"PutResult": true,
+	"GetResult": true,
 }
 
-// Lockblock flags blocking calls — journal/store mutators, fsync,
+// Lockblock flags blocking calls — journal/store disk calls, fsync,
 // net/http round trips, time.Sleep, WaitGroup waits, channel operations
 // — made while a sync.Mutex or sync.RWMutex is provably held. The
 // analysis is intra-function: it tracks Lock/RLock and Unlock/RUnlock
@@ -312,8 +314,8 @@ func blockingCall(fn *types.Func, recvPkg, recvType string) string {
 		}
 	case recvPkg == "sync" && recvType == "WaitGroup" && name == "Wait":
 		return "sync.WaitGroup.Wait"
-	case hasPathSuffix(recvPkg, "jobs/store") && storeMutators[name]:
-		return fmt.Sprintf("journal/store mutator %s.%s", recvType, name)
+	case hasPathSuffix(recvPkg, "jobs/store") && storeDiskCalls[name]:
+		return fmt.Sprintf("journal/store disk call %s.%s", recvType, name)
 	}
 	return ""
 }

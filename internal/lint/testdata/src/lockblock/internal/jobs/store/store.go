@@ -1,5 +1,5 @@
 // Package store is a lockblock fixture mirroring the journal store's
-// package-path suffix, so its own mutators are in the blocking set.
+// package-path suffix, so its own disk calls are in the blocking set.
 package store
 
 import (
@@ -30,7 +30,7 @@ func (s *Store) FsyncUnderLock() error {
 func (s *Store) AppendUnderLock(b []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.Append(b) // want `lockblock: journal/store mutator Store\.Append while s\.mu is held`
+	return s.Append(b) // want `lockblock: journal/store disk call Store\.Append while s\.mu is held`
 }
 
 // SyncOffLock is the near-miss: the lock is released before the
@@ -39,4 +39,48 @@ func (s *Store) SyncOffLock() error {
 	s.mu.Lock()
 	s.mu.Unlock()
 	return s.f.Sync()
+}
+
+// GetResult reads and decodes a result file (blocking per the lockblock
+// contract: a millisecond per file, thousands of files for one sweep).
+func (s *Store) GetResult(key string) ([]byte, bool, error) {
+	raw, err := os.ReadFile(key)
+	return raw, err == nil, err
+}
+
+// Pool mirrors the job pool's lazily loaded results.
+type Pool struct {
+	mu    sync.Mutex
+	store *Store
+	res   map[string][]byte
+}
+
+// LoadUnderLock reads a result file with the job table locked: every
+// submit, status poll and dequeue waits for the disk.
+func (p *Pool) LoadUnderLock(key string) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.res[key] == nil {
+		p.res[key], _, _ = p.store.GetResult(key) // want `lockblock: journal/store disk call Store\.GetResult while p\.mu is held`
+	}
+	return p.res[key]
+}
+
+// LoadOffLock is the near-miss, the pattern the pool uses: look under the
+// lock, load with it released, retake it to install if still absent.
+func (p *Pool) LoadOffLock(key string) []byte {
+	p.mu.Lock()
+	res := p.res[key]
+	p.mu.Unlock()
+	if res != nil {
+		return res
+	}
+	loaded, _, _ := p.store.GetResult(key)
+	p.mu.Lock()
+	if p.res[key] == nil {
+		p.res[key] = loaded
+	}
+	res = p.res[key]
+	p.mu.Unlock()
+	return res
 }

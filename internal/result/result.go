@@ -112,9 +112,14 @@ func DecodeCounts(counts map[uint64]int, schema *qop.ResultSchema, reg *qdt.Data
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
+	// One scratch for the register bits of the outcome at hand (neither
+	// IndexFromBits nor the rendering below keeps it; every iteration
+	// rewrites the same positions, the rest stay zero) and one backing
+	// string for all bitstrings, carved per entry.
 	entries := make([]Entry, 0, len(keys))
+	bits := make([]uint8, reg.Width)
+	text := make([]byte, 0, len(keys)*reg.Width)
 	for _, key := range keys {
-		bits := make([]uint8, reg.Width)
 		for cb := range bitOf {
 			bits[bitOf[cb]] = uint8(key >> uint(cb) & 1)
 		}
@@ -126,22 +131,15 @@ func DecodeCounts(counts map[uint64]int, schema *qop.ResultSchema, reg *qdt.Data
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, Entry{
-			Bitstring: carrierString(bits),
-			Index:     k,
-			Value:     value,
-			Count:     counts[key],
-		})
+		// Carrier 0 first, regardless of significance order.
+		for _, b := range bits {
+			text = append(text, '0'+b)
+		}
+		entries = append(entries, Entry{Index: k, Value: value, Count: counts[key]})
+	}
+	all := string(text)
+	for i := range entries {
+		entries[i].Bitstring = all[i*reg.Width : (i+1)*reg.Width]
 	}
 	return entries, nil
-}
-
-// carrierString renders measured bits with carrier 0 first, regardless of
-// significance order.
-func carrierString(bits []uint8) string {
-	buf := make([]byte, len(bits))
-	for i, b := range bits {
-		buf[i] = '0' + b
-	}
-	return string(buf)
 }

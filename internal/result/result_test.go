@@ -121,3 +121,53 @@ func TestResultHelpers(t *testing.T) {
 		t.Error("empty Expectation nonzero")
 	}
 }
+
+// TestDecodeCountsManyOutcomes decodes a few hundred outcomes of a
+// 14-carrier register through a permuted schema and checks each entry
+// against its own index — the bit scratch and the bitstrings' backing
+// storage are shared across outcomes, and nothing may leak from one to the
+// next — and that the decode allocates once per outcome (its typed value),
+// not three times.
+func TestDecodeCountsManyOutcomes(t *testing.T) {
+	reg := qdt.NewIsingVars("ising_vars", "s", 14)
+	schema := qop.DefaultResultSchema(reg.ID, reg.Width, "AS_SPIN", "LSB_0")
+	for i, j := 0, len(schema.ClbitOrder)-1; i < j; i, j = i+1, j-1 { // clbit cb carries register bit 13-cb
+		schema.ClbitOrder[i], schema.ClbitOrder[j] = schema.ClbitOrder[j], schema.ClbitOrder[i]
+	}
+	counts := map[uint64]int{}
+	for k := uint64(0); len(counts) < 254; k++ {
+		counts[k*2654435761%(1<<14)] = int(k) + 1
+	}
+	entries, err := DecodeCounts(counts, schema, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(counts) {
+		t.Fatalf("%d entries for %d outcomes", len(entries), len(counts))
+	}
+	for _, e := range entries {
+		var key uint64 // the classical value this entry came from
+		for bit := 0; bit < 14; bit++ {
+			key |= (e.Index >> bit & 1) << (13 - bit)
+		}
+		if want := reg.BitstringLSBFirst(e.Index); e.Bitstring != want || e.Count != counts[key] || len(e.Value.Spins) != 14 {
+			t.Fatalf("index %d: bitstring %q (want %q), count %d (want %d), value %+v", e.Index, e.Bitstring, want, e.Count, counts[key], e.Value)
+		}
+		for bit, s := range e.Value.Spins {
+			if want := 2*int8(e.Index>>bit&1) - 1; s != want {
+				t.Fatalf("index %d: spin %d is %d, want %d", e.Index, bit, s, want)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeCounts(counts, schema, reg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One value slice per outcome, plus what does not grow with the outcomes
+	// (parsing the schema's 14 bit references twice, the sort, five slices);
+	// three per outcome was 865.
+	if bound := float64(len(counts) * 3 / 2); allocs > bound {
+		t.Errorf("DecodeCounts of %d outcomes allocates %.0f times, want <= %.0f", len(counts), allocs, bound)
+	}
+}
