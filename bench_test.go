@@ -18,7 +18,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/ctxdesc"
 	"repro/internal/embed"
-	"repro/internal/gates"
 	"repro/internal/graph"
 	"repro/internal/ising"
 	"repro/internal/qdt"
@@ -296,18 +295,37 @@ func BenchmarkE11_AnnealerAblation(b *testing.B) {
 
 // ---- substrate micro-benchmarks ----
 
+// oneGatePlans18 precompiles, for every qubit q of an 18-qubit register,
+// the one-instruction circuit build(c, q) appends: the per-gate baselines
+// below time a single kernel sweep, not its compile.
+func oneGatePlans18(b *testing.B, build func(c *circuit.Circuit, q int)) []*sim.Plan {
+	b.Helper()
+	plans := make([]*sim.Plan, 18)
+	for q := range plans {
+		c := circuit.New(18, 0)
+		build(c, q)
+		pl, err := sim.Compile(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans[q] = pl
+	}
+	return plans
+}
+
 // BenchmarkSimHadamard18 measures one-qubit gate bandwidth on a 2^18
-// statevector (the parallel sweep path).
+// statevector (the sharded sweep path).
 func BenchmarkSimHadamard18(b *testing.B) {
 	st, err := sim.NewState(18)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, _ := gates.Unitary1(gates.H, nil)
+	plans := oneGatePlans18(b, func(c *circuit.Circuit, q int) { c.H(q) })
 	b.ReportAllocs()
 	b.SetBytes(int64(st.Dim() * 16))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.Apply1(m, i%18); err != nil {
+		if err := plans[i%18].Execute(st, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,10 +337,12 @@ func BenchmarkSimCX18(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	plans := oneGatePlans18(b, func(c *circuit.Circuit, q int) { c.CX(q, (q+1)%18) })
 	b.ReportAllocs()
 	b.SetBytes(int64(st.Dim() * 16))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.ApplyCX(i%18, (i+1)%18); err != nil {
+		if err := plans[i%18].Execute(st, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,9 +28,11 @@ func (g *Gate) Name() string { return g.engine }
 // under the context's target, consults the comm and QEC context services,
 // simulates across o.Shards persistent shards, and decodes through the
 // final measurement's result schema. o.Stages hears "transpile" here and
-// "compile"/"execute"/"sample" from the simulator; o.Profile lands the
-// per-kernel table in Meta["profile"] (the noise-trajectory path has no
-// plan execution to profile, so noisy contexts return none).
+// "compile"/"execute"/"sample" from the simulator (a noisy context's
+// trajectories sample as they go: "compile" and "execute"); o.Profile
+// lands the per-kernel table in Meta["profile"] (trajectories are many
+// executions of one plan, not one kernel table, so noisy contexts return
+// none).
 func (g *Gate) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return nil, err
@@ -89,16 +91,11 @@ func (g *Gate) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	var run *sim.Result
-	if noise.Zero() {
-		run, err = sim.Run(circ, sim.Options{Shots: shots, Seed: seed, Shards: o.Shards, Stages: o.Stages, Profile: o.Profile})
-	} else {
-		// The trajectory engine interleaves noise injection with gate
-		// application, so there is no clean compile/execute split to time;
-		// only the process-wide sim histograms its Run path shares apply.
+	if !noise.Zero() {
 		meta["noise"] = noise
-		run, err = sim.RunNoisy(circ, noise, sim.Options{Shots: shots, Seed: seed, Shards: o.Shards})
 	}
+	// One call for every gate job: a zero model falls through to sim.Run.
+	run, err := sim.RunNoisy(circ, noise, sim.Options{Shots: shots, Seed: seed, Shards: o.Shards, Stages: o.Stages, Profile: o.Profile})
 	if err != nil {
 		return nil, err
 	}

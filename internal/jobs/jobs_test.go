@@ -389,6 +389,72 @@ func TestRealEngineCacheDeterminism(t *testing.T) {
 	}
 }
 
+// TestNoisyJobGrantInvariant takes the noisy class through the serving
+// tier: a bundle whose context carries exec.options.noise, run by one pool
+// pinned to a single shard and by another that grants the lone job every
+// shard, must decode to identical entries — the cache dedups on
+// bundle+shots+seed alone and relies on the grant never showing in a
+// result — with meta.noise attached and the engine's compile and execute
+// stages in the span log. The 13-qubit case is above the simulator's
+// parallel threshold with fewer shots than shards, so the wide grant
+// splits into trajectory workers and shards per worker both.
+func TestNoisyJobGrantInvariant(t *testing.T) {
+	for _, tc := range []struct{ qubits, shots int }{{4, 200}, {13, 3}} {
+		reg := qdt.NewIsingVars("ising_vars", "s", tc.qubits)
+		seq, err := algolib.BuildQAOA(reg, graph.Cycle(tc.qubits), []float64{0.39}, []float64{1.17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := ctxdesc.NewGate("gate.statevector", tc.shots, 7)
+		ctx.Exec.Options = map[string]any{"noise": map[string]any{"prob_1q": 0.01, "prob_2q": 0.05, "readout_flip": 0.02}}
+		b, err := bundle.New([]*qdt.DataType{reg}, seq, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var entries [2][]result.Entry
+		for i, o := range []SubmitOptions{{Shards: 1}, {}} {
+			pool := NewPool(Options{Workers: 1, QueueDepth: 2, MaxShards: 8})
+			t.Cleanup(pool.Close)
+			id, err := submitWith(pool, b, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := pool.Wait(id)
+			if err != nil || st.State != StateDone {
+				t.Fatalf("%d qubits, %+v: state %s, err %v (%s)", tc.qubits, o, st.State, err, st.Error)
+			}
+			if want := []int{1, 8}[i]; st.Shards != want {
+				t.Errorf("%d qubits, %+v: granted %d shards, want %d", tc.qubits, o, st.Shards, want)
+			}
+			stages := map[string]bool{}
+			for _, sp := range st.Spans {
+				stages[sp.Stage] = true
+			}
+			if !stages["compile"] || !stages["execute"] {
+				t.Errorf("%d qubits, %+v: span log %v lacks the engine's compile/execute stages", tc.qubits, o, st.Spans)
+			}
+			res, err := pool.Result(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Meta["noise"] == nil {
+				t.Errorf("%d qubits, %+v: result carries no meta.noise", tc.qubits, o)
+			}
+			total := 0
+			for _, e := range res.Entries {
+				total += e.Count
+			}
+			if total != tc.shots {
+				t.Errorf("%d qubits, %+v: %d shots decoded, want %d", tc.qubits, o, total, tc.shots)
+			}
+			entries[i] = res.Entries
+		}
+		if !reflect.DeepEqual(entries[0], entries[1]) {
+			t.Errorf("%d qubits: entries differ between a 1-shard and an 8-shard grant", tc.qubits)
+		}
+	}
+}
+
 // TestFailedJob routes an unknown engine through the pool and checks the
 // failure lifecycle.
 func TestFailedJob(t *testing.T) {

@@ -58,9 +58,18 @@
 //
 // Evolve and Run compile internally, so callers keep the one-call API;
 // Compile and Plan.Execute are exported for callers that reuse a plan
-// across states. The direct State.Apply* methods remain for per-gate
-// consumers such as the noise-trajectory path, built on the same
-// pair-index sweeps.
+// across states.
+//
+// One executor, one validation site, one pool — noise trajectories
+// included. A gate reaches a state in exactly one way: Compile lowers and
+// checks it (qubit bounds, distinct operands, table sizes, init
+// normalization), and kernel.apply sweeps it across a shard pool whose
+// width is the caller's grant. RunNoisy is no exception: an error may
+// follow any gate, so it compiles the circuit with fusion off — one
+// kernel per instruction — and each trajectory worker applies those
+// kernels, plus a Pauli kernel wherever a draw fires, on a Runner it
+// resets per shot. State itself has no gate methods; a per-gate consumer
+// compiles a one-instruction circuit.
 //
 // # Runner: one arena, many runs
 //
@@ -80,7 +89,8 @@
 // (runner_test.go pins it bitwise); the staging planes and the CDF are
 // fully overwritten before they are read. With KeepState the Result takes
 // the state and the Runner allocates new planes next time. A Runner is
-// single-goroutine; concurrent lanes each own one.
+// single-goroutine; concurrent sweep lanes and trajectory workers each
+// own one.
 //
 // # Parametric plans
 //
@@ -144,7 +154,7 @@
 // suite in soa_parity_test.go pins this against a complex128 reference).
 //
 // External packages see none of this: Amplitude, Probability and the
-// Apply*/Evolve/Run APIs still speak complex128, and nothing outside the
+// Evolve/Run APIs still speak complex128, and nothing outside the
 // package may assume plane layout, alignment, or scratch reuse.
 //
 // # Profiling and the flight recorder

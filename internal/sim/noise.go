@@ -5,16 +5,17 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/rng"
 )
 
-// maxTrajectoryBytes bounds the extra statevector memory the trajectory
-// engine may allocate across its shot workers (64 MiB): a 2^20-amplitude
-// state (16 MiB) runs at most 4 shot workers; anything at 2^22 and above
-// runs shots serially and parallelizes inside each gate sweep instead.
+// maxTrajectoryBytes bounds the statevector memory the trajectory engine
+// may hold across its shot workers (64 MiB): a 2^20-amplitude state
+// (16 MiB) runs at most 4 shot workers; anything at 2^22 and above runs
+// shots one after another and spends the whole grant on shards instead.
 const maxTrajectoryBytes = 64 << 20
 
 // NoiseModel parametrizes stochastic Pauli (depolarizing-style) noise for
@@ -45,22 +46,27 @@ func (n NoiseModel) Zero() bool {
 }
 
 // RunNoisy executes the circuit under the noise model by quantum
-// trajectories: each shot evolves its own statevector with randomly
-// inserted Pauli errors and samples one outcome. Cost is shots × circuit,
-// so it suits the small-register workloads of the evaluation; noiseless
-// runs fall through to the fast path, and models with zero gate-error
+// trajectories: each shot evolves a statevector with randomly inserted
+// Pauli errors and samples one outcome. Cost is shots × circuit, so it
+// suits the small-register workloads of the evaluation; noiseless runs
+// fall through to the fast path, and models with zero gate-error
 // probabilities (pure readout noise) evolve a single shared state and
 // sample every shot from its CDF. Options.KeepState is rejected whenever
 // the model is non-zero: trajectories have no single final state.
 //
-// The shard grant (Options.Shards) parallelizes across trajectories: shot
-// ranges split over that many workers, each shot drawing from its own
+// Trajectories run the engine every other job runs: the circuit compiles
+// once, unfused (an error may follow any gate, so no two gates share a
+// kernel), and each trajectory worker applies those kernels, and a Pauli
+// kernel where a draw fires, on one Runner it resets per shot.
+//
+// The shard grant (Options.Shards, 0 = GOMAXPROCS) is the width of the
+// whole run and splits once, workers first: as many trajectory workers as
+// the grant, the shot count and maxTrajectoryBytes allow, each sweeping on
+// grant/workers shards (one below parallelThreshold, where a second shard
+// costs more than it saves) — never more than grant goroutines at once.
+// Shot ranges split over the workers and each shot draws from its own
 // serially pre-derived child RNG stream, so counts are bit-identical for
-// any grant — including the serial baseline. 0 chooses automatically
-// (trajectory workers for small states; serial shots for large states,
-// whose sweeps fan out internally). When several trajectory workers run,
-// each worker's per-gate sweeps are pinned to its own goroutine — the
-// grant never multiplies into workers×GOMAXPROCS sweep goroutines.
+// any grant.
 func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, error) {
 	if err := noise.Validate(); err != nil {
 		return nil, err
@@ -107,57 +113,35 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 		return runReadoutOnly(c, noise, opts, res, mm, qubits, rngs)
 	}
 
-	workers := opts.Shards
-	if workers <= 0 {
-		if 1<<c.NumQubits >= parallelThreshold {
-			workers = 1 // per-gate sweeps already fan out internally
-		} else {
-			workers = runtime.GOMAXPROCS(0)
-		}
+	stageStart := time.Now()
+	np, err := compileNoisy(c, noise)
+	if err != nil {
+		return nil, err
 	}
-	// Every trajectory worker owns a full 2^n statevector, so clamp the
-	// fan-out to a fixed memory budget: a wide grant on a large state
-	// must not multiply peak memory (those states parallelize inside
-	// each gate sweep instead).
-	if maxByMem := maxTrajectoryBytes / (16 << c.NumQubits); workers > maxByMem {
-		workers = maxByMem
-	}
-	if workers > opts.Shots {
-		workers = opts.Shots
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	observeStage(simCompile, opts.Stages, "compile", stageStart)
 
-	// With several trajectory workers the per-gate sweeps inside each shot
-	// must stay on the worker's goroutine: each sweep on a state at or
-	// above parallelThreshold would otherwise fan out to GOMAXPROCS
-	// goroutines per worker, oversubscribing the machine workers×cores
-	// times. A lone worker keeps the internal fan-out instead.
-	serialSweeps := workers > 1
+	stageStart = time.Now()
+	grant := opts.Shards
+	if grant <= 0 {
+		grant = runtime.GOMAXPROCS(0)
+	}
+	// Every trajectory worker owns a full 2^n statevector, so the worker
+	// count is also clamped to a fixed memory budget: a wide grant on a
+	// large state must not multiply peak memory.
+	workers := max(1, min(grant, opts.Shots, maxTrajectoryBytes/(16<<c.NumQubits)))
+	shards := 1
+	if 1<<c.NumQubits >= parallelThreshold {
+		shards = grant / workers
+	}
 	counts := make([]Counts, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := shardRange(opts.Shots, workers, w)
-		if lo >= hi {
-			continue
-		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			local := Counts{}
-			for shot := lo; shot < hi; shot++ {
-				reg, measured, err := runTrajectory(c, noise, qubits, mm, rngs[shot], serialSweeps)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if measured {
-					local[reg]++
-				}
-			}
-			counts[w] = local
+			counts[w], errs[w] = np.run(shards, rngs[lo:hi], qubits, mm, noise.ReadoutFlip)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -171,7 +155,105 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 			res.Counts[reg] += n
 		}
 	}
+	observeStage(simExecute, opts.Stages, "execute", stageStart)
 	return res, nil
+}
+
+// noisyPlan is a circuit compiled for trajectories: the unfused plan and,
+// beside kernel i, the instruction it came from and the error the model
+// injects after it. Read-only once built; the trajectory workers share it.
+type noisyPlan struct {
+	pl    *Plan
+	steps []noisyStep
+	// paulis holds X, Y, Z on qubit q at 3q, 3q+1, 3q+2 — the order
+	// Intn(3) has always indexed.
+	paulis []kernel
+}
+
+type noisyStep struct {
+	instr  int     // index into Circuit.Instrs, for error reports
+	p      float64 // per-qubit error probability after the kernel; 0 after a native op
+	qubits []int   // the gate's operands in instruction order, which is the draw order
+}
+
+func compileNoisy(c *circuit.Circuit, noise NoiseModel) (*noisyPlan, error) {
+	pl, err := compile(c, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	np := &noisyPlan{pl: pl, steps: make([]noisyStep, 0, len(pl.kernels)), paulis: make([]kernel, 0, 3*pl.n)}
+	for idx, ins := range c.Instrs {
+		if ins.Op == circuit.OpMeasure || ins.Op == circuit.OpBarrier {
+			continue
+		}
+		step := noisyStep{instr: idx}
+		if ins.Op == circuit.OpGate {
+			step.p, step.qubits = noise.Prob1Q, ins.Qubits
+			if len(ins.Qubits) > 1 {
+				step.p = noise.Prob2Q
+			}
+		}
+		np.steps = append(np.steps, step)
+	}
+	var xyz [3]gates.Split2
+	for i, name := range [3]gates.Name{gates.X, gates.Y, gates.Z} {
+		m, err := gates.Unitary1(name, nil)
+		if err != nil {
+			return nil, err
+		}
+		xyz[i] = m.Split()
+	}
+	for q := 0; q < pl.n; q++ {
+		for _, ms := range xyz {
+			np.paulis = append(np.paulis, kernel{kind: kGate1Q, q: q, ms: ms})
+		}
+	}
+	return np, nil
+}
+
+// run evolves one trajectory per stream in rngs, one after another on a
+// Runner of its own, and counts the sampled registers. The draw order on
+// a shot's stream is the seeded-stream contract: after each gate one
+// Float64 per operand and an Intn(3) when it fires, then the outcome draw,
+// then projectRegister's readout flips.
+func (np *noisyPlan) run(shards int, rngs []*rng.Rand, qubits []int, mm map[int]int, flip float64) (Counts, error) {
+	runner, err := newRunner(np.pl.n, shards)
+	if err != nil {
+		return nil, err
+	}
+	defer runner.Close()
+	width, sweep := runner.pool.shards, runner.pool.do
+	counts := Counts{}
+	for _, r := range rngs {
+		st, err := runner.reset()
+		if err != nil {
+			return nil, err
+		}
+		for i := range np.pl.kernels {
+			step := &np.steps[i]
+			if err := np.pl.kernels[i].apply(st, width, sweep); err != nil {
+				return nil, fmt.Errorf("sim: instruction %d: %w", step.instr, err)
+			}
+			if step.p == 0 {
+				continue
+			}
+			for _, q := range step.qubits {
+				if r.Float64() < step.p {
+					if err := np.paulis[3*q+r.Intn(3)].apply(st, width, sweep); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+		// With nothing measured the shots still evolve: an init onto
+		// qubits an injected error moved out of |0…0⟩ must surface.
+		if len(mm) == 0 {
+			continue
+		}
+		k := sampleIndex(st, r)
+		counts[projectRegister(k, qubits, mm, flip, r)]++
+	}
+	return counts, nil
 }
 
 // runReadoutOnly is the trajectory engine's fast path for models with
@@ -182,10 +264,12 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 // draw per measured qubit), and the serial shot loop makes counts
 // trivially identical across shard grants.
 func runReadoutOnly(c *circuit.Circuit, noise NoiseModel, opts Options, res *Result, mm map[int]int, qubits []int, rngs []*rng.Rand) (*Result, error) {
+	stageStart := time.Now()
 	pl, err := Compile(c)
 	if err != nil {
 		return nil, err
 	}
+	observeStage(simCompile, opts.Stages, "compile", stageStart)
 	if opts.Shots == 0 {
 		return res, nil
 	}
@@ -200,13 +284,16 @@ func runReadoutOnly(c *circuit.Circuit, noise NoiseModel, opts Options, res *Res
 	}
 	// Evolve even when nothing is measured: runtime errors (an init on
 	// qubits not in |0…0⟩) must surface exactly as the per-shot
-	// trajectory path surfaced them.
+	// trajectory path surfaces them.
+	stageStart = time.Now()
 	if err := pl.executeOn(st, runner.pool, nil); err != nil {
 		return nil, err
 	}
+	observeStage(simExecute, opts.Stages, "execute", stageStart)
 	if len(mm) == 0 {
 		return res, nil
 	}
+	stageStart = time.Now()
 	cdf, _, lastPos := runner.buildCDF(st)
 	for shot := 0; shot < opts.Shots; shot++ {
 		r := rngs[shot]
@@ -215,6 +302,7 @@ func runReadoutOnly(c *circuit.Circuit, noise NoiseModel, opts Options, res *Res
 		k := sampleCDF(cdf, lastPos, r.Float64())
 		res.Counts[projectRegister(k, qubits, mm, noise.ReadoutFlip, r)]++
 	}
+	observeStage(simSample, opts.Stages, "sample", stageStart)
 	return res, nil
 }
 
@@ -235,60 +323,6 @@ func projectRegister(k uint64, qubits []int, mm map[int]int, flip float64, r *rn
 		}
 	}
 	return reg
-}
-
-// runTrajectory evolves one noisy shot and samples its measured register.
-// serialSweeps pins the shot's gate sweeps to the calling goroutine (set
-// when trajectories already run in parallel).
-func runTrajectory(c *circuit.Circuit, noise NoiseModel, qubits []int, mm map[int]int, r *rng.Rand, serialSweeps bool) (uint64, bool, error) {
-	paulis := [3]gates.Name{gates.X, gates.Y, gates.Z}
-	st, err := NewState(c.NumQubits)
-	if err != nil {
-		return 0, false, err
-	}
-	st.noParallel = serialSweeps
-	seenMeasure := false
-	for idx, ins := range c.Instrs {
-		switch ins.Op {
-		case circuit.OpMeasure:
-			seenMeasure = true
-			continue
-		case circuit.OpBarrier:
-			continue
-		}
-		if seenMeasure {
-			return 0, false, fmt.Errorf("sim: instruction %d follows a measurement", idx)
-		}
-		if err := applyInstruction(st, ins); err != nil {
-			return 0, false, fmt.Errorf("sim: instruction %d: %w", idx, err)
-		}
-		if ins.Op != circuit.OpGate {
-			continue
-		}
-		p := noise.Prob1Q
-		if len(ins.Qubits) > 1 {
-			p = noise.Prob2Q
-		}
-		if p == 0 {
-			continue
-		}
-		for _, q := range ins.Qubits {
-			if r.Float64() < p {
-				m, err := gates.Unitary1(paulis[r.Intn(3)], nil)
-				if err != nil {
-					return 0, false, err
-				}
-				if err := st.Apply1(m, q); err != nil {
-					return 0, false, err
-				}
-			}
-		}
-	}
-	if len(mm) == 0 {
-		return 0, false, nil
-	}
-	k := sampleIndex(st, r)
-	return projectRegister(k, qubits, mm, noise.ReadoutFlip, r), true, nil
 }
 
 // sampleIndex draws one basis index from the Born distribution by a

@@ -3,12 +3,12 @@ package sim
 import (
 	"math"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/gates"
 )
 
 func bellCircuit() *circuit.Circuit {
@@ -191,11 +191,39 @@ func TestRunNoisyReadoutOnlyMidMeasureRejected(t *testing.T) {
 	}
 }
 
-// TestRunNoisyTrajectoryWorkersSerialSweeps guards the oversubscription
-// fix: with W trajectory workers on a state above the parallel threshold,
-// per-gate sweeps must stay on the worker goroutines instead of fanning
-// out to W×GOMAXPROCS goroutines. The goroutine high-water mark during the
-// run must stay near the worker count.
+// goroutineHighWater runs f and returns the largest runtime.NumGoroutine a
+// 20 µs poll saw meanwhile, less the count before f started.
+func goroutineHighWater(f func()) int {
+	base := runtime.NumGoroutine()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	var maxG atomic.Int64
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if g := int64(runtime.NumGoroutine()); g > maxG.Load() {
+					maxG.Store(g)
+				}
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+	}()
+	f()
+	close(stop)
+	<-done
+	return int(maxG.Load()) - base
+}
+
+// TestRunNoisyTrajectoryWorkersSerialSweeps guards the rule that the grant
+// is the width: on a state above the parallel threshold a noisy run keeps
+// at most grant goroutines sweeping — trajectory workers × shards — and
+// never fans a gate out per worker. Grant 1 is what the pool hands a job
+// whenever another is running; it once sent every gate to GOMAXPROCS
+// goroutines.
 func TestRunNoisyTrajectoryWorkersSerialSweeps(t *testing.T) {
 	n := 14 // 2^14 amplitudes: every sweep is above parallelThreshold
 	c := circuit.New(n, n)
@@ -208,84 +236,66 @@ func TestRunNoisyTrajectoryWorkersSerialSweeps(t *testing.T) {
 		}
 	}
 	c.MeasureAll()
-	workers := 4
 	// Force a multi-core fan-out decision even on single-core runners so
-	// the broken behavior (workers×GOMAXPROCS sweep goroutines) is visible
+	// the broken behavior (a sweep goroutine set per gate) is visible
 	// everywhere.
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
-	base := runtime.NumGoroutine()
-	stop := make(chan struct{})
-	var maxG atomic.Int64
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				if g := int64(runtime.NumGoroutine()); g > maxG.Load() {
-					maxG.Store(g)
-				}
-				time.Sleep(20 * time.Microsecond)
-			}
+	for _, grant := range []int{1, 4} {
+		var err error
+		high := goroutineHighWater(func() {
+			_, err = RunNoisy(c, NoiseModel{Prob1Q: 0.01}, Options{Shots: 16, Seed: 3, Shards: grant})
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	_, err := RunNoisy(c, NoiseModel{Prob1Q: 0.01}, Options{Shots: 16, Seed: 3, Shards: workers})
-	close(stop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allow the monitor itself plus a little runtime slack; the broken
-	// behavior fans out to workers×GOMAXPROCS extra goroutines per sweep.
-	if limit := int64(base + workers + 6); maxG.Load() > limit {
-		t.Errorf("goroutine high-water mark %d exceeds %d: trajectory sweeps are fanning out", maxG.Load(), limit)
+		// Allow the monitor itself plus a little runtime slack.
+		if limit := grant + 6; high > limit {
+			t.Errorf("grant %d: goroutine high-water mark base+%d exceeds base+%d: trajectory sweeps are fanning out", grant, high, limit)
+		}
 	}
 }
 
-// TestCloneThenEvolveKeepsSerialSweeps extends the high-water guard to the
-// clone path: Clone must carry the serial-sweep pin, so evolving a clone of
-// a pinned state spawns no sweep goroutines even above parallelThreshold.
-// (A Clone that dropped the pin would fan each sweep out to GOMAXPROCS
-// goroutines, resurrecting the oversubscription the pin exists to prevent.)
-func TestCloneThenEvolveKeepsSerialSweeps(t *testing.T) {
-	n := 14 // 2^14 amplitudes: every sweep is above parallelThreshold
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-	st := mustStateQuick(n)
-	st.noParallel = true
-	cl := st.Clone()
-	h, err := gates.Unitary1(gates.H, nil)
-	if err != nil {
+// TestRunNoisyWorkerArenaReuse: a trajectory worker resets one Runner per
+// shot instead of allocating a state, so what RunNoisy allocates does not
+// grow with 2^n × shots. At 12 qubits (64 KiB of planes) and one worker,
+// 128 shots stay under 2 MB in total and a further shot costs far less
+// than a state.
+func TestRunNoisyWorkerArenaReuse(t *testing.T) {
+	c := goldenQAOA(12)
+	nm := NoiseModel{Prob1Q: 0.001, Prob2Q: 0.01, ReadoutFlip: 0.02}
+	allocated := func(shots int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunNoisy(c, nm, Options{Shots: shots, Seed: 5, Shards: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	few, many := allocated(8), allocated(128)
+	if many > 2<<20 {
+		t.Errorf("RunNoisy at 12 qubits × 128 shots allocated %d bytes, want ≤ 2 MiB", many)
+	}
+	const planes = 16 << 12
+	if perShot := (many - few) / 120; perShot > planes/4 {
+		t.Errorf("each further shot allocates %d bytes (a state is %d): the worker is not reusing its arena", perShot, planes)
+	}
+}
+
+// TestRunNoisyBadInitNamesInstruction: an init that finds its qubits out
+// of |0…0⟩ is a run-time failure of one kernel; the error still says which
+// instruction, counted in the circuit's own numbering (barriers and all).
+func TestRunNoisyBadInitNamesInstruction(t *testing.T) {
+	c := circuit.New(2, 2)
+	c.H(1).Barrier().X(0)
+	if err := c.Init([]int{0}, []complex128{1, 0}); err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
-	stop := make(chan struct{})
-	var maxG atomic.Int64
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				if g := int64(runtime.NumGoroutine()); g > maxG.Load() {
-					maxG.Store(g)
-				}
-				time.Sleep(20 * time.Microsecond)
-			}
-		}
-	}()
-	for l := 0; l < 4; l++ {
-		for q := 0; q < n; q++ {
-			if err := cl.Apply1(h, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	close(stop)
-	// Only the monitor goroutine plus runtime slack: the pinned clone's
-	// sweeps all run on the calling goroutine.
-	if limit := int64(base + 3); maxG.Load() > limit {
-		t.Errorf("goroutine high-water mark %d exceeds %d: cloned state lost the serial-sweep pin", maxG.Load(), limit)
+	c.MeasureAll()
+	_, err := RunNoisy(c, NoiseModel{Prob1Q: 0.01}, Options{Shots: 4, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "sim: instruction 3: ") || !strings.Contains(err.Error(), "not in |0…0⟩") {
+		t.Errorf("bad init reported as %v, want instruction 3 and the init failure", err)
 	}
 }
 

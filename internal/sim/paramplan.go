@@ -210,7 +210,7 @@ func CompileParametric(c *circuit.Circuit) (*ParamPlan, error) {
 		}
 	}
 	rec := &paramRec{placeholder: placeholderValues(nParams)}
-	tmpl, err := compile(c, rec)
+	tmpl, err := compile(c, rec, maxFuseScan)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +257,7 @@ func (pp *ParamPlan) Bind(values []float64) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			return compile(bound, nil)
+			return compile(bound, nil, maxFuseScan)
 		}
 	}
 	out := &Plan{n: pp.tmpl.n, stats: pp.tmpl.stats}

@@ -158,6 +158,11 @@ type Plan struct {
 	// par is the parametric recording sink during CompileParametric;
 	// nil for concrete compiles.
 	par *paramRec
+	// fuseScan is how many kernels back the three fusion scans may look:
+	// maxFuseScan for every exported compile, 0 for the unfused compile
+	// the noise trajectories run, which keeps each instruction in a kernel
+	// of its own so an error can be injected after any gate.
+	fuseScan int
 }
 
 // NumQubits returns the qubit count the plan was compiled for.
@@ -177,26 +182,29 @@ const maxFuseScan = 64
 const maxDiagFuseQubits = 8
 
 // Compile lowers a circuit into a kernel plan. It performs all static
-// validation (qubit bounds, operand distinctness, init normalization), so
-// Execute can sweep without per-gate checks. Measurements must be
-// terminal, exactly as in Evolve.
+// validation (qubit bounds, operand distinctness, table sizes, init
+// normalization), so Execute can sweep without per-gate checks.
+// Measurements must be terminal, exactly as in Evolve.
 func Compile(c *circuit.Circuit) (*Plan, error) {
 	if c.HasRefs() {
 		return nil, fmt.Errorf("sim: circuit carries symbolic parameter references; use CompileParametric")
 	}
-	return compile(c, nil)
+	return compile(c, nil, maxFuseScan)
 }
 
-// compile is the shared body of Compile and CompileParametric. A
-// non-nil par makes the lowering record matrix-rebuild closures and
-// classification checks for symbolic instructions. Every call — both
-// entry points and the degenerate-bind fallback — bumps CompileCount.
-func compile(c *circuit.Circuit, par *paramRec) (*Plan, error) {
+// compile is the shared body of Compile, CompileParametric and the
+// trajectory engine's unfused compile. A non-nil par makes the lowering
+// record matrix-rebuild closures and classification checks for symbolic
+// instructions. With fuseScan 0 nothing fuses: kernel i is the i-th
+// instruction that is neither a measurement nor a barrier, in the form
+// and with the operands lower gives it. Every call — the entry points,
+// the degenerate-bind fallback and RunNoisy — bumps CompileCount.
+func compile(c *circuit.Circuit, par *paramRec, fuseScan int) (*Plan, error) {
 	compileCount.Add(1)
 	if c.NumQubits < 1 || c.NumQubits > MaxQubits {
 		return nil, fmt.Errorf("sim: qubit count %d out of [1,%d]", c.NumQubits, MaxQubits)
 	}
-	pl := &Plan{n: c.NumQubits, par: par}
+	pl := &Plan{n: c.NumQubits, par: par, fuseScan: fuseScan}
 	seenMeasure := false
 	for idx, ins := range c.Instrs {
 		switch ins.Op {
@@ -336,6 +344,9 @@ func (pl *Plan) lower(ins circuit.Instruction) error {
 	case circuit.OpDiagonal:
 		if err := pl.checkQubits(ins.Qubits...); err != nil {
 			return err
+		}
+		if len(ins.Phases) != 1<<len(ins.Qubits) {
+			return fmt.Errorf("sim: diagonal table size %d != 2^%d", len(ins.Phases), len(ins.Qubits))
 		}
 		k := kernel{kind: kDiag, diag: true}
 		k.qubits = append([]int(nil), ins.Qubits...)
@@ -630,7 +641,7 @@ func (pl *Plan) fuse2Q(qLo, qHi int, m gates.Matrix4, plain kernel) {
 	pairMask := 1<<qLo | 1<<qHi
 	probe := kernel{support: pairMask}
 	folded := false
-	floor := len(pl.kernels) - maxFuseScan
+	floor := len(pl.kernels) - pl.fuseScan
 	if floor < 0 {
 		floor = 0
 	}
@@ -676,7 +687,7 @@ func (pl *Plan) fuse2Q(qLo, qHi int, m gates.Matrix4, plain kernel) {
 // dense 4×4 and absorbs the gate — that trade replaces a full one-qubit
 // sweep plus the pair sweep with one full sweep.
 func (pl *Plan) fuse1Q(k kernel) {
-	floor := len(pl.kernels) - maxFuseScan
+	floor := len(pl.kernels) - pl.fuseScan
 	for i := len(pl.kernels) - 1; i >= 0 && i >= floor; i-- {
 		t := &pl.kernels[i]
 		if t.kind == kGate1Q && t.q == k.q {
@@ -725,7 +736,7 @@ func (pl *Plan) fuse1Q(k kernel) {
 // support. Two controlled phases on the same qubit pair collapse without
 // building a table at all.
 func (pl *Plan) fuseDiag(k kernel) {
-	floor := len(pl.kernels) - maxFuseScan
+	floor := len(pl.kernels) - pl.fuseScan
 	for i := len(pl.kernels) - 1; i >= 0 && i >= floor; i-- {
 		t := &pl.kernels[i]
 		if t.kind == kCtrlPhase && k.kind == kCtrlPhase && t.support == k.support {
@@ -845,8 +856,6 @@ func (pl *Plan) Execute(st *State, shards int) error {
 // opt-in kernel table. Neither layer touches amplitudes or shard
 // ranges, so execution stays bit-identical profiled or not.
 func (pl *Plan) executeOn(st *State, pool *shardPool, prof *execProfiler) error {
-	re, im := st.re, st.im
-	dim := len(re)
 	run := pool.do
 	if prof != nil {
 		run = func(total int, fn func(w, lo, hi int)) {
@@ -865,73 +874,8 @@ func (pl *Plan) executeOn(st *State, pool *shardPool, prof *execProfiler) error 
 			prof.begin()
 		}
 		kernelStart := time.Now()
-		switch k.kind {
-		case kGate1Q:
-			stride := 1 << k.q
-			ms := &k.ms
-			run(dim/2, func(_, lo, hi int) {
-				sweep1QAuto(re, im, ms, stride, lo, hi)
-			})
-		case kGate2Q:
-			maskLo, maskHi := 1<<k.q, 1<<k.q2
-			if k.mono {
-				src, phRe, phIm := &k.msrc, &k.mphRe, &k.mphIm
-				run(dim/4, func(_, lo, hi int) {
-					sweep2QMonoAuto(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
-				})
-				break
-			}
-			ms := &k.m4s
-			run(dim/4, func(_, lo, hi int) {
-				sweep2QAuto(re, im, ms, maskLo, maskHi, lo, hi)
-			})
-		case kCtrlPerm:
-			run(1<<k.free, func(_, lo, hi int) {
-				sweepCtrlPerm(re, im, k.inserts, k.flip, lo, hi)
-			})
-		case kCtrlPhase:
-			phR, phI := real(k.phase), imag(k.phase)
-			run(1<<k.free, func(_, lo, hi int) {
-				sweepCtrlPhase(re, im, k.inserts, phR, phI, lo, hi)
-			})
-		case kDiag:
-			run(dim, func(_, lo, hi int) {
-				sweepDiag(re, im, k.masks, k.phRe, k.phIm, lo, hi)
-			})
-		case kPermute:
-			src := st.scratchPlanes()
-			run(dim, func(_, lo, hi int) {
-				copy(src.re[lo:hi], re[lo:hi])
-				copy(src.im[lo:hi], im[lo:hi])
-			})
-			run(dim, func(_, lo, hi int) {
-				sweepPermute(re, im, src.re, src.im, k.masks, k.perm, lo, hi)
-			})
-		case kInit:
-			anyMask := k.support
-			src := st.scratchPlanes()
-			bad := make([]int, pool.shards)
-			for i := range bad {
-				bad[i] = -1
-			}
-			run(dim, func(w, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if i&anyMask != 0 && bad[w] < 0 &&
-						cmplx.Abs(complex(re[i], im[i])) > 1e-12 {
-						bad[w] = i
-					}
-				}
-				copy(src.re[lo:hi], re[lo:hi])
-				copy(src.im[lo:hi], im[lo:hi])
-			})
-			for _, b := range bad {
-				if b >= 0 {
-					return fmt.Errorf("sim: init target qubits not in |0…0⟩ (amplitude at %d)", b)
-				}
-			}
-			run(dim, func(_, lo, hi int) {
-				sweepInit(re, im, src.re, src.im, k.masks, anyMask, k.ampRe, k.ampIm, lo, hi)
-			})
+		if err := k.apply(st, pool.shards, run); err != nil {
+			return err
 		}
 		kernelDur := time.Since(kernelStart)
 		simKernels.At(ord).Inc()
@@ -946,7 +890,87 @@ func (pl *Plan) executeOn(st *State, pool *shardPool, prof *execProfiler) error 
 	return nil
 }
 
-// ---- sweep bodies, shared by plan execution and the State methods ----
+// apply sweeps one kernel over st: the only place the engine applies a
+// gate. run is a shard pool's do (or executeOn's per-shard timing wrapper
+// around it) and shards that pool's width; plan execution calls apply
+// kernel after kernel, a noise trajectory calls it with its draws in
+// between. Operands were validated when the kernel was compiled, so the
+// one runtime failure is an init whose target qubits are not in |0…0⟩.
+func (k *kernel) apply(st *State, shards int, run func(total int, fn func(w, lo, hi int))) error {
+	re, im := st.re, st.im
+	dim := len(re)
+	switch k.kind {
+	case kGate1Q:
+		stride := 1 << k.q
+		ms := &k.ms
+		run(dim/2, func(_, lo, hi int) {
+			sweep1QAuto(re, im, ms, stride, lo, hi)
+		})
+	case kGate2Q:
+		maskLo, maskHi := 1<<k.q, 1<<k.q2
+		if k.mono {
+			src, phRe, phIm := &k.msrc, &k.mphRe, &k.mphIm
+			run(dim/4, func(_, lo, hi int) {
+				sweep2QMonoAuto(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
+			})
+			break
+		}
+		ms := &k.m4s
+		run(dim/4, func(_, lo, hi int) {
+			sweep2QAuto(re, im, ms, maskLo, maskHi, lo, hi)
+		})
+	case kCtrlPerm:
+		run(1<<k.free, func(_, lo, hi int) {
+			sweepCtrlPerm(re, im, k.inserts, k.flip, lo, hi)
+		})
+	case kCtrlPhase:
+		phR, phI := real(k.phase), imag(k.phase)
+		run(1<<k.free, func(_, lo, hi int) {
+			sweepCtrlPhase(re, im, k.inserts, phR, phI, lo, hi)
+		})
+	case kDiag:
+		run(dim, func(_, lo, hi int) {
+			sweepDiag(re, im, k.masks, k.phRe, k.phIm, lo, hi)
+		})
+	case kPermute:
+		src := st.scratchPlanes()
+		run(dim, func(_, lo, hi int) {
+			copy(src.re[lo:hi], re[lo:hi])
+			copy(src.im[lo:hi], im[lo:hi])
+		})
+		run(dim, func(_, lo, hi int) {
+			sweepPermute(re, im, src.re, src.im, k.masks, k.perm, lo, hi)
+		})
+	case kInit:
+		anyMask := k.support
+		src := st.scratchPlanes()
+		bad := make([]int, shards)
+		for i := range bad {
+			bad[i] = -1
+		}
+		run(dim, func(w, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if i&anyMask != 0 && bad[w] < 0 &&
+					cmplx.Abs(complex(re[i], im[i])) > 1e-12 {
+					bad[w] = i
+				}
+			}
+			copy(src.re[lo:hi], re[lo:hi])
+			copy(src.im[lo:hi], im[lo:hi])
+		})
+		for _, b := range bad {
+			if b >= 0 {
+				return fmt.Errorf("sim: init target qubits not in |0…0⟩ (amplitude at %d)", b)
+			}
+		}
+		run(dim, func(_, lo, hi int) {
+			sweepInit(re, im, src.re, src.im, k.masks, anyMask, k.ampRe, k.ampIm, lo, hi)
+		})
+	}
+	return nil
+}
+
+// ---- sweep bodies, reached only through kernel.apply ----
 //
 // Every sweep operates on the split re/im planes. The float expressions
 // mirror the grouping of Go's complex128 arithmetic exactly — a complex

@@ -81,7 +81,8 @@ func BenchmarkPerGateEvolveCX20(b *testing.B) {
 }
 
 // benchEvolveDirect is the seed engine's shape: one sweep per gate, no
-// fusion, fork-join parallelism inside each State method.
+// fusion — the unfused compile (included in the measured loop, as in the
+// fused benchmarks) on an automatic shard count.
 func benchEvolveDirect(b *testing.B, c *circuit.Circuit) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -89,10 +90,12 @@ func benchEvolveDirect(b *testing.B, c *circuit.Circuit) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, ins := range c.Instrs {
-			if err := applyInstruction(st, ins); err != nil {
-				b.Fatal(err)
-			}
+		pl, err := compile(c, nil, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := pl.Execute(st, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -254,5 +257,27 @@ func BenchmarkCompileDeep20(b *testing.B) {
 		if _, err := Compile(c); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRunNoisy measures the trajectory engine at the grants the pool
+// hands out: 8 qubits × 128 shots at grant 1 is the benchmark's noisy op
+// (serve_mix, dispatch_mix); 12 × 128 shows what a shot costs once the
+// state outweighs the bookkeeping; 16 × 16 is above parallelThreshold,
+// where grant 2 must buy time and grant 1 must not fan out.
+func BenchmarkRunNoisy(b *testing.B) {
+	nm := NoiseModel{Prob1Q: 0.001, Prob2Q: 0.01, ReadoutFlip: 0.02}
+	for _, bc := range []struct{ n, shots, grant int }{
+		{8, 128, 1}, {12, 128, 1}, {16, 16, 1}, {16, 16, 2},
+	} {
+		c := goldenQAOA(bc.n)
+		b.Run(fmt.Sprintf("q=%d/shots=%d/grant=%d", bc.n, bc.shots, bc.grant), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunNoisy(c, nm, Options{Shots: bc.shots, Seed: uint64(i), Shards: bc.grant}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -100,18 +101,21 @@ func randomLocalState(r *rand.Rand, k int) []complex128 {
 	return amps
 }
 
-// evolveDirect is the per-gate reference path: one State method call per
-// instruction, no fusion, no plan.
+// evolveDirect is the per-gate reference: the unfused compile — one
+// kernel per instruction, the plan noise trajectories run — taken through
+// the plan executor on one shard.
 func evolveDirect(t *testing.T, c *circuit.Circuit) *State {
 	t.Helper()
+	pl, err := compile(c, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pl.Stats(), (PlanStats{SourceOps: len(pl.kernels), Kernels: len(pl.kernels)}); got != want {
+		t.Fatalf("unfused compile fused something: %+v", got)
+	}
 	st := mustState(t, c.NumQubits)
-	for _, ins := range c.Instrs {
-		if ins.Op == circuit.OpMeasure || ins.Op == circuit.OpBarrier {
-			continue
-		}
-		if err := applyInstruction(st, ins); err != nil {
-			t.Fatal(err)
-		}
+	if err := pl.Execute(st, 1); err != nil {
+		t.Fatal(err)
 	}
 	return st
 }
@@ -649,25 +653,54 @@ func TestRunNoisyCountsIdenticalAcrossShards(t *testing.T) {
 	}
 }
 
-// TestScratchReuseAcrossCalls checks that repeated permute/init sweeps on
-// one state do not allocate a fresh 2^n staging copy per call.
+// TestScratchReuseAcrossCalls checks that repeated permute sweeps on one
+// state do not allocate a fresh 2^n staging copy per execution.
 func TestScratchReuseAcrossCalls(t *testing.T) {
 	st := mustState(t, 10)
-	perm := make([]uint64, 4)
-	for i, p := range []uint64{2, 3, 1, 0} {
-		perm[i] = p
+	c := circuit.New(10, 0)
+	if err := c.Permute([]int{1, 4}, []uint64{2, 3, 1, 0}); err != nil {
+		t.Fatal(err)
 	}
-	if err := st.ApplyPermute([]int{1, 4}, perm); err != nil {
+	pl, err := Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Execute(st, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := st.ApplyPermute([]int{1, 4}, perm); err != nil {
+		if err := pl.Execute(st, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Two small fixed allocations remain (the qubit-mask slices); the
-	// 2^n scratch copy must not.
-	if allocs > 4 {
-		t.Errorf("ApplyPermute allocates %.1f objects per call; scratch not reused", allocs)
+	// A few small fixed allocations remain (the pool, two sweep closures,
+	// the flight-recorder detail); the 2^n scratch copy must not.
+	if allocs > 6 {
+		t.Errorf("executing a permute plan allocates %.1f objects per call; scratch not reused", allocs)
+	}
+}
+
+// TestCompileRejectsBadDiagonalTable: a diagonal whose table is not 2^k
+// long is a compile error, alone or where it would merge into an earlier
+// diagonal, not an index panic. Only circuit.Append checks the length and
+// Instrs is exported.
+func TestCompileRejectsBadDiagonalTable(t *testing.T) {
+	for _, phases := range [][]complex128{{1}, {1, 1i, -1}} {
+		bad := circuit.Instruction{Op: circuit.OpDiagonal, Qubits: []int{0, 1}, Phases: phases}
+		lone := circuit.New(3, 0)
+		lone.Instrs = append(lone.Instrs, bad)
+		merging := circuit.New(3, 0)
+		if err := merging.Diagonal([]int{1, 2}, []complex128{1, 1i, -1, -1i}); err != nil {
+			t.Fatal(err)
+		}
+		merging.Instrs = append(merging.Instrs, bad)
+		for name, c := range map[string]*circuit.Circuit{"lone": lone, "merging": merging} {
+			if _, err := Compile(c); err == nil || !strings.Contains(err.Error(), "diagonal table size") {
+				t.Errorf("%s table of %d: Compile returned %v", name, len(phases), err)
+			}
+			if _, err := Run(c, Options{Shots: 1}); err == nil {
+				t.Errorf("%s table of %d: Run accepted it", name, len(phases))
+			}
+		}
 	}
 }

@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/gates"
 	"repro/internal/obs"
 )
 
@@ -86,24 +84,28 @@ type Options struct {
 	Shots     int
 	Seed      uint64
 	KeepState bool
-	// Shards is the parallelism grant for this execution: the statevector
-	// splits into this many contiguous shards owned by persistent workers.
-	// 0 selects automatically (single-shard for small states, GOMAXPROCS
-	// for large ones); the serving layer passes an explicit value so a
-	// lone big simulation takes every core while concurrent jobs stay
-	// narrow. Runner.Run ignores it: a Runner's shard count is fixed when
-	// it is built.
+	// Shards is the parallelism grant for this execution, the most
+	// goroutines it sweeps on at once: the statevector splits into this
+	// many contiguous shards owned by persistent workers (RunNoisy splits
+	// it into trajectory workers × shards). 0 selects automatically
+	// (single-shard for small states, GOMAXPROCS for large ones); the
+	// serving layer passes an explicit value so a lone big simulation
+	// takes every core while concurrent jobs stay narrow. Runner.Run
+	// ignores it: a Runner's shard count is fixed when it is built.
 	Shards int
 	// Stages, when non-nil, receives one callback per engine stage
-	// ("compile", "execute", "sample") with its wall-clock duration — the
-	// hook the jobs layer uses to attach per-job span logs. Stage timings
-	// also land in the process-wide sim_*_seconds histograms regardless.
+	// ("compile", "execute", "sample"; RunNoisy's trajectories sample as
+	// they go and report "compile" and "execute") with its wall-clock
+	// duration — the hook the jobs layer uses to attach per-job span logs.
+	// Stage timings also land in the process-wide sim_*_seconds histograms
+	// regardless.
 	Stages func(stage string, d time.Duration)
 	// Profile opts into the kernel-granular execution profiler: per-kernel
 	// wall time and per-shard sweep times, returned in Result.Profile.
 	// Profiling never changes amplitudes or sampled counts — the sweep
 	// bodies and shard ranges are identical either way; only timestamps
-	// are taken around them.
+	// are taken around them. RunNoisy ignores it under a non-zero model:
+	// trajectories are many executions, not one kernel table.
 	Profile bool
 }
 
@@ -125,43 +127,6 @@ func EvolveShards(c *circuit.Circuit, shards int) (*State, error) {
 		return nil, err
 	}
 	return res.Final, nil
-}
-
-// applyInstruction is the direct per-gate path: one State method call per
-// instruction, no fusion. The noise-trajectory engine uses it (noise is
-// injected between gates, so gates must not fuse across injection points)
-// and the parity tests check the compiled plan against it.
-func applyInstruction(st *State, ins circuit.Instruction) error {
-	switch ins.Op {
-	case circuit.OpGate:
-		switch ins.Gate {
-		case gates.CX:
-			return st.ApplyCX(ins.Qubits[0], ins.Qubits[1])
-		case gates.CZ:
-			return st.ApplyCZ(ins.Qubits[0], ins.Qubits[1])
-		case gates.CP:
-			return st.ApplyCP(ins.Params[0], ins.Qubits[0], ins.Qubits[1])
-		case gates.SWAP:
-			return st.ApplySwap(ins.Qubits[0], ins.Qubits[1])
-		case gates.CCX:
-			return st.ApplyCCX(ins.Qubits[0], ins.Qubits[1], ins.Qubits[2])
-		case gates.CSWAP:
-			return st.ApplyCSwap(ins.Qubits[0], ins.Qubits[1], ins.Qubits[2])
-		default:
-			m, err := gates.Unitary1(ins.Gate, ins.Params)
-			if err != nil {
-				return err
-			}
-			return st.Apply1(m, ins.Qubits[0])
-		}
-	case circuit.OpPermute:
-		return st.ApplyPermute(ins.Qubits, ins.Perm)
-	case circuit.OpInit:
-		return st.ApplyInit(ins.Qubits, ins.Amps)
-	case circuit.OpDiagonal:
-		return st.ApplyDiagonal(ins.Qubits, ins.Phases)
-	}
-	return fmt.Errorf("sim: unhandled opcode %d", ins.Op)
 }
 
 // Run executes the circuit for opts.Shots shots and returns counts over

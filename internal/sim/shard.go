@@ -5,13 +5,13 @@ import (
 	"sync"
 )
 
-// shardPool is the persistent executor behind plan execution and the
-// full-sweep reductions: P long-lived workers, each owning one contiguous
-// shard of whatever index space the current step sweeps. Workers stay
-// parked between steps instead of being respawned per kernel (the old
-// parallelFor forked and joined a fresh goroutine set per gate); do()
-// broadcasts one step to every worker and returns when all have finished,
-// which is the barrier between kernels.
+// shardPool is the persistent executor behind every kernel sweep — plan
+// execution and noise trajectories alike — and the sampling CDF build: P
+// long-lived workers, each owning one contiguous shard of whatever index
+// space the current step sweeps. Workers stay parked between steps instead
+// of being respawned per kernel; do() broadcasts one step to every worker
+// and returns when all have finished, which is the barrier between
+// kernels.
 //
 // A pool with one shard runs every step inline on the caller's goroutine,
 // so small states pay no synchronization at all.

@@ -42,8 +42,9 @@ func refApply1(a []complex128, m gates.Matrix2, q int) {
 	}
 }
 
-// refApply2 mirrors State.Apply2 exactly, including the SWAP-conjugation
-// reorder for q0 > q1, so the quad summation order matches the engine's.
+// refApply2 mirrors the dense kGate2Q sweep (local basis bit 0 is q0's
+// value), with a SWAP-conjugation reorder for q0 > q1, so the quad
+// summation order matches the engine's.
 func refApply2(a []complex128, m gates.Matrix4, q0, q1 int) {
 	if q0 > q1 {
 		perm := [4]int{0, 2, 1, 3}
@@ -252,7 +253,7 @@ func maxAmpDiff(st *State, ref []complex128) float64 {
 
 // TestSoAParityRandomCircuits runs random mixed circuits on 2–12 qubits
 // through the compiled plan at shard grants {1, 4, GOMAXPROCS} and through
-// the direct per-gate path, comparing every amplitude against the
+// the unfused per-gate compile, comparing every amplitude against the
 // complex128 reference at 1e-9.
 func TestSoAParityRandomCircuits(t *testing.T) {
 	shardGrants := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -272,33 +273,37 @@ func TestSoAParityRandomCircuits(t *testing.T) {
 				t.Errorf("n=%d shards=%d: plan-vs-reference amplitude diff %g", n, shards, d)
 			}
 		}
-		direct := mustStateQuick(n)
-		for _, ins := range c.Instrs {
-			if err := applyInstruction(direct, ins); err != nil {
-				t.Fatalf("n=%d direct: %v", n, err)
-			}
-		}
-		if d := maxAmpDiff(direct, ref); d > 1e-9 {
+		if d := maxAmpDiff(evolveDirect(t, c), ref); d > 1e-9 {
 			t.Errorf("n=%d: direct-vs-reference amplitude diff %g", n, d)
 		}
 	}
 }
 
 // TestSoABitExactDirect pins the arithmetic grouping contract of the split
-// kernels: every direct State method must produce amplitudes bit-identical
-// to the complex128 reference, because each split expression groups
-// exactly as Go complex arithmetic — real (m·a)ʳ = (mr·ar − mi·ai), sums
-// of products associating left to right. This is what keeps sampled counts
-// unchanged across the layout refactor.
+// kernels: every kernel of the unfused compile — the kernels a noise
+// trajectory applies — must leave amplitudes bit-identical to the
+// complex128 reference, because each split expression groups exactly as
+// Go complex arithmetic — real (m·a)ʳ = (mr·ar − mi·ai), sums of products
+// associating left to right. This is what keeps sampled counts unchanged
+// across the layout refactor and across the move of trajectories onto
+// compiled kernels.
 func TestSoABitExactDirect(t *testing.T) {
 	for n := 2; n <= 10; n += 2 {
 		r := rand.New(rand.NewSource(int64(7000 + n)))
 		c := randomMixedCircuit(r, n, 40)
+		pl, err := compile(c, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pl.kernels) != len(c.Instrs) {
+			t.Fatalf("n=%d: %d kernels for %d instructions", n, len(pl.kernels), len(c.Instrs))
+		}
 		ref := refNew(n)
 		st := mustStateQuick(n)
 		for idx, ins := range c.Instrs {
 			refInstruction(t, ref, ins)
-			if err := applyInstruction(st, ins); err != nil {
+			step := &Plan{n: n, kernels: pl.kernels[idx : idx+1]}
+			if err := step.Execute(st, 1); err != nil {
 				t.Fatal(err)
 			}
 			for i := range ref {

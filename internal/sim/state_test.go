@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/rng"
 )
@@ -19,13 +20,47 @@ func mustState(t *testing.T, n int) *State {
 	return s
 }
 
+// applyIns takes one instruction to s the way every instruction gets
+// there: compiled (alone, so nothing fuses) and executed. The instruction
+// bypasses circuit.Append, so the operand checks under test are Compile's.
+func applyIns(s *State, ins circuit.Instruction) error {
+	c := circuit.New(s.NumQubits(), 0)
+	c.Instrs = append(c.Instrs, ins)
+	pl, err := Compile(c)
+	if err != nil {
+		return err
+	}
+	return pl.Execute(s, 0)
+}
+
+func gate(name gates.Name, qubits []int, params ...float64) circuit.Instruction {
+	return circuit.Instruction{Op: circuit.OpGate, Gate: name, Qubits: qubits, Params: params}
+}
+
+func permute(qubits []int, perm []uint64) circuit.Instruction {
+	return circuit.Instruction{Op: circuit.OpPermute, Qubits: qubits, Perm: perm}
+}
+
+func initOp(qubits []int, amps []complex128) circuit.Instruction {
+	return circuit.Instruction{Op: circuit.OpInit, Qubits: qubits, Amps: amps}
+}
+
 func apply1(t *testing.T, s *State, name gates.Name, q int, params ...float64) {
 	t.Helper()
-	m, err := gates.Unitary1(name, params)
-	if err != nil {
+	if err := applyIns(s, gate(name, []int{q}, params...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Apply1(m, q); err != nil {
+}
+
+// apply2 sweeps the dense 4×4 m over the pair qLo < qHi (local basis bit 0
+// is qLo's value) as a hand-built kGate2Q kernel: no single instruction
+// lowers to the dense form, only fusion produces it.
+func apply2(t *testing.T, s *State, m gates.Matrix4, qLo, qHi, shards int) {
+	t.Helper()
+	pl := &Plan{n: s.NumQubits(), kernels: []kernel{{
+		kind: kGate2Q, support: 1<<qLo | 1<<qHi, q: qLo, q2: qHi, m4: m, m4s: m.Split(),
+	}}}
+	if err := pl.Execute(s, shards); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,7 +107,7 @@ func TestXFlipsBit(t *testing.T) {
 func TestBellState(t *testing.T) {
 	s := mustState(t, 2)
 	apply1(t, s, gates.H, 0)
-	if err := s.ApplyCX(0, 1); err != nil {
+	if err := applyIns(s, gate(gates.CX, []int{0, 1})); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(s.Probability(0)-0.5) > 1e-12 || math.Abs(s.Probability(3)-0.5) > 1e-12 {
@@ -88,7 +123,7 @@ func TestGHZ(t *testing.T) {
 	s := mustState(t, 5)
 	apply1(t, s, gates.H, 0)
 	for q := 1; q < 5; q++ {
-		if err := s.ApplyCX(0, q); err != nil {
+		if err := applyIns(s, gate(gates.CX, []int{0, q})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +139,7 @@ func TestCZPhase(t *testing.T) {
 	s := mustState(t, 2)
 	apply1(t, s, gates.H, 0)
 	apply1(t, s, gates.H, 1)
-	if err := s.ApplyCZ(0, 1); err != nil {
+	if err := applyIns(s, gate(gates.CZ, []int{0, 1})); err != nil {
 		t.Fatal(err)
 	}
 	// Amplitude of |11⟩ is negative.
@@ -121,7 +156,7 @@ func TestCPAngle(t *testing.T) {
 	apply1(t, s, gates.X, 0)
 	apply1(t, s, gates.X, 1)
 	theta := 0.7312
-	if err := s.ApplyCP(theta, 0, 1); err != nil {
+	if err := applyIns(s, gate(gates.CP, []int{0, 1}, theta)); err != nil {
 		t.Fatal(err)
 	}
 	want := cmplx.Exp(complex(0, theta))
@@ -133,7 +168,7 @@ func TestCPAngle(t *testing.T) {
 func TestSwapExchangesQubits(t *testing.T) {
 	s := mustState(t, 3)
 	apply1(t, s, gates.X, 0) // |001⟩
-	if err := s.ApplySwap(0, 2); err != nil {
+	if err := applyIns(s, gate(gates.SWAP, []int{0, 2})); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(s.Probability(4)-1) > 1e-12 {
@@ -145,12 +180,12 @@ func TestSwapExchangesQubits(t *testing.T) {
 	apply1(t, a, gates.T, 1)
 	apply1(t, a, gates.H, 1)
 	b := a.Clone()
-	if err := a.ApplySwap(0, 1); err != nil {
+	if err := applyIns(a, gate(gates.SWAP, []int{0, 1})); err != nil {
 		t.Fatal(err)
 	}
-	_ = b.ApplyCX(0, 1)
-	_ = b.ApplyCX(1, 0)
-	_ = b.ApplyCX(0, 1)
+	_ = applyIns(b, gate(gates.CX, []int{0, 1}))
+	_ = applyIns(b, gate(gates.CX, []int{1, 0}))
+	_ = applyIns(b, gate(gates.CX, []int{0, 1}))
 	for k := uint64(0); k < 4; k++ {
 		if cmplx.Abs(a.Amplitude(k)-b.Amplitude(k)) > 1e-12 {
 			t.Errorf("swap != cx·cx·cx at %d", k)
@@ -158,21 +193,17 @@ func TestSwapExchangesQubits(t *testing.T) {
 	}
 }
 
-// TestClonePreservesSerialSweepPin guards the Clone regression: a clone of
-// a serial-pinned state (trajectory shot workers pin their states) must
-// stay pinned, or cloned states would regain nested sweep parallelism.
-func TestClonePreservesSerialSweepPin(t *testing.T) {
+// TestCloneDeepCopies: mutating a clone must not touch the original.
+func TestCloneDeepCopies(t *testing.T) {
 	s := mustState(t, 3)
 	apply1(t, s, gates.H, 0)
-	s.noParallel = true
 	cl := s.Clone()
-	if !cl.noParallel {
-		t.Error("Clone dropped the serial-sweep pin")
-	}
-	// Deep copy: mutating the clone must not touch the original.
 	apply1(t, cl, gates.X, 1)
 	if cmplx.Abs(s.Amplitude(2)) > 0 {
 		t.Error("clone shares amplitude planes with the original")
+	}
+	if cmplx.Abs(cl.Amplitude(2)) == 0 {
+		t.Error("clone did not carry the original's amplitudes")
 	}
 }
 
@@ -184,7 +215,7 @@ func TestCCXTruthTable(t *testing.T) {
 				apply1(t, s, gates.X, q)
 			}
 		}
-		if err := s.ApplyCCX(0, 1, 2); err != nil {
+		if err := applyIns(s, gate(gates.CCX, []int{0, 1, 2})); err != nil {
 			t.Fatal(err)
 		}
 		want := in
@@ -205,7 +236,7 @@ func TestCSwapTruthTable(t *testing.T) {
 				apply1(t, s, gates.X, q)
 			}
 		}
-		if err := s.ApplyCSwap(0, 1, 2); err != nil {
+		if err := applyIns(s, gate(gates.CSWAP, []int{0, 1, 2})); err != nil {
 			t.Fatal(err)
 		}
 		want := in
@@ -220,8 +251,9 @@ func TestCSwapTruthTable(t *testing.T) {
 	}
 }
 
-// TestApply2MatchesNamedGates checks the direct dense two-qubit path
-// against the specialized gate methods, in both operand orders.
+// TestApply2MatchesNamedGates checks the dense two-qubit kernel against
+// the specialized pair exchange a lone CX compiles to, with the control on
+// the lower and on the higher qubit of the pair.
 func TestApply2MatchesNamedGates(t *testing.T) {
 	prep := func() *State {
 		s := mustState(t, 3)
@@ -231,43 +263,32 @@ func TestApply2MatchesNamedGates(t *testing.T) {
 		apply1(t, s, gates.H, 2)
 		return s
 	}
-	cx := gates.Matrix4{{1, 0, 0, 0}, {0, 0, 0, 1}, {0, 0, 1, 0}, {0, 1, 0, 0}} // control = local bit 0
 	for _, ops := range [][2]int{{0, 2}, {2, 0}, {1, 2}} {
+		ctrl, tgt := ops[0], ops[1]
 		a, b := prep(), prep()
-		// Apply2's local bit 0 is the first operand: control = ops[0].
-		if err := a.Apply2(cx, ops[0], ops[1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.ApplyCX(ops[0], ops[1]); err != nil {
+		apply2(t, a, mat4CX(ctrl > tgt), min(ctrl, tgt), max(ctrl, tgt), 1)
+		if err := applyIns(b, gate(gates.CX, []int{ctrl, tgt})); err != nil {
 			t.Fatal(err)
 		}
 		for k := uint64(0); k < 8; k++ {
 			if cmplx.Abs(a.Amplitude(k)-b.Amplitude(k)) > 1e-12 {
-				t.Errorf("Apply2 CX(%d,%d) != ApplyCX at %d", ops[0], ops[1], k)
+				t.Errorf("dense CX(%d,%d) != specialized CX at %d", ctrl, tgt, k)
 			}
 		}
 	}
 }
 
 // TestApply2KronOfSingles checks the basis convention: Kron2(mHi, mLo)
-// applied to (q0, q1) must equal applying mLo to q0 and mHi to q1.
+// swept over (qLo, qHi) must equal applying mLo to qLo and mHi to qHi.
 func TestApply2KronOfSingles(t *testing.T) {
-	mLo, _ := gates.Unitary1(gates.RY, []float64{0.7})
-	mHi, _ := gates.Unitary1(gates.SX, nil)
 	a, b := mustState(t, 4), mustState(t, 4)
-	apply1(t, a, gates.H, 1)
-	apply1(t, b, gates.H, 1)
-	apply1(t, a, gates.H, 3)
-	apply1(t, b, gates.H, 3)
-	if err := a.Apply2(gates.Kron2(mHi, mLo), 1, 3); err != nil {
-		t.Fatal(err)
+	for _, s := range []*State{a, b} {
+		apply1(t, s, gates.H, 1)
+		apply1(t, s, gates.H, 3)
 	}
-	if err := b.Apply1(mLo, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Apply1(mHi, 3); err != nil {
-		t.Fatal(err)
-	}
+	apply2(t, a, gates.Kron2(mustU1(t, gates.SX), mustU1(t, gates.RY, 0.7)), 1, 3, 1)
+	apply1(t, b, gates.RY, 1, 0.7)
+	apply1(t, b, gates.SX, 3)
 	for k := uint64(0); k < 16; k++ {
 		if cmplx.Abs(a.Amplitude(k)-b.Amplitude(k)) > 1e-12 {
 			t.Fatalf("Kron2 application mismatch at %d: %v vs %v", k, a.Amplitude(k), b.Amplitude(k))
@@ -276,27 +297,28 @@ func TestApply2KronOfSingles(t *testing.T) {
 }
 
 // TestApply2HighPairBlockedSweep pushes a dense pair onto high qubits of a
-// state large enough to cross the parallel threshold, exercising the
-// cache-blocked sweep in both the serial and fan-out paths.
+// state large enough to shard, exercising the cache-blocked sweep on one
+// shard and on four: both must match the complex128 reference bit for bit.
 func TestApply2HighPairBlockedSweep(t *testing.T) {
-	n := 15 // 2^15/4 = 8192 quads: at the fan-out threshold
+	n := 15
 	m := gates.Mul4(gates.Kron2(mustU1(t, gates.H), mustU1(t, gates.H)),
 		gates.Matrix4{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 0, 1}, {0, 0, 1, 0}})
-	par, ser := mustState(t, n), mustState(t, n)
-	ser.noParallel = true
-	for _, s := range []*State{par, ser} {
+	ref := refNew(n)
+	refApply1(ref, mustU1(t, gates.H), 0)
+	refApply1(ref, mustU1(t, gates.RY, 0.6), n-1)
+	refApply2(ref, m, n-2, n-1)
+	for _, shards := range []int{1, 4} {
+		s := mustState(t, n)
 		apply1(t, s, gates.H, 0)
 		apply1(t, s, gates.RY, n-1, 0.6)
-		if err := s.Apply2(m, n-2, n-1); err != nil {
-			t.Fatal(err)
+		apply2(t, s, m, n-2, n-1, shards)
+		if math.Abs(s.Norm()-1) > 1e-9 {
+			t.Fatalf("shards=%d: norm drifted: %v", shards, s.Norm())
 		}
-	}
-	if math.Abs(par.Norm()-1) > 1e-9 || math.Abs(ser.Norm()-1) > 1e-9 {
-		t.Fatalf("norms drifted: %v, %v", par.Norm(), ser.Norm())
-	}
-	for _, k := range []uint64{0, 1, 1 << (n - 1), 1<<n - 1, 12345} {
-		if cmplx.Abs(par.Amplitude(k)-ser.Amplitude(k)) > 1e-12 {
-			t.Fatalf("serial and parallel blocked sweeps disagree at %d", k)
+		for k := range ref {
+			if got := s.Amplitude(uint64(k)); got != ref[k] {
+				t.Fatalf("shards=%d: blocked sweep %v != reference %v at %d", shards, got, ref[k], k)
+			}
 		}
 	}
 }
@@ -312,15 +334,17 @@ func mustU1(t *testing.T, n gates.Name, params ...float64) gates.Matrix2 {
 
 func TestOperandValidation(t *testing.T) {
 	s := mustState(t, 2)
-	m, _ := gates.Unitary1(gates.X, nil)
-	if err := s.Apply1(m, 5); err == nil {
+	if err := applyIns(s, gate(gates.X, []int{5})); err == nil {
 		t.Error("out-of-range qubit accepted")
 	}
-	if err := s.ApplyCX(0, 0); err == nil {
+	if err := applyIns(s, gate(gates.CX, []int{0, 0})); err == nil {
 		t.Error("duplicate qubits accepted")
 	}
-	if err := s.ApplyCCX(0, 1, 7); err == nil {
+	if err := applyIns(s, gate(gates.CCX, []int{0, 1, 7})); err == nil {
 		t.Error("out-of-range target accepted")
+	}
+	if s.Probability(0) != 1 {
+		t.Error("a rejected instruction touched the state")
 	}
 }
 
@@ -328,7 +352,7 @@ func TestApplyPermuteCyclic(t *testing.T) {
 	s := mustState(t, 2)
 	apply1(t, s, gates.X, 0) // index 1
 	// Cyclic +1 mod 4 over qubits [0,1].
-	if err := s.ApplyPermute([]int{0, 1}, []uint64{1, 2, 3, 0}); err != nil {
+	if err := applyIns(s, permute([]int{0, 1}, []uint64{1, 2, 3, 0})); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(s.Probability(2)-1) > 1e-12 {
@@ -343,7 +367,7 @@ func TestApplyPermuteSubsetOfLargerState(t *testing.T) {
 	apply1(t, s, gates.X, 0) // |011⟩ = index 3
 	// Over locals (q0, q2): local = q0 + 2·q2; swap local 1 <-> 2
 	// (i.e. swap q0 and q2).
-	if err := s.ApplyPermute([]int{0, 2}, []uint64{0, 2, 1, 3}); err != nil {
+	if err := applyIns(s, permute([]int{0, 2}, []uint64{0, 2, 1, 3})); err != nil {
 		t.Fatal(err)
 	}
 	// q0=1 becomes q2=1: index = 2 (q1) + 4 (q2) = 6.
@@ -358,17 +382,15 @@ func TestPermutePreservesNorm(t *testing.T) {
 		s := mustStateQuick(4)
 		// Random product state.
 		for q := 0; q < 4; q++ {
-			m, _ := gates.Unitary1(gates.RY, []float64{r.Float64() * 3})
-			_ = s.Apply1(m, q)
-			m2, _ := gates.Unitary1(gates.RZ, []float64{r.Float64() * 3})
-			_ = s.Apply1(m2, q)
+			_ = applyIns(s, gate(gates.RY, []int{q}, r.Float64()*3))
+			_ = applyIns(s, gate(gates.RZ, []int{q}, r.Float64()*3))
 		}
 		// Random permutation over qubits 1..2.
 		perm := make([]uint64, 4)
 		for i, p := range r.Perm(4) {
 			perm[i] = uint64(p)
 		}
-		if err := s.ApplyPermute([]int{1, 2}, perm); err != nil {
+		if err := applyIns(s, permute([]int{1, 2}, perm)); err != nil {
 			return false
 		}
 		return math.Abs(s.Norm()-1) < 1e-9
@@ -389,7 +411,7 @@ func mustStateQuick(n int) *State {
 func TestApplyInit(t *testing.T) {
 	s := mustState(t, 2)
 	amps := []complex128{0.6, 0, 0, 0.8}
-	if err := s.ApplyInit([]int{0, 1}, amps); err != nil {
+	if err := applyIns(s, initOp([]int{0, 1}, amps)); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(s.Probability(0)-0.36) > 1e-12 || math.Abs(s.Probability(3)-0.64) > 1e-12 {
@@ -399,14 +421,14 @@ func TestApplyInit(t *testing.T) {
 
 func TestApplyInitRejects(t *testing.T) {
 	s := mustState(t, 2)
-	if err := s.ApplyInit([]int{0}, []complex128{2, 0}); err == nil {
+	if err := applyIns(s, initOp([]int{0}, []complex128{2, 0})); err == nil {
 		t.Error("unnormalized init accepted")
 	}
 	apply1(t, s, gates.X, 0)
-	if err := s.ApplyInit([]int{0}, []complex128{1, 0}); err == nil {
+	if err := applyIns(s, initOp([]int{0}, []complex128{1, 0})); err == nil {
 		t.Error("init on non-|0⟩ qubit accepted")
 	}
-	if err := s.ApplyInit([]int{1}, []complex128{1}); err == nil {
+	if err := applyIns(s, initOp([]int{1}, []complex128{1})); err == nil {
 		t.Error("wrong init size accepted")
 	}
 }
@@ -415,7 +437,7 @@ func TestInitOnSubsetWithSpectators(t *testing.T) {
 	s := mustState(t, 2)
 	apply1(t, s, gates.H, 0) // qubit 0 in superposition, qubit 1 still |0⟩
 	inv := 1 / math.Sqrt2
-	if err := s.ApplyInit([]int{1}, []complex128{complex(inv, 0), complex(inv, 0)}); err != nil {
+	if err := applyIns(s, initOp([]int{1}, []complex128{complex(inv, 0), complex(inv, 0)})); err != nil {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < 4; k++ {
@@ -445,7 +467,7 @@ func TestUnitarityPreservedUnderRandomCircuits(t *testing.T) {
 			if r.Float64() < 0.3 {
 				a := r.Intn(5)
 				b := (a + 1 + r.Intn(4)) % 5
-				_ = s.ApplyCX(a, b)
+				_ = applyIns(s, gate(gates.CX, []int{a, b}))
 			} else {
 				g := oneQ[r.Intn(len(oneQ))]
 				info, _ := gates.Lookup(g)
@@ -453,8 +475,7 @@ func TestUnitarityPreservedUnderRandomCircuits(t *testing.T) {
 				if info.Params == 1 {
 					params = []float64{r.Float64()*6 - 3}
 				}
-				m, _ := gates.Unitary1(g, params)
-				_ = s.Apply1(m, r.Intn(5))
+				_ = applyIns(s, gate(g, []int{r.Intn(5)}, params...))
 			}
 		}
 		return math.Abs(s.Norm()-1) < 1e-9
@@ -469,11 +490,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// produces the same state as a small serial reference computed via a
 	// different route (H on all qubits = uniform).
 	s := mustState(t, 14)
-	m, _ := gates.Unitary1(gates.H, nil)
 	for q := 0; q < 14; q++ {
-		if err := s.Apply1(m, q); err != nil {
-			t.Fatal(err)
-		}
+		apply1(t, s, gates.H, q)
 	}
 	want := 1.0 / float64(s.Dim())
 	for _, k := range []uint64{0, 1, 5000, uint64(s.Dim() - 1)} {
