@@ -97,11 +97,13 @@
 // before the restart, and jobs that were queued or running when the
 // process died are requeued and re-run (execution is deterministic in
 // bundle+shots+seed, so the re-run's counts are the ones the lost run
-// would have produced). -fsync picks the journal fsync policy: "always"
-// (default — an acknowledged submission survives an immediate crash),
-// "group" (the same guarantee with concurrent appenders sharing one
-// fsync barrier), "terminal" or "none". Without -data-dir the service is
-// in-memory, as before.
+// would have produced). Every move's journal line is in the file before
+// the move is readable, so kill -9 at any instant loses nothing a client
+// saw. -fsync picks which lines are also fsynced: "always" (default, in
+// both modes — a 202 or a canceling 200 returns only after its line's
+// fsync, concurrent requests sharing one; the other lines follow within
+// one fsync, with nobody waiting), "terminal" (not started/assigned lines)
+// or "none". Without -data-dir the service is in-memory, as before.
 //
 // On SIGINT/SIGTERM the server drains: parked ?wait= polls answer at
 // once with the current status (request contexts descend from the
@@ -121,8 +123,8 @@
 // on the worker that already caches their result), dead workers are
 // ejected by health probes and their in-flight jobs re-forwarded, and
 // with -data-dir every accepted job plus its worker assignment is
-// journaled — by default under the group-commit fsync policy — so both
-// worker deaths and dispatcher restarts preserve accepted work.
+// journaled, exactly as a worker journals, so both worker deaths and
+// dispatcher restarts preserve accepted work.
 // -probe-interval tunes the health-probe cadence. Job status has no
 // cadence to tune: the dispatcher parks a revisioned long-poll
 // (GET /v1/jobs/{id}?wait=D&rev=N) on the owning worker, which answers
@@ -178,29 +180,19 @@ func main() {
 	cache := flag.Int("cache", 1024, "result-cache entries (negative disables)")
 	maxShards := flag.Int("max-shards", 0, "cores granted to a lone job: statevector shards for a simulation, concurrent points (lanes × shards) for a sweep (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "journal + result directory for crash-safe restarts (empty = in-memory)")
-	fsync := flag.String("fsync", "", "journal fsync policy: always|group|terminal|none (default: always, or group in -dispatch mode)")
+	fsync := flag.String("fsync", "always", "journal fsync policy: always|terminal|none")
 	dispatch := flag.String("dispatch", "", "comma-separated worker base URLs: serve as a fleet dispatcher instead of a worker")
 	probeInterval := flag.Duration("probe-interval", time.Second, "dispatcher: worker health probe cadence")
 	logFormat := flag.String("log-format", "text", "structured log format: text|json")
 	debugAddr := flag.String("debug-addr", "", "debug listener address for /debug/pprof and /metrics (empty = off; keep it private)")
 	flag.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: qmlserve [-addr :8080] [-workers n] [-queue n] [-cache n] [-max-shards n] [-data-dir dir] [-fsync always|group|terminal|none] [-dispatch w1,w2,...] [-log-format text|json] [-debug-addr :6060]")
+		fmt.Fprintln(os.Stderr, "usage: qmlserve [-addr :8080] [-workers n] [-queue n] [-cache n] [-max-shards n] [-data-dir dir] [-fsync always|terminal|none] [-dispatch w1,w2,...] [-log-format text|json] [-debug-addr :6060]")
 		os.Exit(2)
 	}
 	if *logFormat != "text" && *logFormat != "json" {
 		fmt.Fprintf(os.Stderr, "qmlserve: unknown -log-format %q (want text or json)\n", *logFormat)
 		os.Exit(2)
-	}
-	if *fsync == "" {
-		// Workers default to per-event fsync; the dispatcher journals
-		// from concurrent request goroutines, where group commit shares
-		// the fsync barriers.
-		if *dispatch != "" {
-			*fsync = "group"
-		} else {
-			*fsync = "always"
-		}
 	}
 	cfg := config{
 		addr:      *addr,

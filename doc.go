@@ -46,10 +46,10 @@
 // stage is seeded; a duplicate of a job that is currently executing
 // coalesces onto the in-flight run instead of executing twice. Each job
 // records its lifecycle with queue-wait and run-time metrics. The
-// lifecycle itself — the states, the legal moves, the journal event each
-// emits — is written once, on jobs.Table.Transition, for this tier and
+// lifecycle itself — the states, the legal moves, the journal line each
+// writes — is written once, on jobs.Table.Transition, for this tier and
 // the fleet dispatcher alike: both keep a jobs.Record per job in a
-// jobs.Table and differ only in how a move's event reaches the journal.
+// jobs.Table, which writes the line inside the move.
 //
 // The pool is also the statevector shard scheduler: a job starting into
 // an otherwise idle pool is granted every shard (one big simulation spans
@@ -59,10 +59,11 @@
 //
 // The serving layer is durable (internal/jobs/store): with a data
 // directory attached, every job transition appends to an append-only
-// JSONL journal (explicit fsync policy — including a group-commit mode
-// where concurrent appenders share one fsync barrier — compacted once
-// terminal records dominate) and results persist as content-addressed
-// files. A restart replays the journal — terminal jobs keep answering
+// JSONL journal — the line is in the file before the move is readable,
+// an acknowledgment waits for its line's fsync, concurrent ones sharing
+// one barrier, and nothing else waits for the disk; the journal is
+// compacted once terminal records dominate — and results persist as
+// content-addressed files. A restart replays the journal — terminal jobs keep answering
 // status/result lookups, work that was queued or running when the
 // process died is requeued under its original ID and re-run to the same
 // counts (execution is deterministic in bundle+shots+seed), and a torn

@@ -17,7 +17,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/jobs/store"
 	"repro/internal/obs"
-	"repro/internal/qop"
 )
 
 // Options configure a Dispatcher. Workers is required; everything else
@@ -51,8 +50,6 @@ type Options struct {
 	// MaxRecords bounds retained terminal job records, like
 	// jobs.Options.MaxRecords (default 65536; negative retains all).
 	MaxRecords int
-	// AllowMidCircuit forwards to bundle validation.
-	AllowMidCircuit bool
 	// Logger receives structured dispatch logs (assignments, reforwards,
 	// ejections, terminal transitions) with job/trace/worker fields. nil
 	// discards.
@@ -206,13 +203,7 @@ type worker struct {
 }
 
 // fwdJob is the dispatcher's record: the shared jobs.Record plus what is
-// forwarded, where to, and the job's pending journal events. Mutable
-// fields are guarded by Dispatcher.mu. evq is the event queue: moves
-// enqueue under the mutex (so the journal's per-job order always equals
-// the move order, which replay's last-writer-wins merge depends on) and a
-// single claimant appends them to the store off-lock (so fsyncs never
-// stall the dispatcher, and concurrent jobs' appends share group-commit
-// barriers).
+// forwarded and where to. Mutable fields are guarded by Dispatcher.mu.
 type fwdJob struct {
 	jobs.Record
 	raw json.RawMessage // canonical bundle (a sweep's template), dropped when terminal
@@ -222,16 +213,6 @@ type fwdJob struct {
 	// (see sweep.go), so ranges is nil until then — and for a sweep
 	// recovered from the journal in any state but done.
 	ranges []*sweepRange
-	// Journal event queue (see the type comment). evGen counts events
-	// ever enqueued; flushedGen is the newest generation known appended
-	// (and, per the store's fsync policy, durable). flushJob waits until
-	// flushedGen catches the generation it observed at entry, so an
-	// acknowledgment path can never outrun its own event's durability
-	// even when a concurrent flusher claimed the queue first.
-	evq        []store.Event
-	evGen      uint64
-	flushedGen uint64
-	flushing   bool
 }
 
 // Snapshot adds to the common status header what the ranges know: the
@@ -279,11 +260,9 @@ type Dispatcher struct {
 	wg   sync.WaitGroup
 
 	mu       sync.Mutex
-	cond     *sync.Cond // wakes flushJob waiters when a flush batch lands
 	workers  map[string]*worker
 	names    []string           // configured order, for stable reporting
 	inflight map[string]*fwdJob // cache key → primary non-terminal job
-	dirty    []*fwdJob          // jobs with enqueued journal events awaiting flush
 	closed   bool
 }
 
@@ -314,8 +293,7 @@ func New(opts Options) (*Dispatcher, error) {
 		workers:  map[string]*worker{},
 		inflight: map[string]*fwdJob{},
 	}
-	d.cond = sync.NewCond(&d.mu)
-	d.Table = jobs.NewTable(&d.mu, opts.MaxRecords, d.enqueueLocked)
+	d.Table = jobs.NewTable[*fwdJob](&d.mu, opts.MaxRecords, opts.Store)
 	d.log = opts.Logger
 	if d.log == nil {
 		d.log = obs.Discard()
@@ -347,7 +325,6 @@ func New(opts Options) (*Dispatcher, error) {
 	var reattach []*fwdJob
 	if opts.Store != nil {
 		reattach = d.recover()
-		d.flushDirty() // recovery runs single-threaded; drain its events now
 	}
 	d.wg.Add(1)
 	go d.prober()
@@ -402,78 +379,6 @@ func (d *Dispatcher) recover() []*fwdJob {
 		reattach = append(reattach, j)
 	}
 	return reattach
-}
-
-// enqueueLocked is the Dispatcher's journal sink (see jobs.NewTable): it
-// queues one event on its job, in move order, under d.mu. Callers call
-// flushDirty (and, on paths that acknowledge the move to a client,
-// flushJob) after releasing the mutex.
-func (d *Dispatcher) enqueueLocked(j *fwdJob, ev store.Event) {
-	if d.opts.Store == nil {
-		return
-	}
-	ev.Trace = j.Trace
-	j.evq = append(j.evq, ev)
-	j.evGen++
-	d.dirty = append(d.dirty, j)
-}
-
-// flushDirty drains every job marked dirty since the last flush. Append
-// failures are counted by the store and never fail the dispatch
-// operation — the service degrades to in-memory rather than rejecting
-// accepted work.
-func (d *Dispatcher) flushDirty() {
-	if d.opts.Store == nil {
-		return
-	}
-	d.mu.Lock()
-	dirty := d.dirty
-	d.dirty = nil
-	d.mu.Unlock()
-	for _, j := range dirty {
-		d.flushJob(j)
-	}
-}
-
-// flushJob makes every event enqueued on the job before this call
-// durable (appended under the store's fsync policy) before returning.
-// One claimant at a time drains the queue (j.flushing) while waiters
-// block on the condvar until the generation they observed is flushed —
-// so an acknowledgment path cannot outrun its own event even when a
-// concurrent flushDirty claimed the queue first. Per-job append order
-// always equals enqueue order.
-func (d *Dispatcher) flushJob(j *fwdJob) {
-	if d.opts.Store == nil {
-		return
-	}
-	d.mu.Lock()
-	target := j.evGen
-	for j.flushedGen < target {
-		if j.flushing {
-			d.cond.Wait()
-			continue
-		}
-		if len(j.evq) == 0 {
-			// Defensive: everything up to target is claimed or flushed.
-			break
-		}
-		j.flushing = true
-		evs := j.evq
-		j.evq = nil
-		gen := j.evGen
-		d.mu.Unlock()
-		for _, ev := range evs {
-			//lint:ignore journalerr persistence failures count in store_journal_errors_total; the dispatcher keeps serving rather than failing routed jobs
-			_ = d.opts.Store.Append(ev)
-		}
-		d.mu.Lock()
-		j.flushing = false
-		if gen > j.flushedGen {
-			j.flushedGen = gen
-		}
-		d.cond.Broadcast()
-	}
-	d.mu.Unlock()
 }
 
 // Submit validates, journals and routes one bundle. The returned status
@@ -542,14 +447,9 @@ func (d *Dispatcher) accept(b *bundle.Bundle, o jobs.SubmitOptions, points int) 
 	d.mu.Unlock()
 	d.log.Info("job accepted", "job", j.ID, "trace", j.Trace, "engine", engine, "points", points)
 
-	// Append after releasing the dispatcher lock: concurrent submitters
-	// then share group-commit fsync barriers instead of serializing
-	// their syncs behind d.mu, while the per-job queue keeps this job's
-	// journal order equal to its move order. flushJob then blocks
-	// until this job's submitted event is durable — the 202 must not
-	// outrun the fsync even if a concurrent flusher claimed the queue.
-	d.flushDirty()
-	d.flushJob(j)
+	// The 202 waits for the submitted line's fsync with the dispatcher
+	// unlocked, so concurrent submitters share barriers.
+	d.Commit(j)
 	go d.runJob(j)
 	return st, nil
 }
@@ -584,7 +484,6 @@ func (d *Dispatcher) runJob(j *fwdJob) {
 				d.finishLocked(j, jobs.StateFailed, err.Error())
 			}
 			d.mu.Unlock()
-			d.flushDirty()
 		}
 		if ranges == nil { // failed, or the dispatcher is closing
 			return
@@ -746,11 +645,10 @@ func (d *Dispatcher) forward(j *fwdJob, r *sweepRange) bool {
 		note += name + " as " + sub.ID
 		j.Span("assigned", rt, note)
 		j.Touch()
-		d.enqueueLocked(j, store.Event{T: store.EvAssigned, Job: j.ID, At: time.Now(), Worker: name, Remote: sub.ID, From: r.from, To: r.to})
+		d.Journal(j, store.Event{T: store.EvAssigned, At: time.Now(), Worker: name, Remote: sub.ID, From: r.from, To: r.to})
 		d.mu.Unlock()
 		d.log.Log(d.ctx, level, msg, "job", j.ID, "trace", j.Trace, "from", r.from, "to", r.to, "worker", name, "remote", sub.ID)
 		obs.RecordDur(obs.FlightFleetForward, j.ID, note, rt)
-		d.flushDirty()
 		return true
 	}
 }
@@ -844,7 +742,6 @@ func (d *Dispatcher) releaseLocked(r *sweepRange) {
 // failed one. Returns true when the range needs no more watching.
 func (d *Dispatcher) observe(j *fwdJob, r *sweepRange, st jobs.StatusDoc) bool {
 	d.mu.Lock()
-	defer d.flushDirty()
 	defer d.mu.Unlock()
 	if j.State.Terminal() || r.done {
 		return true
@@ -929,8 +826,8 @@ func (d *Dispatcher) observe(j *fwdJob, r *sweepRange, st jobs.StatusDoc) bool {
 // log line, the move itself (a done sweep's event carries its final range
 // table, so that a restarted dispatcher still finds the results), then
 // what the job no longer needs — its ranges' hold on their workers, the
-// in-flight pin, the bundles. Callers hold d.mu, have checked the job is
-// not terminal yet, and flush after unlocking.
+// in-flight pin, the bundles. Callers hold d.mu and have checked the job
+// is not terminal yet.
 func (d *Dispatcher) finishLocked(j *fwdJob, to jobs.State, errMsg string) {
 	det := jobs.Detail{At: time.Now()}
 	if !j.Started.IsZero() && to != jobs.StateCanceled {
@@ -1171,16 +1068,15 @@ type rangeLoc struct {
 
 // canceledLocked is the tail of every cancel: finish the job locally
 // unless something else just did, snapshot it, and acknowledge only once
-// the canceled event is durable — the 200 must not outrun its fsync.
-// Callers hold d.mu, which it releases.
+// the canceled line is fsynced — the 200 must not outrun it. Callers hold
+// d.mu, which it releases.
 func (d *Dispatcher) canceledLocked(j *fwdJob) jobs.Status {
 	if !j.State.Terminal() {
 		d.finishLocked(j, jobs.StateCanceled, "")
 	}
 	st := d.Snapshot(j)
 	d.mu.Unlock()
-	d.flushDirty()
-	d.flushJob(j)
+	d.Commit(j)
 	return st
 }
 
@@ -1287,11 +1183,6 @@ func (d *Dispatcher) Metrics() *obs.Registry { return d.reg }
 // Logger returns the dispatcher's logger (Options.Logger, or one that
 // discards).
 func (d *Dispatcher) Logger() *slog.Logger { return d.log }
-
-// ValidateOptions is how a submitted bundle is validated before Submit.
-func (d *Dispatcher) ValidateOptions() qop.ValidateOptions {
-	return qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit}
-}
 
 // WorkerInfos snapshots per-node health for /v1/stats, in configured
 // order.

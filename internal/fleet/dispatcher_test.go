@@ -552,7 +552,7 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 	fake := registerFake(t, "fake.fleet_recover")
 	w1 := startWorker(t, 1)
 	dir := t.TempDir()
-	st1, err := store.Open(dir, store.Options{Sync: store.SyncGroup})
+	st1, err := store.Open(dir, store.Options{Sync: store.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 	d1.Close() // watchers stop; the worker keeps running the job
 	st1.Close()
 
-	st2, err := store.Open(dir, store.Options{Sync: store.SyncGroup})
+	st2, err := store.Open(dir, store.Options{Sync: store.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}

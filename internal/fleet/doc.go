@@ -17,16 +17,18 @@
 // The job lifecycle — states, legal moves, the span and journal event of
 // each — is jobs.Table.Transition's, shared with the worker pools: the
 // dispatcher keeps a jobs.Record per job in a jobs.Table and moves it only
-// through Transition. What this tier adds is routing, ranges and an event
-// queue. What is forwarded is a range: a plain job is one range carrying
-// the whole bundle, a sweep is sliced into one range per healthy worker
-// (sweep.go), and one run, forward, detach and observe over (job, range)
-// drive both: a job is running once a range of it runs, queued again when
-// no range of it is on a worker any more, failed with its first failed
-// range and done when every range is. The journal sink queues each event
-// on its job under the mutex and appends after unlocking (enqueueLocked,
-// flushDirty, flushJob), so that no fsync happens under the mutex the
-// watchers contend on while the journal order still equals the move order.
+// through Transition, which also writes each move's journal line. What
+// this tier adds is routing and ranges. What is forwarded is a range: a
+// plain job is one range carrying the whole bundle, a sweep is sliced into
+// one range per healthy worker (sweep.go), and one run, forward, detach and
+// observe over (job, range) drive both: a job is running once a range of
+// it runs, queued again when no range of it is on a worker any more, failed
+// with its first failed range and done when every range is. The one
+// journal line that is not a move, an assignment, goes through the same
+// Table (Journal), and the two acknowledgments — an accepted submission, a
+// cancel — wait for their line's fsync after unlocking (Commit): no fsync
+// happens under the mutex the watchers contend on, and the journal order
+// is the move order.
 //
 // # Routing
 //
@@ -80,10 +82,10 @@
 // With a Store attached, the dispatcher journals every accepted job
 // through internal/jobs/store exactly as a worker pool does — submitted
 // (with the canonical bundle), assigned (worker + remote job ID,
-// re-appended on every re-forward), started, done/failed/canceled — by
-// default under the store's group-commit fsync policy so concurrent
-// submissions share fsync barriers. A job whose worker dies mid-run is
-// re-forwarded to another node and re-runs there; execution is
+// re-appended on every re-forward), started, done/failed/canceled — each
+// line in the file before the move is readable, concurrent submissions
+// sharing fsync barriers. A job whose worker dies mid-run is re-forwarded
+// to another node and re-runs there; execution is
 // deterministic in the cache key, so the re-run's counts are identical
 // to what the lost run would have produced (at-least-once forwarding —
 // a network-partitioned worker may also finish the original run, which

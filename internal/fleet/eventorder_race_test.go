@@ -14,21 +14,21 @@ import (
 	"repro/internal/jobs/store"
 )
 
-// TestEventOrderUnderConcurrentSubmitCancel stress-tests the per-job
-// event-queue claim the PR 5 redesign rests on: transitions enqueue
-// their journal events under d.mu in transition order and a single
-// claimant flushes them off-lock, so the journal's per-job order always
+// TestEventOrderUnderConcurrentSubmitCancel stress-tests the claim the
+// journaling discipline rests on: a transition writes its journal line
+// under d.mu, inside the move, so the journal's per-job order always
 // equals the in-memory transition order — even with submits, cancels,
 // forwarder goroutines and poll watchers racing. Run under -race this
-// also sweeps the enqueue/flush handoff for data races. The journal is
+// also sweeps the write/commit handoff for data races. The journal is
 // re-read after Close and every job's event sequence is checked against
-// the lifecycle grammar and the dispatcher's final verdict.
+// the lifecycle grammar and the dispatcher's final verdict. (jobs'
+// TestPoolEventOrderUnderConcurrentSubmitCancel holds a Pool to the same.)
 func TestEventOrderUnderConcurrentSubmitCancel(t *testing.T) {
 	fake := registerFake(t, "fake.fleet_evorder")
 	fake.block = make(chan struct{}) // hold every execution so cancels race real queues
 	w1, w2 := startWorker(t, 1), startWorker(t, 1)
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{Sync: store.SyncGroup})
+	st, err := store.Open(dir, store.Options{Sync: store.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func (d *Dispatcher) SubmitSweep(b *bundle.Bundle, o jobs.SubmitOptions) (jobs.S
 // queued and the next process life scatters it), and an error when the
 // template cannot be sliced.
 func (d *Dispatcher) scatter(ctx context.Context, j *fwdJob) ([]*sweepRange, error) {
-	tmpl, err := bundle.FromJSON(j.raw, qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit})
+	tmpl, err := bundle.FromJSON(j.raw, qop.ValidateOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: sweep template: %v", err)
 	}

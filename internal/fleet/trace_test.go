@@ -59,7 +59,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		pool.Close()
 	})
 
-	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncGroup})
+	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}

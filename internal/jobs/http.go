@@ -55,9 +55,8 @@ type Service interface {
 	// StatsDoc is the GET /v1/stats document.
 	StatsDoc() any
 
-	// What the handler needs besides the protocol: how to validate a
-	// submitted bundle, the registry GET /metrics serves, where panics log.
-	ValidateOptions() qop.ValidateOptions
+	// What the handler needs besides the protocol: the registry GET
+	// /metrics serves, where panics log.
 	Metrics() *obs.Registry
 	Logger() *slog.Logger
 }
@@ -119,10 +118,10 @@ type Service interface {
 // journal_events, journal_compactions, disk_results).
 func NewHandler(s Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", submitHandler(s, s.Submit, func(st Status) any {
+	mux.HandleFunc("POST /v1/jobs", submitHandler(s.Submit, func(st Status) any {
 		return SubmitDoc{ID: st.ID, TraceID: st.Trace, State: st.State, CacheHit: st.CacheHit, Rev: st.Rev}
 	}))
-	mux.HandleFunc("POST /v1/sweeps", submitHandler(s, s.SubmitSweep, func(st Status) any {
+	mux.HandleFunc("POST /v1/sweeps", submitHandler(s.SubmitSweep, func(st Status) any {
 		return SweepSubmitDoc{ID: st.ID, TraceID: st.Trace, State: st.State, Points: st.Points, Rev: st.Rev}
 	}))
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -320,7 +319,7 @@ func (s Status) Doc() StatusDoc {
 // MaxBodyBytes, validated under the service's options), the profile flag
 // from the body or ?profile=true, the ?shards= pin and the X-Trace-Id.
 // ok=false means the request was refused and answered.
-func submission(s Service, w http.ResponseWriter, r *http.Request) (b *bundle.Bundle, o SubmitOptions, ok bool) {
+func submission(w http.ResponseWriter, r *http.Request) (b *bundle.Bundle, o SubmitOptions, ok bool) {
 	defer r.Body.Close()
 	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, MaxBodyBytes))
 	if err != nil {
@@ -332,7 +331,7 @@ func submission(s Service, w http.ResponseWriter, r *http.Request) (b *bundle.Bu
 		}
 		return nil, o, false
 	}
-	if b, err = bundle.FromJSON(raw, s.ValidateOptions()); err != nil {
+	if b, err = bundle.FromJSON(raw, qop.ValidateOptions{}); err != nil {
 		badRequest(w, "%v", err)
 		return nil, o, false
 	}
@@ -358,9 +357,9 @@ func submission(s Service, w http.ResponseWriter, r *http.Request) (b *bundle.Bu
 
 // submitHandler serves one of the two POST routes: they differ in the
 // Service call that accepts the bundle and in the 202 document.
-func submitHandler(s Service, accept func(*bundle.Bundle, SubmitOptions) (Status, error), reply func(Status) any) http.HandlerFunc {
+func submitHandler(accept func(*bundle.Bundle, SubmitOptions) (Status, error), reply func(Status) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		b, o, ok := submission(s, w, r)
+		b, o, ok := submission(w, r)
 		if !ok {
 			return
 		}

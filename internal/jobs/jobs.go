@@ -17,10 +17,9 @@
 // The job lifecycle — states, legal moves, the span and journal event of
 // each — is stated once, on Table.Transition, and shared with the fleet
 // dispatcher: each tier keeps a Record per job in a Table and moves it
-// only through Transition. What a Pool adds is the bounded queue, the
-// result cache and coalescing described above, the shard grant below, and
-// its journal sink: it appends each event synchronously, inside the
-// critical section of the move (Pool.appendNow).
+// only through Transition, which also writes the move's journal line. What
+// a Pool adds is the bounded queue, the result cache and coalescing
+// described above, and the shard grant below.
 //
 // The pool is also the shard scheduler for the statevector engine: when a
 // job starts it is granted a parallelism level (Status.Shards) forwarded
@@ -195,7 +194,7 @@ type Options struct {
 	// others receive one shard.
 	MaxShards int
 	// Store, when non-nil, makes the pool durable: every state
-	// transition appends to the store's journal, results persist as
+	// transition is written to the store's journal, results persist as
 	// content-addressed files, and NewPool replays the journal —
 	// terminal jobs stay queryable across restarts, jobs that were
 	// queued or running at crash time are requeued, and the result
@@ -204,8 +203,6 @@ type Options struct {
 	// counted (Stats.Errors) but never fail the job operation — the
 	// service degrades to in-memory rather than rejecting work.
 	Store *store.Store
-	// Run is forwarded to runtime.Submit for every job.
-	Run rt.Options
 	// Logger receives structured lifecycle logs (job ID, trace ID,
 	// engine, state transitions). nil discards them.
 	Logger *slog.Logger
@@ -510,11 +507,7 @@ func NewPool(opts Options) *Pool {
 	opts = opts.withDefaults()
 	p := &Pool{opts: opts, inflight: map[string]*job{}}
 	p.cond = sync.NewCond(&p.mu)
-	var sink func(*job, store.Event)
-	if opts.Store != nil {
-		sink = p.appendNow
-	}
-	p.Table = NewTable(&p.mu, opts.MaxRecords, sink)
+	p.Table = NewTable[*job](&p.mu, opts.MaxRecords, opts.Store)
 	p.log = opts.Logger
 	if p.log == nil {
 		p.log = obs.Discard()
@@ -538,17 +531,6 @@ func NewPool(opts Options) *Pool {
 		go p.worker()
 	}
 	return p
-}
-
-// appendNow is the Pool's journal sink (see NewTable): it appends the
-// event to the attached store before returning, under p.mu, so a worker's
-// state is never readable before its journal line met the fsync policy.
-// Persistence failures are counted by the store and deliberately do not
-// fail the job operation: the pool degrades to in-memory service instead
-// of rejecting accepted work.
-func (p *Pool) appendNow(_ *job, ev store.Event) {
-	//lint:ignore journalerr persistence failures count in store_journal_errors_total; the pool degrades to in-memory service rather than failing accepted work
-	_ = p.opts.Store.Append(ev)
 }
 
 // finishLocked moves j to a terminal state and drops the submission
@@ -583,7 +565,7 @@ func (p *Pool) recoverLocked() {
 			continue
 		}
 		// Queued or running at crash time: requeue.
-		b, err := bundle.FromJSON(rec.Bundle, p.ValidateOptions())
+		b, err := bundle.FromJSON(rec.Bundle, qop.ValidateOptions{})
 		if err != nil {
 			// The journaled bundle no longer validates (schema drift,
 			// torn result of an older bug): surface it as a failed
@@ -629,11 +611,13 @@ type SubmitOptions struct {
 
 // Submit registers the bundle as a job and enqueues it, returning the
 // job's snapshot from the same critical section (no follow-up lookup that
-// could miss an already-evicted record). If an identical submission (same
-// canonical bundle JSON, shots and seed) already completed, the job is
-// born terminal in StateDone with the cached result and never touches the
-// queue; if one is currently executing, the job coalesces onto it and
-// completes when it does. A saturated queue rejects with ErrQueueFull.
+// could miss an already-evicted record) once its submitted line — for a
+// job born terminal, its done line — met the journal's fsync policy. If an
+// identical submission (same canonical bundle JSON, shots and seed) already
+// completed, the job is born terminal in StateDone with the cached result
+// and never touches the queue; if one is currently executing, the job
+// coalesces onto it and completes when it does. A saturated queue rejects
+// with ErrQueueFull.
 func (p *Pool) Submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	if b == nil {
 		return Status{}, fmt.Errorf("jobs: nil bundle")
@@ -642,25 +626,52 @@ func (p *Pool) Submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	key, now := j.Key, submitted.At
+	key := j.Key
 
-	// Second-level lookup: the result may live on disk (from a previous
-	// process life) without being in the memory LRU. The file is read and
-	// decoded with the pool unlocked; only a memory miss pays for it.
+	// What a durable pool reads or writes on disk for a born-terminal job,
+	// it does here, with the pool unlocked. A result absent from the memory
+	// LRU may live on disk (from a previous process life): the file is read
+	// and decoded, and only a memory miss pays for it. A result in the LRU
+	// whose file no earlier process life persisted has it written now, so
+	// that the done line about to reference it never points at a missing
+	// file.
 	var onDisk *result.Result
 	if p.cache != nil && p.opts.Store != nil {
 		p.mu.Lock()
-		lookup := !p.closed && !p.cache.has(key)
+		closed, inMem := p.closed, p.cache.has(key)
 		p.mu.Unlock()
-		if lookup {
+		switch {
+		case closed:
+		case !inMem:
 			if res, ok, err := p.opts.Store.GetResult(key); err == nil && ok {
 				onDisk = res
+			}
+		case !p.opts.Store.HasResult(key):
+			p.mu.Lock()
+			res, ok := p.cache.get(key)
+			p.mu.Unlock()
+			if ok {
+				//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from cache
+				_ = p.opts.Store.PutResult(key, res)
 			}
 		}
 	}
 
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	st, err := p.admitLocked(j, submitted, onDisk)
+	p.mu.Unlock()
+	if err != nil {
+		return Status{}, err
+	}
+	p.Commit(j)
+	return st, nil
+}
+
+// admitLocked enters a prepared plain job: born done from the result
+// cache (or from onDisk, what Submit found on disk for it), coalesced onto
+// a running twin, or queued. Callers hold p.mu.
+func (p *Pool) admitLocked(j *job, submitted Detail, onDisk *result.Result) (Status, error) {
+	key, now := j.Key, submitted.At
 	if p.closed {
 		return Status{}, ErrClosed
 	}
@@ -675,7 +686,6 @@ func (p *Pool) Submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 			// Born terminal: a submitted event without the bundle (nothing
 			// will ever requeue it), then a done event referencing the
 			// content-addressed result.
-			p.backfillLocked(key, res)
 			j.res, j.CacheHit, j.ProfileDoc = res, true, profileRaw(res)
 			p.Add(j, Detail{At: now})
 			p.finishLocked(j, StateDone, Detail{At: now, Note: "cache hit", Ev: store.Event{Result: key}})
@@ -740,17 +750,6 @@ func (p *Pool) prepare(b *bundle.Bundle, o SubmitOptions, points int) (*job, Det
 		bundle: b,
 		pin:    o.Shards,
 	}, d, nil
-}
-
-// backfillLocked writes the file of a result served from the cache if no
-// earlier process life persisted it, so that the done event about to
-// reference it never points at a missing file. Like the sink it runs under
-// p.mu: a born-terminal submission is acknowledged with its result durable.
-func (p *Pool) backfillLocked(key string, res *result.Result) {
-	if p.opts.Store != nil && !p.opts.Store.HasResult(key) {
-		//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from cache
-		_ = p.opts.Store.PutResult(key, res)
-	}
 }
 
 // attachLocked coalesces j onto the running primary. Callers hold p.mu.
@@ -862,16 +861,13 @@ func (p *Pool) runJob(j *job) {
 	p.met.queueWait.Observe(started.Sub(j.Submitted))
 	obs.Record(obs.FlightJobRunning, j.ID, note)
 	p.log.Info("job started", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "shards", granted)
-	runOpts := p.opts.Run
-	runOpts.Shards = granted
-	runOpts.Profile = j.Profile
 	// Per-stage timings from the engine become spans on this job; the
 	// callback runs on the worker goroutine with p.mu released.
-	runOpts.Stages = func(stage string, d time.Duration) {
+	runOpts := rt.Options{Shards: granted, Profile: j.Profile, Stages: func(stage string, d time.Duration) {
 		p.mu.Lock()
 		j.Span(stage, d, "")
 		p.mu.Unlock()
-	}
+	}}
 	p.mu.Unlock()
 
 	res, err := rt.Submit(j.bundle, runOpts)
@@ -1046,17 +1042,27 @@ func (p *Pool) WriteResult(_ context.Context, w io.Writer, id string) error {
 // the canceled record.
 func (p *Pool) Cancel(_ context.Context, id string) (Status, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	j, err := p.Get(id)
+	j, st, err := p.cancelLocked(id)
+	p.mu.Unlock()
 	if err != nil {
 		return Status{}, err
 	}
+	p.Commit(j) // the 200 waits for the canceled line, with the pool unlocked
+	return st, nil
+}
+
+// cancelLocked is Cancel's critical section. Callers hold p.mu.
+func (p *Pool) cancelLocked(id string) (*job, Status, error) {
+	j, err := p.Get(id)
+	if err != nil {
+		return nil, Status{}, err
+	}
 	if j.State == StateRunning {
-		return Status{}, fmt.Errorf("%w: %q is running and cannot be preempted", ErrConflict, id)
+		return nil, Status{}, fmt.Errorf("%w: %q is running and cannot be preempted", ErrConflict, id)
 	}
 	now := time.Now()
 	if err := p.Transition(j, StateCanceled, Detail{At: now, Dur: now.Sub(j.Submitted)}); err != nil {
-		return Status{}, err // already terminal
+		return nil, Status{}, err // already terminal
 	}
 	j.bundle = nil
 	same := func(q *job) bool { return q == j }
@@ -1076,7 +1082,7 @@ func (p *Pool) Cancel(_ context.Context, id string) (Status, error) {
 	p.met.canceled.Inc()
 	obs.Record(obs.FlightJobCanceled, j.ID, "")
 	p.log.Info("job canceled", "job", j.ID, "trace", j.Trace)
-	return p.Snapshot(j), nil
+	return j, p.Snapshot(j), nil
 }
 
 // Metrics returns the registry the pool's instruments live in (the one
@@ -1086,11 +1092,6 @@ func (p *Pool) Metrics() *obs.Registry { return p.reg }
 
 // Logger returns the pool's logger (Options.Logger, or one that discards).
 func (p *Pool) Logger() *slog.Logger { return p.log }
-
-// ValidateOptions is how a submitted bundle is validated before Submit.
-func (p *Pool) ValidateOptions() qop.ValidateOptions {
-	return qop.ValidateOptions{AllowMidCircuit: p.opts.Run.AllowMidCircuit}
-}
 
 // Engines lists the engines registered in this process.
 func (p *Pool) Engines(context.Context) ([]string, error) { return backend.Engines(), nil }
@@ -1105,9 +1106,15 @@ func (p *Pool) StatsDoc() any { return p.Stats() }
 // the queue-wait and run-time histograms, so /v1/stats and /metrics can
 // never disagree.
 func (p *Pool) Stats() Stats {
+	// Read before taking p.mu: the store lists its result directory.
+	var journal store.Stats
+	if p.opts.Store != nil {
+		journal = p.opts.Store.Stats()
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.stats
+	s.Stats = journal
 	s.Submitted = p.met.submitted.Value()
 	s.Completed = p.met.completed.Value()
 	s.Failed = p.met.failed.Value()
@@ -1131,9 +1138,6 @@ func (p *Pool) Stats() Stats {
 	s.MaxShards = p.opts.MaxShards
 	if p.cache != nil {
 		s.CacheSize = p.cache.len()
-	}
-	if p.opts.Store != nil {
-		s.Stats = p.opts.Store.Stats()
 	}
 	return s
 }

@@ -45,6 +45,9 @@ type Record struct {
 
 	rev  Revision
 	done chan struct{}
+	// seq is what Store.Commit waits on for the newest of this record's
+	// journal lines that the fsync policy covers (see Table.Commit).
+	seq uint64
 }
 
 // Rec returns the record itself, so that a type embedding Record is a Job.
@@ -126,12 +129,13 @@ var moves = map[move]struct{ stage, event string }{
 // Table is the job table of one tier: it allocates the monotonic job IDs,
 // looks records up, answers Status, List, Wait and WaitTimeout, bounds how
 // many terminal records are retained, and owns the one function that moves
-// a record through its lifecycle. It is guarded by the tier's mutex: the
-// four read calls take it, everything else is called with it held.
+// a record through its lifecycle — and, with it, writes the journal. It is
+// guarded by the tier's mutex: the four read calls and Commit take it,
+// everything else is called with it held.
 type Table[J Job] struct {
 	mu   *sync.Mutex
 	max  int
-	sink func(J, store.Event)
+	st   *store.Store // nil: nothing is journaled
 	jobs map[string]J
 	// terminal holds finished job IDs in completion order for retention.
 	terminal []string
@@ -139,15 +143,44 @@ type Table[J Job] struct {
 }
 
 // NewTable makes the table of a tier whose state mu guards. maxRecords
-// bounds the terminal records retained (negative: all). sink is the one
-// thing the tiers do differently: how an event reaches the journal. It is
-// called under mu, once per move and in move order, with the record the
-// event belongs to; nil journals nothing. A Pool appends synchronously, so
-// that its state is never readable before the line met the fsync policy; a
-// dispatcher queues the event on the record and appends after unlocking,
-// so that no fsync happens under the mutex its watchers contend on.
-func NewTable[J Job](mu *sync.Mutex, maxRecords int, sink func(J, store.Event)) *Table[J] {
-	return &Table[J]{mu: mu, max: maxRecords, sink: sink, jobs: map[string]J{}}
+// bounds the terminal records retained (negative: all). st is the journal
+// the table's moves are written to; nil journals nothing.
+func NewTable[J Job](mu *sync.Mutex, maxRecords int, st *store.Store) *Table[J] {
+	return &Table[J]{mu: mu, max: maxRecords, st: st, jobs: map[string]J{}}
+}
+
+// Journal writes one event of j's to the journal: the line is in the file,
+// after every line written before it, when Journal returns, and nothing is
+// fsynced. Transition calls it for every move; a tier calls it for the one
+// event that is not a move, a dispatcher's assignment. The line's job and
+// trace IDs are the record's. Callers hold the mutex — which is what makes journal
+// order move order — and an acknowledgment Commits after releasing it.
+func (t *Table[J]) Journal(j J, ev store.Event) {
+	if t.st == nil {
+		return
+	}
+	r := j.Rec()
+	ev.Job, ev.Trace = r.ID, r.Trace
+	//lint:ignore journalerr persistence failures count in store_journal_errors_total; the tier keeps serving from memory rather than failing accepted work
+	seq, _ := t.st.Write(ev)
+	r.seq = max(r.seq, seq)
+}
+
+// Commit returns once the newest journal line of j met the fsync policy,
+// and runs the journal compaction that has come due. It is how a tier
+// acknowledges a move — the 202 of a POST, the 200 of a DELETE — and is
+// called without the mutex: no reader and no other mover waits behind the
+// fsync. Moves nobody acknowledges need no Commit; the store fsyncs their
+// lines within one barrier of their being written.
+func (t *Table[J]) Commit(j J) {
+	if t.st == nil {
+		return
+	}
+	t.mu.Lock()
+	seq := j.Rec().seq
+	t.mu.Unlock()
+	//lint:ignore journalerr persistence failures count in store_journal_errors_total; the tier keeps serving from memory rather than failing accepted work
+	_ = t.st.Commit(seq)
 }
 
 // Add enters a fresh record under the next job ID and moves it to queued.
@@ -196,14 +229,14 @@ func (t *Table[J]) Restore(j J) {
 // running → queued) or Finished (→ terminal); records d.Err; logs one
 // span — stage queued, started, done, failed, canceled or detached — with
 // d.Dur and d.Note; advances the revision (a record is born at revision
-// 0); hands the tier's sink exactly one event — submitted, started, done,
+// 0); writes exactly one journal line (Journal) — submitted, started, done,
 // failed or canceled, built from d.Ev, the record and d.At — except for
 // running → queued, which journals nothing: the journal keeps the old
 // assignment until the next one replaces it; and on a terminal move closes
 // Done and evicts the oldest terminal records beyond the retention bound,
-// handing the sink a forget event for each after the evicted record's own
-// terminal event. Journal order is therefore move order, whatever the sink
-// does with the events.
+// writing a forget line for each after the evicted record's own terminal
+// line. The line is in the file before the mutex is released, so journal
+// order is move order and no move is readable before it is written.
 //
 // Callers hold the tier's mutex. Metrics, log lines and flight-recorder
 // entries are the tier's own and stay at its call sites.
@@ -221,7 +254,7 @@ func (t *Table[J]) Transition(j J, to State, d Detail) error {
 	switch {
 	case born:
 		r.Submitted = at
-		ev.Trace, ev.Key, ev.Engine, ev.Points = r.Trace, r.Key, r.Engine, r.Points
+		ev.Key, ev.Engine, ev.Points = r.Key, r.Engine, r.Points
 	case to == StateQueued:
 		r.Started = time.Time{}
 	case to == StateRunning:
@@ -241,9 +274,9 @@ func (t *Table[J]) Transition(j J, to State, d Detail) error {
 	if !born {
 		r.rev.Bump()
 	}
-	if m.event != "" && t.sink != nil {
-		ev.T, ev.Job, ev.At = m.event, r.ID, at
-		t.sink(j, ev)
+	if m.event != "" {
+		ev.T, ev.At = m.event, at
+		t.Journal(j, ev)
 	}
 	if to.Terminal() {
 		t.settle(j)
@@ -265,8 +298,8 @@ func (t *Table[J]) settle(j J) {
 		t.terminal = t.terminal[1:]
 		old, ok := t.jobs[id]
 		delete(t.jobs, id)
-		if ok && t.sink != nil {
-			t.sink(old, store.Event{T: store.EvForget, Job: id, At: time.Now()})
+		if ok {
+			t.Journal(old, store.Event{T: store.EvForget, At: time.Now()})
 		}
 	}
 }

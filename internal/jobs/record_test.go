@@ -1,8 +1,12 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -10,27 +14,62 @@ import (
 	"repro/internal/jobs/store"
 )
 
-// recordingSink is a Table sink that keeps every event it is handed.
-type recordingSink struct{ evs []store.Event }
+// journalFile is a store under a Table whose journal.jsonl the test reads
+// back: what it checks is the file, in file order.
+type journalFile struct {
+	dir string
+	st  *store.Store
+}
 
-func (s *recordingSink) sink(_ *job, ev store.Event) { s.evs = append(s.evs, ev) }
+func openJournal(t *testing.T, opts store.Options) *journalFile {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return &journalFile{dir, st}
+}
 
-func (s *recordingSink) types() []string {
-	out := make([]string, len(s.evs))
-	for i, ev := range s.evs {
+// events reads the journal file as it is on disk right now.
+func (f *journalFile) events(t *testing.T) []store.Event {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(f.dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []store.Event
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var ev store.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+func eventTypes(evs []store.Event) []string {
+	out := make([]string, len(evs))
+	for i, ev := range evs {
 		out[i] = ev.T + " " + ev.Job
 	}
 	return out
 }
 
 // TestTransitions walks the whole state machine: every (from, to) pair.
-// A legal move emits exactly the event the lifecycle says (running →
-// queued alone emits none), advances the revision once (a record is born
+// A legal move writes exactly the journal line the lifecycle says (running
+// → queued alone writes none), advances the revision once (a record is born
 // at revision 0), stamps the right timestamp with the given time, logs the
 // move's span, and closes Done iff it is terminal. An illegal one answers
-// ErrConflict, emits nothing and changes nothing. Past the table's bound the
-// oldest terminal record is evicted through the same sink, its forget event
-// after its own terminal event and after that of the move that evicted it.
+// ErrConflict, writes nothing and changes nothing. Past the table's bound
+// the oldest terminal record is evicted into the same journal, its forget
+// line after its own terminal line and after that of the move that evicted
+// it. The journal is a real store's file, read back after every move.
 func TestTransitions(t *testing.T) {
 	t.Run("retention", testRetention)
 	states := []State{"", StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
@@ -60,25 +99,26 @@ func TestTransitions(t *testing.T) {
 		for _, to := range states {
 			t.Run(fmt.Sprintf("%s→%s", from, to), func(t *testing.T) {
 				var mu sync.Mutex
-				rec := &recordingSink{}
-				tab := NewTable(&mu, -1, rec.sink)
+				rec := openJournal(t, store.Options{Sync: store.SyncNone})
+				tab := NewTable[*job](&mu, -1, rec.st)
 				j := &job{Record: Record{Trace: "tr", Key: "k", Engine: "e", Shards: 3, Points: 5, done: make(chan struct{})}}
 				for _, s := range path[from] {
 					if err := tab.Transition(j, s, Detail{Err: boom}); err != nil {
 						t.Fatalf("setup →%s: %v", s, err)
 					}
 				}
-				before, events := j.Record, len(rec.evs)
+				before, events := j.Record, len(rec.events(t))
 				at := time.Unix(1700000000, 0)
 				err := tab.Transition(j, to, Detail{At: at, Dur: time.Second, Note: "why", Err: boom, Ev: store.Event{Result: "addr"}})
+				evs := rec.events(t)
 
 				want, ok := legal[move{from, to}]
 				if !ok {
 					if !errors.Is(err, ErrConflict) {
 						t.Fatalf("illegal move answered %v, want ErrConflict", err)
 					}
-					if len(rec.evs) != events {
-						t.Fatalf("illegal move emitted %v", rec.types()[events:])
+					if len(evs) != events {
+						t.Fatalf("illegal move emitted %v", eventTypes(evs[events:]))
 					}
 					after := j.Record
 					if after.State != before.State || after.rev.N() != before.rev.N() || len(after.Spans) != len(before.Spans) ||
@@ -97,14 +137,14 @@ func TestTransitions(t *testing.T) {
 					t.Fatalf("state %q, want %q", j.State, to)
 				}
 				if want.event == "" {
-					if len(rec.evs) != events {
-						t.Fatalf("emitted %v, want nothing", rec.types()[events:])
+					if len(evs) != events {
+						t.Fatalf("emitted %v, want nothing", eventTypes(evs[events:]))
 					}
 				} else {
-					if len(rec.evs) != events+1 {
-						t.Fatalf("emitted %d events %v, want exactly one %s", len(rec.evs)-events, rec.types()[events:], want.event)
+					if len(evs) != events+1 {
+						t.Fatalf("emitted %d events %v, want exactly one %s", len(evs)-events, eventTypes(evs[events:]), want.event)
 					}
-					ev := rec.evs[events]
+					ev := evs[events]
 					if ev.T != want.event || ev.Job != j.ID || !ev.At.Equal(at) {
 						t.Fatalf("event %+v, want a %s of job %q at %v", ev, want.event, j.ID, at)
 					}
@@ -166,8 +206,8 @@ func TestTransitions(t *testing.T) {
 
 func testRetention(t *testing.T) {
 	var mu sync.Mutex
-	rec := &recordingSink{}
-	tab := NewTable(&mu, 2, rec.sink)
+	rec := openJournal(t, store.Options{Sync: store.SyncNone})
+	tab := NewTable[*job](&mu, 2, rec.st)
 	var ids []string
 	for i := 0; i < 3; i++ {
 		j := &job{}
@@ -182,7 +222,7 @@ func testRetention(t *testing.T) {
 		"submitted " + ids[1], "canceled " + ids[1],
 		"submitted " + ids[2], "canceled " + ids[2], "forget " + ids[0],
 	}
-	if got := rec.types(); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := eventTypes(rec.events(t)); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("events %v, want %v", got, want)
 	}
 	if _, err := tab.Get(ids[0]); !errors.Is(err, ErrNotFound) {

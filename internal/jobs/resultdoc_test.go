@@ -20,6 +20,7 @@ import (
 	"repro/internal/bundle"
 	"repro/internal/jobs/store"
 	"repro/internal/qdt"
+	"repro/internal/qop"
 	"repro/internal/result"
 )
 
@@ -607,7 +608,7 @@ func TestUnencodableSweepPointIs500(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 8})
 	defer pool.Close()
 	h := NewHandler(pool)
-	b, err := bundle.FromJSON(sweepBundleJSON(t, 4, [][]float64{{0.3, 0.7}, {1.1, 0.2}, {0.8, 1.4}}), pool.ValidateOptions())
+	b, err := bundle.FromJSON(sweepBundleJSON(t, 4, [][]float64{{0.3, 0.7}, {1.1, 0.2}, {0.8, 1.4}}), qop.ValidateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,8 +255,6 @@ func (s *Store) resultDirEntries() []os.DirEntry {
 	return out
 }
 
-func (s *Store) countResults() int { return len(s.resultDirEntries()) }
-
 // gcResults deletes unreferenced result files beyond Options.MaxResults,
 // oldest first. Files referenced by a live record are always kept.
 func (s *Store) gcResults() {

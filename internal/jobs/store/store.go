@@ -25,32 +25,49 @@
 //
 // # Fsync policy
 //
-// The policy is explicit (Options.Sync): SyncAlways (default) fsyncs the
-// journal after every event, so an acknowledged submission survives a
-// crash of the very next instruction; SyncGroup gives the same guarantee
-// through group commit — appenders write their line, then wait on a
-// shared fsync barrier driven by a leader elected among the waiters, so
-// N concurrent appends cost one fsync instead of N (Stats.Syncs vs
-// Stats.Events makes the batching visible); SyncTerminal fsyncs only
-// submitted and terminal events (a lost started event merely re-runs the
-// job); SyncNone leaves flushing to the OS. Result files and compaction
-// renames are always written via temp-file + rename, and fsynced unless
-// SyncNone.
+// The journal is written in two halves. Write puts one line in the file
+// and the record table, in call order, and never fsyncs, renames or
+// compacts: it is what a tier calls inside the critical section of a move,
+// so that journal order is move order. It returns the sequence number to
+// wait on. Commit blocks until every line up to that number is fsynced.
+// Between the two stands one barrier: a syncer goroutine fsyncs, with the
+// store's mutex released, whenever a written line wants it, whether or not
+// anybody waits, and each fsync covers every line written before it began
+// — so N concurrent committers cost one fsync instead of N (Stats.Syncs vs
+// Stats.Events makes the batching visible). Append is Write then Commit.
 //
-// Both tiers journal from one place, jobs.Table.Transition, which hands
-// each move's event to the tier's sink in move order. The pool's sink
-// (jobs.Pool.appendNow) appends inside the pool's critical section, which
-// puts the fsync on the submission path: under SyncAlways, sustained
-// submission throughput from one pool is bounded by disk sync latency.
-// SyncGroup is the lever when many goroutines journal concurrently — the
-// fleet dispatcher, whose sink queues events per job and appends them from
-// per-request goroutines after unlocking, uses it by default.
+// The policy (Options.Sync) says which lines want the barrier: every line
+// under SyncAlways (default); submitted, terminal and forget lines under
+// SyncTerminal (a lost started or assigned line merely re-runs or
+// re-forwards the job); none under SyncNone, which leaves flushing to the
+// OS, starts no syncer and makes Write return 0. Result files and
+// compaction renames are always written via temp-file + rename, and
+// fsynced unless SyncNone.
+//
+// What that buys, on a worker pool and on the fleet dispatcher alike —
+// both journal through jobs.Table, which calls Write under the tier's
+// mutex and Commit after releasing it:
+//
+//   - Order and visibility. A move's line is in the journal file, in move
+//     order, before the move is readable: a process crash (SIGKILL) at any
+//     instant loses no move any client could have seen.
+//   - Acknowledgment. The 202 of a POST and the 200 of a DELETE return
+//     only after the line they acknowledge met the policy.
+//   - Everything else (started, assigned, a worker's or a watch's done or
+//     failed) is fsynced within one barrier of being written, with nobody
+//     waiting. Under SyncAlways a machine crash inside that window replays
+//     the job one state earlier, and it re-runs to the identical result
+//     under the same ID — the recovery the jobs package promises. No
+//     reader and no mover ever queues behind an fsync.
+//
+// TestJournalContract holds both tiers to the three clauses, with the
+// barrier in the test's hand.
 //
 // # Compaction
 //
 // The journal grows by one line per transition while the record table is
 // bounded (the pool forgets evicted records). Once file lines exceed
-// compactFactor× the live table (plus a floor), Append rewrites the
+// compactFactor× the live table (plus a floor), Commit rewrites the
 // journal from the table — at most four events per record — through a
 // temp file and atomic rename. Unreferenced result files beyond
 // Options.MaxResults are garbage-collected at the same time, oldest
@@ -76,17 +93,12 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every appended event (default).
+	// SyncAlways puts every event behind the fsync barrier (default).
 	SyncAlways SyncPolicy = iota
-	// SyncTerminal fsyncs after submitted and terminal events only.
+	// SyncTerminal fsyncs every event but started and assigned.
 	SyncTerminal
 	// SyncNone never fsyncs; the OS flushes when it pleases.
 	SyncNone
-	// SyncGroup is group commit: every event is durable before Append
-	// returns (the SyncAlways guarantee), but concurrent appenders share
-	// one fsync barrier — a leader elected among the waiters syncs once
-	// for every line written before the barrier.
-	SyncGroup
 )
 
 // ParseSyncPolicy maps the qmlserve -fsync flag values.
@@ -94,14 +106,12 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "group":
-		return SyncGroup, nil
 	case "terminal":
 		return SyncTerminal, nil
 	case "none":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("store: unknown fsync policy %q (want always|group|terminal|none)", s)
+	return 0, fmt.Errorf("store: unknown fsync policy %q (want always|terminal|none)", s)
 }
 
 // Event types journaled by the pool and the fleet dispatcher.
@@ -223,7 +233,7 @@ type Stats struct {
 	// Lines is the current journal file length in events.
 	Lines int `json:"journal_lines"`
 	// Syncs counts journal fsyncs issued on the append path since Open;
-	// under SyncGroup, Syncs < Events shows group commit batching.
+	// Syncs < Events shows committers sharing barriers.
 	Syncs uint64 `json:"journal_syncs"`
 	// Compactions counts journal rewrites since Open.
 	Compactions uint64 `json:"journal_compactions"`
@@ -273,7 +283,7 @@ func newStoreMetrics(reg *obs.Registry, s *Store) *storeMetrics {
 		syncs:       reg.Counter("store_journal_syncs_total", "Journal fsyncs issued on the append path since Open."),
 		compactions: reg.Counter("store_journal_compactions_total", "Journal rewrites since Open."),
 		errors:      reg.Counter("store_journal_errors_total", "Append/compaction/result-write failures the caller chose to survive."),
-		appendLat:   reg.Histogram("store_journal_append_seconds", "Journal append latency including the durability barrier.", nil),
+		appendLat:   reg.Histogram("store_journal_append_seconds", "Journal write latency: one line into the file and the record table, before any fsync.", nil),
 		fsyncLat:    reg.Histogram("store_journal_fsync_seconds", "Journal fsync latency.", nil),
 	}
 	reg.GaugeFunc("store_journal_lines", "Current journal file length in events.", func() float64 {
@@ -306,10 +316,10 @@ func (o Options) withDefaults() Options {
 // compactFloor keeps tiny journals from compacting on every append.
 const compactFloor = 64
 
-// testSyncHook, when non-nil, runs in the group-commit leader with the
-// mutex released, just before its fsync — a test seam that widens the
-// barrier window so batching is observable on filesystems whose fsync
-// returns instantly.
+// testSyncHook, when non-nil, runs in the syncer with the mutex released,
+// before each fsync — a test seam that holds the barrier, so that batching
+// is observable on filesystems whose fsync returns instantly and a test
+// can look around while committers wait.
 var testSyncHook func()
 
 // fsyncStallThreshold is the journal fsync latency beyond which a
@@ -328,29 +338,31 @@ func (m *storeMetrics) observeFsync(d time.Duration) {
 }
 
 // Store is a journal + result-file directory owned by one process. All
-// methods are safe for concurrent use (the pool journals under its own
-// lock but writes result files from worker goroutines).
+// methods are safe for concurrent use (a tier writes journal lines under
+// its own lock but writes result files from worker goroutines).
 type Store struct {
 	dir  string
 	opts Options
 
 	mu      sync.Mutex
-	cond    *sync.Cond // group commit barrier + compaction/fsync exclusion
+	cond    *sync.Cond // the barrier: wakes the syncer, committers and compaction
 	f       *os.File   // journal, opened O_APPEND
 	lines   int
 	records map[string]*Record
 	stats   Stats
 	met     *storeMetrics
 
-	// Group-commit state (SyncGroup only). dirtyGen counts appended
-	// lines; syncedGen is the newest generation known durable. A leader
-	// elected among the waiters fsyncs with the mutex released, covering
-	// every line written before the sync began.
-	dirtyGen  uint64
-	syncedGen uint64
-	syncing   bool
-	failedGen uint64 // generations ≤ failedGen saw failErr if not yet synced
-	failErr   error
+	// The fsync barrier. written numbers the lines written since Open and
+	// wanted is the newest of them the policy wants fsynced; the syncer
+	// runs while wanted is ahead of both synced, the newest line known
+	// durable, and failed, the newest line a failed fsync (failErr)
+	// covered — so a failure is not retried until the next line asks.
+	written, wanted uint64
+	synced, failed  uint64
+	failErr         error
+	syncing         bool // the syncer is in its fsync, mutex released
+	closed          bool
+	syncer          sync.WaitGroup
 }
 
 // Open creates dir (and its results/ subdirectory) if needed, replays the
@@ -376,6 +388,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s.f = f
+	if opts.Sync != SyncNone {
+		s.syncer.Add(1)
+		go s.syncLoop()
+	}
 	return s, nil
 }
 
@@ -506,28 +522,73 @@ func (s *Store) apply(ev Event) {
 	}
 }
 
-// Append journals one event: table merge, file append, fsync per policy
-// (under SyncGroup the appender waits on the shared group-commit
-// barrier), and compaction when terminal/obsolete lines dominate the
-// live table.
+// errGone is what writing to, or waiting on, a store without a journal
+// handle answers.
+var errGone = errors.New("store: journal closed, or lost during a failed compaction")
+
+// Append journals one event and returns once it met the fsync policy:
+// Write, then Commit.
 func (s *Store) Append(ev Event) error {
-	start := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.append(ev); err != nil {
-		s.met.errors.Inc()
+	seq, err := s.Write(ev)
+	if err != nil {
 		return err
 	}
-	if s.opts.Sync == SyncGroup {
-		if err := s.awaitDurableLocked(s.dirtyGen); err != nil {
-			s.met.errors.Inc()
-			return err
-		}
+	return s.Commit(seq)
+}
+
+// Write puts one event in the journal file and the record table, in call
+// order, and returns without fsyncing, renaming or compacting anything —
+// the one store mutator a tier calls inside its critical section. The
+// sequence number it returns is what Commit waits on; it is 0 when the
+// policy asks no fsync of this event.
+func (s *Store) Write(ev Event) (uint64, error) {
+	start := time.Now()
+	raw, err := json.Marshal(ev)
+	if err != nil {
+		s.met.errors.Inc()
+		return 0, fmt.Errorf("store: %w", err)
 	}
-	// Observed once the event is durable per policy — compaction is
-	// amortized housekeeping, not append latency.
+	raw = append(raw, '\n')
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		s.met.errors.Inc()
+		return 0, errGone
+	}
+	if _, err := s.f.Write(raw); err != nil {
+		s.met.errors.Inc()
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	s.apply(ev)
+	s.lines++
+	s.written++
+	s.met.events.Inc()
 	s.met.appendLat.Observe(time.Since(start))
-	if s.lines > s.opts.CompactFactor*len(s.records)+compactFloor {
+	if !s.syncEvent(ev.T) {
+		return 0, nil
+	}
+	s.wanted = s.written
+	s.cond.Broadcast()
+	return s.written, nil
+}
+
+// Commit blocks until every line up to seq is fsynced — at once for
+// seq 0 — and then runs the compaction that has come due, which is why
+// it is called with no tier mutex held. It fails when the fsync that
+// covered seq failed, or the store was closed first.
+func (s *Store) Commit(seq uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.synced < seq {
+		if s.failed >= seq {
+			return s.failErr
+		}
+		if s.closed {
+			return errGone
+		}
+		s.cond.Wait()
+	}
+	if s.f != nil && s.lines > s.opts.CompactFactor*len(s.records)+compactFloor {
 		if err := s.compact(); err != nil {
 			s.met.errors.Inc()
 			return err
@@ -536,78 +597,54 @@ func (s *Store) Append(ev Event) error {
 	return nil
 }
 
-// awaitDurableLocked blocks until every journal line up to generation gen
-// is fsynced. The first waiter that finds no sync in flight becomes the
-// leader: it releases the mutex, fsyncs once, and wakes everyone whose
-// line was written before the sync began — one fsync absorbs a whole
-// burst of concurrent appends. Callers hold s.mu; it is held again on
-// return.
-func (s *Store) awaitDurableLocked(gen uint64) error {
-	for s.syncedGen < gen {
-		if s.failedGen >= gen {
-			return s.failErr
+// syncLoop is the syncer, the append path's one fsync site: whenever a
+// written line wants it — whether or not a committer waits — it fsyncs
+// once, with the mutex released, for every line written before the fsync
+// began, so concurrent committers share a barrier. A failed fsync fails
+// the committers it covered, counts once, and is retried when the next
+// line asks.
+func (s *Store) syncLoop() {
+	defer s.syncer.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for !s.closed && s.wanted <= max(s.synced, s.failed) {
+			s.cond.Wait()
+		}
+		if s.closed {
+			return // Close flushes what is left
+		}
+		if testSyncHook != nil {
+			s.mu.Unlock()
+			testSyncHook()
+			s.mu.Lock()
+			if s.closed || s.wanted <= max(s.synced, s.failed) {
+				continue // Close or a compaction did the work meanwhile
+			}
 		}
 		if s.f == nil {
-			return errors.New("store: journal dead (lost during a failed compaction)")
-		}
-		if !s.syncing {
-			s.syncing = true
-			f := s.f
-			s.mu.Unlock()
-			if testSyncHook != nil {
-				testSyncHook()
-			}
-			s.mu.Lock()
-			// Re-read the barrier target after the hook/handoff window:
-			// every line already written is covered by the sync below.
-			target := s.dirtyGen
-			s.mu.Unlock()
-			syncStart := time.Now()
-			err := f.Sync()
-			s.met.observeFsync(time.Since(syncStart))
-			s.mu.Lock()
-			s.syncing = false
-			s.met.syncs.Inc()
-			if err != nil {
-				// Fail every waiter covered by this barrier; later
-				// appends elect a fresh leader and retry.
-				s.failedGen = target
-				s.failErr = fmt.Errorf("store: %w", err)
-			} else if target > s.syncedGen {
-				s.syncedGen = target
-			}
+			s.failed, s.failErr = s.written, errGone
 			s.cond.Broadcast()
 			continue
 		}
-		s.cond.Wait()
-	}
-	return nil
-}
-
-func (s *Store) append(ev Event) error {
-	if s.f == nil {
-		return errors.New("store: journal dead (lost during a failed compaction)")
-	}
-	raw, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := s.f.Write(append(raw, '\n')); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if s.syncEvent(ev.T) {
+		// Every line already written is covered by the fsync below.
+		s.syncing = true
+		f, target := s.f, s.written
+		s.mu.Unlock()
 		syncStart := time.Now()
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
+		err := f.Sync()
 		s.met.observeFsync(time.Since(syncStart))
+		s.mu.Lock()
+		s.syncing = false
 		s.met.syncs.Inc()
+		if err != nil {
+			s.failed, s.failErr = target, fmt.Errorf("store: %w", err)
+			s.met.errors.Inc()
+		} else {
+			s.synced = target
+		}
+		s.cond.Broadcast()
 	}
-	s.apply(ev)
-	s.lines++
-	s.dirtyGen++
-	s.met.events.Inc()
-	return nil
 }
 
 func (s *Store) syncEvent(t string) bool {
@@ -617,7 +654,7 @@ func (s *Store) syncEvent(t string) bool {
 	case SyncTerminal:
 		return t != EvStarted && t != EvAssigned
 	}
-	return false // SyncNone, and SyncGroup syncs via the barrier
+	return false
 }
 
 // Compact rewrites the journal from the record table (at most four
@@ -630,9 +667,9 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compact() error {
-	// A group-commit leader may be fsyncing the current handle with the
-	// mutex released; wait it out so the rename/reopen below never races
-	// an in-flight sync on the retiring file.
+	// The syncer may be fsyncing the current handle with the mutex
+	// released; wait it out so the rename/reopen below never races an
+	// in-flight sync on the retiring file.
 	for s.syncing {
 		s.cond.Wait()
 	}
@@ -699,12 +736,10 @@ func (s *Store) compact() error {
 	s.lines = written
 	s.met.compactions.Inc()
 	// The compacted file was fully written and (unless SyncNone) fsynced
-	// before the rename, so every journaled generation is now durable;
-	// release any group-commit waiters.
-	if s.syncedGen < s.dirtyGen {
-		s.syncedGen = s.dirtyGen
-		s.cond.Broadcast()
-	}
+	// before the rename, so every line written so far is now durable;
+	// release the committers waiting on them.
+	s.synced = s.written
+	s.cond.Broadcast()
 	s.gcResults()
 	return nil
 }
@@ -759,15 +794,17 @@ func (s *Store) Records() []*Record {
 // /metrics reads the same instruments directly.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.stats
+	st.Lines = s.lines
+	st.Records = len(s.records)
+	s.mu.Unlock()
 	st.Events = s.met.events.Value()
 	st.Syncs = s.met.syncs.Value()
 	st.Compactions = s.met.compactions.Value()
 	st.Errors = s.met.errors.Value()
-	st.Lines = s.lines
-	st.Records = len(s.records)
-	st.Results = s.countResults()
+	// Listing results/ — milliseconds for a full directory — needs no
+	// lock and must not hold one: every journal write queues behind s.mu.
+	st.Results = len(s.resultDirEntries())
 	return st
 }
 
@@ -776,7 +813,7 @@ func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return errors.New("store: journal dead (lost during a failed compaction)")
+		return errGone
 	}
 	//lint:ignore lockblock s.mu is the journal handle's own lock; an explicit Sync must exclude appends and compaction swapping the handle
 	if err := s.f.Sync(); err != nil {
@@ -785,31 +822,41 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Close fsyncs (unless SyncNone) and closes the journal.
+// Close fsyncs (unless SyncNone) and closes the journal, releases the
+// committers still waiting — with the verdict of that last fsync — and
+// returns once the syncer has exited. Writes after Close fail.
 func (s *Store) Close() error {
+	err := s.close()
+	s.syncer.Wait()
+	return err
+}
+
+func (s *Store) close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Let an in-flight group-commit leader finish before the handle goes
-	// away under its fsync.
+	// Let an in-flight fsync finish before the handle goes away under it.
 	for s.syncing {
 		s.cond.Wait()
 	}
+	s.closed = true
+	defer s.cond.Broadcast()
 	if s.f == nil {
 		return nil
 	}
+	var err error
 	if s.opts.Sync != SyncNone {
 		//lint:ignore lockblock s.mu is the journal handle's own lock; Close tears the handle down, nothing can contend usefully past this point
-		if err := s.f.Sync(); err != nil {
-			s.f.Close()
-			s.f = nil
-			return fmt.Errorf("store: %w", err)
-		}
+		err = s.f.Sync()
 	}
-	err := s.f.Close()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
 	s.f = nil
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		s.failed, s.failErr = s.written, fmt.Errorf("store: %w", err)
+		return s.failErr
 	}
+	s.synced = s.written
 	return nil
 }
 

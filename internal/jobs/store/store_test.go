@@ -297,19 +297,19 @@ func TestResultGC(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDurableAndBatched hammers a SyncGroup store from many
+// TestGroupCommitDurableAndBatched hammers a SyncAlways store from many
 // goroutines: every append must be durable (all records replay after a
 // kill-style reopen) while the fsync barrier batches — far fewer fsyncs
-// than events.
+// than events, on the default policy.
 func TestGroupCommitDurableAndBatched(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Sync: SyncGroup})
+	s, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Widen the barrier window: on filesystems where fsync returns
-	// instantly each appender would lead its own sync before the next
-	// arrives and batching would be invisible.
+	// instantly the syncer would finish one line's sync before the next
+	// line arrives and batching would be invisible.
 	testSyncHook = func() { time.Sleep(2 * time.Millisecond) }
 	defer func() { testSyncHook = nil }()
 	const n = 200
@@ -335,7 +335,7 @@ func TestGroupCommitDurableAndBatched(t *testing.T) {
 		t.Fatalf("events = %d, want %d", st.Events, n)
 	}
 	if st.Syncs >= n {
-		t.Fatalf("group commit did not batch: %d fsyncs for %d events", st.Syncs, n)
+		t.Fatalf("the barrier did not batch: %d fsyncs for %d events", st.Syncs, n)
 	}
 	if st.Syncs == 0 {
 		t.Fatal("no fsync issued at all")
@@ -409,14 +409,17 @@ func TestAssignedEventReplay(t *testing.T) {
 
 // TestParseSyncPolicy pins the flag values.
 func TestParseSyncPolicy(t *testing.T) {
-	for s, want := range map[string]SyncPolicy{"always": SyncAlways, "group": SyncGroup, "terminal": SyncTerminal, "none": SyncNone} {
+	for s, want := range map[string]SyncPolicy{"always": SyncAlways, "terminal": SyncTerminal, "none": SyncNone} {
 		got, err := ParseSyncPolicy(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
+	// "group" was a policy once; its guarantee is now what "always" does.
+	for _, s := range []string{"sometimes", "group", ""} {
+		if _, err := ParseSyncPolicy(s); err == nil || !strings.Contains(err.Error(), "unknown fsync policy") {
+			t.Fatalf("ParseSyncPolicy(%q) = %v, want the unknown-policy error", s, err)
+		}
 	}
 }
 
@@ -431,6 +434,243 @@ func TestResultKeyValidation(t *testing.T) {
 	for _, key := range []string{"", "sha256:", "md5:abcd", "sha256:../../etc/passwd", "sha256:zzzz"} {
 		if err := s.PutResult(key, sampleResult(1)); err == nil {
 			t.Fatalf("key %q accepted", key)
+		}
+	}
+}
+
+// returns reports whether fn returns within d.
+func returns(d time.Duration, fn func()) bool {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
+// TestCommitZeroNeverWaits: a line the policy asks no fsync of gets
+// sequence number 0, and Commit(0) returns with the barrier held — every
+// line under SyncNone, a started or assigned line under SyncTerminal.
+func TestCommitZeroNeverWaits(t *testing.T) {
+	release := InstallBarrier(t).Hold()
+	for _, tc := range []struct {
+		name   string
+		policy SyncPolicy
+		ev     string
+	}{
+		{"none/submitted", SyncNone, EvSubmitted},
+		{"none/done", SyncNone, EvDone},
+		{"terminal/started", SyncTerminal, EvStarted},
+		{"terminal/assigned", SyncTerminal, EvAssigned},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Open(t.TempDir(), Options{Sync: tc.policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			seq, err := s.Write(Event{T: tc.ev, Job: "job-00000001", At: tstamp(1)})
+			if err != nil || seq != 0 {
+				t.Fatalf("Write = %d, %v; want sequence 0", seq, err)
+			}
+			if !returns(5*time.Second, func() { err = s.Commit(seq) }) || err != nil {
+				t.Fatalf("Commit(0) waited for the barrier (err %v)", err)
+			}
+			if got := s.Stats().Syncs; got != 0 {
+				t.Fatalf("%d fsyncs for a line that asked for none", got)
+			}
+		})
+	}
+	// The same policies do put the lines they cover behind the barrier.
+	s, err := Open(t.TempDir(), Options{Sync: SyncTerminal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer release()
+	seq, err := s.Write(Event{T: EvSubmitted, Job: "job-00000001", At: tstamp(1)})
+	if err != nil || seq == 0 {
+		t.Fatalf("Write(submitted) under terminal = %d, %v; want a sequence number to wait on", seq, err)
+	}
+	if returns(50*time.Millisecond, func() { s.Commit(seq) }) {
+		t.Fatal("Commit returned with the barrier held")
+	}
+	release()
+	if err := s.Commit(seq); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedFsyncFailsItsBarrier swaps the journal handle for a pipe, whose
+// writes succeed and whose fsync cannot: the failed fsync fails exactly the
+// committers its barrier covered, counts once, is not retried while no new
+// line asks, and is retried by the next line — which, on the real file
+// again, succeeds.
+func TestFailedFsyncFailsItsBarrier(t *testing.T) {
+	release := InstallBarrier(t).Hold()
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer release()
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	defer pw.Close()
+	s.mu.Lock()
+	real := s.f
+	s.f = pw
+	s.mu.Unlock()
+
+	const n = 3
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		seq, err := s.Write(Event{T: EvSubmitted, Job: fmt.Sprintf("job-%08d", i), At: tstamp(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { errs <- s.Commit(seq) }()
+	}
+	release() // one fsync for the three lines, and it fails
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a committer covered by the failed fsync was told its line is durable")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a committer covered by the failed fsync still waits")
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // room for a spinning syncer to show
+	if st := s.Stats(); st.Syncs != 1 || st.Errors != 1 {
+		t.Fatalf("after one failed barrier: %d fsyncs, %d errors; want 1 and 1", st.Syncs, st.Errors)
+	}
+
+	s.mu.Lock()
+	s.f = real
+	s.mu.Unlock()
+	if err := s.Append(Event{T: EvSubmitted, Job: "job-00000009", At: tstamp(9)}); err != nil {
+		t.Fatalf("the line after a failed fsync: %v", err)
+	}
+	if st := s.Stats(); st.Syncs != 2 || st.Errors != 1 {
+		t.Fatalf("after the retry: %d fsyncs, %d errors; want 2 and 1", st.Syncs, st.Errors)
+	}
+}
+
+// TestCommitRacingClose: committers caught by Close return — with the
+// verdict of Close's own fsync or an error, never a hang — and so does
+// every Append that comes after.
+func TestCommitRacingClose(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		s, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					if s.Append(Event{T: EvSubmitted, Job: fmt.Sprintf("job-%d-%08d", g, i), At: tstamp(i % 60)}) != nil {
+						return // the store is closed
+					}
+				}
+			}(g)
+		}
+		time.Sleep(time.Duration(round%4) * time.Millisecond)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !returns(10*time.Second, wg.Wait) {
+			t.Fatal("an Append racing Close never returned")
+		}
+	}
+}
+
+// TestCompactionReleasesCommitters: a compaction that comes due in one
+// Commit rewrites and fsyncs every line written so far, so committers
+// waiting on the barrier are released by it — here with the syncer held.
+func TestCompactionReleasesCommitters(t *testing.T) {
+	release := InstallBarrier(t).Hold()
+	s, err := Open(t.TempDir(), Options{CompactFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer release()
+	var seq uint64
+	for i := 0; i < compactFloor; i++ {
+		id := fmt.Sprintf("job-%08d", i)
+		for _, ev := range []Event{{T: EvSubmitted, Job: id, At: tstamp(i % 60)}, {T: EvForget, Job: id, At: tstamp(i % 60)}} {
+			if seq, err = s.Write(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waiting := make(chan error, 1)
+	go func() { waiting <- s.Commit(seq) }()
+	select {
+	case err := <-waiting:
+		t.Fatalf("Commit returned (err %v) with the barrier held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := s.Commit(0); err != nil { // runs the compaction that is due
+		t.Fatal(err)
+	}
+	select {
+	case err := <-waiting:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the compaction did not release the committer waiting on lines it made durable")
+	}
+	if st := s.Stats(); st.Compactions != 1 || st.Syncs != 0 {
+		t.Fatalf("%d compactions, %d barrier fsyncs; want 1 and 0", st.Compactions, st.Syncs)
+	}
+}
+
+// TestParentJournalReplays: the two journals under testdata were written by
+// qmlserve processes of the commit before Write/Commit (a worker's, with a
+// done, a cache-hit, a running, a canceled and a pinned queued job, and a
+// dispatcher's, with assignments) and SIGKILLed; beside each is the record
+// table that build replayed from it. The journal's lines, replay and merge
+// rules did not change, so this build folds the same table.
+func TestParentJournalReplays(t *testing.T) {
+	for _, name := range []string{"parent_pool_journal", "parent_dispatcher_journal"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", name+".records.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{Sync: SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.MarshalIndent(s.Records(), "", "  ")
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got)+"\n" != string(want) {
+			t.Errorf("%s replays to\n%s\nthe build that wrote it replayed\n%s", name, got, want)
 		}
 	}
 }

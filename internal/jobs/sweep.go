@@ -75,10 +75,11 @@ func SweepPoints(b *bundle.Bundle) (int, error) {
 }
 
 // SubmitSweep registers a sweep bundle — a bundle whose context carries a
-// sweep block — as ONE job and enqueues it, returning its snapshot at
-// once. Unlike Submit there is no whole-sweep result cache or in-flight
-// coalescing (the per-point caches below it make re-running a sweep cheap
-// anyway); a saturated queue still rejects with ErrQueueFull.
+// sweep block — as ONE job and enqueues it, returning its snapshot once
+// the submitted line met the journal's fsync policy. Unlike Submit there
+// is no whole-sweep result cache or in-flight coalescing (the per-point
+// caches below it make re-running a sweep cheap anyway); a saturated queue
+// still rejects with ErrQueueFull.
 func (p *Pool) SubmitSweep(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	n, err := SweepPoints(b)
 	if err != nil {
@@ -92,12 +93,13 @@ func (p *Pool) SubmitSweep(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	submitted.Note = fmt.Sprintf("sweep points=%d", n)
 
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed {
+		p.mu.Unlock()
 		return Status{}, ErrClosed
 	}
 	if len(p.pending) >= p.opts.QueueDepth {
 		p.met.rejected.Inc()
+		p.mu.Unlock()
 		return Status{}, ErrQueueFull
 	}
 	p.Add(j, submitted)
@@ -107,7 +109,10 @@ func (p *Pool) SubmitSweep(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	obs.Record(obs.FlightJobQueued, j.ID, submitted.Note)
 	p.log.Info("sweep queued", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "points", n)
 	p.cond.Signal()
-	return p.Snapshot(j), nil
+	st := p.Snapshot(j)
+	p.mu.Unlock()
+	p.Commit(j) // the 202 waits for the submitted line, with the pool unlocked
+	return st, nil
 }
 
 // sweepLanes splits a sweep's core grant over the points it still has to
@@ -160,10 +165,9 @@ func (p *Pool) runSweepJob(j *job) {
 	p.met.queueWait.Observe(started.Sub(j.Submitted))
 	obs.Record(obs.FlightJobRunning, j.ID, note)
 	p.log.Info("sweep started", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "points", n, "shards", granted)
-	runOpts := p.opts.Run
-	runOpts.Profile = j.Profile
 	// No per-stage span callback: a sweep would log stage spans per point
 	// and drown the lifecycle log; the coarse spans below cover it.
+	runOpts := rt.Options{Profile: j.Profile}
 	p.mu.Unlock()
 
 	// Materialize every point and derive its content address off-lock.

@@ -37,8 +37,9 @@
 //     never claimed, and a name registers once per construction and
 //     with one kind per package.
 //
-//   - journalerr — errors from journal/store mutators (Append, Sync,
-//     Compact, PutResult) are never dropped, not even with `_ =`.
+//   - journalerr — errors from journal/store mutators (Append, Write,
+//     Commit, Sync, Compact, PutResult) are never dropped, not even
+//     with `_ =`.
 //
 // # Suppressing a finding
 //
@@ -56,7 +57,5 @@
 // Analyzer scopes match package paths by suffix, so the golden-test
 // fixture trees under testdata/src/<case>/ exercise the same rules as
 // the real packages they mirror. The analysis is intra-procedural by
-// design: a blocking call hidden behind a same-package wrapper (see
-// jobs.Pool.appendNow, the pool's journal sink) is documented at the
-// wrapper instead.
+// design.
 package lint

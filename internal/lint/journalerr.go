@@ -7,10 +7,12 @@ import (
 )
 
 // journalMutators are the store methods whose error results carry the
-// durability verdict: a failed append or fsync means the event the
+// durability verdict: a failed write or fsync means the event the
 // caller just recorded may not survive a crash.
 var journalMutators = map[string]bool{
 	"Append":    true,
+	"Write":     true,
+	"Commit":    true,
 	"Sync":      true,
 	"Compact":   true,
 	"PutResult": true,
@@ -18,7 +20,8 @@ var journalMutators = map[string]bool{
 
 // JournalErr flags dropped error results from journal/store mutators —
 // both the bare statement form `s.Append(ev)` and the explicit discard
-// `_ = s.Append(ev)`. The explicit form is flagged on purpose: a
+// `_ = s.Append(ev)` or `seq, _ := s.Write(ev)`, whatever becomes of
+// the other results. The explicit form is flagged on purpose: a
 // durability error that is safe to drop deserves a
 // //lint:ignore journalerr <why> stating the recovery story (usually
 // "the store counts it in store_journal_errors_total and the caller
@@ -51,7 +54,7 @@ func runJournalErr(p *Package) []Diagnostic {
 					report(s, recv, fn.Name(), "discarded by calling as a statement")
 				}
 			case *ast.AssignStmt:
-				if len(s.Rhs) != 1 || !allBlank(s.Lhs) {
+				if len(s.Rhs) != 1 || !isBlank(s.Lhs[len(s.Lhs)-1]) {
 					return true
 				}
 				if fn, recv, ok := p.journalMutatorCall(s.Rhs[0]); ok {
@@ -90,12 +93,9 @@ func (p *Package) journalMutatorCall(e ast.Expr) (*types.Func, string, bool) {
 	return fn, typ, true
 }
 
-func allBlank(lhs []ast.Expr) bool {
-	for _, e := range lhs {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name != "_" {
-			return false
-		}
-	}
-	return true
+// isBlank reports whether e is the blank identifier: in an assignment
+// from one call, the last left-hand side is where the error lands.
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
 }

@@ -10,8 +10,8 @@ import (
 
 // lockblockScopes are the serving-layer packages whose mutexes guard the
 // job tables every request path contends on. A blocking call under one
-// of those locks is the fleet-wedging bug class PR 5's per-job event
-// queues were built to eliminate.
+// of those locks is the fleet-wedging bug class the journal's
+// Write/Commit split exists to rule out.
 var lockblockScopes = []string{
 	"internal/jobs",
 	"internal/jobs/store",
@@ -21,9 +21,12 @@ var lockblockScopes = []string{
 // storeDiskCalls are the journal/store methods that reach the disk —
 // the mutators block on fsync or rename, GetResult reads and decodes a
 // whole result file — so calling one with a mutex held puts the disk on
-// every contending goroutine's critical path.
+// every contending goroutine's critical path. Write is deliberately
+// absent: it appends one line; never fsyncs, renames or compacts — the
+// one store mutator a tier calls inside its critical section.
 var storeDiskCalls = map[string]bool{
 	"Append":    true,
+	"Commit":    true,
 	"Sync":      true,
 	"Compact":   true,
 	"Close":     true,

@@ -16,6 +16,24 @@ func (s *Store) Append(b []byte) error {
 // Sync is the durability barrier.
 func (s *Store) Sync() error { return s.f.Sync() }
 
+// Write is the first half of Append: the line and the number to Commit.
+func (s *Store) Write(b []byte) (uint64, error) {
+	n, err := s.f.Write(b)
+	return uint64(n), err
+}
+
+// DropSecond keeps the sequence number and discards the verdict.
+func DropSecond(s *Store) uint64 {
+	seq, _ := s.Write(nil) // want `journalerr: error from Store\.Write assigned to _`
+	return seq
+}
+
+// KeepSecond is the near-miss: the number is dropped, the verdict kept.
+func KeepSecond(s *Store) error {
+	_, err := s.Write(nil)
+	return err
+}
+
 // DropStatement discards the verdict by calling as a statement.
 func DropStatement(s *Store) {
 	s.Append(nil) // want `journalerr: error from Store\.Append discarded by calling as a statement`

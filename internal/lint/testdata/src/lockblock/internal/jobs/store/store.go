@@ -33,6 +33,16 @@ func (s *Store) AppendUnderLock(b []byte) error {
 	return s.Append(b) // want `lockblock: journal/store disk call Store\.Append while s\.mu is held`
 }
 
+// Write puts a line in the file and returns the number Commit waits on;
+// it never fsyncs, so it is not in the blocking set.
+func (s *Store) Write(b []byte) (uint64, error) {
+	n, err := s.f.Write(b)
+	return uint64(n), err
+}
+
+// Commit waits for the fsync that covers seq (blocking per the contract).
+func (s *Store) Commit(seq uint64) error { return s.f.Sync() }
+
 // SyncOffLock is the near-miss: the lock is released before the
 // barrier, the two-phase pattern the contract wants.
 func (s *Store) SyncOffLock() error {
@@ -64,6 +74,31 @@ func (p *Pool) LoadUnderLock(key string) []byte {
 		p.res[key], _, _ = p.store.GetResult(key) // want `lockblock: journal/store disk call Store\.GetResult while p\.mu is held`
 	}
 	return p.res[key]
+}
+
+// CommitUnderLock waits for the fsync with the job table locked: every
+// reader and mover queues behind the disk.
+func (p *Pool) CommitUnderLock(b []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	seq, err := p.store.Write(b)
+	if err != nil {
+		return err
+	}
+	return p.store.Commit(seq) // want `lockblock: journal/store disk call Store\.Commit while p\.mu is held`
+}
+
+// WriteThenCommit is the near-miss, the one journaling discipline: the
+// line is written inside the critical section, so journal order is move
+// order, and the fsync is awaited after it.
+func (p *Pool) WriteThenCommit(b []byte) error {
+	p.mu.Lock()
+	seq, err := p.store.Write(b)
+	p.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return p.store.Commit(seq)
 }
 
 // LoadOffLock is the near-miss, the pattern the pool uses: look under the

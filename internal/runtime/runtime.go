@@ -15,34 +15,9 @@ import (
 	"repro/internal/result"
 )
 
-// Options tune a submission.
-type Options struct {
-	// SkipSchemaValidation bypasses the raw JSON Schema pass (the
-	// semantic pass always runs). Artifacts built by algolib always
-	// conform; artifacts from other tools should keep this false.
-	SkipSchemaValidation bool
-	// AllowMidCircuit forwards to sequence validation.
-	AllowMidCircuit bool
-	// Shards is the per-job parallelism grant (the statevector engine
-	// splits its amplitude sweeps into this many persistent shards). 0
-	// lets the engine choose; the jobs scheduler sets it so a lone big
-	// simulation takes every core while concurrent jobs stay narrow.
-	Shards int
-	// Stages, when non-nil, receives per-stage timing callbacks
-	// (transpile/compile/execute/sample for the gate path). The jobs
-	// layer wires this to per-job span logs.
-	Stages backend.StageFunc
-	// Profile requests the kernel-granular execution profile: the
-	// per-kernel table lands in the result's Meta["profile"].
-	// Observational only — the result entries are bit-identical with or
-	// without it.
-	Profile bool
-}
-
-// exec is the part of the options an engine sees.
-func (o Options) exec() backend.ExecOptions {
-	return backend.ExecOptions{Shards: o.Shards, Stages: o.Stages, Profile: o.Profile}
-}
+// Options tune a submission: the shard grant, the per-stage timing
+// callback and the profile flag an engine sees.
+type Options = backend.ExecOptions
 
 // SelectEngine picks an engine for a bundle with no explicit exec block:
 // a bundle whose operators are a single Ising problem is annealing work;
@@ -78,14 +53,12 @@ func SelectEngine(b *bundle.Bundle) (string, error) {
 const MaxGateTwoQ = 1_000_000
 
 // prepare validates a bundle and resolves the backend that will run it.
-func prepare(b *bundle.Bundle, opts Options) (engine string, be backend.Backend, err error) {
-	if err := b.Validate(qop.ValidateOptions{AllowMidCircuit: opts.AllowMidCircuit}); err != nil {
+func prepare(b *bundle.Bundle) (engine string, be backend.Backend, err error) {
+	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return "", nil, err
 	}
-	if !opts.SkipSchemaValidation {
-		if err := b.ValidateAgainstSchemas(); err != nil {
-			return "", nil, err
-		}
+	if err := b.ValidateAgainstSchemas(); err != nil {
+		return "", nil, err
 	}
 	if b.Context != nil && b.Context.Exec != nil {
 		engine = b.Context.Exec.Engine
@@ -101,11 +74,11 @@ func prepare(b *bundle.Bundle, opts Options) (engine string, be backend.Backend,
 
 // Submit validates and executes a bundle.
 func Submit(b *bundle.Bundle, opts Options) (*result.Result, error) {
-	engine, be, err := prepare(b, opts)
+	engine, be, err := prepare(b)
 	if err != nil {
 		return nil, err
 	}
-	res, err := be.Execute(b, opts.exec())
+	res, err := be.Execute(b, opts)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: engine %s: %w", engine, err)
 	}

@@ -26,13 +26,13 @@ func PrepareSweep(b *bundle.Bundle, opts Options) (*Sweep, error) {
 	if b.Context == nil || b.Context.Sweep == nil {
 		return nil, fmt.Errorf("runtime: sweep submission without a sweep context block")
 	}
-	engine, be, err := prepare(b, opts)
+	engine, be, err := prepare(b)
 	if err != nil {
 		return nil, err
 	}
 	s := &Sweep{engine: engine, opts: opts}
 	if sweeper, ok := be.(backend.Sweeper); ok {
-		s.prepared, err = sweeper.PrepareSweep(b, opts.exec())
+		s.prepared, err = sweeper.PrepareSweep(b, opts)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: engine %s: %w", engine, err)
 		}
