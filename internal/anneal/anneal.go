@@ -5,8 +5,21 @@
 // Sample draws num_reads independent anneals of an Ising model, each a
 // sequence of Metropolis sweeps under a rising inverse-temperature
 // schedule, and aggregates the observed configurations with their
-// energies. Reads run in parallel across goroutines; determinism is
-// preserved by deriving one child RNG per read up front.
+// energies. Reads run in parallel across at most Params.Workers goroutines
+// (the serving layer's shard grant); determinism is preserved by deriving
+// one child RNG per read up front, so results do not depend on the width.
+//
+// Every sampler reads the model through one coupling table, built once per
+// call and shared read-only by all reads: the couplings in compressed
+// sparse rows (for spin i, its partners nbr[off[i]:off[i+1]] in
+// AdjacencyList's sorted order and the couplings j[off[i]:off[i+1]]
+// beside them), so a local-field update on a flip is a walk over two
+// contiguous slices instead of a map lookup per partner. The annealer
+// also tabulates its inverse-temperature schedule once per call, one beta
+// per sweep, instead of a Pow per sweep per read. Both compute the very
+// float expressions the map lookups and Pow calls fed, in the same order,
+// so samples are bit-identical to the map-based samplers
+// (testdata/sample_golden.txt pins them).
 //
 // The package also provides the classical baselines (random sampling,
 // greedy descent, tabu search) used by the E11 ablation benchmarks.
@@ -19,6 +32,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/ctxdesc"
 	"repro/internal/ising"
 	"repro/internal/rng"
 )
@@ -34,11 +48,14 @@ const (
 // anneal block).
 type Params struct {
 	NumReads int
-	Sweeps   int
+	Sweeps   int // 0 = DefaultSweeps; at most ctxdesc.MaxAnnealSweeps
 	BetaMin  float64
 	BetaMax  float64
 	Schedule string // "geometric" (default) or "linear"
 	Seed     uint64
+	// Workers caps the goroutines the reads fan out over (0 = GOMAXPROCS):
+	// how the run is scheduled, never what it samples.
+	Workers int
 }
 
 func (p Params) withDefaults(m *ising.Model) (Params, error) {
@@ -50,6 +67,9 @@ func (p Params) withDefaults(m *ising.Model) (Params, error) {
 	}
 	if p.Sweeps < 0 {
 		return p, fmt.Errorf("anneal: negative sweeps %d", p.Sweeps)
+	}
+	if p.Sweeps > ctxdesc.MaxAnnealSweeps {
+		return p, fmt.Errorf("anneal: sweeps %d exceeds %d", p.Sweeps, ctxdesc.MaxAnnealSweeps)
 	}
 	scale := m.MaxAbsCoupling()
 	if scale == 0 {
@@ -72,6 +92,16 @@ func (p Params) withDefaults(m *ising.Model) (Params, error) {
 		return p, fmt.Errorf("anneal: unknown schedule %q", p.Schedule)
 	}
 	return p, nil
+}
+
+// schedule returns the inverse temperature of every sweep, betaAt's values
+// in sweep order; withDefaults has bounded their number.
+func schedule(p Params) []float64 {
+	betas := make([]float64, p.Sweeps)
+	for s := range betas {
+		betas[s] = betaAt(p, s, p.Sweeps)
+	}
+	return betas
 }
 
 // betaAt returns the inverse temperature for sweep s of total.
@@ -140,7 +170,7 @@ func (r *Result) GroundProbability(groundEnergy, tol float64) float64 {
 	return float64(hits) / float64(n)
 }
 
-// Sample runs simulated annealing on the model.
+// SampleModel runs simulated annealing on the model.
 func SampleModel(m *ising.Model, p Params) (*Result, error) {
 	p, err := p.withDefaults(m)
 	if err != nil {
@@ -161,18 +191,17 @@ func SampleModel(m *ising.Model, p Params) (*Result, error) {
 	}
 
 	masks := make([]uint64, p.NumReads)
-	adj := m.AdjacencyList()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p.NumReads {
-		workers = p.NumReads
+	cp := newCouplings(m)
+	betas := schedule(p)
+	workers := p.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, p.NumReads)
 	var wg sync.WaitGroup
 	chunk := (p.NumReads + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > p.NumReads {
-			hi = p.NumReads
-		}
+		lo, hi := w*chunk, min((w+1)*chunk, p.NumReads)
 		if lo >= hi {
 			break
 		}
@@ -180,7 +209,7 @@ func SampleModel(m *ising.Model, p Params) (*Result, error) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				masks[i] = annealOnce(m, adj, p, readRNGs[i])
+				masks[i] = annealOnce(m.H, &cp, betas, readRNGs[i])
 			}
 		}(lo, hi)
 	}
@@ -207,29 +236,13 @@ func sortSamples(samples []Sample) {
 	})
 }
 
-// annealOnce runs one read: random start, Metropolis sweeps with the beta
-// schedule, local fields maintained incrementally.
-func annealOnce(m *ising.Model, adj [][]int, p Params, r *rng.Rand) uint64 {
-	n := m.N
-	s := make([]int8, n)
-	for i := range s {
-		if r.Float64() < 0.5 {
-			s[i] = 1
-		} else {
-			s[i] = -1
-		}
-	}
-	// fields[i] = h_i + Σ_j J_ij s_j, updated on every accepted flip.
-	fields := make([]float64, n)
-	for i := 0; i < n; i++ {
-		fields[i] = m.H[i]
-		for _, j := range adj[i] {
-			fields[i] += m.GetJ(i, j) * float64(s[j])
-		}
-	}
-	for sweep := 0; sweep < p.Sweeps; sweep++ {
-		beta := betaAt(p, sweep, p.Sweeps)
-		for i := 0; i < n; i++ {
+// annealOnce runs one read: random start, one Metropolis sweep per beta,
+// local fields maintained incrementally.
+func annealOnce(h []float64, cp *couplings, betas []float64, r *rng.Rand) uint64 {
+	s := randomSpins(len(h), r)
+	fields := cp.fields(h, s)
+	for _, beta := range betas {
+		for i := range s {
 			delta := -2 * float64(s[i]) * fields[i]
 			// Zero-cost moves accept with probability ½: deterministic
 			// acceptance of ties in a fixed sweep order creates limit
@@ -239,13 +252,58 @@ func annealOnce(m *ising.Model, adj [][]int, p Params, r *rng.Rand) uint64 {
 				(delta == 0 && r.Float64() < 0.5) ||
 				(delta > 0 && r.Float64() < math.Exp(-beta*delta))
 			if accept {
-				old := s[i]
-				s[i] = -old
-				for _, j := range adj[i] {
-					fields[j] += -2 * m.GetJ(i, j) * float64(old)
-				}
+				cp.flip(s, fields, i)
 			}
 		}
 	}
 	return ising.BitsFromSpins(s)
+}
+
+// couplings is a model's coupling matrix in compressed sparse rows: spin
+// i's partners are nbr[off[i]:off[i+1]], in AdjacencyList's sorted order,
+// and j[k] is its coupling to nbr[k]. Read-only once built.
+type couplings struct {
+	off []int32
+	nbr []int32
+	j   []float64
+}
+
+func newCouplings(m *ising.Model) couplings {
+	adj := m.AdjacencyList()
+	cp := couplings{off: make([]int32, m.N+1)}
+	for i, row := range adj {
+		cp.off[i+1] = cp.off[i] + int32(len(row))
+	}
+	cp.nbr = make([]int32, 0, cp.off[m.N])
+	cp.j = make([]float64, 0, cp.off[m.N])
+	for i, row := range adj {
+		for _, k := range row {
+			cp.nbr = append(cp.nbr, int32(k))
+			cp.j = append(cp.j, m.GetJ(i, k))
+		}
+	}
+	return cp
+}
+
+// fields returns every spin's local field h_i + Σ_j J_ij s_j, the sum
+// taken in partner order.
+func (cp *couplings) fields(h []float64, s []int8) []float64 {
+	fields := make([]float64, len(h))
+	for i := range fields {
+		f := h[i]
+		for k := cp.off[i]; k < cp.off[i+1]; k++ {
+			f += cp.j[k] * float64(s[cp.nbr[k]])
+		}
+		fields[i] = f
+	}
+	return fields
+}
+
+// flip negates spin i and moves its partners' local fields with it.
+func (cp *couplings) flip(s []int8, fields []float64, i int) {
+	old := s[i]
+	s[i] = -old
+	for k := cp.off[i]; k < cp.off[i+1]; k++ {
+		fields[cp.nbr[k]] += -2 * cp.j[k] * float64(old)
+	}
 }

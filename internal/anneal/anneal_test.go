@@ -2,9 +2,15 @@ package anneal
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/ctxdesc"
 	"repro/internal/graph"
 	"repro/internal/ising"
 )
@@ -50,6 +56,65 @@ func TestSampleDeterministicBySeed(t *testing.T) {
 	for i := range a.Samples {
 		if a.Samples[i] != b.Samples[i] {
 			t.Fatalf("same seed, sample %d differs", i)
+		}
+	}
+}
+
+// goroutineHighWater runs f and returns the largest runtime.NumGoroutine a
+// 20 µs poll saw meanwhile, less the count before f started.
+func goroutineHighWater(f func()) int {
+	base := runtime.NumGoroutine()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	var maxG atomic.Int64
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if g := int64(runtime.NumGoroutine()); g > maxG.Load() {
+					maxG.Store(g)
+				}
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+	}()
+	f()
+	close(stop)
+	<-done
+	return int(maxG.Load()) - base
+}
+
+// TestSampleWorkersIsTheWidth guards the shard grant: SampleModel fans its
+// reads out over at most Params.Workers goroutines, whatever GOMAXPROCS
+// says — concurrent anneal jobs on a busy pool are each granted one and
+// must not oversubscribe the cores — and samples the same for any width.
+func TestSampleWorkersIsTheWidth(t *testing.T) {
+	m := ising.FromMaxCut(graph.ErdosRenyi(16, 0.5, 5))
+	// Force a wide default even on small runners so a fan-out past the
+	// grant is visible everywhere.
+	prev := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(prev)
+	var want *Result
+	for _, workers := range []int{1, 3, 0} {
+		var res *Result
+		var err error
+		high := goroutineHighWater(func() {
+			res, err = SampleModel(m, Params{NumReads: 24, Sweeps: 400, Seed: 17, Workers: workers})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Allow the monitor itself plus a little runtime slack.
+		if workers > 0 && high > workers+3 {
+			t.Errorf("workers %d: goroutine high-water mark base+%d exceeds base+%d", workers, high, workers+3)
+		}
+		if want == nil {
+			want = res
+		} else if !slices.Equal(res.Samples, want.Samples) {
+			t.Errorf("workers %d sampled %v, workers 1 sampled %v", workers, res.Samples, want.Samples)
 		}
 	}
 }
@@ -119,6 +184,13 @@ func TestParamValidation(t *testing.T) {
 	if _, err := SampleModel(m, Params{NumReads: 1, Sweeps: -5}); err == nil {
 		t.Error("negative sweeps accepted")
 	}
+	// Sweeps sizes the schedule table built before any read runs: a
+	// huge value must be refused, not allocated.
+	for _, sweeps := range []int{ctxdesc.MaxAnnealSweeps + 1, 1e15, math.MaxInt} {
+		if _, err := SampleModel(m, Params{NumReads: 1, Sweeps: sweeps}); err == nil {
+			t.Errorf("sweeps %d accepted", sweeps)
+		}
+	}
 	if _, err := SampleModel(m, Params{NumReads: 1, BetaMin: 2, BetaMax: 1}); err == nil {
 		t.Error("inverted beta range accepted")
 	}
@@ -183,8 +255,6 @@ func TestGreedyDescentReachesLocalMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj := m.AdjacencyList()
-	_ = adj
 	// Every returned configuration must be 1-flip stable.
 	for _, smp := range res.Samples {
 		s := ising.SpinsFromBits(smp.Mask, m.N)
@@ -244,5 +314,39 @@ func TestSampleWithFieldsModel(t *testing.T) {
 	}
 	if p := res.GroundProbability(-2, 1e-9); p < 0.99 {
 		t.Errorf("trivial field problem ground probability %v", p)
+	}
+}
+
+// BenchmarkSampleModel is the serving benchmark's anneal op: a 12-spin
+// Max-Cut model on 18 random unit edges, 16 reads at the default schedule
+// (1000 geometric sweeps). The reads fan out over GOMAXPROCS goroutines;
+// -cpu 1 measures what one op costs on a one-shard grant.
+func BenchmarkSampleModel(b *testing.B) {
+	const n, edges = 12, 18
+	r := rand.New(rand.NewSource(1))
+	g := graph.New(n)
+	for _, k := range r.Perm(n * (n - 1) / 2)[:edges] {
+		u, v := pairAt(n, k)
+		if err := g.AddEdge(u, v, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m := ising.FromMaxCut(g)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SampleModel(m, Params{NumReads: 16, Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// pairAt returns the k-th pair (u < v) of n vertices in row order.
+func pairAt(n, k int) (int, int) {
+	for u := 0; ; u++ {
+		row := n - 1 - u
+		if k < row {
+			return u, u + 1 + k
+		}
+		k -= row
 	}
 }

@@ -37,13 +37,13 @@ func GreedyDescent(m *ising.Model, numReads int, seed uint64) (*Result, error) {
 	if numReads < 1 {
 		return nil, fmt.Errorf("anneal: num_reads %d < 1", numReads)
 	}
-	adj := m.AdjacencyList()
+	cp := newCouplings(m)
 	master := rng.New(seed)
 	agg := map[uint64]int{}
 	for read := 0; read < numReads; read++ {
 		r := master.Child()
 		s := randomSpins(m.N, r)
-		fields := initFields(m, adj, s)
+		fields := cp.fields(m.H, s)
 		for {
 			bestI, bestDelta := -1, -1e-12
 			for i := 0; i < m.N; i++ {
@@ -56,7 +56,7 @@ func GreedyDescent(m *ising.Model, numReads int, seed uint64) (*Result, error) {
 			if bestI < 0 {
 				break
 			}
-			flip(m, adj, s, fields, bestI)
+			cp.flip(s, fields, bestI)
 		}
 		agg[ising.BitsFromSpins(s)]++
 	}
@@ -77,13 +77,13 @@ func TabuSearch(m *ising.Model, numReads, steps int, seed uint64) (*Result, erro
 	if tenure < 1 {
 		tenure = 1
 	}
-	adj := m.AdjacencyList()
+	cp := newCouplings(m)
 	master := rng.New(seed)
 	agg := map[uint64]int{}
 	for read := 0; read < numReads; read++ {
 		r := master.Child()
 		s := randomSpins(m.N, r)
-		fields := initFields(m, adj, s)
+		fields := cp.fields(m.H, s)
 		energy := m.Energy(s)
 		bestEnergy := energy
 		bestMask := ising.BitsFromSpins(s)
@@ -105,7 +105,7 @@ func TabuSearch(m *ising.Model, numReads, steps int, seed uint64) (*Result, erro
 			if bestI < 0 {
 				break
 			}
-			flip(m, adj, s, fields, bestI)
+			cp.flip(s, fields, bestI)
 			energy += bestDelta
 			tabuUntil[bestI] = step + tenure
 			if energy < bestEnergy {
@@ -128,25 +128,6 @@ func randomSpins(n int, r *rng.Rand) []int8 {
 		}
 	}
 	return s
-}
-
-func initFields(m *ising.Model, adj [][]int, s []int8) []float64 {
-	fields := make([]float64, m.N)
-	for i := 0; i < m.N; i++ {
-		fields[i] = m.H[i]
-		for _, j := range adj[i] {
-			fields[i] += m.GetJ(i, j) * float64(s[j])
-		}
-	}
-	return fields
-}
-
-func flip(m *ising.Model, adj [][]int, s []int8, fields []float64, i int) {
-	old := s[i]
-	s[i] = -old
-	for _, j := range adj[i] {
-		fields[j] += -2 * m.GetJ(i, j) * float64(old)
-	}
 }
 
 func aggregate(m *ising.Model, agg map[uint64]int, numReads int) *Result {

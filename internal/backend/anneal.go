@@ -8,7 +8,6 @@ import (
 	"repro/internal/bundle"
 	"repro/internal/ctxdesc"
 	"repro/internal/embed"
-	"repro/internal/qdt"
 	"repro/internal/qop"
 	"repro/internal/result"
 )
@@ -36,9 +35,9 @@ type EmbeddingInfo struct {
 
 // Execute realizes the Ising problem, optionally minor-embeds it onto a
 // Chimera hardware graph per the anneal context, samples, unembeds, and
-// decodes. The anneal sampler has no shards, stages or profiler, so the
-// options are ignored.
-func (a *Anneal) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error) {
+// decodes. The shard grant caps the goroutines the reads fan out over; the
+// sampler has no stages or profiler, so the other options are ignored.
+func (a *Anneal) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return nil, err
 	}
@@ -88,6 +87,7 @@ func (a *Anneal) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error
 		BetaMax:  cfg.BetaMax,
 		Schedule: cfg.Schedule,
 		Seed:     seed,
+		Workers:  o.Shards,
 	}
 
 	meta := map[string]any{}
@@ -152,7 +152,11 @@ func (a *Anneal) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error
 		schema = qop.DefaultResultSchema(reg.ID, reg.Width, string(reg.MeasurementSemantics), string(reg.BitOrder))
 	}
 	// The sampler's masks are register-indexed already: clbit i = spin i.
-	entries, err := result.DecodeCounts(maskCountsToClbits(logicalCounts, schema, reg), schema, reg)
+	counts, err := maskCountsToClbits(logicalCounts, schema)
+	if err != nil {
+		return nil, err
+	}
+	entries, err := result.DecodeCounts(counts, schema, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -168,21 +172,24 @@ func (a *Anneal) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error
 // maskCountsToClbits re-expresses register-bit-indexed masks in the
 // schema's clbit indexing so DecodeCounts can apply its single decoding
 // path.
-func maskCountsToClbits(masks map[uint64]int, schema *qop.ResultSchema, reg *qdt.DataType) map[uint64]int {
+func maskCountsToClbits(masks map[uint64]int, schema *qop.ResultSchema) (map[uint64]int, error) {
+	bits := make([]int, len(schema.ClbitOrder))
+	for cb, ref := range schema.ClbitOrder {
+		_, bit, err := qop.ParseBitRef(ref)
+		if err != nil {
+			return nil, fmt.Errorf("backend: clbit %d: %w", cb, err)
+		}
+		bits[cb] = bit
+	}
 	out := make(map[uint64]int, len(masks))
 	for mask, n := range masks {
 		var key uint64
-		for cb, ref := range schema.ClbitOrder {
-			_, bit, err := qop.ParseBitRef(ref)
-			if err != nil {
-				continue // schema validated downstream
-			}
+		for cb, bit := range bits {
 			if mask>>uint(bit)&1 == 1 {
 				key |= 1 << uint(cb)
 			}
 		}
 		out[key] += n
 	}
-	_ = reg
-	return out
+	return out, nil
 }

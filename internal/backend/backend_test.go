@@ -203,6 +203,46 @@ func TestAnnealBackendWithEmbedding(t *testing.T) {
 	}
 }
 
+// TestAnnealBackendShardsDoNotMoveResults: the shard grant is the sampler's
+// width, never what it samples.
+func TestAnnealBackendShardsDoNotMoveResults(t *testing.T) {
+	be, _ := Get("anneal.sa")
+	var want []result.Entry
+	for _, shards := range []int{0, 1, 3} {
+		ctx := ctxdesc.NewAnneal("anneal.sa", 64, 5)
+		ctx.Anneal.Sweeps = 200
+		res, err := be.Execute(annealMaxCutBundle(t, ctx), ExecOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = res.Entries
+		} else if fmt.Sprint(res.Entries) != fmt.Sprint(want) {
+			t.Errorf("shards %d: entries %v, shards 0: %v", shards, res.Entries, want)
+		}
+	}
+}
+
+// TestMaskCountsToClbits: a register-indexed mask lands on the schema's
+// clbits, and a clbit order that does not parse is an error, not a bit
+// silently dropped.
+func TestMaskCountsToClbits(t *testing.T) {
+	schema := &qop.ResultSchema{ClbitOrder: []string{"s[2]", "s[0]", "s[1]"}}
+	got, err := maskCountsToClbits(map[uint64]int{0b001: 3, 0b100: 2, 0b110: 1}, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// spin 0 → clbit 1, spin 2 → clbit 0, spins 1 and 2 → clbits 2 and 0.
+	want := map[uint64]int{0b010: 3, 0b001: 2, 0b101: 1}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("clbit counts %v, want %v", got, want)
+	}
+	schema.ClbitOrder[1] = "s0"
+	if _, err := maskCountsToClbits(map[uint64]int{1: 1}, schema); err == nil {
+		t.Error("malformed clbit reference accepted")
+	}
+}
+
 func TestAnnealBackendRejectsGateOps(t *testing.T) {
 	reg := qdt.NewIsingVars("ising_vars", "s", 4)
 	seq, err := algolib.BuildQAOA(reg, graph.Cycle(4), []float64{0.5}, []float64{0.3})

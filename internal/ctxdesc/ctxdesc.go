@@ -76,6 +76,11 @@ type QEC struct {
 	Rounds         int      `json:"rounds,omitempty"`          // syndrome rounds per logical op (0 = distance)
 }
 
+// MaxAnnealSweeps bounds anneal.sweeps. The annealer tabulates one inverse
+// temperature per sweep (8 MB at the bound) before its reads start, so
+// the bound keeps one request from exhausting memory.
+const MaxAnnealSweeps = 1_000_000
+
 // Anneal is the annealer-settings block (§5's `"contexts": {"anneal": …}`).
 type Anneal struct {
 	NumReads      int     `json:"num_reads"`
@@ -195,6 +200,8 @@ func (c *Context) Validate() error {
 		}
 		if a.Sweeps < 0 {
 			probs = append(probs, fmt.Sprintf("anneal.sweeps %d is negative", a.Sweeps))
+		} else if a.Sweeps > MaxAnnealSweeps {
+			probs = append(probs, fmt.Sprintf("anneal.sweeps %d exceeds %d", a.Sweeps, MaxAnnealSweeps))
 		}
 		if a.BetaMin < 0 || a.BetaMax < 0 || (a.BetaMax != 0 && a.BetaMin > a.BetaMax) {
 			probs = append(probs, fmt.Sprintf("anneal beta range [%v,%v] invalid", a.BetaMin, a.BetaMax))

@@ -89,6 +89,8 @@ func TestValidateRejects(t *testing.T) {
 		{"bad error rate", `{"$schema":"ctx.schema.json","qec":{"code_family":"surface","distance":3,"phys_error_rate":1.5}}`, "phys_error_rate"},
 		{"bad decoder", `{"$schema":"ctx.schema.json","qec":{"code_family":"surface","distance":3,"decoder":"magic"}}`, "decoder"},
 		{"zero reads", `{"$schema":"ctx.schema.json","anneal":{"num_reads":0}}`, "num_reads"},
+		{"negative sweeps", `{"$schema":"ctx.schema.json","anneal":{"num_reads":1,"sweeps":-1}}`, "sweeps"},
+		{"huge sweeps", `{"$schema":"ctx.schema.json","anneal":{"num_reads":1,"sweeps":1000000000000000}}`, "exceeds 1000000"},
 		{"beta order", `{"$schema":"ctx.schema.json","anneal":{"num_reads":1,"beta_min":5,"beta_max":1}}`, "beta"},
 		{"bad schedule", `{"$schema":"ctx.schema.json","anneal":{"num_reads":1,"schedule":"exponential"}}`, "schedule"},
 		{"zero qpus", `{"$schema":"ctx.schema.json","comm":{"qpus":0,"qubits_per_qpu":4}}`, "qpus"},

@@ -119,6 +119,36 @@ func TestHTTPQuickstartEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsHugeAnnealSweeps: anneal.sweeps sizes a table the
+// annealer allocates up front, so a value past ctxdesc.MaxAnnealSweeps is
+// a 400 at submission, and the pool goes on serving anneal jobs.
+func TestHTTPRejectsHugeAnnealSweeps(t *testing.T) {
+	pool := NewPool(Options{Workers: 1, QueueDepth: 4, CacheSize: -1})
+	defer pool.Close()
+	h := NewHandler(pool)
+	for _, sweeps := range []int{ctxdesc.MaxAnnealSweeps + 1, 1e15} {
+		b := annealBundle(t, "anneal.sa", 8, 1)
+		b.Context.Anneal.Sweeps = sweeps
+		raw, err := b.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := doJSON(t, h, "POST", "/v1/jobs", raw, http.StatusBadRequest)
+		if msg, _ := doc["error"].(string); !strings.Contains(msg, "anneal.sweeps") {
+			t.Errorf("sweeps %d: error %q does not name anneal.sweeps", sweeps, msg)
+		}
+	}
+	raw, err := annealBundle(t, "anneal.sa", 8, 1).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := doJSON(t, h, "POST", "/v1/jobs", raw, http.StatusAccepted)
+	id, _ := sub["id"].(string)
+	if _, err := pool.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHTTPShardsParam covers the per-job parallelism surface: ?shards=N
 // pins the grant (visible as "shards" in the status document) and
 // /v1/stats reports the shard counters. (Invalid values: the conformance

@@ -125,7 +125,7 @@ const CTX = `{
       "required": ["num_reads"],
       "properties": {
         "num_reads": {"type": "integer", "minimum": 1},
-        "sweeps": {"type": "integer", "minimum": 0},
+        "sweeps": {"type": "integer", "minimum": 0, "maximum": 1000000},
         "beta_min": {"type": "number", "minimum": 0},
         "beta_max": {"type": "number", "minimum": 0},
         "schedule": {"enum": ["geometric", "linear"]},

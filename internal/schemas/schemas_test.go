@@ -116,6 +116,19 @@ func TestCTXStructsConformToSchema(t *testing.T) {
 	if err := Validate("ctx.schema.json", b); err != nil {
 		t.Errorf("context fails schema: %v\n%s", err, b)
 	}
+
+	// The schema's bound on anneal.sweeps is the one Validate enforces.
+	for sweeps, ok := range map[int]bool{ctxdesc.MaxAnnealSweeps: true, ctxdesc.MaxAnnealSweeps + 1: false} {
+		a := ctxdesc.NewAnneal("anneal.sa", 16, 1)
+		a.Anneal.Sweeps = sweeps
+		b, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Validate("ctx.schema.json", b); (err == nil) != ok {
+			t.Errorf("sweeps %d: schema error %v, want accepted = %v", sweeps, err, ok)
+		}
+	}
 }
 
 func TestCTXSchemaRejects(t *testing.T) {

@@ -67,9 +67,27 @@
 // width is the caller's grant. RunNoisy is no exception: an error may
 // follow any gate, so it compiles the circuit with fusion off — one
 // kernel per instruction — and each trajectory worker applies those
-// kernels, plus a Pauli kernel wherever a draw fires, on a Runner it
-// resets per shot. State itself has no gate methods; a per-gate consumer
-// compiles a one-instruction circuit.
+// kernels, plus a Pauli kernel wherever a draw fires, on two arenas: its
+// Runner's state and a branch state beside it. State itself has no gate
+// methods; a per-gate consumer compiles a one-instruction circuit.
+//
+// Trajectories share their error-free prefix, and the sharing is exact.
+// A trajectory's error draws never read the state — after each gate one
+// uniform per operand, and a Pauli index when it fires — so a worker reads
+// every shot's stream, on a copy, up to its first error before it evolves
+// anything, in the order the seeded stream has always defined, and knows
+// after which kernel each shot's first error lands. It walks one
+// error-free evolution forward once, in the order of those first errors; a
+// shot branches off by copying the planes into its second arena, redraws
+// its errors from the start of its stream, applying them and its suffix
+// there, and a shot that drew no error samples the error-free
+// final state. Up to its first error a shot is exactly the error-free
+// evolution — the same kernels on the same amplitudes, which no shard
+// split can change since kernels hold no reductions — so every amplitude,
+// and every count, is bit-identical to evolving shot by shot; the outcome
+// draw and readout flips continue on the shot's own stream, and counts
+// are a sum, so the visiting order is invisible. What would move counts
+// is fusing kernels between injection points, which changes rounding.
 //
 // # Runner: one arena, many runs
 //
@@ -90,7 +108,8 @@
 // fully overwritten before they are read. With KeepState the Result takes
 // the state and the Runner allocates new planes next time. A Runner is
 // single-goroutine; concurrent sweep lanes and trajectory workers each
-// own one.
+// own one (a trajectory worker's branch state shares its pool and its
+// staging planes).
 //
 // # Parametric plans
 //

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -13,10 +15,24 @@ import (
 )
 
 // maxTrajectoryBytes bounds the statevector memory the trajectory engine
-// may hold across its shot workers (64 MiB): a 2^20-amplitude state
-// (16 MiB) runs at most 4 shot workers; anything at 2^22 and above runs
-// shots one after another and spends the whole grant on shards instead.
+// may hold across its shot workers (64 MiB). Each worker holds two states
+// — the error-free evolution and the branch a shot finishes on — plus,
+// when a kernel stages through them, one pair of staging planes the two
+// share: a 2^20-amplitude state (16 MiB) runs at most 2 shot workers;
+// anything at 2^21 and above runs shots one after another and spends the
+// whole grant on shards instead. Beyond the states a worker keeps one int
+// per shot, the kernel its first error follows: a shot's errors are
+// redrawn from its stream when it runs, never stored, so no buffer grows
+// with shots × gates × error rate.
 const maxTrajectoryBytes = 64 << 20
+
+// trajectoryWorkers is how many shot workers a run of shots trajectories
+// on n qubits starts under the grant: no more than the grant, the shots
+// or the memory budget allow for arenas state-sized plane pairs each, and
+// at least one.
+func trajectoryWorkers(grant, shots, n, arenas int) int {
+	return max(1, min(grant, shots, maxTrajectoryBytes/(arenas*16<<n)))
+}
 
 // NoiseModel parametrizes stochastic Pauli (depolarizing-style) noise for
 // trajectory simulation: after every gate, each touched qubit suffers a
@@ -47,17 +63,34 @@ func (n NoiseModel) Zero() bool {
 
 // RunNoisy executes the circuit under the noise model by quantum
 // trajectories: each shot evolves a statevector with randomly inserted
-// Pauli errors and samples one outcome. Cost is shots × circuit, so it
-// suits the small-register workloads of the evaluation; noiseless runs
-// fall through to the fast path, and models with zero gate-error
-// probabilities (pure readout noise) evolve a single shared state and
-// sample every shot from its CDF. Options.KeepState is rejected whenever
-// the model is non-zero: trajectories have no single final state.
+// Pauli errors and samples one outcome. Noiseless runs fall through to the
+// fast path, and models with zero gate-error probabilities (pure readout
+// noise) evolve a single shared state and sample every shot from its CDF.
+// Options.KeepState is rejected whenever the model is non-zero:
+// trajectories have no single final state.
 //
 // Trajectories run the engine every other job runs: the circuit compiles
 // once, unfused (an error may follow any gate, so no two gates share a
-// kernel), and each trajectory worker applies those kernels, and a Pauli
-// kernel where a draw fires, on one Runner it resets per shot.
+// kernel), and the kernels, and a Pauli kernel where a draw fires, sweep
+// Runner arenas. Shots share their error-free prefix, which is exact, not
+// an approximation: a shot's error draws never read the state — after each
+// gate one Float64 per operand and an Intn(3) when it fires, the order the
+// seeded stream has always had — so a worker first reads each shot's
+// stream, on a copy, up to its first error and knows, before evolving
+// anything, after which kernel that error lands (a shot that draws none
+// has consumed its error draws and stands at its outcome draw). It then
+// walks one error-free evolution forward once; a shot whose first error
+// follows kernel k copies that evolution's planes after kernel k into a
+// second arena and redraws its errors from the start of its own stream,
+// applying them and its own suffix there, and a shot without errors
+// samples the error-free final state. The prefix is the same kernels on
+// the same amplitudes a per-shot reset would have swept, so every
+// amplitude is bit-identical to a shot-by-shot evolution; each shot's
+// outcome draw and readout flips follow on its own stream as before, and
+// counts are a per-register sum, so the order shots finish in is
+// invisible. A run that fails (an init onto qubits an error moved out of
+// |0…0⟩) reports the failure of its lowest-numbered failing shot, as a
+// shot-by-shot loop would.
 //
 // The shard grant (Options.Shards, 0 = GOMAXPROCS) is the width of the
 // whole run and splits once, workers first: as many trajectory workers as
@@ -125,10 +158,10 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 	if grant <= 0 {
 		grant = runtime.GOMAXPROCS(0)
 	}
-	// Every trajectory worker owns a full 2^n statevector, so the worker
+	// Every trajectory worker owns two full 2^n statevectors, so the worker
 	// count is also clamped to a fixed memory budget: a wide grant on a
 	// large state must not multiply peak memory.
-	workers := max(1, min(grant, opts.Shots, maxTrajectoryBytes/(16<<c.NumQubits)))
+	workers := trajectoryWorkers(grant, opts.Shots, c.NumQubits, np.arenas())
 	shards := 1
 	if 1<<c.NumQubits >= parallelThreshold {
 		shards = grant / workers
@@ -168,6 +201,19 @@ type noisyPlan struct {
 	// paulis holds X, Y, Z on qubit q at 3q, 3q+1, 3q+2 — the order
 	// Intn(3) has always indexed.
 	paulis []kernel
+	// staged reports a kernel that stages through the scratch planes
+	// (permute, init).
+	staged bool
+}
+
+// arenas is the number of state-sized plane pairs a trajectory worker
+// holds: the error-free state, the branch, and the staging planes the two
+// share when a kernel needs them.
+func (np *noisyPlan) arenas() int {
+	if np.staged {
+		return 3
+	}
+	return 2
 }
 
 type noisyStep struct {
@@ -182,6 +228,11 @@ func compileNoisy(c *circuit.Circuit, noise NoiseModel) (*noisyPlan, error) {
 		return nil, err
 	}
 	np := &noisyPlan{pl: pl, steps: make([]noisyStep, 0, len(pl.kernels)), paulis: make([]kernel, 0, 3*pl.n)}
+	for i := range pl.kernels {
+		if k := pl.kernels[i].kind; k == kPermute || k == kInit {
+			np.staged = true
+		}
+	}
 	for idx, ins := range c.Instrs {
 		if ins.Op == circuit.OpMeasure || ins.Op == circuit.OpBarrier {
 			continue
@@ -211,49 +262,155 @@ func compileNoisy(c *circuit.Circuit, noise NoiseModel) (*noisyPlan, error) {
 	return np, nil
 }
 
-// run evolves one trajectory per stream in rngs, one after another on a
-// Runner of its own, and counts the sampled registers. The draw order on
-// a shot's stream is the seeded-stream contract: after each gate one
-// Float64 per operand and an Intn(3) when it fires, then the outcome draw,
-// then projectRegister's readout flips.
+// firstError reads r's error draws in the order the seeded-stream contract
+// draws them — after each gate one Float64 per operand, in operand order,
+// and an Intn(3) for each that fires — and returns the kernel the first
+// firing one follows. It stops there; without one it returns the kernel
+// count, and r then stands at the shot's outcome draw, which
+// projectRegister's readout flips follow.
+func (np *noisyPlan) firstError(r *rng.Rand) int {
+	for i := range np.steps {
+		step := &np.steps[i]
+		if step.p == 0 {
+			continue
+		}
+		for range step.qubits {
+			if r.Float64() < step.p {
+				return i
+			}
+		}
+	}
+	return len(np.steps)
+}
+
+// applyKernel sweeps kernel i over st, naming its instruction on failure.
+func (np *noisyPlan) applyKernel(i int, st *State, width int, sweep func(int, func(w, lo, hi int))) error {
+	if err := np.pl.kernels[i].apply(st, width, sweep); err != nil {
+		return fmt.Errorf("sim: instruction %d: %w", np.steps[i].instr, err)
+	}
+	return nil
+}
+
+// run evolves one trajectory per stream in rngs on a Runner of its own and
+// counts the sampled registers. It finds every shot's first error first,
+// then visits the shots in the order of the kernel it follows, advancing
+// one error-free evolution (the Runner's state) just far enough for each:
+// a shot with errors copies it into the branch arena and finishes there, a
+// shot without samples it at the end (see RunNoisy for why this is exact).
 func (np *noisyPlan) run(shards int, rngs []*rng.Rand, qubits []int, mm map[int]int, flip float64) (Counts, error) {
+	counts := Counts{}
+	if len(rngs) == 0 {
+		return counts, nil
+	}
+	nk := len(np.pl.kernels)
+	// first[s] is the kernel shot s's first error follows, nk if none. A
+	// shot with an error keeps its stream where it starts, for finish to
+	// redraw; a shot without one moves on to its outcome draw.
+	first := make([]int, len(rngs))
+	for s, r := range rngs {
+		probe := *r
+		if first[s] = np.firstError(&probe); first[s] == nk {
+			*r = probe
+		}
+	}
+	order := make([]int, len(rngs))
+	for s := range order {
+		order[s] = s
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(first[a], first[b]) })
+
 	runner, err := newRunner(np.pl.n, shards)
 	if err != nil {
 		return nil, err
 	}
 	defer runner.Close()
+	clean, err := runner.reset()
+	if err != nil {
+		return nil, err
+	}
 	width, sweep := runner.pool.shards, runner.pool.do
-	counts := Counts{}
-	for _, r := range rngs {
-		st, err := runner.reset()
-		if err != nil {
-			return nil, err
+	var branch *State
+	applied := 0 // kernels the error-free evolution has swept
+	var cleanErr error
+	// A failure is reported for the lowest-numbered failing shot, so a
+	// shot numbered above one already failed need not run.
+	failShot, failErr := len(rngs), error(nil)
+	for _, s := range order {
+		if s > failShot {
+			continue
 		}
-		for i := range np.pl.kernels {
-			step := &np.steps[i]
-			if err := np.pl.kernels[i].apply(st, width, sweep); err != nil {
-				return nil, fmt.Errorf("sim: instruction %d: %w", step.instr, err)
-			}
-			if step.p == 0 {
-				continue
-			}
-			for _, q := range step.qubits {
-				if r.Float64() < step.p {
-					if err := np.paulis[3*q+r.Intn(3)].apply(st, width, sweep); err != nil {
-						return nil, err
-					}
+		f := first[s]
+		for cleanErr == nil && applied <= min(f, nk-1) {
+			cleanErr = np.applyKernel(applied, clean, width, sweep)
+			applied++
+		}
+		if cleanErr != nil {
+			// Every shot from here on needs the failed kernel's output.
+			failShot, failErr = s, cleanErr
+			continue
+		}
+		st := clean
+		if f < nk {
+			if branch == nil {
+				if branch, err = newStateUninit(np.pl.n); err != nil {
+					return nil, err
+				}
+				if np.staged {
+					// Staging planes are fully written before they are
+					// read, and the two states never sweep at once.
+					branch.scratch = clean.scratchPlanes()
 				}
 			}
+			sweep(len(clean.re), func(_, lo, hi int) {
+				copy(branch.re[lo:hi], clean.re[lo:hi])
+				copy(branch.im[lo:hi], clean.im[lo:hi])
+			})
+			if err := np.finish(branch, f, rngs[s], width, sweep); err != nil {
+				failShot, failErr = s, err
+				continue
+			}
+			st = branch
 		}
 		// With nothing measured the shots still evolve: an init onto
 		// qubits an injected error moved out of |0…0⟩ must surface.
 		if len(mm) == 0 {
 			continue
 		}
-		k := sampleIndex(st, r)
-		counts[projectRegister(k, qubits, mm, flip, r)]++
+		r := rngs[s]
+		counts[projectRegister(sampleIndex(st, r), qubits, mm, flip, r)]++
+	}
+	if failErr != nil {
+		return nil, failErr
 	}
 	return counts, nil
+}
+
+// finish completes a trajectory on st, which holds the error-free state
+// after kernel f, the one the shot's first error follows. It redraws the
+// shot's errors from r, which stands at the start of the shot's stream:
+// the draws up to kernel f fire nowhere, as firstError found; from there
+// it applies each error where it fires and each later kernel, and leaves
+// r at the shot's outcome draw.
+func (np *noisyPlan) finish(st *State, f int, r *rng.Rand, width int, sweep func(int, func(w, lo, hi int))) error {
+	for i := range np.steps {
+		if i > f {
+			if err := np.applyKernel(i, st, width, sweep); err != nil {
+				return err
+			}
+		}
+		step := &np.steps[i]
+		if step.p == 0 {
+			continue
+		}
+		for _, q := range step.qubits {
+			if r.Float64() < step.p {
+				if err := np.paulis[3*q+r.Intn(3)].apply(st, width, sweep); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // runReadoutOnly is the trajectory engine's fast path for models with

@@ -283,6 +283,70 @@ func TestRunNoisyWorkerArenaReuse(t *testing.T) {
 	}
 }
 
+// TestRunNoisyTwoArenaMemory holds trajectories to their memory rule: a
+// worker owns two state-sized plane pairs, the error-free evolution and
+// the branch its shots finish on (three when a kernel stages through
+// scratch planes, which the two share), and nothing else that grows with
+// 2^n; the worker count keeps the total within maxTrajectoryBytes whenever
+// more than one worker runs. The measured half runs 14 qubits (256 KiB per
+// pair) at an error rate that sends every worker's shots down a branch,
+// under grants 4 and 1: the three further workers of grant 4 cost what
+// their arenas cost, up to the allocator rounding each plane up to whole
+// pages.
+func TestRunNoisyTwoArenaMemory(t *testing.T) {
+	for n := 1; n <= MaxQubits; n++ {
+		for _, arenas := range []int{2, 3} {
+			w := trajectoryWorkers(64, 1<<20, n, arenas)
+			if w > 1 && w*arenas*(16<<n) > maxTrajectoryBytes {
+				t.Errorf("n=%d arenas=%d: %d workers hold %d bytes, over the %d budget", n, arenas, w, w*arenas*(16<<n), maxTrajectoryBytes)
+			}
+		}
+	}
+	if w := trajectoryWorkers(64, 1000, 20, 2); w != 2 {
+		t.Errorf("2^20 amplitudes run %d workers, want 2", w)
+	}
+	if w := trajectoryWorkers(64, 1000, 21, 2); w != 1 {
+		t.Errorf("2^21 amplitudes run %d workers, want 1", w)
+	}
+
+	const n, shots = 14, 16
+	nm := NoiseModel{Prob1Q: 0.05, Prob2Q: 0.1}
+	allocated := func(c *circuit.Circuit, grant int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunNoisy(c, nm, Options{Shots: shots, Seed: 9, Shards: grant}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// A Permute opening the circuit, which the error-free evolution sweeps,
+	// and one closing it, which the branches sweep: both states stage.
+	permuted := circuit.New(n, n)
+	body := goldenQAOA(n).Instrs
+	for _, ins := range [][]circuit.Instruction{nil, body[:len(body)-n]} { // drop the measurements
+		permuted.Instrs = append(permuted.Instrs, ins...)
+		if err := permuted.Permute([]int{n - 1, 0}, []uint64{2, 0, 3, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	permuted.MeasureAll()
+	for _, c := range []*circuit.Circuit{goldenQAOA(n), permuted} {
+		np, err := compileNoisy(c, nm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arenas := np.arenas()
+		if w := trajectoryWorkers(4, shots, n, arenas); w != 4 {
+			t.Fatalf("grant 4 runs %d workers", w)
+		}
+		perWorker := (allocated(c, 4) - allocated(c, 1)) / 3
+		if limit := uint64(arenas*(16<<n)) * 9 / 8; perWorker > limit {
+			t.Errorf("arenas=%d: a trajectory worker allocates %d bytes, the rule allows %d", arenas, perWorker, limit)
+		}
+	}
+}
+
 // TestRunNoisyBadInitNamesInstruction: an init that finds its qubits out
 // of |0…0⟩ is a run-time failure of one kernel; the error still says which
 // instruction, counted in the circuit's own numbering (barriers and all).

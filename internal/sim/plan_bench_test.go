@@ -262,16 +262,29 @@ func BenchmarkCompileDeep20(b *testing.B) {
 
 // BenchmarkRunNoisy measures the trajectory engine at the grants the pool
 // hands out: 8 qubits × 128 shots at grant 1 is the benchmark's noisy op
-// (serve_mix, dispatch_mix); 12 × 128 shows what a shot costs once the
-// state outweighs the bookkeeping; 16 × 16 is above parallelThreshold,
-// where grant 2 must buy time and grant 1 must not fan out.
+// (serve_mix, dispatch_mix), and grant 2 what a lone one gets on two
+// cores; 12 × 128 shows what a shot costs once the state outweighs the
+// bookkeeping; 16 × 16 is above parallelThreshold, where grant 2 must buy
+// time and grant 1 must not fan out. noise=high draws errors early in
+// nearly every shot, so almost no error-free prefix is shared: the case
+// that prefix sharing cannot help and must not slow down much.
 func BenchmarkRunNoisy(b *testing.B) {
-	nm := NoiseModel{Prob1Q: 0.001, Prob2Q: 0.01, ReadoutFlip: 0.02}
-	for _, bc := range []struct{ n, shots, grant int }{
-		{8, 128, 1}, {12, 128, 1}, {16, 16, 1}, {16, 16, 2},
+	bench := NoiseModel{Prob1Q: 0.001, Prob2Q: 0.01, ReadoutFlip: 0.02}
+	high := NoiseModel{Prob1Q: 0.05, Prob2Q: 0.1, ReadoutFlip: 0.02}
+	for _, bc := range []struct {
+		n, shots, grant int
+		high            bool
+	}{
+		{8, 128, 1, false}, {8, 128, 2, false}, {8, 128, 1, true},
+		{12, 128, 1, false}, {12, 128, 1, true},
+		{16, 16, 1, false}, {16, 16, 2, false},
 	} {
 		c := goldenQAOA(bc.n)
-		b.Run(fmt.Sprintf("q=%d/shots=%d/grant=%d", bc.n, bc.shots, bc.grant), func(b *testing.B) {
+		name, nm := fmt.Sprintf("q=%d/shots=%d/grant=%d", bc.n, bc.shots, bc.grant), bench
+		if bc.high {
+			name, nm = name+"/noise=high", high
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := RunNoisy(c, nm, Options{Shots: bc.shots, Seed: uint64(i), Shards: bc.grant}); err != nil {
