@@ -62,22 +62,28 @@
 // JSONL journal — the line is in the file before the move is readable,
 // an acknowledgment waits for its line's fsync, concurrent ones sharing
 // one barrier, and nothing else waits for the disk; the journal is
-// compacted once terminal records dominate — and results persist as
-// content-addressed files. A restart replays the journal — terminal jobs keep answering
+// compacted once terminal records dominate — and results persist in an
+// append-only, checksummed result log of segments, found by content
+// address through an in-memory index, so executing a job writes its
+// result with one write to an open file and looking one up touches the
+// disk only to read it. A restart replays the journal and rescans the
+// result log — terminal jobs keep answering
 // status/result lookups, work that was queued or running when the
 // process died is requeued under its original ID and re-run to the same
 // counts (execution is deterministic in bundle+shots+seed), and a torn
-// final journal line from a mid-append crash is dropped, not fatal.
+// final journal line or result record from a mid-append crash is
+// dropped, not fatal. The result files of older builds (one file per
+// result) are imported into the log on the first start.
 //
 // A result takes two forms, and each is appended straight from the
 // result's entry table rather than built as a tree and reflected over —
 // per outcome it carries bitstring, index, typed value and count, which
 // makes it the heaviest thing this tier produces. The served form, the
 // /v1 result documents, is encoded in internal/jobs (resultdoc.go) and a
-// sweep's document leaves point by point; the stored form, the result
-// files, in internal/jobs/store (results.go), byte for byte what
-// json.Marshal of a result.Result always wrote — the file format is
-// unchanged and unversioned, and files of any build serve any other.
+// sweep's document leaves point by point; the stored form, the body of a
+// result log record, in internal/jobs/store (results.go), byte for byte
+// what json.Marshal of a result.Result always wrote — the body format is
+// unchanged and unversioned, and results of any build serve any other.
 // Both reproduce encoding/json's output exactly and are held to it by a
 // golden wire capture, a committed result file and a fuzz target
 // (jobs.FuzzResultEncoding); a result no JSON can carry (a NaN in an

@@ -47,7 +47,7 @@ const (
 // Params configure a sampling run (mirroring the context descriptor's
 // anneal block).
 type Params struct {
-	NumReads int
+	NumReads int // at most ctxdesc.MaxAnnealReads
 	Sweeps   int // 0 = DefaultSweeps; at most ctxdesc.MaxAnnealSweeps
 	BetaMin  float64
 	BetaMax  float64
@@ -61,6 +61,9 @@ type Params struct {
 func (p Params) withDefaults(m *ising.Model) (Params, error) {
 	if p.NumReads < 1 {
 		return p, fmt.Errorf("anneal: num_reads %d < 1", p.NumReads)
+	}
+	if p.NumReads > ctxdesc.MaxAnnealReads {
+		return p, fmt.Errorf("anneal: num_reads %d exceeds %d", p.NumReads, ctxdesc.MaxAnnealReads)
 	}
 	if p.Sweeps == 0 {
 		p.Sweeps = DefaultSweeps

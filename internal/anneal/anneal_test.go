@@ -181,6 +181,13 @@ func TestParamValidation(t *testing.T) {
 	if _, err := SampleModel(m, Params{NumReads: 0}); err == nil {
 		t.Error("zero reads accepted")
 	}
+	// NumReads sizes the per-read stream and mask tables built before any
+	// read runs.
+	for _, reads := range []int{ctxdesc.MaxAnnealReads + 1, 1e12, math.MaxInt} {
+		if _, err := SampleModel(m, Params{NumReads: reads}); err == nil {
+			t.Errorf("num_reads %d accepted", reads)
+		}
+	}
 	if _, err := SampleModel(m, Params{NumReads: 1, Sweeps: -5}); err == nil {
 		t.Error("negative sweeps accepted")
 	}

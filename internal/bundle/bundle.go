@@ -120,43 +120,39 @@ func (b *Bundle) Validate(opts qop.ValidateOptions) error {
 
 // ValidateAgainstSchemas additionally runs the raw JSON of every artifact
 // through its embedded JSON Schema. This is the path artifacts from other
-// tools take.
+// tools take. The bundle is marshaled and decoded once; each QDT, operator
+// and the context is validated as its subtree of that one document.
 func (b *Bundle) ValidateAgainstSchemas() error {
-	var probs []string
-	for _, d := range b.QDTs {
-		raw, err := json.Marshal(d)
-		if err != nil {
-			return err
-		}
-		if err := schemas.Validate("qdt-core.schema.json", raw); err != nil {
-			probs = append(probs, fmt.Sprintf("qdt %q: %v", d.ID, err))
-		}
-	}
-	for i, op := range b.Operators {
-		raw, err := json.Marshal(op)
-		if err != nil {
-			return err
-		}
-		if err := schemas.Validate("qod.schema.json", raw); err != nil {
-			probs = append(probs, fmt.Sprintf("operator %d (%s): %v", i, op.Name, err))
-		}
-	}
-	if b.Context != nil {
-		raw, err := json.Marshal(b.Context)
-		if err != nil {
-			return err
-		}
-		if err := schemas.Validate("ctx.schema.json", raw); err != nil {
-			probs = append(probs, fmt.Sprintf("context: %v", err))
-		}
-	}
 	raw, err := json.Marshal(b)
 	if err != nil {
 		return err
 	}
-	if err := schemas.Validate("job.schema.json", raw); err != nil {
-		probs = append(probs, fmt.Sprintf("bundle: %v", err))
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return err
 	}
+	var probs []string
+	check := func(schema string, v any, what func() string) {
+		s, err := schemas.Get(schema)
+		if err == nil {
+			err = s.Validate(v)
+		}
+		if err != nil {
+			probs = append(probs, fmt.Sprintf("%s: %v", what(), err))
+		}
+	}
+	qdts, _ := doc["qdts"].([]any)
+	for i, d := range b.QDTs {
+		check("qdt-core.schema.json", qdts[i], func() string { return fmt.Sprintf("qdt %q", d.ID) })
+	}
+	ops, _ := doc["operators"].([]any)
+	for i, op := range b.Operators {
+		check("qod.schema.json", ops[i], func() string { return fmt.Sprintf("operator %d (%s)", i, op.Name) })
+	}
+	if b.Context != nil {
+		check("ctx.schema.json", doc["context"], func() string { return "context" })
+	}
+	check("job.schema.json", doc, func() string { return "bundle" })
 	if len(probs) > 0 {
 		return fmt.Errorf("bundle schemas: %s", strings.Join(probs, "; "))
 	}

@@ -81,6 +81,16 @@ type QEC struct {
 // the bound keeps one request from exhausting memory.
 const MaxAnnealSweeps = 1_000_000
 
+// MaxAnnealReads bounds anneal.num_reads. The annealer derives one random
+// stream and one result mask per read (48 MB at the bound) before its
+// reads start, so the bound keeps one request from exhausting memory.
+const MaxAnnealReads = 1 << 20
+
+// MaxSamples bounds exec.samples. A noisy gate run derives one random
+// stream per shot (40 MB at the bound) before its first trajectory, so
+// the bound keeps one request from exhausting memory.
+const MaxSamples = 1 << 20
+
 // Anneal is the annealer-settings block (§5's `"contexts": {"anneal": …}`).
 type Anneal struct {
 	NumReads      int     `json:"num_reads"`
@@ -157,6 +167,8 @@ func (c *Context) Validate() error {
 		}
 		if c.Exec.Samples < 0 {
 			probs = append(probs, fmt.Sprintf("exec.samples %d is negative", c.Exec.Samples))
+		} else if c.Exec.Samples > MaxSamples {
+			probs = append(probs, fmt.Sprintf("exec.samples %d exceeds %d", c.Exec.Samples, MaxSamples))
 		}
 		if t := c.Exec.Target; t != nil {
 			for i, pair := range t.CouplingMap {
@@ -197,6 +209,8 @@ func (c *Context) Validate() error {
 	if a := c.Anneal; a != nil {
 		if a.NumReads < 1 {
 			probs = append(probs, fmt.Sprintf("anneal.num_reads %d < 1", a.NumReads))
+		} else if a.NumReads > MaxAnnealReads {
+			probs = append(probs, fmt.Sprintf("anneal.num_reads %d exceeds %d", a.NumReads, MaxAnnealReads))
 		}
 		if a.Sweeps < 0 {
 			probs = append(probs, fmt.Sprintf("anneal.sweeps %d is negative", a.Sweeps))

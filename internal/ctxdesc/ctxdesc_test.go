@@ -91,6 +91,8 @@ func TestValidateRejects(t *testing.T) {
 		{"zero reads", `{"$schema":"ctx.schema.json","anneal":{"num_reads":0}}`, "num_reads"},
 		{"negative sweeps", `{"$schema":"ctx.schema.json","anneal":{"num_reads":1,"sweeps":-1}}`, "sweeps"},
 		{"huge sweeps", `{"$schema":"ctx.schema.json","anneal":{"num_reads":1,"sweeps":1000000000000000}}`, "exceeds 1000000"},
+		{"huge reads", `{"$schema":"ctx.schema.json","anneal":{"num_reads":1000000000000}}`, "anneal.num_reads 1000000000000 exceeds 1048576"},
+		{"huge samples", `{"$schema":"ctx.schema.json","exec":{"engine":"g","samples":1000000000000}}`, "exec.samples 1000000000000 exceeds 1048576"},
 		{"beta order", `{"$schema":"ctx.schema.json","anneal":{"num_reads":1,"beta_min":5,"beta_max":1}}`, "beta"},
 		{"bad schedule", `{"$schema":"ctx.schema.json","anneal":{"num_reads":1,"schedule":"exponential"}}`, "schedule"},
 		{"zero qpus", `{"$schema":"ctx.schema.json","comm":{"qpus":0,"qubits_per_qpu":4}}`, "qpus"},

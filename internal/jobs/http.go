@@ -42,7 +42,7 @@ type Service interface {
 	// on a worker's result document untouched. A pool writes a sweep's
 	// document point by point, in several Writes. An error means nothing
 	// was written — whatever can refuse the document (the job's state, a
-	// lost result file, a result with no JSON form) is settled before the
+	// lost result, a result with no JSON form) is settled before the
 	// first byte — so the caller may still answer with an error document;
 	// a write that fails halfway ends the encoding and is not reported
 	// (there is no one left to tell).
@@ -203,7 +203,7 @@ func httpStatus(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
-	default: // ErrJobFailed, a worker pool's bare execution error, a lost result file
+	default: // ErrJobFailed, a worker pool's bare execution error, a lost result
 		return http.StatusInternalServerError
 	}
 }

@@ -149,6 +149,65 @@ func TestHTTPRejectsHugeAnnealSweeps(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsHugeAnnealReads: the annealer derives a stream and a
+// mask per read before any work runs, so a num_reads past
+// ctxdesc.MaxAnnealReads is a 400 naming the field — not a process
+// killed by one request — and the pool still runs a normal job after.
+func TestHTTPRejectsHugeAnnealReads(t *testing.T) {
+	pool := NewPool(Options{Workers: 1, QueueDepth: 4, CacheSize: -1})
+	defer pool.Close()
+	h := NewHandler(pool)
+	for _, reads := range []int{ctxdesc.MaxAnnealReads + 1, 1e12} {
+		raw, err := annealBundle(t, "anneal.sa", reads, 1).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := doJSON(t, h, "POST", "/v1/jobs", raw, http.StatusBadRequest)
+		if msg, _ := doc["error"].(string); !strings.Contains(msg, "anneal.num_reads") {
+			t.Errorf("num_reads %d: error %q does not name anneal.num_reads", reads, msg)
+		}
+	}
+	raw, err := annealBundle(t, "anneal.sa", 8, 1).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := doJSON(t, h, "POST", "/v1/jobs", raw, http.StatusAccepted)
+	id, _ := sub["id"].(string)
+	if _, err := pool.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHTTPRejectsHugeSamples: a noisy gate run derives a stream per shot
+// before its first trajectory, so an exec.samples past ctxdesc.MaxSamples
+// is a 400 naming the field, and the pool still runs a normal noisy job
+// after.
+func TestHTTPRejectsHugeSamples(t *testing.T) {
+	pool := NewPool(Options{Workers: 1, QueueDepth: 4, CacheSize: -1})
+	defer pool.Close()
+	h := NewHandler(pool)
+	noisy := func(samples int) []byte {
+		b := gateBundle(t, "gate.statevector", samples, 1)
+		b.Context.Exec.Options = map[string]any{"noise": map[string]any{"prob_1q": 0.001, "readout_flip": 0.02}}
+		raw, err := b.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, samples := range []int{ctxdesc.MaxSamples + 1, 1e12} {
+		doc := doJSON(t, h, "POST", "/v1/jobs", noisy(samples), http.StatusBadRequest)
+		if msg, _ := doc["error"].(string); !strings.Contains(msg, "exec.samples") {
+			t.Errorf("samples %d: error %q does not name exec.samples", samples, msg)
+		}
+	}
+	sub := doJSON(t, h, "POST", "/v1/jobs", noisy(64), http.StatusAccepted)
+	id, _ := sub["id"].(string)
+	if _, err := pool.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHTTPShardsParam covers the per-job parallelism surface: ?shards=N
 // pins the grant (visible as "shards" in the status document) and
 // /v1/stats reports the shard counters. (Invalid values: the conformance

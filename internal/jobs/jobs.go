@@ -381,7 +381,7 @@ type Stats struct {
 	// Build identifies the serving binary (Go version, VCS revision) so
 	// fleet operators can tell mixed-version workers apart.
 	Build obs.BuildInfo `json:"build"`
-	// Journal/result-file counters from the attached store, inlined.
+	// Journal/result-log counters from the attached store, inlined.
 	store.Stats
 }
 
@@ -502,7 +502,7 @@ type Pool struct {
 // is replayed first: terminal jobs are re-exposed for Status/Result
 // lookups, jobs that were queued or running at crash time are requeued
 // (same job IDs, so pre-crash handles keep resolving), and the result
-// cache rehydrates from the on-disk result files.
+// cache rehydrates from the store's result log, newest results last.
 func NewPool(opts Options) *Pool {
 	opts = opts.withDefaults()
 	p := &Pool{opts: opts, inflight: map[string]*job{}}
@@ -816,11 +816,11 @@ func (p *Pool) runJob(j *job) {
 	if p.cache != nil {
 		if res, ok := p.cache.get(j.Key); ok {
 			if p.opts.Store != nil && !p.opts.Store.HasResult(j.Key) {
-				// Backfill the content-addressed result file (an earlier
+				// Backfill the content-addressed result (an earlier
 				// process life never persisted it) off-lock: its fsync must
 				// not stall submitters. Cancel can take the job while the
 				// lock is down, so re-check before going terminal; the
-				// orphaned result file is harmless (content-addressed, and
+				// orphaned result is harmless (content-addressed, and
 				// the next identical job reuses it).
 				p.mu.Unlock()
 				//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from cache
@@ -873,7 +873,7 @@ func (p *Pool) runJob(j *job) {
 	res, err := rt.Submit(j.bundle, runOpts)
 
 	// Persist the result before journaling the terminal transition, so a
-	// "done" record on disk never references a missing result file. A
+	// "done" record on disk never references a missing result. A
 	// crash in between replays as "running" and simply re-runs the job —
 	// deterministic in the cache key, so the rerun's counts are
 	// identical.
@@ -987,7 +987,7 @@ func (p *Pool) Result(id string) (*result.Result, error) {
 			return nil, err
 		}
 		if !ok {
-			return nil, fmt.Errorf("jobs: result file for %q (%s) is gone", id, key)
+			return nil, fmt.Errorf("jobs: result of %q (%s) is gone from the store", id, key)
 		}
 		p.mu.Lock()
 		if j.res == nil {
@@ -1100,7 +1100,7 @@ func (p *Pool) Engines(context.Context) ([]string, error) { return backend.Engin
 func (p *Pool) StatsDoc() any { return p.Stats() }
 
 // Stats returns a snapshot of the pool's aggregate counters, including
-// the attached store's journal/result-file counters when persistent.
+// the attached store's journal/result-log counters when persistent.
 // The registry instruments are the system of record: the counters read
 // back verbatim and the timing totals are the exact nanosecond sums of
 // the queue-wait and run-time histograms, so /v1/stats and /metrics can

@@ -1,13 +1,8 @@
 package store
 
 import (
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,82 +11,69 @@ import (
 	"repro/internal/result"
 )
 
-// resultPath maps a content address ("sha256:<hex>") to its file. The hex
-// digest is validated so a hostile key cannot escape the results
-// directory.
-func (s *Store) resultPath(key string) (string, error) {
+// checkResultKey accepts a content address, "sha256:<hex>".
+func checkResultKey(key string) error {
 	digest, ok := strings.CutPrefix(key, "sha256:")
 	if !ok || digest == "" {
-		return "", fmt.Errorf("store: result key %q lacks sha256: prefix", key)
+		return fmt.Errorf("store: result key %q lacks sha256: prefix", key)
 	}
-	if _, err := hex.DecodeString(digest); err != nil {
-		return "", fmt.Errorf("store: result key %q is not hex", key)
-	}
-	return filepath.Join(s.dir, "results", digest+".json"), nil
-}
-
-// PutResult writes the result under its content address via temp file +
-// atomic rename (fsynced unless SyncNone). Writing the same key twice is
-// idempotent. It deliberately runs without s.mu: everything it touches
-// is immutable (s.dir, s.opts) or atomic (s.met), concurrent writers of
-// the same key race benignly (identical content, atomic rename), and
-// holding the store lock across a file write + fsync would stall every
-// journal append behind the result fsync.
-func (s *Store) PutResult(key string, res *result.Result) error {
-	path, err := s.resultPath(key)
-	if err != nil {
-		s.met.errors.Inc()
-		return err
-	}
-	buf := resultBufs.Get().(*[]byte)
-	defer resultBufs.Put(buf)
-	if *buf, err = appendResult((*buf)[:0], res); err != nil {
-		s.met.errors.Inc()
-		return fmt.Errorf("store: result %s: %w", key, err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "result-*.tmp")
-	if err != nil {
-		s.met.errors.Inc()
-		return fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(*buf); err != nil {
-		tmp.Close()
-		s.met.errors.Inc()
-		return fmt.Errorf("store: %w", err)
-	}
-	if s.opts.Sync != SyncNone {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			s.met.errors.Inc()
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		s.met.errors.Inc()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		s.met.errors.Inc()
-		return fmt.Errorf("store: %w", err)
-	}
-	if s.opts.Sync != SyncNone {
-		syncDir(filepath.Dir(path))
+	if len(digest)%2 != 0 || strings.IndexFunc(digest, func(c rune) bool {
+		return !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F')
+	}) >= 0 {
+		return fmt.Errorf("store: result key %q is not hex", key)
 	}
 	return nil
 }
 
-// resultBufs recycles PutResult's encode buffers (*[]byte): a result file
-// is tens of kilobytes and one is written per executed job or sweep point.
+// PutResult appends the result to the result log under its content
+// address. A key already stored is a no-op. It runs without s.mu: the
+// encoding needs no lock at all, and the log serializes its appends under
+// its own small mutex — holding the store lock across a write and an
+// fsync would stall every journal append behind it. Under SyncAlways and
+// SyncTerminal the record is fsynced before PutResult returns, so a done
+// line written afterwards never references a result a machine crash can
+// lose.
+func (s *Store) PutResult(key string, res *result.Result) error {
+	if err := checkResultKey(key); err != nil {
+		s.met.errors.Inc()
+		return err
+	}
+	if s.results.has(key) {
+		return nil
+	}
+	buf := resultBufs.Get().(*[]byte)
+	defer resultBufs.Put(buf)
+	rec := append((*buf)[:0], make([]byte, recordHeader)...)
+	rec = append(rec, key...)
+	rec, err := appendResult(rec, res)
+	*buf = rec
+	if err == nil {
+		err = sealRecord(rec, len(key))
+	}
+	if err != nil {
+		s.met.errors.Inc()
+		return fmt.Errorf("store: result %s: %w", key, err)
+	}
+	if err := s.results.put(key, rec, nil); err != nil {
+		s.met.errors.Inc()
+		return err
+	}
+	return nil
+}
+
+// resultBufs recycles the record buffers (*[]byte) of PutResult and
+// GetResult: a result is tens of kilobytes and one is written per executed
+// job or sweep point.
 var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendResult appends the stored form of res: byte for byte what
 // encoding/json's Marshal prints for it — the Go field names of
 // result.Result, result.Entry and qdt.Value in declaration order, every
 // field present, null for a nil Entries, Bools, Spins or Meta — which is
-// the format of every result file since the store exists. The file
-// carries no version, and GetResult, which decodes it with encoding/json,
-// reads files written by either encoder. Only Meta, engine-specific and
+// the format of every stored result since the store exists, as a result
+// file before the result log and as a record body since. It carries no
+// version, and GetResult, which decodes it with encoding/json, reads
+// bodies written by either encoder. Only Meta, engine-specific and
 // open-ended, still goes through encoding/json. A NaN or infinite Float or
 // Energy has no JSON form and is an error, as it is there; unlike the /v1
 // document this form prints both fields of every entry, whatever its
@@ -182,84 +164,40 @@ func appendResult(dst []byte, res *result.Result) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// GetResult loads a result by content address; ok=false when no file
-// exists for the key.
+// GetResult loads a result by content address; ok=false when the log
+// holds no record for the key.
 func (s *Store) GetResult(key string) (*result.Result, bool, error) {
-	path, err := s.resultPath(key)
-	if err != nil {
+	if err := checkResultKey(key); err != nil {
 		return nil, false, err
 	}
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
+	buf := resultBufs.Get().(*[]byte)
+	defer resultBufs.Put(buf)
+	rec, ok, err := s.results.get(key, (*buf)[:0])
+	*buf = rec
+	if err != nil || !ok {
+		return nil, false, err
 	}
 	var res result.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
+	if err := json.Unmarshal(rec[recordHeader+len(key):], &res); err != nil {
 		return nil, false, fmt.Errorf("store: result %s: %w", key, err)
 	}
 	return &res, true, nil
 }
 
-// HasResult reports whether a result file exists for the key.
-func (s *Store) HasResult(key string) bool {
-	path, err := s.resultPath(key)
-	if err != nil {
-		return false
-	}
-	_, err = os.Stat(path)
-	return err == nil
-}
+// HasResult reports whether the log holds a result for the key.
+func (s *Store) HasResult(key string) bool { return s.results.has(key) }
 
 // RecentResultKeys returns up to n result content addresses ordered
-// oldest→newest by file modification time, the order the pool feeds its
-// LRU on boot so the most recent result ends up most-recently-used
-// (n <= 0: all).
-func (s *Store) RecentResultKeys(n int) []string {
-	type entry struct {
-		key string
-		mod int64
-	}
-	var entries []entry
-	for _, de := range s.resultDirEntries() {
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		entries = append(entries, entry{"sha256:" + strings.TrimSuffix(de.Name(), ".json"), info.ModTime().UnixNano()})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mod < entries[j].mod })
-	if n > 0 && len(entries) > n {
-		entries = entries[len(entries)-n:]
-	}
-	keys := make([]string, len(entries))
-	for i, e := range entries {
-		keys[i] = e.key
-	}
-	return keys
-}
+// oldest→newest by write order, the order the pool feeds its LRU on boot
+// so the most recent result ends up most-recently-used (n <= 0: all).
+func (s *Store) RecentResultKeys(n int) []string { return s.results.keys(n) }
 
-func (s *Store) resultDirEntries() []os.DirEntry {
-	des, err := os.ReadDir(filepath.Join(s.dir, "results"))
-	if err != nil {
-		return nil
-	}
-	out := des[:0]
-	for _, de := range des {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), ".json") {
-			out = append(out, de)
-		}
-	}
-	return out
-}
-
-// gcResults deletes unreferenced result files beyond Options.MaxResults,
-// oldest first. Files referenced by a live record are always kept.
-func (s *Store) gcResults() {
+// gcResults drops whole result segments, oldest first, while more than
+// Options.MaxResults results are stored; results a live record references
+// are re-appended first and so survive.
+func (s *Store) gcResults() error {
 	if s.opts.MaxResults < 0 {
-		return
+		return nil
 	}
 	referenced := map[string]bool{}
 	for _, r := range s.records {
@@ -269,22 +207,10 @@ func (s *Store) gcResults() {
 		if r.Key != "" {
 			referenced[r.Key] = true
 		}
-		// A done sweep record references every per-point result file.
+		// A done sweep record references every per-point result.
 		for _, k := range r.Results {
 			referenced[k] = true
 		}
 	}
-	keys := s.RecentResultKeys(0) // oldest first
-	excess := len(keys) - s.opts.MaxResults
-	for _, key := range keys {
-		if excess <= 0 {
-			break
-		}
-		if referenced[key] {
-			continue
-		}
-		if path, err := s.resultPath(key); err == nil && os.Remove(path) == nil {
-			excess--
-		}
-	}
+	return s.results.gc(s.opts.MaxResults, referenced)
 }

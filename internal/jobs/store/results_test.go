@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -86,33 +88,39 @@ func TestStoredFormMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("%s: PutResult = %v, want an error naming the key", name, err)
 		}
 		if s.HasResult(sampleKey(9)) || s.Stats().Errors != before+1 {
-			t.Errorf("%s: a refused result left a file or went uncounted", name)
+			t.Errorf("%s: a refused result left a record or went uncounted", name)
 		}
 	}
 }
 
 // TestParentResultFile: testdata/parent_result.json was written by
 // PutResult of the commit before results were appended directly (when it
-// was json.Marshal(res)). GetResult must read it, and the encoder must
-// reproduce it byte for byte — from the decoded result, and again after a
-// PutResult/GetResult round trip of its own: the format did not change and
-// carries no version, so files of either build serve the other.
+// was json.Marshal(res)), as results/<hex>.json — the layout before the
+// result log. Open must import it into the log and remove it, GetResult
+// must serve it, and the encoder must reproduce it byte for byte — from
+// the decoded result, and again after a PutResult/GetResult round trip of
+// its own: the body format did not change and carries no version, so a
+// data directory of either build serves the other's results.
 func TestParentResultFile(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "parent_result.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
+	file := filepath.Join(dir, "results", strings.TrimPrefix(sampleKey(1), "sha256:")+".json")
+	if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, want, 0o600); err != nil {
+		t.Fatal(err)
+	}
 	s, err := Open(dir, Options{Sync: SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	file := func(key string) string {
-		return filepath.Join(dir, "results", strings.TrimPrefix(key, "sha256:")+".json")
-	}
-	if err := os.WriteFile(file(sampleKey(1)), want, 0o600); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(file); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the parent's file is still there after the import: %v", err)
 	}
 	res, ok, err := s.GetResult(sampleKey(1))
 	if err != nil || !ok {
@@ -122,14 +130,13 @@ func TestParentResultFile(t *testing.T) {
 		res.Entries[4].Value.Float != 1e-7 || res.Entries[5].Index != math.MaxUint64 || len(res.Meta) != 5 {
 		t.Fatalf("decoded parent file: %+v", res)
 	}
+	if got := storedBody(t, s, sampleKey(1)); !bytes.Equal(got, want) {
+		t.Fatalf("imported record differs from the parent's file\n got: %s\nwant: %s", got, want)
+	}
 	if err := s.PutResult(sampleKey(2), res); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(file(sampleKey(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if got := storedBody(t, s, sampleKey(2)); !bytes.Equal(got, want) {
 		t.Fatalf("re-stored parent result differs\n got: %s\nwant: %s", got, want)
 	}
 	again, ok, err := s.GetResult(sampleKey(2))
@@ -138,10 +145,9 @@ func TestParentResultFile(t *testing.T) {
 	}
 }
 
-// BenchmarkPutResult writes one 254-entry point file without fsync. "file"
-// is PutResult whole; "encode" is its encoding alone, because creating and
-// renaming the file costs more than the encoding and, on a VM, several
-// times more from one run to the next.
+// BenchmarkPutResult appends one 254-entry point result without fsync.
+// "log" is PutResult whole, under fresh keys; "encode" is its encoding
+// alone.
 func BenchmarkPutResult(b *testing.B) {
 	res := pointResult()
 	raw, err := appendResult(nil, res)
@@ -158,19 +164,28 @@ func BenchmarkPutResult(b *testing.B) {
 			}
 		}
 	})
-	b.Run("file", func(b *testing.B) {
-		s, err := Open(b.TempDir(), Options{Sync: SyncNone})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
+	b.Run("log", func(b *testing.B) {
+		// A fresh store every 1000 puts keeps the log at tens of megabytes.
+		dir := b.TempDir()
+		var s *Store
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.PutResult(sampleKey(i%200), res); err != nil {
+			if i%1000 == 0 {
+				b.StopTimer()
+				if s != nil {
+					s.Close()
+				}
+				os.RemoveAll(filepath.Join(dir, "results"))
+				if s, err = Open(dir, Options{Sync: SyncNone}); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if err := s.PutResult(fmt.Sprintf("sha256:%064x", i), res); err != nil {
 				b.Fatal(err)
 			}
 		}
+		s.Close()
 	})
 }

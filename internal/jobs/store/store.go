@@ -1,7 +1,7 @@
 // Package store is the serving layer's persistence subsystem: an
-// append-only JSONL journal of job lifecycle events plus content-addressed
-// result files, giving jobs.Pool (and cmd/qmlserve via -data-dir) durable
-// job history and crash-safe restarts.
+// append-only JSONL journal of job lifecycle events plus a
+// content-addressed result log, giving jobs.Pool (and cmd/qmlserve via
+// -data-dir) durable job history and crash-safe restarts.
 //
 // # Journal
 //
@@ -23,6 +23,20 @@
 // final fails Open, because silently skipping interior records would
 // fabricate history.
 //
+// # Results
+//
+// Results live in append-only segments, results/seg-%08d.log, of
+// checksummed records (key, body, CRC-32C) and are found through an
+// in-memory index from content address to record, so PutResult is one
+// write to an open file, GetResult one read, and HasResult, the boot-time
+// RecentResultKeys and Stats.Results never touch the disk. Open rebuilds
+// the index by scanning the segments. The same torn-tail rule as the
+// journal's holds, per segment: the head (newest) segment is cut back to
+// its last whole record, and a bad record in any older segment fails
+// Open. Result files of the one-file-per-result layout older builds wrote
+// (results/<hex>.json) are imported into the log at Open, oldest first,
+// and removed once the import is durable.
+//
 // # Fsync policy
 //
 // The journal is written in two halves. Write puts one line in the file
@@ -40,9 +54,11 @@
 // under SyncAlways (default); submitted, terminal and forget lines under
 // SyncTerminal (a lost started or assigned line merely re-runs or
 // re-forwards the job); none under SyncNone, which leaves flushing to the
-// OS, starts no syncer and makes Write return 0. Result files and
-// compaction renames are always written via temp-file + rename, and
-// fsynced unless SyncNone.
+// OS, starts no syncer and makes Write return 0. Unless SyncNone,
+// PutResult fsyncs the segment it appended to before returning — so a
+// result is durable before a done line references it — a new segment's
+// creation fsyncs the directory, and compaction fsyncs the rewritten
+// journal before renaming it into place.
 //
 // What that buys, on a worker pool and on the fleet dispatcher alike —
 // both journal through jobs.Table, which calls Write under the tier's
@@ -69,9 +85,12 @@
 // bounded (the pool forgets evicted records). Once file lines exceed
 // compactFactor× the live table (plus a floor), Commit rewrites the
 // journal from the table — at most four events per record — through a
-// temp file and atomic rename. Unreferenced result files beyond
-// Options.MaxResults are garbage-collected at the same time, oldest
-// first.
+// temp file and atomic rename. The result log is garbage-collected at the
+// same time, a whole segment at a time: while more than
+// Options.MaxResults results are stored, the oldest segment but the head
+// is dropped, after the results in it that a live record references are
+// re-appended — and only if what it takes away does not exceed the
+// excess, so the MaxResults newest results always survive.
 package store
 
 import (
@@ -184,7 +203,7 @@ type Event struct {
 	CacheHit  bool   `json:"cache_hit,omitempty"`
 	Coalesced bool   `json:"coalesced,omitempty"`
 	Error     string `json:"error,omitempty"`
-	Result    string `json:"result,omitempty"` // content address of the result file
+	Result    string `json:"result,omitempty"` // content address of the result
 }
 
 // Range is one slice [From,To) of a dispatched sweep's grid and the
@@ -241,23 +260,23 @@ type Stats struct {
 	Errors uint64 `json:"journal_errors"`
 	// Records is the live record-table size.
 	Records int `json:"journal_records"`
-	// Results is the number of result files on disk.
+	// Results is the number of results in the result log.
 	Results int `json:"disk_results"`
 	// TruncatedTail is 1 if Open dropped a torn final journal line.
 	TruncatedTail int `json:"journal_truncated_tail"`
 }
 
 // Options configure Open. The zero value is usable: SyncAlways, a 4×
-// compaction factor, and 4096 retained result files.
+// compaction factor, and 4096 retained results.
 type Options struct {
 	Sync SyncPolicy
 	// CompactFactor triggers compaction when journal lines exceed this
 	// multiple of the record table (plus a fixed floor); values < 2 are
 	// raised to 2.
 	CompactFactor int
-	// MaxResults bounds result files kept through compaction; files
-	// referenced by a live record are always kept (default 4096; negative
-	// retains everything).
+	// MaxResults bounds the results kept through compaction, which drops
+	// whole segments and so may keep more; results referenced by a live
+	// record are always kept (default 4096; negative retains everything).
 	MaxResults int
 	// Metrics is the registry the store's instruments register in (nil:
 	// a private registry, so stores in tests never collide). The server
@@ -337,12 +356,13 @@ func (m *storeMetrics) observeFsync(d time.Duration) {
 	}
 }
 
-// Store is a journal + result-file directory owned by one process. All
+// Store is a journal + result log directory owned by one process. All
 // methods are safe for concurrent use (a tier writes journal lines under
-// its own lock but writes result files from worker goroutines).
+// its own lock but writes results from worker goroutines).
 type Store struct {
-	dir  string
-	opts Options
+	dir     string
+	opts    Options
+	results *resultLog // its own locks; under mu only in compaction's GC
 
 	mu      sync.Mutex
 	cond    *sync.Cond // the barrier: wakes the syncer, committers and compaction
@@ -367,7 +387,8 @@ type Store struct {
 
 // Open creates dir (and its results/ subdirectory) if needed, replays the
 // journal into the record table, truncates a torn final line, and leaves
-// the journal open for appending.
+// the journal open for appending; it rebuilds the result index the same
+// way.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
@@ -383,10 +404,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.replay(); err != nil {
 		return nil, err
 	}
+	results, err := openResultLog(filepath.Join(dir, "results"), opts.Sync != SyncNone)
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.OpenFile(s.journalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		results.close()
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	s.results = results
 	s.f = f
 	if opts.Sync != SyncNone {
 		s.syncer.Add(1)
@@ -659,7 +686,7 @@ func (s *Store) syncEvent(t string) bool {
 
 // Compact rewrites the journal from the record table (at most four
 // events per record) through a temp file and atomic rename, then
-// garbage-collects unreferenced result files beyond Options.MaxResults.
+// garbage-collects the result log down towards Options.MaxResults.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -740,7 +767,11 @@ func (s *Store) compact() error {
 	// release the committers waiting on them.
 	s.synced = s.written
 	s.cond.Broadcast()
-	s.gcResults()
+	// The journal is compacted whatever the GC's fate: a failure leaves
+	// results behind, never loses one, and counts as an error.
+	if err := s.gcResults(); err != nil {
+		s.met.errors.Inc()
+	}
 	return nil
 }
 
@@ -802,9 +833,7 @@ func (s *Store) Stats() Stats {
 	st.Syncs = s.met.syncs.Value()
 	st.Compactions = s.met.compactions.Value()
 	st.Errors = s.met.errors.Value()
-	// Listing results/ — milliseconds for a full directory — needs no
-	// lock and must not hold one: every journal write queues behind s.mu.
-	st.Results = len(s.resultDirEntries())
+	st.Results = s.results.len()
 	return st
 }
 
@@ -828,6 +857,7 @@ func (s *Store) Sync() error {
 func (s *Store) Close() error {
 	err := s.close()
 	s.syncer.Wait()
+	s.results.close()
 	return err
 }
 

@@ -252,48 +252,64 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
-// TestResultGC checks unreferenced result files beyond MaxResults are
-// collected at compaction, oldest first, while referenced files survive.
+// TestResultGC: compaction drops whole result segments, oldest first,
+// while more than MaxResults results are stored. A referenced result in a
+// dropped segment is re-appended first, and a segment whose unreferenced
+// results outnumber the excess stays, so the MaxResults newest survive.
 func TestResultGC(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{Sync: SyncNone, MaxResults: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 6; i++ {
-		if err := s.PutResult(sampleKey(i), sampleResult(i)); err != nil {
+	for _, tc := range []struct {
+		max  int
+		kept []int // write order after GC
+	}{
+		{3, []int{4, 5, 0}},          // [0 1] and [2 3] dropped, 0 re-appended
+		{4, []int{2, 3, 4, 5, 0}},    // dropping [2 3] would leave 3 < 4
+		{6, []int{0, 1, 2, 3, 4, 5}}, // no excess
+		{-1, []int{0, 1, 2, 3, 4, 5}},
+	} {
+		shrinkSegments(t, 2)
+		dir := t.TempDir()
+		s, err := Open(dir, Options{Sync: SyncNone, MaxResults: tc.max})
+		if err != nil {
 			t.Fatal(err)
 		}
-		// Distinct mtimes so "oldest" is well-defined on coarse clocks.
-		path, _ := s.resultPath(sampleKey(i))
-		mt := time.Now().Add(time.Duration(i-6) * time.Hour)
-		os.Chtimes(path, mt, mt)
-	}
-	// Job 1 references key 0 (the oldest file): GC must keep it.
-	if err := s.Append(Event{T: EvSubmitted, Job: "job-00000001", At: tstamp(1), Key: sampleKey(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Down to MaxResults: the referenced oldest file is kept, so the
-	// three unreferenced oldest (1, 2, 3) are the ones collected.
-	if got := s.Stats().Results; got != 3 {
-		t.Fatalf("results after GC = %d, want 3", got)
-	}
-	if !s.HasResult(sampleKey(0)) {
-		t.Fatal("referenced result was collected")
-	}
-	for _, i := range []int{1, 2, 3} {
-		if s.HasResult(sampleKey(i)) {
-			t.Fatalf("old unreferenced result %d survived GC", i)
+		for i := 0; i < 6; i++ { // segments [0 1] [2 3] [4 5]
+			if err := s.PutResult(sampleKey(i), sampleResult(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for _, i := range []int{4, 5} {
-		if !s.HasResult(sampleKey(i)) {
-			t.Fatalf("newest result %d was collected", i)
+		// Job 1 references key 0, the oldest result.
+		if err := s.Append(Event{T: EvSubmitted, Job: "job-00000001", At: tstamp(1), Key: sampleKey(0)}); err != nil {
+			t.Fatal(err)
 		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, i := range tc.kept {
+			want = append(want, sampleKey(i))
+		}
+		check := func(stage string, s *Store) {
+			t.Helper()
+			if got := s.RecentResultKeys(0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("max %d, %s: results %v, want %v", tc.max, stage, got, want)
+			}
+			if got := s.Stats().Results; got != len(want) {
+				t.Fatalf("max %d, %s: Stats().Results = %d, want %d", tc.max, stage, got, len(want))
+			}
+			for _, i := range tc.kept {
+				if res, ok, err := s.GetResult(sampleKey(i)); err != nil || !ok || !reflect.DeepEqual(res, sampleResult(i)) {
+					t.Fatalf("max %d, %s: result %d: ok=%v err=%v", tc.max, stage, i, ok, err)
+				}
+			}
+		}
+		check("live", s)
+		s.Close()
+		s, err = Open(dir, Options{Sync: SyncNone, MaxResults: tc.max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("reopened", s)
+		s.Close()
 	}
 }
 

@@ -260,7 +260,7 @@ func (p *Pool) runSweepJob(j *job) {
 					return err
 				}
 				// Persist before publishing, so the terminal journal event's
-				// Results list never references a missing file. PutResult is
+				// Results list never references a missing result. PutResult is
 				// lock-free by design; the cache is not — it needs p.mu.
 				if p.opts.Store != nil {
 					//lint:ignore journalerr persistence failures count in store_journal_errors_total; the sweep degrades to in-memory results rather than failing
@@ -281,10 +281,10 @@ func (p *Pool) runSweepJob(j *job) {
 		p.mu.Unlock()
 	}
 	if err == nil && p.opts.Store != nil {
-		// Backfill points served from the memory cache whose files an
+		// Backfill points served from the memory cache whose results an
 		// earlier process life never persisted (mirrors the single-job
 		// cache-hit backfill), so the done record below is self-contained.
-		// Every other point was just written to, or read from, its file.
+		// Every other point was just written to, or read from, the store.
 		for _, i := range fromMem {
 			if !p.opts.Store.HasResult(keys[i]) {
 				//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from memory
@@ -407,7 +407,7 @@ func (p *Pool) sweepResult(id string) (Status, []*result.Result, error) {
 				return Status{}, nil, err
 			}
 			if !ok {
-				return Status{}, nil, fmt.Errorf("jobs: result file for %q point %d (%s) is gone", id, i, k)
+				return Status{}, nil, fmt.Errorf("jobs: result of %q point %d (%s) is gone from the store", id, i, k)
 			}
 			loaded[i] = res
 		}

@@ -20,7 +20,7 @@
 //
 //   - lockblock — in internal/jobs, internal/jobs/store and
 //     internal/fleet, no blocking call (journal/store mutators and
-//     result-file reads, fsync, net/http round trips, time.Sleep,
+//     result reads, fsync, net/http round trips, time.Sleep,
 //     WaitGroup waits, channel operations) while a sync.Mutex/RWMutex
 //     is held. Intra-function:
 //     lock state is tracked linearly, branches analyzed on copies,

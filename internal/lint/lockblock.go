@@ -19,8 +19,9 @@ var lockblockScopes = []string{
 }
 
 // storeDiskCalls are the journal/store methods that reach the disk —
-// the mutators block on fsync or rename, GetResult reads and decodes a
-// whole result file — so calling one with a mutex held puts the disk on
+// the mutators block on fsync or rename (PutResult on the fsync of its
+// result log segment), GetResult reads a whole result record and decodes
+// it — so calling one with a mutex held puts the disk on
 // every contending goroutine's critical path. Write is deliberately
 // absent: it appends one line; never fsyncs, renames or compacts — the
 // one store mutator a tier calls inside its critical section.

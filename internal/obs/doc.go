@@ -19,7 +19,7 @@
 // Naming conventions, followed throughout the repo:
 //
 //   - snake_case metric names prefixed by their subsystem: jobs_ (worker
-//     pool), store_ (journal + result files), fleet_ (dispatcher), sim_
+//     pool), store_ (journal + result log), fleet_ (dispatcher), sim_
 //     (statevector engine), go_ (runtime), http_ (serving middleware).
 //   - Counters end in _total; durations are histograms in seconds ending
 //     in _seconds; sizes end in _bytes.

@@ -91,7 +91,7 @@ const CTX = `{
       "required": ["engine"],
       "properties": {
         "engine": {"type": "string", "minLength": 1},
-        "samples": {"type": "integer", "minimum": 0},
+        "samples": {"type": "integer", "minimum": 0, "maximum": 1048576},
         "seed": {"type": "integer", "minimum": 0},
         "target": {
           "type": "object",
@@ -124,7 +124,7 @@ const CTX = `{
       "type": "object",
       "required": ["num_reads"],
       "properties": {
-        "num_reads": {"type": "integer", "minimum": 1},
+        "num_reads": {"type": "integer", "minimum": 1, "maximum": 1048576},
         "sweeps": {"type": "integer", "minimum": 0, "maximum": 1000000},
         "beta_min": {"type": "number", "minimum": 0},
         "beta_max": {"type": "number", "minimum": 0},

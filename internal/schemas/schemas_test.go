@@ -117,16 +117,30 @@ func TestCTXStructsConformToSchema(t *testing.T) {
 		t.Errorf("context fails schema: %v\n%s", err, b)
 	}
 
-	// The schema's bound on anneal.sweeps is the one Validate enforces.
-	for sweeps, ok := range map[int]bool{ctxdesc.MaxAnnealSweeps: true, ctxdesc.MaxAnnealSweeps + 1: false} {
-		a := ctxdesc.NewAnneal("anneal.sa", 16, 1)
-		a.Anneal.Sweeps = sweeps
-		b, err := json.Marshal(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Validate("ctx.schema.json", b); (err == nil) != ok {
-			t.Errorf("sweeps %d: schema error %v, want accepted = %v", sweeps, err, ok)
+	// The schema's bounds on anneal.sweeps, anneal.num_reads and
+	// exec.samples are the ones Validate enforces.
+	for _, bound := range []struct {
+		name string
+		max  int
+		set  func(c *ctxdesc.Context, v int)
+	}{
+		{"sweeps", ctxdesc.MaxAnnealSweeps, func(c *ctxdesc.Context, v int) { c.Anneal.Sweeps = v }},
+		{"num_reads", ctxdesc.MaxAnnealReads, func(c *ctxdesc.Context, v int) { c.Anneal.NumReads = v }},
+		{"samples", ctxdesc.MaxSamples, func(c *ctxdesc.Context, v int) { c.Exec.Samples = v }},
+	} {
+		for v, ok := range map[int]bool{bound.max: true, bound.max + 1: false} {
+			a := ctxdesc.NewAnneal("anneal.sa", 16, 1)
+			bound.set(a, v)
+			b, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Validate("ctx.schema.json", b); (err == nil) != ok {
+				t.Errorf("%s %d: schema error %v, want accepted = %v", bound.name, v, err, ok)
+			}
+			if err := a.Validate(); (err == nil) != ok {
+				t.Errorf("%s %d: Validate error %v, want accepted = %v", bound.name, v, err, ok)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/ctxdesc"
 	"repro/internal/gates"
 	"repro/internal/rng"
 )
@@ -115,6 +116,10 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 	}
 	if opts.Shots < 0 {
 		return nil, fmt.Errorf("sim: negative shot count %d", opts.Shots)
+	}
+	if opts.Shots > ctxdesc.MaxSamples {
+		// One child stream per shot is derived below, before any work.
+		return nil, fmt.Errorf("sim: shot count %d exceeds %d", opts.Shots, ctxdesc.MaxSamples)
 	}
 	if c.NumQubits < 1 || c.NumQubits > MaxQubits {
 		return nil, fmt.Errorf("sim: qubit count %d out of [1,%d]", c.NumQubits, MaxQubits)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/ctxdesc"
 )
 
 func bellCircuit() *circuit.Circuit {
@@ -94,6 +95,15 @@ func TestRunNoisyValidation(t *testing.T) {
 	}
 	if _, err := RunNoisy(c, NoiseModel{Prob1Q: 0.1}, Options{Shots: -1}); err == nil {
 		t.Error("negative shots accepted")
+	}
+	// Shots sizes the per-shot stream table derived before any
+	// trajectory runs: a huge value must be refused, not allocated.
+	for _, shots := range []int{ctxdesc.MaxSamples + 1, 1e12} {
+		for _, noise := range []NoiseModel{{Prob1Q: 0.1}, {ReadoutFlip: 0.1}} {
+			if _, err := RunNoisy(c, noise, Options{Shots: shots}); err == nil {
+				t.Errorf("%d shots accepted under %+v", shots, noise)
+			}
+		}
 	}
 }
 
