@@ -26,10 +26,11 @@ func main() {
 		steps = 64  // Trotter resolution per run
 	)
 	reg := qdt.New("chain", "spins", n, qdt.IsingSpin, qdt.AsSpin)
-	model := ising.NewModel(n)
+	var chain []ising.Term
 	for i := 0; i+1 < n; i++ {
-		model.SetJ(i, i+1, j)
+		chain = append(chain, ising.Term{I: i, J: i + 1, V: j})
 	}
+	model := ising.New(n, chain)
 
 	fmt.Printf("TFIM chain n=%d, J=%.1f, g=%.1f: magnetization ⟨Z⟩(t) from |0…0⟩\n\n", n, j, g)
 	fmt.Println("  t     ⟨Z⟩      ")

@@ -234,10 +234,10 @@ func lowerOp(c *circuit.Circuit, op *qop.Operator, regs Registers, offsets map[s
 		}
 		dt := t / float64(steps)
 		for s := 0; s < steps; s++ {
-			for _, key := range m.Couplings() {
-				u, v := base+key[0], base+key[1]
+			for cp := range m.Couplings() {
+				u, v := base+cp.I, base+cp.J
 				c.CX(u, v)
-				c.RZ(2*dt*m.GetJ(key[0], key[1]), v)
+				c.RZ(2*dt*cp.V, v)
 				c.CX(u, v)
 			}
 			for i, h := range m.H {

@@ -2,6 +2,7 @@ package algolib
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/ising"
@@ -86,8 +87,8 @@ func NewIsingProblem(reg *qdt.DataType, m *ising.Model) (*qop.Operator, error) {
 	op := newOp("ising_problem", qop.IsingProblem, reg.ID)
 	op.SetParam("h", toAnySlice(m.H))
 	var couplings []any
-	for _, key := range m.Couplings() {
-		couplings = append(couplings, []any{float64(key[0]), float64(key[1]), m.GetJ(key[0], key[1])})
+	for c := range m.Couplings() {
+		couplings = append(couplings, []any{float64(c.I), float64(c.J), c.V})
 	}
 	op.SetParam("couplings", couplings)
 	op.SetParam("offset", m.Offset)
@@ -97,7 +98,12 @@ func NewIsingProblem(reg *qdt.DataType, m *ising.Model) (*qop.Operator, error) {
 }
 
 // IsingModelFromOp reconstructs the Ising model from an ISING_PROBLEM
-// descriptor (the anneal backend's lowering hook).
+// descriptor (the anneal backend's lowering hook). Couplings on the same
+// pair are summed in list order. It rejects a coupling index that is not an
+// integer in [0, width), and a model whose energies could overflow: every
+// energy is bounded by |offset| + Σ|h| + Σ|J|, summed in Energy's order,
+// and that bound must be finite, or a sample's energy could be ±Inf, which
+// no result document can carry.
 func IsingModelFromOp(op *qop.Operator, width int) (*ising.Model, error) {
 	if op.RepKind != qop.IsingProblem {
 		return nil, fmt.Errorf("algolib: op %q is %s, want ISING_PROBLEM", op.Name, op.RepKind)
@@ -109,43 +115,76 @@ func IsingModelFromOp(op *qop.Operator, width int) (*ising.Model, error) {
 	if len(h) != width {
 		return nil, fmt.Errorf("algolib: h has %d entries, register width %d", len(h), width)
 	}
-	m := ising.NewModel(width)
-	copy(m.H, h)
-	if off, err := op.ParamFloatDefault("offset", 0); err == nil {
-		m.Offset = off
-	} else {
+	offset, err := op.ParamFloatDefault("offset", 0)
+	if err != nil {
 		return nil, err
 	}
-	raw, ok := op.Params["couplings"]
-	if !ok || raw == nil {
-		// A coupling-free model serializes as JSON null after clone
-		// round-trips; treat it as empty.
-		return m, nil
-	}
-	list, isList := raw.([]any)
-	if !isList {
-		return nil, fmt.Errorf("algolib: couplings param is %T", raw)
-	}
-	for idx, entry := range list {
-		triple, isT := entry.([]any)
-		if !isT || len(triple) != 3 {
-			return nil, fmt.Errorf("algolib: coupling %d malformed", idx)
+	var terms []ising.Term
+	// A coupling-free model serializes as JSON null after clone
+	// round-trips; treat it as empty.
+	if raw := op.Params["couplings"]; raw != nil {
+		list, isList := raw.([]any)
+		if !isList {
+			return nil, fmt.Errorf("algolib: couplings param is %T", raw)
 		}
-		vals := make([]float64, 3)
-		for k, e := range triple {
-			f, isF := e.(float64)
-			if !isF {
-				return nil, fmt.Errorf("algolib: coupling %d element %d is %T", idx, k, e)
+		terms = make([]ising.Term, len(list))
+		for idx, entry := range list {
+			triple, isT := entry.([]any)
+			if !isT || len(triple) != 3 {
+				return nil, fmt.Errorf("algolib: coupling %d malformed", idx)
 			}
-			vals[k] = f
+			var vals [3]float64
+			for k, e := range triple {
+				f, isF := e.(float64)
+				if !isF {
+					return nil, fmt.Errorf("algolib: coupling %d element %d is %T", idx, k, e)
+				}
+				vals[k] = f
+			}
+			for _, f := range vals[:2] {
+				if f != math.Trunc(f) {
+					return nil, fmt.Errorf("algolib: coupling %d index %v is not an integer", idx, f)
+				}
+			}
+			if vals[0] < 0 || vals[1] < 0 || vals[0] >= float64(width) || vals[1] >= float64(width) || vals[0] == vals[1] {
+				return nil, fmt.Errorf("algolib: coupling %d indices (%v,%v) invalid for width %d", idx, vals[0], vals[1], width)
+			}
+			terms[idx] = ising.Term{I: int(vals[0]), J: int(vals[1]), V: vals[2]}
 		}
-		i, j := int(vals[0]), int(vals[1])
-		if i < 0 || j < 0 || i >= width || j >= width || i == j {
-			return nil, fmt.Errorf("algolib: coupling %d indices (%d,%d) invalid for width %d", idx, i, j, width)
-		}
-		m.SetJ(i, j, m.GetJ(i, j)+vals[2])
+	}
+	m := ising.New(width, terms)
+	copy(m.H, h)
+	m.Offset = offset
+	if field := overflowingField(m); field != "" {
+		return nil, fmt.Errorf("algolib: %s: the energy bound |offset| + Σ|h| + Σ|J| is not finite", field)
 	}
 	return m, nil
+}
+
+// overflowingField names the first field, in Energy's summation order,
+// at which the bound |offset| + Σ|h| + Σ|J| stops being finite, or returns
+// "" for a model whose every energy is finite. Rounding is monotone, so
+// each partial sum of Energy is no larger in magnitude than the same
+// partial sum of the bound.
+func overflowingField(m *ising.Model) string {
+	finite := func(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+	bound := math.Abs(m.Offset)
+	if !finite(bound) {
+		return "offset"
+	}
+	for _, h := range m.H {
+		bound += math.Abs(h)
+	}
+	if !finite(bound) {
+		return "h"
+	}
+	for c := range m.Couplings() {
+		bound += math.Abs(c.V)
+	}
+	if !finite(bound) {
+		return "couplings"
+	}
+	return ""
 }
 
 // GraphFromCostPhase reconstructs the problem graph from an
@@ -194,7 +233,8 @@ func NewIsingEvolution(reg *qdt.DataType, m *ising.Model, time float64) (*qop.Op
 	op.RepKind = qop.IsingEvolution
 	op.SetParam("time", time)
 	op.Result = nil
-	op.CostHint = &qop.CostHint{TwoQ: 2 * len(m.J), OneQ: len(m.J) + m.N, Depth: 3*len(m.J) + 1}
+	nj := m.NumCouplings()
+	op.CostHint = &qop.CostHint{TwoQ: 2 * nj, OneQ: nj + m.N, Depth: 3*nj + 1}
 	return op, nil
 }
 
@@ -214,10 +254,11 @@ func NewTFIMEvolution(reg *qdt.DataType, m *ising.Model, transverse, time float6
 	op.Name = "tfim_evolution"
 	op.SetParam("transverse", transverse)
 	op.SetParam("trotter_steps", trotterSteps)
-	perStep := 2*len(m.J) + len(m.J) + 2*m.N
+	nj := m.NumCouplings()
+	perStep := 2*nj + nj + 2*m.N
 	op.CostHint = &qop.CostHint{
-		TwoQ:  2 * len(m.J) * trotterSteps,
-		OneQ:  (len(m.J) + m.N) * trotterSteps,
+		TwoQ:  2 * nj * trotterSteps,
+		OneQ:  (nj + m.N) * trotterSteps,
 		Depth: perStep * trotterSteps,
 	}
 	return op, nil

@@ -32,7 +32,7 @@ func TestTFIMSingleQubitAnalytic(t *testing.T) {
 	// H = g·X on one qubit: |0⟩ evolves to P(1) = sin²(g·t), exactly
 	// (no Trotter error: H commutes with itself).
 	reg := intReg("spin", 1)
-	m := ising.NewModel(1)
+	m := ising.New(1, nil)
 	g, time := 0.7, 1.3
 	st := evolveTFIM(t, reg, m, g, time, 1)
 	want := math.Pow(math.Sin(g*time), 2)
@@ -45,9 +45,7 @@ func TestTFIMDiagonalLimit(t *testing.T) {
 	// g = 0 reduces to the exact diagonal evolution: basis probabilities
 	// are untouched regardless of the step count requested.
 	reg := intReg("spins", 3)
-	m := ising.NewModel(3)
-	m.SetJ(0, 1, 1)
-	m.SetJ(1, 2, -0.5)
+	m := ising.New(3, []ising.Term{{I: 0, J: 1, V: 1}, {I: 1, J: 2, V: -0.5}})
 	m.H[0] = 0.3
 	pb, err := NewPrepBasis(reg, 5)
 	if err != nil {
@@ -84,8 +82,7 @@ func TestTFIMTrotterConvergence(t *testing.T) {
 	// must be farther from a fine-step reference, with roughly first-
 	// order improvement.
 	reg := intReg("pair", 2)
-	m := ising.NewModel(2)
-	m.SetJ(0, 1, 1)
+	m := ising.New(2, []ising.Term{{I: 0, J: 1, V: 1}})
 	g, time := 0.8, 1.0
 	ref := evolveTFIM(t, reg, m, g, time, 2048)
 	d4 := stateDistance(ref, evolveTFIM(t, reg, m, g, time, 4))
@@ -104,8 +101,7 @@ func TestTFIMEnergyConservation(t *testing.T) {
 	// (basis |01⟩), evolve finely, and compare ⟨H⟩ before and after,
 	// computed directly from the statevector.
 	reg := intReg("pair", 2)
-	m := ising.NewModel(2)
-	m.SetJ(0, 1, 1)
+	m := ising.New(2, []ising.Term{{I: 0, J: 1, V: 1}})
 	g := 0.6
 
 	energy := func(st *sim.State) float64 {
@@ -170,7 +166,7 @@ func TestTFIMEnergyConservation(t *testing.T) {
 
 func TestTFIMValidation(t *testing.T) {
 	reg := intReg("r", 2)
-	m := ising.NewModel(2)
+	m := ising.New(2, nil)
 	if _, err := NewTFIMEvolution(reg, m, 1, 1, 0); err == nil {
 		t.Error("zero trotter steps accepted")
 	}

@@ -9,16 +9,14 @@
 // (the serving layer's shard grant); determinism is preserved by deriving
 // one child RNG per read up front, so results do not depend on the width.
 //
-// Every sampler reads the model through one coupling table, built once per
-// call and shared read-only by all reads: the couplings in compressed
-// sparse rows (for spin i, its partners nbr[off[i]:off[i+1]] in
-// AdjacencyList's sorted order and the couplings j[off[i]:off[i+1]]
-// beside them), so a local-field update on a flip is a walk over two
-// contiguous slices instead of a map lookup per partner. The annealer
-// also tabulates its inverse-temperature schedule once per call, one beta
-// per sweep, instead of a Pow per sweep per read. Both compute the very
-// float expressions the map lookups and Pow calls fed, in the same order,
-// so samples are bit-identical to the map-based samplers
+// Every sampler reads the couplings straight from the model's own table,
+// its compressed sparse rows (ising.Model.Row: for spin i, its partners in
+// ascending order and the couplings beside them), shared read-only by all
+// reads, so a local-field update on a flip is a walk over two contiguous
+// slices. The annealer also tabulates its inverse-temperature schedule
+// once per call, one beta per sweep, instead of a Pow per sweep per read.
+// Both compute the very float expressions the map-based samplers computed,
+// in the same order, so samples are bit-identical to theirs
 // (testdata/sample_golden.txt pins them).
 //
 // The package also provides the classical baselines (random sampling,
@@ -194,7 +192,6 @@ func SampleModel(m *ising.Model, p Params) (*Result, error) {
 	}
 
 	masks := make([]uint64, p.NumReads)
-	cp := newCouplings(m)
 	betas := schedule(p)
 	workers := p.Workers
 	if workers <= 0 {
@@ -212,7 +209,7 @@ func SampleModel(m *ising.Model, p Params) (*Result, error) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				masks[i] = annealOnce(m.H, &cp, betas, readRNGs[i])
+				masks[i] = annealOnce(m, betas, readRNGs[i])
 			}
 		}(lo, hi)
 	}
@@ -241,9 +238,9 @@ func sortSamples(samples []Sample) {
 
 // annealOnce runs one read: random start, one Metropolis sweep per beta,
 // local fields maintained incrementally.
-func annealOnce(h []float64, cp *couplings, betas []float64, r *rng.Rand) uint64 {
-	s := randomSpins(len(h), r)
-	fields := cp.fields(h, s)
+func annealOnce(m *ising.Model, betas []float64, r *rng.Rand) uint64 {
+	s := randomSpins(m.N, r)
+	fields := localFields(m, s)
 	for _, beta := range betas {
 		for i := range s {
 			delta := -2 * float64(s[i]) * fields[i]
@@ -255,47 +252,22 @@ func annealOnce(h []float64, cp *couplings, betas []float64, r *rng.Rand) uint64
 				(delta == 0 && r.Float64() < 0.5) ||
 				(delta > 0 && r.Float64() < math.Exp(-beta*delta))
 			if accept {
-				cp.flip(s, fields, i)
+				flip(m, s, fields, i)
 			}
 		}
 	}
 	return ising.BitsFromSpins(s)
 }
 
-// couplings is a model's coupling matrix in compressed sparse rows: spin
-// i's partners are nbr[off[i]:off[i+1]], in AdjacencyList's sorted order,
-// and j[k] is its coupling to nbr[k]. Read-only once built.
-type couplings struct {
-	off []int32
-	nbr []int32
-	j   []float64
-}
-
-func newCouplings(m *ising.Model) couplings {
-	adj := m.AdjacencyList()
-	cp := couplings{off: make([]int32, m.N+1)}
-	for i, row := range adj {
-		cp.off[i+1] = cp.off[i] + int32(len(row))
-	}
-	cp.nbr = make([]int32, 0, cp.off[m.N])
-	cp.j = make([]float64, 0, cp.off[m.N])
-	for i, row := range adj {
-		for _, k := range row {
-			cp.nbr = append(cp.nbr, int32(k))
-			cp.j = append(cp.j, m.GetJ(i, k))
-		}
-	}
-	return cp
-}
-
-// fields returns every spin's local field h_i + Σ_j J_ij s_j, the sum
+// localFields returns every spin's local field h_i + Σ_j J_ij s_j, the sum
 // taken in partner order.
-func (cp *couplings) fields(h []float64, s []int8) []float64 {
-	fields := make([]float64, len(h))
+func localFields(m *ising.Model, s []int8) []float64 {
+	fields := make([]float64, m.N)
 	for i := range fields {
-		f := h[i]
-		for k := cp.off[i]; k < cp.off[i+1]; k++ {
-			f += cp.j[k] * float64(s[cp.nbr[k]])
+		f := m.H[i]
+		nbr, js := m.Row(i)
+		for k, p := range nbr {
+			f += js[k] * float64(s[p])
 		}
 		fields[i] = f
 	}
@@ -303,10 +275,11 @@ func (cp *couplings) fields(h []float64, s []int8) []float64 {
 }
 
 // flip negates spin i and moves its partners' local fields with it.
-func (cp *couplings) flip(s []int8, fields []float64, i int) {
+func flip(m *ising.Model, s []int8, fields []float64, i int) {
 	old := s[i]
 	s[i] = -old
-	for k := cp.off[i]; k < cp.off[i+1]; k++ {
-		fields[cp.nbr[k]] += -2 * cp.j[k] * float64(old)
+	nbr, js := m.Row(i)
+	for k, p := range nbr {
+		fields[p] += -2 * js[k] * float64(old)
 	}
 }

@@ -204,7 +204,7 @@ func TestParamValidation(t *testing.T) {
 	if _, err := SampleModel(m, Params{NumReads: 1, Schedule: "bogus"}); err == nil {
 		t.Error("unknown schedule accepted")
 	}
-	if _, err := SampleModel(ising.NewModel(0), Params{NumReads: 1}); err == nil {
+	if _, err := SampleModel(ising.New(0, nil), Params{NumReads: 1}); err == nil {
 		t.Error("empty model accepted")
 	}
 }
@@ -308,7 +308,7 @@ func TestBaselineValidation(t *testing.T) {
 
 func TestSampleWithFieldsModel(t *testing.T) {
 	// Biased single spin: h = -1 wants s = +1 (energy -1).
-	m := ising.NewModel(2)
+	m := ising.New(2, nil)
 	m.H[0] = -1
 	m.H[1] = 1
 	res, err := SampleModel(m, Params{NumReads: 100, Sweeps: 100, Seed: 11})
@@ -321,6 +321,41 @@ func TestSampleWithFieldsModel(t *testing.T) {
 	}
 	if p := res.GroundProbability(-2, 1e-9); p < 0.99 {
 		t.Errorf("trivial field problem ground probability %v", p)
+	}
+}
+
+// TestFlipMatchesEnergyDelta walks the samplers' incremental local fields
+// over the model's rows: before every flip, −2·s_i·field_i equals the
+// change of Energy the flip makes, and after it the updated fields equal
+// fields computed afresh.
+func TestFlipMatchesEnergyDelta(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	const n = 9
+	var terms []ising.Term
+	for k := 0; k < 40; k++ {
+		if i, j := r.Intn(n), r.Intn(n); i != j {
+			terms = append(terms, ising.Term{I: i, J: j, V: 2*r.Float64() - 1})
+		}
+	}
+	m := ising.New(n, terms)
+	for i := range m.H {
+		m.H[i] = 2*r.Float64() - 1
+	}
+	s := ising.SpinsFromBits(uint64(r.Intn(1<<n)), n)
+	fields := localFields(m, s)
+	for step := 0; step < 500; step++ {
+		i := r.Intn(n)
+		want := -2 * float64(s[i]) * fields[i]
+		e0 := m.Energy(s)
+		flip(m, s, fields, i)
+		if d := m.Energy(s) - e0; math.Abs(d-want) > 1e-9 {
+			t.Fatalf("step %d, flip %d: ΔE = %v, fields predicted %v", step, i, d, want)
+		}
+		for k, f := range localFields(m, s) {
+			if math.Abs(f-fields[k]) > 1e-9 {
+				t.Fatalf("step %d: field %d = %v incrementally, %v afresh", step, k, fields[k], f)
+			}
+		}
 	}
 }
 

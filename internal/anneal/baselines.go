@@ -37,13 +37,12 @@ func GreedyDescent(m *ising.Model, numReads int, seed uint64) (*Result, error) {
 	if numReads < 1 {
 		return nil, fmt.Errorf("anneal: num_reads %d < 1", numReads)
 	}
-	cp := newCouplings(m)
 	master := rng.New(seed)
 	agg := map[uint64]int{}
 	for read := 0; read < numReads; read++ {
 		r := master.Child()
 		s := randomSpins(m.N, r)
-		fields := cp.fields(m.H, s)
+		fields := localFields(m, s)
 		for {
 			bestI, bestDelta := -1, -1e-12
 			for i := 0; i < m.N; i++ {
@@ -56,7 +55,7 @@ func GreedyDescent(m *ising.Model, numReads int, seed uint64) (*Result, error) {
 			if bestI < 0 {
 				break
 			}
-			cp.flip(s, fields, bestI)
+			flip(m, s, fields, bestI)
 		}
 		agg[ising.BitsFromSpins(s)]++
 	}
@@ -77,13 +76,12 @@ func TabuSearch(m *ising.Model, numReads, steps int, seed uint64) (*Result, erro
 	if tenure < 1 {
 		tenure = 1
 	}
-	cp := newCouplings(m)
 	master := rng.New(seed)
 	agg := map[uint64]int{}
 	for read := 0; read < numReads; read++ {
 		r := master.Child()
 		s := randomSpins(m.N, r)
-		fields := cp.fields(m.H, s)
+		fields := localFields(m, s)
 		energy := m.Energy(s)
 		bestEnergy := energy
 		bestMask := ising.BitsFromSpins(s)
@@ -105,7 +103,7 @@ func TabuSearch(m *ising.Model, numReads, steps int, seed uint64) (*Result, erro
 			if bestI < 0 {
 				break
 			}
-			cp.flip(s, fields, bestI)
+			flip(m, s, fields, bestI)
 			energy += bestDelta
 			tabuUntil[bestI] = step + tenure
 			if energy < bestEnergy {

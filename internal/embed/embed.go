@@ -133,9 +133,9 @@ func (e *Embedding) Validate(m *ising.Model) error {
 			return fmt.Errorf("embed: variable %d chain %v is not connected", v, chain)
 		}
 	}
-	for _, key := range m.Couplings() {
-		if !e.chainsCoupled(key[0], key[1]) {
-			return fmt.Errorf("embed: logical coupling (%d,%d) has no physical coupler", key[0], key[1])
+	for c := range m.Couplings() {
+		if !e.chainsCoupled(c.I, c.J) {
+			return fmt.Errorf("embed: logical coupling (%d,%d) has no physical coupler", c.I, c.J)
 		}
 	}
 	return nil
@@ -204,13 +204,13 @@ func Find(m *ising.Model, hw *Hardware) (*Embedding, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("embed: empty model")
 	}
-	// Logical adjacency.
-	ladj := m.AdjacencyList()
+	// Logical adjacency: the model's coupling rows.
+	degree := func(v int) int { nbr, _ := m.Row(v); return len(nbr) }
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return len(ladj[order[a]]) > len(ladj[order[b]]) })
+	sort.SliceStable(order, func(a, b int) bool { return degree(order[a]) > degree(order[b]) })
 
 	used := make([]bool, hw.N)
 	chains := make([][]int, n)
@@ -218,9 +218,10 @@ func Find(m *ising.Model, hw *Hardware) (*Embedding, error) {
 	for _, v := range order {
 		// Collect placed neighbors.
 		var placed []int
-		for _, u := range ladj[v] {
+		nbr, _ := m.Row(v)
+		for _, u := range nbr {
 			if chains[u] != nil {
-				placed = append(placed, u)
+				placed = append(placed, int(u))
 			}
 		}
 		if len(placed) == 0 {
@@ -371,21 +372,14 @@ func (e *Embedding) EmbedModel(m *ising.Model, chainStrength float64) (*ising.Mo
 	if chainStrength < 0 {
 		return nil, fmt.Errorf("embed: negative chain strength %v", chainStrength)
 	}
-	phys := ising.NewModel(e.HW.N)
-	// Fields spread across chains.
-	for v, chain := range e.Chains {
-		per := m.H[v] / float64(len(chain))
-		for _, p := range chain {
-			phys.H[p] += per
-		}
-	}
 	// Logical couplings on one physical coupler each.
-	for _, key := range m.Couplings() {
+	var terms []ising.Term
+	for c := range m.Couplings() {
 		placed := false
-		for _, p := range e.Chains[key[0]] {
-			for _, q := range e.Chains[key[1]] {
+		for _, p := range e.Chains[c.I] {
+			for _, q := range e.Chains[c.J] {
 				if e.HW.Adjacent(p, q) {
-					phys.SetJ(p, q, phys.GetJ(p, q)+m.GetJ(key[0], key[1]))
+					terms = append(terms, ising.Term{I: p, J: q, V: c.V})
 					placed = true
 					break
 				}
@@ -402,9 +396,17 @@ func (e *Embedding) EmbedModel(m *ising.Model, chainStrength float64) (*ising.Mo
 		for i, p := range chain {
 			for _, q := range chain[i+1:] {
 				if e.HW.Adjacent(p, q) {
-					phys.SetJ(p, q, phys.GetJ(p, q)-chainStrength)
+					terms = append(terms, ising.Term{I: p, J: q, V: -chainStrength})
 				}
 			}
+		}
+	}
+	phys := ising.New(e.HW.N, terms)
+	// Fields spread across chains.
+	for v, chain := range e.Chains {
+		per := m.H[v] / float64(len(chain))
+		for _, p := range chain {
+			phys.H[p] += per
 		}
 	}
 	return phys, nil

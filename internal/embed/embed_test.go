@@ -219,22 +219,21 @@ func TestEmbedModelValidation(t *testing.T) {
 	}
 	// Corrupt the embedding: empty chain.
 	bad := &Embedding{HW: hw, Chains: [][]int{{}}}
-	if err := bad.Validate(ising.NewModel(1)); err == nil {
+	if err := bad.Validate(ising.New(1, nil)); err == nil {
 		t.Error("empty chain accepted")
 	}
 	// Overlapping chains.
 	bad2 := &Embedding{HW: hw, Chains: [][]int{{0}, {0}}}
-	if err := bad2.Validate(ising.NewModel(2)); err == nil {
+	if err := bad2.Validate(ising.New(2, nil)); err == nil {
 		t.Error("overlapping chains accepted")
 	}
 	// Disconnected chain (left qubits 0 and 1 are not adjacent).
 	bad3 := &Embedding{HW: hw, Chains: [][]int{{0, 1}}}
-	if err := bad3.Validate(ising.NewModel(1)); err == nil {
+	if err := bad3.Validate(ising.New(1, nil)); err == nil {
 		t.Error("disconnected chain accepted")
 	}
 	// Missing logical coupler.
-	m2 := ising.NewModel(2)
-	m2.SetJ(0, 1, 1)
+	m2 := ising.New(2, []ising.Term{{I: 0, J: 1, V: 1}})
 	bad4 := &Embedding{HW: hw, Chains: [][]int{{0}, {1}}} // 0 and 1 not adjacent
 	if err := bad4.Validate(m2); err == nil {
 		t.Error("uncoupled chains accepted")

@@ -1,83 +1,136 @@
-// Package ising implements the Ising and QUBO problem models consumed by
-// the annealing backend and produced by the algorithmic libraries.
+// Package ising implements the Ising problem model consumed by the
+// annealing backend and produced by the algorithmic libraries.
 //
 // The paper's anneal path (§5, Fig. 3) emits a single ISING_PROBLEM operator
 // descriptor declaring the energy E(s) = Σ_i h_i s_i + Σ_{i<j} J_ij s_i s_j
-// over spins s_i ∈ {−1,+1}. This package holds that model, the equivalent
-// QUBO form (binary x_i ∈ {0,1}), exact conversions between the two, the
-// Max-Cut ↔ Ising reduction, and exact ground-state enumeration used to
-// verify sampler output.
+// over spins s_i ∈ {−1,+1}. This package holds that model, the Max-Cut ↔
+// Ising and number-partitioning reductions, and exact ground-state
+// enumeration used to verify sampler output.
+//
+// A model's symmetric coupling matrix J is stored once, in compressed
+// sparse rows: spin i's partners in ascending order and its couplings to
+// them. The samplers walk those rows for O(degree) local-field updates, and
+// Energy, the descriptor encoder and the circuit lowering walk the same
+// table in (i, j) order, so every float sum over J is taken in one fixed
+// order and an energy is the same bits on every run.
 package ising
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
 
 // Model is an Ising problem: linear fields h and symmetric couplings J on
-// n spins. Couplings are stored sparsely keyed by (i, j) with i < j.
+// n spins, plus a constant energy term.
 type Model struct {
-	N int
-	H []float64
-	J map[[2]int]float64
-	// Offset is a constant energy term, produced by QUBO→Ising conversion
-	// so that energies agree exactly between the two forms.
+	N      int
+	H      []float64
 	Offset float64
+
+	// The couplings in compressed sparse rows: spin i's partners are
+	// nbr[off[i]:off[i+1]] in ascending order, and j[k] is its coupling
+	// to nbr[k]. Every nonzero J_ij appears twice, in row i and in row j.
+	// Fixed by New.
+	off []int32
+	nbr []int32
+	j   []float64
 }
 
-// NewModel returns an all-zero Ising model on n spins.
-func NewModel(n int) *Model {
-	return &Model{N: n, H: make([]float64, n), J: map[[2]int]float64{}}
+// Term is one coupling J_ij between spins I and J (in either order).
+type Term struct {
+	I, J int
+	V    float64
 }
 
-// SetJ sets the coupling between spins i and j (order-insensitive).
-// It panics on out-of-range or equal indices; couplings are intent
-// artifacts constructed by library code, so misuse is a programming error.
-func (m *Model) SetJ(i, j int, v float64) {
-	if i == j {
-		panic("ising: diagonal coupling")
-	}
-	if i < 0 || j < 0 || i >= m.N || j >= m.N {
-		panic(fmt.Sprintf("ising: coupling (%d,%d) out of range [0,%d)", i, j, m.N))
-	}
-	if i > j {
-		i, j = j, i
-	}
-	if v == 0 {
-		delete(m.J, [2]int{i, j})
-		return
-	}
-	m.J[[2]int{i, j}] = v
-}
-
-// GetJ returns the coupling between spins i and j.
-func (m *Model) GetJ(i, j int) float64 {
-	if i > j {
-		i, j = j, i
-	}
-	return m.J[[2]int{i, j}]
-}
-
-// Couplings returns the nonzero couplings in deterministic (i, j) order.
-func (m *Model) Couplings() [][2]int {
-	keys := make([][2]int, 0, len(m.J))
-	for k := range m.J {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
+// New returns the model on n spins with zero fields and offset and the
+// couplings the terms name. Terms on the same pair are summed in input
+// order, and a pair whose sum is zero is dropped. It panics on an
+// out-of-range or diagonal index: terms are built by library code, so
+// misuse is a programming error, and decoders of outside input check
+// indices first.
+func New(n int, terms []Term) *Model {
+	pairs := make([]Term, len(terms))
+	for k, t := range terms {
+		i, j := t.I, t.J
+		if i == j {
+			panic("ising: diagonal coupling")
 		}
-		return keys[a][1] < keys[b][1]
+		if i < 0 || j < 0 || i >= n || j >= n {
+			panic(fmt.Sprintf("ising: coupling (%d,%d) out of range [0,%d)", i, j, n))
+		}
+		pairs[k] = Term{I: min(i, j), J: max(i, j), V: t.V}
+	}
+	slices.SortStableFunc(pairs, func(a, b Term) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
 	})
-	return keys
+	upper := pairs[:0]
+	for k := 0; k < len(pairs); {
+		t := Term{I: pairs[k].I, J: pairs[k].J}
+		for ; k < len(pairs) && pairs[k].I == t.I && pairs[k].J == t.J; k++ {
+			t.V += pairs[k].V
+		}
+		if t.V != 0 {
+			upper = append(upper, t)
+		}
+	}
+
+	m := &Model{N: n, H: make([]float64, n), off: make([]int32, n+1)}
+	for _, t := range upper {
+		m.off[t.I+1]++
+		m.off[t.J+1]++
+	}
+	for i := 0; i < n; i++ {
+		m.off[i+1] += m.off[i]
+	}
+	m.nbr = make([]int32, 2*len(upper))
+	m.j = make([]float64, 2*len(upper))
+	// Pairs arrive sorted by (I, J), so every row fills in ascending
+	// order: a row's partners below it come from pairs that sort before
+	// the ones naming its partners above it.
+	next := slices.Clone(m.off[:n])
+	for _, t := range upper {
+		m.nbr[next[t.I]], m.j[next[t.I]] = int32(t.J), t.V
+		next[t.I]++
+		m.nbr[next[t.J]], m.j[next[t.J]] = int32(t.I), t.V
+		next[t.J]++
+	}
+	return m
 }
 
-// Energy evaluates E(s) for spins s_i ∈ {−1,+1}. It panics if len(s) != N
-// or any entry is not ±1.
+// Row returns spin i's partners in ascending order and its couplings to
+// them, side by side. The slices are the model's own and must not be
+// written.
+func (m *Model) Row(i int) (nbr []int32, j []float64) {
+	lo, hi := m.off[i], m.off[i+1]
+	return m.nbr[lo:hi:hi], m.j[lo:hi:hi]
+}
+
+// Couplings yields every nonzero coupling once, with I < J, in (I, J)
+// order.
+func (m *Model) Couplings() iter.Seq[Term] {
+	return func(yield func(Term) bool) {
+		for i := 0; i < m.N; i++ {
+			nbr, js := m.Row(i)
+			for k, p := range nbr {
+				if int(p) > i && !yield(Term{I: i, J: int(p), V: js[k]}) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// NumCouplings returns the number of nonzero couplings.
+func (m *Model) NumCouplings() int { return len(m.j) / 2 }
+
+// Energy evaluates E(s) for spins s_i ∈ {−1,+1}, summing the offset, the
+// fields in spin order and the couplings in (i, j) order. It panics if
+// len(s) != N or any entry is not ±1.
 func (m *Model) Energy(s []int8) float64 {
 	if len(s) != m.N {
 		panic(fmt.Sprintf("ising: spin vector length %d != %d", len(s), m.N))
@@ -89,8 +142,8 @@ func (m *Model) Energy(s []int8) float64 {
 		}
 		e += h * float64(s[i])
 	}
-	for k, j := range m.J {
-		e += j * float64(s[k[0]]) * float64(s[k[1]])
+	for c := range m.Couplings() {
+		e += c.V * float64(s[c.I]) * float64(s[c.J])
 	}
 	return e
 }
@@ -155,132 +208,21 @@ func (m *Model) BruteForce() GroundStates {
 	return GroundStates{Energy: best, Masks: masks}
 }
 
-// QUBO is a quadratic unconstrained binary optimization problem:
-// E(x) = Σ_i Q_ii x_i + Σ_{i<j} Q_ij x_i x_j + Offset, x_i ∈ {0,1}.
-type QUBO struct {
-	N      int
-	Q      map[[2]int]float64 // keyed (i, j) with i <= j; i==j is linear
-	Offset float64
-}
-
-// NewQUBO returns an empty QUBO on n variables.
-func NewQUBO(n int) *QUBO {
-	return &QUBO{N: n, Q: map[[2]int]float64{}}
-}
-
-// Set sets coefficient Q_ij (order-insensitive; i == j sets the linear
-// term).
-func (q *QUBO) Set(i, j int, v float64) {
-	if i < 0 || j < 0 || i >= q.N || j >= q.N {
-		panic(fmt.Sprintf("ising: QUBO index (%d,%d) out of range [0,%d)", i, j, q.N))
-	}
-	if i > j {
-		i, j = j, i
-	}
-	if v == 0 {
-		delete(q.Q, [2]int{i, j})
-		return
-	}
-	q.Q[[2]int{i, j}] = v
-}
-
-// Get returns coefficient Q_ij.
-func (q *QUBO) Get(i, j int) float64 {
-	if i > j {
-		i, j = j, i
-	}
-	return q.Q[[2]int{i, j}]
-}
-
-// Energy evaluates E(x) for binary x.
-func (q *QUBO) Energy(x []uint8) float64 {
-	if len(x) != q.N {
-		panic(fmt.Sprintf("ising: binary vector length %d != %d", len(x), q.N))
-	}
-	e := q.Offset
-	for k, v := range q.Q {
-		i, j := k[0], k[1]
-		if x[i] > 1 || x[j] > 1 {
-			panic("ising: QUBO variable not in {0,1}")
-		}
-		if i == j {
-			e += v * float64(x[i])
-		} else {
-			e += v * float64(x[i]) * float64(x[j])
-		}
-	}
-	return e
-}
-
-// EnergyBits evaluates E at the configuration encoded by mask
-// (bit i set → x_i = 1).
-func (q *QUBO) EnergyBits(mask uint64) float64 {
-	x := make([]uint8, q.N)
-	for i := 0; i < q.N; i++ {
-		x[i] = uint8((mask >> uint(i)) & 1)
-	}
-	return q.Energy(x)
-}
-
-// ToIsing converts the QUBO exactly into an Ising model under the standard
-// substitution x_i = (1 + s_i)/2, preserving energies via the Offset term:
-// QUBO.EnergyBits(m) == Ising.EnergyBits(m) for every mask m.
-func (q *QUBO) ToIsing() *Model {
-	m := NewModel(q.N)
-	m.Offset = q.Offset
-	for k, v := range q.Q {
-		i, j := k[0], k[1]
-		if i == j {
-			// v·x_i = v/2 + (v/2)·s_i
-			m.H[i] += v / 2
-			m.Offset += v / 2
-		} else {
-			// v·x_i·x_j = v/4·(1 + s_i + s_j + s_i s_j)
-			m.SetJ(i, j, m.GetJ(i, j)+v/4)
-			m.H[i] += v / 4
-			m.H[j] += v / 4
-			m.Offset += v / 4
-		}
-	}
-	return m
-}
-
-// ToQUBO converts the Ising model exactly into a QUBO via s_i = 2x_i − 1.
-func (m *Model) ToQUBO() *QUBO {
-	q := NewQUBO(m.N)
-	q.Offset = m.Offset
-	for i, h := range m.H {
-		if h != 0 {
-			// h·s_i = 2h·x_i − h
-			q.Set(i, i, q.Get(i, i)+2*h)
-			q.Offset -= h
-		}
-	}
-	for k, j := range m.J {
-		a, b := k[0], k[1]
-		// j·s_a·s_b = 4j·x_a·x_b − 2j·x_a − 2j·x_b + j
-		q.Set(a, b, q.Get(a, b)+4*j)
-		q.Set(a, a, q.Get(a, a)-2*j)
-		q.Set(b, b, q.Get(b, b)-2*j)
-		q.Offset += j
-	}
-	return q
-}
-
 // FromMaxCut builds the standard Max-Cut Ising model for g: h = 0 and
-// J_ij = w_ij on every edge. Minimizing E(s) = Σ w_ij s_i s_j makes
-// anti-aligned spins (cut edges) energetically favourable; the cut value of
-// a configuration is recovered by CutFromEnergy.
+// J_ij = w_ij on every edge, parallel edges summed. Minimizing
+// E(s) = Σ w_ij s_i s_j makes anti-aligned spins (cut edges) energetically
+// favourable; the cut value of a configuration is recovered by
+// CutFromEnergy.
 //
 // This is exactly the paper's §5 anneal-path formulation: "h is the zero
 // vector and J is a symmetric 4×4 matrix with unit couplings on edges
 // (0,1), (1,2), (2,3), (3,0)".
 func FromMaxCut(g *graph.Graph) *Model {
-	m := NewModel(g.N)
-	for _, e := range g.Edges {
-		m.SetJ(e.U, e.V, m.GetJ(e.U, e.V)+e.Weight)
+	terms := make([]Term, len(g.Edges))
+	for k, e := range g.Edges {
+		terms[k] = Term{I: e.U, J: e.V, V: e.Weight}
 	}
-	return m
+	return New(g.N, terms)
 }
 
 // CutFromEnergy converts an Ising energy of a FromMaxCut model back to the
@@ -290,11 +232,11 @@ func CutFromEnergy(g *graph.Graph, energy float64) float64 {
 	return (g.TotalWeight() - energy) / 2
 }
 
-// MaxAbsCoupling returns the largest |J| (used to choose embedding chain
-// strengths).
+// MaxAbsCoupling returns the largest |J| or |h| (used to choose embedding
+// chain strengths and the annealer's default temperatures).
 func (m *Model) MaxAbsCoupling() float64 {
 	max := 0.0
-	for _, v := range m.J {
+	for _, v := range m.j {
 		if a := math.Abs(v); a > max {
 			max = a
 		}
@@ -305,33 +247,4 @@ func (m *Model) MaxAbsCoupling() float64 {
 		}
 	}
 	return max
-}
-
-// AdjacencyList returns, for each spin, its coupled partners in sorted
-// order. Samplers use this for O(degree) energy-delta updates.
-func (m *Model) AdjacencyList() [][]int {
-	adj := make([][]int, m.N)
-	for k := range m.J {
-		adj[k[0]] = append(adj[k[0]], k[1])
-		adj[k[1]] = append(adj[k[1]], k[0])
-	}
-	for i := range adj {
-		sort.Ints(adj[i])
-	}
-	return adj
-}
-
-// LocalField returns the effective field on spin i given configuration s:
-// h_i + Σ_j J_ij s_j. Flipping spin i changes the energy by −2·s_i·field.
-func (m *Model) LocalField(i int, s []int8) float64 {
-	f := m.H[i]
-	for k, j := range m.J {
-		switch i {
-		case k[0]:
-			f += j * float64(s[k[1]])
-		case k[1]:
-			f += j * float64(s[k[0]])
-		}
-	}
-	return f
 }

@@ -2,6 +2,7 @@ package ising
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -51,10 +52,9 @@ func TestCutEnergyCorrespondenceAllMasks(t *testing.T) {
 }
 
 func TestEnergyManual(t *testing.T) {
-	m := NewModel(2)
+	m := New(2, []Term{{I: 0, J: 1, V: 2}})
 	m.H[0] = 0.5
 	m.H[1] = -1
-	m.SetJ(0, 1, 2)
 	// s = (+1, +1): 0.5 - 1 + 2 = 1.5
 	if e := m.Energy([]int8{1, 1}); e != 1.5 {
 		t.Errorf("E(+,+) = %v, want 1.5", e)
@@ -66,7 +66,7 @@ func TestEnergyManual(t *testing.T) {
 }
 
 func TestEnergyPanicsOnBadSpin(t *testing.T) {
-	m := NewModel(1)
+	m := New(1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("non-±1 spin accepted")
@@ -75,87 +75,26 @@ func TestEnergyPanicsOnBadSpin(t *testing.T) {
 	m.Energy([]int8{0})
 }
 
-func TestSetJValidation(t *testing.T) {
-	m := NewModel(3)
-	for _, fn := range []func(){
-		func() { m.SetJ(0, 0, 1) },
-		func() { m.SetJ(0, 3, 1) },
-		func() { m.SetJ(-1, 1, 1) },
-	} {
+func TestNewValidation(t *testing.T) {
+	for _, bad := range []Term{{I: 0, J: 0, V: 1}, {I: 0, J: 3, V: 1}, {I: -1, J: 1, V: 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("invalid SetJ did not panic")
+					t.Errorf("invalid term %+v did not panic", bad)
 				}
 			}()
-			fn()
+			New(3, []Term{bad})
 		}()
 	}
-	m.SetJ(2, 0, 1.5)
-	if m.GetJ(0, 2) != 1.5 || m.GetJ(2, 0) != 1.5 {
-		t.Error("coupling order not normalized")
+	m := New(3, []Term{{I: 2, J: 0, V: 1.5}})
+	if nbr, js := m.Row(0); !slices.Equal(nbr, []int32{2}) || !slices.Equal(js, []float64{1.5}) {
+		t.Errorf("row 0 = %v %v, want [2] [1.5]", nbr, js)
 	}
-	m.SetJ(0, 2, 0)
-	if len(m.J) != 0 {
-		t.Error("zero coupling not removed")
+	if nbr, js := m.Row(2); !slices.Equal(nbr, []int32{0}) || !slices.Equal(js, []float64{1.5}) {
+		t.Errorf("row 2 = %v %v, want [0] [1.5]", nbr, js)
 	}
-}
-
-func TestQUBOIsingRoundTripEnergies(t *testing.T) {
-	// Property: for random QUBOs, ToIsing preserves energies on every
-	// configuration, and Ising.ToQUBO inverts.
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(8)
-		q := NewQUBO(n)
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				if r.Float64() < 0.6 {
-					q.Set(i, j, 2*r.Float64()-1)
-				}
-			}
-		}
-		q.Offset = r.Float64()
-		m := q.ToIsing()
-		back := m.ToQUBO()
-		for mask := uint64(0); mask < uint64(1)<<uint(n); mask++ {
-			eq := q.EnergyBits(mask)
-			em := m.EnergyBits(mask)
-			eb := back.EnergyBits(mask)
-			if math.Abs(eq-em) > 1e-9 || math.Abs(eq-eb) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIsingQUBORoundTripEnergies(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(8)
-		m := NewModel(n)
-		for i := 0; i < n; i++ {
-			m.H[i] = 2*r.Float64() - 1
-			for j := i + 1; j < n; j++ {
-				if r.Float64() < 0.5 {
-					m.SetJ(i, j, 2*r.Float64()-1)
-				}
-			}
-		}
-		q := m.ToQUBO()
-		for mask := uint64(0); mask < uint64(1)<<uint(n); mask++ {
-			if math.Abs(m.EnergyBits(mask)-q.EnergyBits(mask)) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	if n := New(3, []Term{{I: 0, J: 2, V: 0}}).NumCouplings(); n != 0 {
+		t.Errorf("zero coupling kept: %d couplings", n)
 	}
 }
 
@@ -169,25 +108,129 @@ func TestSpinsBitsRoundTrip(t *testing.T) {
 	}
 }
 
+// randomTerms draws about n²/2 coupling terms on n spins, in either index
+// order and with repeated pairs, so New has duplicates to sum. Integer
+// values make every float sum exact whatever its order.
+func randomTerms(r *rng.Rand, n int, integer bool) []Term {
+	var terms []Term
+	for k := 0; k < n*n/2; k++ {
+		i, j := r.Intn(n), r.Intn(n)
+		if i == j {
+			continue
+		}
+		v := 2*r.Float64() - 1
+		if integer {
+			v = float64(r.Intn(7) - 3)
+		}
+		terms = append(terms, Term{I: i, J: j, V: v})
+	}
+	return terms
+}
+
+// TestEnergyMatchesDenseReference holds Energy to E(s) = offset + Σ h_i s_i
+// + ½ Σ_{i≠j} J_ij s_i s_j over a dense symmetric matrix summed row-major:
+// bit-exact for integer couplings, within 1e-12 for real ones.
+func TestEnergyMatchesDenseReference(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed)
+		n := 1 + r.Intn(9)
+		integer := seed%2 == 0
+		terms := randomTerms(r, n, integer)
+		m := New(n, terms)
+		dense := make([][]float64, n)
+		for i := range dense {
+			dense[i] = make([]float64, n)
+			if integer {
+				m.H[i] = float64(r.Intn(5) - 2)
+			} else {
+				m.H[i] = 2*r.Float64() - 1
+			}
+		}
+		m.Offset = float64(r.Intn(5))
+		for _, c := range terms {
+			dense[c.I][c.J] += c.V
+			dense[c.J][c.I] += c.V
+		}
+		for mask := uint64(0); mask < 1<<n; mask++ {
+			s := SpinsFromBits(mask, n)
+			pair := 0.0
+			for i := range dense {
+				for j, v := range dense[i] {
+					pair += v * float64(s[i]) * float64(s[j])
+				}
+			}
+			want := m.Offset
+			for i, h := range m.H {
+				want += h * float64(s[i])
+			}
+			want += pair / 2
+			got := m.Energy(s)
+			if integer && got != want || math.Abs(got-want) > 1e-12 {
+				t.Fatalf("seed %d mask %b: Energy %v, dense reference %v", seed, mask, got, want)
+			}
+		}
+	}
+}
+
+// TestFromMaxCutSumsParallelEdges: a multigraph's parallel edges become one
+// coupling carrying their summed weight.
+func TestFromMaxCutSumsParallelEdges(t *testing.T) {
+	g := graph.New(3)
+	for _, e := range []graph.Edge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 2}, {U: 1, V: 0, Weight: 0.5}, {U: 0, V: 1, Weight: 0.25}} {
+		if err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := FromMaxCut(g)
+	got := slices.Collect(m.Couplings())
+	want := []Term{{I: 0, J: 1, V: 1.75}, {I: 1, J: 2, V: 2}}
+	if !slices.Equal(got, want) {
+		t.Errorf("couplings %v, want %v", got, want)
+	}
+	for mask := uint64(0); mask < 8; mask++ {
+		if cut, fromE := g.CutValueBits(mask), CutFromEnergy(g, m.EnergyBits(mask)); cut != fromE {
+			t.Errorf("mask %03b: cut %v, energy-derived %v", mask, cut, fromE)
+		}
+	}
+}
+
+// TestCancellingTermsLeaveNoEntry: terms that sum to zero leave no entry in
+// either row, and NumCouplings does not count them.
+func TestCancellingTermsLeaveNoEntry(t *testing.T) {
+	m := New(3, []Term{{I: 0, J: 1, V: 1.5}, {I: 1, J: 2, V: 2}, {I: 1, J: 0, V: -1}, {I: 0, J: 1, V: -0.5}})
+	if nbr, _ := m.Row(0); len(nbr) != 0 {
+		t.Errorf("row 0 = %v, want empty", nbr)
+	}
+	if nbr, js := m.Row(1); !slices.Equal(nbr, []int32{2}) || !slices.Equal(js, []float64{2}) {
+		t.Errorf("row 1 = %v %v, want [2] [2]", nbr, js)
+	}
+	if n := m.NumCouplings(); n != 1 {
+		t.Errorf("NumCouplings = %d, want 1", n)
+	}
+}
+
+// TestLocalFieldMatchesEnergyDelta: the local field read off spin i's row,
+// h_i + Σ_k J_ik s_k, predicts the energy change of flipping spin i, which
+// holds only if every row is the symmetric image of the pairs Energy sums.
 func TestLocalFieldMatchesEnergyDelta(t *testing.T) {
 	r := rng.New(13)
-	m := NewModel(6)
-	for i := 0; i < 6; i++ {
+	m := New(6, randomTerms(r, 6, false))
+	for i := range m.H {
 		m.H[i] = 2*r.Float64() - 1
-		for j := i + 1; j < 6; j++ {
-			m.SetJ(i, j, 2*r.Float64()-1)
-		}
 	}
 	for mask := uint64(0); mask < 64; mask++ {
 		s := SpinsFromBits(mask, 6)
 		e0 := m.Energy(s)
 		for i := 0; i < 6; i++ {
-			field := m.LocalField(i, s)
+			field := m.H[i]
+			nbr, js := m.Row(i)
+			for k, p := range nbr {
+				field += js[k] * float64(s[p])
+			}
 			s[i] = -s[i]
 			e1 := m.Energy(s)
 			s[i] = -s[i]
-			// Flipping spin i: ΔE = −2·s_i_new... with s_i old value:
-			// ΔE = e1 − e0 = −2·s_i·field
+			// ΔE = e1 − e0 = −2·s_i·field, with s_i the value before the flip.
 			want := -2 * float64(s[i]) * field
 			if math.Abs((e1-e0)-want) > 1e-9 {
 				t.Fatalf("mask %b spin %d: ΔE = %v, want %v", mask, i, e1-e0, want)
@@ -196,34 +239,28 @@ func TestLocalFieldMatchesEnergyDelta(t *testing.T) {
 	}
 }
 
+// TestAdjacencyList: the rows are the coupling graph's adjacency lists,
+// partners ascending.
 func TestAdjacencyList(t *testing.T) {
 	m := FromMaxCut(graph.Cycle(4))
-	adj := m.AdjacencyList()
-	want := [][]int{{1, 3}, {0, 2}, {1, 3}, {0, 2}}
+	want := [][]int32{{1, 3}, {0, 2}, {1, 3}, {0, 2}}
 	for i := range want {
-		if len(adj[i]) != len(want[i]) {
-			t.Fatalf("adj[%d] = %v, want %v", i, adj[i], want[i])
-		}
-		for k := range want[i] {
-			if adj[i][k] != want[i][k] {
-				t.Fatalf("adj[%d] = %v, want %v", i, adj[i], want[i])
-			}
+		if nbr, _ := m.Row(i); !slices.Equal(nbr, want[i]) {
+			t.Fatalf("row %d = %v, want %v", i, nbr, want[i])
 		}
 	}
 }
 
 func TestMaxAbsCoupling(t *testing.T) {
-	m := NewModel(3)
+	m := New(3, []Term{{I: 0, J: 1, V: 1.5}, {I: 1, J: 2, V: -2.5}})
 	m.H[0] = -0.25
-	m.SetJ(0, 1, 1.5)
-	m.SetJ(1, 2, -2.5)
 	if got := m.MaxAbsCoupling(); got != 2.5 {
 		t.Errorf("MaxAbsCoupling = %v, want 2.5", got)
 	}
 }
 
 func TestBruteForceDegenerateOffset(t *testing.T) {
-	m := NewModel(2)
+	m := New(2, nil)
 	m.Offset = 3
 	gs := m.BruteForce()
 	if gs.Energy != 3 {
@@ -235,15 +272,10 @@ func TestBruteForceDegenerateOffset(t *testing.T) {
 }
 
 func TestCouplingsDeterministicOrder(t *testing.T) {
-	m := NewModel(4)
-	m.SetJ(2, 3, 1)
-	m.SetJ(0, 1, 1)
-	m.SetJ(0, 3, 1)
-	cs := m.Couplings()
-	want := [][2]int{{0, 1}, {0, 3}, {2, 3}}
-	for i := range want {
-		if cs[i] != want[i] {
-			t.Fatalf("Couplings() = %v, want %v", cs, want)
-		}
+	m := New(4, []Term{{I: 2, J: 3, V: 1}, {I: 1, J: 0, V: 1}, {I: 0, J: 3, V: 1}})
+	got := slices.Collect(m.Couplings())
+	want := []Term{{I: 0, J: 1, V: 1}, {I: 0, J: 3, V: 1}, {I: 2, J: 3, V: 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Couplings() = %v, want %v", got, want)
 	}
 }

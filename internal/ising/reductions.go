@@ -3,11 +3,9 @@ package ising
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/graph"
 )
 
-// This file provides the standard NP-hard → QUBO/Ising reductions the
+// This file provides the standard NP-hard → Ising reductions the
 // annealing path consumes beyond Max-Cut (paper §1: annealers are "an
 // essential and viable approach for solving optimization problems").
 // Each reduction is exact: the ground states of the produced model are
@@ -22,13 +20,16 @@ func NumberPartitioning(weights []float64) (*Model, error) {
 	if len(weights) < 2 {
 		return nil, fmt.Errorf("ising: partitioning needs at least 2 weights")
 	}
-	m := NewModel(len(weights))
+	var terms []Term
+	offset := 0.0
 	for i, w := range weights {
-		m.Offset += w * w
+		offset += w * w
 		for j := i + 1; j < len(weights); j++ {
-			m.SetJ(i, j, 2*w*weights[j])
+			terms = append(terms, Term{I: i, J: j, V: 2 * w * weights[j]})
 		}
 	}
+	m := New(len(weights), terms)
+	m.Offset = offset
 	return m, nil
 }
 
@@ -39,72 +40,4 @@ func PartitionDifference(energy float64) float64 {
 		return 0
 	}
 	return math.Sqrt(energy)
-}
-
-// MinVertexCover builds the QUBO whose minima are minimum vertex covers:
-// minimize Σ x_v + P·Σ_{(u,v)∈E} (1 − x_u)(1 − x_v). The penalty P must
-// exceed 1 to make constraint violations never profitable; P = 2 by
-// convention.
-func MinVertexCover(g *graph.Graph, penalty float64) (*QUBO, error) {
-	if penalty <= 1 {
-		return nil, fmt.Errorf("ising: vertex-cover penalty %v must exceed 1", penalty)
-	}
-	q := NewQUBO(g.N)
-	for v := 0; v < g.N; v++ {
-		q.Set(v, v, 1)
-	}
-	for _, e := range g.Edges {
-		// P·(1 − x_u)(1 − x_v) = P − P·x_u − P·x_v + P·x_u·x_v
-		q.Offset += penalty
-		q.Set(e.U, e.U, q.Get(e.U, e.U)-penalty)
-		q.Set(e.V, e.V, q.Get(e.V, e.V)-penalty)
-		q.Set(e.U, e.V, q.Get(e.U, e.V)+penalty)
-	}
-	return q, nil
-}
-
-// IsVertexCover reports whether the set bits of mask cover every edge.
-func IsVertexCover(g *graph.Graph, mask uint64) bool {
-	for _, e := range g.Edges {
-		if mask>>uint(e.U)&1 == 0 && mask>>uint(e.V)&1 == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxIndependentSet builds the QUBO whose minima are maximum independent
-// sets: minimize −Σ x_v + P·Σ_{(u,v)∈E} x_u·x_v with P > 1.
-func MaxIndependentSet(g *graph.Graph, penalty float64) (*QUBO, error) {
-	if penalty <= 1 {
-		return nil, fmt.Errorf("ising: independent-set penalty %v must exceed 1", penalty)
-	}
-	q := NewQUBO(g.N)
-	for v := 0; v < g.N; v++ {
-		q.Set(v, v, -1)
-	}
-	for _, e := range g.Edges {
-		q.Set(e.U, e.V, q.Get(e.U, e.V)+penalty)
-	}
-	return q, nil
-}
-
-// IsIndependentSet reports whether the set bits of mask form an
-// independent set.
-func IsIndependentSet(g *graph.Graph, mask uint64) bool {
-	for _, e := range g.Edges {
-		if mask>>uint(e.U)&1 == 1 && mask>>uint(e.V)&1 == 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// PopCount counts set bits (solution size for the set problems).
-func PopCount(mask uint64) int {
-	n := 0
-	for ; mask != 0; mask &= mask - 1 {
-		n++
-	}
-	return n
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -89,105 +88,5 @@ func TestNumberPartitioningEnergyIsSquaredImbalance(t *testing.T) {
 func TestNumberPartitioningValidation(t *testing.T) {
 	if _, err := NumberPartitioning([]float64{1}); err == nil {
 		t.Error("single weight accepted")
-	}
-}
-
-func bruteForceQUBO(q *QUBO) (float64, []uint64) {
-	best := math.Inf(1)
-	var masks []uint64
-	for mask := uint64(0); mask < uint64(1)<<uint(q.N); mask++ {
-		e := q.EnergyBits(mask)
-		switch {
-		case e < best-1e-12:
-			best = e
-			masks = []uint64{mask}
-		case math.Abs(e-best) <= 1e-12:
-			masks = append(masks, mask)
-		}
-	}
-	return best, masks
-}
-
-func TestMinVertexCoverExact(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		g := graph.ErdosRenyi(7, 0.4, seed)
-		q, err := MinVertexCover(g, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, masks := bruteForceQUBO(q)
-		// Exact minimum cover size by direct enumeration.
-		minCover := g.N + 1
-		for mask := uint64(0); mask < uint64(1)<<uint(g.N); mask++ {
-			if IsVertexCover(g, mask) && PopCount(mask) < minCover {
-				minCover = PopCount(mask)
-			}
-		}
-		for _, mask := range masks {
-			if !IsVertexCover(g, mask) {
-				t.Errorf("seed %d: QUBO minimum %b is not a cover", seed, mask)
-			}
-			if PopCount(mask) != minCover {
-				t.Errorf("seed %d: QUBO cover size %d, optimum %d", seed, PopCount(mask), minCover)
-			}
-		}
-	}
-}
-
-func TestMaxIndependentSetExact(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		g := graph.ErdosRenyi(7, 0.4, seed)
-		q, err := MaxIndependentSet(g, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, masks := bruteForceQUBO(q)
-		maxSet := 0
-		for mask := uint64(0); mask < uint64(1)<<uint(g.N); mask++ {
-			if IsIndependentSet(g, mask) && PopCount(mask) > maxSet {
-				maxSet = PopCount(mask)
-			}
-		}
-		for _, mask := range masks {
-			if !IsIndependentSet(g, mask) {
-				t.Errorf("seed %d: QUBO minimum %b is not independent", seed, mask)
-			}
-			if PopCount(mask) != maxSet {
-				t.Errorf("seed %d: QUBO set size %d, optimum %d", seed, PopCount(mask), maxSet)
-			}
-		}
-	}
-}
-
-func TestCoverAndISComplement(t *testing.T) {
-	// König duality of the reductions themselves: the complement of a
-	// maximum independent set is a minimum vertex cover.
-	g := graph.ErdosRenyi(8, 0.5, 9)
-	qIS, _ := MaxIndependentSet(g, 2)
-	_, isMasks := bruteForceQUBO(qIS)
-	full := uint64(1)<<uint(g.N) - 1
-	for _, mask := range isMasks {
-		if !IsVertexCover(g, mask^full) {
-			t.Errorf("complement of IS %b is not a cover", mask)
-		}
-	}
-}
-
-func TestPenaltyValidation(t *testing.T) {
-	g := graph.Cycle(4)
-	if _, err := MinVertexCover(g, 1); err == nil {
-		t.Error("penalty 1 accepted for vertex cover")
-	}
-	if _, err := MaxIndependentSet(g, 0.5); err == nil {
-		t.Error("penalty 0.5 accepted for independent set")
-	}
-}
-
-func TestPopCount(t *testing.T) {
-	cases := map[uint64]int{0: 0, 1: 1, 3: 2, 255: 8, 1 << 40: 1}
-	for mask, want := range cases {
-		if got := PopCount(mask); got != want {
-			t.Errorf("PopCount(%d) = %d, want %d", mask, got, want)
-		}
 	}
 }

@@ -1,7 +1,10 @@
 package jobs
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/algolib"
 	"repro/internal/bundle"
 	"repro/internal/ctxdesc"
+	"repro/internal/ising"
 	"repro/internal/qdt"
 	"repro/internal/qop"
 )
@@ -205,6 +209,90 @@ func TestHTTPRejectsHugeSamples(t *testing.T) {
 	id, _ := sub["id"].(string)
 	if _, err := pool.Wait(id); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHTTPOverflowingIsingProblemFails: an ISING_PROBLEM whose energies
+// overflow float64 (|offset| + Σ|h| + Σ|J| is +Inf) cannot have its result
+// served — JSON carries no ±Inf — so the job fails with a message naming
+// the field, instead of finishing done with a result no GET can return.
+// The pool still runs a normal anneal job after it.
+func TestHTTPOverflowingIsingProblemFails(t *testing.T) {
+	pool := NewPool(Options{Workers: 1, QueueDepth: 4, CacheSize: -1})
+	defer pool.Close()
+	h := NewHandler(pool)
+	m := ising.New(4, nil)
+	m.H[0], m.H[1] = 1e308, 1e308
+	raw, err := isingBundle(t, "anneal.sa", m, 8, 1).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := doJSON(t, h, "POST", "/v1/jobs", raw, http.StatusAccepted)
+	id, _ := sub["id"].(string)
+	if _, err := pool.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	st := doJSON(t, h, "GET", "/v1/jobs/"+id, nil, http.StatusOK)
+	if msg, _ := st["error"].(string); st["state"] != "failed" || !strings.Contains(msg, "h: the energy bound") {
+		t.Errorf("job ended %v with error %q, want failed naming h", st["state"], msg)
+	}
+	raw, err = annealBundle(t, "anneal.sa", 8, 1).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub = doJSON(t, h, "POST", "/v1/jobs", raw, http.StatusAccepted)
+	id, _ = sub["id"].(string)
+	if st, err := pool.Wait(id); err != nil || st.State != StateDone {
+		t.Fatalf("normal anneal job: %v / %+v", err, st)
+	}
+}
+
+// TestAnnealResultDocIsDeterministic submits one ISING_PROBLEM with random
+// real fields and couplings to 20 fresh pools: every result document must
+// be the same bytes, as jobs.CacheKey promises. The energies in it are
+// float sums whose last bits depend on the order the couplings are added
+// in, so this holds only while that order is fixed.
+func TestAnnealResultDocIsDeterministic(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	const n = 12
+	var terms []ising.Term
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if r.Intn(2) == 0 {
+				terms = append(terms, ising.Term{I: i, J: j, V: 3*r.Float64() - 1.5})
+			}
+		}
+	}
+	m := ising.New(n, terms)
+	for i := range m.H {
+		m.H[i] = 2*r.Float64() - 1
+	}
+	raw, err := isingBundle(t, "anneal.sa", m, 64, 7).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for run := 0; run < 20; run++ {
+		doc := func() []byte {
+			pool := NewPool(Options{Workers: 1, CacheSize: -1})
+			defer pool.Close()
+			h := NewHandler(pool)
+			sub := doJSON(t, h, "POST", "/v1/jobs", raw, http.StatusAccepted)
+			id, _ := sub["id"].(string)
+			if st, err := pool.Wait(id); err != nil || st.State != StateDone {
+				t.Fatalf("run %d: %v / %+v", run, err, st)
+			}
+			var doc bytes.Buffer
+			if err := pool.WriteResult(context.Background(), &doc, id); err != nil {
+				t.Fatal(err)
+			}
+			return doc.Bytes()
+		}()
+		if first == nil {
+			first = doc
+		} else if !bytes.Equal(doc, first) {
+			t.Fatalf("run %d served a different document:\n%s\nrun 0:\n%s", run, doc, first)
+		}
 	}
 }
 

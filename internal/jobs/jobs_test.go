@@ -42,8 +42,15 @@ func gateBundle(t testing.TB, engine string, samples int, seed uint64) *bundle.B
 // injected fake) engine.
 func annealBundle(t testing.TB, engine string, reads int, seed uint64) *bundle.Bundle {
 	t.Helper()
-	reg := qdt.NewIsingVars("ising_vars", "s", 4)
-	op, err := algolib.NewIsingProblem(reg, ising.FromMaxCut(graph.Cycle(4)))
+	return isingBundle(t, engine, ising.FromMaxCut(graph.Cycle(4)), reads, seed)
+}
+
+// isingBundle builds the ISING_PROBLEM bundle of model m for an anneal
+// engine.
+func isingBundle(t testing.TB, engine string, m *ising.Model, reads int, seed uint64) *bundle.Bundle {
+	t.Helper()
+	reg := qdt.NewIsingVars("ising_vars", "s", m.N)
+	op, err := algolib.NewIsingProblem(reg, m)
 	if err != nil {
 		t.Fatal(err)
 	}
