@@ -137,7 +137,12 @@
 // One layer up, a bundle whose context carries a sweep block (parameter
 // names + a point grid) is a sweep job: jobs.Pool.SubmitSweep accepts
 // the whole grid as ONE job — one journal record, one queue slot —
-// fanning out per point, with every point materialized by
+// fanning out per point. A sweep and a plain job are the same intent under
+// two contexts, and the pool has one admission and one executor for both:
+// a plain job is a grid of one point, and an identical sweep submitted
+// while one runs coalesces onto it as any in-flight duplicate does. A
+// sweep bundle POSTed to /v1/jobs is refused with 400, on both tiers. Every
+// point is materialized by
 // bundle.BindPoint into exactly the concrete bundle a caller would have
 // submitted for that point alone. Per-point cache keys, fingerprints
 // and sampled counts are therefore bit-identical to individual

@@ -40,16 +40,6 @@ type Options struct {
 	// ReforwardAfter is the consecutive failed watches (see runJob) after
 	// which the job abandons its worker and re-forwards (default 3).
 	ReforwardAfter int
-	// AffinitySlack is how many more outstanding dispatched jobs the
-	// cache-affinity worker may carry than the least-loaded node before
-	// the router spills the job to the latter (default 4).
-	AffinitySlack int
-	// Vnodes is the virtual-node count per worker on the consistent-hash
-	// ring (default 64).
-	Vnodes int
-	// MaxRecords bounds retained terminal job records, like
-	// jobs.Options.MaxRecords (default 65536; negative retains all).
-	MaxRecords int
 	// Logger receives structured dispatch logs (assignments, reforwards,
 	// ejections, terminal transitions) with job/trace/worker fields. nil
 	// discards.
@@ -74,17 +64,21 @@ func (o Options) withDefaults() Options {
 	if o.ReforwardAfter <= 0 {
 		o.ReforwardAfter = 3
 	}
-	if o.AffinitySlack <= 0 {
-		o.AffinitySlack = 4
-	}
-	if o.Vnodes <= 0 {
-		o.Vnodes = 64
-	}
-	if o.MaxRecords == 0 {
-		o.MaxRecords = 65536
-	}
 	return o
 }
+
+const (
+	// affinitySlack is how many more outstanding dispatched jobs the
+	// cache-affinity worker may carry than the least-loaded node before the
+	// router spills the job to the latter.
+	affinitySlack = 4
+	// vnodes is the virtual-node count per worker on the consistent-hash
+	// ring.
+	vnodes = 64
+	// maxRecords bounds retained terminal job records, as a worker pool's
+	// default jobs.Options.MaxRecords does.
+	maxRecords = 65536
+)
 
 // Stats aggregates dispatcher counters; the attached store's journal
 // counters are inlined when persistent.
@@ -293,7 +287,7 @@ func New(opts Options) (*Dispatcher, error) {
 		workers:  map[string]*worker{},
 		inflight: map[string]*fwdJob{},
 	}
-	d.Table = jobs.NewTable[*fwdJob](&d.mu, opts.MaxRecords, opts.Store)
+	d.Table = jobs.NewTable[*fwdJob](&d.mu, maxRecords, opts.Store)
 	d.log = opts.Logger
 	if d.log == nil {
 		d.log = obs.Discard()
@@ -321,7 +315,7 @@ func New(opts Options) (*Dispatcher, error) {
 	if len(d.names) == 0 {
 		return nil, errors.New("fleet: no workers configured")
 	}
-	d.ring = buildRing(d.names, opts.Vnodes)
+	d.ring = buildRing(d.names, vnodes)
 	var reattach []*fwdJob
 	if opts.Store != nil {
 		reattach = d.recover()
@@ -386,10 +380,11 @@ func (d *Dispatcher) recover() []*fwdJob {
 // the inbound X-Trace-Id; the accepted ID rides the journal, every forward
 // to a worker, and the status document. o.Shards and o.Profile are
 // forwarded to whichever worker runs the job; the worker's kernel profile
-// is proxied back into this job's status once it reports one.
+// is proxied back into this job's status once it reports one. A bundle
+// with a sweep block is refused as by a Pool (jobs.PlainJob).
 func (d *Dispatcher) Submit(b *bundle.Bundle, o jobs.SubmitOptions) (jobs.Status, error) {
-	if b == nil {
-		return jobs.Status{}, errors.New("fleet: nil bundle")
+	if err := jobs.PlainJob(b); err != nil {
+		return jobs.Status{}, err
 	}
 	return d.accept(b, o, 0)
 }
@@ -688,7 +683,7 @@ func (d *Dispatcher) pick(j *fwdJob, r *sweepRange, tried map[string]bool) strin
 	if affinity == "" {
 		return least.name
 	}
-	if aw := d.workers[affinity]; aw.outstanding > least.outstanding+d.opts.AffinitySlack {
+	if aw := d.workers[affinity]; aw.outstanding > least.outstanding+affinitySlack {
 		d.met.affinitySpills.Inc()
 		return least.name
 	}

@@ -38,8 +38,8 @@
 // caches use — to a preferred worker, so identical bundles land on the
 // node that already holds the result in its cache and duplicates of a
 // running job coalesce in that worker's pool. The affinity choice yields
-// to load only when that worker is carrying AffinitySlack more
-// outstanding dispatched jobs than the least-loaded node, in which case
+// to load only when that worker is carrying four more outstanding
+// dispatched jobs than the least-loaded node, in which case
 // the least-loaded healthy worker takes the job (Stats.AffinitySpills).
 // While a job with some key is in flight through the dispatcher, later
 // duplicates are pinned to its worker even if the ring has shifted, so

@@ -239,6 +239,7 @@ func (d *Dispatcher) WriteSweepResult(ctx context.Context, out io.Writer, id str
 	}
 	doc := jobs.NewSweepResultDoc(st)
 	doc.Results = make([]jobs.SweepPointDoc, st.Points)
+	filled := make([]bool, st.Points)
 	for _, rg := range st.Ranges {
 		w := d.workerByName(rg.Worker)
 		if w == nil {
@@ -259,6 +260,11 @@ func (d *Dispatcher) WriteSweepResult(ctx context.Context, out io.Writer, id str
 			if gi < rg.From || gi >= rg.To {
 				return badGateway("fleet: %s answered out-of-range point %d for range [%d,%d)", rg.Worker, pt.Index, rg.From, rg.To)
 			}
+			// The count matched, so a repeated index means another is missing.
+			if filled[gi] {
+				return badGateway("fleet: %s answered point %d twice for range [%d,%d)", rg.Worker, pt.Index, rg.From, rg.To)
+			}
+			filled[gi] = true
 			pt.Index = gi
 			doc.Results[gi] = pt
 		}

@@ -3,10 +3,12 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -168,6 +170,78 @@ func TestFleetSweepScatterMerge(t *testing.T) {
 		if merged[i] == "" || merged[i] != ref[i] {
 			t.Fatalf("point %d differs:\n fleet %s\n ref   %s", i, merged[i], ref[i])
 		}
+	}
+}
+
+// TestFleetSweepRefusesRepeatedIndex: a worker whose sweep result set has
+// the right length but repeats a point index (and so misses another) is
+// refused with a 502 naming the worker and the range, not merged into a
+// document with a hole in it.
+func TestFleetSweepRefusesRepeatedIndex(t *testing.T) {
+	pool := jobs.NewPool(jobs.Options{Workers: 1, QueueDepth: 8, CacheSize: 8})
+	inner := jobs.NewHandler(pool)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.URL.Path, "/v1/sweeps/") || r.Method != http.MethodGet {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK {
+			var doc map[string]any
+			if err := json.Unmarshal(body, &doc); err != nil {
+				t.Errorf("worker sweep document: %v", err)
+			}
+			doc["results"].([]any)[1].(map[string]any)["index"] = 0
+			body, _ = json.Marshal(doc)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	t.Cleanup(func() {
+		srv.Close()
+		pool.Close()
+	})
+	opts := fastOpts()
+	opts.Workers = []string{srv.URL}
+	d := newDispatcher(t, opts)
+
+	st, err := d.SubmitSweep(sweepFleetBundle(t, "gate.statevector", sweepGrid(3)), jobs.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, err := d.Wait(st.ID); err != nil || fin.State != jobs.StateDone {
+		t.Fatalf("sweep: %+v %v", fin, err)
+	}
+	var out bytes.Buffer
+	err = d.WriteSweepResult(t.Context(), &out, st.ID)
+	var coded interface{ HTTPStatus() int }
+	if err == nil || !errors.As(err, &coded) || coded.HTTPStatus() != http.StatusBadGateway {
+		t.Fatalf("merged a result set with a repeated index: err=%v, wrote %d bytes", err, out.Len())
+	}
+	if msg := err.Error(); !strings.Contains(msg, srv.URL) || !strings.Contains(msg, "range [0,3)") {
+		t.Fatalf("error does not name the worker and range: %q", msg)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("wrote %d bytes before refusing", out.Len())
+	}
+}
+
+// TestFleetRefusesSweepBundleAsPlainJob: a dispatcher refuses a sweep
+// bundle on Submit with ErrIsSweep, as a pool does, so POST /v1/jobs of a
+// template answers 400 on both tiers and nothing is forwarded.
+func TestFleetRefusesSweepBundleAsPlainJob(t *testing.T) {
+	opts := fastOpts()
+	opts.Workers = []string{"http://127.0.0.1:1"} // never reached
+	d := newDispatcher(t, opts)
+	_, err := d.Submit(sweepFleetBundle(t, "gate.statevector", sweepGrid(2)), jobs.SubmitOptions{})
+	if !errors.Is(err, jobs.ErrIsSweep) {
+		t.Fatalf("Submit of a sweep bundle: %v, want ErrIsSweep", err)
+	}
+	if st := d.List("", 10); len(st) != 0 {
+		t.Fatalf("%d jobs accepted", len(st))
 	}
 }
 

@@ -87,13 +87,6 @@ func (c *resultCache) get(key string) (*result.Result, bool) {
 	return copyResult(el.Value.(*cacheEntry).res), true
 }
 
-// has reports whether key is cached, without counting as a use. Callers
-// hold Pool.mu.
-func (c *resultCache) has(key string) bool {
-	_, ok := c.byKey[key]
-	return ok
-}
-
 // put stores a copy of res. Callers hold Pool.mu.
 func (c *resultCache) put(key string, res *result.Result) {
 	if res == nil {

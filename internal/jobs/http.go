@@ -79,8 +79,8 @@ type Service interface {
 //
 // Errors are an ErrorDoc with the status httpStatus gives the service's
 // error: 404 unknown ID, 202 result not ready, 410 canceled, 409 cancel
-// refused, 400 wrong result route for the job's kind or a malformed
-// sweep, 429 + Retry-After queue full, 503 shutting down, 500 the job
+// refused, 400 wrong route for the job's kind (a sweep bundle POSTed to
+// /v1/jobs included) or a malformed sweep, 429 + Retry-After queue full, 503 shutting down, 500 the job
 // failed. Input the handler itself refuses — an unreadable bundle, a bad
 // state/limit/shards/wait/rev — is 400, a body over MaxBodyBytes 413.
 //

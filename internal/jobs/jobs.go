@@ -60,7 +60,15 @@
 // A bundle whose context carries a sweep block — parameter names plus a
 // point grid — enters through SubmitSweep as ONE job: one journal
 // record (the submitted event stores the template with its grid), one
-// queue slot, one worker turn fanning out per point. The worker materializes
+// queue slot, one worker turn fanning out per point. A sweep and a plain
+// job are the same intent under two contexts, and the Pool treats them
+// so: one admission and one executor (runJob), where a plain job is a grid
+// of one point — its bundle, under its own key. Submit refuses a bundle
+// with a sweep block (PlainJob), so a template's key belongs to sweeps
+// alone: admission looks a plain job's key up among the stored results,
+// and every job's among the running ones, so a sweep is never born done,
+// but an identical sweep submitted while one runs coalesces onto it like
+// any in-flight twin. The worker materializes
 // each point with bundle.BindPoint, which substitutes the point's
 // values into the "$name" markers and strips the sweep block: the
 // result is byte-for-byte the bundle a caller would have submitted for
@@ -69,7 +77,9 @@
 // bundle JSON + resolved shots and seed, see CacheKey), so sweep points
 // hit, and populate, the same content-addressed cache as individual
 // jobs — a sweep after a per-point run (or vice versa) re-executes
-// nothing.
+// nothing. Every job and point is served from a stored result the same
+// way: the memory LRU, then the result log, writing a memory hit the log
+// lacks back to it.
 //
 // Execution goes through runtime.PrepareSweep: the symbolic template
 // compiles once into a sim.ParamPlan and each point binds into it. The
@@ -78,7 +88,8 @@
 // cache) goroutines, the worker one of them, each pulling the next point
 // from a shared counter, executing it on G/L shards, persisting and
 // publishing it; L·2^qubits never exceeds 2^sim.MaxQubits resident
-// amplitudes. A sweep beside other running work has G = 1 and is the
+// amplitudes. A plain job's one point is one lane on all G shards and one
+// runtime.Submit. A sweep beside other running work has G = 1 and is the
 // plain serial loop. Points complete out of order, so Status.PointsDone
 // is a count, not a prefix of the grid; Status.Shards stays G, and the
 // "started" and "executed" spans carry the split. Points of one grid with
@@ -164,7 +175,8 @@ var (
 	// the execution error itself.
 	ErrJobFailed = errors.New("jobs: job failed")
 	// ErrNotSweep means a sweep's result set was asked of a plain job, and
-	// ErrIsSweep a single result of a sweep: each kind has its own route.
+	// ErrIsSweep a single result of a sweep, or a sweep bundle submitted as
+	// a plain job: each kind has its own routes.
 	ErrNotSweep = errors.New("jobs: not a sweep job")
 	ErrIsSweep  = errors.New("jobs: job is a sweep")
 	// ErrBadSweep means a sweep submission has no usable point grid.
@@ -448,26 +460,42 @@ func newPoolMetrics(reg *obs.Registry, p *Pool) *poolMetrics {
 }
 
 // job is a Pool's record: the shared Record plus what only a pool holds.
-// Fields are guarded by Pool.mu.
+// A plain job is a grid of one point, its bundle under its own Key; a sweep
+// (Points > 0) has one point per entry of its grid. Fields are guarded by
+// Pool.mu.
 type job struct {
 	Record
 	bundle  *bundle.Bundle // dropped when terminal
 	pin     int            // submitter's explicit parallelism request (0 = scheduler)
 	waiters []*job         // identical submissions coalesced onto this running job
 	primary *job           // the running job this one is attached to (waiters only)
-	resKey  string         // content address of the on-disk result (recovered jobs)
-	// sweep is non-nil for sweep jobs (SubmitSweep): per-point progress,
-	// result keys and results. Such a job occupies one queue slot and one
-	// journal record but fans out per point when it runs.
-	sweep *sweepState
-	res   *result.Result
+	// keys are the content addresses of the points' results in grid order
+	// and results those results, both set when the job is done — for a job
+	// recovered done, keys alone until the first read loads the results
+	// (see Pool.doneResults). completed counts the points finished so far.
+	keys      []string
+	results   []*result.Result
+	completed int
 }
 
 // Snapshot adds a sweep's progress to the common status header.
 func (j *job) Snapshot(s *Status) {
-	if j.sweep != nil {
-		s.PointsDone = j.sweep.completed
+	if j.Points > 0 {
+		s.PointsDone = j.completed
 	}
+}
+
+// profileOf is the profile a done job shows for its results: the kernel
+// table of a plain job's, the per-kind aggregate of a sweep's; nil for an
+// unprofiled job.
+func (j *job) profileOf(results []*result.Result) json.RawMessage {
+	switch {
+	case !j.Profile:
+		return nil
+	case j.Points == 0:
+		return profileRaw(results[0])
+	}
+	return aggregateSweepProfiles(results)
 }
 
 // Pool is a concurrent job scheduler over runtime.Submit.
@@ -543,6 +571,94 @@ func (p *Pool) finishLocked(j *job, to State, d Detail) {
 	j.bundle = nil
 }
 
+// doneLocked moves j to done with the results of its points, whose content
+// addresses keys are: the done line references them (a plain job's under
+// its own key), so a durable pool has them in the store first. Callers
+// hold p.mu.
+func (p *Pool) doneLocked(j *job, keys []string, results []*result.Result, d Detail) {
+	j.keys, j.results, j.completed = keys, results, len(results)
+	j.ProfileDoc = j.profileOf(results)
+	if j.Points == 0 {
+		d.Ev.Result = j.Key
+	} else {
+		d.Ev.Results = keys
+	}
+	p.finishLocked(j, StateDone, d)
+	p.met.completed.Inc()
+	p.met.sweepPoints.Add(uint64(j.Points))
+	p.log.Info("job done", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "points", j.Points,
+		"cache_hit", j.CacheHit, "coalesced", j.Coalesced, "ms", d.Dur.Milliseconds())
+}
+
+// failLocked moves j to failed. Callers hold p.mu.
+func (p *Pool) failLocked(j *job, d Detail) {
+	p.finishLocked(j, StateFailed, d)
+	p.met.failed.Inc()
+	p.log.Warn("job failed", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "coalesced", j.Coalesced, "err", d.Err)
+}
+
+// servedLocked completes the queued j, at admission or at dequeue, with
+// the stored result of its key instead of executing it. Callers hold p.mu.
+func (p *Pool) servedLocked(j *job, res *result.Result, disk bool, d Detail) {
+	j.CacheHit = true
+	p.doneLocked(j, []string{j.Key}, []*result.Result{res}, d)
+	p.countHit(disk)
+	obs.Record(obs.FlightJobDone, j.ID, d.Note)
+}
+
+// countHit counts a job or point served from a stored result; disk says the
+// result log had it and the memory LRU did not.
+func (p *Pool) countHit(disk bool) {
+	p.met.cacheHits.Inc()
+	if disk {
+		p.met.diskHits.Inc()
+	}
+}
+
+// lookup is how every job and every point is served without executing: it
+// finds the stored result of key in the memory LRU, else in the store's
+// result log, whose hit warms the LRU (disk reports that). A memory hit the
+// log lacks, from a process life that never persisted it, is written to the
+// log first, so the done line about to reference it never points at a
+// missing result. nil when caching is off or neither holds key. Called
+// without p.mu: the log is read and written with the pool unlocked.
+func (p *Pool) lookup(key string) (res *result.Result, disk bool) {
+	if p.cache == nil {
+		return nil, false
+	}
+	p.mu.Lock()
+	res, ok := p.cache.get(key)
+	p.mu.Unlock()
+	st := p.opts.Store
+	if ok {
+		if st != nil && !st.HasResult(key) {
+			//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from memory
+			_ = st.PutResult(key, res)
+		}
+		return res, false
+	}
+	if st == nil {
+		return nil, false
+	}
+	if res, ok, err := st.GetResult(key); err == nil && ok {
+		p.mu.Lock()
+		p.cache.put(key, res)
+		p.mu.Unlock()
+		return res, true
+	}
+	return nil, false
+}
+
+// stored is the lookup that serves the whole of j at admission or dequeue.
+// Only a plain job's key addresses a result: a sweep's is its template's,
+// and its points are looked up one by one as it runs.
+func (p *Pool) stored(j *job) (res *result.Result, disk bool) {
+	if j.Points > 0 {
+		return nil, false
+	}
+	return p.lookup(j.Key)
+}
+
 // recoverLocked replays the attached store's record table into the pool:
 // terminal records become queryable job records whose results load
 // lazily from disk, queued/running records are requeued (re-running a
@@ -552,27 +668,28 @@ func (p *Pool) finishLocked(j *job, to State, d Detail) {
 // p.mu; the workers have not started yet.
 func (p *Pool) recoverLocked() {
 	for _, rec := range p.opts.Store.Records() {
-		j := &job{Record: Recovered(rec), pin: rec.Pin, resKey: rec.ResultKey}
-		p.met.recovered.Inc()
-		// Sweep records carry the grid size (and, when done, the per-point
-		// result addresses); reconstruct the sweep state so Status reports
-		// the job as a sweep and SweepResult can lazy-load from disk.
-		if j.Points = max(rec.Points, len(rec.Results)); j.Points > 0 {
-			j.sweep = &sweepState{keys: rec.Results, completed: len(rec.Results)}
+		// A done record carries the addresses its results load from: a plain
+		// job's one, a sweep's one per point.
+		j := &job{Record: Recovered(rec), pin: rec.Pin, keys: rec.Results, completed: len(rec.Results)}
+		if rec.ResultKey != "" {
+			j.keys = []string{rec.ResultKey}
 		}
+		j.Points = max(j.Points, len(rec.Results))
+		p.met.recovered.Inc()
 		p.Restore(j)
 		if j.State.Terminal() {
 			continue
 		}
 		// Queued or running at crash time: requeue.
 		b, err := bundle.FromJSON(rec.Bundle, qop.ValidateOptions{})
+		if err == nil && j.Points == 0 {
+			err = PlainJob(b) // an older build took sweep bundles as plain jobs
+		}
 		if err != nil {
 			// The journaled bundle no longer validates (schema drift,
 			// torn result of an older bug): surface it as a failed
 			// job instead of dropping the record on the floor.
-			p.met.failed.Inc()
-			p.finishLocked(j, StateFailed, Detail{Err: fmt.Errorf("jobs: recovery: %w", err)})
-			p.log.Warn("job failed at recovery", "job", j.ID, "trace", j.Trace, "err", j.Err)
+			p.failLocked(j, Detail{Err: fmt.Errorf("jobs: recovery: %w", err)})
 			continue
 		}
 		j.bundle = b
@@ -617,85 +734,49 @@ type SubmitOptions struct {
 // completed, the job is born terminal in StateDone with the cached result
 // and never touches the queue; if one is currently executing, the job
 // coalesces onto it and completes when it does. A saturated queue rejects
-// with ErrQueueFull.
+// with ErrQueueFull; a bundle with a sweep block, with ErrIsSweep.
 func (p *Pool) Submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
-	if b == nil {
-		return Status{}, fmt.Errorf("jobs: nil bundle")
+	if err := PlainJob(b); err != nil {
+		return Status{}, err
 	}
-	j, submitted, err := p.prepare(b, o, 0)
+	return p.submit(b, o, 0)
+}
+
+// submit is the one admission of plain jobs and sweeps (points > 0): the
+// record is prepared and the stored result that would serve it looked up
+// with the pool unlocked, then admitLocked enters it, and the call returns
+// once the line that entered it met the fsync policy.
+func (p *Pool) submit(b *bundle.Bundle, o SubmitOptions, points int) (Status, error) {
+	j, submitted, err := p.prepare(b, o, points)
 	if err != nil {
 		return Status{}, err
 	}
-	key := j.Key
-
-	// What a durable pool reads or writes on disk for a born-terminal job,
-	// it does here, with the pool unlocked. A result absent from the memory
-	// LRU may live on disk (from a previous process life): the file is read
-	// and decoded, and only a memory miss pays for it. A result in the LRU
-	// whose file no earlier process life persisted has it written now, so
-	// that the done line about to reference it never points at a missing
-	// file.
-	var onDisk *result.Result
-	if p.cache != nil && p.opts.Store != nil {
-		p.mu.Lock()
-		closed, inMem := p.closed, p.cache.has(key)
-		p.mu.Unlock()
-		switch {
-		case closed:
-		case !inMem:
-			if res, ok, err := p.opts.Store.GetResult(key); err == nil && ok {
-				onDisk = res
-			}
-		case !p.opts.Store.HasResult(key):
-			p.mu.Lock()
-			res, ok := p.cache.get(key)
-			p.mu.Unlock()
-			if ok {
-				//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from cache
-				_ = p.opts.Store.PutResult(key, res)
-			}
-		}
-	}
-
+	res, disk := p.stored(j)
 	p.mu.Lock()
-	st, err := p.admitLocked(j, submitted, onDisk)
+	st, err := p.admitLocked(j, submitted, res, disk)
 	p.mu.Unlock()
 	if err != nil {
 		return Status{}, err
 	}
-	p.Commit(j)
+	p.Commit(j) // the 202 waits for its line, with the pool unlocked
 	return st, nil
 }
 
-// admitLocked enters a prepared plain job: born done from the result
-// cache (or from onDisk, what Submit found on disk for it), coalesced onto
-// a running twin, or queued. Callers hold p.mu.
-func (p *Pool) admitLocked(j *job, submitted Detail, onDisk *result.Result) (Status, error) {
-	key, now := j.Key, submitted.At
+// admitLocked enters a prepared job: born done from res, the stored result
+// of its key (disk: found in the result log), coalesced onto a running
+// twin, or queued. Callers hold p.mu.
+func (p *Pool) admitLocked(j *job, submitted Detail, res *result.Result, disk bool) (Status, error) {
 	if p.closed {
 		return Status{}, ErrClosed
 	}
-	if p.cache != nil {
-		res, hit := p.cache.get(key)
-		if !hit && onDisk != nil {
-			res, hit = onDisk, true
-			p.cache.put(key, onDisk)
-			p.met.diskHits.Inc()
-		}
-		if hit {
-			// Born terminal: a submitted event without the bundle (nothing
-			// will ever requeue it), then a done event referencing the
-			// content-addressed result.
-			j.res, j.CacheHit, j.ProfileDoc = res, true, profileRaw(res)
-			p.Add(j, Detail{At: now})
-			p.finishLocked(j, StateDone, Detail{At: now, Note: "cache hit", Ev: store.Event{Result: key}})
-			p.met.submitted.Inc()
-			p.met.cacheHits.Inc()
-			p.met.completed.Inc()
-			obs.Record(obs.FlightJobDone, j.ID, "cache hit")
-			p.log.Info("job done", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "cache_hit", true)
-			return p.Snapshot(j), nil
-		}
+	if res != nil {
+		// Born terminal: a submitted event without the bundle (nothing
+		// will ever requeue it), then a done event referencing the
+		// content-addressed result.
+		p.Add(j, Detail{At: submitted.At})
+		p.met.submitted.Inc()
+		p.servedLocked(j, res, disk, Detail{At: submitted.At, Note: "cache hit"})
+		return p.Snapshot(j), nil
 	}
 	// In-flight coalescing: an identical job is executing right now, so
 	// attach to its completion instead of queueing a duplicate run. The
@@ -703,26 +784,28 @@ func (p *Pool) admitLocked(j *job, submitted Detail, onDisk *result.Result) (Sta
 	// journal still records it as an independent queued job: if the
 	// process dies before the primary finishes, the waiter requeues on
 	// its own at recovery.
-	if primary, ok := p.inflight[key]; ok {
+	switch primary, ok := p.inflight[j.Key]; {
+	case ok:
 		attachLocked(primary, j)
 		submitted.Note = "coalesced onto " + primary.ID
-		p.Add(j, submitted)
-		p.met.submitted.Inc()
 		p.met.coalesced.Inc()
-		obs.Record(obs.FlightJobQueued, j.ID, submitted.Note)
-		p.log.Info("job coalesced", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "primary", primary.ID)
-		return p.Snapshot(j), nil
-	}
-	if len(p.pending) >= p.opts.QueueDepth {
+	case len(p.pending) >= p.opts.QueueDepth:
 		p.met.rejected.Inc()
 		return Status{}, ErrQueueFull
+	default:
+		p.pending = append(p.pending, j)
+		p.cond.Signal()
+		if j.Points > 0 {
+			submitted.Note = fmt.Sprintf("sweep points=%d", j.Points)
+		}
 	}
 	p.Add(j, submitted)
-	p.pending = append(p.pending, j)
 	p.met.submitted.Inc()
-	obs.Record(obs.FlightJobQueued, j.ID, "")
-	p.log.Info("job queued", "job", j.ID, "trace", j.Trace, "engine", j.Engine)
-	p.cond.Signal()
+	if j.Points > 0 {
+		p.met.sweeps.Inc()
+	}
+	obs.Record(obs.FlightJobQueued, j.ID, submitted.Note)
+	p.log.Info("job queued", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "points", j.Points, "note", submitted.Note)
 	return p.Snapshot(j), nil
 }
 
@@ -730,7 +813,8 @@ func (p *Pool) admitLocked(j *job, submitted Detail, onDisk *result.Result) (Sta
 // sweep's) and the detail of its submitted event. The content address
 // feeds the result cache and in-flight coalescing — a sweep template's
 // never collides with a per-point key, the sweep block being part of the
-// context — and profiled submissions key separately so the profile's
+// context, nor with a plain job's, which has none (PlainJob) — and
+// profiled submissions key separately so the profile's
 // presence is deterministic in the submission. The event carries the
 // canonical bundle JSON so a job that is queued or running at crash time
 // can be reconstructed and requeued.
@@ -798,50 +882,27 @@ func (p *Pool) grantLocked(j *job) int {
 	return granted
 }
 
+// runJob executes a dequeued job, plain or sweep alike. An identical job
+// may have completed, or started, while this one waited in the queue: it is
+// then served from the stored result or attached to the running twin
+// before it takes a grant. Otherwise it is granted, moved to running and
+// its points executed (execute), and one terminal move settles it and
+// every job coalesced onto it.
 func (p *Pool) runJob(j *job) {
-	// j.sweep is assigned before the job ever enters the pending queue
-	// (under p.mu at submit or recovery), and the worker dequeued j under
-	// the same mutex, so this unlocked read is ordered.
-	if j.sweep != nil {
-		p.runSweepJob(j)
-		return
-	}
+	// The lookup runs unlocked, so Cancel may take the job meanwhile; a
+	// result it wrote back to the log is harmless, being content-addressed.
+	res, disk := p.stored(j)
 	p.mu.Lock()
 	if j.State != StateQueued { // canceled while queued
 		p.mu.Unlock()
 		return
 	}
-	// Re-check the cache at dequeue time: an identical job may have
-	// completed while this one waited in the queue.
-	if p.cache != nil {
-		if res, ok := p.cache.get(j.Key); ok {
-			if p.opts.Store != nil && !p.opts.Store.HasResult(j.Key) {
-				// Backfill the content-addressed result (an earlier
-				// process life never persisted it) off-lock: its fsync must
-				// not stall submitters. Cancel can take the job while the
-				// lock is down, so re-check before going terminal; the
-				// orphaned result is harmless (content-addressed, and
-				// the next identical job reuses it).
-				p.mu.Unlock()
-				//lint:ignore journalerr best-effort backfill; failures count in store_journal_errors_total and the result stays served from cache
-				_ = p.opts.Store.PutResult(j.Key, res)
-				p.mu.Lock()
-				if j.State != StateQueued {
-					p.mu.Unlock()
-					return
-				}
-			}
-			j.res, j.CacheHit, j.ProfileDoc = res, true, profileRaw(res)
-			now := time.Now()
-			p.finishLocked(j, StateDone, Detail{At: now, Dur: now.Sub(j.Submitted), Note: "cache hit at dequeue", Ev: store.Event{Result: j.Key}})
-			p.met.queueWait.Observe(now.Sub(j.Submitted))
-			p.met.cacheHits.Inc()
-			p.met.completed.Inc()
-			obs.Record(obs.FlightJobDone, j.ID, "cache hit at dequeue")
-			p.log.Info("job done", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "cache_hit", true)
-			p.mu.Unlock()
-			return
-		}
+	if res != nil {
+		now := time.Now()
+		p.servedLocked(j, res, disk, Detail{At: now, Dur: now.Sub(j.Submitted), Note: "cache hit at dequeue"})
+		p.met.queueWait.Observe(now.Sub(j.Submitted))
+		p.mu.Unlock()
+		return
 	}
 	// Coalesce at dequeue time too: an identical job that was queued
 	// behind this one's twin is attached rather than re-executed. No
@@ -856,31 +917,25 @@ func (p *Pool) runJob(j *job) {
 	}
 	p.inflight[j.Key] = j
 	granted := p.grantLocked(j)
-	started, note := time.Now(), fmt.Sprintf("shards=%d", granted)
+	qubits := 0
+	for _, d := range j.bundle.QDTs {
+		qubits += d.Width
+	}
+	// A sweep announces how its grant splits for a grid with nothing
+	// cached; the "executed" span carries the split that ran.
+	note := fmt.Sprintf("shards=%d", granted)
+	if j.Points > 0 {
+		lanes, shards := sweepLanes(granted, j.Points, qubits)
+		note = fmt.Sprintf("sweep points=%d lanes=%d shards=%d", j.Points, lanes, shards)
+	}
+	started := time.Now()
 	_ = p.Transition(j, StateRunning, Detail{At: started, Dur: started.Sub(j.Submitted), Note: note})
 	p.met.queueWait.Observe(started.Sub(j.Submitted))
 	obs.Record(obs.FlightJobRunning, j.ID, note)
-	p.log.Info("job started", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "shards", granted)
-	// Per-stage timings from the engine become spans on this job; the
-	// callback runs on the worker goroutine with p.mu released.
-	runOpts := rt.Options{Shards: granted, Profile: j.Profile, Stages: func(stage string, d time.Duration) {
-		p.mu.Lock()
-		j.Span(stage, d, "")
-		p.mu.Unlock()
-	}}
+	p.log.Info("job started", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "points", j.Points, "shards", granted)
 	p.mu.Unlock()
 
-	res, err := rt.Submit(j.bundle, runOpts)
-
-	// Persist the result before journaling the terminal transition, so a
-	// "done" record on disk never references a missing result. A
-	// crash in between replays as "running" and simply re-runs the job —
-	// deterministic in the cache key, so the rerun's counts are
-	// identical.
-	persisted := false
-	if err == nil && res != nil && p.opts.Store != nil {
-		persisted = p.opts.Store.PutResult(j.Key, res) == nil
-	}
+	keys, results, executed, err := p.execute(j, granted, qubits)
 
 	p.mu.Lock()
 	finished := time.Now()
@@ -890,26 +945,16 @@ func (p *Pool) runJob(j *job) {
 		delete(p.inflight, j.Key)
 	}
 	p.met.runTime.Observe(run)
-	if persisted {
-		j.Span("persisted", 0, "")
+	if note = ""; j.Points > 0 {
+		note = fmt.Sprintf("points=%d", j.Points)
 	}
 	if err != nil {
-		p.finishLocked(j, StateFailed, Detail{At: finished, Dur: run, Err: err})
-		p.met.failed.Inc()
+		p.failLocked(j, Detail{At: finished, Dur: run, Err: err})
 		obs.Record(obs.FlightJobFailed, j.ID, err.Error())
-		p.log.Warn("job failed", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "err", err)
 	} else {
-		j.res, j.ProfileDoc = res, profileRaw(res)
-		if res != nil {
-			j.Engine = res.Engine
-		}
-		if p.cache != nil {
-			p.cache.put(j.Key, res)
-		}
-		p.finishLocked(j, StateDone, Detail{At: finished, Dur: run, Ev: store.Event{Result: j.Key}})
-		p.met.completed.Inc()
-		obs.RecordDur(obs.FlightJobDone, j.ID, "", run)
-		p.log.Info("job done", "job", j.ID, "trace", j.Trace, "engine", j.Engine, "run_ms", run.Milliseconds())
+		j.CacheHit = executed == 0 // every point served without executing
+		p.doneLocked(j, keys, results, Detail{At: finished, Dur: run, Note: note})
+		obs.RecordDur(obs.FlightJobDone, j.ID, note, run)
 	}
 	waiters := j.waiters
 	j.waiters = nil
@@ -926,10 +971,13 @@ func (p *Pool) runJob(j *job) {
 	// Cancel detaches waiters from j.waiters, but that slice is already
 	// severed, so a waiter canceled in this window is caught by the state
 	// check below instead.
-	copies := make([]*result.Result, len(waiters))
-	if err == nil && res != nil {
+	copies := make([][]*result.Result, len(waiters))
+	if err == nil {
 		for i := range waiters {
-			copies[i] = copyResult(res)
+			copies[i] = make([]*result.Result, len(results))
+			for k, res := range results {
+				copies[i][k] = copyResult(res)
+			}
 		}
 	}
 	p.mu.Lock()
@@ -942,19 +990,128 @@ func (p *Pool) runJob(j *job) {
 		w.Engine = j.Engine
 		with := Detail{At: finished, Note: "with primary " + j.ID, Err: err}
 		if err != nil {
-			p.finishLocked(w, StateFailed, with)
-			p.met.failed.Inc()
-			p.log.Warn("job failed", "job", w.ID, "trace", w.Trace, "engine", w.Engine, "coalesced", true, "err", err)
+			p.failLocked(w, with)
 		} else {
-			w.res, w.ProfileDoc = copies[i], j.ProfileDoc
-			with.Ev.Result = w.Key
-			p.finishLocked(w, StateDone, with)
-			p.met.completed.Inc()
-			p.log.Info("job done", "job", w.ID, "trace", w.Trace, "engine", w.Engine, "coalesced", true)
+			p.doneLocked(w, keys, copies[i], with)
 		}
 		p.met.queueWait.Observe(finished.Sub(w.Submitted))
 	}
 	p.mu.Unlock()
+}
+
+// execute runs the points of the running job j on its grant and returns
+// their content addresses and results in grid order, with how many points
+// it executed. A plain job's one point is its bundle under j.Key; a
+// sweep's are bound from its grid (bindGrid). Points with equal keys are
+// one piece of work: each distinct key is looked up among the stored
+// results, and the misses run on lanes (sweepLanes) — a plain job's as one
+// runtime.Submit, a sweep's over one runtime.PrepareSweep handle — each
+// persisting its result before publishing it. The first failure stops
+// every lane.
+func (p *Pool) execute(j *job, granted, qubits int) ([]string, []*result.Result, int, error) {
+	b, grid := j.bundle, j.Points > 0
+	concrete, keys := []*bundle.Bundle{b}, []string{j.Key}
+	if grid {
+		bound := time.Now()
+		var err error
+		if concrete, keys, err = bindGrid(b, j.Profile); err != nil {
+			return nil, nil, 0, err
+		}
+		p.mu.Lock()
+		j.Span("materialized", time.Since(bound), fmt.Sprintf("points=%d", len(keys)))
+		p.mu.Unlock()
+	}
+	// Lanes write distinct indices of results (an owner's and its twins');
+	// the worker reads them all once the lanes have returned.
+	results := make([]*result.Result, len(keys))
+	owners, twins := twinsOf(keys)
+	// publishLocked completes point i and its twins with res; a twin is a
+	// cache hit in all but name. Progress watchers see every point of a
+	// grid (pointLocked). Callers hold p.mu.
+	pointLocked := func(i int, res *result.Result) {
+		results[i] = res
+		j.completed++
+		if grid {
+			j.Touch()
+		}
+	}
+	publishLocked := func(i int, res *result.Result) {
+		pointLocked(i, res)
+		for _, t := range twins[i] {
+			pointLocked(t, copyResult(res))
+			p.met.cacheHits.Inc()
+		}
+	}
+	var miss []int
+	for _, i := range owners {
+		// j.Key itself, a plain job's one point, was looked up at dequeue.
+		if keys[i] != j.Key {
+			if res, disk := p.lookup(keys[i]); res != nil {
+				p.countHit(disk)
+				p.mu.Lock()
+				publishLocked(i, res)
+				p.mu.Unlock()
+				continue
+			}
+		}
+		miss = append(miss, i)
+	}
+	if len(miss) == 0 {
+		return keys, results, 0, nil
+	}
+
+	start := time.Now()
+	lanes, shards := sweepLanes(granted, len(miss), qubits)
+	opts := rt.Options{Shards: shards, Profile: j.Profile}
+	var run func(i int) (*result.Result, error)
+	var err error
+	if grid {
+		var sweep *rt.Sweep
+		if sweep, err = rt.PrepareSweep(b, opts); err == nil {
+			defer sweep.Close()
+			run = func(i int) (*result.Result, error) { return sweep.Point(i, concrete[i]) }
+		}
+	} else {
+		// The engine's stage timings become a plain job's spans; a sweep
+		// would log them per point and drown its lifecycle log, so its
+		// coarse spans cover it.
+		opts.Stages = func(stage string, d time.Duration) {
+			p.mu.Lock()
+			j.Span(stage, d, "")
+			p.mu.Unlock()
+		}
+		run = func(i int) (*result.Result, error) { return rt.Submit(concrete[i], opts) }
+	}
+	if err == nil {
+		err = runLanes(lanes, miss, func(i int) error {
+			res, err := run(i)
+			if err != nil {
+				return err
+			}
+			// Persist before publishing, so the done line never references
+			// a missing result. A crash in between replays the job as
+			// running and re-runs it: deterministic in the cache key, so
+			// with identical counts. PutResult is lock-free by design; the
+			// cache is not.
+			persisted := p.opts.Store != nil && p.opts.Store.PutResult(keys[i], res) == nil
+			p.mu.Lock()
+			if persisted && !grid {
+				j.Span("persisted", 0, "")
+			}
+			publishLocked(i, res)
+			if p.cache != nil {
+				p.cache.put(keys[i], res)
+			}
+			p.mu.Unlock()
+			return nil
+		})
+	}
+	if grid {
+		p.mu.Lock()
+		j.Span("executed", time.Since(start), fmt.Sprintf("points=%d cached=%d lanes=%d shards=%d", len(miss), len(keys)-len(miss), lanes, shards))
+		p.mu.Unlock()
+	}
+	return keys, results, len(miss), err
 }
 
 // Result returns the job's result once it is Done. A queued or running
@@ -964,48 +1121,67 @@ func (p *Pool) runJob(j *job) {
 // poison other jobs) — concurrent readers of one job must coordinate
 // before calling methods that reorder Entries, such as Sort.
 func (p *Pool) Result(id string) (*result.Result, error) {
+	_, results, err := p.doneResults(id, false)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// doneResults returns the results of a done job in grid order, with its
+// snapshot taken in the same critical section; sweep names the kind the
+// caller asked for. A job recovered from the journal holds only the content
+// addresses of its results: the first access loads them with the pool
+// unlocked — a grid is up to MaxSweepPoints records — from the addresses
+// snapshotted under the lock (a done job's never change). Concurrent first
+// readers may each load them; the first to come back installs its results,
+// and the profile they carry, for everyone.
+func (p *Pool) doneResults(id string, sweep bool) (Status, []*result.Result, error) {
 	p.mu.Lock()
 	j, err := p.Get(id)
-	if err == nil && j.sweep != nil {
+	switch {
+	case err != nil:
+	case sweep && j.Points == 0:
+		err = fmt.Errorf("%w: %q", ErrNotSweep, id)
+	case !sweep && j.Points > 0:
 		err = fmt.Errorf("%w: its results are at GET /v1/sweeps/%s (SweepResult)", ErrIsSweep, id)
-	}
-	if err == nil {
+	default:
 		err = NotDoneError(id, j.State, j.Err)
+	}
+	if err == nil && j.results == nil && (p.opts.Store == nil || len(j.keys) == 0) {
+		err = fmt.Errorf("jobs: results of %q are gone (nothing retained them)", id)
 	}
 	if err != nil {
 		p.mu.Unlock()
-		return nil, err
+		return Status{}, nil, err
 	}
-	// A job recovered from the journal holds only the content address of
-	// its result; the first access loads the file, with the pool unlocked,
-	// and the first load to come back is the one every caller shares.
-	if j.res == nil && j.resKey != "" && p.opts.Store != nil {
-		key := j.resKey
+	if j.results == nil {
+		keys := j.keys
 		p.mu.Unlock()
-		res, ok, err := p.opts.Store.GetResult(key)
-		if err != nil {
-			return nil, err
+		loaded := make([]*result.Result, len(keys))
+		for i, k := range keys {
+			res, ok, err := p.opts.Store.GetResult(k)
+			if err != nil {
+				return Status{}, nil, err
+			}
+			if !ok {
+				return Status{}, nil, fmt.Errorf("jobs: result of %q point %d (%s) is gone from the store", id, i, k)
+			}
+			loaded[i] = res
 		}
-		if !ok {
-			return nil, fmt.Errorf("jobs: result of %q (%s) is gone from the store", id, key)
-		}
+		profile := j.profileOf(loaded)
 		p.mu.Lock()
-		if j.res == nil {
-			j.res = res
-			j.attachProfile(profileRaw(res))
+		if j.results == nil {
+			// The profile materializes with the results, a change its
+			// watchers see.
+			if j.results, j.ProfileDoc = loaded, profile; profile != nil {
+				j.Touch()
+			}
 		}
 	}
-	res := j.res
+	st, results := p.Snapshot(j), j.results
 	p.mu.Unlock()
-	return res, nil
-}
-
-// attachProfile attaches the profile of a recovered job, materialized with
-// its lazily loaded results, as a change its watchers see.
-func (j *job) attachProfile(doc json.RawMessage) {
-	if j.ProfileDoc = doc; doc != nil {
-		j.Touch()
-	}
+	return st, results, nil
 }
 
 // NotDoneError is what asking for the result of a job in the given state

@@ -628,7 +628,7 @@ func TestUnencodableSweepPointIs500(t *testing.T) {
 	}
 	pool.mu.Lock()
 	j, _ := pool.Get(id)
-	j.sweep.results[1].Meta["x"] = math.Inf(-1)
+	j.results[1].Meta["x"] = math.Inf(-1)
 	pool.mu.Unlock()
 	code, body := get()
 	var doc ErrorDoc

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -183,6 +185,145 @@ func TestSweepResubmitCached(t *testing.T) {
 		if err := sweepEntriesEqual(r1[i], r2[i]); err != nil {
 			t.Errorf("point %d: %v", i, err)
 		}
+	}
+}
+
+// TestSweepInFlightDuplicateCoalesces submits a sweep while an identical
+// one runs: the duplicate attaches to the running sweep like any in-flight
+// twin, every point executes once, and both jobs answer the same results.
+func TestSweepInFlightDuplicateCoalesces(t *testing.T) {
+	fake := &fakeBackend{block: make(chan struct{}), ran: make(chan struct{}, 1)}
+	registerFake(t, "fake.sweep_coalesce", fake)
+	p := NewPool(Options{Workers: 1, QueueDepth: 1, MaxShards: 1})
+	defer p.Close()
+	points := distinctPoints(3)
+	first, err := p.SubmitSweep(laneSweepBundle(t, "fake.sweep_coalesce", 4, points), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fake.ran // the first point is executing, held
+	go func() {
+		for range fake.ran { // the other points' signals
+		}
+	}()
+	second, err := p.SubmitSweep(laneSweepBundle(t, "fake.sweep_coalesce", 4, points), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(fake.block)
+	st1, err1 := p.Wait(first.ID)
+	st2, err2 := p.Wait(second.ID)
+	close(fake.ran)
+	if err1 != nil || err2 != nil || st1.State != StateDone || st2.State != StateDone {
+		t.Fatalf("sweeps: %v %+v / %v %+v", err1, st1, err2, st2)
+	}
+	if st1.Coalesced || !st2.Coalesced || st2.PointsDone != len(points) {
+		t.Fatalf("coalesced=%v/%v points_done=%d, want only the duplicate coalesced with every point", st1.Coalesced, st2.Coalesced, st2.PointsDone)
+	}
+	if n := fake.execs.Load(); n != int64(len(points)) {
+		t.Errorf("%d executions for %d points", n, len(points))
+	}
+	if s := p.Stats(); s.Coalesced != 1 || s.Sweeps != 2 || s.SweepPoints != uint64(2*len(points)) {
+		t.Errorf("stats: coalesced=%d sweeps=%d sweep_points=%d", s.Coalesced, s.Sweeps, s.SweepPoints)
+	}
+	r1, err1 := p.SweepResult(first.ID)
+	r2, err2 := p.SweepResult(second.ID)
+	if err1 != nil || err2 != nil || len(r1) != len(points) || len(r2) != len(points) {
+		t.Fatalf("results: %v %d / %v %d", err1, len(r1), err2, len(r2))
+	}
+	for i := range r1 {
+		if !reflect.DeepEqual(r1[i], r2[i]) {
+			t.Errorf("point %d: the coalesced sweep's result differs", i)
+		}
+		if r1[i] == r2[i] {
+			t.Errorf("point %d: both jobs hold one Result value", i)
+		}
+	}
+}
+
+// TestSweepBundleRefusedAsPlainJob posts a sweep bundle to /v1/jobs before
+// and while an identical sweep runs. Both posts are refused with a 400
+// naming /v1/sweeps, so no plain job runs under the template's key — the
+// key the sweep holds — to answer for the grid or coalesce onto it, and
+// the sweep answers one result per point.
+func TestSweepBundleRefusedAsPlainJob(t *testing.T) {
+	fake := &fakeBackend{block: make(chan struct{}), ran: make(chan struct{}, 1)}
+	registerFake(t, "fake.sweep_as_plain", fake)
+	p := NewPool(Options{Workers: 1, QueueDepth: 4, MaxShards: 1})
+	defer p.Close()
+	var release sync.Once
+	unblock := func() { release.Do(func() { close(fake.block) }) }
+	defer unblock() // before Close, should a failed check leave a point held
+	h := NewHandler(p)
+	points := distinctPoints(3)
+	raw, err := laneSweepBundle(t, "fake.sweep_as_plain", 4, points).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(when string) {
+		t.Helper()
+		doc := doJSON(t, h, "POST", "/v1/jobs", raw, http.StatusBadRequest)
+		if msg, _ := doc["error"].(string); !strings.Contains(msg, "/v1/sweeps") {
+			t.Errorf("%s: refusal %q does not name /v1/sweeps", when, msg)
+		}
+	}
+	refused("before the sweep")
+	id, _ := doJSON(t, h, "POST", "/v1/sweeps", raw, http.StatusAccepted)["id"].(string)
+	<-fake.ran // the first point is executing, held
+	go func() {
+		for range fake.ran { // the other points' signals
+		}
+	}()
+	refused("while the sweep runs")
+	unblock()
+	st, err := p.Wait(id)
+	close(fake.ran)
+	if err != nil || st.State != StateDone || st.CacheHit || st.Coalesced {
+		t.Fatalf("sweep: %v %+v", err, st)
+	}
+	if res, err := p.SweepResult(id); err != nil || len(res) != len(points) {
+		t.Fatalf("sweep result: %v, %d results for %d points", err, len(res), len(points))
+	}
+	if n := fake.execs.Load(); n != int64(len(points)) {
+		t.Errorf("%d executions for %d points", n, len(points))
+	}
+	if s := p.Stats(); s.Submitted != 1 {
+		t.Errorf("%d jobs admitted, want the sweep alone", s.Submitted)
+	}
+}
+
+// TestRecoveryFailsSweepBundleQueuedAsPlainJob replays a journal in which
+// an older build queued a sweep bundle as a plain job: recovery fails the
+// job instead of running it under its template's key.
+func TestRecoveryFailsSweepBundleQueuedAsPlainJob(t *testing.T) {
+	fake := &fakeBackend{}
+	registerFake(t, "fake.sweep_as_plain_journal", fake)
+	dir := t.TempDir()
+	b := laneSweepBundle(t, "fake.sweep_as_plain_journal", 4, distinctPoints(2))
+	key, err := CacheKey(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := openStore(t, dir)
+	const id = "job-00000001"
+	if err := s1.Append(store.Event{T: store.EvSubmitted, Job: id, At: time.Now(), Key: key, Engine: fake.name, Bundle: raw}); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+
+	s2 := openStore(t, dir)
+	p := NewPool(Options{Workers: 1, QueueDepth: 4, Store: s2})
+	defer func() { p.Close(); s2.Close() }()
+	st, err := p.Status(id)
+	if err != nil || st.State != StateFailed || !strings.Contains(st.Error, "sweep block") {
+		t.Fatalf("recovered: %v %+v", err, st)
+	}
+	if n := fake.execs.Load(); n != 0 {
+		t.Errorf("%d executions", n)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/algolib"
+	"repro/internal/anneal"
+	"repro/internal/backend"
 	"repro/internal/bundle"
 	"repro/internal/ctxdesc"
 	"repro/internal/pulse"
@@ -71,8 +73,10 @@ func estimateFor(b *bundle.Bundle, engine string) Estimate {
 			return est
 		}
 		reg := b.QDTs[0]
-		reads := 1000
-		sweeps := 1000
+		// The engine's own defaults: Anneal.Execute runs DefaultShots reads
+		// when the context has no anneal block, the sampler DefaultSweeps.
+		reads := backend.DefaultShots
+		sweeps := anneal.DefaultSweeps
 		if b.Context != nil && b.Context.Anneal != nil {
 			if b.Context.Anneal.NumReads > 0 {
 				reads = b.Context.Anneal.NumReads
@@ -122,7 +126,7 @@ func estimateFor(b *bundle.Bundle, engine string) Estimate {
 			}
 			sched = nil
 		}
-		shots := 1024
+		shots := backend.DefaultShots
 		if b.Context != nil && b.Context.Exec != nil && b.Context.Exec.Samples > 0 {
 			shots = b.Context.Exec.Samples
 		}

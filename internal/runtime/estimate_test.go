@@ -3,6 +3,7 @@ package runtime
 import (
 	"testing"
 
+	"repro/internal/anneal"
 	"repro/internal/ctxdesc"
 )
 
@@ -65,6 +66,22 @@ func TestEstimateAllIsingBundle(t *testing.T) {
 	gate := findEstimate(t, ests, "gate.statevector")
 	if gate.Feasible {
 		t.Error("gate engine claims it can run an Ising problem")
+	}
+
+	// With no context at all the projection must use the reads and sweeps
+	// the engine actually runs.
+	bare := isingBundle(t, nil)
+	ests, err = EstimateAll(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Submit(bare, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := findEstimate(t, ests, "anneal.sa").DurationNS
+	if want := float64(res.Samples) * anneal.DefaultSweeps * 4 * perFlipNS; got != want {
+		t.Errorf("nil-context anneal duration = %v, want %v (%d reads run)", got, want, res.Samples)
 	}
 }
 
