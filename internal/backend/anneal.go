@@ -3,11 +3,8 @@ package backend
 import (
 	"fmt"
 
-	"repro/internal/algolib"
 	"repro/internal/anneal"
 	"repro/internal/bundle"
-	"repro/internal/ctxdesc"
-	"repro/internal/embed"
 	"repro/internal/qop"
 	"repro/internal/result"
 )
@@ -33,118 +30,42 @@ type EmbeddingInfo struct {
 	BrokenChains   int // total broken chains observed across reads
 }
 
-// Execute realizes the Ising problem, optionally minor-embeds it onto a
-// Chimera hardware graph per the anneal context, samples, unembeds, and
-// decodes. The shard grant caps the goroutines the reads fan out over; the
-// sampler has no stages or profiler, so the other options are ignored.
+// Execute samples the bundle's anneal realization (RealizeAnneal),
+// unembeds when it was embedded, and decodes. The shard grant caps the
+// goroutines the reads fan out over; the sampler has no stages or
+// profiler, so the other options are ignored.
 func (a *Anneal) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return nil, err
 	}
-	var problem *qop.Operator
-	for _, op := range b.Operators {
-		switch op.RepKind {
-		case qop.IsingProblem:
-			if problem != nil {
-				return nil, fmt.Errorf("backend: multiple ISING_PROBLEM descriptors")
-			}
-			problem = op
-		case qop.Measurement:
-			// Readout schema only; annealers measure implicitly at the
-			// end of the anneal.
-		default:
-			return nil, fmt.Errorf("backend: anneal engine cannot realize rep_kind %q", op.RepKind)
-		}
-	}
-	if problem == nil {
-		return nil, fmt.Errorf("backend: anneal bundle contains no ISING_PROBLEM")
-	}
-	reg, err := b.QDT(problem.DomainQDT)
+	r, err := RealizeAnneal(b)
 	if err != nil {
 		return nil, err
 	}
-	model, err := algolib.IsingModelFromOp(problem, reg.Width)
+	params := r.Params
+	params.Workers = o.Shards
+	sampled, err := anneal.SampleModel(r.Model, params)
 	if err != nil {
 		return nil, err
 	}
-
-	ctx := b.Context
-	if ctx == nil {
-		ctx = ctxdesc.New()
-	}
-	cfg := ctx.Anneal
-	if cfg == nil {
-		cfg = &ctxdesc.Anneal{NumReads: DefaultShots}
-	}
-	seed := uint64(0)
-	if ctx.Exec != nil {
-		seed = ctx.Exec.Seed
-	}
-	params := anneal.Params{
-		NumReads: cfg.NumReads,
-		Sweeps:   cfg.Sweeps,
-		BetaMin:  cfg.BetaMin,
-		BetaMax:  cfg.BetaMax,
-		Schedule: cfg.Schedule,
-		Seed:     seed,
-		Workers:  o.Shards,
-	}
-
 	meta := map[string]any{}
 	logicalCounts := map[uint64]int{}
-
-	if cfg.Embed {
-		cells := cfg.UnitCells
-		if cells == 0 {
-			cells = 2
-		}
-		hw, err := embed.Chimera(cells)
-		if err != nil {
-			return nil, err
-		}
-		if hw.N > 63 {
-			return nil, fmt.Errorf("backend: chimera C(%d) has %d qubits, beyond the 63-spin sampler limit", cells, hw.N)
-		}
-		emb, err := embed.Find(model, hw)
-		if err != nil {
-			return nil, err
-		}
-		strength := cfg.ChainStrength
-		phys, err := emb.EmbedModel(model, strength)
-		if err != nil {
-			return nil, err
-		}
-		if strength == 0 {
-			strength = 2*model.MaxAbsCoupling() + 1
-		}
-		sampled, err := anneal.SampleModel(phys, params)
-		if err != nil {
-			return nil, err
-		}
-		info := EmbeddingInfo{
-			Topology:       "chimera",
-			UnitCells:      cells,
-			PhysicalQubits: emb.PhysicalQubits(),
-			MaxChainLength: emb.MaxChainLength(),
-			ChainStrength:  strength,
-		}
-		for _, s := range sampled.Samples {
-			logical, broken := emb.Unembed(s.Mask)
-			logicalCounts[logical] += s.Occurrences
+	info := r.info
+	for _, s := range sampled.Samples {
+		logical := s.Mask
+		if r.embedding != nil {
+			var broken int
+			logical, broken = r.embedding.Unembed(s.Mask)
 			info.BrokenChains += broken * s.Occurrences
 		}
+		logicalCounts[logical] += s.Occurrences
+	}
+	if r.embedding != nil {
 		meta["embedding"] = info
-	} else {
-		sampled, err := anneal.SampleModel(model, params)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sampled.Samples {
-			logicalCounts[s.Mask] += s.Occurrences
-		}
 	}
 
-	schema := problem.Result
+	reg := r.Register
+	schema := r.Problem.Result
 	if m := b.Operators.FinalMeasurement(); m != nil && m.Result != nil {
 		schema = m.Result
 	}
@@ -161,10 +82,10 @@ func (a *Anneal) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error
 		return nil, err
 	}
 	for i := range entries {
-		entries[i].Energy = model.EnergyBits(entries[i].Index)
+		entries[i].Energy = r.Logical.EnergyBits(entries[i].Index)
 		entries[i].HasEnergy = true
 	}
-	res := &result.Result{Engine: a.engine, Samples: cfg.NumReads, Entries: entries, Meta: meta}
+	res := &result.Result{Engine: a.engine, Samples: r.Params.NumReads, Entries: entries, Meta: meta}
 	res.Sort()
 	return res, nil
 }

@@ -4,6 +4,16 @@
 // D-Wave Ocean neal substitute), and a pulse-model path. A registry maps
 // engine names — including the paper's own "gate.aer_simulator" and the
 // Ocean-style "anneal.neal" — to implementations.
+//
+// The step from bundle and context to what an engine runs exists once per
+// engine family, as a realization. RealizeCircuit (gate and pulse) holds
+// the lowered and transpiled circuit with its stats, distributed with its
+// comm plan for a gate engine, and the shots and seed; RealizeAnneal holds
+// the model the sampler sweeps, embedded when asked, and its reads, sweeps
+// and seed. Every Execute runs its realization, Gate.PrepareSweep starts
+// from the same register table and transpile options, and
+// runtime.EstimateAll prices realizations, so it cannot disagree with an
+// engine.
 package backend
 
 import (

@@ -2,18 +2,14 @@ package backend
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/algolib"
 	"repro/internal/bundle"
-	"repro/internal/comm"
 	"repro/internal/ctxdesc"
 	"repro/internal/qdt"
 	"repro/internal/qec"
 	"repro/internal/qop"
 	"repro/internal/result"
 	"repro/internal/sim"
-	"repro/internal/transpile"
 )
 
 // Gate is the gate-model statevector backend.
@@ -24,10 +20,10 @@ type Gate struct {
 // Name implements Backend.
 func (g *Gate) Name() string { return g.engine }
 
-// Execute lowers the descriptor sequence to a circuit, transpiles it
-// under the context's target, consults the comm and QEC context services,
-// simulates across o.Shards persistent shards, and decodes through the
-// final measurement's result schema. o.Stages hears "transpile" here and
+// Execute simulates the bundle's gate realization (RealizeCircuit) across
+// o.Shards persistent shards, with the QEC overhead and noise model its
+// context asks for, and decodes through the final measurement's result
+// schema. o.Stages hears "transpile" from the realization and
 // "compile"/"execute"/"sample" from the simulator (a noisy context's
 // trajectories sample as they go: "compile" and "execute"); o.Profile
 // lands the per-kernel table in Meta["profile"] (trajectories are many
@@ -37,57 +33,22 @@ func (g *Gate) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) 
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return nil, err
 	}
-	lowered, err := algolib.Lower(b.Operators, registers(b))
+	r, err := RealizeCircuit(b, false, o)
 	if err != nil {
 		return nil, err
 	}
-
-	ctx := b.Context
-	if ctx == nil {
-		ctx = ctxdesc.New()
+	meta := map[string]any{"transpile": r.Transpiled.Stats}
+	if r.Comm != nil {
+		meta["comm"] = *r.Comm
 	}
-	opts := transpile.FromContext(ctx)
-
-	// Distribution requires a CX-only two-qubit vocabulary; force the
-	// Listing-4 basis when a comm block is present and none was given.
-	if ctx.Comm != nil && len(opts.BasisGates) == 0 {
-		opts.BasisGates = []string{"sx", "rz", "cx"}
-	}
-
-	meta := map[string]any{}
-	circ := lowered.Circuit
-
-	transpileStart := time.Now()
-	tr, err := transpile.Transpile(circ, opts)
-	if err != nil {
-		return nil, err
-	}
-	o.stage("transpile", transpileStart)
-	circ = tr.Circuit
-	meta["transpile"] = tr.Stats
-
-	if ctx.Comm != nil {
-		dist, err := comm.Distribute(circ, ctx.Comm)
-		if err != nil {
-			return nil, err
-		}
-		if dist.Circuit.NumQubits > sim.MaxQubits {
-			return nil, fmt.Errorf("backend: distributed circuit needs %d qubits (> %d); use comm.Analyze for accounting-only runs", dist.Circuit.NumQubits, sim.MaxQubits)
-		}
-		circ = dist.Circuit
-		meta["comm"] = *dist.Plan
-	}
-
-	if ctx.QEC != nil {
-		overhead, err := qec.Estimate(ctx.QEC, lowered.Circuit.NumQubits)
+	if r.Context.QEC != nil {
+		overhead, err := qec.Estimate(r.Context.QEC, r.Logical.NumQubits)
 		if err != nil {
 			return nil, err
 		}
 		meta["qec"] = *overhead
 	}
-
-	shots, seed := shotsAndSeed(ctx)
-	noise, err := noiseFromOptions(ctx)
+	noise, err := noiseFromOptions(r.Context)
 	if err != nil {
 		return nil, err
 	}
@@ -95,20 +56,26 @@ func (g *Gate) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) 
 		meta["noise"] = noise
 	}
 	// One call for every gate job: a zero model falls through to sim.Run.
-	run, err := sim.RunNoisy(circ, noise, sim.Options{Shots: shots, Seed: seed, Shards: o.Shards, Stages: o.Stages, Profile: o.Profile})
+	run, err := sim.RunNoisy(r.Circuit, noise, sim.Options{Shots: r.Shots, Seed: r.Seed, Shards: o.Shards, Stages: o.Stages, Profile: o.Profile})
 	if err != nil {
 		return nil, err
 	}
+	m, reg, err := readout(b)
+	if err != nil {
+		return nil, err
+	}
+	return g.result(r.Shots, meta, run, m, reg)
+}
+
+// result is the tail every gate run shares: the run's profile joins meta,
+// and the counts decode through the final measurement m's schema into the
+// register reg, sorted. m is nil when the bundle measures nothing.
+func (g *Gate) result(shots int, meta map[string]any, run *sim.Result, m *qop.Operator, reg *qdt.DataType) (*result.Result, error) {
 	if run.Profile != nil {
 		meta["profile"] = run.Profile
 	}
-
 	res := &result.Result{Engine: g.engine, Samples: shots, Meta: meta}
-	if m := b.Operators.FinalMeasurement(); m != nil {
-		reg, err := measuredRegister(b, m)
-		if err != nil {
-			return nil, err
-		}
+	if m != nil {
 		entries, err := result.DecodeCounts(run.Counts, m.Result, reg)
 		if err != nil {
 			return nil, err
@@ -117,27 +84,6 @@ func (g *Gate) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) 
 		res.Sort()
 	}
 	return res, nil
-}
-
-// registers is the register table lowering takes.
-func registers(b *bundle.Bundle) algolib.Registers {
-	regs := algolib.Registers{}
-	for _, d := range b.QDTs {
-		regs[d.ID] = d
-	}
-	return regs
-}
-
-// shotsAndSeed resolves the sample count and seed a gate job runs with.
-func shotsAndSeed(ctx *ctxdesc.Context) (shots int, seed uint64) {
-	shots = DefaultShots
-	if ctx.Exec != nil {
-		if ctx.Exec.Samples > 0 {
-			shots = ctx.Exec.Samples
-		}
-		seed = ctx.Exec.Seed
-	}
-	return shots, seed
 }
 
 // noiseFromOptions reads the engine-specific noise block from
@@ -181,16 +127,23 @@ func noiseFromOptions(ctx *ctxdesc.Context) (sim.NoiseModel, error) {
 	return nm, nm.Validate()
 }
 
-func measuredRegister(b *bundle.Bundle, m *qop.Operator) (*qdt.DataType, error) {
+// readout returns the bundle's final measurement and the register its
+// clbits decode into, or nils when the bundle measures nothing.
+func readout(b *bundle.Bundle) (*qop.Operator, *qdt.DataType, error) {
+	m := b.Operators.FinalMeasurement()
+	if m == nil {
+		return nil, nil, nil
+	}
 	if m.Result == nil {
-		return nil, fmt.Errorf("backend: final MEASUREMENT carries no result schema")
+		return nil, nil, fmt.Errorf("backend: final MEASUREMENT carries no result schema")
 	}
 	if len(m.Result.ClbitOrder) == 0 {
-		return nil, fmt.Errorf("backend: empty clbit order")
+		return nil, nil, fmt.Errorf("backend: empty clbit order")
 	}
 	regID, _, err := qop.ParseBitRef(m.Result.ClbitOrder[0])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return b.QDT(regID)
+	reg, err := b.QDT(regID)
+	return m, reg, err
 }

@@ -1,13 +1,10 @@
 package backend
 
 import (
-	"repro/internal/algolib"
 	"repro/internal/bundle"
-	"repro/internal/ctxdesc"
 	"repro/internal/pulse"
 	"repro/internal/qop"
 	"repro/internal/result"
-	"repro/internal/transpile"
 )
 
 // Pulse is the pulse-model backend: it realizes the bundle as a timed
@@ -29,40 +26,23 @@ type PulseInfo struct {
 	PerQubitBusyNS  []float64
 }
 
-// Execute lowers, transpiles to the Listing-4 basis (pulse hardware
-// drives a calibrated native set), and schedules. Scheduling is serial
-// and untimed, so the options are ignored.
+// Execute schedules the bundle's pulse realization (RealizeCircuit: the
+// circuit transpiled to the Listing-4 basis). Scheduling is serial and
+// untimed, so the options are ignored.
 func (p *Pulse) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error) {
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return nil, err
 	}
-	regs := algolib.Registers{}
-	for _, d := range b.QDTs {
-		regs[d.ID] = d
-	}
-	lowered, err := algolib.Lower(b.Operators, regs)
+	r, err := RealizeCircuit(b, true, ExecOptions{})
 	if err != nil {
 		return nil, err
 	}
-	ctx := b.Context
-	if ctx == nil {
-		ctx = ctxdesc.New()
-	}
-	opts := transpile.FromContext(ctx)
-	if len(opts.BasisGates) == 0 {
-		opts.BasisGates = []string{"sx", "rz", "cx"}
-	}
-	tr, err := transpile.Transpile(lowered.Circuit, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := pulse.FromContext(ctx.Pulse)
-	sched, err := pulse.Lower(tr.Circuit, cfg)
+	sched, err := pulse.Lower(r.Circuit, pulse.FromContext(r.Context.Pulse))
 	if err != nil {
 		return nil, err
 	}
 	meta := map[string]any{
-		"transpile": tr.Stats,
+		"transpile": r.Transpiled.Stats,
 		"pulse": PulseInfo{
 			TotalDurationNS: sched.TotalDurationNS,
 			OpCount:         len(sched.Ops),

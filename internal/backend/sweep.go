@@ -83,13 +83,13 @@ func (g *Gate) PrepareSweep(b *bundle.Bundle, o ExecOptions) (PreparedSweep, err
 	if ctx.Comm != nil || ctx.QEC != nil || !noise.Zero() {
 		return s, nil
 	}
-	lowered, err := algolib.LowerParametric(b.Operators, registers(b), ctx.Sweep.Params)
+	_, regs, opts := circuitSetup(b, false)
+	lowered, err := algolib.LowerParametric(b.Operators, regs, ctx.Sweep.Params)
 	if err != nil || !lowered.Circuit.HasRefs() {
 		// Not symbolic (or nothing symbolic in it): the concrete bundles
 		// still lower point by point.
 		return s, nil
 	}
-	opts := transpile.FromContext(ctx)
 	transpileStart := time.Now()
 	tr, ok, err := transpile.TranspileParametric(lowered.Circuit, opts)
 	if err != nil {
@@ -105,10 +105,8 @@ func (g *Gate) PrepareSweep(b *bundle.Bundle, o ExecOptions) (PreparedSweep, err
 		return s, nil
 	}
 	o.stage("compile", compileStart)
-	if s.m = b.Operators.FinalMeasurement(); s.m != nil {
-		if s.reg, err = measuredRegister(b, s.m); err != nil {
-			return nil, err
-		}
+	if s.m, s.reg, err = readout(b); err != nil {
+		return nil, err
 	}
 	s.pp, s.tr, s.optLevel = pp, tr, opts.OptimizationLevel
 	s.shots, s.seed = shotsAndSeed(ctx)
@@ -134,17 +132,7 @@ func (s *gateSweep) Point(i int, concrete *bundle.Bundle) (*result.Result, error
 	if err != nil {
 		return nil, err
 	}
-	res := &result.Result{Engine: s.g.engine, Samples: s.shots, Meta: map[string]any{"transpile": s.tr.Stats}}
-	if run.Profile != nil {
-		res.Meta["profile"] = run.Profile
-	}
-	if s.m != nil {
-		if res.Entries, err = result.DecodeCounts(run.Counts, s.m.Result, s.reg); err != nil {
-			return nil, err
-		}
-		res.Sort()
-	}
-	return res, nil
+	return s.g.result(s.shots, map[string]any{"transpile": s.tr.Stats}, run, s.m, s.reg)
 }
 
 // run executes one bound plan on a parked Runner, or a new one when every

@@ -194,6 +194,10 @@ func parseGateStmt(c *Circuit, stmt, qregName string) error {
 			if err != nil {
 				return err
 			}
+			// Finite operands can still overflow, e.g. 1e308*10.
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return fmt.Errorf("parameter %q is not finite (%v)", strings.TrimSpace(expr), v)
+			}
 			params = append(params, v)
 		}
 		rest = rest[close+1:]

@@ -84,6 +84,7 @@ func TestFromQASMErrors(t *testing.T) {
 		{"double qreg", "OPENQASM 2.0;\nqreg q[1];\nqreg r[1];"},
 		{"bad expr", "OPENQASM 2.0;\nqreg q[1];\nrz(pi/) q[0];"},
 		{"div zero", "OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0];"},
+		{"not a number", "OPENQASM 2.0;\nqreg q[1];\nrz(1e308*10-1e308*10) q[0];"},
 		{"bad measure", "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nmeasure q[0];"},
 	}
 	for _, tc := range cases {

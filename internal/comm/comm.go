@@ -47,6 +47,11 @@ func FromContext(cfg *ctxdesc.Comm, numQubits int) (*Partition, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("comm: nil comm context")
 	}
+	// Checked before any per-QPU table is allocated: such a QPU holds no
+	// qubit, and qpus is an unbounded request field.
+	if cfg.QPUs > numQubits {
+		return nil, fmt.Errorf("comm: qpus %d exceeds the circuit's %d qubits", cfg.QPUs, numQubits)
+	}
 	if len(cfg.Partition) > 0 {
 		if len(cfg.Partition) != numQubits {
 			return nil, fmt.Errorf("comm: explicit partition covers %d qubits, circuit has %d", len(cfg.Partition), numQubits)

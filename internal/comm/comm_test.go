@@ -3,6 +3,7 @@ package comm
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -56,6 +57,16 @@ func TestFromContextExplicit(t *testing.T) {
 	bad := &ctxdesc.Comm{QPUs: 2, QubitsPerQPU: 4, Partition: []int{0, 5, 0, 0}}
 	if _, err := FromContext(bad, 4); err == nil {
 		t.Error("nonexistent QPU accepted")
+	}
+	// More QPUs than qubits, in both forms: refused before any per-QPU
+	// table is sized by the request.
+	for _, huge := range []*ctxdesc.Comm{
+		{QPUs: 1e15, QubitsPerQPU: 1},
+		{QPUs: 1e15, QubitsPerQPU: 4, Partition: []int{0, 1, 0, 1}},
+	} {
+		if _, err := FromContext(huge, 4); err == nil || !strings.Contains(err.Error(), "qpus") {
+			t.Errorf("qpus %d for 4 qubits: err %v", huge.QPUs, err)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/jobs/store"
 	"repro/internal/obs"
+	rt "repro/internal/runtime"
 )
 
 // Options configure a Dispatcher. Workers is required; everything else
@@ -401,7 +402,7 @@ func (d *Dispatcher) accept(b *bundle.Bundle, o jobs.SubmitOptions, points int) 
 	if err != nil {
 		return jobs.Status{}, fmt.Errorf("fleet: marshal bundle: %w", err)
 	}
-	engine := jobs.ResolveEngine(b)
+	engine, _ := rt.ResolveEngine(b) // as a Pool records it: none when unresolved
 	now := time.Now()
 
 	d.mu.Lock()

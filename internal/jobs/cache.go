@@ -38,9 +38,12 @@ func CacheKey(b *bundle.Bundle) (string, error) {
 	return "sha256:" + hex.EncodeToString(sum[:]), nil
 }
 
-// resolveShotsSeed extracts the effective sample count and seed the
-// backends will use: exec.samples (or anneal.num_reads on the anneal
-// path), defaulting to backend.DefaultShots, and exec.seed.
+// resolveShotsSeed extracts the shot count and seed the key hashes:
+// anneal.num_reads when an anneal block is present, else exec.samples,
+// defaulting to backend.DefaultShots, and exec.seed. This is a key input,
+// not the engine's rule: an anneal job with no anneal block runs
+// backend.DefaultShots reads whatever exec.samples says. The key stays a
+// function of what runs because it hashes the whole context too.
 func resolveShotsSeed(b *bundle.Bundle) (int, uint64) {
 	shots := backend.DefaultShots
 	seed := uint64(0)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/ising"
 	"repro/internal/qdt"
 	"repro/internal/qop"
+	rt "repro/internal/runtime"
 )
 
 // quickstartBundle reproduces examples/quickstart as a job.json document:
@@ -245,6 +246,79 @@ func TestHTTPOverflowingIsingProblemFails(t *testing.T) {
 	if st, err := pool.Wait(id); err != nil || st.State != StateDone {
 		t.Fatalf("normal anneal job: %v / %+v", err, st)
 	}
+}
+
+// failsOverHTTP submits bad to a one-worker pool over HTTP and returns the
+// error it failed with, then checks that the same pool still runs good to
+// done: one request must never take the worker, or the process, down.
+func failsOverHTTP(t *testing.T, bad, good *bundle.Bundle) string {
+	t.Helper()
+	pool := NewPool(Options{Workers: 1, QueueDepth: 4, CacheSize: -1})
+	defer pool.Close()
+	h := NewHandler(pool)
+	var msg string
+	for i, b := range []*bundle.Bundle{bad, good} {
+		raw, err := b.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := doJSON(t, h, "POST", "/v1/jobs", raw, http.StatusAccepted)
+		id, _ := sub["id"].(string)
+		st, err := pool.Wait(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []State{StateFailed, StateDone}[i]; st.State != want {
+			t.Fatalf("job %d ended %s (%s), want %s", i, st.State, st.Error, want)
+		}
+		if i == 0 {
+			msg = st.Error
+		}
+	}
+	return msg
+}
+
+// infeasibleBecause checks that EstimateAll refuses b on engine with the
+// reason the engine failed the job with.
+func infeasibleBecause(t *testing.T, b *bundle.Bundle, engine, jobErr string) {
+	t.Helper()
+	ests, err := rt.EstimateAll(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, est := range ests {
+		if est.Engine == engine && (est.Feasible || est.Reason == "" || !strings.Contains(jobErr, est.Reason)) {
+			t.Errorf("estimate %+v, job failed with %q", est, jobErr)
+		}
+	}
+}
+
+// TestHTTPHugeChimeraFailsItsJob: anneal.unit_cells sizes the Chimera
+// graph an embedded anneal is placed on, 8·m² qubits. Past the sampler's
+// 63 spins the job fails naming the field before the graph is built,
+// instead of a worker panicking in makeslice.
+func TestHTTPHugeChimeraFailsItsJob(t *testing.T) {
+	b := annealBundle(t, "anneal.sa", 8, 1)
+	b.Context.Anneal.Embed = true
+	b.Context.Anneal.UnitCells = 10_000_000
+	msg := failsOverHTTP(t, b, annealBundle(t, "anneal.sa", 8, 1))
+	if !strings.Contains(msg, "anneal.unit_cells") || !strings.Contains(msg, "63-spin") {
+		t.Errorf("error %q does not name anneal.unit_cells and the 63-spin limit", msg)
+	}
+	infeasibleBecause(t, b, "anneal.sa", msg)
+}
+
+// TestHTTPHugeQPUCountFailsItsJob: comm.qpus sizes the distributor's
+// per-QPU tables. A QPU count past the circuit's qubits fails the job
+// naming the field, instead of a worker panicking in makeslice.
+func TestHTTPHugeQPUCountFailsItsJob(t *testing.T) {
+	b := gateBundle(t, "gate.statevector", 64, 1)
+	b.Context.Comm = &ctxdesc.Comm{QPUs: 1e15, QubitsPerQPU: 1, AllowTeleport: true}
+	msg := failsOverHTTP(t, b, gateBundle(t, "gate.statevector", 64, 1))
+	if !strings.Contains(msg, "qpus") {
+		t.Errorf("error %q does not name qpus", msg)
+	}
+	infeasibleBecause(t, b, "gate.statevector", msg)
 }
 
 // TestAnnealResultDocIsDeterministic submits one ISING_PROBLEM with random

@@ -829,8 +829,11 @@ func (p *Pool) prepare(b *bundle.Bundle, o SubmitOptions, points int) (*job, Det
 			return nil, Detail{}, fmt.Errorf("jobs: marshal bundle: %w", err)
 		}
 	}
+	// An engine that does not resolve is recorded as none; the job fails
+	// with the scheduler's error when it runs.
+	engine, _ := rt.ResolveEngine(b)
 	return &job{
-		Record: Record{Trace: obs.EnsureTraceID(o.TraceID), Key: profiledKey(key, o.Profile), Engine: ResolveEngine(b), Profile: o.Profile, Points: points},
+		Record: Record{Trace: obs.EnsureTraceID(o.TraceID), Key: profiledKey(key, o.Profile), Engine: engine, Profile: o.Profile, Points: points},
 		bundle: b,
 		pin:    o.Shards,
 	}, d, nil
@@ -1336,19 +1339,4 @@ func (p *Pool) Close() {
 		//lint:ignore journalerr final courtesy flush on shutdown; every event already met its policy's durability barrier when appended
 		_ = p.opts.Store.Sync()
 	}
-}
-
-// ResolveEngine mirrors runtime.Submit's engine selection for status
-// reporting without executing anything: the context's explicit engine,
-// else the scheduler's choice, else empty (such a job will fail with the
-// scheduler's error when it runs). The fleet dispatcher uses it to
-// journal and report an engine for jobs it forwards rather than runs.
-func ResolveEngine(b *bundle.Bundle) string {
-	if b.Context != nil && b.Context.Exec != nil && b.Context.Exec.Engine != "" {
-		return b.Context.Exec.Engine
-	}
-	if engine, err := rt.SelectEngine(b); err == nil {
-		return engine
-	}
-	return ""
 }

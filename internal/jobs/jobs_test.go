@@ -544,6 +544,38 @@ func TestCacheKey(t *testing.T) {
 	if !strings.HasPrefix(k1, "sha256:") {
 		t.Fatalf("key %q lacks the sha256: prefix", k1)
 	}
+
+	// The bytes themselves: a disk cache, the fleet's re-forward and a
+	// restarted pool all find results by these strings, so a refactor of
+	// how engines resolve their defaults must not move them.
+	key := func(b *bundle.Bundle) string {
+		t.Helper()
+		k, err := CacheKey(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	// An anneal job with no anneal block: the key hashes exec.samples as
+	// its shot count, while the engine runs backend.DefaultShots reads
+	// (the whole context is hashed too, so the key stays a function of
+	// what runs).
+	samplesOnly := annealBundle(t, "anneal.sa", 50, 7)
+	samplesOnly.Context.Anneal = nil
+	samplesOnly.Context.Exec.Samples = 500
+	for _, tc := range []struct {
+		name, got, want string
+	}{
+		{"gate", key(gateBundle(t, "gate.statevector", 256, 3)), "sha256:3054c571aed08ad79a0d4ff0230b4200466476543f8a2cfea34250de938492e7"},
+		{"anneal", key(annealBundle(t, "anneal.sa", 50, 7)), "sha256:e056aab2df2bd1665a023b61df6be633ccd12eae1907d59c857d429c39232b6c"},
+		{"anneal without anneal block", key(samplesOnly), "sha256:0ee80885cd2e7b675ad74508e17af44d98a30296d716ba2d3da0461cdc4926b8"},
+		{"sweep template", key(laneSweepBundle(t, "gate.statevector", 4, [][]float64{{0.1, 0.2}, {0.3, 0.4}})), "sha256:1a2b88deefc3c68a6fdf5e13f8ac0620c2071e8670b7ab321e17987b72e5ddbf"},
+		{"profiled gate", profiledKey(key(gateBundle(t, "gate.statevector", 256, 3)), true), "sha256:eea222543ab9e33eaa9d2bd158a09abafeaf910b90beb49b306a3085e78e0953"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.name, tc.got, tc.want)
+		}
+	}
 }
 
 // TestInFlightDuplicatesCoalesce submits two duplicates of a job that is

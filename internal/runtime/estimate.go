@@ -1,33 +1,31 @@
 package runtime
 
 import (
-	"fmt"
 	"sort"
 
-	"repro/internal/algolib"
-	"repro/internal/anneal"
 	"repro/internal/backend"
 	"repro/internal/bundle"
-	"repro/internal/ctxdesc"
 	"repro/internal/pulse"
 	"repro/internal/qop"
-	"repro/internal/transpile"
 )
 
 // Estimate is a per-engine pre-execution cost projection — the scheduler
 // capability the paper's §2 motivates: "without this information, a
 // scheduler cannot choose an appropriate backend and topology, or
-// estimate queue and runtime."
+// estimate queue and runtime." It prices what the engine would run, the
+// realization its Execute runs: the circuit transpiled and, under a comm
+// block, distributed; the model the sampler sweeps, embedded when asked.
 type Estimate struct {
 	Engine string
 	// Feasible reports whether the engine can realize the bundle at all.
 	Feasible bool
-	Reason   string // why not, when infeasible
+	Reason   string // the engine's error, when infeasible
 	// DurationNS projects wall time per shot/read batch: for gate/pulse
-	// engines the pulse-model schedule length times the sample count;
-	// for anneal engines sweeps × spins × a per-flip constant.
+	// engines the transpiled circuit's pulse-model schedule times the
+	// sample count; for anneal engines reads × sweeps × spins × a constant.
 	DurationNS float64
-	// Resources summarizes the dominant resource counts.
+	// Resources: the transpiled circuit's two-qubit gates and depth, and
+	// the qubits simulated (data + 2·EPR pairs under comm) or spins swept.
 	TwoQubitGates int
 	Depth         int
 	PhysicalUnits int // qubits or spins
@@ -47,98 +45,45 @@ func EstimateAll(b *bundle.Bundle) ([]Estimate, error) {
 	engines := []string{"gate.statevector", "anneal.sa", "pulse.model"}
 	out := make([]Estimate, 0, len(engines))
 	for _, engine := range engines {
-		out = append(out, estimateFor(b, engine))
+		est, err := estimateFor(b, engine)
+		if err != nil {
+			est = Estimate{Engine: engine, Reason: err.Error()}
+		}
+		out = append(out, est)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Engine < out[j].Engine })
 	return out, nil
 }
 
-func estimateFor(b *bundle.Bundle, engine string) Estimate {
-	est := Estimate{Engine: engine}
-	isIsingOnly := true
-	hasIsing := false
-	for _, op := range b.Operators {
-		switch op.RepKind {
-		case qop.IsingProblem:
-			hasIsing = true
-		case qop.Measurement:
-		default:
-			isIsingOnly = false
+// estimateFor prices the engine family's realization of b, or returns why
+// the engine cannot run it.
+func estimateFor(b *bundle.Bundle, engine string) (Estimate, error) {
+	est := Estimate{Engine: engine, Feasible: true}
+	if engine == "anneal.sa" {
+		r, err := backend.RealizeAnneal(b)
+		if err != nil {
+			return est, err
 		}
+		est.PhysicalUnits = r.Model.N
+		est.DurationNS = float64(r.Params.NumReads) * float64(r.Params.Sweeps) * float64(r.Model.N) * perFlipNS
+		return est, nil
 	}
-	switch engine {
-	case "anneal.sa":
-		if !hasIsing || !isIsingOnly {
-			est.Reason = "anneal engines realize only ISING_PROBLEM bundles"
-			return est
-		}
-		reg := b.QDTs[0]
-		// The engine's own defaults: Anneal.Execute runs DefaultShots reads
-		// when the context has no anneal block, the sampler DefaultSweeps.
-		reads := backend.DefaultShots
-		sweeps := anneal.DefaultSweeps
-		if b.Context != nil && b.Context.Anneal != nil {
-			if b.Context.Anneal.NumReads > 0 {
-				reads = b.Context.Anneal.NumReads
-			}
-			if b.Context.Anneal.Sweeps > 0 {
-				sweeps = b.Context.Anneal.Sweeps
-			}
-		}
-		est.Feasible = true
-		est.PhysicalUnits = reg.Width
-		est.DurationNS = float64(reads) * float64(sweeps) * float64(reg.Width) * perFlipNS
-		return est
-	case "gate.statevector", "pulse.model":
-		if hasIsing {
-			est.Reason = "ISING_PROBLEM has no gate realization"
-			return est
-		}
-		regs := algolib.Registers{}
-		for _, d := range b.QDTs {
-			regs[d.ID] = d
-		}
-		lowered, err := algolib.Lower(b.Operators, regs)
-		if err != nil {
-			est.Reason = fmt.Sprintf("lowering failed: %v", err)
-			return est
-		}
-		opts := transpile.FromContext(b.Context)
-		if engine == "pulse.model" && len(opts.BasisGates) == 0 {
-			opts.BasisGates = []string{"sx", "rz", "cx"}
-		}
-		tr, err := transpile.Transpile(lowered.Circuit, opts)
-		if err != nil {
-			est.Reason = fmt.Sprintf("transpilation failed: %v", err)
-			return est
-		}
-		var pulseCtx *ctxdesc.Pulse
-		if b.Context != nil {
-			pulseCtx = b.Context.Pulse
-		}
-		sched, err := pulse.Lower(tr.Circuit, pulse.FromContext(pulseCtx))
-		if err != nil {
-			// Circuits with native ops (permute/init/diagonal) have no
-			// pulse schedule; the gate simulator still takes them.
-			if engine == "pulse.model" {
-				est.Reason = fmt.Sprintf("no pulse realization: %v", err)
-				return est
-			}
-			sched = nil
-		}
-		shots := backend.DefaultShots
-		if b.Context != nil && b.Context.Exec != nil && b.Context.Exec.Samples > 0 {
-			shots = b.Context.Exec.Samples
-		}
-		est.Feasible = true
-		est.TwoQubitGates = tr.Stats.TwoQAfter
-		est.Depth = tr.Stats.DepthAfter
-		est.PhysicalUnits = tr.Circuit.NumQubits
-		if sched != nil {
-			est.DurationNS = sched.TotalDurationNS * float64(shots)
-		}
-		return est
+	isPulse := engine == "pulse.model"
+	r, err := backend.RealizeCircuit(b, isPulse, backend.ExecOptions{})
+	if err != nil {
+		return est, err
 	}
-	est.Reason = "unknown engine family"
-	return est
+	est.TwoQubitGates = r.Transpiled.Stats.TwoQAfter
+	est.Depth = r.Transpiled.Stats.DepthAfter
+	est.PhysicalUnits = r.Circuit.NumQubits
+	sched, err := pulse.Lower(r.Transpiled.Circuit, pulse.FromContext(r.Context.Pulse))
+	switch {
+	case err == nil:
+		est.DurationNS = sched.TotalDurationNS * float64(r.Shots)
+	case isPulse:
+		return est, err
+	}
+	// Otherwise the circuit holds native ops (permute/init/diagonal),
+	// which have no pulse schedule; the gate simulator still takes them.
+	return est, nil
 }

@@ -60,16 +60,21 @@ func prepare(b *bundle.Bundle) (engine string, be backend.Backend, err error) {
 	if err := b.ValidateAgainstSchemas(); err != nil {
 		return "", nil, err
 	}
-	if b.Context != nil && b.Context.Exec != nil {
-		engine = b.Context.Exec.Engine
-	}
-	if engine == "" {
-		if engine, err = SelectEngine(b); err != nil {
-			return "", nil, err
-		}
+	if engine, err = ResolveEngine(b); err != nil {
+		return "", nil, err
 	}
 	be, err = backend.Get(engine)
 	return engine, be, err
+}
+
+// ResolveEngine names the engine that runs b: the context's explicit
+// exec.engine, else SelectEngine's choice. The serving tiers record it on
+// a job without running anything.
+func ResolveEngine(b *bundle.Bundle) (string, error) {
+	if b.Context != nil && b.Context.Exec != nil && b.Context.Exec.Engine != "" {
+		return b.Context.Exec.Engine, nil
+	}
+	return SelectEngine(b)
 }
 
 // Submit validates and executes a bundle.
