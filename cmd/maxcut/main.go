@@ -10,6 +10,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -148,12 +149,12 @@ func emitArtifacts(dir string, reg *qdt.DataType, seq qop.Sequence, ctx *ctxdesc
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	writeJSON := func(name string, v interface{ MarshalJSON() ([]byte, error) }) error {
-		raw, err := v.MarshalJSON()
+	writeJSON := func(name string, v any) error {
+		raw, err := json.MarshalIndent(v, "", "  ")
 		if err != nil {
 			return err
 		}
-		return os.WriteFile(filepath.Join(dir, name), indent(raw), 0o644)
+		return os.WriteFile(filepath.Join(dir, name), append(raw, '\n'), 0o644)
 	}
 	if err := writeJSON("QDT.json", reg); err != nil {
 		return err
@@ -175,54 +176,4 @@ func emitArtifacts(dir string, reg *qdt.DataType, seq qop.Sequence, ctx *ctxdesc
 	}
 	fmt.Printf("wrote descriptor artifacts to %s\n", dir)
 	return nil
-}
-
-func indent(raw []byte) []byte {
-	// MarshalJSON output is compact; re-indent for readability.
-	var out []byte
-	depth := 0
-	inString := false
-	for i := 0; i < len(raw); i++ {
-		ch := raw[i]
-		if inString {
-			out = append(out, ch)
-			if ch == '\\' && i+1 < len(raw) {
-				out = append(out, raw[i+1])
-				i++
-			} else if ch == '"' {
-				inString = false
-			}
-			continue
-		}
-		switch ch {
-		case '"':
-			inString = true
-			out = append(out, ch)
-		case '{', '[':
-			out = append(out, ch)
-			depth++
-			out = appendNewline(out, depth)
-		case '}', ']':
-			depth--
-			out = appendNewline(out, depth)
-			out = append(out, ch)
-		case ',':
-			out = append(out, ch)
-			out = appendNewline(out, depth)
-		case ':':
-			out = append(out, ch, ' ')
-		default:
-			out = append(out, ch)
-		}
-	}
-	out = append(out, '\n')
-	return out
-}
-
-func appendNewline(out []byte, depth int) []byte {
-	out = append(out, '\n')
-	for i := 0; i < depth; i++ {
-		out = append(out, ' ', ' ')
-	}
-	return out
 }

@@ -23,8 +23,9 @@
 //	qmlrun -qasm bell.qasm
 //	qmlrun -qasm -shots 4096 -seed 7 grover.qasm
 //
-// The reverse direction still exists: -emit-qasm lowers and transpiles
-// a bundle's gate path and prints it as OpenQASM 2.0.
+// The reverse direction still exists: -emit-qasm prints the circuit the
+// gate engine runs for a bundle (lowered, transpiled and, under a comm
+// block, distributed) as OpenQASM 2.0.
 package main
 
 import (
@@ -33,6 +34,7 @@ import (
 	"os"
 
 	"repro/internal/algolib"
+	"repro/internal/backend"
 	"repro/internal/bundle"
 	"repro/internal/circuit"
 	"repro/internal/ctxdesc"
@@ -42,7 +44,6 @@ import (
 	"repro/internal/result"
 	"repro/internal/runtime"
 	"repro/internal/sim"
-	"repro/internal/transpile"
 )
 
 func main() {
@@ -50,7 +51,7 @@ func main() {
 	top := flag.Int("top", 10, "show at most this many outcomes")
 	estimate := flag.Bool("estimate", false, "print per-engine cost estimates instead of executing")
 	qasm := flag.Bool("qasm", false, "treat the input as an OpenQASM 2.0 circuit and run it on the gate path")
-	emitQASM := flag.Bool("emit-qasm", false, "print the transpiled circuit as OpenQASM 2.0 instead of executing")
+	emitQASM := flag.Bool("emit-qasm", false, "print the circuit the gate engine runs as OpenQASM 2.0 instead of executing")
 	shots := flag.Int("shots", 1024, "samples for -qasm runs (job.json bundles carry their own)")
 	seed := flag.Uint64("seed", 1, "sampling seed for -qasm runs")
 	parallel := flag.Int("parallel", 0, "batch mode: execute all job files on a pool of this many workers")
@@ -112,31 +113,29 @@ func runEstimate(path string) error {
 	return nil
 }
 
-// runQASM lowers and transpiles the bundle's gate path and prints it as
+// runQASM prints the circuit the gate engine runs for the bundle as
 // OpenQASM 2.0.
 func runQASM(path string) error {
 	b, err := bundle.Load(path, qop.ValidateOptions{})
 	if err != nil {
 		return err
 	}
-	regs := algolib.Registers{}
-	for _, d := range b.QDTs {
-		regs[d.ID] = d
-	}
-	lowered, err := algolib.Lower(b.Operators, regs)
-	if err != nil {
-		return err
-	}
-	tr, err := transpile.Transpile(lowered.Circuit, transpile.FromContext(b.Context))
-	if err != nil {
-		return err
-	}
-	text, err := tr.Circuit.ToQASM()
+	text, err := emitQASM(b)
 	if err != nil {
 		return err
 	}
 	fmt.Print(text)
 	return nil
+}
+
+// emitQASM renders the gate engine's realization of b: lowered,
+// transpiled and, under a comm block, distributed over EPR ancillas.
+func emitQASM(b *bundle.Bundle) (string, error) {
+	r, err := backend.RealizeCircuit(b, false, backend.ExecOptions{})
+	if err != nil {
+		return "", err
+	}
+	return r.Circuit.ToQASM()
 }
 
 // runFromQASM parses an OpenQASM 2.0 file and executes it through the

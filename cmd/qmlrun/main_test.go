@@ -4,6 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/algolib"
+	"repro/internal/backend"
+	"repro/internal/bundle"
+	"repro/internal/circuit"
+	"repro/internal/ctxdesc"
+	"repro/internal/qdt"
+	"repro/internal/qop"
 	"repro/internal/runtime"
 )
 
@@ -54,6 +61,42 @@ func TestQASMBundleBell(t *testing.T) {
 	}
 	if fmt.Sprint(res2.Entries) != fmt.Sprint(res.Entries) {
 		t.Fatalf("same QASM+seed produced different counts:\n %v\n %v", res.Entries, res2.Entries)
+	}
+}
+
+// TestEmitQASMIsTheGateRealization: under a comm block, -emit-qasm prints
+// the distributed circuit the gate engine simulates (data qubits plus EPR
+// ancillas, in the {sx, rz, cx} basis), not the logical one.
+func TestEmitQASMIsTheGateRealization(t *testing.T) {
+	reg := qdt.NewPhaseRegister("reg_phase", "phase", 3)
+	qft, err := algolib.NewQFT(reg, 0, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := ctxdesc.NewGate("gate.statevector", 64, 1)
+	ctx.Comm = &ctxdesc.Comm{QPUs: 2, QubitsPerQPU: 2, AllowTeleport: true}
+	b, err := bundle.New([]*qdt.DataType{reg}, qop.Sequence{qft, algolib.NewMeasurement(reg)}, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := emitQASM(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := circuit.FromQASM(text)
+	if err != nil {
+		t.Fatalf("emitted QASM does not parse: %v\n%s", err, text)
+	}
+	r, err := backend.RealizeCircuit(b, false, backend.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Comm == nil || r.Circuit.NumQubits <= reg.Width {
+		t.Fatalf("realization is not distributed: %d qubits for a width-%d register", r.Circuit.NumQubits, reg.Width)
+	}
+	if back.NumQubits != r.Circuit.NumQubits || len(back.Instrs) != len(r.Circuit.Instrs) {
+		t.Errorf("emitted %d qubits, %d instructions; the engine runs %d qubits, %d instructions",
+			back.NumQubits, len(back.Instrs), r.Circuit.NumQubits, len(r.Circuit.Instrs))
 	}
 }
 

@@ -7,7 +7,10 @@
 // — while execution policy travels separately in a context descriptor
 // (internal/ctxdesc). The same intent bundle (internal/bundle) then runs
 // on a gate-model statevector engine, a simulated annealer, or a pulse
-// model (internal/backend) without modification.
+// model (internal/backend) without modification. Each descriptor's typed
+// Validate enforces every rule of its JSON Schema (internal/schemas), so
+// a malformed bundle is refused before any engine sees it; the schemas
+// themselves check artifacts other tools write (cmd/qmlvalidate).
 //
 // The statevector engine (internal/sim) is a compile-then-execute kernel
 // machine: circuits compile into fused kernel plans (single-qubit runs

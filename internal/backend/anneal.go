@@ -35,9 +35,6 @@ type EmbeddingInfo struct {
 // goroutines the reads fan out over; the sampler has no stages or
 // profiler, so the other options are ignored.
 func (a *Anneal) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
-	if err := b.Validate(qop.ValidateOptions{}); err != nil {
-		return nil, err
-	}
 	r, err := RealizeAnneal(b)
 	if err != nil {
 		return nil, err

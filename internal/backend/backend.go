@@ -26,7 +26,8 @@ import (
 	"repro/internal/result"
 )
 
-// Backend executes a validated job bundle.
+// Backend executes a validated job bundle: the runtime runs Bundle.Validate
+// before it calls Execute, so an engine does not validate again.
 type Backend interface {
 	// Name is the canonical engine name.
 	Name() string

@@ -30,9 +30,6 @@ func (g *Gate) Name() string { return g.engine }
 // executions of one plan, not one kernel table, so noisy contexts return
 // none).
 func (g *Gate) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
-	if err := b.Validate(qop.ValidateOptions{}); err != nil {
-		return nil, err
-	}
 	r, err := RealizeCircuit(b, false, o)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package backend
 import (
 	"repro/internal/bundle"
 	"repro/internal/pulse"
-	"repro/internal/qop"
 	"repro/internal/result"
 )
 
@@ -30,9 +29,6 @@ type PulseInfo struct {
 // circuit transpiled to the Listing-4 basis). Scheduling is serial and
 // untimed, so the options are ignored.
 func (p *Pulse) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error) {
-	if err := b.Validate(qop.ValidateOptions{}); err != nil {
-		return nil, err
-	}
 	r, err := RealizeCircuit(b, true, ExecOptions{})
 	if err != nil {
 		return nil, err

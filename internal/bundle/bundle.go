@@ -77,8 +77,8 @@ func (b *Bundle) QDT(id string) (*qdt.DataType, error) {
 }
 
 // Validate performs the full early-validation pass: every descriptor's
-// semantic checks, unique register ids, sequence-level composition rules,
-// and the context block.
+// checks (which include every rule of its JSON Schema), unique register
+// ids, sequence-level composition rules, and the context block.
 func (b *Bundle) Validate(opts qop.ValidateOptions) error {
 	var probs []string
 	if b.Schema != SchemaName {
@@ -118,10 +118,12 @@ func (b *Bundle) Validate(opts qop.ValidateOptions) error {
 	return nil
 }
 
-// ValidateAgainstSchemas additionally runs the raw JSON of every artifact
-// through its embedded JSON Schema. This is the path artifacts from other
-// tools take. The bundle is marshaled and decoded once; each QDT, operator
-// and the context is validated as its subtree of that one document.
+// ValidateAgainstSchemas runs the JSON of every artifact through its
+// embedded JSON Schema: the conformance check for artifacts other tools
+// write. It is not on the execution path. Validate enforces every schema
+// rule, so a bundle FromJSON accepts always passes it. The bundle is
+// marshaled and decoded once; each QDT, operator and the context is
+// validated as its subtree of that one document.
 func (b *Bundle) ValidateAgainstSchemas() error {
 	raw, err := json.Marshal(b)
 	if err != nil {

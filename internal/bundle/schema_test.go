@@ -1,18 +1,19 @@
 package bundle
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ctxdesc"
+	"repro/internal/qdt"
 	"repro/internal/qop"
 )
 
 // TestValidateAgainstSchemasMessages pins the exact message for a corpus
 // of bundles that break a schema: one fault per artifact kind, then one
 // in every kind at once — the order artifacts are reported in is part of
-// the message. (Each artifact carries one fault: the validator visits an
-// object's properties in map order, so two faults in one object are
-// reported in either order.)
+// the message. (Within one object, faults are reported in property-name
+// order.)
 func TestValidateAgainstSchemasMessages(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -43,6 +44,9 @@ func TestValidateAgainstSchemasMessages(t *testing.T) {
 	for _, tc := range cases {
 		b := testBundle(t)
 		tc.fault(b)
+		if b.Validate(qop.ValidateOptions{}) == nil {
+			t.Errorf("%s: Validate accepts what the schemas refuse", tc.name)
+		}
 		err := b.ValidateAgainstSchemas()
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -51,5 +55,78 @@ func TestValidateAgainstSchemasMessages(t *testing.T) {
 		if err.Error() != tc.want {
 			t.Errorf("%s:\n got: %q\nwant: %q", tc.name, err.Error(), tc.want)
 		}
+	}
+}
+
+// TestTypedRulesHoldSchemaRules: for each schema rule the typed validators
+// once lacked, a bundle that breaks only that rule is refused by Validate
+// (naming the field), by FromJSON and by ValidateAgainstSchemas. With
+// these, the typed rules are the only ones the execution path needs.
+func TestTypedRulesHoldSchemaRules(t *testing.T) {
+	hint := func(h qop.CostHint) func(b *Bundle) { return func(b *Bundle) { b.Operators[0].CostHint = &h } }
+	cases := []struct {
+		name  string
+		fault func(b *Bundle)
+		want  string
+	}{
+		{"cost_hint.twoq", hint(qop.CostHint{TwoQ: -1}), "cost_hint.twoq"},
+		{"cost_hint.oneq", hint(qop.CostHint{OneQ: -1}), "cost_hint.oneq"},
+		{"cost_hint.depth", hint(qop.CostHint{Depth: -1}), "cost_hint.depth"},
+		{"cost_hint.ancilla", hint(qop.CostHint{Ancilla: -1}), "cost_hint.ancilla"},
+		{"cost_hint.comm_volume", hint(qop.CostHint{CommVolume: -1}), "cost_hint.comm_volume"},
+		{"cost_hint.duration_ns", hint(qop.CostHint{DurationNS: -0.5}), "cost_hint.duration_ns"},
+		{"fraction_bits off FIXED_POINT", func(b *Bundle) { b.QDTs[0].FractionBits = -1 }, "fraction_bits"},
+		{"phase_scale off PHASE_REGISTER", func(b *Bundle) { b.QDTs[0].PhaseScale = "-1/2" }, "phase_scale"},
+		{"phase_scale ParseFloat takes", func(b *Bundle) {
+			b.QDTs[0].EncodingKind, b.QDTs[0].PhaseScale = qdt.PhaseRegister, "1e-4"
+		}, "phase_scale"},
+		{"clbit_order reference", func(b *Bundle) { b.Operators[1].Result.ClbitOrder[0] = "ising_vars[ 0]" }, "ising_vars[ 0]"},
+		{"exec.target.num_qubits", func(b *Bundle) { b.Context.Exec.Target = &ctxdesc.Target{NumQubits: -1} }, "exec.target.num_qubits"},
+		{"qec.rounds", func(b *Bundle) { b.Context.QEC = &ctxdesc.QEC{CodeFamily: "surface", Distance: 3, Rounds: -1} }, "qec.rounds"},
+		{"anneal.unit_cells", func(b *Bundle) { b.Context.Anneal = &ctxdesc.Anneal{NumReads: 4, UnitCells: -1} }, "anneal.unit_cells"},
+		{"anneal.chain_strength", func(b *Bundle) { b.Context.Anneal = &ctxdesc.Anneal{NumReads: 4, ChainStrength: -0.5} }, "anneal.chain_strength"},
+		{"comm.epr_buffer", func(b *Bundle) { b.Context.Comm = &ctxdesc.Comm{QPUs: 1, QubitsPerQPU: 4, EPRBufferPairs: -1} }, "comm.epr_buffer"},
+		{"pulse.calibrations", func(b *Bundle) {
+			b.Context.Pulse = &ctxdesc.Pulse{Calibrations: map[string]float64{"cx": 300, "sx": -1}}
+		}, `pulse.calibrations["sx"]`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := testBundle(t)
+			tc.fault(b)
+			if err := b.Validate(qop.ValidateOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Validate: %v, want an error naming %s", err, tc.want)
+			}
+			raw, err := b.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := FromJSON(raw, qop.ValidateOptions{}); err == nil {
+				t.Error("FromJSON accepted it")
+			}
+			if err := b.ValidateAgainstSchemas(); err == nil {
+				t.Error("ValidateAgainstSchemas accepted it")
+			}
+		})
+	}
+
+	// In bounds, every one of those fields passes all three.
+	b := testBundle(t)
+	b.QDTs[0].PhaseScale, b.QDTs[0].FractionBits = " 1 / 16 ", 2
+	b.Operators[0].CostHint = &qop.CostHint{TwoQ: 1, OneQ: 2, Depth: 3, Ancilla: 4, CommVolume: 5, DurationNS: 6.5}
+	b.Context.Exec.Target = &ctxdesc.Target{NumQubits: 4}
+	b.Context.QEC = &ctxdesc.QEC{CodeFamily: "repetition", Distance: 3, Rounds: 2}
+	b.Context.Anneal = &ctxdesc.Anneal{NumReads: 4, UnitCells: 1, ChainStrength: 1.5}
+	b.Context.Comm = &ctxdesc.Comm{QPUs: 1, QubitsPerQPU: 4, EPRBufferPairs: 2}
+	b.Context.Pulse = &ctxdesc.Pulse{Calibrations: map[string]float64{"cx": 300}}
+	raw, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromJSON(raw, qop.ValidateOptions{}); err != nil {
+		t.Errorf("FromJSON: %v", err)
+	}
+	if err := b.ValidateAgainstSchemas(); err != nil {
+		t.Errorf("ValidateAgainstSchemas: %v", err)
 	}
 }

@@ -13,7 +13,9 @@ package ctxdesc
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -158,6 +160,12 @@ func NewAnneal(engine string, numReads int, seed uint64) *Context {
 // Validate checks internal consistency of whichever blocks are present.
 func (c *Context) Validate() error {
 	var probs []string
+	// negative reports a field the schema bounds below by zero.
+	negative := func(field string, v float64) {
+		if v < 0 {
+			probs = append(probs, fmt.Sprintf("%s %v is negative", field, v))
+		}
+	}
 	if c.Schema != SchemaName {
 		probs = append(probs, fmt.Sprintf("$schema is %q, want %q", c.Schema, SchemaName))
 	}
@@ -165,12 +173,12 @@ func (c *Context) Validate() error {
 		if c.Exec.Engine == "" {
 			probs = append(probs, "exec.engine is empty")
 		}
-		if c.Exec.Samples < 0 {
-			probs = append(probs, fmt.Sprintf("exec.samples %d is negative", c.Exec.Samples))
-		} else if c.Exec.Samples > MaxSamples {
+		negative("exec.samples", float64(c.Exec.Samples))
+		if c.Exec.Samples > MaxSamples {
 			probs = append(probs, fmt.Sprintf("exec.samples %d exceeds %d", c.Exec.Samples, MaxSamples))
 		}
 		if t := c.Exec.Target; t != nil {
+			negative("exec.target.num_qubits", float64(t.NumQubits))
 			for i, pair := range t.CouplingMap {
 				if pair[0] == pair[1] {
 					probs = append(probs, fmt.Sprintf("exec.target.coupling_map[%d] is a self-loop (%d,%d)", i, pair[0], pair[1]))
@@ -200,6 +208,7 @@ func (c *Context) Validate() error {
 		if q.PhysErrorRate < 0 || q.PhysErrorRate >= 1 {
 			probs = append(probs, fmt.Sprintf("qec.phys_error_rate %v out of [0,1)", q.PhysErrorRate))
 		}
+		negative("qec.rounds", float64(q.Rounds))
 		switch q.Decoder {
 		case "", "majority", "mwpm_lite":
 		default:
@@ -212,9 +221,8 @@ func (c *Context) Validate() error {
 		} else if a.NumReads > MaxAnnealReads {
 			probs = append(probs, fmt.Sprintf("anneal.num_reads %d exceeds %d", a.NumReads, MaxAnnealReads))
 		}
-		if a.Sweeps < 0 {
-			probs = append(probs, fmt.Sprintf("anneal.sweeps %d is negative", a.Sweeps))
-		} else if a.Sweeps > MaxAnnealSweeps {
+		negative("anneal.sweeps", float64(a.Sweeps))
+		if a.Sweeps > MaxAnnealSweeps {
 			probs = append(probs, fmt.Sprintf("anneal.sweeps %d exceeds %d", a.Sweeps, MaxAnnealSweeps))
 		}
 		if a.BetaMin < 0 || a.BetaMax < 0 || (a.BetaMax != 0 && a.BetaMin > a.BetaMax) {
@@ -225,6 +233,8 @@ func (c *Context) Validate() error {
 		default:
 			probs = append(probs, fmt.Sprintf("unknown anneal.schedule %q", a.Schedule))
 		}
+		negative("anneal.unit_cells", float64(a.UnitCells))
+		negative("anneal.chain_strength", a.ChainStrength)
 	}
 	if m := c.Comm; m != nil {
 		if m.QPUs < 1 {
@@ -238,10 +248,14 @@ func (c *Context) Validate() error {
 				probs = append(probs, fmt.Sprintf("comm.partition[%d] = %d out of [0,%d)", i, p, m.QPUs))
 			}
 		}
+		negative("comm.epr_buffer", float64(m.EPRBufferPairs))
 	}
 	if p := c.Pulse; p != nil {
-		if p.DTNanos < 0 || p.SingleGateNS < 0 || p.TwoGateNS < 0 {
-			probs = append(probs, "pulse durations must be non-negative")
+		negative("pulse.dt_ns", p.DTNanos)
+		negative("pulse.single_gate_ns", p.SingleGateNS)
+		negative("pulse.two_gate_ns", p.TwoGateNS)
+		for _, gate := range slices.Sorted(maps.Keys(p.Calibrations)) {
+			negative(fmt.Sprintf("pulse.calibrations[%q]", gate), p.Calibrations[gate])
 		}
 	}
 	if s := c.Sweep; s != nil {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/qdt"
+	"repro/internal/qop"
 	"repro/internal/result"
 )
 
@@ -244,6 +245,29 @@ func TestConformance(t *testing.T) {
 			openSweep := registerGated(t, "fake.conform_sweep", false)
 			job := conformBundle(t, "fake.conform", 1, nil)
 			sweep := conformBundle(t, "fake.conform_sweep", 2, [][]float64{{0.3, 0.7}, {1.1, 0.2}, {0.8, 1.4}})
+			// A rule once stated only in the schemas: a cost hint is never negative.
+			var neg bundle.Bundle
+			if err := json.Unmarshal(job, &neg); err != nil {
+				t.Fatal(err)
+			}
+			neg.Operators[0].CostHint = &qop.CostHint{TwoQ: -1}
+			negHint, err := neg.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			naming := func(field string) func(t *testing.T, doc map[string]any) {
+				return func(t *testing.T, doc map[string]any) {
+					if msg, _ := doc["error"].(string); !strings.Contains(msg, field) {
+						t.Errorf("error %q does not name %s", msg, field)
+					}
+				}
+			}
+			// No refused POST takes an ID, so none wrote a journal record.
+			firstID := func(t *testing.T, doc map[string]any) {
+				if doc["id"] != "job-00000001" {
+					t.Errorf("first admitted job is %v, want job-00000001", doc["id"])
+				}
+			}
 			pinned := func(t *testing.T, doc map[string]any) {
 				if doc["shards"] != float64(1) {
 					t.Errorf("sweep submitted with ?shards=1 ran with shards=%v", doc["shards"])
@@ -258,6 +282,7 @@ func TestConformance(t *testing.T) {
 				{name: "sweep bad shards", method: "POST", path: "/v1/sweeps?shards=-1", body: sweep, code: 400},
 				{name: "job bad body", method: "POST", path: "/v1/jobs", body: []byte("{not json"), code: 400},
 				{name: "job not a bundle", method: "POST", path: "/v1/jobs", body: []byte(`{"not":"a bundle"}`), code: 400},
+				{name: "job negative cost hint", method: "POST", path: "/v1/jobs", body: negHint, code: 400, check: naming("cost_hint.twoq")},
 				{name: "sweep without grid", method: "POST", path: "/v1/sweeps", body: job, code: 400},
 				{name: "job oversized", method: "POST", path: "/v1/jobs", body: make([]byte, jobs.MaxBodyBytes+1), code: 413},
 				{name: "sweep oversized", method: "POST", path: "/v1/sweeps", body: make([]byte, jobs.MaxBodyBytes+1), code: 413},
@@ -274,7 +299,7 @@ func TestConformance(t *testing.T) {
 				{name: "sweep result unknown", method: "GET", path: "/v1/sweeps/job-99999999", code: 404},
 
 				// A job held running, and its twin, which waits on it.
-				{name: "submit", method: "POST", path: "/v1/jobs", body: job, code: 202, save: "a"},
+				{name: "submit", method: "POST", path: "/v1/jobs", body: job, code: 202, save: "a", check: firstID},
 				{name: "status running", method: "GET", path: "/v1/jobs/{a}", code: 200, until: "running"},
 				{name: "result not finished", method: "GET", path: "/v1/jobs/{a}/result", code: 202},
 				{name: "cancel running", method: "DELETE", path: "/v1/jobs/{a}", code: 409},

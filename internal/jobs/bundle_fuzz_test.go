@@ -10,19 +10,24 @@ import (
 
 // FuzzBundleFromJSON feeds arbitrary bytes to the POST body's parser,
 // bundle.FromJSON, the first thing a worker does with untrusted input. It
-// must fail, or return a bundle on which everything a submission then does
-// before execution — schema validation, the cache key, the fingerprint,
-// engine selection, the sweep shape check and binding every point — returns
-// without a panic, and whose Marshal parses back to the same cache key.
-// The committed corpus holds the gate and anneal job.json of cmd/maxcut
-// -emit, a sweep template and a truncated body.
+// must fail, or return a bundle that passes every embedded JSON Schema:
+// the typed rules are the only ones the execution path runs, so they must
+// hold every schema rule. On that bundle everything a submission then does
+// before execution (the cache key, the fingerprint, engine selection, the
+// sweep shape check and binding every point) returns without a panic, and
+// its Marshal parses back to the same cache key. The committed corpus
+// holds the gate and anneal job.json of cmd/maxcut -emit, a sweep
+// template, a bundle setting every schema-bounded field and a truncated
+// body.
 func FuzzBundleFromJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		b, err := bundle.FromJSON(body, qop.ValidateOptions{})
 		if err != nil {
 			return
 		}
-		_ = b.ValidateAgainstSchemas()
+		if err := b.ValidateAgainstSchemas(); err != nil {
+			t.Fatalf("FromJSON accepted a bundle its schemas refuse: %v\n%s", err, body)
+		}
 		_, _ = b.Fingerprint()
 		_, _ = rt.SelectEngine(b)
 		if _, err := SweepPoints(b); err == nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/bundle"
 	"repro/internal/ctxdesc"
 	"repro/internal/ising"
+	"repro/internal/jobs/store"
 	"repro/internal/qdt"
 	"repro/internal/qop"
 	rt "repro/internal/runtime"
@@ -180,6 +181,28 @@ func TestHTTPRejectsHugeAnnealReads(t *testing.T) {
 	id, _ := sub["id"].(string)
 	if _, err := pool.Wait(id); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHTTPRejectsSchemaOnlyViolation: a rule once stated only in a JSON
+// Schema (a cost hint is never negative) is refused at POST with a 400
+// naming the field, and the refused body writes nothing to the journal.
+func TestHTTPRejectsSchemaOnlyViolation(t *testing.T) {
+	f := openJournal(t, store.Options{})
+	pool := NewPool(Options{Workers: 1, QueueDepth: 4, Store: f.st})
+	defer pool.Close()
+	b := gateBundle(t, "gate.statevector", 64, 1)
+	b.Operators[0].CostHint = &qop.CostHint{TwoQ: -1}
+	raw, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := doJSON(t, NewHandler(pool), "POST", "/v1/jobs", raw, http.StatusBadRequest)
+	if msg, _ := doc["error"].(string); !strings.Contains(msg, "cost_hint.twoq") {
+		t.Errorf("error %q does not name cost_hint.twoq", msg)
+	}
+	if evs := f.events(t); len(evs) != 0 {
+		t.Errorf("a refused POST journaled %v", eventTypes(evs))
 	}
 }
 

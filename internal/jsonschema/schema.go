@@ -5,9 +5,9 @@
 // allOf/anyOf/oneOf/not, and local $ref into $defs.
 //
 // The paper's descriptors each name a schema in their "$schema" field
-// (qdt-core.schema.json, qod.schema.json, ctx.schema.json); validating
-// artifacts against those schemas is how the middle layer "catches
-// mismatches early" before anything reaches a backend.
+// (qdt-core.schema.json, qod.schema.json, ctx.schema.json). The typed
+// validators enforce every rule those schemas state; this package checks
+// artifacts from other tools against the schemas themselves.
 package jsonschema
 
 import (
@@ -15,30 +15,64 @@ import (
 	"fmt"
 	"math"
 	"regexp"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
-// Schema is a parsed JSON Schema document.
+// Schema is a compiled JSON Schema document.
 type Schema struct {
-	raw  map[string]any
-	root *Schema // document root, for $ref resolution
+	root *node
+}
 
-	compiled map[string]*regexp.Regexp
+// node is one (sub)schema. encoding/json decodes the keywords into its
+// fields once, at Compile, so validating a value reads fields instead of
+// looking keywords up.
+type node struct {
+	Ref                  string           `json:"$ref"`
+	Defs                 map[string]*node `json:"$defs"`
+	Type                 any              `json:"type"` // a name or a list of names
+	Enum                 []any            `json:"enum"`
+	Const                json.RawMessage  `json:"const"`
+	Minimum              *float64         `json:"minimum"`
+	Maximum              *float64         `json:"maximum"`
+	ExclusiveMinimum     *float64         `json:"exclusiveMinimum"`
+	ExclusiveMaximum     *float64         `json:"exclusiveMaximum"`
+	MultipleOf           *float64         `json:"multipleOf"`
+	MinLength            *float64         `json:"minLength"`
+	MaxLength            *float64         `json:"maxLength"`
+	Pattern              *string          `json:"pattern"`
+	MinItems             *float64         `json:"minItems"`
+	MaxItems             *float64         `json:"maxItems"`
+	Items                *node            `json:"items"`
+	UniqueItems          bool             `json:"uniqueItems"`
+	Required             []string         `json:"required"`
+	Properties           map[string]*node `json:"properties"`
+	AdditionalProperties json.RawMessage  `json:"additionalProperties"`
+	AllOf                []*node          `json:"allOf"`
+	AnyOf                []*node          `json:"anyOf"`
+	OneOf                []*node          `json:"oneOf"`
+	Not                  *node            `json:"not"`
+
+	target     *node // the resolved Ref; the node's other keywords are ignored
+	constant   any
+	re         *regexp.Regexp
+	closed     bool  // additionalProperties: false
+	additional *node // additionalProperties as a schema
+	propNames  []string
 }
 
 // Compile parses and prepares a schema from its JSON source.
 func Compile(src []byte) (*Schema, error) {
-	var raw map[string]any
-	if err := json.Unmarshal(src, &raw); err != nil {
+	var root node
+	if err := json.Unmarshal(src, &root); err != nil {
 		return nil, fmt.Errorf("jsonschema: parse: %w", err)
 	}
-	s := &Schema{raw: raw, compiled: map[string]*regexp.Regexp{}}
-	s.root = s
-	if err := s.compilePatterns(raw); err != nil {
+	if err := root.prepare(&root); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &Schema{root: &root}, nil
 }
 
 // MustCompile is Compile for schemas embedded in the binary; it panics on
@@ -51,28 +85,50 @@ func MustCompile(src []byte) *Schema {
 	return s
 }
 
-func (s *Schema) compilePatterns(node any) error {
-	switch v := node.(type) {
-	case map[string]any:
-		if p, ok := v["pattern"].(string); ok {
-			if _, done := s.compiled[p]; !done {
-				re, err := regexp.Compile(p)
-				if err != nil {
-					return fmt.Errorf("jsonschema: bad pattern %q: %w", p, err)
-				}
-				s.compiled[p] = re
-			}
+// prepare finishes n and every schema under it: it resolves "$ref"s of
+// the form "#/$defs/name" against root (a ref that does not resolve is
+// reported for every value), compiles patterns and decodes the keywords
+// that take more than one JSON type.
+func (n *node) prepare(root *node) error {
+	if name, ok := strings.CutPrefix(n.Ref, "#/$defs/"); ok {
+		n.target = root.Defs[name]
+	}
+	if n.Pattern != nil {
+		re, err := regexp.Compile(*n.Pattern)
+		if err != nil {
+			return fmt.Errorf("jsonschema: bad pattern %q: %w", *n.Pattern, err)
 		}
-		for _, child := range v {
-			if err := s.compilePatterns(child); err != nil {
-				return err
-			}
+		n.re = re
+	}
+	if n.Const != nil {
+		if err := json.Unmarshal(n.Const, &n.constant); err != nil {
+			return err
 		}
-	case []any:
-		for _, child := range v {
-			if err := s.compilePatterns(child); err != nil {
-				return err
-			}
+	}
+	if string(n.AdditionalProperties) == "false" {
+		n.closed = true
+	} else if len(n.AdditionalProperties) > 0 && n.AdditionalProperties[0] == '{' {
+		if err := json.Unmarshal(n.AdditionalProperties, &n.additional); err != nil {
+			return err
+		}
+	}
+	for name := range n.Properties {
+		n.propNames = append(n.propNames, name)
+	}
+	slices.Sort(n.propNames)
+	children := slices.Concat(n.AllOf, n.AnyOf, n.OneOf, []*node{n.Items, n.Not, n.additional})
+	for _, name := range n.propNames {
+		children = append(children, n.Properties[name])
+	}
+	for _, d := range n.Defs {
+		children = append(children, d)
+	}
+	for _, c := range children {
+		if c == nil {
+			continue
+		}
+		if err := c.prepare(root); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -84,12 +140,7 @@ type ValidationError struct {
 	Message string
 }
 
-func (e ValidationError) Error() string {
-	if e.Path == "" {
-		return e.Message
-	}
-	return e.Path + ": " + e.Message
-}
+func (e ValidationError) Error() string { return e.Path + ": " + e.Message }
 
 // Errors aggregates all violations found in one document.
 type Errors []ValidationError
@@ -118,33 +169,12 @@ func (s *Schema) ValidateBytes(doc []byte) error {
 // into any) against the schema. It returns nil or an Errors value listing
 // every violation.
 func (s *Schema) Validate(v any) error {
-	var errs Errors
-	s.validate(s.raw, v, "$", &errs)
-	if len(errs) == 0 {
+	var w walk
+	s.root.validate(&w, v)
+	if len(w.errs) == 0 {
 		return nil
 	}
-	return errs
-}
-
-func (s *Schema) resolveRef(ref string) (map[string]any, bool) {
-	// Only local refs of the form "#/$defs/name" (or nested) are supported.
-	if !strings.HasPrefix(ref, "#/") {
-		return nil, false
-	}
-	parts := strings.Split(strings.TrimPrefix(ref, "#/"), "/")
-	var cur any = s.root.raw
-	for _, p := range parts {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = m[p]
-		if !ok {
-			return nil, false
-		}
-	}
-	m, ok := cur.(map[string]any)
-	return m, ok
+	return w.errs
 }
 
 func jsonType(v any) string {
@@ -157,11 +187,6 @@ func jsonType(v any) string {
 		return "string"
 	case float64:
 		if t == math.Trunc(t) && !math.IsInf(t, 0) {
-			return "integer"
-		}
-		return "number"
-	case json.Number:
-		if _, err := t.Int64(); err == nil {
 			return "integer"
 		}
 		return "number"
@@ -183,136 +208,161 @@ func typeMatches(want string, v any) bool {
 	return want == "number" && got == "integer"
 }
 
-func asFloat(v any) (float64, bool) {
-	switch t := v.(type) {
-	case float64:
-		return t, true
-	case json.Number:
-		f, err := t.Float64()
-		return f, err == nil
-	}
-	return 0, false
-}
-
+// deepEqual compares two decoded values as JSON; encoding/json sorts map
+// keys, so the comparison is order-insensitive.
 func deepEqual(a, b any) bool {
-	ab, errA := json.Marshal(canonical(a))
-	bb, errB := json.Marshal(canonical(b))
+	if as, ok := a.(string); ok {
+		bs, ok := b.(string)
+		return ok && as == bs
+	}
+	ab, errA := json.Marshal(a)
+	bb, errB := json.Marshal(b)
 	return errA == nil && errB == nil && string(ab) == string(bb)
 }
 
-// canonical recursively sorts map keys so deepEqual is order-insensitive.
-// encoding/json already sorts map keys, so this is mainly about normalizing
-// numeric forms.
-func canonical(v any) any { return v }
+// walk is one validation: the violations found so far and the path from
+// the document root to the value at hand, which becomes a string only for
+// a violation.
+type walk struct {
+	errs Errors
+	at   []step
+}
 
-func (s *Schema) validate(schema map[string]any, v any, path string, errs *Errors) {
-	if ref, ok := schema["$ref"].(string); ok {
-		target, found := s.resolveRef(ref)
-		if !found {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("unresolvable $ref %q", ref)})
-			return
+// step is one edge of a path: a property, or an array index when index
+// is not negative.
+type step struct {
+	name  string
+	index int
+}
+
+func (w *walk) report(format string, args ...any) {
+	var b strings.Builder
+	b.WriteString("$")
+	for _, s := range w.at {
+		if s.index < 0 {
+			b.WriteString("." + s.name)
+		} else {
+			b.WriteString("[" + strconv.Itoa(s.index) + "]")
 		}
-		s.validate(target, v, path, errs)
+	}
+	w.errs = append(w.errs, ValidationError{b.String(), fmt.Sprintf(format, args...)})
+}
+
+// bound reports x (shown after what) when "x op keyword m" holds for a
+// keyword the schema sets.
+func (w *walk) bound(what string, x float64, op, keyword string, m *float64) {
+	if m == nil {
+		return
+	}
+	var bad bool
+	switch op {
+	case "<":
+		bad = x < *m
+	case ">":
+		bad = x > *m
+	case "<=":
+		bad = x <= *m
+	default:
+		bad = x >= *m
+	}
+	if bad {
+		w.report("%s%v %s %s %v", what, x, op, keyword, *m)
+	}
+}
+
+// child validates v, found under s, against n.
+func (w *walk) child(n *node, v any, s step) {
+	w.at = append(w.at, s)
+	n.validate(w, v)
+	w.at = w.at[:len(w.at)-1]
+}
+
+// accepts reports whether v passes n, recording nothing.
+func (w *walk) accepts(n *node, v any) bool {
+	mark := len(w.errs)
+	n.validate(w, v)
+	ok := len(w.errs) == mark
+	w.errs = w.errs[:mark]
+	return ok
+}
+
+// validate records every violation of n by v; a null schema allows all.
+func (n *node) validate(w *walk, v any) {
+	if n == nil {
+		return
+	}
+	if n.Ref != "" {
+		if n.target == nil {
+			w.report("unresolvable $ref %q", n.Ref)
+		} else {
+			n.target.validate(w, v)
+		}
 		return
 	}
 
-	if t, ok := schema["type"]; ok {
-		switch tt := t.(type) {
-		case string:
-			if !typeMatches(tt, v) {
-				*errs = append(*errs, ValidationError{path, fmt.Sprintf("got %s, want %s", jsonType(v), tt)})
-				return
+	switch t := n.Type.(type) {
+	case string:
+		if !typeMatches(t, v) {
+			w.report("got %s, want %s", jsonType(v), t)
+			return
+		}
+	case []any:
+		var names []string
+		for _, alt := range t {
+			if name, isStr := alt.(string); isStr {
+				names = append(names, name)
 			}
-		case []any:
-			okAny := false
-			var names []string
-			for _, alt := range tt {
-				if name, isStr := alt.(string); isStr {
-					names = append(names, name)
-					if typeMatches(name, v) {
-						okAny = true
-					}
-				}
-			}
-			if !okAny {
-				*errs = append(*errs, ValidationError{path, fmt.Sprintf("got %s, want one of %v", jsonType(v), names)})
-				return
-			}
+		}
+		if !slices.ContainsFunc(names, func(name string) bool { return typeMatches(name, v) }) {
+			w.report("got %s, want one of %v", jsonType(v), names)
+			return
 		}
 	}
 
-	if enum, ok := schema["enum"].([]any); ok {
-		found := false
-		for _, e := range enum {
-			if deepEqual(e, v) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("value %v not in enum", compactJSON(v))})
-		}
+	if n.Enum != nil && !slices.ContainsFunc(n.Enum, func(e any) bool { return deepEqual(e, v) }) {
+		w.report("value %v not in enum", compactJSON(v))
 	}
-	if c, ok := schema["const"]; ok {
-		if !deepEqual(c, v) {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("value %v != const %v", compactJSON(v), compactJSON(c))})
-		}
+	if n.Const != nil && !deepEqual(n.constant, v) {
+		w.report("value %v != const %v", compactJSON(v), compactJSON(n.constant))
 	}
 
-	if f, isNum := asFloat(v); isNum {
-		if m, ok := asFloat(schema["minimum"]); ok && f < m {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("%v < minimum %v", f, m)})
-		}
-		if m, ok := asFloat(schema["maximum"]); ok && f > m {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("%v > maximum %v", f, m)})
-		}
-		if m, ok := asFloat(schema["exclusiveMinimum"]); ok && f <= m {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("%v <= exclusiveMinimum %v", f, m)})
-		}
-		if m, ok := asFloat(schema["exclusiveMaximum"]); ok && f >= m {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("%v >= exclusiveMaximum %v", f, m)})
-		}
-		if m, ok := asFloat(schema["multipleOf"]); ok && m > 0 {
-			q := f / m
-			if math.Abs(q-math.Round(q)) > 1e-9 {
-				*errs = append(*errs, ValidationError{path, fmt.Sprintf("%v is not a multiple of %v", f, m)})
+	if f, isNum := v.(float64); isNum {
+		w.bound("", f, "<", "minimum", n.Minimum)
+		w.bound("", f, ">", "maximum", n.Maximum)
+		w.bound("", f, "<=", "exclusiveMinimum", n.ExclusiveMinimum)
+		w.bound("", f, ">=", "exclusiveMaximum", n.ExclusiveMaximum)
+		if m := n.MultipleOf; m != nil && *m > 0 {
+			if q := f / *m; math.Abs(q-math.Round(q)) > 1e-9 {
+				w.report("%v is not a multiple of %v", f, *m)
 			}
 		}
 	}
 
 	if str, isStr := v.(string); isStr {
-		if m, ok := asFloat(schema["minLength"]); ok && float64(len([]rune(str))) < m {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("string length %d < minLength %v", len([]rune(str)), m)})
-		}
-		if m, ok := asFloat(schema["maxLength"]); ok && float64(len([]rune(str))) > m {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("string length %d > maxLength %v", len([]rune(str)), m)})
-		}
-		if p, ok := schema["pattern"].(string); ok {
-			re := s.root.compiled[p]
-			if re != nil && !re.MatchString(str) {
-				*errs = append(*errs, ValidationError{path, fmt.Sprintf("string %q does not match pattern %q", str, p)})
-			}
+		count := float64(utf8.RuneCountInString(str))
+		w.bound("string length ", count, "<", "minLength", n.MinLength)
+		w.bound("string length ", count, ">", "maxLength", n.MaxLength)
+		if n.re != nil && !n.re.MatchString(str) {
+			w.report("string %q does not match pattern %q", str, *n.Pattern)
 		}
 	}
 
 	if arr, isArr := v.([]any); isArr {
-		if m, ok := asFloat(schema["minItems"]); ok && float64(len(arr)) < m {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("array length %d < minItems %v", len(arr), m)})
-		}
-		if m, ok := asFloat(schema["maxItems"]); ok && float64(len(arr)) > m {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("array length %d > maxItems %v", len(arr), m)})
-		}
-		if items, ok := schema["items"].(map[string]any); ok {
+		w.bound("array length ", float64(len(arr)), "<", "minItems", n.MinItems)
+		w.bound("array length ", float64(len(arr)), ">", "maxItems", n.MaxItems)
+		if n.Items != nil {
 			for i, elem := range arr {
-				s.validate(items, elem, fmt.Sprintf("%s[%d]", path, i), errs)
+				w.child(n.Items, elem, step{"", i})
 			}
 		}
-		if uniq, ok := schema["uniqueItems"].(bool); ok && uniq {
+		if n.UniqueItems {
 			seen := map[string]int{}
 			for i, elem := range arr {
 				key := compactJSON(elem)
 				if j, dup := seen[key]; dup {
-					*errs = append(*errs, ValidationError{fmt.Sprintf("%s[%d]", path, i), fmt.Sprintf("duplicate of element %d", j)})
+					w.at = append(w.at, step{"", i})
+					w.report("duplicate of element %d", j)
+					w.at = w.at[:len(w.at)-1]
 				} else {
 					seen[key] = i
 				}
@@ -321,89 +371,53 @@ func (s *Schema) validate(schema map[string]any, v any, path string, errs *Error
 	}
 
 	if obj, isObj := v.(map[string]any); isObj {
-		if req, ok := schema["required"].([]any); ok {
-			for _, r := range req {
-				name, _ := r.(string)
-				if _, present := obj[name]; !present {
-					*errs = append(*errs, ValidationError{path, fmt.Sprintf("missing required property %q", name)})
-				}
+		for _, name := range n.Required {
+			if _, present := obj[name]; !present {
+				w.report("missing required property %q", name)
 			}
 		}
-		props, _ := schema["properties"].(map[string]any)
-		for name, sub := range props {
+		for _, name := range n.propNames {
 			if child, present := obj[name]; present {
-				if subSchema, ok := sub.(map[string]any); ok {
-					s.validate(subSchema, child, path+"."+name, errs)
-				}
+				w.child(n.Properties[name], child, step{name, -1})
 			}
 		}
-		if ap, ok := schema["additionalProperties"]; ok {
-			// Deterministic error ordering: iterate keys sorted.
-			keys := make([]string, 0, len(obj))
+		if n.closed || n.additional != nil {
+			var extra []string
 			for k := range obj {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				if _, declared := props[k]; declared {
-					continue
+				if _, declared := n.Properties[k]; !declared {
+					extra = append(extra, k)
 				}
-				switch rule := ap.(type) {
-				case bool:
-					if !rule {
-						*errs = append(*errs, ValidationError{path, fmt.Sprintf("unexpected property %q", k)})
-					}
-				case map[string]any:
-					s.validate(rule, obj[k], path+"."+k, errs)
+			}
+			slices.Sort(extra)
+			for _, k := range extra {
+				if n.closed {
+					w.report("unexpected property %q", k)
+				} else {
+					w.child(n.additional, obj[k], step{k, -1})
 				}
 			}
 		}
 	}
 
-	if all, ok := schema["allOf"].([]any); ok {
-		for _, sub := range all {
-			if m, isM := sub.(map[string]any); isM {
-				s.validate(m, v, path, errs)
-			}
-		}
+	for _, sub := range n.AllOf {
+		sub.validate(w, v)
 	}
-	if anyOf, ok := schema["anyOf"].([]any); ok {
-		matched := false
-		for _, sub := range anyOf {
-			if m, isM := sub.(map[string]any); isM {
-				var trial Errors
-				s.validate(m, v, path, &trial)
-				if len(trial) == 0 {
-					matched = true
-					break
-				}
-			}
-		}
-		if !matched {
-			*errs = append(*errs, ValidationError{path, "value matches no anyOf alternative"})
-		}
+	if n.AnyOf != nil && !slices.ContainsFunc(n.AnyOf, func(sub *node) bool { return w.accepts(sub, v) }) {
+		w.report("value matches no anyOf alternative")
 	}
-	if oneOf, ok := schema["oneOf"].([]any); ok {
+	if n.OneOf != nil {
 		matches := 0
-		for _, sub := range oneOf {
-			if m, isM := sub.(map[string]any); isM {
-				var trial Errors
-				s.validate(m, v, path, &trial)
-				if len(trial) == 0 {
-					matches++
-				}
+		for _, sub := range n.OneOf {
+			if w.accepts(sub, v) {
+				matches++
 			}
 		}
 		if matches != 1 {
-			*errs = append(*errs, ValidationError{path, fmt.Sprintf("value matches %d oneOf alternatives, want exactly 1", matches)})
+			w.report("value matches %d oneOf alternatives, want exactly 1", matches)
 		}
 	}
-	if not, ok := schema["not"].(map[string]any); ok {
-		var trial Errors
-		s.validate(not, v, path, &trial)
-		if len(trial) == 0 {
-			*errs = append(*errs, ValidationError{path, "value matches forbidden (not) schema"})
-		}
+	if n.Not != nil && w.accepts(n.Not, v) {
+		w.report("value matches forbidden (not) schema")
 	}
 }
 

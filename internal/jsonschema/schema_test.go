@@ -259,3 +259,26 @@ func TestMustCompilePanics(t *testing.T) {
 	}()
 	MustCompile([]byte(`{`))
 }
+
+// TestErrorOrderIsDeterministic: violations under one object are reported
+// in property-name order, whatever order the maps iterate in.
+func TestErrorOrderIsDeterministic(t *testing.T) {
+	s := mustCompile(t, `{"properties":{"b":{"type":"string"},"a":{"type":"string"},"c":{"type":"string"}},
+		"additionalProperties":{"type":"string"}}`)
+	want := `jsonschema: $.a: got integer, want string; $.b: got integer, want string; $.c: got integer, want string; $.x: got integer, want string; $.y: got integer, want string`
+	for i := 0; i < 20; i++ {
+		err := s.ValidateBytes([]byte(`{"y":5,"c":3,"a":1,"x":4,"b":2}`))
+		if err == nil || err.Error() != want {
+			t.Fatalf("got %v\nwant %s", err, want)
+		}
+	}
+}
+
+// TestNullSubschemaAllowsAll: a subschema written as null constrains
+// nothing, and compiling or applying it does not fail.
+func TestNullSubschemaAllowsAll(t *testing.T) {
+	s := mustCompile(t, `{"properties":{"a":null},"allOf":[null],"anyOf":[null]}`)
+	if err := s.ValidateBytes([]byte(`{"a":[1,"x"]}`)); err != nil {
+		t.Errorf("null subschema refused a value: %v", err)
+	}
+}

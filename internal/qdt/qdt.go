@@ -12,6 +12,7 @@ package qdt
 import (
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 )
@@ -19,6 +20,15 @@ import (
 // SchemaName is the JSON Schema identifier carried in the "$schema" field,
 // matching the paper's Listing 2.
 const SchemaName = "qdt-core.schema.json"
+
+const (
+	// MaxWidth is the widest register: a decoded index fits 62 bits.
+	MaxWidth = 62
+	// PhaseScalePattern is the shape of a phase_scale on every kind.
+	PhaseScalePattern = `^\s*[0-9.]+\s*(/\s*[0-9.]+\s*)?$`
+)
+
+var phaseScaleRE = regexp.MustCompile(PhaseScalePattern)
 
 // EncodingKind classifies how basis states of the register are interpreted.
 type EncodingKind string
@@ -67,14 +77,16 @@ type DataType struct {
 
 	// PhaseScale maps the observed integer k to a unitless fraction of a
 	// full turn, written as a rational like "1/1024" (Listing 2). Required
-	// for PHASE_REGISTER, ignored otherwise.
+	// for PHASE_REGISTER; other kinds ignore it but must still write it in
+	// PhaseScalePattern's shape.
 	PhaseScale string `json:"phase_scale,omitempty"`
 
 	// Signed selects two's-complement interpretation for INT_REGISTER and
 	// FIXED_POINT kinds.
 	Signed bool `json:"signed,omitempty"`
 
-	// FractionBits is the number of fractional bits for FIXED_POINT.
+	// FractionBits is the number of fractional bits for FIXED_POINT; it is
+	// never negative.
 	FractionBits int `json:"fraction_bits,omitempty"`
 
 	// Metadata carries free-form, non-semantic annotations (provenance,
@@ -123,8 +135,8 @@ func (d *DataType) Validate() error {
 	if d.Width <= 0 {
 		probs = append(probs, fmt.Sprintf("width %d is not positive", d.Width))
 	}
-	if d.Width > 62 {
-		probs = append(probs, fmt.Sprintf("width %d exceeds the 62-carrier decoding limit", d.Width))
+	if d.Width > MaxWidth {
+		probs = append(probs, fmt.Sprintf("width %d exceeds the %d-carrier decoding limit", d.Width, MaxWidth))
 	}
 	switch d.EncodingKind {
 	case IntRegister, BoolRegister, PhaseRegister, IsingSpin, QUBOBinary, FixedPoint:
@@ -147,17 +159,19 @@ func (d *DataType) Validate() error {
 	default:
 		probs = append(probs, fmt.Sprintf("unknown measurement_semantics %q", d.MeasurementSemantics))
 	}
-	if d.EncodingKind == PhaseRegister {
-		if d.PhaseScale == "" {
-			probs = append(probs, "PHASE_REGISTER requires phase_scale")
-		} else if _, err := ParsePhaseScale(d.PhaseScale); err != nil {
+	if d.PhaseScale != "" && !phaseScaleRE.MatchString(d.PhaseScale) {
+		probs = append(probs, fmt.Sprintf("invalid phase_scale %q", d.PhaseScale))
+	} else if d.EncodingKind == PhaseRegister && d.PhaseScale == "" {
+		probs = append(probs, "PHASE_REGISTER requires phase_scale")
+	} else if d.EncodingKind == PhaseRegister {
+		if _, err := ParsePhaseScale(d.PhaseScale); err != nil {
 			probs = append(probs, err.Error())
 		}
 	}
-	if d.EncodingKind == FixedPoint {
-		if d.FractionBits < 0 || d.FractionBits > d.Width {
-			probs = append(probs, fmt.Sprintf("fraction_bits %d out of [0,%d]", d.FractionBits, d.Width))
-		}
+	if d.FractionBits < 0 {
+		probs = append(probs, fmt.Sprintf("fraction_bits %d is negative", d.FractionBits))
+	} else if d.EncodingKind == FixedPoint && d.FractionBits > d.Width {
+		probs = append(probs, fmt.Sprintf("fraction_bits %d out of [0,%d]", d.FractionBits, d.Width))
 	}
 	if len(probs) > 0 {
 		return fmt.Errorf("qdt %q: %s", d.ID, strings.Join(probs, "; "))

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -84,7 +85,7 @@ var knownKinds = map[RepKind]bool{
 // CostHint is the device-independent cost estimate the paper attaches to
 // operators, "analogous to FLOP counts and communication estimates used by
 // HPC schedulers" (§2). All fields are estimates a scheduler may use for
-// early planning; zero means unknown.
+// early planning; zero means unknown, and none may be negative.
 type CostHint struct {
 	TwoQ       int     `json:"twoq,omitempty"`        // two-qubit gate count
 	OneQ       int     `json:"oneq,omitempty"`        // one-qubit gate count
@@ -169,15 +170,16 @@ func (r *ResultSchema) Validate(registerID string, width int) error {
 	return nil
 }
 
-// ParseBitRef parses a logical bit reference of the form "reg[idx]".
+// ParseBitRef parses a logical bit reference of the form "reg[idx]": an
+// identifier ([A-Za-z_][A-Za-z0-9_]*) and a decimal index, with no sign or
+// space.
 func ParseBitRef(ref string) (register string, index int, err error) {
-	open := strings.IndexByte(ref, '[')
-	if open <= 0 || !strings.HasSuffix(ref, "]") {
-		return "", 0, fmt.Errorf("qop: malformed bit reference %q", ref)
-	}
-	reg := ref[:open]
-	var idx int
-	if _, err := fmt.Sscanf(ref[open:], "[%d]", &idx); err != nil {
+	const digits = "0123456789"
+	body, closed := strings.CutSuffix(ref, "]")
+	reg, num, open := strings.Cut(body, "[")
+	idx, err := strconv.Atoi(num)
+	if !closed || !open || err != nil || strings.Trim(num, digits) != "" || reg == "" ||
+		strings.IndexByte(digits, reg[0]) >= 0 || strings.Trim(reg, "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"+digits) != "" {
 		return "", 0, fmt.Errorf("qop: malformed bit reference %q", ref)
 	}
 	return reg, idx, nil
@@ -242,6 +244,14 @@ func (o *Operator) Validate() error {
 	}
 	if o.CodomainQDT == "" {
 		probs = append(probs, "codomain_qdt is empty")
+	}
+	if c := o.CostHint; c != nil {
+		hint := []float64{float64(c.TwoQ), float64(c.OneQ), float64(c.Depth), float64(c.Ancilla), float64(c.CommVolume), c.DurationNS}
+		for i, name := range []string{"twoq", "oneq", "depth", "ancilla", "comm_volume", "duration_ns"} {
+			if hint[i] < 0 {
+				probs = append(probs, fmt.Sprintf("cost_hint.%s %v is negative", name, hint[i]))
+			}
+		}
 	}
 	if len(probs) > 0 {
 		return fmt.Errorf("qop %q: %s", o.Name, strings.Join(probs, "; "))

@@ -134,7 +134,11 @@ func TestParseBitRef(t *testing.T) {
 	if err != nil || reg != "reg_phase" || idx != 7 {
 		t.Errorf("ParseBitRef = %q, %d, %v", reg, idx, err)
 	}
-	for _, bad := range []string{"", "reg", "[3]", "reg[x]", "reg[3", "reg3]"} {
+	if reg, idx, err := ParseBitRef("_r9[010]"); err != nil || reg != "_r9" || idx != 10 {
+		t.Errorf("ParseBitRef = %q, %d, %v", reg, idx, err)
+	}
+	for _, bad := range []string{"", "reg", "[3]", "reg[x]", "reg[3", "reg3]",
+		"reg[ 0]", "reg[-1]", "reg[+1]", "reg[]", "reg[0]]", "re g[0]", "1reg[0]", "reg[99999999999999999999]"} {
 		if _, _, err := ParseBitRef(bad); err == nil {
 			t.Errorf("ParseBitRef(%q) accepted", bad)
 		}

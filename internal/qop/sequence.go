@@ -28,8 +28,6 @@ type ValidateOptions struct {
 // codomain, and the no-hidden-measurement rule.
 func (s Sequence) Validate(widths QDTWidths, opts ValidateOptions) error {
 	var probs []string
-	lastCodomain := map[string]string{} // register id -> last codomain id (for rename chains)
-	_ = lastCodomain
 	for i, op := range s {
 		if op == nil {
 			probs = append(probs, fmt.Sprintf("op %d is nil", i))

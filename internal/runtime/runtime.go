@@ -1,5 +1,5 @@
 // Package runtime is the middle layer's execution engine: it validates a
-// submission bundle (semantic checks plus JSON Schema conformance),
+// submission bundle (the typed rules, which enforce every schema rule),
 // selects a backend — from the explicit context or, absent one, from the
 // intent artifacts' shape and cost hints, the scheduler role the paper's
 // §2 cost_hint discussion motivates — executes it, and returns decoded
@@ -55,9 +55,6 @@ const MaxGateTwoQ = 1_000_000
 // prepare validates a bundle and resolves the backend that will run it.
 func prepare(b *bundle.Bundle) (engine string, be backend.Backend, err error) {
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
-		return "", nil, err
-	}
-	if err := b.ValidateAgainstSchemas(); err != nil {
 		return "", nil, err
 	}
 	if engine, err = ResolveEngine(b); err != nil {

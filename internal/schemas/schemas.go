@@ -3,10 +3,11 @@
 // qod.schema.json, ctx.schema.json, job.schema.json) and exposes compiled
 // validators for them.
 //
-// Descriptor structs in qdt/qop/ctxdesc validate semantic consistency; the
-// schemas here validate the raw JSON shape, which matters for artifacts
-// arriving from other tools (the interoperability case the paper's
-// composability principle targets).
+// The typed Validate methods in qdt/qop/ctxdesc enforce every rule stated
+// here, plus semantic ones a schema cannot state, and they are what the
+// execution path runs. The schemas check the raw JSON of artifacts
+// arriving from other tools (cmd/qmlvalidate; the interoperability case
+// the paper's composability principle targets).
 package schemas
 
 import (

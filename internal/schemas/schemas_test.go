@@ -145,6 +145,42 @@ func TestCTXStructsConformToSchema(t *testing.T) {
 	}
 }
 
+// TestSchemaBoundsMatchGoConstants: every bound a schema shares with a Go
+// constant is read from the schema text and compared with the constant,
+// so neither copy drifts alone.
+func TestSchemaBoundsMatchGoConstants(t *testing.T) {
+	decode := func(src string) map[string]any {
+		var doc map[string]any
+		if err := json.Unmarshal([]byte(src), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	ctx, qdtDoc := decode(CTX), decode(QDT)
+	// at walks "properties" down the path to one property's schema.
+	at := func(doc map[string]any, path ...string) map[string]any {
+		for _, p := range path {
+			doc, _ = doc["properties"].(map[string]any)[p].(map[string]any)
+		}
+		return doc
+	}
+	for _, c := range []struct {
+		name string
+		got  any
+		want any
+	}{
+		{"exec.samples maximum", at(ctx, "exec", "samples")["maximum"], float64(ctxdesc.MaxSamples)},
+		{"anneal.num_reads maximum", at(ctx, "anneal", "num_reads")["maximum"], float64(ctxdesc.MaxAnnealReads)},
+		{"anneal.sweeps maximum", at(ctx, "anneal", "sweeps")["maximum"], float64(ctxdesc.MaxAnnealSweeps)},
+		{"width maximum", at(qdtDoc, "width")["maximum"], float64(qdt.MaxWidth)},
+		{"phase_scale pattern", at(qdtDoc, "phase_scale")["pattern"], qdt.PhaseScalePattern},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: schema says %v, Go says %v", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestCTXSchemaRejects(t *testing.T) {
 	bad := []string{
 		`{"exec":{}}`,
