@@ -1,12 +1,11 @@
 package repro
 
-// One benchmark per experiment row in DESIGN.md (E1–E11), plus
-// micro-benchmarks for the hot substrates. Run with:
+// One benchmark per experiment (E1–E11, as cmd/qmlbench numbers them),
+// plus micro-benchmarks for the hot substrates. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Absolute timings depend on the host; EXPERIMENTS.md records the
-// paper-vs-measured *shapes* these benchmarks regenerate.
+// Absolute timings depend on the host.
 
 import (
 	"testing"

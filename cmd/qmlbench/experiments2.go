@@ -13,8 +13,8 @@ import (
 )
 
 // runE12 sweeps the transpiler's optimization levels over the QFT(10)
-// Listing-4 target — the design-choice ablation DESIGN.md calls out for
-// the pass pipeline (level 3 adds single-qubit ZYZ resynthesis).
+// Listing-4 target — the design-choice ablation for the pass pipeline
+// (level 3 adds single-qubit ZYZ resynthesis).
 func runE12(uint64) error {
 	circ, err := algolib.QFTCircuit(10, 0, true, false)
 	if err != nil {

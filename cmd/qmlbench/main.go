@@ -1,6 +1,6 @@
 // Command qmlbench regenerates every quantitative artifact of the paper's
 // evaluation (and the claims embedded in its listings), one experiment per
-// row of DESIGN.md's per-experiment index:
+// row below:
 //
 //	E1  §5 gate path: QAOA Max-Cut on the statevector engine
 //	E2  §5 anneal path: Ising Max-Cut on the SA engine

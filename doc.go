@@ -155,9 +155,12 @@
 // How a grid is scheduled onto cores is the middle layer's own decision
 // and never shows in a result. A sweep job's core grant G (the pool's
 // shard grant: -max-shards for a lone job, one beside other work) is
-// spent as L lanes × G/L shards: runtime.PrepareSweep validates, lowers,
-// transpiles and compiles the template once and returns a handle whose
-// per-point call is safe for concurrent use, and the pool runs
+// spent as L lanes × G/L shards: runtime.Prepare validates the template
+// once and returns the handle every job runs its points through — the
+// one engine contract, Prepare once and Run each point, with a plain job
+// as one point. The gate engine lowers, transpiles and compiles a
+// template with a parametric form once; every other point runs its
+// concrete bundle. Run is safe for concurrent use, and the pool runs
 // L = min(G, points still to execute) goroutines that each pull the next
 // point, execute it on a sim.Runner they keep (planes, CDF and scratch
 // allocated once per lane, reset per point), persist it and publish it.
@@ -267,9 +270,8 @@
 // injected engines via backend.Register, which is how the jobs tests
 // substitute fakes.
 //
-// See README.md for the architecture tour, DESIGN.md for the system
-// inventory and per-experiment index, and EXPERIMENTS.md for the
-// paper-vs-measured record. The benchmark harness in bench_test.go
-// regenerates every quantitative artifact; cmd/qmlbench prints them as
-// tables.
+// See benchmark/README.md for the serving benchmark and its metrics, and
+// CHANGES.md for the record of each change. The benchmark harness in
+// bench_test.go regenerates every quantitative artifact; cmd/qmlbench
+// prints them as tables.
 package repro

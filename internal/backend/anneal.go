@@ -30,11 +30,17 @@ type EmbeddingInfo struct {
 	BrokenChains   int // total broken chains observed across reads
 }
 
-// Execute samples the bundle's anneal realization (RealizeAnneal),
+// Prepare implements Backend: an anneal bundle keeps nothing between
+// points, so each point samples its own concrete bundle.
+func (a *Anneal) Prepare(_ *bundle.Bundle, o ExecOptions) (Prepared, error) {
+	return PerPoint(a.execute, o), nil
+}
+
+// execute samples the bundle's anneal realization (RealizeAnneal),
 // unembeds when it was embedded, and decodes. The shard grant caps the
 // goroutines the reads fan out over; the sampler has no stages or
 // profiler, so the other options are ignored.
-func (a *Anneal) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
+func (a *Anneal) execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
 	r, err := RealizeAnneal(b)
 	if err != nil {
 		return nil, err

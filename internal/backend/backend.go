@@ -5,12 +5,20 @@
 // engine names — including the paper's own "gate.aer_simulator" and the
 // Ocean-style "anneal.neal" — to implementations.
 //
+// Every engine has one contract: Prepare a bundle once, then Run its
+// points. A plain bundle is one point, Prepare(b) then Run(0, b); a sweep
+// template's points are its BindPoint materializations. The gate engine
+// compiles a template with a parametric form once and binds each point
+// into it; every other case — a plain bundle, a template under a noise,
+// comm or QEC block, any anneal or pulse bundle — is PerPoint, which runs
+// each point's concrete bundle through the engine's execute.
+//
 // The step from bundle and context to what an engine runs exists once per
 // engine family, as a realization. RealizeCircuit (gate and pulse) holds
 // the lowered and transpiled circuit with its stats, distributed with its
 // comm plan for a gate engine, and the shots and seed; RealizeAnneal holds
 // the model the sampler sweeps, embedded when asked, and its reads, sweeps
-// and seed. Every Execute runs its realization, Gate.PrepareSweep starts
+// and seed. Every execute runs its realization, the gate template starts
 // from the same register table and transpile options, and
 // runtime.EstimateAll prices realizations, so it cannot disagree with an
 // engine.
@@ -26,15 +34,45 @@ import (
 	"repro/internal/result"
 )
 
-// Backend executes a validated job bundle: the runtime runs Bundle.Validate
-// before it calls Execute, so an engine does not validate again.
+// Backend is an engine. The runtime runs Bundle.Validate before it calls
+// Prepare, so an engine does not validate again.
 type Backend interface {
 	// Name is the canonical engine name.
 	Name() string
-	// Execute realizes and runs the bundle, returning decoded results. An
-	// engine ignores the options it cannot use.
-	Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error)
+	// Prepare readies the engine for b, a plain bundle or a sweep
+	// template, under the options every point runs with. An engine ignores
+	// the options it cannot use.
+	Prepare(b *bundle.Bundle, o ExecOptions) (Prepared, error)
 }
+
+// Prepared runs the points of one prepared bundle. Run executes point i:
+// concrete is that point's bundle, exactly what a caller would submit for
+// it alone (the prepared bundle itself when it is plain), and the result
+// is, entry for entry, what running concrete alone returns. Run is safe
+// for concurrent use, each call occupying o.Shards cores, and o.Stages is
+// invoked on the calling goroutine. Close releases what the calls kept
+// for reuse, once none is in flight.
+type Prepared interface {
+	Run(i int, concrete *bundle.Bundle) (*result.Result, error)
+	Close()
+}
+
+// PerPoint is the handle of an engine that keeps nothing between points:
+// Run executes each concrete bundle with the options it was prepared with.
+func PerPoint(execute func(*bundle.Bundle, ExecOptions) (*result.Result, error), o ExecOptions) Prepared {
+	return perPoint{execute, o}
+}
+
+type perPoint struct {
+	execute func(*bundle.Bundle, ExecOptions) (*result.Result, error)
+	o       ExecOptions
+}
+
+func (p perPoint) Run(_ int, concrete *bundle.Bundle) (*result.Result, error) {
+	return p.execute(concrete, p.o)
+}
+
+func (perPoint) Close() {}
 
 // StageFunc receives one callback per pipeline stage a backend times
 // ("transpile", "compile", "execute", "sample") with its wall-clock
@@ -90,10 +128,9 @@ func Get(engine string) (Backend, error) {
 }
 
 // Register installs (or replaces) an engine constructor under the given
-// name. The jobs layer and tests use it to inject fake backends; the
-// constructor must return a new instance per call since backends execute
-// concurrently. It returns the previous constructor, or nil, so callers
-// can restore it.
+// name. Tests use it to inject fake backends; the constructor must return
+// a new instance per call since backends run concurrently. It returns the
+// previous constructor, or nil, so callers can restore it.
 func Register(engine string, f func() Backend) func() Backend {
 	if engine == "" || f == nil {
 		panic("backend: Register requires a non-empty name and constructor")

@@ -83,7 +83,7 @@ func TestGateBackendMaxCutQAOA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := be.Execute(b, ExecOptions{})
+	res, err := run(be, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestGateBackendMaxCutQAOA(t *testing.T) {
 func TestGateBackendDeterministicSeed(t *testing.T) {
 	gamma, beta := 0.65, 0.39
 	ctx := ctxdesc.NewGate("gate.statevector", 512, 7)
-	a, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
+	a, err := run(&Gate{engine: "gate.statevector"}, gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
+	b, err := run(&Gate{engine: "gate.statevector"}, gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestAnnealBackendMaxCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := be.Execute(annealMaxCutBundle(t, ctx), ExecOptions{})
+	res, err := run(be, annealMaxCutBundle(t, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestAnnealBackendWithEmbedding(t *testing.T) {
 	ctx.Anneal.UnitCells = 1
 	ctx.Anneal.Sweeps = 500
 	be, _ := Get("anneal.sa")
-	res, err := be.Execute(annealMaxCutBundle(t, ctx), ExecOptions{})
+	res, err := run(be, annealMaxCutBundle(t, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestAnnealBackendShardsDoNotMoveResults(t *testing.T) {
 	for _, shards := range []int{0, 1, 3} {
 		ctx := ctxdesc.NewAnneal("anneal.sa", 64, 5)
 		ctx.Anneal.Sweeps = 200
-		res, err := be.Execute(annealMaxCutBundle(t, ctx), ExecOptions{Shards: shards})
+		res, err := run(be, annealMaxCutBundle(t, ctx), ExecOptions{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestAnnealBackendRejectsGateOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	be, _ := Get("anneal.sa")
-	if _, err := be.Execute(b, ExecOptions{}); err == nil {
+	if _, err := run(be, b, ExecOptions{}); err == nil {
 		t.Error("anneal backend accepted a QAOA gate stack")
 	}
 }
@@ -268,7 +268,7 @@ func TestPulseBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := be.Execute(b, ExecOptions{})
+	res, err := run(be, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestGateBackendWithQECContext(t *testing.T) {
 	gamma, beta := 0.5, 0.3
 	ctx := ctxdesc.NewGate("gate.statevector", 256, 3)
 	ctx.QEC = &ctxdesc.QEC{CodeFamily: "surface", Distance: 7, Allocator: "auto", PhysErrorRate: 1e-3}
-	res, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
+	res, err := run(&Gate{engine: "gate.statevector"}, gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestGateBackendWithCommContext(t *testing.T) {
 	gamma, beta := 0.5, 0.3
 	ctx := ctxdesc.NewGate("gate.statevector", 256, 3)
 	ctx.Comm = &ctxdesc.Comm{QPUs: 2, QubitsPerQPU: 2, AllowTeleport: true}
-	res, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
+	res, err := run(&Gate{engine: "gate.statevector"}, gateMaxCutBundle(t, gamma, beta, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,12 +357,24 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// run is a plain job on be: Prepare, then Run the bundle as point 0.
+func run(be Backend, b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
+	h, err := be.Prepare(b, o)
+	if err != nil {
+		return nil, err
+	}
+	defer h.Close()
+	return h.Run(0, b)
+}
+
 // stubBackend is a minimal Backend for Register tests.
 type stubBackend struct{ name string }
 
 func (s *stubBackend) Name() string { return s.name }
-func (s *stubBackend) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error) {
-	return &result.Result{Engine: s.name}, nil
+func (s *stubBackend) Prepare(_ *bundle.Bundle, o ExecOptions) (Prepared, error) {
+	return PerPoint(func(*bundle.Bundle, ExecOptions) (*result.Result, error) {
+		return &result.Result{Engine: s.name}, nil
+	}, o), nil
 }
 
 func TestRegisterAndUnregister(t *testing.T) {

@@ -20,7 +20,7 @@ type Gate struct {
 // Name implements Backend.
 func (g *Gate) Name() string { return g.engine }
 
-// Execute simulates the bundle's gate realization (RealizeCircuit) across
+// execute simulates the bundle's gate realization (RealizeCircuit) across
 // o.Shards persistent shards, with the QEC overhead and noise model its
 // context asks for, and decodes through the final measurement's result
 // schema. o.Stages hears "transpile" from the realization and
@@ -29,7 +29,7 @@ func (g *Gate) Name() string { return g.engine }
 // lands the per-kernel table in Meta["profile"] (trajectories are many
 // executions of one plan, not one kernel table, so noisy contexts return
 // none).
-func (g *Gate) Execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
+func (g *Gate) execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
 	r, err := RealizeCircuit(b, false, o)
 	if err != nil {
 		return nil, err

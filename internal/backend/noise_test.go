@@ -58,7 +58,7 @@ func TestGateBackendNoisyRunEndToEnd(t *testing.T) {
 	ctx.Exec.Options = map[string]any{
 		"noise": map[string]any{"prob_1q": 0.02, "prob_2q": 0.05},
 	}
-	res, err := (&Gate{engine: "gate.statevector"}).Execute(gateMaxCutBundle(t, 0.5, 0.3, ctx), ExecOptions{})
+	res, err := run(&Gate{engine: "gate.statevector"}, gateMaxCutBundle(t, 0.5, 0.3, ctx), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,18 @@ type PulseInfo struct {
 	PerQubitBusyNS  []float64
 }
 
-// Execute schedules the bundle's pulse realization (RealizeCircuit: the
-// circuit transpiled to the Listing-4 basis). Scheduling is serial and
-// untimed, so the options are ignored.
-func (p *Pulse) Execute(b *bundle.Bundle, _ ExecOptions) (*result.Result, error) {
-	r, err := RealizeCircuit(b, true, ExecOptions{})
+// Prepare implements Backend: a pulse bundle keeps nothing between
+// points, so each point schedules its own concrete bundle.
+func (p *Pulse) Prepare(_ *bundle.Bundle, o ExecOptions) (Prepared, error) {
+	return PerPoint(p.execute, o), nil
+}
+
+// execute schedules the bundle's pulse realization (RealizeCircuit: the
+// circuit transpiled to the Listing-4 basis). o.Stages hears "transpile"
+// from the realization; scheduling is serial and untimed, so the other
+// options are ignored.
+func (p *Pulse) execute(b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
+	r, err := RealizeCircuit(b, true, o)
 	if err != nil {
 		return nil, err
 	}

@@ -23,6 +23,9 @@ import (
 type benchFake struct{}
 
 func (benchFake) Name() string { return "fake.fleet_bench" }
+func (f benchFake) Prepare(_ *bundle.Bundle, o backend.ExecOptions) (backend.Prepared, error) {
+	return backend.PerPoint(f.Execute, o), nil
+}
 func (benchFake) Execute(b *bundle.Bundle, _ backend.ExecOptions) (*result.Result, error) {
 	return &result.Result{
 		Engine:  "fake.fleet_bench",

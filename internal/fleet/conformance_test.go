@@ -33,6 +33,10 @@ type gatedFake struct {
 
 func (f *gatedFake) Name() string { return f.name }
 
+func (f *gatedFake) Prepare(_ *bundle.Bundle, o backend.ExecOptions) (backend.Prepared, error) {
+	return backend.PerPoint(f.Execute, o), nil
+}
+
 func (f *gatedFake) Execute(b *bundle.Bundle, _ backend.ExecOptions) (*result.Result, error) {
 	<-f.gate
 	if f.fail {

@@ -37,6 +37,10 @@ type fakeBackend struct {
 
 func (f *fakeBackend) Name() string { return f.name }
 
+func (f *fakeBackend) Prepare(_ *bundle.Bundle, o backend.ExecOptions) (backend.Prepared, error) {
+	return backend.PerPoint(f.Execute, o), nil
+}
+
 func (f *fakeBackend) Execute(b *bundle.Bundle, _ backend.ExecOptions) (*result.Result, error) {
 	if f.ran != nil {
 		f.ran <- struct{}{}

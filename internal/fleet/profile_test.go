@@ -21,6 +21,10 @@ type profiledFake struct {
 	fakeBackend
 }
 
+func (f *profiledFake) Prepare(_ *bundle.Bundle, o backend.ExecOptions) (backend.Prepared, error) {
+	return backend.PerPoint(f.Execute, o), nil
+}
+
 func (f *profiledFake) Execute(b *bundle.Bundle, o backend.ExecOptions) (*result.Result, error) {
 	res, err := f.fakeBackend.Execute(b, o)
 	if err != nil || !o.Profile {

@@ -81,15 +81,16 @@
 // way: the memory LRU, then the result log, writing a memory hit the log
 // lacks back to it.
 //
-// Execution goes through runtime.PrepareSweep: the symbolic template
-// compiles once into a sim.ParamPlan and each point binds into it. The
-// job's grant G — the same shard grant a plain job gets — is spent as
-// lanes × shards (see sweepLanes): L = min(G, points not served from a
-// cache) goroutines, the worker one of them, each pulling the next point
-// from a shared counter, executing it on G/L shards, persisting and
-// publishing it; L·2^qubits never exceeds 2^sim.MaxQubits resident
-// amplitudes. A plain job's one point is one lane on all G shards and one
-// runtime.Submit. A sweep beside other running work has G = 1 and is the
+// Execution goes through one runtime.Prepare handle per job, which runs
+// its points: a gate template with a parametric form compiles once into a
+// sim.ParamPlan and each point binds into it; every other point runs its
+// concrete bundle. The job's grant G — the same shard grant a plain job
+// gets — is spent as lanes × shards (see sweepLanes): L = min(G, points
+// not served from a cache) goroutines, the worker one of them, each
+// pulling the next point from a shared counter, running it on G/L shards,
+// persisting and publishing it; L·2^qubits never exceeds 2^sim.MaxQubits
+// resident amplitudes. A plain job's one point is one lane on all G shards
+// and one Run. A sweep beside other running work has G = 1 and is the
 // plain serial loop. Points complete out of order, so Status.PointsDone
 // is a count, not a prefix of the grid; Status.Shards stays G, and the
 // "started" and "executed" spans carry the split. Points of one grid with
@@ -498,7 +499,7 @@ func (j *job) profileOf(results []*result.Result) json.RawMessage {
 	return aggregateSweepProfiles(results)
 }
 
-// Pool is a concurrent job scheduler over runtime.Submit.
+// Pool is a concurrent job scheduler over runtime.Prepare handles.
 type Pool struct {
 	// The job table: Status, List, Wait and WaitTimeout are its methods,
 	// and every lifecycle move goes through its Transition.
@@ -1007,10 +1008,9 @@ func (p *Pool) runJob(j *job) {
 // it executed. A plain job's one point is its bundle under j.Key; a
 // sweep's are bound from its grid (bindGrid). Points with equal keys are
 // one piece of work: each distinct key is looked up among the stored
-// results, and the misses run on lanes (sweepLanes) — a plain job's as one
-// runtime.Submit, a sweep's over one runtime.PrepareSweep handle — each
-// persisting its result before publishing it. The first failure stops
-// every lane.
+// results, and the misses run on lanes (sweepLanes) over one
+// runtime.Prepare handle, each persisting its result before publishing it.
+// The first failure stops every lane.
 func (p *Pool) execute(j *job, granted, qubits int) ([]string, []*result.Result, int, error) {
 	b, grid := j.bundle, j.Points > 0
 	concrete, keys := []*bundle.Bundle{b}, []string{j.Key}
@@ -1066,15 +1066,7 @@ func (p *Pool) execute(j *job, granted, qubits int) ([]string, []*result.Result,
 	start := time.Now()
 	lanes, shards := sweepLanes(granted, len(miss), qubits)
 	opts := rt.Options{Shards: shards, Profile: j.Profile}
-	var run func(i int) (*result.Result, error)
-	var err error
-	if grid {
-		var sweep *rt.Sweep
-		if sweep, err = rt.PrepareSweep(b, opts); err == nil {
-			defer sweep.Close()
-			run = func(i int) (*result.Result, error) { return sweep.Point(i, concrete[i]) }
-		}
-	} else {
+	if !grid {
 		// The engine's stage timings become a plain job's spans; a sweep
 		// would log them per point and drown its lifecycle log, so its
 		// coarse spans cover it.
@@ -1083,11 +1075,12 @@ func (p *Pool) execute(j *job, granted, qubits int) ([]string, []*result.Result,
 			j.Span(stage, d, "")
 			p.mu.Unlock()
 		}
-		run = func(i int) (*result.Result, error) { return rt.Submit(concrete[i], opts) }
 	}
+	h, err := rt.Prepare(b, opts)
 	if err == nil {
+		defer h.Close()
 		err = runLanes(lanes, miss, func(i int) error {
-			res, err := run(i)
+			res, err := h.Run(i, concrete[i])
 			if err != nil {
 				return err
 			}

@@ -81,6 +81,10 @@ type fakeBackend struct {
 
 func (f *fakeBackend) Name() string { return f.name }
 
+func (f *fakeBackend) Prepare(_ *bundle.Bundle, o backend.ExecOptions) (backend.Prepared, error) {
+	return backend.PerPoint(f.Execute, o), nil
+}
+
 func (f *fakeBackend) Execute(b *bundle.Bundle, _ backend.ExecOptions) (*result.Result, error) {
 	if f.ran != nil {
 		f.ran <- struct{}{}
@@ -394,6 +398,27 @@ func TestRealEngineCacheDeterminism(t *testing.T) {
 	if s := pool.Stats(); s.CacheHits != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
+}
+
+// TestPulseJobSpans: a plain pulse job's span log carries the engine's
+// transpile stage, as a gate job's does.
+func TestPulseJobSpans(t *testing.T) {
+	pool := NewPool(Options{Workers: 1})
+	t.Cleanup(pool.Close)
+	id, err := submit(pool, gateBundle(t, "pulse.model", 16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := pool.Wait(id)
+	if err != nil || st.State != StateDone {
+		t.Fatalf("state %s, err %v (%s)", st.State, err, st.Error)
+	}
+	for _, sp := range st.Spans {
+		if sp.Stage == "transpile" {
+			return
+		}
+	}
+	t.Errorf("span log %v lacks the engine's transpile stage", st.Spans)
 }
 
 // TestNoisyJobGrantInvariant takes the noisy class through the serving

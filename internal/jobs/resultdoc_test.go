@@ -537,6 +537,10 @@ type badMetaBackend struct {
 
 func (b *badMetaBackend) Name() string { return b.name }
 
+func (b *badMetaBackend) Prepare(_ *bundle.Bundle, o backend.ExecOptions) (backend.Prepared, error) {
+	return backend.PerPoint(b.Execute, o), nil
+}
+
 func (b *badMetaBackend) Execute(bd *bundle.Bundle, _ backend.ExecOptions) (*result.Result, error) {
 	spin := qdt.Value{Semantics: qdt.AsSpin, Spins: []int8{1, -1, 1, -1}, Index: 5}
 	res := &result.Result{Engine: b.name, Samples: 100, Entries: []result.Entry{{Bitstring: "1010", Index: 5, Value: spin, Count: 100}}}

@@ -31,6 +31,10 @@ type blockedEngine struct {
 
 func (e *blockedEngine) Name() string { return e.name }
 
+func (e *blockedEngine) Prepare(_ *bundle.Bundle, o backend.ExecOptions) (backend.Prepared, error) {
+	return backend.PerPoint(e.Execute, o), nil
+}
+
 func (e *blockedEngine) Execute(*bundle.Bundle, backend.ExecOptions) (*result.Result, error) {
 	e.ran <- struct{}{}
 	<-e.block

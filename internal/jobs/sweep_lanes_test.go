@@ -232,6 +232,10 @@ type failNth struct {
 	nth   int64
 }
 
+func (f *failNth) Prepare(_ *bundle.Bundle, o backend.ExecOptions) (backend.Prepared, error) {
+	return backend.PerPoint(f.Execute, o), nil
+}
+
 func (f *failNth) Execute(b *bundle.Bundle, o backend.ExecOptions) (*result.Result, error) {
 	if f.calls.Add(1) == f.nth {
 		return nil, fmt.Errorf("%s: injected failure", f.name)

@@ -12,8 +12,8 @@ import (
 // Estimate is a per-engine pre-execution cost projection — the scheduler
 // capability the paper's §2 motivates: "without this information, a
 // scheduler cannot choose an appropriate backend and topology, or
-// estimate queue and runtime." It prices what the engine would run, the
-// realization its Execute runs: the circuit transpiled and, under a comm
+// estimate queue and runtime." It prices what the engine would run, its
+// realization: the circuit transpiled and, under a comm
 // block, distributed; the model the sampler sweeps, embedded when asked.
 type Estimate struct {
 	Engine string

@@ -2,8 +2,11 @@
 // submission bundle (the typed rules, which enforce every schema rule),
 // selects a backend — from the explicit context or, absent one, from the
 // intent artifacts' shape and cost hints, the scheduler role the paper's
-// §2 cost_hint discussion motivates — executes it, and returns decoded
-// results.
+// §2 cost_hint discussion motivates — prepares it there once and runs its
+// points, and returns decoded results. Prepare gives the one handle every
+// execution goes through: Submit is Prepare(b) then Run(0, b), and a sweep
+// runs each point's BindPoint materialization on one handle. Handle.Run is
+// the one place a result gets its intent_fingerprint.
 package runtime
 
 import (
@@ -52,18 +55,6 @@ func SelectEngine(b *bundle.Bundle) (string, error) {
 // MaxGateTwoQ is the scheduler guardrail on hinted two-qubit counts.
 const MaxGateTwoQ = 1_000_000
 
-// prepare validates a bundle and resolves the backend that will run it.
-func prepare(b *bundle.Bundle) (engine string, be backend.Backend, err error) {
-	if err := b.Validate(qop.ValidateOptions{}); err != nil {
-		return "", nil, err
-	}
-	if engine, err = ResolveEngine(b); err != nil {
-		return "", nil, err
-	}
-	be, err = backend.Get(engine)
-	return engine, be, err
-}
-
 // ResolveEngine names the engine that runs b: the context's explicit
 // exec.engine, else SelectEngine's choice. The serving tiers record it on
 // a job without running anything.
@@ -74,21 +65,113 @@ func ResolveEngine(b *bundle.Bundle) (string, error) {
 	return SelectEngine(b)
 }
 
-// Submit validates and executes a bundle.
-func Submit(b *bundle.Bundle, opts Options) (*result.Result, error) {
-	engine, be, err := prepare(b)
+// Handle is a bundle prepared on its engine: validated, its engine
+// resolved and — for a gate sweep template with a parametric form —
+// lowered, transpiled and compiled once. Run is safe for concurrent use and
+// occupies opts.Shards cores per call; how many run side by side is the
+// caller's scheduling decision (the jobs pool's lanes) and never shows in
+// a result.
+type Handle struct {
+	engine   string
+	prepared backend.Prepared
+	// sweep is set for a template: its points are BindPoint's, which
+	// stamps each with a fresh intent fingerprint.
+	sweep bool
+}
+
+// Prepare validates b, a plain bundle or a sweep template, once and
+// prepares its engine to run points. Close the handle when done.
+func Prepare(b *bundle.Bundle, opts Options) (*Handle, error) {
+	if err := b.Validate(qop.ValidateOptions{}); err != nil {
+		return nil, err
+	}
+	engine, err := ResolveEngine(b)
 	if err != nil {
 		return nil, err
 	}
-	res, err := be.Execute(b, opts)
+	be, err := backend.Get(engine)
+	if err != nil {
+		return nil, err
+	}
+	prepared, err := be.Prepare(b, opts)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: engine %s: %w", engine, err)
 	}
-	if fp, ferr := b.Fingerprint(); ferr == nil {
+	return &Handle{engine: engine, prepared: prepared, sweep: b.Context != nil && b.Context.Sweep != nil}, nil
+}
+
+// Run executes point i; concrete is that point's materialized bundle (see
+// bundle.BindPoint), or the prepared bundle itself when it is plain. The
+// result, including its intent_fingerprint, is what Submit(concrete)
+// produces.
+func (h *Handle) Run(i int, concrete *bundle.Bundle) (*result.Result, error) {
+	res, err := h.prepared.Run(i, concrete)
+	if err != nil {
+		if h.sweep {
+			return nil, fmt.Errorf("runtime: engine %s: point %d: %w", h.engine, i, err)
+		}
+		return nil, fmt.Errorf("runtime: engine %s: %w", h.engine, err)
+	}
+	// A point's fingerprint is BindPoint's, fresh, so the per-point hot
+	// path does not re-hash the whole bundle. A plain bundle's provenance
+	// is the client's, and a stale one would reach the cached result every
+	// twin is served from (CacheKey ignores provenance), so it is hashed.
+	fp := ""
+	if h.sweep && concrete.Provenance != nil {
+		fp = concrete.Provenance.IntentFingerprint
+	}
+	if fp == "" {
+		fp, _ = concrete.Fingerprint()
+	}
+	if fp != "" {
 		if res.Meta == nil {
 			res.Meta = map[string]any{}
 		}
 		res.Meta["intent_fingerprint"] = fp
 	}
 	return res, nil
+}
+
+// Close releases what the engine kept between points.
+func (h *Handle) Close() { h.prepared.Close() }
+
+// Submit validates and executes a plain bundle: one Prepare, one Run.
+func Submit(b *bundle.Bundle, opts Options) (*result.Result, error) {
+	if b.Context != nil && b.Context.Sweep != nil {
+		return nil, fmt.Errorf("runtime: the bundle carries a sweep block; run its points with SubmitSweep")
+	}
+	h, err := Prepare(b, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer h.Close()
+	return h.Run(0, b)
+}
+
+// SubmitSweep is the serial driver over a prepared sweep: it prepares b,
+// executes the given points one after another on the calling goroutine —
+// concrete[k] is the materialized bundle for point indices[k] — and
+// invokes each per completed point with its global index.
+func SubmitSweep(b *bundle.Bundle, concrete []*bundle.Bundle, indices []int, opts Options, each func(i int, res *result.Result) error) error {
+	if len(concrete) != len(indices) {
+		return fmt.Errorf("runtime: %d concrete bundles for %d indices", len(concrete), len(indices))
+	}
+	if b.Context == nil || b.Context.Sweep == nil {
+		return fmt.Errorf("runtime: sweep submission without a sweep context block")
+	}
+	h, err := Prepare(b, opts)
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+	for k, gi := range indices {
+		res, err := h.Run(gi, concrete[k])
+		if err != nil {
+			return err
+		}
+		if err := each(gi, res); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/algolib"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/ctxdesc"
 	"repro/internal/graph"
 	"repro/internal/qdt"
-	"repro/internal/result"
 )
 
 // sweepBundle builds a symbolic one-layer QAOA sweep template over the
@@ -28,73 +26,6 @@ func sweepBundle(t *testing.T, points [][]float64) *bundle.Bundle {
 		t.Fatal(err)
 	}
 	return b
-}
-
-func entriesEqual(a, b *result.Result) error {
-	if len(a.Entries) != len(b.Entries) {
-		return fmt.Errorf("%d entries vs %d", len(a.Entries), len(b.Entries))
-	}
-	for i := range a.Entries {
-		ea, eb := a.Entries[i], b.Entries[i]
-		if ea.Value.Index != eb.Value.Index || ea.Count != eb.Count {
-			return fmt.Errorf("entry %d: index/count (%d,%d) vs (%d,%d)",
-				i, ea.Value.Index, ea.Count, eb.Value.Index, eb.Count)
-		}
-	}
-	return nil
-}
-
-// TestSubmitSweepParity pins the sweep determinism contract at the
-// runtime layer: every point's result — entries, fingerprint — is
-// bit-identical to submitting that point's materialized concrete bundle
-// on its own. The grid includes the degenerate (0,0) point that forces
-// the concrete fallback inside the sweep path.
-func TestSubmitSweepParity(t *testing.T) {
-	points := [][]float64{
-		{0.6, 0.4},
-		{1.3, 2.2},
-		{0, 0},
-		{2.9, -0.7},
-	}
-	b := sweepBundle(t, points)
-	concrete := make([]*bundle.Bundle, len(points))
-	indices := make([]int, len(points))
-	want := make([]*result.Result, len(points))
-	for i, pt := range points {
-		cb, err := b.BindPoint(pt)
-		if err != nil {
-			t.Fatalf("BindPoint(%v): %v", pt, err)
-		}
-		concrete[i], indices[i] = cb, i
-		res, err := Submit(cb, Options{})
-		if err != nil {
-			t.Fatalf("concrete Submit point %d: %v", i, err)
-		}
-		want[i] = res
-	}
-
-	got := make([]*result.Result, len(points))
-	err := SubmitSweep(b, concrete, indices, Options{}, func(i int, res *result.Result) error {
-		if got[i] != nil {
-			return fmt.Errorf("point %d delivered twice", i)
-		}
-		got[i] = res
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range points {
-		if got[i] == nil {
-			t.Fatalf("point %d never delivered", i)
-		}
-		if err := entriesEqual(got[i], want[i]); err != nil {
-			t.Errorf("point %d: %v", i, err)
-		}
-		if got[i].Meta["intent_fingerprint"] != want[i].Meta["intent_fingerprint"] {
-			t.Errorf("point %d fingerprint differs", i)
-		}
-	}
 }
 
 // TestBindPointFingerprint checks a materialized point is
