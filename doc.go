@@ -271,7 +271,8 @@
 // substitute fakes.
 //
 // See benchmark/README.md for the serving benchmark and its metrics, and
-// CHANGES.md for the record of each change. The benchmark harness in
-// bench_test.go regenerates every quantitative artifact; cmd/qmlbench
-// prints them as tables.
+// CHANGES.md for the record of each change. paper_test.go reproduces the
+// paper's evaluation as one asserted table, one line per quantity:
+//
+//	go test -run '^TestPaper$' -v .
 package repro

@@ -70,6 +70,13 @@ func TestValidateCatches(t *testing.T) {
 			t.Errorf("duplicate id not caught: %v", err)
 		}
 	})
+	t.Run("invalid qdt", func(t *testing.T) {
+		b := testBundle(t)
+		b.QDTs = append(b.QDTs, qdt.New("bad", "bad", 0, "NOPE", "AS_JPEG"))
+		if err := b.Validate(qop.ValidateOptions{}); err == nil {
+			t.Error("invalid QDT accepted")
+		}
+	})
 	t.Run("dangling operator register", func(t *testing.T) {
 		b := testBundle(t)
 		b.Operators = append(qop.Sequence{qop.New("x", qop.PrepUniform, "ghost")}, b.Operators...)

@@ -21,8 +21,8 @@ import (
 	rt "repro/internal/runtime"
 )
 
-// quickstartBundle reproduces examples/quickstart as a job.json document:
-// a 10-qubit QFT with measurement under the Listing-4 gate context.
+// quickstartBundle is Listing 1's job as a job.json document: a 10-qubit
+// QFT with measurement under the Listing-4 gate context.
 func quickstartBundle(t testing.TB) []byte {
 	t.Helper()
 	reg := qdt.NewPhaseRegister("reg_phase", "phase", 10)
