@@ -243,7 +243,7 @@ func runParallel(paths []string, engineOverride string, workers, maxShards, top 
 		ids[i] = st.ID
 	}
 
-	failed := 0
+	done, hits, failed := 0, 0, 0
 	for i, id := range ids {
 		st, err := pool.Wait(id)
 		if err != nil {
@@ -251,6 +251,7 @@ func runParallel(paths []string, engineOverride string, workers, maxShards, top 
 		}
 		fmt.Printf("== %s (%s: %s", paths[i], id, st.State)
 		if st.CacheHit {
+			hits++
 			fmt.Printf(", cache hit")
 		} else if st.Coalesced {
 			fmt.Printf(", coalesced")
@@ -265,16 +266,16 @@ func runParallel(paths []string, engineOverride string, workers, maxShards, top 
 			fmt.Printf("  error: %v\n", err)
 			continue
 		}
+		done++
 		printResult(res, top)
 	}
 
-	s := pool.Stats()
 	workerNoun := "workers"
-	if s.Workers == 1 {
+	if workers == 1 {
 		workerNoun = "worker"
 	}
 	fmt.Printf("\nbatch: %d jobs on %d %s — %d done (%d cache hits), %d failed\n",
-		s.Submitted, s.Workers, workerNoun, s.Completed, s.CacheHits, s.Failed)
+		len(ids), workers, workerNoun, done, hits, failed)
 	if failed > 0 {
 		return fmt.Errorf("%d of %d jobs failed", failed, len(paths))
 	}

@@ -145,6 +145,18 @@ func scrapeMetrics(t *testing.T, s *server) map[string]obs.Family {
 	return byName
 }
 
+// metric is the first sample of the named family on s's /metrics that
+// carries every given label.
+func metric(t *testing.T, s *server, name string, labels ...obs.Label) float64 {
+	t.Helper()
+	f := scrapeMetrics(t, s)[name]
+	v, ok := f.Value(labels...)
+	if !ok {
+		t.Fatalf("/metrics on %s has no %s%v", s.addr, name, labels)
+	}
+	return v
+}
+
 // TestDispatchAcceptance is the PR acceptance test at the process level:
 // a dispatcher qmlserve fronting two in-memory worker qmlserves must
 // (a) route a job to a worker and, when that worker is SIGKILLed
@@ -284,11 +296,14 @@ func TestDispatchAcceptance(t *testing.T) {
 			resFleet["entries"], resRef["entries"])
 	}
 
-	// Fleet health surfaced the death: one worker ejected.
-	stats := getJSON(t, disp.url("/v1/stats"), http.StatusOK)
-	dstats := stats["dispatcher"].(map[string]any)
-	if dstats["reforwarded"].(float64) < 1 {
-		t.Fatalf("dispatcher stats missed the reforward: %v", dstats)
+	// Fleet health surfaced the death: victim ejected, job re-forwarded.
+	if n := metric(t, disp, "fleet_reforwarded_total"); n < 1 {
+		t.Fatalf("fleet_reforwarded_total = %v, missed the reforward", n)
+	}
+	for w, want := range map[*server]float64{victimProc: 0, survivor: 1} {
+		if h := metric(t, disp, "fleet_worker_healthy", obs.Label{Name: "worker", Value: w.addr}); h != want {
+			t.Fatalf("fleet_worker_healthy{worker=%q} = %v, want %v", w.addr, h, want)
+		}
 	}
 
 	// Dispatcher crash: SIGKILL, restart on the same journal. The
@@ -312,9 +327,8 @@ func TestDispatchAcceptance(t *testing.T) {
 	if list["count"].(float64) < 1 {
 		t.Fatalf("history after restart: %v", list)
 	}
-	stats2 := getJSON(t, disp2.url("/v1/stats"), http.StatusOK)
-	if stats2["dispatcher"].(map[string]any)["recovered"].(float64) < 1 {
-		t.Fatalf("restart replayed nothing: %v", stats2)
+	if n := metric(t, disp2, "fleet_recovered_total"); n < 1 {
+		t.Fatalf("restart replayed nothing: fleet_recovered_total = %v", n)
 	}
 
 	// Graceful exit: SIGTERM drains and exits 0, even with a client parked

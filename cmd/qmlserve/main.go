@@ -15,8 +15,7 @@
 //	  → {"engine":"gate.aer_simulator","samples":10000,"entries":[...]}
 //	curl -s 'localhost:8080/v1/jobs?state=done&limit=20'   # history listing
 //	curl -s localhost:8080/v1/engines
-//	curl -s localhost:8080/v1/stats
-//	curl -s localhost:8080/metrics                         # Prometheus text format
+//	curl -s localhost:8080/metrics                         # every counter, Prometheus text format
 //
 // Every route, document, status code and the long-poll semantics are
 // specified once, on jobs.NewHandler; what follows is the operator's view.
@@ -24,17 +23,17 @@
 // Re-POSTing an identical bundle (same intent, context, shots, seed)
 // returns a new job ID already in state "done" with "cache_hit": true —
 // the result is served from the content-addressed cache without
-// re-execution, visible in /v1/stats as cache_hits. A duplicate of a job
-// that is *currently executing* coalesces onto it instead of running
-// twice ("coalesced": true in its status, coalesced in /v1/stats).
+// re-execution, counted in jobs_cache_hits_total on /metrics. A duplicate
+// of a job that is *currently executing* coalesces onto it instead of
+// running twice ("coalesced": true in its status, jobs_coalesced_total).
 //
 // The pool doubles as the statevector shard scheduler: a job that starts
 // while the pool is otherwise idle is granted -max-shards parallel shards
 // (default GOMAXPROCS) so one big simulation spans every core, while jobs
 // running alongside others stay single-shard. A sweep spends the same
 // grant on concurrent points first (lanes × shards, see internal/jobs).
-// POST /v1/jobs?shards=N pins the grant per job; /v1/stats reports
-// max_shards and wide_jobs.
+// POST /v1/jobs?shards=N pins the grant per job; jobs_wide_total counts
+// the jobs granted more than one shard.
 //
 // A parameter sweep — one bundle whose context carries a sweep block
 // (parameter names + point grid) — submits as ONE job via POST
@@ -52,11 +51,12 @@
 // # Observability
 //
 // GET /metrics serves the internal/obs registry in Prometheus text
-// exposition format: the jobs_*/store_*/fleet_* counters behind
-// /v1/stats, latency histograms (queue wait, execution, per-stage
-// compile/execute/sample, journal append and fsync, dispatcher→worker
-// round trips), Go runtime gauges (go_goroutines, heap, GC) and a
-// build_info gauge carrying the VCS revision.
+// exposition format — the one counter surface: the jobs_*/store_*/fleet_*
+// counters and gauges (a dispatcher's fleet_worker_healthy and
+// fleet_worker_outstanding per worker), latency histograms (queue wait,
+// execution, per-stage compile/execute/sample, journal append and fsync,
+// dispatcher→worker round trips), Go runtime gauges (go_goroutines, heap,
+// GC) and a build_info gauge carrying the VCS revision.
 //
 // Every job carries a trace ID: inbound X-Trace-Id is honored (else one
 // is generated), echoed on the 202, recorded in the journal, forwarded
@@ -125,15 +125,14 @@
 // with -data-dir every accepted job plus its worker assignment is
 // journaled, exactly as a worker journals, so both worker deaths and
 // dispatcher restarts preserve accepted work.
-// -probe-interval tunes the health-probe cadence. Job status has no
-// cadence to tune: the dispatcher parks a revisioned long-poll
-// (GET /v1/jobs/{id}?wait=D&rev=N) on the owning worker, which answers
-// the moment the job changes.
+// -probe-interval tunes the liveness probe (GET /v1/engines) cadence.
+// Job status has no cadence to tune: the dispatcher parks a revisioned
+// long-poll (GET /v1/jobs/{id}?wait=D&rev=N) on the owning worker, which
+// answers the moment the job changes.
 //
 // The dispatcher is served by the same handler as a worker, so every
 // route above works on it unchanged; its status documents add "worker",
-// "remote", "reforwards" and "ranges", and its /v1/stats is
-// {"dispatcher", "workers", "fleet", "build"}. A POST /v1/sweeps grid
+// "remote", "reforwards" and "ranges". A POST /v1/sweeps grid
 // is scattered point-range-wise across the healthy workers as
 // independent sub-sweeps (a ?shards= pin goes with each), a dead
 // worker's unfinished ranges (and only those) re-forward to survivors,
@@ -187,7 +186,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "debug listener address for /debug/pprof and /metrics (empty = off; keep it private)")
 	flag.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: qmlserve [-addr :8080] [-workers n] [-queue n] [-cache n] [-max-shards n] [-data-dir dir] [-fsync always|terminal|none] [-dispatch w1,w2,...] [-log-format text|json] [-debug-addr :6060]")
+		flag.Usage()
 		os.Exit(2)
 	}
 	if *logFormat != "text" && *logFormat != "json" {
@@ -312,8 +311,7 @@ func serve(cfg config, build func(*store.Store) (service, error), about ...any) 
 	}
 	defer svc.Close()
 	if st != nil {
-		s := st.Stats()
-		cfg.log.Info("recovered journal", "dir", cfg.dataDir, "records", s.Records, "disk_results", s.Results)
+		cfg.log.Info("recovered journal", "dir", cfg.dataDir, "records", len(st.Records()), "disk_results", len(st.RecentResultKeys(0)))
 	}
 
 	stopDebug, err := startDebug(cfg)

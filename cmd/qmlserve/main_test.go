@@ -184,6 +184,20 @@ func TestRestartAcceptance(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building qmlserve: %v\n%s", err, out)
 	}
+
+	// A stray argument prints the flag set's usage, every flag in it, and
+	// exits 2.
+	var usage bytes.Buffer
+	stray := exec.Command(bin, "stray")
+	stray.Stderr = &usage
+	if err := stray.Run(); stray.ProcessState == nil || stray.ProcessState.ExitCode() != 2 {
+		t.Fatalf("qmlserve stray: %v, want exit code 2", err)
+	}
+	for _, f := range []string{"addr", "workers", "queue", "cache", "max-shards", "data-dir", "fsync", "dispatch", "probe-interval", "log-format", "debug-addr"} {
+		if !strings.Contains(usage.String(), "  -"+f+" ") {
+			t.Errorf("usage does not name -%s:\n%s", f, usage.String())
+		}
+	}
 	dataDir := t.TempDir()
 
 	// Life 1: accept and finish one job, then die without warning.
@@ -268,12 +282,12 @@ func TestRestartAcceptance(t *testing.T) {
 		t.Fatal("re-run job has no entries")
 	}
 
-	stats := getJSON(t, s2.url("/v1/stats"), http.StatusOK)
-	if stats["requeued"] != float64(2) || stats["recovered"] != float64(3) {
-		t.Fatalf("stats: requeued=%v recovered=%v, want 2/3", stats["requeued"], stats["recovered"])
+	requeued, recovered := metric(t, s2, "jobs_requeued_total"), metric(t, s2, "jobs_recovered_total")
+	if requeued != 2 || recovered != 3 {
+		t.Fatalf("jobs_requeued_total=%v jobs_recovered_total=%v, want 2/3", requeued, recovered)
 	}
-	if stats["journal_truncated_tail"] != float64(1) {
-		t.Fatalf("torn tail not reported: %v", stats["journal_truncated_tail"])
+	if torn := metric(t, s2, "store_journal_truncated_tail"); torn != 1 {
+		t.Fatalf("torn tail not reported: store_journal_truncated_tail = %v", torn)
 	}
 	list := getJSON(t, s2.url("/v1/jobs?state=done"), http.StatusOK)
 	if list["count"].(float64) < 3 {

@@ -209,12 +209,10 @@ func TestSweepDispatchAcceptance(t *testing.T) {
 	}
 
 	// Fleet health surfaced the death and the range move.
-	stats := getJSON(t, disp.url("/v1/stats"), http.StatusOK)
-	dstats := stats["dispatcher"].(map[string]any)
-	if dstats["sweeps"].(float64) != 1 {
-		t.Fatalf("dispatcher sweep counter: %v", dstats)
+	if n := metric(t, disp, "fleet_sweeps_total"); n != 1 {
+		t.Fatalf("fleet_sweeps_total = %v, want 1", n)
 	}
-	if dstats["reforwarded"].(float64) < 1 {
-		t.Fatalf("dispatcher stats missed the range reforward: %v", dstats)
+	if n := metric(t, disp, "fleet_reforwarded_total"); n < 1 {
+		t.Fatalf("fleet_reforwarded_total = %v, missed the range reforward", n)
 	}
 }

@@ -58,7 +58,7 @@
 // an otherwise idle pool is granted every shard (one big simulation spans
 // all cores), while jobs running alongside others stay single-shard so
 // concurrent throughput is undisturbed. POST /v1/jobs?shards=N pins the
-// grant per job; /v1/stats reports max_shards, wide_jobs and coalesced.
+// grant per job; /metrics counts jobs_wide_total and jobs_coalesced_total.
 //
 // The serving layer is durable (internal/jobs/store): with a data
 // directory attached, every job transition appends to an append-only
@@ -110,7 +110,7 @@
 // hashing — identical bundles land on the worker that already caches
 // their result, and duplicates of an in-flight job are pinned to its
 // worker so coalescing keeps working fleet-wide. A prober ejects workers
-// after consecutive /v1/stats failures (their keys rehash minimally to
+// after consecutive failed liveness probes (their keys rehash minimally to
 // the survivors) and readmits them on recovery; every dispatcher→worker
 // call carries a timeout so a hung node can never wedge a dispatcher
 // goroutine. With a journal attached the dispatcher records every
@@ -188,11 +188,11 @@
 // Every layer reports through internal/obs, a stdlib-only telemetry
 // package: atomic counters, gauges and fixed-bucket histograms in a
 // named registry, exposed in Prometheus text format on GET /metrics
-// (worker and dispatcher alike). The instruments are the system of
-// record — /v1/stats reads the same counters back — so the two surfaces
-// can never disagree. Histograms time the stages that matter: queue
-// wait, compile/execute/sample inside the engine, journal append and
-// fsync, and the dispatcher→worker round trip.
+// (worker and dispatcher alike), the one surface every counter is read
+// from; a dispatcher adds per-worker health and outstanding-job gauges.
+// Histograms time the stages that matter: queue wait, compile/execute/
+// sample inside the engine, journal append and fsync, and the
+// dispatcher→worker round trip.
 //
 // # Profiling and the flight recorder
 //
@@ -263,7 +263,7 @@
 //	curl -s localhost:8080/v1/jobs/job-00000001/result   # decoded entries
 //	curl -s 'localhost:8080/v1/jobs?state=done'          # history, survives restarts
 //	curl -s localhost:8080/v1/engines                    # registry contents
-//	curl -s localhost:8080/v1/stats                      # counters incl. cache_hits
+//	curl -s localhost:8080/metrics                       # counters incl. jobs_cache_hits_total
 //
 // and cmd/qmlrun -parallel runs a batch of job files concurrently on the
 // same scheduler. The backend registry is concurrency-safe and accepts

@@ -166,14 +166,6 @@ func (c *client) cancel(ctx context.Context, id string) (code int, body []byte, 
 	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, "")
 }
 
-// stats fetches /v1/stats as a generic document — the probe heartbeat
-// and the raw material for fleet-wide aggregation.
-func (c *client) stats(ctx context.Context) (map[string]any, error) {
-	out := map[string]any{}
-	err := c.get(ctx, "stats", "/v1/stats", &out)
-	return out, err
-}
-
 // engines fetches a worker's registered engine names.
 func (c *client) engines(ctx context.Context) ([]string, error) {
 	var out struct {

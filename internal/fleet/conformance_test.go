@@ -82,6 +82,9 @@ type step struct {
 	then func()
 	// check inspects the decoded reply on both tiers.
 	check func(t *testing.T, doc map[string]any)
+	// plain marks a reply that is not a JSON document: the mux's own 404
+	// for a route the surface does not have.
+	plain bool
 }
 
 // opaque are the document members whose contents are a tier's own business
@@ -150,7 +153,7 @@ func runScenario(t *testing.T, h http.Handler, steps []step, drop map[string]boo
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, httptest.NewRequest(s.method, target, bytes.NewReader(s.body)))
 			code, doc = w.Code, map[string]any{}
-			if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+			if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil && !s.plain {
 				t.Fatalf("%s: %s %s: body is not a JSON object: %v\n%s", s.name, s.method, target, err, w.Body)
 			}
 			if s.until == "" || doc["state"] == s.until || fmt.Sprint(code) == s.until {
@@ -279,7 +282,8 @@ func TestConformance(t *testing.T) {
 			}
 			steps := []step{
 				{name: "engines", method: "GET", path: "/v1/engines", code: 200},
-				{name: "stats", method: "GET", path: "/v1/stats", code: 200},
+				// Counters are on /metrics alone.
+				{name: "stats", method: "GET", path: "/v1/stats", code: 404, plain: true},
 
 				// Input the handler refuses, the same way whatever it fronts.
 				{name: "job bad shards", method: "POST", path: "/v1/jobs?shards=bogus", body: job, code: 400},
@@ -344,9 +348,6 @@ func TestConformance(t *testing.T) {
 		})
 	}
 	for _, name := range names {
-		if name == "stats" {
-			continue // a fleet front-end's /v1/stats is a different document by design
-		}
 		pool, disp := got["pool"][name], got["dispatcher"][name]
 		if pool.code != disp.code {
 			t.Errorf("%s: pool answers %d, dispatcher %d", name, pool.code, disp.code)

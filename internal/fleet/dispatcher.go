@@ -33,7 +33,7 @@ type Options struct {
 	// a context deadline and as the shared http.Client's hard timeout —
 	// so a hung worker cannot wedge a dispatcher goroutine (default 10s).
 	RequestTimeout time.Duration
-	// ProbeInterval is the health/stats probe cadence (default 1s).
+	// ProbeInterval is the liveness probe cadence (default 1s).
 	ProbeInterval time.Duration
 	// EjectAfter is the consecutive probe failures that mark a worker
 	// unhealthy; one success readmits it (default 3).
@@ -81,58 +81,7 @@ const (
 	maxRecords = 65536
 )
 
-// Stats aggregates dispatcher counters; the attached store's journal
-// counters are inlined when persistent.
-type Stats struct {
-	Workers   int    `json:"workers"`
-	Healthy   int    `json:"healthy_workers"`
-	Submitted uint64 `json:"submitted"`
-	Completed uint64 `json:"completed"`
-	Failed    uint64 `json:"failed"`
-	Canceled  uint64 `json:"canceled"`
-	// Forwarded counts successful job handoffs to a worker; Reforwarded
-	// the subset that re-assigned a job after its worker died or forgot
-	// it.
-	Forwarded   uint64 `json:"forwarded"`
-	Reforwarded uint64 `json:"reforwarded"`
-	// Coalesced counts submissions whose cache key was already in flight
-	// through the dispatcher and were pinned to the primary's worker.
-	Coalesced uint64 `json:"coalesced"`
-	// AffinityHits counts routing decisions that followed the
-	// consistent-hash affinity worker; AffinitySpills those diverted to
-	// the least-loaded node by the slack rule.
-	AffinityHits   uint64 `json:"affinity_hits"`
-	AffinitySpills uint64 `json:"affinity_spills"`
-	Ejected        uint64 `json:"ejected"`
-	Readmitted     uint64 `json:"readmitted"`
-	// Recovered counts job records replayed from the journal at boot;
-	// Reattached the non-terminal subset whose workers are watched again
-	// (and the job re-forwarded if the fleet no longer knows it).
-	Recovered  uint64 `json:"recovered"`
-	Reattached uint64 `json:"reattached"`
-	// Sweeps counts parameter-sweep jobs accepted (each one queue slot,
-	// scattered range-wise over the fleet).
-	Sweeps uint64 `json:"sweeps"`
-	store.Stats
-}
-
-// WorkerInfo is one fleet node's health snapshot in /v1/stats.
-type WorkerInfo struct {
-	Name        string `json:"name"`
-	Healthy     bool   `json:"healthy"`
-	Outstanding int    `json:"outstanding"`
-	ConsecFails int    `json:"consecutive_failures"`
-	QueueLen    int    `json:"queue_len"`
-	Running     int    `json:"running"`
-	// Revision is the worker build's VCS revision from its last stats
-	// probe ("" until the first successful probe, or for pre-telemetry
-	// workers) — rolling-upgrade visibility across the fleet.
-	Revision string `json:"revision,omitempty"`
-}
-
-// fleetMetrics are the registry-backed instruments behind Stats; like the
-// worker pools, the counters are the system of record and Stats() reads
-// them back, so /v1/stats and /metrics can never disagree.
+// fleetMetrics are the dispatcher's instruments, served on GET /metrics.
 type fleetMetrics struct {
 	submitted      *obs.Counter
 	completed      *obs.Counter
@@ -169,17 +118,23 @@ func newFleetMetrics(reg *obs.Registry, d *Dispatcher) *fleetMetrics {
 		sweeps:         reg.Counter("fleet_sweeps_total", "Parameter-sweep jobs accepted by the dispatcher."),
 		roundtrip:      reg.Histogram("fleet_roundtrip_seconds", "Dispatcher→worker submit round-trip time (accepted handoffs only).", nil),
 	}
-	reg.GaugeFunc("fleet_workers_healthy", "Workers currently considered healthy.", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		n := 0
-		for _, w := range d.workers {
+	// One series per configured worker, so d.names is complete here.
+	for _, name := range d.names {
+		w, lbl := d.workers[name], obs.Label{Name: "worker", Value: name}
+		reg.GaugeFunc("fleet_worker_healthy", "1 while the worker takes new jobs, 0 once probes ejected it.", func() float64 {
+			d.mu.Lock()
+			defer d.mu.Unlock()
 			if w.healthy {
-				n++
+				return 1
 			}
-		}
-		return float64(n)
-	})
+			return 0
+		}, lbl)
+		reg.GaugeFunc("fleet_worker_outstanding", "Jobs and sweep ranges the dispatcher has in flight on the worker.", func() float64 {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return float64(w.outstanding)
+		}, lbl)
+	}
 	reg.GaugeFunc("fleet_jobs_tracked", "Jobs in the dispatcher's table (terminal records included until retention evicts them).", func() float64 {
 		d.mu.Lock()
 		defer d.mu.Unlock()
@@ -194,7 +149,6 @@ type worker struct {
 	healthy     bool
 	consecFails int
 	outstanding int
-	lastStats   map[string]any
 }
 
 // fwdJob is the dispatcher's record: the shared jobs.Record plus what is
@@ -254,9 +208,11 @@ type Dispatcher struct {
 	stop context.CancelFunc
 	wg   sync.WaitGroup
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// workers and names (configured order) are fixed at New; mu guards
+	// each worker's health and outstanding count.
 	workers  map[string]*worker
-	names    []string           // configured order, for stable reporting
+	names    []string
 	inflight map[string]*fwdJob // cache key → primary non-terminal job
 	closed   bool
 }
@@ -298,7 +254,6 @@ func New(opts Options) (*Dispatcher, error) {
 		reg = obs.NewRegistry()
 	}
 	d.reg = reg
-	d.met = newFleetMetrics(reg, d)
 	d.ctx, d.stop = context.WithCancel(context.Background())
 	for _, name := range opts.Workers {
 		name = strings.TrimSpace(name)
@@ -316,6 +271,7 @@ func New(opts Options) (*Dispatcher, error) {
 	if len(d.names) == 0 {
 		return nil, errors.New("fleet: no workers configured")
 	}
+	d.met = newFleetMetrics(reg, d)
 	d.ring = buildRing(d.names, vnodes)
 	var reattach []*fwdJob
 	if opts.Store != nil {
@@ -879,9 +835,9 @@ func (d *Dispatcher) workerByName(name string) *worker {
 	return d.workers[name]
 }
 
-// prober polls every worker's /v1/stats on the probe cadence, ejecting
-// after EjectAfter consecutive failures and readmitting on the first
-// success.
+// prober asks every worker for GET /v1/engines on the probe cadence — a
+// liveness check — ejecting after EjectAfter consecutive failures and
+// readmitting on the first success.
 func (d *Dispatcher) prober() {
 	defer d.wg.Done()
 	t := time.NewTicker(d.opts.ProbeInterval)
@@ -898,46 +854,40 @@ func (d *Dispatcher) prober() {
 
 func (d *Dispatcher) probeOnce() {
 	type outcome struct {
-		name  string
-		stats map[string]any
-		err   error
+		w   *worker
+		err error
 	}
-	d.mu.Lock()
-	clients := make(map[string]*client, len(d.workers))
-	for name, w := range d.workers {
-		clients[name] = w.c
-	}
-	d.mu.Unlock()
-	results := make(chan outcome, len(clients))
-	for name, c := range clients {
-		go func(name string, c *client) {
+	// The worker set and each worker's client are fixed at New; only the
+	// health fields need d.mu.
+	results := make(chan outcome, len(d.names))
+	for _, name := range d.names {
+		go func(w *worker) {
 			ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
 			defer cancel()
-			st, err := c.stats(ctx)
-			results <- outcome{name: name, stats: st, err: err}
-		}(name, c)
+			_, err := w.c.engines(ctx)
+			results <- outcome{w, err}
+		}(d.workers[name])
 	}
-	for range clients {
+	for range d.names {
 		o := <-results
+		w := o.w
 		d.mu.Lock()
-		w := d.workers[o.name]
 		switch {
 		case o.err != nil:
 			w.consecFails++
 			if w.healthy && w.consecFails >= d.opts.EjectAfter {
 				w.healthy = false
 				d.met.ejected.Inc()
-				obs.Record(obs.FlightFleetEject, "", fmt.Sprintf("worker %s after %d probe failures", o.name, w.consecFails))
-				d.log.Warn("worker ejected", "worker", o.name, "consecutive_failures", w.consecFails)
+				obs.Record(obs.FlightFleetEject, "", fmt.Sprintf("worker %s after %d probe failures", w.name, w.consecFails))
+				d.log.Warn("worker ejected", "worker", w.name, "consecutive_failures", w.consecFails)
 			}
 		default:
 			w.consecFails = 0
-			w.lastStats = o.stats
 			if !w.healthy {
 				w.healthy = true
 				d.met.readmitted.Inc()
-				obs.Record(obs.FlightFleetReadmit, "", "worker "+o.name)
-				d.log.Info("worker readmitted", "worker", o.name)
+				obs.Record(obs.FlightFleetReadmit, "", "worker "+w.name)
+				d.log.Info("worker readmitted", "worker", w.name)
 			}
 		}
 		d.mu.Unlock()
@@ -1127,51 +1077,6 @@ func (d *Dispatcher) Engines(ctx context.Context) ([]string, error) {
 	return out, nil
 }
 
-// Stats snapshots the dispatcher counters (journal counters inlined when
-// persistent). The counters are read back from the registry instruments,
-// so this document and /metrics always agree.
-func (d *Dispatcher) Stats() Stats {
-	var s Stats
-	s.Submitted = d.met.submitted.Value()
-	s.Completed = d.met.completed.Value()
-	s.Failed = d.met.failed.Value()
-	s.Canceled = d.met.canceled.Value()
-	s.Forwarded = d.met.forwarded.Value()
-	s.Reforwarded = d.met.reforwarded.Value()
-	s.Coalesced = d.met.coalesced.Value()
-	s.AffinityHits = d.met.affinityHits.Value()
-	s.AffinitySpills = d.met.affinitySpills.Value()
-	s.Ejected = d.met.ejected.Value()
-	s.Readmitted = d.met.readmitted.Value()
-	s.Recovered = d.met.recovered.Value()
-	s.Reattached = d.met.reattached.Value()
-	s.Sweeps = d.met.sweeps.Value()
-	d.mu.Lock()
-	s.Workers = len(d.workers)
-	for _, w := range d.workers {
-		if w.healthy {
-			s.Healthy++
-		}
-	}
-	d.mu.Unlock()
-	if d.opts.Store != nil {
-		s.Stats = d.opts.Store.Stats()
-	}
-	return s
-}
-
-// StatsDoc is the GET /v1/stats document of a fleet front-end: the
-// dispatcher's own counters, per-worker health, the sum of the workers'
-// counters, and the dispatcher's build.
-func (d *Dispatcher) StatsDoc() any {
-	return map[string]any{
-		"dispatcher": d.Stats(),
-		"workers":    d.WorkerInfos(),
-		"fleet":      d.FleetStats(),
-		"build":      obs.Build(),
-	}
-}
-
 // Metrics returns the registry the dispatcher's instruments live in
 // (Options.Metrics, or the private one created when that was nil).
 func (d *Dispatcher) Metrics() *obs.Registry { return d.reg }
@@ -1179,52 +1084,6 @@ func (d *Dispatcher) Metrics() *obs.Registry { return d.reg }
 // Logger returns the dispatcher's logger (Options.Logger, or one that
 // discards).
 func (d *Dispatcher) Logger() *slog.Logger { return d.log }
-
-// WorkerInfos snapshots per-node health for /v1/stats, in configured
-// order.
-func (d *Dispatcher) WorkerInfos() []WorkerInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]WorkerInfo, 0, len(d.names))
-	for _, name := range d.names {
-		w := d.workers[name]
-		info := WorkerInfo{
-			Name:        name,
-			Healthy:     w.healthy,
-			Outstanding: w.outstanding,
-			ConsecFails: w.consecFails,
-		}
-		if v, ok := w.lastStats["queue_len"].(float64); ok {
-			info.QueueLen = int(v)
-		}
-		if v, ok := w.lastStats["running"].(float64); ok {
-			info.Running = int(v)
-		}
-		if build, ok := w.lastStats["build"].(map[string]any); ok {
-			if rev, ok := build["revision"].(string); ok {
-				info.Revision = rev
-			}
-		}
-		out = append(out, info)
-	}
-	return out
-}
-
-// FleetStats sums the numeric counters of every worker's last probe —
-// the fleet-wide aggregate served under "fleet" in /v1/stats.
-func (d *Dispatcher) FleetStats() map[string]float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	agg := map[string]float64{}
-	for _, w := range d.workers {
-		for k, v := range w.lastStats {
-			if f, ok := v.(float64); ok {
-				agg[k] += f
-			}
-		}
-	}
-	return agg
-}
 
 // Close stops the prober and the per-job watchers and flushes the
 // journal. Jobs still running on workers keep running there; the journal

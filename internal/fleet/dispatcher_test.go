@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/jobs/store"
+	"repro/internal/obs"
 	"repro/internal/qdt"
 	"repro/internal/result"
 )
@@ -155,6 +157,43 @@ func newDispatcher(t *testing.T, opts Options) *Dispatcher {
 	return d
 }
 
+// metric scrapes reg through the strict exposition parser, as a /metrics
+// client reads it, and returns the first sample of the family that
+// carries every given label.
+func metric(t testing.TB, reg *obs.Registry, family string, labels ...obs.Label) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(b.String())
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	for _, f := range fams {
+		if v, ok := f.Value(labels...); ok && f.Name == family {
+			return v
+		}
+	}
+	t.Fatalf("no %s%v", family, labels)
+	return 0
+}
+
+// workerGauge is the dispatcher's per-worker family's value for worker
+// name; awaitGauge polls it until it reads want.
+func workerGauge(t testing.TB, d *Dispatcher, family, name string) float64 {
+	return metric(t, d.Metrics(), family, obs.Label{Name: "worker", Value: name})
+}
+
+func awaitGauge(t *testing.T, d *Dispatcher, family string, w *flakyWorker, want float64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); workerGauge(t, d, family, w.srv.URL) != want; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s{worker=%q} never reached %v", family, w.srv.URL, want)
+		}
+	}
+}
+
 // resultJSON is the result document WriteResult passes on.
 func resultJSON(d *Dispatcher, id string) ([]byte, error) {
 	var buf bytes.Buffer
@@ -239,30 +278,29 @@ func TestDispatchBasic(t *testing.T) {
 		t.Fatalf("duplicate neither cache hit nor coalesced: %+v", st)
 	}
 
-	s := d.Stats()
-	if s.Completed != 5 || s.Failed != 0 || s.Forwarded < 5 {
-		t.Fatalf("stats: %+v", s)
+	if m := d.met; m.completed.Value() != 5 || m.failed.Value() != 0 || m.forwarded.Value() < 5 {
+		t.Fatalf("completed %d, failed %d, forwarded %d; want 5, 0, at least 5", m.completed.Value(), m.failed.Value(), m.forwarded.Value())
 	}
-	if s.Healthy != 2 || s.Workers != 2 {
-		t.Fatalf("health: %+v", s)
+	for _, name := range d.names {
+		if h := workerGauge(t, d, "fleet_worker_healthy", name); h != 1 {
+			t.Fatalf("fleet_worker_healthy{worker=%q} = %v, want 1", name, h)
+		}
 	}
 }
 
 // TestEjectReadmitRejoin: a worker that stops answering is ejected (its
 // keys rehash onto the survivors), and readmitted — rejoining the ring —
-// on its first healthy probe.
+// on its first healthy probe; fleet_worker_healthy follows it 1 → 0 → 1.
 func TestEjectReadmitRejoin(t *testing.T) {
 	registerFake(t, "fake.fleet_rejoin")
 	w1, w2 := startWorker(t, 2), startWorker(t, 2)
 	d := newDispatcher(t, fastOpts(w1, w2))
 
+	awaitGauge(t, d, "fleet_worker_healthy", w1, 1)
 	w1.down.Store(true)
-	deadline := time.Now().Add(10 * time.Second)
-	for d.Stats().Healthy != 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := d.Stats(); got.Healthy != 1 || got.Ejected != 1 {
-		t.Fatalf("eject never happened: %+v", got)
+	awaitGauge(t, d, "fleet_worker_healthy", w1, 0)
+	if ejected := d.met.ejected.Value(); ejected != 1 || workerGauge(t, d, "fleet_worker_healthy", w2.srv.URL) != 1 {
+		t.Fatalf("fleet_ejected_total = %d, want w1 alone ejected", ejected)
 	}
 
 	// Everything routes to w2 while w1 is out — including keys whose ring
@@ -284,12 +322,9 @@ func TestEjectReadmitRejoin(t *testing.T) {
 	// Rejoin: first healthy probe readmits, and a key with w1 affinity
 	// routes to w1 again (rehash back).
 	w1.down.Store(false)
-	deadline = time.Now().Add(10 * time.Second)
-	for d.Stats().Healthy != 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := d.Stats(); got.Healthy != 2 || got.Readmitted != 1 {
-		t.Fatalf("readmit never happened: %+v", got)
+	awaitGauge(t, d, "fleet_worker_healthy", w1, 1)
+	if readmitted := d.met.readmitted.Value(); readmitted != 1 {
+		t.Fatalf("fleet_readmitted_total = %d, want 1", readmitted)
 	}
 	// Search for a seed whose key has w1 affinity (the ring is port-
 	// dependent, so probe deterministically rather than sampling), then
@@ -320,6 +355,29 @@ func TestEjectReadmitRejoin(t *testing.T) {
 	if fin.Worker != w1.srv.URL {
 		t.Fatalf("w1-affinity key routed to %s after readmit, want %s", fin.Worker, w1.srv.URL)
 	}
+}
+
+// TestWorkerOutstandingGauge: fleet_worker_outstanding counts the job the
+// dispatcher has running on a worker and falls back to 0 once it ends.
+func TestWorkerOutstandingGauge(t *testing.T) {
+	fake := registerFake(t, "fake.fleet_outstanding")
+	fake.block, fake.ran = make(chan struct{}), make(chan struct{}, 1)
+	w1 := startWorker(t, 1)
+	d := newDispatcher(t, fastOpts(w1))
+	release := sync.OnceFunc(func() { close(fake.block) })
+	t.Cleanup(release) // before the pool drains, should the test stop early
+	awaitGauge(t, d, "fleet_worker_outstanding", w1, 0)
+	st, err := d.Submit(fleetBundle(t, "fake.fleet_outstanding", 1), jobs.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fake.ran
+	awaitGauge(t, d, "fleet_worker_outstanding", w1, 1)
+	release()
+	if fin, err := d.Wait(st.ID); err != nil || fin.State != jobs.StateDone {
+		t.Fatalf("job: %+v %v", fin, err)
+	}
+	awaitGauge(t, d, "fleet_worker_outstanding", w1, 0)
 }
 
 // reforwardOnWorkerLoss submits one job through a journaling dispatcher
@@ -384,12 +442,12 @@ func reforwardOnWorkerLoss(t *testing.T, engine string, submit func(*Dispatcher)
 	if fin.Reforwards != 1 {
 		t.Fatalf("reforwards = %d, want 1", fin.Reforwards)
 	}
-	if s := d.Stats(); s.Reforwarded != 1 {
-		t.Fatalf("stats: %+v", s)
+	if n := d.met.reforwarded.Value(); n != 1 {
+		t.Fatalf("fleet_reforwarded_total = %d, want 1", n)
 	}
-	for _, w := range d.WorkerInfos() {
-		if w.Outstanding != 0 {
-			t.Errorf("worker %s still carries %d outstanding", w.Name, w.Outstanding)
+	for _, name := range d.names {
+		if n := workerGauge(t, d, "fleet_worker_outstanding", name); n != 0 {
+			t.Errorf("worker %s still carries %v outstanding", name, n)
 		}
 	}
 	if fin.Sweep {
@@ -499,8 +557,8 @@ func TestCancelCoalescedDuplicateRemote(t *testing.T) {
 	if fake.execs.Load() != 1 {
 		t.Fatalf("execs = %d, want 1 (duplicate must not re-run)", fake.execs.Load())
 	}
-	if s := d.Stats(); s.Canceled != 1 || s.Completed != 1 || s.Coalesced != 1 {
-		t.Fatalf("stats: %+v", s)
+	if m := d.met; m.canceled.Value() != 1 || m.completed.Value() != 1 || m.coalesced.Value() != 1 {
+		t.Fatalf("canceled %d, completed %d, coalesced %d; want 1 each", m.canceled.Value(), m.completed.Value(), m.coalesced.Value())
 	}
 }
 
@@ -595,9 +653,8 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 	opts.Store = st2
 	d2 := newDispatcher(t, opts)
 
-	s := d2.Stats()
-	if s.Recovered < 2 || s.Reattached != 1 {
-		t.Fatalf("recovery stats: %+v", s)
+	if recovered, reattached := d2.met.recovered.Value(), d2.met.reattached.Value(); recovered < 2 || reattached != 1 {
+		t.Fatalf("recovered %d, reattached %d; want at least 2 and 1", recovered, reattached)
 	}
 	// Pre-crash terminal job: status + proxied result still served.
 	got, err := d2.Status(doneSt.ID)
@@ -620,7 +677,7 @@ func TestDispatcherCrashRecovery(t *testing.T) {
 }
 
 // TestHTTPSurface drives the dispatcher through its HTTP handler the way
-// qmlserve serves it: submit, status, list, result, stats, engines.
+// qmlserve serves it: submit, status, list, result, engines.
 func TestHTTPSurface(t *testing.T) {
 	registerFake(t, "fake.fleet_http")
 	w1, w2 := startWorker(t, 2), startWorker(t, 2)
@@ -688,10 +745,6 @@ func TestHTTPSurface(t *testing.T) {
 	if list["count"].(float64) < 1 {
 		t.Fatalf("list: %v", list)
 	}
-	stats := getJSON("/v1/stats", http.StatusOK)
-	if stats["dispatcher"] == nil || stats["workers"] == nil || stats["fleet"] == nil {
-		t.Fatalf("stats shape: %v", stats)
-	}
 	engines := getJSON("/v1/engines", http.StatusOK)
 	found := false
 	for _, e := range engines["engines"].([]any) {
@@ -720,7 +773,7 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid bundle: %d", resp.StatusCode)
 	}
-	if s := d.Stats(); s.Submitted != 0 || s.Forwarded != 0 {
+	if s := d.met; s.submitted.Value() != 0 || s.forwarded.Value() != 0 {
 		t.Fatalf("rejected bundle reached the router: %+v", s)
 	}
 }

@@ -8,9 +8,9 @@
 // documents, status codes and long-poll semantics are stated) serves the
 // fleet as well. What the dispatcher adds to the protocol is small: the
 // "worker", "remote", "reforwards" and (sweeps) "ranges" members of a
-// status document, and a /v1/stats document in four parts — "dispatcher"
-// (its own counters), "workers" (per-node health), "fleet" (the sum of
-// the workers' counters) and "build".
+// status document. Its counters are on GET /metrics like a worker's: the
+// fleet_* families, with fleet_worker_healthy and fleet_worker_outstanding
+// carrying one series per configured worker.
 //
 // # Lifecycle
 //
@@ -40,7 +40,7 @@
 // running job coalesce in that worker's pool. The affinity choice yields
 // to load only when that worker is carrying four more outstanding
 // dispatched jobs than the least-loaded node, in which case
-// the least-loaded healthy worker takes the job (Stats.AffinitySpills).
+// the least-loaded healthy worker takes the job (fleet_affinity_spills_total).
 // While a job with some key is in flight through the dispatcher, later
 // duplicates are pinned to its worker even if the ring has shifted, so
 // dispatcher-level coalescing survives ejects and readmissions.
@@ -68,7 +68,8 @@
 //
 // # Health
 //
-// A prober polls every worker's /v1/stats on ProbeInterval. EjectAfter
+// A prober asks every worker for GET /v1/engines on ProbeInterval, a
+// liveness check (a worker's counters are on its own /metrics). EjectAfter
 // consecutive failures mark the worker unhealthy — it leaves the routing
 // ring (its keys rehash to the surviving nodes, which is the consistent
 // hash's minimal-movement rehash) but keeps being probed, and a single

@@ -149,12 +149,11 @@ func TestFleetSweepScatterMerge(t *testing.T) {
 	}
 
 	// Both workers took a range: each pool accepted one sub-sweep.
-	if w1.pool.Stats().Sweeps != 1 || w2.pool.Stats().Sweeps != 1 {
-		t.Fatalf("scatter skipped a worker: w1=%d w2=%d sweeps",
-			w1.pool.Stats().Sweeps, w2.pool.Stats().Sweeps)
+	if s1, s2 := metric(t, w1.pool.Metrics(), "jobs_sweeps_total"), metric(t, w2.pool.Metrics(), "jobs_sweeps_total"); s1 != 1 || s2 != 1 {
+		t.Fatalf("scatter skipped a worker: w1=%v w2=%v sweeps", s1, s2)
 	}
-	if s := d.Stats(); s.Sweeps != 1 || s.Forwarded < 2 {
-		t.Fatalf("dispatcher stats: %+v", s)
+	if sweeps, forwarded := d.met.sweeps.Value(), d.met.forwarded.Value(); sweeps != 1 || forwarded < 2 {
+		t.Fatalf("dispatcher: %d sweeps, %d forwarded; want 1 and at least 2", sweeps, forwarded)
 	}
 
 	merged := sweepResultsByIndex(t, front.URL, id)
@@ -319,8 +318,8 @@ func TestFleetSweepRangeReforward(t *testing.T) {
 	if fin.Reforwards < 1 {
 		t.Fatalf("no range was re-forwarded: %+v", fin)
 	}
-	if s := d.Stats(); s.Reforwarded < 1 {
-		t.Fatalf("stats missed the range reforward: %+v", s)
+	if d.met.reforwarded.Value() < 1 {
+		t.Fatal("fleet_reforwarded_total missed the range reforward")
 	}
 	// Every range ended on the surviving worker or finished before the
 	// death; none is still assigned to the victim.
@@ -431,9 +430,9 @@ func TestFleetSweepRangeCanceledOnWorker(t *testing.T) {
 	if fin.State != jobs.StateFailed || fin.Error != want {
 		t.Fatalf("sweep finished %s %q, want failed %q", fin.State, fin.Error, want)
 	}
-	for _, w := range d.WorkerInfos() {
-		if w.Outstanding != 0 {
-			t.Errorf("worker %s still carries %d outstanding after the sweep ended", w.Name, w.Outstanding)
+	for _, name := range d.names {
+		if n := workerGauge(t, d, "fleet_worker_outstanding", name); n != 0 {
+			t.Errorf("worker %s still carries %v outstanding after the sweep ended", name, n)
 		}
 	}
 }

@@ -52,8 +52,6 @@ type Service interface {
 	// from the same critical section.
 	Cancel(ctx context.Context, id string) (Status, error)
 	Engines(ctx context.Context) ([]string, error)
-	// StatsDoc is the GET /v1/stats document.
-	StatsDoc() any
 
 	// What the handler needs besides the protocol: the registry GET
 	// /metrics serves, where panics log.
@@ -74,8 +72,7 @@ type Service interface {
 //	POST   /v1/sweeps           submit a sweep bundle → 202 SweepSubmitDoc {id,state,points,rev}
 //	GET    /v1/sweeps/{id}      SweepResultDoc: indexed per-point result set (?wait=5s long-polls)
 //	GET    /v1/engines          registered engine names
-//	GET    /v1/stats            the service's StatsDoc (a Pool: counters incl. cache_hits, coalesced, wide_jobs)
-//	GET    /metrics             the service's registry plus the process-wide one
+//	GET    /metrics             every counter: the service's registry plus the process-wide one
 //
 // Errors are an ErrorDoc with the status httpStatus gives the service's
 // error: 404 unknown ID, 202 result not ready, 410 canceled, 409 cancel
@@ -114,8 +111,8 @@ type Service interface {
 //
 // When the service is persistent (qmlserve -data-dir), the history
 // listing, per-job statuses and results all survive restarts, and
-// /v1/stats gains the journal counters (recovered, requeued, disk_hits,
-// journal_events, journal_compactions, disk_results).
+// /metrics gains the store_* families (journal events, syncs,
+// compactions, stored results).
 func NewHandler(s Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", submitHandler(s.Submit, func(st Status) any {
@@ -168,9 +165,6 @@ func NewHandler(s Service) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"engines": engines})
-	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.StatsDoc())
 	})
 	// The service's own instruments plus the process-wide registry (sim_*
 	// stage histograms, and go_*/build_info when the server registered

@@ -66,7 +66,7 @@ func doJSON(t testing.TB, h http.Handler, method, path string, body []byte, want
 // TestHTTPQuickstartEndToEnd is the acceptance-criterion flow: the
 // quickstart bundle submitted twice over HTTP returns the same result,
 // with the second submission served from the content-addressed cache as
-// witnessed by the /v1/stats cache-hit counter.
+// witnessed by the jobs_cache_hits_total counter on /metrics.
 func TestHTTPQuickstartEndToEnd(t *testing.T) {
 	pool := NewPool(Options{Workers: 2, QueueDepth: 8})
 	defer pool.Close()
@@ -118,10 +118,9 @@ func TestHTTPQuickstartEndToEnd(t *testing.T) {
 		t.Fatal("cached result entries differ from the first execution")
 	}
 
-	// GET /v1/stats — the cache hit is visible in the counter.
-	stats := doJSON(t, h, "GET", "/v1/stats", nil, http.StatusOK)
-	if stats["cache_hits"] != float64(1) || stats["submitted"] != float64(2) {
-		t.Fatalf("stats: %v", stats)
+	// GET /metrics — the cache hit is visible in the counter.
+	if hits, submitted := metric(t, h, "jobs_cache_hits_total"), metric(t, h, "jobs_submitted_total"); hits != 1 || submitted != 2 {
+		t.Fatalf("jobs_cache_hits_total %v, jobs_submitted_total %v; want 1 and 2", hits, submitted)
 	}
 }
 
@@ -395,7 +394,7 @@ func TestAnnealResultDocIsDeterministic(t *testing.T) {
 
 // TestHTTPShardsParam covers the per-job parallelism surface: ?shards=N
 // pins the grant (visible as "shards" in the status document) and
-// /v1/stats reports the shard counters. (Invalid values: the conformance
+// /metrics counts the wide job. (Invalid values: the conformance
 // test in internal/fleet.)
 func TestHTTPShardsParam(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 4, MaxShards: 4})
@@ -416,9 +415,8 @@ func TestHTTPShardsParam(t *testing.T) {
 		t.Fatalf("status: %v", st)
 	}
 
-	stats := doJSON(t, h, "GET", "/v1/stats", nil, http.StatusOK)
-	if stats["max_shards"] != float64(4) || stats["wide_jobs"] != float64(1) {
-		t.Fatalf("stats: %v", stats)
+	if wide := metric(t, h, "jobs_wide_total"); wide != 1 {
+		t.Fatalf("jobs_wide_total = %v, want 1", wide)
 	}
 }
 
@@ -461,9 +459,8 @@ func TestHTTPBackpressure(t *testing.T) {
 	if _, err := pool.Wait(id1); err != nil {
 		t.Fatal(err)
 	}
-	stats := doJSON(t, h, "GET", "/v1/stats", nil, http.StatusOK)
-	if stats["rejected"] != float64(1) {
-		t.Fatalf("stats: %v", stats)
+	if rejected := metric(t, h, "jobs_rejected_total"); rejected != 1 {
+		t.Fatalf("jobs_rejected_total = %v, want 1", rejected)
 	}
 }
 

@@ -12,7 +12,7 @@
 // A submission identical to a job that is *currently executing* does not
 // run twice either: it coalesces onto the in-flight job and completes
 // with the same result the moment the primary finishes. Queue-wait and
-// run-time metrics aggregate into Stats.
+// run-time metrics are histograms on GET /metrics.
 //
 // The job lifecycle — states, legal moves, the span and journal event of
 // each — is stated once, on Table.Transition, and shared with the fleet
@@ -52,8 +52,8 @@
 //     acknowledged. Interior corruption fails Open loudly.
 //   - The LRU result cache rehydrates from the newest on-disk results at
 //     boot, and a memory-cache miss falls through to the disk store
-//     (Stats.DiskHits), so identical resubmissions across restarts still
-//     skip execution.
+//     (jobs_disk_hits_total), so identical resubmissions across restarts
+//     still skip execution.
 //
 // # Sweep jobs
 //
@@ -213,8 +213,9 @@ type Options struct {
 	// queued or running at crash time are requeued, and the result
 	// cache rehydrates from disk. The pool does not close the store;
 	// the owner does, after Close returns. Journal append failures are
-	// counted (Stats.Errors) but never fail the job operation — the
-	// service degrades to in-memory rather than rejecting work.
+	// counted (store_journal_errors_total) but never fail the job
+	// operation — the service degrades to in-memory rather than rejecting
+	// work.
 	Store *store.Store
 	// Logger receives structured lifecycle logs (job ID, trace ID,
 	// engine, state transitions). nil discards them.
@@ -354,55 +355,8 @@ type RangeInfo struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// Stats aggregates pool-level counters and timing metrics.
-type Stats struct {
-	Workers    int    `json:"workers"`
-	QueueDepth int    `json:"queue_depth"`
-	QueueLen   int    `json:"queue_len"`
-	Running    int    `json:"running"`
-	Submitted  uint64 `json:"submitted"`
-	Completed  uint64 `json:"completed"`
-	Failed     uint64 `json:"failed"`
-	Canceled   uint64 `json:"canceled"`
-	// Rejected counts submissions refused with ErrQueueFull.
-	Rejected uint64 `json:"rejected"`
-	// CacheHits counts submissions served from the content-addressed
-	// result cache without re-execution.
-	CacheHits uint64 `json:"cache_hits"`
-	CacheSize int    `json:"cache_size"`
-	// Coalesced counts submissions that attached to an identical
-	// in-flight job instead of executing.
-	Coalesced uint64 `json:"coalesced"`
-	// MaxShards is the per-job parallelism cap; WideJobs counts jobs that
-	// ran with more than one shard (the lone-big-job grant).
-	MaxShards  int           `json:"max_shards"`
-	WideJobs   uint64        `json:"wide_jobs"`
-	TotalQueue time.Duration `json:"total_queue_ns"`
-	TotalRun   time.Duration `json:"total_run_ns"`
-	// Persistence counters (all zero unless Options.Store is attached).
-	// Recovered counts job records restored from the journal at boot;
-	// Requeued counts the subset that was queued or running at crash
-	// time and re-entered the queue; DiskHits counts submissions served
-	// from an on-disk result that was no longer in the memory cache.
-	Recovered uint64 `json:"recovered"`
-	Requeued  uint64 `json:"requeued"`
-	DiskHits  uint64 `json:"disk_hits"`
-	// Sweeps counts sweep submissions accepted; SweepPoints counts points
-	// completed by done sweeps (cached points included).
-	Sweeps      uint64 `json:"sweeps"`
-	SweepPoints uint64 `json:"sweep_points"`
-	// Build identifies the serving binary (Go version, VCS revision) so
-	// fleet operators can tell mixed-version workers apart.
-	Build obs.BuildInfo `json:"build"`
-	// Journal/result-log counters from the attached store, inlined.
-	store.Stats
-}
-
-// poolMetrics are the registry-backed instruments behind Stats: the
-// counters are the system of record (Stats() reads them back), and the
-// histograms additionally expose queue-wait and run-time distributions
-// on /metrics (their exact nanosecond sums are Stats' total_queue_ns and
-// total_run_ns).
+// poolMetrics are the pool's instruments, served on GET /metrics: the
+// counters, and the queue-wait and run-time distributions.
 type poolMetrics struct {
 	submitted   *obs.Counter
 	completed   *obs.Counter
@@ -523,7 +477,6 @@ type Pool struct {
 	cache    *resultCache
 	running  int
 	closed   bool
-	stats    Stats
 }
 
 // NewPool starts a pool with opts.Workers executor goroutines. Call Close
@@ -1267,52 +1220,6 @@ func (p *Pool) Logger() *slog.Logger { return p.log }
 
 // Engines lists the engines registered in this process.
 func (p *Pool) Engines(context.Context) ([]string, error) { return backend.Engines(), nil }
-
-// StatsDoc is Stats as the GET /v1/stats document.
-func (p *Pool) StatsDoc() any { return p.Stats() }
-
-// Stats returns a snapshot of the pool's aggregate counters, including
-// the attached store's journal/result-log counters when persistent.
-// The registry instruments are the system of record: the counters read
-// back verbatim and the timing totals are the exact nanosecond sums of
-// the queue-wait and run-time histograms, so /v1/stats and /metrics can
-// never disagree.
-func (p *Pool) Stats() Stats {
-	// Read before taking p.mu: the store lists its result directory.
-	var journal store.Stats
-	if p.opts.Store != nil {
-		journal = p.opts.Store.Stats()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.stats
-	s.Stats = journal
-	s.Submitted = p.met.submitted.Value()
-	s.Completed = p.met.completed.Value()
-	s.Failed = p.met.failed.Value()
-	s.Canceled = p.met.canceled.Value()
-	s.Rejected = p.met.rejected.Value()
-	s.CacheHits = p.met.cacheHits.Value()
-	s.DiskHits = p.met.diskHits.Value()
-	s.Coalesced = p.met.coalesced.Value()
-	s.WideJobs = p.met.wideJobs.Value()
-	s.Recovered = p.met.recovered.Value()
-	s.Requeued = p.met.requeued.Value()
-	s.Sweeps = p.met.sweeps.Value()
-	s.SweepPoints = p.met.sweepPoints.Value()
-	s.TotalQueue = time.Duration(p.met.queueWait.SumNanos())
-	s.TotalRun = time.Duration(p.met.runTime.SumNanos())
-	s.Build = obs.Build()
-	s.Workers = p.opts.Workers
-	s.QueueDepth = p.opts.QueueDepth
-	s.QueueLen = len(p.pending)
-	s.Running = p.running
-	s.MaxShards = p.opts.MaxShards
-	if p.cache != nil {
-		s.CacheSize = p.cache.len()
-	}
-	return s
-}
 
 // Close stops accepting submissions, drains the queue, and waits for the
 // workers to exit. Jobs still queued at Close time are executed; their

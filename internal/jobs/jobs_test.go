@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -166,7 +167,7 @@ func TestConcurrentSubmitPoll(t *testing.T) {
 					errs <- err
 					return
 				}
-				pool.Stats()
+				pool.Metrics().WriteText(io.Discard) // a scrape racing the job
 				if st.State.Terminal() {
 					break
 				}
@@ -192,12 +193,9 @@ func TestConcurrentSubmitPoll(t *testing.T) {
 		t.Error(err)
 	}
 
-	s := pool.Stats()
-	if s.Submitted != 64 || s.Completed != 64 || s.Failed != 0 || s.Rejected != 0 {
-		t.Fatalf("stats after 64 jobs: %+v", s)
-	}
-	if s.TotalRun <= 0 {
-		t.Fatalf("expected nonzero total run time, got %v", s.TotalRun)
+	if m := pool.met; m.submitted.Value() != 64 || m.completed.Value() != 64 || m.failed.Value() != 0 || m.rejected.Value() != 0 || m.runTime.Sum() <= 0 {
+		t.Fatalf("after 64 jobs: submitted %d, completed %d, failed %d, rejected %d, run time %vs",
+			m.submitted.Value(), m.completed.Value(), m.failed.Value(), m.rejected.Value(), m.runTime.Sum())
 	}
 }
 
@@ -262,9 +260,8 @@ func TestCacheHitDeterminism(t *testing.T) {
 		t.Fatalf("backend executed %d times, want 2", got)
 	}
 
-	s := pool.Stats()
-	if s.CacheHits != 1 || s.Completed != 3 {
-		t.Fatalf("stats: %+v", s)
+	if hits, completed := pool.met.cacheHits.Value(), pool.met.completed.Value(); hits != 1 || completed != 3 {
+		t.Fatalf("cache hits %d, completed %d; want 1 and 3", hits, completed)
 	}
 }
 
@@ -290,8 +287,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if _, err := submit(pool, annealBundle(t, "fake.backpressure", 50, 3)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit: err = %v, want ErrQueueFull", err)
 	}
-	if s := pool.Stats(); s.Rejected != 1 || s.Submitted != 2 {
-		t.Fatalf("stats after rejection: %+v", s)
+	if rejected, submitted := pool.met.rejected.Value(), pool.met.submitted.Value(); rejected != 1 || submitted != 2 {
+		t.Fatalf("after the rejection: rejected %d, submitted %d; want 1 and 2", rejected, submitted)
 	}
 
 	// Canceling the queued job frees its slot: the next submit is
@@ -350,8 +347,8 @@ func TestCancel(t *testing.T) {
 	if _, err := pool.Cancel(context.Background(), "job-99999999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cancel unknown: %v, want ErrNotFound", err)
 	}
-	if s := pool.Stats(); s.QueueLen != 0 {
-		t.Fatalf("canceling the queued job must free its slot, queue len %d", s.QueueLen)
+	if queued := metric(t, NewHandler(pool), "jobs_queue_len"); queued != 0 {
+		t.Fatalf("canceling the queued job must free its slot, jobs_queue_len %v", queued)
 	}
 
 	close(fake.block)
@@ -365,8 +362,8 @@ func TestCancel(t *testing.T) {
 	if got := fake.execs.Load(); got != 1 {
 		t.Fatalf("executions = %d, want 1 (canceled job must be skipped)", got)
 	}
-	if s := pool.Stats(); s.Canceled != 1 {
-		t.Fatalf("stats: %+v", s)
+	if n := pool.met.canceled.Value(); n != 1 {
+		t.Fatalf("jobs_canceled_total = %d, want 1", n)
 	}
 }
 
@@ -395,8 +392,8 @@ func TestRealEngineCacheDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(res1.Entries, res2.Entries) {
 		t.Fatal("cached gate result differs from fresh execution")
 	}
-	if s := pool.Stats(); s.CacheHits != 1 {
-		t.Fatalf("stats: %+v", s)
+	if n := pool.met.cacheHits.Value(); n != 1 {
+		t.Fatalf("jobs_cache_hits_total = %d, want 1", n)
 	}
 }
 
@@ -507,8 +504,8 @@ func TestFailedJob(t *testing.T) {
 	if _, err := pool.Result(id); err == nil {
 		t.Fatal("Result of failed job must return the execution error")
 	}
-	if s := pool.Stats(); s.Failed != 1 {
-		t.Fatalf("stats: %+v", s)
+	if n := pool.met.failed.Value(); n != 1 {
+		t.Fatalf("jobs_failed_total = %d, want 1", n)
 	}
 	// Failures are not cached: resubmission runs (and fails) again.
 	id2, err := submit(pool, annealBundle(t, "no.such_engine", 50, 1))
@@ -646,8 +643,8 @@ func TestInFlightDuplicatesCoalesce(t *testing.T) {
 	if got := fake.execs.Load(); got != 1 {
 		t.Fatalf("executions = %d, want 1", got)
 	}
-	if s := pool.Stats(); s.Coalesced != 2 || s.CacheHits != 0 || s.Completed != 3 {
-		t.Fatalf("stats: %+v", s)
+	if m := pool.met; m.coalesced.Value() != 2 || m.cacheHits.Value() != 0 || m.completed.Value() != 3 {
+		t.Fatalf("coalesced %d, cache hits %d, completed %d; want 2, 0, 3", m.coalesced.Value(), m.cacheHits.Value(), m.completed.Value())
 	}
 }
 
@@ -720,8 +717,8 @@ func TestQueuedDuplicatesServedWithoutRerun(t *testing.T) {
 	if got := fake.execs.Load(); got != 1 {
 		t.Fatalf("executions = %d, want 1", got)
 	}
-	if s := pool.Stats(); s.CacheHits+s.Coalesced != 2 {
-		t.Fatalf("stats: %+v", s)
+	if hits, coalesced := pool.met.cacheHits.Value(), pool.met.coalesced.Value(); hits+coalesced != 2 {
+		t.Fatalf("cache hits %d + coalesced %d, want 2", hits, coalesced)
 	}
 }
 
@@ -783,8 +780,8 @@ func TestShardGrantScheduling(t *testing.T) {
 		t.Errorf("overpinned job granted %d shards, want clamp to 8", st.Shards)
 	}
 
-	if s := pool.Stats(); s.MaxShards != 8 || s.WideJobs < 3 {
-		t.Errorf("stats: %+v", s)
+	if wide := pool.met.wideJobs.Value(); pool.opts.MaxShards != 8 || wide < 3 {
+		t.Errorf("max shards %d, wide jobs %d; want 8 and at least 3", pool.opts.MaxShards, wide)
 	}
 }
 
@@ -874,8 +871,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	submit(1)
 	submit(2)
 	submit(3) // evicts seed 1
-	if s := pool.Stats(); s.CacheSize != 2 {
-		t.Fatalf("cache size %d, want 2", s.CacheSize)
+	if size := metric(t, NewHandler(pool), "jobs_cache_entries"); size != 2 {
+		t.Fatalf("jobs_cache_entries %v, want 2", size)
 	}
 	if st := submit(1); st.CacheHit {
 		t.Fatal("seed 1 should have been evicted")

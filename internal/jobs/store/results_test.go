@@ -83,11 +83,11 @@ func TestStoredFormMatchesEncodingJSON(t *testing.T) {
 		if _, refErr := json.Marshal(res); refErr == nil {
 			t.Fatalf("%s: json.Marshal accepts it", name)
 		}
-		before := s.Stats().Errors
+		before := s.met.errors.Value()
 		if err := s.PutResult(sampleKey(9), res); err == nil || !strings.Contains(err.Error(), sampleKey(9)) {
 			t.Errorf("%s: PutResult = %v, want an error naming the key", name, err)
 		}
-		if s.HasResult(sampleKey(9)) || s.Stats().Errors != before+1 {
+		if s.HasResult(sampleKey(9)) || s.met.errors.Value() != before+1 {
 			t.Errorf("%s: a refused result left a record or went uncounted", name)
 		}
 	}

@@ -29,8 +29,8 @@
 // checksummed records (key, body, CRC-32C) and are found through an
 // in-memory index from content address to record, so PutResult is one
 // write to an open file, GetResult one read, and HasResult, the boot-time
-// RecentResultKeys and Stats.Results never touch the disk. Open rebuilds
-// the index by scanning the segments. The same torn-tail rule as the
+// RecentResultKeys and the store_results gauge never touch the disk. Open
+// rebuilds the index by scanning the segments. The same torn-tail rule as the
 // journal's holds, per segment: the head (newest) segment is cut back to
 // its last whole record, and a bad record in any older segment fails
 // Open. Result files of the one-file-per-result layout older builds wrote
@@ -47,8 +47,9 @@
 // Between the two stands one barrier: a syncer goroutine fsyncs, with the
 // store's mutex released, whenever a written line wants it, whether or not
 // anybody waits, and each fsync covers every line written before it began
-// — so N concurrent committers cost one fsync instead of N (Stats.Syncs vs
-// Stats.Events makes the batching visible). Append is Write then Commit.
+// — so N concurrent committers cost one fsync instead of N
+// (store_journal_syncs_total against store_journal_events_total makes the
+// batching visible). Append is Write then Commit.
 //
 // The policy (Options.Sync) says which lines want the barrier: every line
 // under SyncAlways (default); submitted, terminal and forget lines under
@@ -245,27 +246,6 @@ func (r *Record) Terminal() bool {
 	return r.State == StateDone || r.State == StateFailed || r.State == StateCanceled
 }
 
-// Stats are the persistence counters surfaced through /v1/stats.
-type Stats struct {
-	// Events counts journal lines appended since Open (not replayed ones).
-	Events uint64 `json:"journal_events"`
-	// Lines is the current journal file length in events.
-	Lines int `json:"journal_lines"`
-	// Syncs counts journal fsyncs issued on the append path since Open;
-	// Syncs < Events shows committers sharing barriers.
-	Syncs uint64 `json:"journal_syncs"`
-	// Compactions counts journal rewrites since Open.
-	Compactions uint64 `json:"journal_compactions"`
-	// Errors counts append/compaction failures the pool chose to survive.
-	Errors uint64 `json:"journal_errors"`
-	// Records is the live record-table size.
-	Records int `json:"journal_records"`
-	// Results is the number of results in the result log.
-	Results int `json:"disk_results"`
-	// TruncatedTail is 1 if Open dropped a torn final journal line.
-	TruncatedTail int `json:"journal_truncated_tail"`
-}
-
 // Options configure Open. The zero value is usable: SyncAlways, a 4×
 // compaction factor, and 4096 retained results.
 type Options struct {
@@ -284,26 +264,27 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// storeMetrics are the registry-backed instruments behind Stats: the
-// counters are the system of record (Stats() reads them back), the
-// histograms exist only on /metrics.
+// storeMetrics are the store's instruments, served on GET /metrics.
+// Syncs below events shows committers sharing barriers.
 type storeMetrics struct {
-	events      *obs.Counter
-	syncs       *obs.Counter
-	compactions *obs.Counter
-	errors      *obs.Counter
-	appendLat   *obs.Histogram
-	fsyncLat    *obs.Histogram
+	events        *obs.Counter
+	syncs         *obs.Counter
+	compactions   *obs.Counter
+	errors        *obs.Counter
+	truncatedTail *obs.Gauge
+	appendLat     *obs.Histogram
+	fsyncLat      *obs.Histogram
 }
 
 func newStoreMetrics(reg *obs.Registry, s *Store) *storeMetrics {
 	m := &storeMetrics{
-		events:      reg.Counter("store_journal_events_total", "Journal lines appended since Open (not replayed ones)."),
-		syncs:       reg.Counter("store_journal_syncs_total", "Journal fsyncs issued on the append path since Open."),
-		compactions: reg.Counter("store_journal_compactions_total", "Journal rewrites since Open."),
-		errors:      reg.Counter("store_journal_errors_total", "Append/compaction/result-write failures the caller chose to survive."),
-		appendLat:   reg.Histogram("store_journal_append_seconds", "Journal write latency: one line into the file and the record table, before any fsync.", nil),
-		fsyncLat:    reg.Histogram("store_journal_fsync_seconds", "Journal fsync latency.", nil),
+		events:        reg.Counter("store_journal_events_total", "Journal lines appended since Open (not replayed ones)."),
+		syncs:         reg.Counter("store_journal_syncs_total", "Journal fsyncs issued on the append path since Open."),
+		compactions:   reg.Counter("store_journal_compactions_total", "Journal rewrites since Open."),
+		errors:        reg.Counter("store_journal_errors_total", "Append/compaction/result-write failures the caller chose to survive."),
+		truncatedTail: reg.Gauge("store_journal_truncated_tail", "1 if Open dropped a torn final journal line, else 0."),
+		appendLat:     reg.Histogram("store_journal_append_seconds", "Journal write latency: one line into the file and the record table, before any fsync.", nil),
+		fsyncLat:      reg.Histogram("store_journal_fsync_seconds", "Journal fsync latency.", nil),
 	}
 	reg.GaugeFunc("store_journal_lines", "Current journal file length in events.", func() float64 {
 		s.mu.Lock()
@@ -315,6 +296,7 @@ func newStoreMetrics(reg *obs.Registry, s *Store) *storeMetrics {
 		defer s.mu.Unlock()
 		return float64(len(s.records))
 	})
+	m.truncatedTail.Set(0)
 	return m
 }
 
@@ -369,7 +351,6 @@ type Store struct {
 	f       *os.File   // journal, opened O_APPEND
 	lines   int
 	records map[string]*Record
-	stats   Stats
 	met     *storeMetrics
 
 	// The fsync barrier. written numbers the lines written since Open and
@@ -415,6 +396,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.results = results
 	s.f = f
+	// The result log's index has its own lock, never held across I/O.
+	reg.GaugeFunc("store_results", "Results in the result log.", func() float64 {
+		return float64(results.len())
+	})
 	if opts.Sync != SyncNone {
 		s.syncer.Add(1)
 		go s.syncLoop()
@@ -455,7 +440,7 @@ func (s *Store) replay() error {
 			if lineEnd < len(raw) && len(bytes.TrimSpace(raw[lineEnd:])) > 0 {
 				return fmt.Errorf("store: corrupt journal line at byte %d: %s", good, truncateForErr(line))
 			}
-			s.stats.TruncatedTail = 1
+			s.met.truncatedTail.Set(1)
 			if terr := os.Truncate(s.journalPath(), int64(good)); terr != nil {
 				return fmt.Errorf("store: truncating torn journal tail: %w", terr)
 			}
@@ -818,23 +803,6 @@ func (s *Store) Records() []*Record {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Job < out[j].Job })
 	return out
-}
-
-// Stats snapshots the persistence counters. The registry instruments
-// are the system of record; this keeps /v1/stats' JSON shape while
-// /metrics reads the same instruments directly.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	st := s.stats
-	st.Lines = s.lines
-	st.Records = len(s.records)
-	s.mu.Unlock()
-	st.Events = s.met.events.Value()
-	st.Syncs = s.met.syncs.Value()
-	st.Compactions = s.met.compactions.Value()
-	st.Errors = s.met.errors.Value()
-	st.Results = s.results.len()
-	return st
 }
 
 // Sync flushes the journal to disk regardless of policy.

@@ -145,8 +145,8 @@ func TestTruncatedFinalLineTolerated(t *testing.T) {
 	if got := len(s2.Records()); got != 3 {
 		t.Fatalf("replayed %d records, want 3 (torn line dropped)", got)
 	}
-	if s2.Stats().TruncatedTail != 1 {
-		t.Fatal("truncated tail not reported in stats")
+	if s2.met.truncatedTail.Value() != 1 {
+		t.Fatal("truncated tail not reported in store_journal_truncated_tail")
 	}
 	// The file was truncated back to the last good line: appending and
 	// reopening must parse cleanly.
@@ -164,7 +164,7 @@ func TestTruncatedFinalLineTolerated(t *testing.T) {
 	if got := len(s3.Records()); got != 4 {
 		t.Fatalf("after truncate+append: %d records, want 4", got)
 	}
-	if s3.Stats().TruncatedTail != 0 {
+	if s3.met.truncatedTail.Value() != 0 {
 		t.Fatal("clean journal reported a truncated tail")
 	}
 }
@@ -226,12 +226,14 @@ func TestCompaction(t *testing.T) {
 			}
 		}
 	}
-	st := s.Stats()
-	if st.Compactions == 0 {
-		t.Fatalf("no compaction after %d events (lines=%d records=%d)", st.Events, st.Lines, st.Records)
+	s.mu.Lock()
+	lines, records := s.lines, len(s.records)
+	s.mu.Unlock()
+	if s.met.compactions.Value() == 0 {
+		t.Fatalf("no compaction after %d events (lines=%d records=%d)", s.met.events.Value(), lines, records)
 	}
-	if st.Lines > 2*st.Records+compactFloor+3 {
-		t.Fatalf("journal did not shrink: lines=%d records=%d", st.Lines, st.Records)
+	if lines > 2*records+compactFloor+3 {
+		t.Fatalf("journal did not shrink: lines=%d records=%d", lines, records)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -293,8 +295,8 @@ func TestResultGC(t *testing.T) {
 			if got := s.RecentResultKeys(0); !reflect.DeepEqual(got, want) {
 				t.Fatalf("max %d, %s: results %v, want %v", tc.max, stage, got, want)
 			}
-			if got := s.Stats().Results; got != len(want) {
-				t.Fatalf("max %d, %s: Stats().Results = %d, want %d", tc.max, stage, got, len(want))
+			if got := s.results.len(); got != len(want) {
+				t.Fatalf("max %d, %s: store_results = %d, want %d", tc.max, stage, got, len(want))
 			}
 			for _, i := range tc.kept {
 				if res, ok, err := s.GetResult(sampleKey(i)); err != nil || !ok || !reflect.DeepEqual(res, sampleResult(i)) {
@@ -346,14 +348,14 @@ func TestGroupCommitDurableAndBatched(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Events != n {
-		t.Fatalf("events = %d, want %d", st.Events, n)
+	events, syncs := s.met.events.Value(), s.met.syncs.Value()
+	if events != n {
+		t.Fatalf("events = %d, want %d", events, n)
 	}
-	if st.Syncs >= n {
-		t.Fatalf("the barrier did not batch: %d fsyncs for %d events", st.Syncs, n)
+	if syncs >= n {
+		t.Fatalf("the barrier did not batch: %d fsyncs for %d events", syncs, n)
 	}
-	if st.Syncs == 0 {
+	if syncs == 0 {
 		t.Fatal("no fsync issued at all")
 	}
 
@@ -497,7 +499,7 @@ func TestCommitZeroNeverWaits(t *testing.T) {
 			if !returns(5*time.Second, func() { err = s.Commit(seq) }) || err != nil {
 				t.Fatalf("Commit(0) waited for the barrier (err %v)", err)
 			}
-			if got := s.Stats().Syncs; got != 0 {
+			if got := s.met.syncs.Value(); got != 0 {
 				t.Fatalf("%d fsyncs for a line that asked for none", got)
 			}
 		})
@@ -567,8 +569,8 @@ func TestFailedFsyncFailsItsBarrier(t *testing.T) {
 		}
 	}
 	time.Sleep(20 * time.Millisecond) // room for a spinning syncer to show
-	if st := s.Stats(); st.Syncs != 1 || st.Errors != 1 {
-		t.Fatalf("after one failed barrier: %d fsyncs, %d errors; want 1 and 1", st.Syncs, st.Errors)
+	if syncs, errs := s.met.syncs.Value(), s.met.errors.Value(); syncs != 1 || errs != 1 {
+		t.Fatalf("after one failed barrier: %d fsyncs, %d errors; want 1 and 1", syncs, errs)
 	}
 
 	s.mu.Lock()
@@ -577,8 +579,8 @@ func TestFailedFsyncFailsItsBarrier(t *testing.T) {
 	if err := s.Append(Event{T: EvSubmitted, Job: "job-00000009", At: tstamp(9)}); err != nil {
 		t.Fatalf("the line after a failed fsync: %v", err)
 	}
-	if st := s.Stats(); st.Syncs != 2 || st.Errors != 1 {
-		t.Fatalf("after the retry: %d fsyncs, %d errors; want 2 and 1", st.Syncs, st.Errors)
+	if syncs, errs := s.met.syncs.Value(), s.met.errors.Value(); syncs != 2 || errs != 1 {
+		t.Fatalf("after the retry: %d fsyncs, %d errors; want 2 and 1", syncs, errs)
 	}
 }
 
@@ -651,8 +653,8 @@ func TestCompactionReleasesCommitters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the compaction did not release the committer waiting on lines it made durable")
 	}
-	if st := s.Stats(); st.Compactions != 1 || st.Syncs != 0 {
-		t.Fatalf("%d compactions, %d barrier fsyncs; want 1 and 0", st.Compactions, st.Syncs)
+	if compactions, syncs := s.met.compactions.Value(), s.met.syncs.Value(); compactions != 1 || syncs != 0 {
+		t.Fatalf("%d compactions, %d barrier fsyncs; want 1 and 0", compactions, syncs)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestTraceSurvivesReplayAndCompaction(t *testing.T) {
 			}
 		}
 	}
-	if s.Stats().Compactions == 0 {
+	if s.met.compactions.Value() == 0 {
 		t.Fatal("churn did not trigger a compaction")
 	}
 	for _, r := range s.Records() {

@@ -161,7 +161,7 @@ func TestSweepDuplicatePointsExecuteOnce(t *testing.T) {
 	if delta := sim.CompileCount() - before; delta != 2 {
 		t.Errorf("%d compiles, want 2: the template and ONE run of the repeated degenerate point", delta)
 	}
-	if hits := p.Stats().CacheHits; hits != 1 {
+	if hits := p.met.cacheHits.Value(); hits != 1 {
 		t.Errorf("jobs_cache_hits_total = %d, want 1 (the repeated point's second index)", hits)
 	}
 	if note := spanNote(st, "executed"); !strings.HasPrefix(note, "points=3 cached=1 ") {
@@ -272,7 +272,7 @@ func TestSweepPointFailureStopsLanes(t *testing.T) {
 	if calls := f.calls.Load(); calls >= nth+lanes {
 		t.Errorf("%d points started though the %dth failed: the other %d lanes did not stop", calls, nth, lanes-1)
 	}
-	if failed := p.Stats().Failed; failed != 1 {
+	if failed := p.met.failed.Value(); failed != 1 {
 		t.Errorf("jobs_failed_total = %d, want 1", failed)
 	}
 	p.Close()

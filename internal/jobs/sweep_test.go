@@ -223,8 +223,8 @@ func TestSweepInFlightDuplicateCoalesces(t *testing.T) {
 	if n := fake.execs.Load(); n != int64(len(points)) {
 		t.Errorf("%d executions for %d points", n, len(points))
 	}
-	if s := p.Stats(); s.Coalesced != 1 || s.Sweeps != 2 || s.SweepPoints != uint64(2*len(points)) {
-		t.Errorf("stats: coalesced=%d sweeps=%d sweep_points=%d", s.Coalesced, s.Sweeps, s.SweepPoints)
+	if m := p.met; m.coalesced.Value() != 1 || m.sweeps.Value() != 2 || m.sweepPoints.Value() != uint64(2*len(points)) {
+		t.Errorf("coalesced=%d sweeps=%d sweep_points=%d", m.coalesced.Value(), m.sweeps.Value(), m.sweepPoints.Value())
 	}
 	r1, err1 := p.SweepResult(first.ID)
 	r2, err2 := p.SweepResult(second.ID)
@@ -287,8 +287,8 @@ func TestSweepBundleRefusedAsPlainJob(t *testing.T) {
 	if n := fake.execs.Load(); n != int64(len(points)) {
 		t.Errorf("%d executions for %d points", n, len(points))
 	}
-	if s := p.Stats(); s.Submitted != 1 {
-		t.Errorf("%d jobs admitted, want the sweep alone", s.Submitted)
+	if submitted := p.met.submitted.Value(); submitted != 1 {
+		t.Errorf("%d jobs admitted, want the sweep alone", submitted)
 	}
 }
 

@@ -110,8 +110,7 @@ func TestHTTPTraceAndSpans(t *testing.T) {
 
 // TestHTTPMetricsEndpoint scrapes GET /metrics off the worker handler
 // after a job ran and checks — through the strict exposition parser —
-// that the pool's counters and latency histograms are present and
-// consistent with /v1/stats.
+// that the pool's counters and latency histograms are present.
 func TestHTTPMetricsEndpoint(t *testing.T) {
 	pool := NewPool(Options{Workers: 1, QueueDepth: 8})
 	defer pool.Close()
@@ -132,30 +131,14 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	r := httptest.NewRequest("GET", "/metrics", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, r)
-	if w.Code != http.StatusOK {
-		t.Fatalf("GET /metrics = %d", w.Code)
+	if n := metric(t, h, "jobs_submitted_total"); n != 1 {
+		t.Fatalf("jobs_submitted_total = %v, want 1", n)
 	}
-	if ct := w.Header().Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Fatalf("content type %q", ct)
-	}
-	fams, err := obs.ParseExposition(w.Body.String())
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v", err)
-	}
-	byName := map[string]obs.Family{}
-	for _, f := range fams {
-		byName[f.Name] = f
-	}
-	if f, ok := byName["jobs_submitted_total"]; !ok || f.Samples[0].Value != 1 {
-		t.Fatalf("jobs_submitted_total: %+v", byName["jobs_submitted_total"])
-	}
+	byName := scrape(t, h)
 	for _, histo := range []string{"jobs_queue_wait_seconds", "jobs_run_seconds", "sim_execute_seconds"} {
 		f, ok := byName[histo]
 		if !ok || f.Type != "histogram" {
-			t.Fatalf("missing histogram %s (families: %d)", histo, len(fams))
+			t.Fatalf("missing histogram %s (families: %d)", histo, len(byName))
 		}
 		found := false
 		for _, s := range f.Samples {
@@ -167,11 +150,34 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 			t.Fatalf("%s observed nothing: %+v", histo, f.Samples)
 		}
 	}
-	stats := doJSON(t, h, "GET", "/v1/stats", nil, http.StatusOK)
-	if stats["submitted"] != float64(1) {
-		t.Fatalf("/v1/stats submitted = %v, want 1 (must agree with /metrics)", stats["submitted"])
+}
+
+// scrape GETs /metrics off h and returns its families by name, through
+// the strict exposition parser; metric is the first sample of one.
+func scrape(t *testing.T, h http.Handler) map[string]obs.Family {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := w.Header().Get("Content-Type"); w.Code != http.StatusOK || !strings.Contains(ct, "version=0.0.4") {
+		t.Fatalf("GET /metrics = %d, content type %q", w.Code, ct)
 	}
-	if _, ok := stats["build"].(map[string]any); !ok {
-		t.Fatalf("/v1/stats missing build info: %v", stats["build"])
+	fams, err := obs.ParseExposition(w.Body.String())
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
 	}
+	byName := map[string]obs.Family{}
+	for _, f := range fams {
+		byName[f.Name] = f
+	}
+	return byName
+}
+
+func metric(t *testing.T, h http.Handler, name string) float64 {
+	t.Helper()
+	f := scrape(t, h)[name]
+	v, ok := f.Value()
+	if !ok {
+		t.Fatalf("/metrics has no %s", name)
+	}
+	return v
 }

@@ -1,47 +1,28 @@
 package obs
 
-import (
-	"runtime/debug"
-	"sync"
-)
-
-// BuildInfo identifies the running binary: Go toolchain version plus the
-// VCS revision stamped by the Go build system (empty outside a VCS
-// checkout, e.g. plain `go test` in a module cache).
-type BuildInfo struct {
-	GoVersion string `json:"go_version"`
-	Revision  string `json:"revision,omitempty"`
-	Modified  bool   `json:"modified,omitempty"`
-}
-
-var buildOnce = sync.OnceValue(func() BuildInfo {
-	bi := BuildInfo{}
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return bi
-	}
-	bi.GoVersion = info.GoVersion
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			bi.Revision = s.Value
-		case "vcs.modified":
-			bi.Modified = s.Value == "true"
-		}
-	}
-	return bi
-})
-
-// Build returns the binary's build info (cached after the first call).
-func Build() BuildInfo { return buildOnce() }
+import "runtime/debug"
 
 // RegisterBuildInfo adds the conventional constant build_info gauge to
-// reg, labeled with the Go version and VCS revision.
+// reg, labeled with the Go version and the VCS revision and modified flag
+// stamped by the Go build system (empty outside a VCS checkout, e.g. plain
+// `go test` in a module cache).
 func RegisterBuildInfo(reg *Registry) {
-	bi := Build()
+	var goVersion, revision, modified string
+	if info, ok := debug.ReadBuildInfo(); ok {
+		goVersion = info.GoVersion
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				revision = s.Value
+			case "vcs.modified":
+				modified = s.Value
+			}
+		}
+	}
 	reg.Gauge("build_info",
 		"Constant 1; labels identify the binary's build.",
-		Label{Name: "go_version", Value: bi.GoVersion},
-		Label{Name: "revision", Value: bi.Revision},
+		Label{Name: "go_version", Value: goVersion},
+		Label{Name: "revision", Value: revision},
+		Label{Name: "modified", Value: modified},
 	).Set(1)
 }

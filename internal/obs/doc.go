@@ -24,7 +24,7 @@
 //   - Counters end in _total; durations are histograms in seconds ending
 //     in _seconds; sizes end in _bytes.
 //   - build_info is a constant 1-valued gauge whose labels (go_version,
-//     revision) identify the binary — fleet operators diff it across
+//     revision, modified) identify the binary — fleet operators diff it across
 //     workers to spot mixed-version fleets.
 //
 // Labeled instruments come in two forms. Ad-hoc Label arguments on

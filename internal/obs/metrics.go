@@ -65,9 +65,9 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket latency distribution. Observations index
 // into cumulative-at-render buckets by upper bound (le semantics, like
-// Prometheus); the sum is kept in exact integer nanoseconds so callers
-// deriving totals (e.g. the pool's total_queue_ns) lose nothing to float
-// accumulation. Obtain one from Registry.Histogram.
+// Prometheus); the sum is kept in exact integer nanoseconds so a long
+// run loses nothing to float accumulation. Obtain one from
+// Registry.Histogram.
 type Histogram struct {
 	bounds   []float64 // ascending upper bounds in seconds; +Inf implicit
 	counts   []atomic.Uint64
@@ -107,9 +107,6 @@ func (h *Histogram) ObserveSeconds(s float64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// SumNanos returns the exact sum of observed durations in nanoseconds.
-func (h *Histogram) SumNanos() int64 { return h.sumNanos.Load() }
 
 // Sum returns the sum of observations in seconds.
 func (h *Histogram) Sum() float64 { return float64(h.sumNanos.Load()) / 1e9 }

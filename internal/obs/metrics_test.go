@@ -68,9 +68,8 @@ func TestHistogramBucketMath(t *testing.T) {
 	if got := h.Count(); got != 5 {
 		t.Fatalf("count = %d, want 5", got)
 	}
-	wantNs := int64(5+10+50+500)*1e6 + 3e9
-	if got := h.SumNanos(); got != wantNs {
-		t.Fatalf("sumNanos = %d, want %d", got, wantNs)
+	if got, want := h.Sum(), 3.565; got != want {
+		t.Fatalf("sum = %v s, want %v", got, want)
 	}
 	fams := mustParse(t, r)
 	f := findFamily(t, fams, "test_latency_seconds")
