@@ -5,9 +5,13 @@
 // The simulator stores all 2^n complex amplitudes, applies unitary gates
 // exactly, and samples measurement outcomes from the Born distribution
 // with a seeded generator. The state vector is the hot data structure and
-// every gate is a bandwidth-bound sweep over it, so in the HPC spirit of
-// the paper the engine is organized around minimizing sweep count and
-// memory traffic rather than per-gate convenience.
+// every gate is a full sweep over it. The sweeps are not bound by memory
+// bandwidth: on a 2-vCPU Xeon the benchmark's roofline puts the kernel
+// kinds of a 20-qubit QAOA job between about 0.2 (the dense 4×4) and 0.5
+// of the machine's measured bandwidth, so their arithmetic per amplitude
+// counts as much as their traffic. In the HPC spirit of the paper the
+// engine is organized around minimizing sweep count, memory traffic and
+// arithmetic rather than per-gate convenience.
 //
 // # Compile → fuse → shard
 //
@@ -28,12 +32,19 @@
 //     kernels (disjoint qubit support, or mutually diagonal) to find a
 //     fusion partner, so a deep circuit becomes far fewer sweeps than it
 //     has gates. All static validation happens here; executing a compiled
-//     plan performs no per-gate checks. At finalize, any dense 4×4 that
+//     plan performs no per-gate checks. At finalize, one function picks
+//     each dense 4×4's sweep from its matrix's exact zeros. A kernel that
 //     ended up monomial — permutation × phase, the shape pure CX/CZ/SWAP
 //     chains (plus X/Z/S-style 1Q gates) fuse to — is decomposed once
 //     (PlanStats.Monomial2Q) and executes on a 4-multiply sweep instead
 //     of the dense kernel's 16 multiplies + 12 adds, ~2.3× on
-//     chain-heavy circuits.
+//     chain-heavy circuits. A kernel that ended up block-diagonal over one
+//     qubit of its pair — a one-qubit gate on the other qubit, chosen by
+//     this one's bit, the shape a QAOA ZZ phase fused with an RX takes —
+//     executes as two 2×2 blocks (PlanStats.Block2Q): 8 complex
+//     multiply-adds per quadruple instead of 16. Every form computes the
+//     dense sum with exact-zero terms left out and the rest in the same
+//     order, so amplitudes match the dense sweep under ==.
 //
 //  2. Kernels iterate their natural index space directly instead of
 //     scanning all 2^n indices and branching: a one-qubit kernel walks the
@@ -118,17 +129,18 @@
 // into a ParamPlan. Compilation runs the ordinary fusion pipeline on a
 // placeholder binding and records, per parameter-dependent kernel, a
 // rebuild closure that re-derives just that kernel's fused matrix,
-// split planes, and monomial decomposition from a concrete value
-// vector. Bind(values) then produces a runnable Plan by rebuilding only
-// the affected kernels — fusion never re-runs per point.
+// split planes, and sweep form from a concrete value vector.
+// Bind(values) then produces a runnable Plan by rebuilding only the
+// affected kernels — fusion never re-runs per point.
 //
 // The bind-invariance contract: a ParamPlan's kernel structure, order,
-// and fusion stats (bar Monomial2Q, which each binding re-derives from
-// its concrete matrices) are fixed at compile time and identical for
-// every binding; Bind(v) yields a Plan whose execution is bit-identical
-// to Compile on the concretely-lowered circuit for v. A parameter value
-// that lands on a shape the template cannot reproduce exactly (e.g. an
-// angle that would have made a kernel monomial under concrete
+// and fusion stats (bar Monomial2Q and Block2Q, which each binding
+// re-derives from its concrete matrices, as compile's finalize does) are
+// fixed at compile time and identical for every binding; Bind(v) yields
+// a Plan whose execution is bit-identical to Compile on the
+// concretely-lowered circuit for v. A parameter value that lands on a
+// shape the template cannot reproduce exactly (e.g. an angle that makes
+// a rotation diagonal, which would change fusion under concrete
 // compilation) is detected per kernel and that point falls back to a
 // full recompile (Binds() reports binds vs. fallbacks), preserving
 // bit-identity over raw speed. Sweep throughput rests on this: the

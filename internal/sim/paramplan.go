@@ -181,7 +181,7 @@ func rowScaleRebuild(prev func(v []float64) gates.Matrix4, d [4]complex128) func
 // kernel order and structural stats are fixed once, and Bind derives
 // the concrete plan for one parameter point by recomputing only the
 // parameter-dependent kernel matrices (plus their split planes and
-// monomial decompositions).
+// sweep forms).
 type ParamPlan struct {
 	nParams int
 	circ    *circuit.Circuit // symbolic source, for the fallback path
@@ -230,8 +230,9 @@ func (pp *ParamPlan) NumParams() int { return pp.nParams }
 func (pp *ParamPlan) NumQubits() int { return pp.tmpl.n }
 
 // Stats returns the template's fusion statistics. All fields are
-// bind-invariant except Monomial2Q, which each bound plan re-derives
-// from its concrete matrices (exactly as a concrete compile would).
+// bind-invariant except Monomial2Q and Block2Q, which each bound plan
+// re-derives from its concrete matrices (exactly as a concrete compile
+// would).
 func (pp *ParamPlan) Stats() PlanStats { return pp.tmpl.stats }
 
 // Binds returns how many Bind calls completed, and how many of those
@@ -270,23 +271,9 @@ func (pp *ParamPlan) Bind(values []float64) (*Plan, error) {
 		}
 		if k.re2 != nil {
 			k.m4 = k.re2(values)
-			// Re-finalize exactly as compile's finalize loop does: the
-			// bound matrix decides monomial vs dense per point.
-			if src, ph, ok := monomial4(k.m4); ok {
-				if !k.mono {
-					out.stats.Monomial2Q++
-				}
-				k.mono, k.msrc = true, src
-				for r := 0; r < 4; r++ {
-					k.mphRe[r], k.mphIm[r] = real(ph[r]), imag(ph[r])
-				}
-			} else {
-				if k.mono {
-					out.stats.Monomial2Q--
-				}
-				k.mono = false
-				k.m4s = k.m4.Split()
-			}
+			// The bound matrix decides the sweep per point, exactly as
+			// compile's finalize does.
+			k.finalize2Q(&out.stats)
 		}
 	}
 	pp.binds.Add(1)

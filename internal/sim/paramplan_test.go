@@ -176,8 +176,8 @@ func TestParamPlanRandomParity(t *testing.T) {
 
 // TestParamPlanBindInvariance pins the compile-once contract: fast-path
 // binds share the template's structure — kernel count, kinds, supports,
-// order, and all stats except the per-point Monomial2Q — and never
-// recompile.
+// order, and all stats except the per-point Monomial2Q and Block2Q — and
+// never recompile.
 func TestParamPlanBindInvariance(t *testing.T) {
 	c := symbolicQAOA(5, 2)
 	pp, err := CompileParametric(c)
@@ -206,6 +206,7 @@ func TestParamPlanBindInvariance(t *testing.T) {
 		}
 		sa, sb := pl.stats, first.stats
 		sa.Monomial2Q, sb.Monomial2Q = 0, 0
+		sa.Block2Q, sb.Block2Q = 0, 0
 		if sa != sb {
 			t.Fatalf("structural stats vary across binds: %+v vs %+v", sa, sb)
 		}
@@ -213,7 +214,8 @@ func TestParamPlanBindInvariance(t *testing.T) {
 	if d := CompileCount() - before; d != 0 {
 		t.Fatalf("fast-path binds recompiled %d times", d)
 	}
-	// Per-point Monomial2Q must match what a concrete compile reports.
+	// Per-point Monomial2Q and Block2Q must match what a concrete compile
+	// reports.
 	v := []float64{0.3, 0.7, 1.1, 0.2}
 	pl, err := pp.Bind(v)
 	if err != nil {

@@ -18,7 +18,10 @@ import (
 // compile step fuses runs of single-qubit gates on the same qubit into one
 // 2×2 matrix, merges consecutive diagonal/phase gates into a single
 // diagonal kernel, and specializes controlled permutations, so a deep
-// circuit needs far fewer bandwidth-bound sweeps than one per gate.
+// circuit needs far fewer full-state sweeps than one per gate. The sweeps
+// are bound by their arithmetic more than by memory bandwidth (see the
+// package doc), so finalize also gives each dense 4×4 the cheapest sweep
+// its exact zeros allow.
 //
 // Fusion composes kernels as complex matrices; at Compile finalize every
 // kernel matrix and phase table is split once into real/imaginary float64
@@ -50,6 +53,30 @@ const (
 	// kPermute and kInit are the scratch-buffer natives.
 	kPermute
 	kInit
+)
+
+// pairForm is the sweep a kGate2Q kernel runs. Every form computes the
+// dense 4×4 product with some exact-zero terms left out, so all forms agree
+// with the dense sweep under == (only a zero's sign can differ).
+type pairForm uint8
+
+const (
+	// pairDense pays 16 complex multiply-adds per quadruple.
+	pairDense pairForm = iota
+	// pairMono is permutation × phase (exactly one nonzero per row and
+	// column): 4 complex multiplies per quadruple.
+	pairMono
+	// pairBlockLo is block-diagonal over the higher qubit: a 2×2 gate on
+	// the lower qubit, chosen by the higher qubit's bit. The sweep reads
+	// m4s's two diagonal 2×2 blocks only: 8 complex multiply-adds per
+	// quadruple.
+	pairBlockLo
+	// pairBlockHi is block-diagonal over the lower qubit: a 2×2 gate on
+	// the higher qubit, chosen by the lower qubit's bit. m4s holds the
+	// matrix with rows and columns permuted by [0,2,1,3], which makes it
+	// pairBlockLo-shaped, and the sweep swaps the partner offsets, so one
+	// arithmetic body serves both block forms.
+	pairBlockHi
 )
 
 // bitInsert expands a compact subspace index by one constrained bit; see
@@ -84,11 +111,10 @@ type kernel struct {
 	ms  gates.Split2
 	m4  gates.Matrix4
 	m4s gates.Split4
-	// Monomial decomposition of m4 (permutation × phase: exactly one
-	// nonzero per row and column), precomputed at Compile finalize. The
-	// sweep then costs 4 complex multiplies per quadruple instead of the
-	// dense kernel's 16 multiplies + 12 adds: out[r] = mph[r]·in[msrc[r]].
-	mono  bool
+	// form is the sweep a kGate2Q kernel runs, decided by finalize2Q
+	// from m4's exact zeros. The monomial form reads msrc/mph*
+	// (out[r] = mph[r]·in[msrc[r]]); the dense and block forms read m4s.
+	form  pairForm
 	msrc  [4]int
 	mphRe [4]float64
 	mphIm [4]float64
@@ -145,6 +171,11 @@ type PlanStats struct {
 	// phase — pure CX/CZ/SWAP/S-style chains — and execute on the
 	// 4-multiply monomial sweep instead of the full dense sweep.
 	Monomial2Q int
+	// Block2Q counts dense 4×4 kernels that finalized block-diagonal — a
+	// one-qubit gate on one qubit of the pair chosen by the other's bit,
+	// such as a ZZ phase fused with an RX — and execute on the block
+	// sweep at half the dense sweep's arithmetic.
+	Block2Q int
 }
 
 // Plan is a compiled circuit: a kernel sequence ready to execute against
@@ -223,29 +254,53 @@ func compile(c *circuit.Circuit, par *paramRec, fuseScan int) (*Plan, error) {
 		pl.stats.SourceOps++
 	}
 	// Finalize: fusion is done mutating kernels, so matrix contents and
-	// monomial structure are now stable. Split every kernel matrix into
-	// real/imag planes once, and downgrade any dense 4×4 that ended up
-	// permutation×phase (a pure CX/CZ/SWAP chain, possibly with
-	// X/Z/S-style 1Q gates folded in) to the 4-multiply monomial sweep.
+	// zero patterns are now stable. Split every kernel matrix into
+	// real/imag planes once, and pick each dense 4×4's sweep.
 	for i := range pl.kernels {
 		k := &pl.kernels[i]
 		switch k.kind {
 		case kGate1Q:
 			k.ms = k.m.Split()
 		case kGate2Q:
-			if src, ph, ok := monomial4(k.m4); ok {
-				k.mono, k.msrc = true, src
-				for r := 0; r < 4; r++ {
-					k.mphRe[r], k.mphIm[r] = real(ph[r]), imag(ph[r])
-				}
-				pl.stats.Monomial2Q++
-				continue
-			}
-			k.m4s = k.m4.Split()
+			k.finalize2Q(&pl.stats)
 		}
 	}
 	pl.stats.Kernels = len(pl.kernels)
 	return pl, nil
+}
+
+// finalize2Q picks the sweep a kGate2Q kernel runs from the exact zeros of
+// its final matrix m4 — monomial, then block-diagonal, else dense — and
+// fills the planes that sweep reads. compile's finalize and ParamPlan.Bind
+// both call it, so a bound kernel takes the form a concrete compile of its
+// point would; st's Monomial2Q and Block2Q follow the kernel's old and
+// new form.
+func (k *kernel) finalize2Q(st *PlanStats) {
+	switch k.form {
+	case pairMono:
+		st.Monomial2Q--
+	case pairBlockLo, pairBlockHi:
+		st.Block2Q--
+	}
+	if src, ph, ok := monomial4(k.m4); ok {
+		k.form, k.msrc = pairMono, src
+		for r := 0; r < 4; r++ {
+			k.mphRe[r], k.mphIm[r] = real(ph[r]), imag(ph[r])
+		}
+		st.Monomial2Q++
+		return
+	}
+	k.form = pairDense
+	m := k.m4
+	if blockLo(m) {
+		k.form = pairBlockLo
+	} else if sw := swapPair(m); blockLo(sw) {
+		k.form, m = pairBlockHi, sw
+	}
+	if k.form != pairDense {
+		st.Block2Q++
+	}
+	k.m4s = m.Split()
 }
 
 // monomial4 decomposes m as out[r] = ph[r]·in[src[r]] when every row and
@@ -274,6 +329,36 @@ func monomial4(m gates.Matrix4) (src [4]int, ph [4]complex128, ok bool) {
 		ph[r] = m[r][found]
 	}
 	return src, ph, true
+}
+
+// blockLo reports whether m is block-diagonal over its higher qubit:
+// every entry that would flip that qubit is exactly zero, so m acts as a
+// 2×2 on the lower qubit chosen by the higher one's bit. The zero test is
+// exact, as in monomial4.
+func blockLo(m gates.Matrix4) bool {
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			if r>>1 != c>>1 && m[r][c] != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// swapPair returns m with the roles of its two qubits exchanged: rows and
+// columns permuted by [0,2,1,3]. Within a row the surviving entries keep
+// their relative column order, so a block sweep over the permuted matrix
+// sums each row's terms in the dense sweep's order.
+func swapPair(m gates.Matrix4) gates.Matrix4 {
+	p := [4]int{0, 2, 1, 3}
+	var out gates.Matrix4
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			out[r][c] = m[p[r]][p[c]]
+		}
+	}
+	return out
 }
 
 func (pl *Plan) checkQubits(qs ...int) error {
@@ -908,17 +993,27 @@ func (k *kernel) apply(st *State, shards int, run func(total int, fn func(w, lo,
 		})
 	case kGate2Q:
 		maskLo, maskHi := 1<<k.q, 1<<k.q2
-		if k.mono {
+		switch k.form {
+		case pairMono:
 			src, phRe, phIm := &k.msrc, &k.mphRe, &k.mphIm
 			run(dim/4, func(_, lo, hi int) {
 				sweep2QMonoAuto(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
 			})
-			break
+		case pairBlockLo, pairBlockHi:
+			offA, offB := maskLo, maskHi
+			if k.form == pairBlockHi {
+				offA, offB = maskHi, maskLo
+			}
+			ms := &k.m4s
+			run(dim/4, func(_, lo, hi int) {
+				sweep2QBlockAuto(re, im, ms, maskLo, maskHi, offA, offB, lo, hi)
+			})
+		default:
+			ms := &k.m4s
+			run(dim/4, func(_, lo, hi int) {
+				sweep2QAuto(re, im, ms, maskLo, maskHi, lo, hi)
+			})
 		}
-		ms := &k.m4s
-		run(dim/4, func(_, lo, hi int) {
-			sweep2QAuto(re, im, ms, maskLo, maskHi, lo, hi)
-		})
 	case kCtrlPerm:
 		run(1<<k.free, func(_, lo, hi int) {
 			sweepCtrlPerm(re, im, k.inserts, k.flip, lo, hi)
@@ -1137,6 +1232,89 @@ func sweep2QAuto(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi int) 
 		return
 	}
 	sweep2Q(re, im, m, maskLo, maskHi, lo, hi)
+}
+
+// blockPair is the arithmetic body of both block sweeps: a 2×2 block
+// applied to one amplitude pair, each output the dense row's two surviving
+// terms in column order. It takes the block as scalars (blockEntries) so
+// that it inlines into the sweep loops.
+func blockPair(m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i, a0r, a0i, a1r, a1i float64) (b0r, b0i, b1r, b1i float64) {
+	b0r = (m00r*a0r - m00i*a0i) + (m01r*a1r - m01i*a1i)
+	b0i = (m00r*a0i + m00i*a0r) + (m01r*a1i + m01i*a1r)
+	b1r = (m10r*a0r - m10i*a0i) + (m11r*a1r - m11i*a1i)
+	b1i = (m10r*a0i + m10i*a0r) + (m11r*a1i + m11i*a1r)
+	return
+}
+
+// blockEntries unpacks the diagonal 2×2 block of m at rows and columns
+// b, b+1 in blockPair's argument order.
+func blockEntries(m *gates.Split4, b int) (m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i float64) {
+	return m.Re[b][b], m.Im[b][b], m.Re[b][b+1], m.Im[b][b+1], m.Re[b+1][b], m.Im[b+1][b], m.Re[b+1][b+1], m.Im[b+1][b+1]
+}
+
+// sweep2QBlock applies a block-diagonal kernel to the amplitude quadruples
+// indexed by [lo, hi), expanded as in sweep2Q: m's upper-left block maps
+// the pair (i, i|offA), its lower-right block the pair (i|offB,
+// i|offA|offB). offA is the gate qubit's mask and offB the selecting
+// qubit's.
+func sweep2QBlock(re, im []float64, m *gates.Split4, maskLo, maskHi, offA, offB, lo, hi int) {
+	lowLo, lowHi := maskLo-1, maskHi-1
+	p00r, p00i, p01r, p01i, p10r, p10i, p11r, p11i := blockEntries(m, 0)
+	q00r, q00i, q01r, q01i, q10r, q10i, q11r, q11i := blockEntries(m, 2)
+	for c := lo; c < hi; c++ {
+		x := (c&^lowLo)<<1 | c&lowLo
+		i := (x&^lowHi)<<1 | x&lowHi
+		j := i | offA
+		k := i | offB
+		l := j | offB
+		re[i], im[i], re[j], im[j] = blockPair(p00r, p00i, p01r, p01i, p10r, p10i, p11r, p11i, re[i], im[i], re[j], im[j])
+		re[k], im[k], re[l], im[l] = blockPair(q00r, q00i, q01r, q01i, q10r, q10i, q11r, q11i, re[k], im[k], re[l], im[l])
+	}
+}
+
+// sweep2QBlockBlocked is the cache-blocked block sweep: runs bounded as in
+// sweep2QBlocked, each block applied to its two quadrant streams per plane
+// while they are cache-resident.
+func sweep2QBlockBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, offA, offB, lo, hi int) {
+	lowLo, lowHi := maskLo-1, maskHi-1
+	p00r, p00i, p01r, p01i, p10r, p10i, p11r, p11i := blockEntries(m, 0)
+	q00r, q00i, q01r, q01i, q10r, q10i, q11r, q11i := blockEntries(m, 2)
+	for c := lo; c < hi; {
+		x := (c&^lowLo)<<1 | c&lowLo
+		i := (x&^lowHi)<<1 | x&lowHi
+		run := maskLo - c&lowLo
+		if run > hi-c {
+			run = hi - c
+		}
+		if run > cacheBlockAmps {
+			run = cacheBlockAmps
+		}
+		r0 := re[i : i+run]
+		i0 := im[i:][:run]
+		r1 := re[i|offA:][:run]
+		i1 := im[i|offA:][:run]
+		for r := range r0 {
+			r0[r], i0[r], r1[r], i1[r] = blockPair(p00r, p00i, p01r, p01i, p10r, p10i, p11r, p11i, r0[r], i0[r], r1[r], i1[r])
+		}
+		r2 := re[i|offB:][:run]
+		i2 := im[i|offB:][:run]
+		r3 := re[i|offA|offB:][:run]
+		i3 := im[i|offA|offB:][:run]
+		for r := range r2 {
+			r2[r], i2[r], r3[r], i3[r] = blockPair(q00r, q00i, q01r, q01i, q10r, q10i, q11r, q11i, r2[r], i2[r], r3[r], i3[r])
+		}
+		c += run
+	}
+}
+
+// sweep2QBlockAuto picks the blocked block sweep by the lower pair qubit's
+// stride, as sweep2QAuto does.
+func sweep2QBlockAuto(re, im []float64, m *gates.Split4, maskLo, maskHi, offA, offB, lo, hi int) {
+	if maskLo >= blockedStrideMin {
+		sweep2QBlockBlocked(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
+		return
+	}
+	sweep2QBlock(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
 }
 
 // sweep2QMono applies a monomial (permutation × phase) 4×4 kernel to the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
@@ -182,6 +183,59 @@ func BenchmarkMonomialEvolve20(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Evolve(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// maxCutQAOA builds the circuit of a served Max-Cut QAOA job: H on every
+// qubit, then p layers of CX·RZ·CX per edge and an RX on every qubit, and
+// terminal measurements. The graph is G(n, edges) with unit weights and
+// the angles are drawn from [0.2, 1.2), both from seed.
+func maxCutQAOA(seed int64, n, edges, p int) *circuit.Circuit {
+	r := rand.New(rand.NewSource(seed))
+	type pair struct{ u, v int }
+	var all []pair
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			all = append(all, pair{u, v})
+		}
+	}
+	r.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	c := circuit.New(n, n)
+	for q := 0; q < n; q++ {
+		c.H(q)
+	}
+	for l := 0; l < p; l++ {
+		gamma, beta := 0.2+r.Float64(), 0.2+r.Float64()
+		for _, e := range all[:edges] {
+			c.CX(e.u, e.v).RZ(2*gamma, e.v).CX(e.u, e.v)
+		}
+		for q := 0; q < n; q++ {
+			c.RX(2*beta, q)
+		}
+	}
+	c.MeasureAll()
+	return c
+}
+
+// BenchmarkQAOA20 runs one served 20-qubit QAOA job — p=2, 30 edges, 1024
+// shots: compile, execute, sample — on the automatic shard count. About
+// half of its dense pair kernels are a ZZ phase fused with an RX, which
+// execute on the block-diagonal sweep.
+func BenchmarkQAOA20(b *testing.B) {
+	c := maxCutQAOA(1, 20, 30, 2)
+	pl, err := Compile(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if pl.Stats().Block2Q == 0 {
+		b.Fatalf("benchmark circuit produced no block kernels: %+v", pl.Stats())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(c, Options{Shots: 1024, Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -543,6 +544,139 @@ func TestCompileParityMonomialBlocked(t *testing.T) {
 		if d := maxAmpDelta(want, st); d > 1e-9 {
 			t.Errorf("shards=%d: max amplitude delta %v", shards, d)
 		}
+	}
+}
+
+// randomBlockMatrix returns a 4×4 that is block-diagonal over the higher
+// qubit, the pairBlockLo shape, with random complex entries in both 2×2
+// blocks. With hole set, one entry inside a block is also an exact zero,
+// which must leave the kernel a block kernel.
+func randomBlockMatrix(r *rand.Rand, hole bool) gates.Matrix4 {
+	var m gates.Matrix4
+	for row := 0; row < 4; row++ {
+		for col := 0; col < 4; col++ {
+			if row>>1 == col>>1 {
+				m[row][col] = complex(2*r.Float64()-1, 2*r.Float64()-1)
+			}
+		}
+	}
+	if hole {
+		b := 2 * r.Intn(2)
+		m[b+r.Intn(2)][b+r.Intn(2)] = 0
+	}
+	return m
+}
+
+// TestBlockSweepExact holds the block sweep to the dense sweep it stands
+// in for. On random block-diagonal matrices in both forms — the gate on
+// the lower or on the higher qubit of the pair — for pairs whose lower
+// qubit's stride is below blockedStrideMin, at least it, and above
+// cacheBlockAmps, and on shard grants {1, 4, GOMAXPROCS}, every amplitude
+// must equal sweep2QAuto's under ==.
+func TestBlockSweepExact(t *testing.T) {
+	const n = 15
+	r := rand.New(rand.NewSource(40))
+	pairs := [][2]int{{0, 1}, {1, 5}, {5, 6}, {6, 7}, {7, 11}, {12, 13}, {13, 14}}
+	for _, pr := range pairs {
+		for _, form := range []pairForm{pairBlockLo, pairBlockHi} {
+			for trial := 0; trial < 2; trial++ {
+				m := randomBlockMatrix(r, trial == 1)
+				if form == pairBlockHi {
+					m = swapPair(m)
+				}
+				k := kernel{kind: kGate2Q, support: 1<<pr[0] | 1<<pr[1], q: pr[0], q2: pr[1], m4: m}
+				var stats PlanStats
+				k.finalize2Q(&stats)
+				if k.form != form || stats.Block2Q != 1 {
+					t.Fatalf("pair %v: finalized as form %d with stats %+v, want form %d", pr, k.form, stats, form)
+				}
+				dense := m.Split()
+				pl := &Plan{n: n, kernels: []kernel{k}}
+				for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+					got := mustState(t, n)
+					for i := range got.re {
+						got.re[i], got.im[i] = 2*r.Float64()-1, 2*r.Float64()-1
+					}
+					want := got.Clone()
+					if err := pl.Execute(got, shards); err != nil {
+						t.Fatal(err)
+					}
+					sweep2QAuto(want.re, want.im, &dense, 1<<pr[0], 1<<pr[1], 0, want.Dim()/4)
+					for i := range got.re {
+						if got.re[i] != want.re[i] || got.im[i] != want.im[i] {
+							t.Fatalf("pair %v form %d trial %d shards=%d amp[%d]: block (%v, %v) != dense (%v, %v)",
+								pr, form, trial, shards, i, got.re[i], got.im[i], want.re[i], want.im[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// mirrorQubits relabels qubit q as n−1−q, which exchanges the lower and
+// the higher qubit of every pair.
+func mirrorQubits(c *circuit.Circuit) *circuit.Circuit {
+	out := c.Copy()
+	for i := range out.Instrs {
+		for j, q := range out.Instrs[i].Qubits {
+			out.Instrs[i].Qubits[j] = c.NumQubits - 1 - q
+		}
+	}
+	return out
+}
+
+// TestBlockKernelsMatchDense runs served-shape QAOA plans twice — as
+// compiled, and from a copy whose block kernels are turned back into
+// dense ones — and requires equal counts and every amplitude equal under
+// ==. The mirrored circuits put each pair's RX on the other qubit of the
+// pair, so both block forms run.
+func TestBlockKernelsMatchDense(t *testing.T) {
+	forms := map[pairForm]int{}
+	for _, n := range []int{8, 12, 16} {
+		for seed := int64(1); seed <= 2; seed++ {
+			base := maxCutQAOA(seed, n, 3*n/2, 2)
+			for _, c := range []*circuit.Circuit{base, mirrorQubits(base)} {
+				pl, err := Compile(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dense := &Plan{n: pl.n, kernels: append([]kernel(nil), pl.kernels...)}
+				blocks := 0
+				for i := range dense.kernels {
+					if k := &dense.kernels[i]; k.form == pairBlockLo || k.form == pairBlockHi {
+						forms[k.form]++
+						blocks++
+						k.form, k.m4s = pairDense, k.m4.Split()
+					}
+				}
+				if blocks == 0 || blocks != pl.Stats().Block2Q {
+					t.Fatalf("n=%d seed=%d: %d block kernels, stats %+v", n, seed, blocks, pl.Stats())
+				}
+				for _, shards := range []int{1, 4} {
+					opts := Options{Shots: 2048, Seed: uint64(seed), KeepState: true, Shards: shards}
+					got, err := RunPlan(c, pl, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := RunPlan(c, dense, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !maps.Equal(got.Counts, want.Counts) {
+						t.Fatalf("n=%d seed=%d shards=%d: block plan counts differ from the dense plan's", n, seed, shards)
+					}
+					for i := uint64(0); i < uint64(got.Final.Dim()); i++ {
+						if a, b := got.Final.Amplitude(i), want.Final.Amplitude(i); a != b {
+							t.Fatalf("n=%d seed=%d shards=%d amp[%d]: block %v != dense %v", n, seed, shards, i, a, b)
+						}
+					}
+				}
+			}
+		}
+	}
+	if forms[pairBlockLo] == 0 || forms[pairBlockHi] == 0 {
+		t.Fatalf("block forms run: %v; want both", forms)
 	}
 }
 

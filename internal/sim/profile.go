@@ -58,7 +58,7 @@ func kindOrdinal(k *kernel) int {
 	case kGate1Q:
 		return pkGate1Q
 	case kGate2Q:
-		if k.mono {
+		if k.form == pairMono {
 			return pkMonomial
 		}
 		return pkGate2Q
