@@ -131,8 +131,21 @@ func TestSweepDispatchAcceptance(t *testing.T) {
 
 	w1 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
 	w2 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	// Any failure from here on, in this body or in a helper, prints what
+	// the dispatcher and both workers logged: a rare failure is read once.
+	var disp *server
+	t.Cleanup(func() {
+		if !t.Failed() {
+			return
+		}
+		if disp != nil {
+			t.Logf("dispatcher logs:\n%s", disp.logs)
+		}
+		t.Logf("worker w1 (%s) logs:\n%s", w1.addr, w1.logs)
+		t.Logf("worker w2 (%s) logs:\n%s", w2.addr, w2.logs)
+	})
 	dataDir := t.TempDir()
-	disp := startProc(t, bin,
+	disp = startProc(t, bin,
 		"-addr", "127.0.0.1:0",
 		"-dispatch", w1.addr+","+w2.addr,
 		"-data-dir", dataDir,
@@ -149,7 +162,7 @@ func TestSweepDispatchAcceptance(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			t.Fatalf("sweep never reached running; logs:\n%s", disp.logs)
+			t.Fatalf("sweep never reached running")
 		}
 		st := getJSON(t, disp.url("/v1/jobs/"+id), http.StatusOK)
 		if st["state"] == "running" {
@@ -170,7 +183,7 @@ func TestSweepDispatchAcceptance(t *testing.T) {
 	// the grid progress fields; the lost range must have re-forwarded.
 	fin := getJSON(t, disp.url("/v1/jobs/"+id+"?wait=120s"), http.StatusOK)
 	if fin["state"] != "done" {
-		t.Fatalf("sweep finished %v: %v\nlogs:\n%s", fin["state"], fin, disp.logs)
+		t.Fatalf("sweep finished %v: %v", fin["state"], fin)
 	}
 	if fin["sweep"] != true || fin["points"].(float64) != n || fin["points_done"].(float64) != n {
 		t.Fatalf("sweep progress fields: %v", fin)

@@ -132,17 +132,3 @@ func NewQPE(counting *qdt.DataType, eigen *qdt.DataType, phase float64) (*qop.Op
 	attachDefaultResult(op, counting)
 	return op, nil
 }
-
-// NewPhaseKickback builds a controlled-phase kickback gadget: CP(angle)
-// from control bit ctrlBit onto target bit tgtBit of the register.
-func NewPhaseKickback(reg *qdt.DataType, ctrlBit, tgtBit int, angle float64) (*qop.Operator, error) {
-	if ctrlBit < 0 || ctrlBit >= reg.Width || tgtBit < 0 || tgtBit >= reg.Width || ctrlBit == tgtBit {
-		return nil, fmt.Errorf("algolib: kickback bits (%d,%d) invalid for width %d", ctrlBit, tgtBit, reg.Width)
-	}
-	op := newOp("phase_kickback", qop.PhaseKickback, reg.ID)
-	op.SetParam("control", ctrlBit)
-	op.SetParam("target", tgtBit)
-	op.SetParam("angle", angle)
-	op.CostHint = &qop.CostHint{TwoQ: 1, Depth: 1}
-	return op, nil
-}

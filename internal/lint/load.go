@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -152,6 +153,13 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, modPath, dir string,
 		}
 		isTest := strings.HasSuffix(name, "_test.go")
 		if isTest && !opts.IncludeTests {
+			continue
+		}
+		// Only the files the default build compiles: a package may hold
+		// per-architecture files that declare the same names.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -6,8 +6,8 @@ import "unsafe"
 // buffers: one x86/ARM cache line. Aligning the plane base means the
 // cache-blocked sweeps' per-block slices start on a line boundary whenever
 // the block start index is a multiple of 8 floats (every power-of-two
-// stride ≥ blockedStrideMin qualifies), so a block never straddles a line
-// at its start and SIMD-friendly runs begin loaded, not split.
+// stride ≥ 8 qualifies), so a block never straddles a line at its start.
+// The AVX run bodies load unaligned and do not rely on this.
 const cacheLine = 64
 
 // alignedFloats allocates an n-element float64 slice whose backing array

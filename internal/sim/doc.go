@@ -151,10 +151,12 @@
 //
 // The statevector is stored structure-of-arrays: two parallel float64
 // planes, re[k] and im[k], instead of one []complex128. Go's complex128
-// code generation keeps real and imaginary parts interleaved and largely
-// scalar; on the split planes every sweep body is plain float64 arithmetic
-// over contiguous equal-length slices, which the compiler bounds-check
-// eliminates and autovectorizes. Kernel matrices, phase tables and init
+// code generation keeps real and imaginary parts interleaved; on the split
+// planes every sweep body is plain float64 arithmetic over contiguous
+// equal-length slices, whose bounds checks the compiler eliminates. The
+// gc compiler does not vectorize: a Go sweep body is one scalar MULSD,
+// ADDSD or SUBSD per operation (see "Vector bodies" below for the sweeps
+// that are vectorized by hand). Kernel matrices, phase tables and init
 // amplitude tables are split once at compile finalize (gates.Split2 /
 // gates.Split4, the phRe/phIm tables), never per sweep.
 //
@@ -183,6 +185,29 @@
 // unobservable through probabilities. Sampled counts for a fixed
 // bundle+shots+seed are therefore unchanged by the layout (the parity
 // suite in soa_parity_test.go pins this against a complex128 reference).
+//
+// # Vector bodies
+//
+// The 2×2, block and dense 4×4 sweeps, and the monomial sweep's phased
+// fixed rows, have a run form: for a high enough stride the index expands
+// once per run and the inner loop walks equal-length streams (pairRun,
+// denseRun, phaseRun). On amd64, when CPUID and XGETBV report AVX,
+// those runs are swept by the AVX bodies in sweep_amd64.s, four lanes at
+// a time, with the tail of fewer than four in Go; the run form then
+// starts at stride 4 (16 for monomials, whose cycles stay Go loops)
+// instead of blockedStrideMin. Each body performs exactly its Go
+// expression's operations: the same products, the same left-to-right
+// grouping, every subtraction with the same operands, and no fused
+// multiply-add. A lane of VMULPD, VADDPD or VSUBPD rounds as MULSD, ADDSD
+// or SUBSD does, so every amplitude is bit-identical with or without
+// them, and counts, golden files and cache keys do not depend on the CPU.
+// The run and per-element forms differ only where a monomial's run form
+// skips an exact ±0 term, which may flip the sign of a zero. Strides 1–2,
+// permutation monomials and diagonal tables remain scalar Go. Other
+// architectures, CPUs without AVX and builds with the purego tag run the
+// Go bodies only, with the run form from blockedStrideMin.
+// vec_amd64_test.go holds each body and each sweep to its Go expression,
+// bit for bit; TestAssemblyHasNoFMA keeps FMA out of the assembly.
 //
 // External packages see none of this: Amplitude, Probability and the
 // Evolve/Run APIs still speak complex128, and nothing outside the

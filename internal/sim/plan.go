@@ -1075,9 +1075,36 @@ func (k *kernel) apply(st *State, shards int, run func(total int, fn func(w, lo,
 // sampled counts are unchanged across the layout refactor.
 
 // blockedStrideMin is the smallest kernel stride worth the cache-blocked
-// sweep form: below it the contiguous runs are too short for the per-run
-// setup to pay off.
+// (run) sweep form when its runs are Go loops: below it the contiguous
+// runs are too short for the per-run setup to pay off.
 const blockedStrideMin = 64
+
+// vecStrideMin is where the run form starts when the AVX bodies sweep its
+// runs: a run of one vector, 4 lanes, already beats the per-element loop.
+const vecStrideMin = 4
+
+// vecMonoStrideMin is where the monomial run form starts with the AVX
+// bodies. Only its phased fixed rows have a vector body; its cycles stay
+// Go loops, whose per-run setup loses to the per-quadruple loop on runs
+// shorter than 16.
+const vecMonoStrideMin = 16
+
+// runStrideMin is the smallest kernel stride swept in run form.
+func runStrideMin() int {
+	if useAVX {
+		return vecStrideMin
+	}
+	return blockedStrideMin
+}
+
+// monoRunStrideMin is the smallest kernel stride swept in the monomial
+// run form.
+func monoRunStrideMin() int {
+	if useAVX {
+		return vecMonoStrideMin
+	}
+	return blockedStrideMin
+}
 
 // cacheBlockAmps bounds the contiguous run length of a blocked sweep so
 // each block's quadrant slices (4 streams for a 1Q kernel, 8 for a 2Q one,
@@ -1085,6 +1112,70 @@ const blockedStrideMin = 64
 // 4096 amplitudes per stream is 32 KiB per plane, at most 256 KiB in
 // flight.
 const cacheBlockAmps = 1 << 12
+
+// pairRun applies blockPair with the matrix m (blockPair's argument
+// order) to the four streams, each cut to len(r0), in place. With useAVX
+// the whole vectors run in pairRunAVX and the tail of fewer than 4 in Go;
+// both compute blockPair's expression, so the split between them moves no
+// bit.
+func pairRun(m *[8]float64, r0, i0, r1, i1 []float64) {
+	n := len(r0)
+	i0, r1, i1 = i0[:n], r1[:n], i1[:n]
+	v := 0
+	if useAVX && n >= 4 {
+		v = n &^ 3
+		pairRunAVX(m, r0[:v], i0[:v], r1[:v], i1[:v])
+	}
+	m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7]
+	for r := v; r < n; r++ {
+		r0[r], i0[r], r1[r], i1[r] = blockPair(m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i, r0[r], i0[r], r1[r], i1[r])
+	}
+}
+
+// denseRun applies the dense 4×4 m to the eight quadrant streams, each cut
+// to len(r0), in place: the whole vectors in denseRunAVX with useAVX, the
+// rest in Go, as pairRun splits.
+func denseRun(m *gates.Split4, r0, i0, r1, i1, r2, i2, r3, i3 []float64) {
+	n := len(r0)
+	i0, r1, i1, r2, i2, r3, i3 = i0[:n], r1[:n], i1[:n], r2[:n], i2[:n], r3[:n], i3[:n]
+	v := 0
+	if useAVX && n >= 4 {
+		v = n &^ 3
+		denseRunAVX(m, r0[:v], i0[:v], r1[:v], i1[:v], r2[:v], i2[:v], r3[:v], i3[:v])
+	}
+	mr, mi := &m.Re, &m.Im
+	for r := v; r < n; r++ {
+		a0r, a0i := r0[r], i0[r]
+		a1r, a1i := r1[r], i1[r]
+		a2r, a2i := r2[r], i2[r]
+		a3r, a3i := r3[r], i3[r]
+		r0[r] = (mr[0][0]*a0r - mi[0][0]*a0i) + (mr[0][1]*a1r - mi[0][1]*a1i) + (mr[0][2]*a2r - mi[0][2]*a2i) + (mr[0][3]*a3r - mi[0][3]*a3i)
+		i0[r] = (mr[0][0]*a0i + mi[0][0]*a0r) + (mr[0][1]*a1i + mi[0][1]*a1r) + (mr[0][2]*a2i + mi[0][2]*a2r) + (mr[0][3]*a3i + mi[0][3]*a3r)
+		r1[r] = (mr[1][0]*a0r - mi[1][0]*a0i) + (mr[1][1]*a1r - mi[1][1]*a1i) + (mr[1][2]*a2r - mi[1][2]*a2i) + (mr[1][3]*a3r - mi[1][3]*a3i)
+		i1[r] = (mr[1][0]*a0i + mi[1][0]*a0r) + (mr[1][1]*a1i + mi[1][1]*a1r) + (mr[1][2]*a2i + mi[1][2]*a2r) + (mr[1][3]*a3i + mi[1][3]*a3r)
+		r2[r] = (mr[2][0]*a0r - mi[2][0]*a0i) + (mr[2][1]*a1r - mi[2][1]*a1i) + (mr[2][2]*a2r - mi[2][2]*a2i) + (mr[2][3]*a3r - mi[2][3]*a3i)
+		i2[r] = (mr[2][0]*a0i + mi[2][0]*a0r) + (mr[2][1]*a1i + mi[2][1]*a1r) + (mr[2][2]*a2i + mi[2][2]*a2r) + (mr[2][3]*a3i + mi[2][3]*a3r)
+		r3[r] = (mr[3][0]*a0r - mi[3][0]*a0i) + (mr[3][1]*a1r - mi[3][1]*a1i) + (mr[3][2]*a2r - mi[3][2]*a2i) + (mr[3][3]*a3r - mi[3][3]*a3i)
+		i3[r] = (mr[3][0]*a0i + mi[3][0]*a0r) + (mr[3][1]*a1i + mi[3][1]*a1r) + (mr[3][2]*a2i + mi[3][2]*a2r) + (mr[3][3]*a3i + mi[3][3]*a3r)
+	}
+}
+
+// phaseRun scales sr + i·si, si cut to len(sr), by pr + i·pi in place:
+// the whole vectors in phaseRunAVX with useAVX, the rest in Go.
+func phaseRun(pr, pi float64, sr, si []float64) {
+	n := len(sr)
+	si = si[:n]
+	v := 0
+	if useAVX && n >= 4 {
+		v = n &^ 3
+		phaseRunAVX(pr, pi, sr[:v], si[:v])
+	}
+	for r := v; r < n; r++ {
+		ar, ai := sr[r], si[r]
+		sr[r] = ar*pr - ai*pi
+		si[r] = ar*pi + ai*pr
+	}
+}
 
 // sweep1Q applies a 2×2 unitary to the amplitude pairs indexed by
 // [lo, hi) ⊂ [0, 2^(n-1)): pair p expands to indices (i, i|stride) with
@@ -1113,8 +1204,7 @@ func sweep1Q(re, im []float64, m *gates.Split2, stride, lo, hi int) {
 // is straight-line float math over equal-length slices.
 func sweep1QBlocked(re, im []float64, m *gates.Split2, stride, lo, hi int) {
 	low := stride - 1
-	m00r, m01r, m10r, m11r := m.Re[0][0], m.Re[0][1], m.Re[1][0], m.Re[1][1]
-	m00i, m01i, m10i, m11i := m.Im[0][0], m.Im[0][1], m.Im[1][0], m.Im[1][1]
+	mat := [8]float64{m.Re[0][0], m.Im[0][0], m.Re[0][1], m.Im[0][1], m.Re[1][0], m.Im[1][0], m.Re[1][1], m.Im[1][1]}
 	for p := lo; p < hi; {
 		i := (p&^low)<<1 | p&low
 		run := stride - p&low
@@ -1124,27 +1214,14 @@ func sweep1QBlocked(re, im []float64, m *gates.Split2, stride, lo, hi int) {
 		if run > cacheBlockAmps {
 			run = cacheBlockAmps
 		}
-		// The half-streams as equal-length slices: the bounds checks
-		// vanish from the inner loop.
-		r0 := re[i : i+run]
-		i0 := im[i:][:run]
-		r1 := re[i|stride:][:run]
-		i1 := im[i|stride:][:run]
-		for r := range r0 {
-			a0r, a0i := r0[r], i0[r]
-			a1r, a1i := r1[r], i1[r]
-			r0[r] = (m00r*a0r - m00i*a0i) + (m01r*a1r - m01i*a1i)
-			i0[r] = (m00r*a0i + m00i*a0r) + (m01r*a1i + m01i*a1r)
-			r1[r] = (m10r*a0r - m10i*a0i) + (m11r*a1r - m11i*a1i)
-			i1[r] = (m10r*a0i + m10i*a0r) + (m11r*a1i + m11i*a1r)
-		}
+		pairRun(&mat, re[i:i+run], im[i:], re[i|stride:], im[i|stride:])
 		p += run
 	}
 }
 
 // sweep1QAuto picks the blocked sweep for high-stride targets.
 func sweep1QAuto(re, im []float64, m *gates.Split2, stride, lo, hi int) {
-	if stride >= blockedStrideMin {
+	if stride >= runStrideMin() {
 		sweep1QBlocked(re, im, m, stride, lo, hi)
 		return
 	}
@@ -1185,7 +1262,6 @@ func sweep2Q(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi int) {
 // surgery.
 func sweep2QBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi int) {
 	lowLo, lowHi := maskLo-1, maskHi-1
-	mr, mi := &m.Re, &m.Im
 	for c := lo; c < hi; {
 		x := (c&^lowLo)<<1 | c&lowLo
 		i := (x&^lowHi)<<1 | x&lowHi
@@ -1196,30 +1272,8 @@ func sweep2QBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi in
 		if run > cacheBlockAmps {
 			run = cacheBlockAmps
 		}
-		// The quadrant streams as equal-length slices: the bounds checks
-		// vanish from the inner loop.
-		r0 := re[i : i+run]
-		i0 := im[i:][:run]
-		r1 := re[i|maskLo:][:run]
-		i1 := im[i|maskLo:][:run]
-		r2 := re[i|maskHi:][:run]
-		i2 := im[i|maskHi:][:run]
-		r3 := re[i|maskLo|maskHi:][:run]
-		i3 := im[i|maskLo|maskHi:][:run]
-		for r := range r0 {
-			a0r, a0i := r0[r], i0[r]
-			a1r, a1i := r1[r], i1[r]
-			a2r, a2i := r2[r], i2[r]
-			a3r, a3i := r3[r], i3[r]
-			r0[r] = (mr[0][0]*a0r - mi[0][0]*a0i) + (mr[0][1]*a1r - mi[0][1]*a1i) + (mr[0][2]*a2r - mi[0][2]*a2i) + (mr[0][3]*a3r - mi[0][3]*a3i)
-			i0[r] = (mr[0][0]*a0i + mi[0][0]*a0r) + (mr[0][1]*a1i + mi[0][1]*a1r) + (mr[0][2]*a2i + mi[0][2]*a2r) + (mr[0][3]*a3i + mi[0][3]*a3r)
-			r1[r] = (mr[1][0]*a0r - mi[1][0]*a0i) + (mr[1][1]*a1r - mi[1][1]*a1i) + (mr[1][2]*a2r - mi[1][2]*a2i) + (mr[1][3]*a3r - mi[1][3]*a3i)
-			i1[r] = (mr[1][0]*a0i + mi[1][0]*a0r) + (mr[1][1]*a1i + mi[1][1]*a1r) + (mr[1][2]*a2i + mi[1][2]*a2r) + (mr[1][3]*a3i + mi[1][3]*a3r)
-			r2[r] = (mr[2][0]*a0r - mi[2][0]*a0i) + (mr[2][1]*a1r - mi[2][1]*a1i) + (mr[2][2]*a2r - mi[2][2]*a2i) + (mr[2][3]*a3r - mi[2][3]*a3i)
-			i2[r] = (mr[2][0]*a0i + mi[2][0]*a0r) + (mr[2][1]*a1i + mi[2][1]*a1r) + (mr[2][2]*a2i + mi[2][2]*a2r) + (mr[2][3]*a3i + mi[2][3]*a3r)
-			r3[r] = (mr[3][0]*a0r - mi[3][0]*a0i) + (mr[3][1]*a1r - mi[3][1]*a1i) + (mr[3][2]*a2r - mi[3][2]*a2i) + (mr[3][3]*a3r - mi[3][3]*a3i)
-			i3[r] = (mr[3][0]*a0i + mi[3][0]*a0r) + (mr[3][1]*a1i + mi[3][1]*a1r) + (mr[3][2]*a2i + mi[3][2]*a2r) + (mr[3][3]*a3i + mi[3][3]*a3r)
-		}
+		denseRun(m, re[i:i+run], im[i:], re[i|maskLo:], im[i|maskLo:],
+			re[i|maskHi:], im[i|maskHi:], re[i|maskLo|maskHi:], im[i|maskLo|maskHi:])
 		c += run
 	}
 }
@@ -1227,7 +1281,7 @@ func sweep2QBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi in
 // sweep2QAuto picks the blocked sweep when the lower pair qubit's stride
 // gives long enough contiguous runs.
 func sweep2QAuto(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi int) {
-	if maskLo >= blockedStrideMin {
+	if maskLo >= runStrideMin() {
 		sweep2QBlocked(re, im, m, maskLo, maskHi, lo, hi)
 		return
 	}
@@ -1246,10 +1300,16 @@ func blockPair(m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i, a0r, a0i, a1r, a1
 	return
 }
 
-// blockEntries unpacks the diagonal 2×2 block of m at rows and columns
-// b, b+1 in blockPair's argument order.
+// blockMat is the diagonal 2×2 block of m at rows and columns b, b+1 in
+// blockPair's argument order, the matrix pairRun takes.
+func blockMat(m *gates.Split4, b int) [8]float64 {
+	return [8]float64{m.Re[b][b], m.Im[b][b], m.Re[b][b+1], m.Im[b][b+1], m.Re[b+1][b], m.Im[b+1][b], m.Re[b+1][b+1], m.Im[b+1][b+1]}
+}
+
+// blockEntries is blockMat as scalars, for the per-quadruple loop.
 func blockEntries(m *gates.Split4, b int) (m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i float64) {
-	return m.Re[b][b], m.Im[b][b], m.Re[b][b+1], m.Im[b][b+1], m.Re[b+1][b], m.Im[b+1][b], m.Re[b+1][b+1], m.Im[b+1][b+1]
+	e := blockMat(m, b)
+	return e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7]
 }
 
 // sweep2QBlock applies a block-diagonal kernel to the amplitude quadruples
@@ -1277,8 +1337,7 @@ func sweep2QBlock(re, im []float64, m *gates.Split4, maskLo, maskHi, offA, offB,
 // while they are cache-resident.
 func sweep2QBlockBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, offA, offB, lo, hi int) {
 	lowLo, lowHi := maskLo-1, maskHi-1
-	p00r, p00i, p01r, p01i, p10r, p10i, p11r, p11i := blockEntries(m, 0)
-	q00r, q00i, q01r, q01i, q10r, q10i, q11r, q11i := blockEntries(m, 2)
+	p, q := blockMat(m, 0), blockMat(m, 2)
 	for c := lo; c < hi; {
 		x := (c&^lowLo)<<1 | c&lowLo
 		i := (x&^lowHi)<<1 | x&lowHi
@@ -1289,20 +1348,8 @@ func sweep2QBlockBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, offA
 		if run > cacheBlockAmps {
 			run = cacheBlockAmps
 		}
-		r0 := re[i : i+run]
-		i0 := im[i:][:run]
-		r1 := re[i|offA:][:run]
-		i1 := im[i|offA:][:run]
-		for r := range r0 {
-			r0[r], i0[r], r1[r], i1[r] = blockPair(p00r, p00i, p01r, p01i, p10r, p10i, p11r, p11i, r0[r], i0[r], r1[r], i1[r])
-		}
-		r2 := re[i|offB:][:run]
-		i2 := im[i|offB:][:run]
-		r3 := re[i|offA|offB:][:run]
-		i3 := im[i|offA|offB:][:run]
-		for r := range r2 {
-			r2[r], i2[r], r3[r], i3[r] = blockPair(q00r, q00i, q01r, q01i, q10r, q10i, q11r, q11i, r2[r], i2[r], r3[r], i3[r])
-		}
+		pairRun(&p, re[i:i+run], im[i:], re[i|offA:], im[i|offA:])
+		pairRun(&q, re[i|offB:][:run], im[i|offB:], re[i|offA|offB:], im[i|offA|offB:])
 		c += run
 	}
 }
@@ -1310,7 +1357,7 @@ func sweep2QBlockBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, offA
 // sweep2QBlockAuto picks the blocked block sweep by the lower pair qubit's
 // stride, as sweep2QAuto does.
 func sweep2QBlockAuto(re, im []float64, m *gates.Split4, maskLo, maskHi, offA, offB, lo, hi int) {
-	if maskLo >= blockedStrideMin {
+	if maskLo >= runStrideMin() {
 		sweep2QBlockBlocked(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
 		return
 	}
@@ -1371,6 +1418,42 @@ func sweep2QMono(re, im []float64, src *[4]int, phRe, phIm *[4]float64, maskLo, 
 		}
 		return
 	}
+	if s0 == 0 && s1 == 1 && s2 == 2 && s3 == 3 {
+		// A complex diagonal (the QAOA ZZ phase on a low pair): every
+		// slot scales in place. src[r] == r, so these are the gather
+		// loop's expressions on the same operands, without the gather
+		// through indexed arrays.
+		for c := lo; c < hi; c++ {
+			x := (c&^lowLo)<<1 | c&lowLo
+			i := (x&^lowHi)<<1 | x&lowHi
+			j := i | maskLo
+			k := i | maskHi
+			l := j | maskHi
+			a0r, a0i := re[i], im[i]
+			a1r, a1i := re[j], im[j]
+			a2r, a2i := re[k], im[k]
+			a3r, a3i := re[l], im[l]
+			re[i] = p0r*a0r - p0i*a0i
+			im[i] = p0r*a0i + p0i*a0r
+			re[j] = p1r*a1r - p1i*a1i
+			im[j] = p1r*a1i + p1i*a1r
+			re[k] = p2r*a2r - p2i*a2i
+			im[k] = p2r*a2i + p2i*a2r
+			re[l] = p3r*a3r - p3i*a3i
+			im[l] = p3r*a3i + p3i*a3r
+		}
+		return
+	}
+	sweep2QMonoGather(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
+}
+
+// sweep2QMonoGather is sweep2QMono's general path: each output slot
+// gathers its source slot through the quadruple's indexed copy.
+func sweep2QMonoGather(re, im []float64, src *[4]int, phRe, phIm *[4]float64, maskLo, maskHi, lo, hi int) {
+	lowLo, lowHi := maskLo-1, maskHi-1
+	s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
+	p0r, p1r, p2r, p3r := phRe[0], phRe[1], phRe[2], phRe[3]
+	p0i, p1i, p2i, p3i := phIm[0], phIm[1], phIm[2], phIm[3]
 	for c := lo; c < hi; c++ {
 		x := (c&^lowLo)<<1 | c&lowLo
 		i := (x&^lowHi)<<1 | x&lowHi
@@ -1439,13 +1522,7 @@ func monoComplexPlanes(qr, qi *[4][]float64, src *[4]int, phRe, phIm *[4]float64
 			if pr == 1 && pi == 0 {
 				continue
 			}
-			sr := qr[r0]
-			si := qi[r0][:len(sr)]
-			for n := range sr {
-				ar, ai := sr[n], si[n]
-				sr[n] = ar*pr - ai*pi
-				si[n] = ar*pi + ai*pr
-			}
+			phaseRun(pr, pi, qr[r0], qi[r0])
 			continue
 		}
 		r1 := src[r0]
@@ -1642,7 +1719,7 @@ func sweep2QMonoBlocked(re, im []float64, src *[4]int, phRe, phIm *[4]float64, m
 // sweep2QMonoAuto picks the blocked monomial sweep when the lower pair
 // qubit's stride gives long enough contiguous runs.
 func sweep2QMonoAuto(re, im []float64, src *[4]int, phRe, phIm *[4]float64, maskLo, maskHi, lo, hi int) {
-	if maskLo >= blockedStrideMin {
+	if maskLo >= monoRunStrideMin() {
 		sweep2QMonoBlocked(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
 		return
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -834,6 +836,77 @@ func TestCompileRejectsBadDiagonalTable(t *testing.T) {
 			}
 			if _, err := Run(c, Options{Shots: 1}); err == nil {
 				t.Errorf("%s table of %d: Run accepted it", name, len(phases))
+			}
+		}
+	}
+}
+
+// TestSweep2QMonoDiagonalExact holds sweep2QMono's identity-permutation
+// branch to the general gather path it stands in for: complex diagonal
+// phases, unit-phase rows among them, on pairs at every low stride the
+// per-quadruple form serves and on shard-sized sub-ranges; every
+// amplitude's bits must agree, ±0 inputs included.
+func TestSweep2QMonoDiagonalExact(t *testing.T) {
+	const n = 10
+	r := rand.New(rand.NewSource(471))
+	src := [4]int{0, 1, 2, 3}
+	for _, pr := range [][2]int{{0, 1}, {0, 9}, {1, 2}, {1, 5}, {2, 3}, {4, 8}} {
+		for trial := 0; trial < 4; trial++ {
+			var phRe, phIm [4]float64
+			for k := range phRe {
+				a := 2 * math.Pi * r.Float64()
+				phRe[k], phIm[k] = math.Cos(a), math.Sin(a)
+			}
+			if trial == 1 {
+				phRe[2], phIm[2] = 1, 0
+			}
+			got := mustState(t, n)
+			for i := range got.re {
+				got.re[i], got.im[i] = 2*r.Float64()-1, 2*r.Float64()-1
+				if r.Intn(16) == 0 {
+					got.re[i] = math.Copysign(0, float64(r.Intn(2))-0.5)
+				}
+			}
+			want := got.Clone()
+			maskLo, maskHi := 1<<pr[0], 1<<pr[1]
+			quads := got.Dim() / 4
+			lo, hi := r.Intn(quads/2), quads/2+r.Intn(quads/2)
+			sweep2QMono(got.re, got.im, &src, &phRe, &phIm, maskLo, maskHi, lo, hi)
+			sweep2QMonoGather(want.re, want.im, &src, &phRe, &phIm, maskLo, maskHi, lo, hi)
+			for i := range got.re {
+				if math.Float64bits(got.re[i]) != math.Float64bits(want.re[i]) ||
+					math.Float64bits(got.im[i]) != math.Float64bits(want.im[i]) {
+					t.Fatalf("pair %v trial %d amp[%d]: diagonal branch (%v, %v) != gather (%v, %v)",
+						pr, trial, i, got.re[i], got.im[i], want.re[i], want.im[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAssemblyHasNoFMA keeps fused multiply-adds out of the package's
+// assembly: a fused a·b+c rounds once where the Go expression it stands
+// for rounds twice, so one FMA would break bit-identity with the Go
+// bodies, and with every count, golden file and cache key built on them.
+func TestAssemblyHasNoFMA(t *testing.T) {
+	files, err := filepath.Glob("*.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no assembly file in the package directory")
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ln, line := range strings.Split(string(b), "\n") {
+			up := strings.ToUpper(line)
+			for _, op := range []string{"VFMADD", "VFMSUB", "VFNMADD", "VFNMSUB"} {
+				if strings.Contains(up, op) {
+					t.Errorf("%s:%d: %s: %s", f, ln+1, op, strings.TrimSpace(line))
+				}
 			}
 		}
 	}
