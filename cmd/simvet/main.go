@@ -12,6 +12,13 @@
 // and the exit status is 1 when any finding survives its package's
 // //lint:ignore directives, 2 on a loading or type-checking failure.
 // The -list flag prints the analyzer suite and exits.
+//
+// The tree is loaded once per build configuration in buildConfigs — the
+// host's default build and the purego build, which swaps
+// internal/sim's assembly for its Go stand-ins — and the findings of
+// both are reported once each. A file that no configuration compiles is
+// named on stderr, so a new build tag cannot drop files from the suite
+// unnoticed.
 package main
 
 import (
@@ -19,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"repro/internal/lint"
@@ -42,6 +50,9 @@ func main() {
 		os.Exit(2)
 	}
 }
+
+// buildConfigs are the build tag sets simvet loads the tree under.
+var buildConfigs = [][]string{nil, {"purego"}}
 
 func run(patterns []string) error {
 	if len(patterns) == 0 {
@@ -70,11 +81,37 @@ func run(patterns []string) error {
 		}
 		abs[i] = dir + rec
 	}
-	pkgs, err := lint.Load(root, abs, lint.LoadOptions{})
-	if err != nil {
-		return err
+	var diags []lint.Diagnostic
+	seen := map[string]bool{}
+	// skippedIn counts, per file, the configurations that excluded it.
+	skippedIn := map[string]int{}
+	for _, tags := range buildConfigs {
+		pkgs, err := lint.Load(root, abs, lint.LoadOptions{Tags: tags})
+		if err != nil {
+			return fmt.Errorf("build tags %q: %w", tags, err)
+		}
+		for _, p := range pkgs {
+			for _, f := range p.Skipped {
+				skippedIn[f]++
+			}
+		}
+		for _, d := range lint.Apply(pkgs, lint.All()) {
+			if !seen[d.String()] {
+				seen[d.String()] = true
+				diags = append(diags, d)
+			}
+		}
 	}
-	diags := lint.Apply(pkgs, lint.All())
+	var never []string
+	for f, n := range skippedIn {
+		if n == len(buildConfigs) {
+			never = append(never, f)
+		}
+	}
+	sort.Strings(never)
+	for _, f := range never {
+		fmt.Fprintf(os.Stderr, "simvet: %s: excluded by every build configuration, not analyzed\n", f)
+	}
 	for _, d := range diags {
 		line := d.String()
 		// Report paths relative to the invocation directory when they

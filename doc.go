@@ -32,8 +32,9 @@
 // time. The gc compiler emits them as scalar instructions; on amd64 with
 // AVX the long runs of the 2×2, block, dense 4×4 and monomial phase
 // sweeps run in hand-written 4-lane bodies that round exactly as the Go
-// expressions do, so amplitudes do not depend on the CPU. Shard workers first-touch their own contiguous plane ranges at
-// state creation, placing pages with their owners on NUMA machines. The
+// expressions do, so amplitudes do not depend on the CPU. Shard workers
+// first-touch their own contiguous plane ranges at state creation,
+// placing pages with their owners on NUMA machines. The
 // split expressions group exactly as complex128 arithmetic, so sampled
 // counts for a fixed bundle+shots+seed are bit-identical to the
 // interleaved layout — the result cache and fleet re-run guarantees

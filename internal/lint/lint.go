@@ -29,8 +29,11 @@ type Package struct {
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	// Skipped are the .go files in Dir that build constraints excluded
+	// from this load.
+	Skipped []string
+	Types   *types.Package
+	Info    *types.Info
 }
 
 // Analyzer is one repo-invariant check. Run returns raw findings; the

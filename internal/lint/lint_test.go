@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -183,6 +184,40 @@ func TestAnalyzerSuite(t *testing.T) {
 		}
 		if a.Doc == "" {
 			t.Errorf("analyzer %q has no doc line", a.Name)
+		}
+	}
+}
+
+// TestLoadHonoursBuildTags: Load compiles the files of the build its tags
+// select and names the rest in Package.Skipped — internal/sim's assembly
+// declarations (sweep_amd64.go) on amd64 by default, its Go stand-ins
+// (sweep_noasm.go) under purego.
+func TestLoadHonoursBuildTags(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tags := range [][]string{nil, {"purego"}} {
+		pkgs, err := lint.Load(root, []string{filepath.Join(root, "internal", "sim")}, lint.LoadOptions{Tags: tags})
+		if err != nil {
+			t.Fatalf("tags %q: %v", tags, err)
+		}
+		if len(pkgs) != 1 {
+			t.Fatalf("tags %q: %d packages, want 1", tags, len(pkgs))
+		}
+		loaded := map[string]bool{}
+		for _, f := range pkgs[0].Files {
+			loaded[filepath.Base(pkgs[0].Fset.Position(f.Pos()).Filename)] = true
+		}
+		skipped := map[string]bool{}
+		for _, f := range pkgs[0].Skipped {
+			skipped[filepath.Base(f)] = true
+		}
+		asm := runtime.GOARCH == "amd64" && len(tags) == 0
+		for name, want := range map[string]bool{"sweep_amd64.go": asm, "sweep_noasm.go": !asm} {
+			if loaded[name] != want || skipped[name] == want {
+				t.Errorf("tags %q: %s loaded=%v skipped=%v, want loaded=%v", tags, name, loaded[name], skipped[name], want)
+			}
 		}
 	}
 }

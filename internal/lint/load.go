@@ -21,6 +21,10 @@ type LoadOptions struct {
 	// analyzers can prove they skip test files; the simvet driver checks
 	// production code only.
 	IncludeTests bool
+	// Tags are build tags honoured besides the default context's (GOOS,
+	// GOARCH, cgo, the release tags). Files the resulting build
+	// excludes are not parsed; Package.Skipped names them.
+	Tags []string
 }
 
 // Load parses and type-checks the packages matched by patterns, which are
@@ -144,7 +148,10 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, modPath, dir string,
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
 	}
+	ctx := build.Default
+	ctx.BuildTags = append(append([]string(nil), ctx.BuildTags...), opts.Tags...)
 	var files []*ast.File
+	var skipped []string
 	pkgName := ""
 	for _, e := range ents {
 		name := e.Name()
@@ -155,11 +162,12 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, modPath, dir string,
 		if isTest && !opts.IncludeTests {
 			continue
 		}
-		// Only the files the default build compiles: a package may hold
+		// Only the files this build compiles: a package may hold
 		// per-architecture files that declare the same names.
-		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+		if ok, err := ctx.MatchFile(dir, name); err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		} else if !ok {
+			skipped = append(skipped, filepath.Join(dir, name))
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -200,5 +208,5 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, modPath, dir string,
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Skipped: skipped, Types: tpkg, Info: info}, nil
 }

@@ -117,7 +117,14 @@
 // so amplitudes and counts cannot depend on what a Runner ran before
 // (runner_test.go pins it bitwise); the staging planes and the CDF are
 // fully overwritten before they are read. With KeepState the Result takes
-// the state and the Runner allocates new planes next time. A Runner is
+// the state and the Runner allocates new planes next time. RunPlan's
+// Runner leaves its arena — planes, staging planes, CDF — in a per-width
+// sync.Pool when it closes: the next RunPlan of that width starts with
+// it and NewState takes (and clears) its state, so one-shot runs of one
+// width back to back, every plain job among them, reuse warm pages
+// instead of faulting in fresh ones, and what nobody takes is dropped by
+// the garbage collector. A KeepState result's state is never in the
+// pool, and a Runner from NewRunner keeps its arena to itself. A Runner is
 // single-goroutine; concurrent sweep lanes and trajectory workers each
 // own one (a trajectory worker's branch state shares its pool and its
 // staging planes).
@@ -193,19 +200,22 @@
 // once per run and the inner loop walks equal-length streams (pairRun,
 // denseRun, phaseRun). On amd64, when CPUID and XGETBV report AVX,
 // those runs are swept by the AVX bodies in sweep_amd64.s, four lanes at
-// a time, with the tail of fewer than four in Go; the run form then
-// starts at stride 4 (16 for monomials, whose cycles stay Go loops)
-// instead of blockedStrideMin. Each body performs exactly its Go
-// expression's operations: the same products, the same left-to-right
-// grouping, every subtraction with the same operands, and no fused
-// multiply-add. A lane of VMULPD, VADDPD or VSUBPD rounds as MULSD, ADDSD
-// or SUBSD does, so every amplitude is bit-identical with or without
-// them, and counts, golden files and cache keys do not depend on the CPU.
-// The run and per-element forms differ only where a monomial's run form
-// skips an exact ±0 term, which may flip the sign of a zero. Strides 1–2,
-// permutation monomials and diagonal tables remain scalar Go. Other
+// a time, with the tail of fewer than four in Go; the 2×2, block and
+// dense run forms then start at stride 4 instead of blockedStrideMin.
+// Each body performs exactly its Go expression's operations: the same
+// products, the same left-to-right grouping, every subtraction with the
+// same operands, and no fused multiply-add. A lane of VMULPD, VADDPD or
+// VSUBPD rounds as MULSD, ADDSD or SUBSD does, so every amplitude — the
+// sign of a zero included — is bit-identical with or without them, and
+// counts, golden files and cache keys do not depend on the CPU. The
+// monomial sweep keeps its run form at blockedStrideMin on every CPU:
+// its run form skips a unit-phase row that its per-quadruple form
+// multiplies by 1+0i, which may flip the sign of a zero, so moving its
+// threshold with the CPU would make amplitudes CPU-dependent. Strides
+// 1–2 of the 2×2, block and dense sweeps, monomials below
+// blockedStrideMin, and diagonal tables remain scalar Go. Other
 // architectures, CPUs without AVX and builds with the purego tag run the
-// Go bodies only, with the run form from blockedStrideMin.
+// Go bodies only, with every run form from blockedStrideMin.
 // vec_amd64_test.go holds each body and each sweep to its Go expression,
 // bit for bit; TestAssemblyHasNoFMA keeps FMA out of the assembly.
 //

@@ -1083,25 +1083,10 @@ const blockedStrideMin = 64
 // runs: a run of one vector, 4 lanes, already beats the per-element loop.
 const vecStrideMin = 4
 
-// vecMonoStrideMin is where the monomial run form starts with the AVX
-// bodies. Only its phased fixed rows have a vector body; its cycles stay
-// Go loops, whose per-run setup loses to the per-quadruple loop on runs
-// shorter than 16.
-const vecMonoStrideMin = 16
-
 // runStrideMin is the smallest kernel stride swept in run form.
 func runStrideMin() int {
 	if useAVX {
 		return vecStrideMin
-	}
-	return blockedStrideMin
-}
-
-// monoRunStrideMin is the smallest kernel stride swept in the monomial
-// run form.
-func monoRunStrideMin() int {
-	if useAVX {
-		return vecMonoStrideMin
 	}
 	return blockedStrideMin
 }
@@ -1719,7 +1704,7 @@ func sweep2QMonoBlocked(re, im []float64, src *[4]int, phRe, phIm *[4]float64, m
 // sweep2QMonoAuto picks the blocked monomial sweep when the lower pair
 // qubit's stride gives long enough contiguous runs.
 func sweep2QMonoAuto(re, im []float64, src *[4]int, phRe, phIm *[4]float64, maskLo, maskHi, lo, hi int) {
-	if maskLo >= monoRunStrideMin() {
+	if maskLo >= blockedStrideMin {
 		sweep2QMonoBlocked(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
 		return
 	}

@@ -150,13 +150,18 @@ func Run(c *circuit.Circuit, opts Options) (*Result, error) {
 // map and qubit count are read from c. Callers with many plans of one
 // width (a sweep's bound points) keep a Runner instead and skip the
 // per-run allocation; either way it is the same execution, CDF build and
-// sampling code, so counts are bit-identical.
+// sampling code, so counts are bit-identical. The Runner starts on a
+// spare arena of its width when there is one and leaves its own when it
+// closes (see spareArenas).
 func RunPlan(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error) {
 	r, err := newRunner(c.NumQubits, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
+	if a := spareArena(r.n); a != nil {
+		r.arena = *a
+	}
+	defer r.closeToSpare()
 	return r.Run(c, pl, opts)
 }
 

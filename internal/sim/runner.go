@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/circuit"
@@ -29,6 +30,11 @@ const cdfBlock = 4096
 type Runner struct {
 	n    int
 	pool *shardPool
+	arena
+}
+
+// arena is what a Runner holds that grows with the state.
+type arena struct {
 	// st is nil until the first run and after a KeepState run handed the
 	// state to its Result.
 	st *State
@@ -37,6 +43,22 @@ type Runner struct {
 	cdf       []float64
 	blockSum  []float64
 	blockLast []int
+}
+
+// spareArenas holds, per qubit count, the arenas RunPlan's Runners leave
+// when they close. The next RunPlan of that width starts with one, and
+// NewState takes its state, so back-to-back one-shot runs (every plain
+// job) and a NewState after a run sweep warm pages instead of faulting in
+// and zeroing 24·2^n fresh bytes. A Runner from NewRunner is its caller's
+// to keep and neither takes nor leaves one. A sync.Pool drops what nobody
+// took within two garbage collections, so an idle width holds no memory
+// for long.
+var spareArenas [MaxQubits + 1]sync.Pool
+
+// spareArena returns a closed Runner's arena for n qubits, or nil.
+func spareArena(n int) *arena {
+	a, _ := spareArenas[n].Get().(*arena)
+	return a
 }
 
 // NewRunner returns a Runner for n-qubit plans sweeping over the given
@@ -60,14 +82,26 @@ func newRunner(n, shards int) (Runner, error) {
 // valid.
 func (r *Runner) Close() { r.pool.close() }
 
+// closeToSpare closes the Runner and leaves its arena in spareArenas. A
+// KeepState result owns its state, which the Runner no longer holds.
+func (r *Runner) closeToSpare() {
+	r.Close()
+	if r.st != nil || r.cdf != nil {
+		a := r.arena
+		spareArenas[r.n].Put(&a)
+		r.arena = arena{}
+	}
+}
+
 // reset returns the Runner's state as |0…0⟩, allocating the planes on
 // first use. Each shard clears exactly the contiguous range of re and im
 // it will sweep for the rest of the run: for fresh planes that is their
 // first touch, so on NUMA systems with first-touch page placement every
 // shard's pages land on the memory node of the core that streams them
 // (best-effort — the Go allocator may hand back an already-touched span,
-// whose pages keep their prior placement); for reused planes it is the
-// whole cost of reuse, one streaming write of 16·2^n bytes.
+// and a spare arena is already touched, whose pages keep their prior
+// placement); for reused planes it is the whole cost of reuse, one
+// streaming write of 16·2^n bytes.
 func (r *Runner) reset() (*State, error) {
 	if r.st == nil {
 		st, err := newStateUninit(r.n)

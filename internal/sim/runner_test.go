@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -168,5 +169,97 @@ func TestRunnerWarmAllocs(t *testing.T) {
 	}
 	if fresh14 > warm14+10 {
 		t.Errorf("plain RunPlan allocates %.0f times, a warm Runner %.0f: more than the arena on top", fresh14, warm14)
+	}
+}
+
+// TestSpareArenaReuse: the arena RunPlan's Runner closes with goes to the
+// next RunPlan or NewState of its width. NewState on a spare state is
+// exactly |0…0⟩ (every other amplitude +0), a state a KeepState result
+// took never comes back, and a run that starts on a dirty spare arena is
+// bitwise a fresh one (TestRunnerDirtyReuseParity's Run draws one too).
+func TestSpareArenaReuse(t *testing.T) {
+	const n = 11
+	ca, cb := runnerCircuits(t, n)
+	pa, err := Compile(ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := Compile(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := 0
+	for attempt := 0; attempt < 10; attempt++ {
+		r, err := newRunner(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(cb, pb, Options{Shots: 10, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		planes := r.st.re
+		r.closeToSpare()
+		st, err := NewState(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &st.re[0] == &planes[0] {
+			reused++
+		}
+		for k := range st.re {
+			want := uint64(0)
+			if k == 0 {
+				want = math.Float64bits(1)
+			}
+			if math.Float64bits(st.re[k]) != want || math.Float64bits(st.im[k]) != 0 {
+				t.Fatalf("NewState amp[%d] = (%v, %v) after a closed Runner, want |0…0⟩", k, st.re[k], st.im[k])
+			}
+		}
+	}
+	// sync.Pool may drop an item (the race detector drops some on
+	// purpose), but not ten in a row.
+	if reused == 0 {
+		t.Error("NewState never took a closed Runner's state")
+	}
+
+	kept, err := RunPlan(cb, pb, Options{Shots: 10, Seed: 3, KeepState: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := amplitudes(kept.Final)
+	for i := 0; i < 3; i++ {
+		st, err := NewState(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &st.re[0] == &kept.Final.re[0] {
+			t.Fatal("NewState handed out the state a KeepState result owns")
+		}
+		if err := pa.Execute(st, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunPlan(ca, pa, Options{Shots: 10, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(amplitudes(kept.Final), before) {
+		t.Fatal("a later run overwrote a state a KeepState result owns")
+	}
+
+	want, err := RunPlan(cb, pb, Options{Shots: 500, Seed: 9, KeepState: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		if _, err := RunPlan(ca, pa, Options{Shots: 10, Seed: 1, Shards: shards}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunPlan(cb, pb, Options{Shots: 500, Seed: 9, Shards: shards, KeepState: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Counts, want.Counts) || !reflect.DeepEqual(amplitudes(got.Final), amplitudes(want.Final)) {
+			t.Errorf("shards=%d: a run on a spare arena differs from the first run", shards)
+		}
 	}
 }

@@ -35,14 +35,39 @@ type State struct {
 	scratch planes
 }
 
-// NewState returns |0…0⟩ on n qubits.
+// NewState returns |0…0⟩ on n qubits: a closed Runner's state, cleared,
+// when one of that width is spare, otherwise fresh planes.
 func NewState(n int) (*State, error) {
+	if s := spareState(n); s != nil {
+		clear(s.re)
+		clear(s.im)
+		s.re[0] = 1
+		return s, nil
+	}
 	s, err := newStateUninit(n)
 	if err != nil {
 		return nil, err
 	}
 	s.re[0] = 1
 	return s, nil
+}
+
+// spareState takes the state out of a spare arena of n qubits, handing
+// the rest of the arena back, or returns nil.
+func spareState(n int) *State {
+	if n < 1 || n > MaxQubits {
+		return nil
+	}
+	a := spareArena(n)
+	if a == nil {
+		return nil
+	}
+	s := a.st
+	a.st = nil
+	if a.cdf != nil {
+		spareArenas[n].Put(a)
+	}
+	return s
 }
 
 // newStateUninit allocates the aligned planes without setting any

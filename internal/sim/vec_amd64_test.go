@@ -175,10 +175,10 @@ func TestVectorBodiesStopAtWholeVectors(t *testing.T) {
 
 // vecSweepKernels returns a 2×2 kernel on q and, when q2 > q, one kernel
 // of every two-qubit form on the pair (q, q2): the dense and both block
-// forms, whose run forms have vector bodies, and the monomial shapes
-// whose run form shares the threshold — a complex diagonal, a
-// transposition with unit-phase fixed rows, a 3-cycle and a transposition
-// beside a phased fixed row.
+// forms, whose run forms have vector bodies, and the monomial shapes,
+// whose run form sweeps its phased fixed rows with the phase body — a
+// complex diagonal, a transposition with unit-phase fixed rows, a 3-cycle
+// and a transposition beside a phased and a unit-phase fixed row.
 func vecSweepKernels(t *testing.T, r *rand.Rand, q, q2 int) []kernel {
 	t.Helper()
 	cplx := func() complex128 { return complex(2*r.Float64()-1, 2*r.Float64()-1) }
@@ -227,7 +227,9 @@ func vecSweepKernels(t *testing.T, r *rand.Rand, q, q2 int) []kernel {
 // without AVX or a purego build takes — and requires every amplitude's
 // bits to agree, at each stride from 1 to 2^14 and on shard grants
 // {1, 3, 4, GOMAXPROCS}. Three shards put run starts and run ends at
-// arbitrary offsets.
+// arbitrary offsets. The states hold edgeFloat's ±0 and subnormals, so a
+// sweep form that multiplies a zero by a unit phase where the other skips
+// it (flipping the zero's sign) on only one path fails here.
 func TestVectorSweepsMatchGo(t *testing.T) {
 	needAVX(t)
 	const n = 15
@@ -244,7 +246,7 @@ func TestVectorSweepsMatchGo(t *testing.T) {
 		for _, shards := range []int{1, 3, 4, runtime.GOMAXPROCS(0)} {
 			vec := mustState(t, n)
 			for i := range vec.re {
-				vec.re[i], vec.im[i] = 2*r.Float64()-1, 2*r.Float64()-1
+				vec.re[i], vec.im[i] = edgeFloat(r), edgeFloat(r)
 			}
 			ref := vec.Clone()
 			useAVX = true
