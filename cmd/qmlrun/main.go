@@ -287,7 +287,6 @@ func printResult(res *result.Result, top int) {
 	if fp, ok := res.Meta["intent_fingerprint"].(string); ok {
 		fmt.Printf("intent: %s\n", fp[:16])
 	}
-	res.Sort()
 	shown := 0
 	for _, e := range res.Entries {
 		if shown >= top {

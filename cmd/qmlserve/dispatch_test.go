@@ -178,7 +178,9 @@ func TestDispatchAcceptance(t *testing.T) {
 	// Two in-memory workers, single-shard so the acceptance job runs
 	// ~1.5 s — a wide window to kill one mid-job.
 	w1 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	logOnFailure(t, "worker w1", w1)
 	w2 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	logOnFailure(t, "worker w2", w2)
 	dataDir := t.TempDir()
 	dispArgs := []string{
 		"-addr", "127.0.0.1:0",
@@ -188,6 +190,7 @@ func TestDispatchAcceptance(t *testing.T) {
 		"-debug-addr", "127.0.0.1:0",
 	}
 	disp := startProc(t, bin, dispArgs...)
+	logOnFailure(t, "dispatcher", disp)
 
 	const trace = "trace-acceptance-01"
 	id := postJobTraced(t, disp, slowBundle(t, 7), trace)
@@ -288,6 +291,7 @@ func TestDispatchAcceptance(t *testing.T) {
 	// same counts (deterministic in bundle+shots+seed) — the re-run lost
 	// nothing.
 	w3 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	logOnFailure(t, "reference w3", w3)
 	refID := postJob(t, w3, slowBundle(t, 7))
 	waitDone(t, w3, refID)
 	resRef := getJSON(t, w3.url("/v1/jobs/"+refID+"/result"), http.StatusOK)
@@ -313,6 +317,7 @@ func TestDispatchAcceptance(t *testing.T) {
 	}
 	disp.cmd.Wait()
 	disp2 := startProc(t, bin, dispArgs...)
+	logOnFailure(t, "restarted dispatcher", disp2)
 
 	st := getJSON(t, disp2.url("/v1/jobs/"+id), http.StatusOK)
 	if st["state"] != "done" || st["worker"] != survivor.addr {

@@ -91,6 +91,17 @@ type server struct {
 	logs *logBuffer
 }
 
+// logOnFailure registers a cleanup that, when the test has failed, logs
+// what s logged under name, so a rare failure of a process-level test is
+// read from the run that saw it.
+func logOnFailure(t *testing.T, name string, s *server) {
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("%s (%s) logs:\n%s", name, s.addr, s.logs)
+		}
+	})
+}
+
 // listenRE matches the slog text line the server emits once bound:
 //
 //	time=... level=INFO msg="qmlserve listening" addr=127.0.0.1:43210 mode=worker ...
@@ -202,6 +213,7 @@ func TestRestartAcceptance(t *testing.T) {
 
 	// Life 1: accept and finish one job, then die without warning.
 	s1 := startServer(t, bin, dataDir)
+	logOnFailure(t, "first life", s1)
 	resp, err := http.Post(s1.url("/v1/jobs"), "application/json", bytes.NewReader(testBundle(t, 42)))
 	if err != nil {
 		t.Fatal(err)
@@ -256,6 +268,7 @@ func TestRestartAcceptance(t *testing.T) {
 
 	// Life 2: recovery must serve history and re-run the interrupted work.
 	s2 := startServer(t, bin, dataDir)
+	logOnFailure(t, "second life", s2)
 	defer func() {
 		s2.cmd.Process.Kill()
 		s2.cmd.Wait()

@@ -85,7 +85,9 @@ func TestProfiledAcceptance(t *testing.T) {
 	}
 
 	w1 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	logOnFailure(t, "worker w1", w1)
 	w2 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	logOnFailure(t, "worker w2", w2)
 	disp := startProc(t, bin,
 		"-addr", "127.0.0.1:0",
 		"-dispatch", w1.addr+","+w2.addr,
@@ -93,6 +95,7 @@ func TestProfiledAcceptance(t *testing.T) {
 		"-probe-interval", "100ms",
 		"-debug-addr", "127.0.0.1:0",
 	)
+	logOnFailure(t, "dispatcher", disp)
 
 	// Profiled 20q job through the dispatcher (?profile=true is the wire
 	// form the dispatcher itself forwards to workers).

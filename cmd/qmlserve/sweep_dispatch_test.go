@@ -129,28 +129,20 @@ func TestSweepDispatchAcceptance(t *testing.T) {
 		t.Fatalf("building qmlserve: %v\n%s", err, out)
 	}
 
-	w1 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
-	w2 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
 	// Any failure from here on, in this body or in a helper, prints what
-	// the dispatcher and both workers logged: a rare failure is read once.
-	var disp *server
-	t.Cleanup(func() {
-		if !t.Failed() {
-			return
-		}
-		if disp != nil {
-			t.Logf("dispatcher logs:\n%s", disp.logs)
-		}
-		t.Logf("worker w1 (%s) logs:\n%s", w1.addr, w1.logs)
-		t.Logf("worker w2 (%s) logs:\n%s", w2.addr, w2.logs)
-	})
+	// each process logged: a rare failure is read once.
+	w1 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	logOnFailure(t, "worker w1", w1)
+	w2 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	logOnFailure(t, "worker w2", w2)
 	dataDir := t.TempDir()
-	disp = startProc(t, bin,
+	disp := startProc(t, bin,
 		"-addr", "127.0.0.1:0",
 		"-dispatch", w1.addr+","+w2.addr,
 		"-data-dir", dataDir,
 		"-probe-interval", "100ms",
 	)
+	logOnFailure(t, "dispatcher", disp)
 
 	const n = 8
 	raw := slowSweepBundle(t, n)
@@ -213,6 +205,7 @@ func TestSweepDispatchAcceptance(t *testing.T) {
 	// determinism means every point's counts must match the merged
 	// fleet set, including the points that moved workers mid-flight.
 	w3 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	logOnFailure(t, "reference w3", w3)
 	refID := postSweep(t, w3, raw)
 	ref := sweepEntries(t, w3, refID)
 	for i := 0; i < n; i++ {

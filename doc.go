@@ -166,8 +166,10 @@
 // template with a parametric form once; every other point runs its
 // concrete bundle. Run is safe for concurrent use, and the pool runs
 // L = min(G, points still to execute) goroutines that each pull the next
-// point, execute it on a sim.Runner they keep (planes, CDF and scratch
-// allocated once per lane, reset per point), persist it and publish it.
+// point, execute it through sim.RunPlan like any plain job (each point
+// starts on the arena, planes, CDF and scratch, that the simulator's
+// previous run of that width left, and resets it), persist it and
+// publish it.
 // Cores go to whole points before they go to shards of one small state,
 // whose every kernel would end in a barrier; a lone point, or a lone
 // large state, degenerates to one lane × G shards. One rule narrows L,

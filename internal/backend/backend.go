@@ -50,11 +50,10 @@ type Backend interface {
 // it alone (the prepared bundle itself when it is plain), and the result
 // is, entry for entry, what running concrete alone returns. Run is safe
 // for concurrent use, each call occupying o.Shards cores, and o.Stages is
-// invoked on the calling goroutine. Close releases what the calls kept
-// for reuse, once none is in flight.
+// invoked on the calling goroutine. A handle holds nothing that needs
+// releasing: what a point reuses (the simulator's arenas) outlives it.
 type Prepared interface {
 	Run(i int, concrete *bundle.Bundle) (*result.Result, error)
-	Close()
 }
 
 // PerPoint is the handle of an engine that keeps nothing between points:
@@ -71,8 +70,6 @@ type perPoint struct {
 func (p perPoint) Run(_ int, concrete *bundle.Bundle) (*result.Result, error) {
 	return p.execute(concrete, p.o)
 }
-
-func (perPoint) Close() {}
 
 // StageFunc receives one callback per pipeline stage a backend times
 // ("transpile", "compile", "execute", "sample") with its wall-clock

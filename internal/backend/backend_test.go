@@ -363,7 +363,6 @@ func run(be Backend, b *bundle.Bundle, o ExecOptions) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer h.Close()
 	return h.Run(0, b)
 }
 

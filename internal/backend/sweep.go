@@ -2,7 +2,6 @@ package backend
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/algolib"
@@ -16,7 +15,8 @@ import (
 
 // gateSweep is the gate engine's prepared sweep template: lowered with
 // symbolic parameter references, transpiled and compiled once; a point is
-// a Bind, a run on a reused sim.Runner and a decode.
+// a Bind, a sim.RunPlan — the call a plain job makes, on a spare arena of
+// its width — and a decode.
 type gateSweep struct {
 	g      *Gate
 	o      ExecOptions
@@ -29,9 +29,6 @@ type gateSweep struct {
 	seed     uint64
 	m        *qop.Operator
 	reg      *qdt.DataType
-
-	mu   sync.Mutex
-	idle []*sim.Runner // parked between Run calls: one per concurrent caller at most
 }
 
 // Prepare implements Backend for the gate engine. A sweep template with a
@@ -98,38 +95,9 @@ func (s *gateSweep) Run(i int, concrete *bundle.Bundle) (*result.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	run, err := s.run(pl)
+	run, err := sim.RunPlan(s.tr.Circuit, pl, sim.Options{Shots: s.shots, Seed: s.seed, Shards: s.o.Shards, Stages: s.o.Stages, Profile: s.o.Profile})
 	if err != nil {
 		return nil, err
 	}
 	return s.g.result(s.shots, map[string]any{"transpile": s.tr.Stats}, run, s.m, s.reg)
-}
-
-// run executes one bound plan on a parked Runner, or a new one when every
-// Runner is in use: a caller that loops over points reuses one arena.
-func (s *gateSweep) run(pl *sim.Plan) (*sim.Result, error) {
-	var r *sim.Runner
-	s.mu.Lock()
-	if n := len(s.idle); n > 0 {
-		r, s.idle = s.idle[n-1], s.idle[:n-1]
-	}
-	s.mu.Unlock()
-	if r == nil {
-		var err error
-		if r, err = sim.NewRunner(s.tr.Circuit.NumQubits, s.o.Shards); err != nil {
-			return nil, err
-		}
-	}
-	run, err := r.Run(s.tr.Circuit, pl, sim.Options{Shots: s.shots, Seed: s.seed, Stages: s.o.Stages, Profile: s.o.Profile})
-	s.mu.Lock()
-	s.idle = append(s.idle, r)
-	s.mu.Unlock()
-	return run, err
-}
-
-func (s *gateSweep) Close() {
-	for _, r := range s.idle {
-		r.Close()
-	}
-	s.idle = nil
 }

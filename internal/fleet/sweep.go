@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/bundle"
 	"repro/internal/jobs"
@@ -86,46 +85,19 @@ func (r *sweepRange) pointsDoneLocked() int {
 }
 
 // mergedProfile folds the per-range worker profile documents into one
-// fleet-wide per-kind table, byte-compatible with a single worker's
-// aggregated sweep profile. Nil until at least one range reported a
+// fleet-wide per-kind table, merged as a single worker merges its points
+// (jobs.MergeSweepProfiles). Nil until at least one range reported a
 // profile. Callers hold Dispatcher.mu.
 func mergedProfile(ranges []*sweepRange) json.RawMessage {
-	var out jobs.SweepProfileDoc
-	idx := map[string]int{}
-	seen := false
+	var docs []jobs.SweepProfileDoc
 	for _, r := range ranges {
-		if len(r.profile) == 0 {
-			continue
-		}
 		var doc jobs.SweepProfileDoc
-		if err := json.Unmarshal(r.profile, &doc); err != nil {
+		if len(r.profile) == 0 || json.Unmarshal(r.profile, &doc) != nil {
 			continue
 		}
-		seen = true
-		out.Points += doc.Points
-		out.PointsProfiled += doc.PointsProfiled
-		out.TotalNs += doc.TotalNs
-		for _, k := range doc.Kinds {
-			i, ok := idx[k.Kind]
-			if !ok {
-				i = len(out.Kinds)
-				idx[k.Kind] = i
-				out.Kinds = append(out.Kinds, k)
-				continue
-			}
-			out.Kinds[i].Kernels += k.Kernels
-			out.Kinds[i].Ns += k.Ns
-		}
+		docs = append(docs, doc)
 	}
-	if !seen {
-		return nil
-	}
-	sort.Slice(out.Kinds, func(i, j int) bool { return out.Kinds[i].Ns > out.Kinds[j].Ns })
-	raw, err := json.Marshal(out)
-	if err != nil {
-		return nil
-	}
-	return raw
+	return jobs.MergeSweepProfiles(docs)
 }
 
 // SubmitSweep accepts a parameter-sweep bundle as one dispatched job.

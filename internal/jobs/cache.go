@@ -61,10 +61,9 @@ func resolveShotsSeed(b *bundle.Bundle) (int, uint64) {
 	return shots, seed
 }
 
-// resultCache is an LRU of completed results keyed by CacheKey. Entries
-// are stored and served as copies so no caller ever shares an Entries
-// slice with the cache (Result.Sort on a served copy cannot corrupt or
-// race with another consumer).
+// resultCache is an LRU of completed results keyed by CacheKey. A result
+// is read-only once an engine returns it, so the cache stores and serves
+// the very result every job of its key shares.
 type resultCache struct {
 	cap   int
 	order *list.List // front = most recently used; values are *cacheEntry
@@ -80,27 +79,27 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{cap: capacity, order: list.New(), byKey: map[string]*list.Element{}}
 }
 
-// get returns a copy of the cached result. Callers hold Pool.mu.
+// get returns the cached result. Callers hold Pool.mu.
 func (c *resultCache) get(key string) (*result.Result, bool) {
 	el, ok := c.byKey[key]
 	if !ok {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return copyResult(el.Value.(*cacheEntry).res), true
+	return el.Value.(*cacheEntry).res, true
 }
 
-// put stores a copy of res. Callers hold Pool.mu.
+// put stores res. Callers hold Pool.mu.
 func (c *resultCache) put(key string, res *result.Result) {
 	if res == nil {
 		return
 	}
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).res = copyResult(res)
+		el.Value.(*cacheEntry).res = res
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, res: copyResult(res)})
+	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
@@ -109,19 +108,3 @@ func (c *resultCache) put(key string, res *result.Result) {
 }
 
 func (c *resultCache) len() int { return c.order.Len() }
-
-// copyResult duplicates the Entries slice and Meta map so the copy can be
-// sorted or annotated independently. Entry values (including decoded
-// qdt.Value slices) are shared — they are read-only by convention.
-func copyResult(res *result.Result) *result.Result {
-	cp := *res
-	cp.Entries = make([]result.Entry, len(res.Entries))
-	copy(cp.Entries, res.Entries)
-	if res.Meta != nil {
-		cp.Meta = make(map[string]any, len(res.Meta))
-		for k, v := range res.Meta {
-			cp.Meta[k] = v
-		}
-	}
-	return &cp
-}

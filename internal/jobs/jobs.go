@@ -913,32 +913,10 @@ func (p *Pool) runJob(j *job) {
 		p.doneLocked(j, keys, results, Detail{At: finished, Dur: run, Note: note})
 		obs.RecordDur(obs.FlightJobDone, j.ID, note, run)
 	}
-	waiters := j.waiters
-	j.waiters = nil
-	p.mu.Unlock()
-	if len(waiters) == 0 {
-		return
-	}
-	// Complete every coalesced duplicate with the primary's outcome.
-	// Result copies (private per job, so sorting one job's entries cannot
-	// race with another consumer of the same execution) are made outside
-	// the critical section: the waiter count is not bounded by the queue
-	// depth, and the pool lock must not be held for O(waiters × result).
-	// The inflight entry is already gone, so no new duplicate can attach;
-	// Cancel detaches waiters from j.waiters, but that slice is already
-	// severed, so a waiter canceled in this window is caught by the state
-	// check below instead.
-	copies := make([][]*result.Result, len(waiters))
-	if err == nil {
-		for i := range waiters {
-			copies[i] = make([]*result.Result, len(results))
-			for k, res := range results {
-				copies[i][k] = copyResult(res)
-			}
-		}
-	}
-	p.mu.Lock()
-	for i, w := range waiters {
+	// Complete every coalesced duplicate with the primary's outcome: the
+	// same read-only results. The inflight entry is already gone, so no new
+	// duplicate can attach.
+	for _, w := range j.waiters {
 		if w.State != StateQueued { // canceled while attached
 			continue
 		}
@@ -949,10 +927,11 @@ func (p *Pool) runJob(j *job) {
 		if err != nil {
 			p.failLocked(w, with)
 		} else {
-			p.doneLocked(w, keys, copies[i], with)
+			p.doneLocked(w, keys, results, with)
 		}
 		p.met.queueWait.Observe(finished.Sub(w.Submitted))
 	}
+	j.waiters = nil
 	p.mu.Unlock()
 }
 
@@ -994,7 +973,7 @@ func (p *Pool) execute(j *job, granted, qubits int) ([]string, []*result.Result,
 	publishLocked := func(i int, res *result.Result) {
 		pointLocked(i, res)
 		for _, t := range twins[i] {
-			pointLocked(t, copyResult(res))
+			pointLocked(t, res)
 			p.met.cacheHits.Inc()
 		}
 	}
@@ -1031,7 +1010,6 @@ func (p *Pool) execute(j *job, granted, qubits int) ([]string, []*result.Result,
 	}
 	h, err := rt.Prepare(b, opts)
 	if err == nil {
-		defer h.Close()
 		err = runLanes(lanes, miss, func(i int) error {
 			res, err := h.Run(i, concrete[i])
 			if err != nil {
@@ -1065,10 +1043,10 @@ func (p *Pool) execute(j *job, granted, qubits int) ([]string, []*result.Result,
 
 // Result returns the job's result once it is Done. A queued or running
 // job returns ErrNotFinished; a failed job returns its execution error; a
-// canceled job returns ErrCanceled; a sweep returns ErrIsSweep. Repeated calls for the same job ID
-// share one Result (the cache keeps private copies, so mutating it cannot
-// poison other jobs) — concurrent readers of one job must coordinate
-// before calling methods that reorder Entries, such as Sort.
+// canceled job returns ErrCanceled; a sweep returns ErrIsSweep. The
+// Result is shared, read-only: every job of its key (a cache hit, a twin
+// point, a coalesced duplicate) holds the same one, so a caller must not
+// modify it or reorder its Entries.
 func (p *Pool) Result(id string) (*result.Result, error) {
 	_, results, err := p.doneResults(id, false)
 	if err != nil {

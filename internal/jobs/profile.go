@@ -77,7 +77,8 @@ type SweepKindDoc struct {
 // "profile" of its status and result documents: per-point kernel tables
 // folded into per-kind totals (points share one compiled plan, so
 // per-kernel rows across points would only repeat the same structure N
-// times). A dispatcher folds its ranges' documents into one more of these.
+// times). A dispatcher merges its ranges' documents into one more of these
+// (MergeSweepProfiles).
 type SweepProfileDoc struct {
 	Points         int            `json:"points"`
 	PointsProfiled int            `json:"points_profiled"`
@@ -86,12 +87,13 @@ type SweepProfileDoc struct {
 }
 
 // aggregateSweepProfiles folds the per-point Meta["profile"] tables of a
-// completed sweep into one per-kind summary document. Points served from
-// the cache of an unprofiled run carry no profile and are counted out via
-// PointsProfiled; nil when no point carried a profile.
+// completed sweep into one per-kind summary document: each profiled point
+// is a document of one point with one row per kernel, merged with
+// MergeSweepProfiles. Points served from the cache of an unprofiled run
+// carry no profile and are counted out via PointsProfiled; nil when no
+// point carried a profile.
 func aggregateSweepProfiles(results []*result.Result) json.RawMessage {
-	agg := map[string]*SweepKindDoc{}
-	out := SweepProfileDoc{Points: len(results)}
+	docs := []SweepProfileDoc{{Points: len(results)}}
 	for _, res := range results {
 		raw := profileRaw(res)
 		if raw == nil {
@@ -101,25 +103,41 @@ func aggregateSweepProfiles(results []*result.Result) json.RawMessage {
 		if err := json.Unmarshal(raw, &pv); err != nil {
 			continue
 		}
-		out.PointsProfiled++
-		out.TotalNs += pv.TotalNs
-		for _, k := range pv.Kernels {
-			row := agg[k.Kind]
-			if row == nil {
-				row = &SweepKindDoc{Kind: k.Kind}
-				agg[k.Kind] = row
+		doc := SweepProfileDoc{PointsProfiled: 1, TotalNs: pv.TotalNs, Kinds: make([]SweepKindDoc, len(pv.Kernels))}
+		for i, k := range pv.Kernels {
+			doc.Kinds[i] = SweepKindDoc{Kind: k.Kind, Kernels: 1, Ns: k.Ns}
+		}
+		docs = append(docs, doc)
+	}
+	return MergeSweepProfiles(docs)
+}
+
+// MergeSweepProfiles folds sweep profile documents into one: point counts
+// and totals add, rows of one kind merge, and the kinds sort by ns,
+// heaviest first. A worker folds its points this way, and a dispatcher
+// the documents of its ranges. Nil when no document profiled a point.
+func MergeSweepProfiles(docs []SweepProfileDoc) json.RawMessage {
+	var out SweepProfileDoc
+	idx := map[string]int{}
+	for _, doc := range docs {
+		out.Points += doc.Points
+		out.PointsProfiled += doc.PointsProfiled
+		out.TotalNs += doc.TotalNs
+		for _, k := range doc.Kinds {
+			i, ok := idx[k.Kind]
+			if !ok {
+				idx[k.Kind] = len(out.Kinds)
+				out.Kinds = append(out.Kinds, k)
+				continue
 			}
-			row.Kernels++
-			row.Ns += k.Ns
+			out.Kinds[i].Kernels += k.Kernels
+			out.Kinds[i].Ns += k.Ns
 		}
 	}
 	if out.PointsProfiled == 0 {
 		return nil
 	}
-	for _, row := range agg {
-		out.Kinds = append(out.Kinds, *row)
-	}
-	sort.Slice(out.Kinds, func(i, j int) bool { return out.Kinds[i].Ns > out.Kinds[j].Ns })
+	sort.SliceStable(out.Kinds, func(i, j int) bool { return out.Kinds[i].Ns > out.Kinds[j].Ns })
 	raw, err := json.Marshal(out)
 	if err != nil {
 		return nil

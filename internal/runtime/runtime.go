@@ -70,7 +70,7 @@ func ResolveEngine(b *bundle.Bundle) (string, error) {
 // lowered, transpiled and compiled once. Run is safe for concurrent use and
 // occupies opts.Shards cores per call; how many run side by side is the
 // caller's scheduling decision (the jobs pool's lanes) and never shows in
-// a result.
+// a result. A Handle holds nothing to release; drop it when done.
 type Handle struct {
 	engine   string
 	prepared backend.Prepared
@@ -80,7 +80,7 @@ type Handle struct {
 }
 
 // Prepare validates b, a plain bundle or a sweep template, once and
-// prepares its engine to run points. Close the handle when done.
+// prepares its engine to run points.
 func Prepare(b *bundle.Bundle, opts Options) (*Handle, error) {
 	if err := b.Validate(qop.ValidateOptions{}); err != nil {
 		return nil, err
@@ -132,9 +132,6 @@ func (h *Handle) Run(i int, concrete *bundle.Bundle) (*result.Result, error) {
 	return res, nil
 }
 
-// Close releases what the engine kept between points.
-func (h *Handle) Close() { h.prepared.Close() }
-
 // Submit validates and executes a plain bundle: one Prepare, one Run.
 func Submit(b *bundle.Bundle, opts Options) (*result.Result, error) {
 	if b.Context != nil && b.Context.Sweep != nil {
@@ -144,7 +141,6 @@ func Submit(b *bundle.Bundle, opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer h.Close()
 	return h.Run(0, b)
 }
 
@@ -163,7 +159,6 @@ func SubmitSweep(b *bundle.Bundle, concrete []*bundle.Bundle, indices []int, opt
 	if err != nil {
 		return err
 	}
-	defer h.Close()
 	for k, gi := range indices {
 		res, err := h.Run(gi, concrete[k])
 		if err != nil {

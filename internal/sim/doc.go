@@ -79,7 +79,7 @@
 // follow any gate, so it compiles the circuit with fusion off — one
 // kernel per instruction — and each trajectory worker applies those
 // kernels, plus a Pauli kernel wherever a draw fires, on two arenas: its
-// Runner's state and a branch state beside it. State itself has no gate
+// runner's state and a branch state beside it. State itself has no gate
 // methods; a per-gate consumer compiles a one-instruction circuit.
 //
 // Trajectories share their error-free prefix, and the sharing is exact.
@@ -100,34 +100,35 @@
 // are a sum, so the visiting order is invisible. What would move counts
 // is fusing kernels between injection points, which changes rounding.
 //
-// # Runner: one arena, many runs
+// # Arenas: one pool per width
 //
-// Everything a run needs that is O(2^n) lives in a Runner: the shard
-// pool, the two aligned planes (and, through the State, its lazily
-// allocated staging planes), the 2^n-entry sampling CDF and its per-block
-// sums. Run and RunPlan build a Runner, run once and close it; a caller
-// with many plans of one qubit count — a sweep lane binding point after
-// point — keeps its Runner, and a warm run allocates only what it
-// returns (the Counts map, the profile) plus one closure per kernel,
-// nothing that grows with the state. What reuse costs is the reset: every
-// run begins by clearing both planes to |0…0⟩ on the pool, 16·2^n bytes
-// of streaming writes, which is the very pass a fresh state gets as its
-// first touch. There is no second execution path — fresh or reused, the
-// same reset, kernels, CDF build and sampling run over the same data —
-// so amplitudes and counts cannot depend on what a Runner ran before
-// (runner_test.go pins it bitwise); the staging planes and the CDF are
-// fully overwritten before they are read. With KeepState the Result takes
-// the state and the Runner allocates new planes next time. RunPlan's
-// Runner leaves its arena — planes, staging planes, CDF — in a per-width
-// sync.Pool when it closes: the next RunPlan of that width starts with
-// it and NewState takes (and clears) its state, so one-shot runs of one
-// width back to back, every plain job among them, reuse warm pages
-// instead of faulting in fresh ones, and what nobody takes is dropped by
-// the garbage collector. A KeepState result's state is never in the
-// pool, and a Runner from NewRunner keeps its arena to itself. A Runner is
-// single-goroutine; concurrent sweep lanes and trajectory workers each
-// own one (a trajectory worker's branch state shares its pool and its
-// staging planes).
+// Everything a run needs that is O(2^n) is its arena: the two aligned
+// planes (and, through the State, its lazily allocated staging planes),
+// the 2^n-entry sampling CDF and its per-block sums. RunPlan — every plain
+// job, and every point of a sweep — builds a runner (the arena plus a
+// shard pool), runs once and closes it, and the closing runner leaves its
+// arena in a per-width sync.Pool. The next RunPlan of that width starts on
+// it, and NewState takes (and clears) its state, so runs of one width back
+// to back — a sweep lane's points, plain jobs of one size — reuse warm
+// pages, and a warm run allocates only what it returns (the Counts map,
+// the profile), the shard pool and one closure per kernel, nothing that
+// grows with the state. What nobody takes is dropped by the garbage
+// collector. What reuse costs is the reset: every run begins by clearing
+// both planes to |0…0⟩ on the pool, 16·2^n bytes of streaming writes,
+// which is the very pass a fresh state gets as its first touch. There is
+// no second execution path — fresh or reused, the same reset, kernels,
+// CDF build and sampling run over the same data — so amplitudes and
+// counts cannot depend on what an arena held before (runner_test.go pins
+// it bitwise); the staging planes and the CDF are fully overwritten
+// before they are read. With KeepState the Result takes the state, which
+// never enters the pool. A runner is single-goroutine, and concurrent
+// sweep lanes each take their own arena from the pool. A noisy job's
+// runners — each trajectory worker's, and the readout-only path's — stay
+// outside the pool (a worker's branch state shares its pool and its
+// staging planes), so a noisy run's footprint does not depend on what the
+// pool held. Closing a runner
+// waits for its shard workers to exit, so a lane's next point never runs
+// beside the previous point's workers.
 //
 // # Parametric plans
 //
@@ -176,7 +177,7 @@
 // and init kernels that cannot run in place) are allocated the same way,
 // lazily, and reused for the life of the State.
 //
-// First-touch ownership: a state created for plan execution (Runner.reset)
+// First-touch ownership: a state created for plan execution (runner.reset)
 // has its planes zeroed by the shard pool itself — each worker clears
 // exactly the contiguous range of re and im it will later sweep, before
 // any kernel runs. On NUMA machines first touch decides page placement,

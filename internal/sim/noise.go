@@ -73,7 +73,7 @@ func (n NoiseModel) Zero() bool {
 // Trajectories run the engine every other job runs: the circuit compiles
 // once, unfused (an error may follow any gate, so no two gates share a
 // kernel), and the kernels, and a Pauli kernel where a draw fires, sweep
-// Runner arenas. Shots share their error-free prefix, which is exact, not
+// runner arenas. Shots share their error-free prefix, which is exact, not
 // an approximation: a shot's error draws never read the state — after each
 // gate one Float64 per operand and an Intn(3) when it fires, the order the
 // seeded stream has always had — so a worker first reads each shot's
@@ -296,10 +296,10 @@ func (np *noisyPlan) applyKernel(i int, st *State, width int, sweep func(int, fu
 	return nil
 }
 
-// run evolves one trajectory per stream in rngs on a Runner of its own and
+// run evolves one trajectory per stream in rngs on a runner of its own and
 // counts the sampled registers. It finds every shot's first error first,
 // then visits the shots in the order of the kernel it follows, advancing
-// one error-free evolution (the Runner's state) just far enough for each:
+// one error-free evolution (the runner's state) just far enough for each:
 // a shot with errors copies it into the branch arena and finishes there, a
 // shot without samples it at the end (see RunNoisy for why this is exact).
 func (np *noisyPlan) run(shards int, rngs []*rng.Rand, qubits []int, mm map[int]int, flip float64) (Counts, error) {
@@ -435,7 +435,7 @@ func runReadoutOnly(c *circuit.Circuit, noise NoiseModel, opts Options, res *Res
 	if opts.Shots == 0 {
 		return res, nil
 	}
-	runner, err := NewRunner(c.NumQubits, opts.Shards)
+	runner, err := newRunner(c.NumQubits, opts.Shards)
 	if err != nil {
 		return nil, err
 	}

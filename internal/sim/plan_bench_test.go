@@ -250,7 +250,7 @@ func BenchmarkBuildCDF20(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner, err := NewRunner(st.NumQubits(), 0)
+	runner, err := newRunner(st.NumQubits(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func BenchmarkSamplingStage20(b *testing.B) {
 		qubits = append(qubits, q)
 	}
 	sort.Ints(qubits)
-	runner, err := NewRunner(st.NumQubits(), 0)
+	runner, err := newRunner(st.NumQubits(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -90,8 +90,7 @@ type Options struct {
 	// it into trajectory workers × shards). 0 selects automatically
 	// (single-shard for small states, GOMAXPROCS for large ones); the
 	// serving layer passes an explicit value so a lone big simulation
-	// takes every core while concurrent jobs stay narrow. Runner.Run
-	// ignores it: a Runner's shard count is fixed when it is built.
+	// takes every core while concurrent jobs stay narrow.
 	Shards int
 	// Stages, when non-nil, receives one callback per engine stage
 	// ("compile", "execute", "sample"; RunNoisy's trajectories sample as
@@ -145,14 +144,12 @@ func Run(c *circuit.Circuit, opts Options) (*Result, error) {
 	return RunPlan(c, pl, opts)
 }
 
-// RunPlan is Run with a precompiled plan: one Runner, one run. pl must
+// RunPlan is Run with a precompiled plan: one runner, one run. pl must
 // have been compiled from c or from a bound copy of it — the measurement
-// map and qubit count are read from c. Callers with many plans of one
-// width (a sweep's bound points) keep a Runner instead and skip the
-// per-run allocation; either way it is the same execution, CDF build and
-// sampling code, so counts are bit-identical. The Runner starts on a
-// spare arena of its width when there is one and leaves its own when it
-// closes (see spareArenas).
+// map and qubit count are read from c. The runner starts on a spare arena
+// of its width when there is one and leaves its own when it closes (see
+// spareArenas), so a caller with many plans of one width (a sweep lane's
+// bound points) allocates the arena once.
 func RunPlan(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error) {
 	r, err := newRunner(c.NumQubits, opts.Shards)
 	if err != nil {

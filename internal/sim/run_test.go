@@ -293,7 +293,7 @@ func TestBuildCDFSingleSweepDeterminism(t *testing.T) {
 	refCDF, refAcc, refLast := referenceCDF(st)
 	for _, shards := range []int{1, 3, 8} {
 		pool := newShardPool(shards)
-		cdf, acc, lastPos := (&Runner{pool: pool}).buildCDF(st)
+		cdf, acc, lastPos := (&runner{pool: pool}).buildCDF(st)
 		pool.close()
 		if acc != refAcc {
 			t.Fatalf("shards=%d: total mass %v, reference %v", shards, acc, refAcc)

@@ -15,25 +15,24 @@ import (
 // order, so sampled counts are bit-identical across shard counts.
 const cdfBlock = 4096
 
-// Runner executes plans of one qubit count on resources it keeps between
-// runs: the shard pool, the two aligned amplitude planes (with the
-// State's lazily allocated staging planes), the sampling CDF and its
-// per-block scratch. Every run starts by resetting the planes to |0…0⟩
-// on the pool — the same shard-owned clear a fresh state gets as its
-// first touch — so a reused Runner and a new one execute identical code
-// on identical data: amplitudes and counts do not depend on what ran
-// before. Run and RunPlan are "new Runner, run once, Close"; a caller
-// with many plans of one width (a sweep lane) keeps its Runner and pays
-// the 2^n allocations once.
+// runner executes plans of one qubit count: the shard pool, the two
+// aligned amplitude planes (with the State's lazily allocated staging
+// planes), the sampling CDF and its per-block scratch. Every run starts
+// by resetting the planes to |0…0⟩ on the pool — the same shard-owned
+// clear a fresh state gets as its first touch — so a reused arena and a
+// new one execute identical code on identical data: amplitudes and counts
+// do not depend on what ran before. RunPlan builds a runner on a spare
+// arena of its width, runs once and leaves the arena for the next run;
+// a noisy job's runners keep their arenas to themselves.
 //
-// A Runner is not safe for concurrent use; give each goroutine its own.
-type Runner struct {
+// A runner is not safe for concurrent use; give each goroutine its own.
+type runner struct {
 	n    int
 	pool *shardPool
 	arena
 }
 
-// arena is what a Runner holds that grows with the state.
+// arena is what a runner holds that grows with the state.
 type arena struct {
 	// st is nil until the first run and after a KeepState run handed the
 	// state to its Result.
@@ -45,46 +44,40 @@ type arena struct {
 	blockLast []int
 }
 
-// spareArenas holds, per qubit count, the arenas RunPlan's Runners leave
+// spareArenas holds, per qubit count, the arenas RunPlan's runners leave
 // when they close. The next RunPlan of that width starts with one, and
-// NewState takes its state, so back-to-back one-shot runs (every plain
-// job) and a NewState after a run sweep warm pages instead of faulting in
-// and zeroing 24·2^n fresh bytes. A Runner from NewRunner is its caller's
-// to keep and neither takes nor leaves one. A sync.Pool drops what nobody
-// took within two garbage collections, so an idle width holds no memory
-// for long.
+// NewState takes its state, so back-to-back runs (every plain job and
+// every point of a sweep lane) and a NewState after a run sweep warm pages
+// instead of faulting in and zeroing 24·2^n fresh bytes. A noisy job's
+// runners neither take nor leave one. A sync.Pool drops what
+// nobody took within two garbage collections, so an idle width holds no
+// memory for long.
 var spareArenas [MaxQubits + 1]sync.Pool
 
-// spareArena returns a closed Runner's arena for n qubits, or nil.
+// spareArena returns a closed runner's arena for n qubits, or nil.
 func spareArena(n int) *arena {
 	a, _ := spareArenas[n].Get().(*arena)
 	return a
 }
 
-// NewRunner returns a Runner for n-qubit plans sweeping over the given
-// number of shards (0 = auto, as Options.Shards). Close releases the
-// pool's workers.
-func NewRunner(n, shards int) (*Runner, error) {
-	r, err := newRunner(n, shards)
-	return &r, err
-}
-
-// newRunner returns the Runner by value, so a caller that uses it within
-// one function (RunPlan) keeps it off the heap.
-func newRunner(n, shards int) (Runner, error) {
+// newRunner returns a runner for n-qubit plans sweeping over the given
+// number of shards (0 = auto, as Options.Shards), by value, so a caller
+// that uses it within one function (RunPlan) keeps it off the heap. Close
+// releases the pool's workers.
+func newRunner(n, shards int) (runner, error) {
 	if n < 1 || n > MaxQubits {
-		return Runner{}, fmt.Errorf("sim: qubit count %d out of [1,%d]", n, MaxQubits)
+		return runner{}, fmt.Errorf("sim: qubit count %d out of [1,%d]", n, MaxQubits)
 	}
-	return Runner{n: n, pool: newShardPool(resolveShards(1<<uint(n), shards))}, nil
+	return runner{n: n, pool: newShardPool(resolveShards(1<<uint(n), shards))}, nil
 }
 
-// Close stops the Runner's shard workers. Results already returned stay
-// valid.
-func (r *Runner) Close() { r.pool.close() }
+// Close stops the runner's shard workers and returns once they have
+// exited. Results already returned stay valid.
+func (r *runner) Close() { r.pool.close() }
 
-// closeToSpare closes the Runner and leaves its arena in spareArenas. A
-// KeepState result owns its state, which the Runner no longer holds.
-func (r *Runner) closeToSpare() {
+// closeToSpare closes the runner and leaves its arena in spareArenas. A
+// KeepState result owns its state, which the runner no longer holds.
+func (r *runner) closeToSpare() {
 	r.Close()
 	if r.st != nil || r.cdf != nil {
 		a := r.arena
@@ -93,7 +86,7 @@ func (r *Runner) closeToSpare() {
 	}
 }
 
-// reset returns the Runner's state as |0…0⟩, allocating the planes on
+// reset returns the runner's state as |0…0⟩, allocating the planes on
 // first use. Each shard clears exactly the contiguous range of re and im
 // it will sweep for the rest of the run: for fresh planes that is their
 // first touch, so on NUMA systems with first-touch page placement every
@@ -102,7 +95,7 @@ func (r *Runner) closeToSpare() {
 // and a spare arena is already touched, whose pages keep their prior
 // placement); for reused planes it is the whole cost of reuse, one
 // streaming write of 16·2^n bytes.
-func (r *Runner) reset() (*State, error) {
+func (r *runner) reset() (*State, error) {
 	if r.st == nil {
 		st, err := newStateUninit(r.n)
 		if err != nil {
@@ -122,9 +115,9 @@ func (r *Runner) reset() (*State, error) {
 // Run executes pl from |0…0⟩ and samples opts.Shots shots over the
 // classical register c's measurements define. pl must have been compiled
 // from c or from a bound copy of it. opts.Shards is ignored (see
-// NewRunner). With opts.KeepState the Result takes the state and the
-// Runner allocates new planes on its next run.
-func (r *Runner) Run(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error) {
+// newRunner). With opts.KeepState the Result takes the state and the
+// runner allocates new planes on its next run.
+func (r *runner) Run(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error) {
 	if opts.Shots < 0 {
 		return nil, fmt.Errorf("sim: negative shot count %d", opts.Shots)
 	}
@@ -175,7 +168,7 @@ func (r *Runner) Run(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error
 }
 
 // buildCDF computes the inclusive prefix sums of st's Born distribution
-// into the Runner's CDF buffer (valid until the next call), the total
+// into the runner's CDF buffer (valid until the next call), the total
 // mass, and the index of the last basis state with positive probability.
 // The prefix sum builds over the shard pool in fixed-size blocks: each
 // block's probability mass sums left to right with the per-amplitude
@@ -188,7 +181,7 @@ func (r *Runner) Run(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error
 // bit-identical for any parallelism grant: the shard count is a
 // scheduling decision, never a result change (the jobs result cache
 // dedups on bundle+shots+seed alone and relies on this).
-func (r *Runner) buildCDF(st *State) (_ []float64, acc float64, lastPos int) {
+func (r *runner) buildCDF(st *State) (_ []float64, acc float64, lastPos int) {
 	dim := st.Dim()
 	nBlocks := (dim + cdfBlock - 1) / cdfBlock
 	if len(r.cdf) != dim {

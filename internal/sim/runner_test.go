@@ -61,7 +61,7 @@ func TestRunnerDirtyReuseParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRunner(n, shards)
+		r, err := newRunner(n, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestRunnerKeepStateSurvivesNextRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(n, 1)
+	r, err := newRunner(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRunnerWarmAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{Shots: 64, Seed: 5, Shards: 1}
-		r, err := NewRunner(n, 1)
+		r, err := newRunner(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

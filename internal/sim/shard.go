@@ -48,6 +48,8 @@ func newShardPool(shards int) *shardPool {
 	return p
 }
 
+// worker signals done once per step and once more when its command
+// channel closes, which is close's wait.
 func (p *shardPool) worker(w int) {
 	for st := range p.cmd[w] {
 		lo, hi := shardRange(st.total, p.shards, w)
@@ -56,6 +58,7 @@ func (p *shardPool) worker(w int) {
 		}
 		p.done <- struct{}{}
 	}
+	p.done <- struct{}{}
 }
 
 // do runs one step across all shards and waits for every worker to finish
@@ -75,9 +78,15 @@ func (p *shardPool) do(total int, fn func(w, lo, hi int)) {
 	}
 }
 
+// close stops the workers and returns once every one has exited, so a
+// caller that opens its next pool right away never holds more live workers
+// than that pool's shards: sweep lanes × shards stays within the grant.
 func (p *shardPool) close() {
 	for _, c := range p.cmd {
 		close(c)
+	}
+	for range p.cmd {
+		<-p.done
 	}
 }
 

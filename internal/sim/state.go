@@ -35,7 +35,7 @@ type State struct {
 	scratch planes
 }
 
-// NewState returns |0…0⟩ on n qubits: a closed Runner's state, cleared,
+// NewState returns |0…0⟩ on n qubits: a closed runner's state, cleared,
 // when one of that width is spare, otherwise fresh planes.
 func NewState(n int) (*State, error) {
 	if s := spareState(n); s != nil {
@@ -72,7 +72,7 @@ func spareState(n int) *State {
 
 // newStateUninit allocates the aligned planes without setting any
 // amplitude. The planes are logically zero (Go allocation guarantees it)
-// but their pages may be untouched; Runner.reset first-touches them on the
+// but their pages may be untouched; runner.reset first-touches them on the
 // shard workers.
 func newStateUninit(n int) (*State, error) {
 	if n < 1 || n > MaxQubits {
