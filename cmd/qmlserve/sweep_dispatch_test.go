@@ -50,6 +50,18 @@ func slowSweepBundle(t *testing.T, n int) []byte {
 	return raw
 }
 
+// rangesAssigned reports whether every range in a sweep's status has been
+// accepted by a worker.
+func rangesAssigned(st map[string]any) bool {
+	ranges, _ := st["ranges"].([]any)
+	for _, el := range ranges {
+		if rg, _ := el.(map[string]any); rg["remote"] == nil {
+			return false
+		}
+	}
+	return len(ranges) > 0
+}
+
 // postSweep submits a sweep bundle to a process's POST /v1/sweeps and
 // returns the accepted job ID.
 func postSweep(t *testing.T, s *server, raw []byte) string {
@@ -149,15 +161,18 @@ func TestSweepDispatchAcceptance(t *testing.T) {
 	id := postSweep(t, disp, raw)
 
 	// Scatter order follows the -dispatch flag order, so the range
-	// [0,4) lands on w1. Kill w1 as soon as the sweep is running and
-	// before its range can complete (~1.6 s of statevector work).
+	// [0,4) lands on w1. Kill w1 once the sweep is running and both
+	// ranges are assigned, and before w1's range can complete (~0.8 s of
+	// statevector work). The dispatcher forwards [4,8) before [0,4), so a
+	// sweep can read running before w1 holds its range; a kill in that
+	// gap sends [0,4) to w2 on its first forward, which is no re-forward.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			t.Fatalf("sweep never reached running")
+			t.Fatalf("sweep never reached running with both ranges assigned")
 		}
 		st := getJSON(t, disp.url("/v1/jobs/"+id), http.StatusOK)
-		if st["state"] == "running" {
+		if st["state"] == "running" && rangesAssigned(st) {
 			break
 		}
 		switch st["state"] {
@@ -180,7 +195,7 @@ func TestSweepDispatchAcceptance(t *testing.T) {
 	if fin["sweep"] != true || fin["points"].(float64) != n || fin["points_done"].(float64) != n {
 		t.Fatalf("sweep progress fields: %v", fin)
 	}
-	if fin["reforwards"].(float64) < 1 {
+	if rf, _ := fin["reforwards"].(float64); rf < 1 { // omitted when 0
 		t.Fatalf("no range was re-forwarded after the worker kill: %v", fin)
 	}
 	merged := sweepEntries(t, disp, id)

@@ -5,13 +5,15 @@
 // The simulator stores all 2^n complex amplitudes, applies unitary gates
 // exactly, and samples measurement outcomes from the Born distribution
 // with a seeded generator. The state vector is the hot data structure and
-// every gate is a full sweep over it. The sweeps are not bound by memory
-// bandwidth: on a 2-vCPU Xeon the benchmark's roofline puts the kernel
-// kinds of a 20-qubit QAOA job between about 0.2 (the dense 4×4) and 0.5
-// of the machine's measured bandwidth, so their arithmetic per amplitude
-// counts as much as their traffic. In the HPC spirit of the paper the
-// engine is organized around minimizing sweep count, memory traffic and
-// arithmetic rather than per-gate convenience.
+// every gate is a full sweep over it. The Go sweeps are not bound by
+// memory bandwidth: on a 2-vCPU Xeon the benchmark's roofline puts the
+// kernel kinds of a 20-qubit QAOA job between about 0.2 (the dense 4×4)
+// and 0.5 of the machine's measured bandwidth, so their arithmetic per
+// amplitude counts as much as their traffic. The AVX bodies (see "Vector
+// bodies") read 1.1–1.8 of that figure in one traced run of the same job.
+// In the HPC spirit of the paper the engine is organized around
+// minimizing sweep count, memory traffic and arithmetic rather than
+// per-gate convenience.
 //
 // # Compile → fuse → shard
 //
@@ -196,29 +198,51 @@
 //
 // # Vector bodies
 //
-// The 2×2, block and dense 4×4 sweeps, and the monomial sweep's phased
-// fixed rows, have a run form: for a high enough stride the index expands
-// once per run and the inner loop walks equal-length streams (pairRun,
-// denseRun, phaseRun). On amd64, when CPUID and XGETBV report AVX,
-// those runs are swept by the AVX bodies in sweep_amd64.s, four lanes at
-// a time, with the tail of fewer than four in Go; the 2×2, block and
-// dense run forms then start at stride 4 instead of blockedStrideMin.
-// Each body performs exactly its Go expression's operations: the same
+// On amd64, when CPUID and XGETBV report AVX (useAVX), the 2×2, block and
+// dense 4×4 sweeps at every stride, and a monomial that is a complex
+// diagonal below blockedStrideMin (the QAOA ZZ phase on a low pair), run
+// in the AVX bodies of sweep_amd64.s: one assembly call sweeps a shard's
+// whole index range (vecsweep.go). A body walks tile groups — a tile is
+// four consecutive amplitudes starting at a multiple of 4, a group is a
+// tile with its partner tiles at the kernel's masks of 4 and above — and
+// steps from one group's first index to the next with an OR, an increment
+// and an AND, so no Go call and no index expansion runs per contiguous
+// run. A mask of 1 or 2 lies inside the tile: the body pairs the tile's
+// halves in registers (VMOVDDUP and VPERMILPD at stride 1, VBROADCASTF128
+// at stride 2; a dense 4×4 on masks 1 and 2 broadcasts each of the tile's
+// four amplitudes) and gives every lane its own coefficients, so a
+// stride-1 2×2 is C0·even + C1·odd with C0 = [m00, m10, m00, m10]. A
+// block kernel whose selecting qubit is the low one needs no shuffle: its
+// lanes alternate the two blocks' matrices. A complex diagonal scales
+// each tile by its lanes' phases ([p0, p1, p0, p1] and [p2, p3, p2, p3]
+// for a lowest qubit of 0). The coefficients are laid out once per call,
+// and the few indices at a shard's ends that fill no whole group run in
+// the Go loop.
+//
+// Each lane computes its Go loop's expression for its amplitude: the same
 // products, the same left-to-right grouping, every subtraction with the
 // same operands, and no fused multiply-add. A lane of VMULPD, VADDPD or
-// VSUBPD rounds as MULSD, ADDSD or SUBSD does, so every amplitude — the
-// sign of a zero included — is bit-identical with or without them, and
-// counts, golden files and cache keys do not depend on the CPU. The
-// monomial sweep keeps its run form at blockedStrideMin on every CPU:
-// its run form skips a unit-phase row that its per-quadruple form
-// multiplies by 1+0i, which may flip the sign of a zero, so moving its
-// threshold with the CPU would make amplitudes CPU-dependent. Strides
-// 1–2 of the 2×2, block and dense sweeps, monomials below
-// blockedStrideMin, and diagonal tables remain scalar Go. Other
-// architectures, CPUs without AVX and builds with the purego tag run the
-// Go bodies only, with every run form from blockedStrideMin.
-// vec_amd64_test.go holds each body and each sweep to its Go expression,
-// bit for bit; TestAssemblyHasNoFMA keeps FMA out of the assembly.
+// VSUBPD rounds as MULSD, ADDSD or SUBSD does, and shuffles only move
+// bits, so every amplitude — the sign of a zero included — is
+// bit-identical with or without the bodies, and counts, golden files and
+// cache keys do not depend on the CPU. The complex-diagonal body computes
+// the per-quadruple form's expression, which multiplies every row, unit
+// phases included, as the Go loop at those strides does. From
+// blockedStrideMin up every monomial keeps its run form on every CPU:
+// that form skips unit-phase rows that the per-quadruple form multiplies
+// by 1+0i, which may flip the sign of a zero, so its threshold must not
+// move with the CPU; it scales its phased fixed rows with the phase-run
+// body (phaseRunAVX).
+//
+// Still scalar: the kDiag phase tables (sweepDiag gathers each phase
+// through an index per amplitude); the monomial shapes other than the
+// complex diagonal below blockedStrideMin (transpositions, real phases,
+// cycles) and the moved rows of the run form; the controlled
+// permutations and phases, permute and init. Other architectures, CPUs
+// without AVX and builds with the purego tag run the Go bodies only,
+// with every run form from blockedStrideMin. vec_amd64_test.go holds
+// each body and each sweep to its Go expression, bit for bit;
+// TestAssemblyHasNoFMA keeps FMA out of the assembly.
 //
 // External packages see none of this: Amplitude, Probability and the
 // Evolve/Run APIs still speak complex128, and nothing outside the

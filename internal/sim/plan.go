@@ -940,7 +940,14 @@ func (pl *Plan) Execute(st *State, shards int) error {
 // closure is additionally wrapped to accumulate per-shard times for the
 // opt-in kernel table. Neither layer touches amplitudes or shard
 // ranges, so execution stays bit-identical profiled or not.
+//
+// A kernel's wall time runs from the previous kernel's end (the first
+// kernel's from the batch start) to its own: the windows tile the kernel
+// loop, so the per-kernel bookkeeping between sweeps, and whatever delays
+// the goroutine there, counts toward the next kernel instead of falling
+// outside every window.
 func (pl *Plan) executeOn(st *State, pool *shardPool, prof *execProfiler) error {
+	batchStart := time.Now()
 	run := pool.do
 	if prof != nil {
 		run = func(total int, fn func(w, lo, hi int)) {
@@ -951,18 +958,19 @@ func (pl *Plan) executeOn(st *State, pool *shardPool, prof *execProfiler) error 
 			})
 		}
 	}
-	batchStart := time.Now()
+	last := batchStart
 	for i := range pl.kernels {
 		k := &pl.kernels[i]
 		ord := kindOrdinal(k)
 		if prof != nil {
 			prof.begin()
 		}
-		kernelStart := time.Now()
 		if err := k.apply(st, pool.shards, run); err != nil {
 			return err
 		}
-		kernelDur := time.Since(kernelStart)
+		end := time.Now()
+		kernelDur := end.Sub(last)
+		last = end
 		simKernels.At(ord).Inc()
 		simKernelSeconds.At(ord).Observe(kernelDur)
 		if prof != nil {
@@ -1076,20 +1084,10 @@ func (k *kernel) apply(st *State, shards int, run func(total int, fn func(w, lo,
 
 // blockedStrideMin is the smallest kernel stride worth the cache-blocked
 // (run) sweep form when its runs are Go loops: below it the contiguous
-// runs are too short for the per-run setup to pay off.
+// runs are too short for the per-run setup to pay off. With useAVX the
+// 2×2, block and dense sweeps take their vector bodies at every stride
+// instead (vecsweep.go).
 const blockedStrideMin = 64
-
-// vecStrideMin is where the run form starts when the AVX bodies sweep its
-// runs: a run of one vector, 4 lanes, already beats the per-element loop.
-const vecStrideMin = 4
-
-// runStrideMin is the smallest kernel stride swept in run form.
-func runStrideMin() int {
-	if useAVX {
-		return vecStrideMin
-	}
-	return blockedStrideMin
-}
 
 // cacheBlockAmps bounds the contiguous run length of a blocked sweep so
 // each block's quadrant slices (4 streams for a 1Q kernel, 8 for a 2Q one,
@@ -1099,37 +1097,23 @@ func runStrideMin() int {
 const cacheBlockAmps = 1 << 12
 
 // pairRun applies blockPair with the matrix m (blockPair's argument
-// order) to the four streams, each cut to len(r0), in place. With useAVX
-// the whole vectors run in pairRunAVX and the tail of fewer than 4 in Go;
-// both compute blockPair's expression, so the split between them moves no
-// bit.
+// order) to the four streams, each cut to len(r0), in place.
 func pairRun(m *[8]float64, r0, i0, r1, i1 []float64) {
 	n := len(r0)
 	i0, r1, i1 = i0[:n], r1[:n], i1[:n]
-	v := 0
-	if useAVX && n >= 4 {
-		v = n &^ 3
-		pairRunAVX(m, r0[:v], i0[:v], r1[:v], i1[:v])
-	}
 	m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7]
-	for r := v; r < n; r++ {
+	for r := 0; r < n; r++ {
 		r0[r], i0[r], r1[r], i1[r] = blockPair(m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i, r0[r], i0[r], r1[r], i1[r])
 	}
 }
 
 // denseRun applies the dense 4×4 m to the eight quadrant streams, each cut
-// to len(r0), in place: the whole vectors in denseRunAVX with useAVX, the
-// rest in Go, as pairRun splits.
+// to len(r0), in place.
 func denseRun(m *gates.Split4, r0, i0, r1, i1, r2, i2, r3, i3 []float64) {
 	n := len(r0)
 	i0, r1, i1, r2, i2, r3, i3 = i0[:n], r1[:n], i1[:n], r2[:n], i2[:n], r3[:n], i3[:n]
-	v := 0
-	if useAVX && n >= 4 {
-		v = n &^ 3
-		denseRunAVX(m, r0[:v], i0[:v], r1[:v], i1[:v], r2[:v], i2[:v], r3[:v], i3[:v])
-	}
 	mr, mi := &m.Re, &m.Im
-	for r := v; r < n; r++ {
+	for r := 0; r < n; r++ {
 		a0r, a0i := r0[r], i0[r]
 		a1r, a1i := r1[r], i1[r]
 		a2r, a2i := r2[r], i2[r]
@@ -1146,7 +1130,8 @@ func denseRun(m *gates.Split4, r0, i0, r1, i1, r2, i2, r3, i3 []float64) {
 }
 
 // phaseRun scales sr + i·si, si cut to len(sr), by pr + i·pi in place:
-// the whole vectors in phaseRunAVX with useAVX, the rest in Go.
+// the whole vectors in phaseRunAVX with useAVX, the rest in Go; both
+// compute the same expression, so the split between them moves no bit.
 func phaseRun(pr, pi float64, sr, si []float64) {
 	n := len(sr)
 	si = si[:n]
@@ -1204,13 +1189,17 @@ func sweep1QBlocked(re, im []float64, m *gates.Split2, stride, lo, hi int) {
 	}
 }
 
-// sweep1QAuto picks the blocked sweep for high-stride targets.
+// sweep1QAuto picks the vector sweep with useAVX, else the blocked sweep
+// for high-stride targets.
 func sweep1QAuto(re, im []float64, m *gates.Split2, stride, lo, hi int) {
-	if stride >= runStrideMin() {
+	switch {
+	case useAVX:
+		sweep1QVec(re, im, m, stride, lo, hi)
+	case stride >= blockedStrideMin:
 		sweep1QBlocked(re, im, m, stride, lo, hi)
-		return
+	default:
+		sweep1Q(re, im, m, stride, lo, hi)
 	}
-	sweep1Q(re, im, m, stride, lo, hi)
 }
 
 // sweep2Q applies a dense 4×4 unitary to the amplitude quadruples indexed
@@ -1263,14 +1252,17 @@ func sweep2QBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi in
 	}
 }
 
-// sweep2QAuto picks the blocked sweep when the lower pair qubit's stride
-// gives long enough contiguous runs.
+// sweep2QAuto picks the vector sweep with useAVX, else the blocked sweep
+// when the lower pair qubit's stride gives long enough contiguous runs.
 func sweep2QAuto(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi int) {
-	if maskLo >= runStrideMin() {
+	switch {
+	case useAVX:
+		sweep2QVec(re, im, m, maskLo, maskHi, lo, hi)
+	case maskLo >= blockedStrideMin:
 		sweep2QBlocked(re, im, m, maskLo, maskHi, lo, hi)
-		return
+	default:
+		sweep2Q(re, im, m, maskLo, maskHi, lo, hi)
 	}
-	sweep2Q(re, im, m, maskLo, maskHi, lo, hi)
 }
 
 // blockPair is the arithmetic body of both block sweeps: a 2×2 block
@@ -1339,14 +1331,16 @@ func sweep2QBlockBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, offA
 	}
 }
 
-// sweep2QBlockAuto picks the blocked block sweep by the lower pair qubit's
-// stride, as sweep2QAuto does.
+// sweep2QBlockAuto picks the block sweep's form as sweep2QAuto does.
 func sweep2QBlockAuto(re, im []float64, m *gates.Split4, maskLo, maskHi, offA, offB, lo, hi int) {
-	if maskLo >= runStrideMin() {
+	switch {
+	case useAVX:
+		sweep2QBlockVec(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
+	case maskLo >= blockedStrideMin:
 		sweep2QBlockBlocked(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
-		return
+	default:
+		sweep2QBlock(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
 	}
-	sweep2QBlock(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
 }
 
 // sweep2QMono applies a monomial (permutation × phase) 4×4 kernel to the
@@ -1702,13 +1696,20 @@ func sweep2QMonoBlocked(re, im []float64, src *[4]int, phRe, phIm *[4]float64, m
 }
 
 // sweep2QMonoAuto picks the blocked monomial sweep when the lower pair
-// qubit's stride gives long enough contiguous runs.
+// qubit's stride gives long enough contiguous runs, on every CPU: its run
+// form skips unit-phase rows that the per-quadruple form multiplies by
+// 1+0i, which may flip the sign of a zero. Below that stride, a complex
+// diagonal takes its vector sweep with useAVX, which multiplies every row
+// as the per-quadruple form does.
 func sweep2QMonoAuto(re, im []float64, src *[4]int, phRe, phIm *[4]float64, maskLo, maskHi, lo, hi int) {
-	if maskLo >= blockedStrideMin {
+	switch {
+	case maskLo >= blockedStrideMin:
 		sweep2QMonoBlocked(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
-		return
+	case useAVX && isComplexDiag(src, phIm):
+		sweep2QDiagVec(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
+	default:
+		sweep2QMono(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
 	}
-	sweep2QMono(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
 }
 
 // sweepCtrlPerm exchanges amplitude pairs (i, i^flip) over the compact

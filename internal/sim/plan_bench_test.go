@@ -2,12 +2,15 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/gates"
 	"repro/internal/rng"
 )
 
@@ -346,5 +349,94 @@ func BenchmarkRunNoisy(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// strideKernel builds one kernel of the named form on the pair (q, q+1) —
+// a 2×2 on q alone for "2x2" — from unitary matrices, so that applying it
+// over and over keeps the state's norm and never drifts into subnormals.
+// The forms are the ones a served QAOA job's kernels take: a dense 2×2, a
+// block-diagonal pair with the gate on the lower ("block-lo") or the
+// higher ("block-hi") qubit, a dense 4×4 and a complex diagonal (the ZZ
+// phase).
+func strideKernel(form string, q int) (kernel, error) {
+	u := gates.Mul2(mustUnitary1(gates.RX, 0.7), mustUnitary1(gates.RZ, 0.4))
+	if form == "2x2" {
+		return kernel{kind: kGate1Q, support: 1 << q, q: q, m: u, ms: u.Split()}, nil
+	}
+	v := gates.Mul2(mustUnitary1(gates.RX, 0.7), mustUnitary1(gates.RZ, -0.4))
+	var blk gates.Matrix4
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			if r>>1 == c>>1 {
+				blk[r][c] = [2]gates.Matrix2{u, v}[r>>1][r&1][c&1]
+			}
+		}
+	}
+	var m gates.Matrix4
+	want := pairDense
+	switch form {
+	case "block-lo":
+		m, want = blk, pairBlockLo
+	case "block-hi":
+		m, want = swapPair(blk), pairBlockHi
+	case "dense":
+		m = gates.Mul4(mat4CX(false), gates.Kron2(u, v))
+	case "diag":
+		for r := 0; r < 4; r++ {
+			m[r][r] = cmplx.Exp(complex(0, 0.3+0.2*float64(r)))
+		}
+		want = pairMono
+	}
+	k := kernel{kind: kGate2Q, support: 3 << q, q: q, q2: q + 1, m4: m}
+	var st PlanStats
+	k.finalize2Q(&st)
+	if k.form != want {
+		return k, fmt.Errorf("%s kernel finalized to form %d, want %d", form, k.form, want)
+	}
+	return k, nil
+}
+
+func mustUnitary1(n gates.Name, theta float64) gates.Matrix2 {
+	m, err := gates.Unitary1(n, []float64{theta})
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// BenchmarkKernelStrides reports what one kernel costs per amplitude of a
+// 20-qubit state on one shard, for each sweep form of a served QAOA job
+// and each lowest qubit in {0, 1, 2, 3, 5, 6, 12}: the low strides, where
+// a sweep's contiguous runs are shorter than a vector or a cache line,
+// against the strides where they are not. Each sub-benchmark reports
+// ns/amp; compare a form across its qubits.
+func BenchmarkKernelStrides(b *testing.B) {
+	const n = 20
+	st, err := NewState(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	scale := 1 / math.Sqrt(float64(2*st.Dim()))
+	for i := range st.re {
+		st.re[i], st.im[i] = scale*(2*r.Float64()-1), scale*(2*r.Float64()-1)
+	}
+	for _, form := range []string{"2x2", "block-lo", "block-hi", "dense", "diag"} {
+		for _, q := range []int{0, 1, 2, 3, 5, 6, 12} {
+			k, err := strideKernel(form, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pl := &Plan{n: n, kernels: []kernel{k}}
+			b.Run(fmt.Sprintf("%s/q=%d", form, q), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := pl.Execute(st, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Dim()), "ns/amp")
+			})
+		}
 	}
 }

@@ -83,7 +83,9 @@ type KernelProfile struct {
 	Kind string `json:"kind"`
 	// Support is the bitmask of qubits the kernel touches.
 	Support uint64 `json:"support"`
-	// Ns is the kernel's wall time, including the shard-pool barrier.
+	// Ns is the kernel's wall time, including the shard-pool barrier,
+	// from the previous kernel's end (the first kernel's from the start
+	// of the plan's execution): the rows tile the kernel loop.
 	Ns int64 `json:"ns"`
 	// ShardMinNs / ShardMaxNs bound the per-shard sweep times. A shard
 	// granted no work (a subspace kernel narrower than the pool) counts
@@ -97,8 +99,9 @@ type KernelProfile struct {
 }
 
 // Profile is the kernel-granular execution profile of one plan execution
-// (Options.Profile). Its kernel-time total tracks the "execute" stage
-// duration to within scheduling overhead.
+// (Options.Profile). Its rows tile the kernel loop, so its kernel-time
+// total is the "execute" stage's duration less the set-up before the
+// first kernel and the flight record after the last.
 type Profile struct {
 	// Shards is the effective shard count the plan executed across.
 	Shards int `json:"shards"`

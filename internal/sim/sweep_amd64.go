@@ -2,9 +2,9 @@
 
 package sim
 
-import "repro/internal/gates"
-
-// useAVX selects the AVX bodies of sweep_amd64.s for the run-form sweeps.
+// useAVX selects the AVX bodies of sweep_amd64.s for the 2×2, block,
+// dense and complex-diagonal sweeps at every stride, and for the phase
+// runs of the monomial run form.
 // It is true when the CPU has AVX and the OS saves the YMM registers;
 // tests clear it to run the Go bodies they are compared against.
 var useAVX = cpuAVX()
@@ -13,19 +13,23 @@ var useAVX = cpuAVX()
 // state bits.
 func cpuAVX() bool
 
-// pairRunAVX applies blockPair to the first len(r0)&^3 elements of the
-// four streams in place; m holds blockPair's matrix arguments in order.
-// The caller slices every stream to len(r0).
+// pairSweepAVX sweeps the 2×2 or block kernel cf describes over the
+// tile groups geo walks (see vecGeom), in place.
 //
 //go:noescape
-func pairRunAVX(m *[8]float64, r0, i0, r1, i1 []float64)
+func pairSweepAVX(re, im []float64, cf *pairCoefs, geo *vecGeom)
 
-// denseRunAVX applies the dense 4×4 of sweep2QBlocked to the first
-// len(r0)&^3 elements of the eight quadrant streams in place. The caller
-// slices every stream to len(r0).
+// denseSweepAVX sweeps the dense 4×4 cf describes over the tile groups geo
+// walks, in place.
 //
 //go:noescape
-func denseRunAVX(m *gates.Split4, r0, i0, r1, i1, r2, i2, r3, i3 []float64)
+func denseSweepAVX(re, im []float64, cf *denseCoefs, geo *vecGeom)
+
+// phaseSweepAVX scales every amplitude of the tile groups geo walks by its
+// lane's phase in cf, in place.
+//
+//go:noescape
+func phaseSweepAVX(re, im []float64, cf *phaseCoefs, geo *vecGeom)
 
 // phaseRunAVX scales the first len(sr)&^3 elements of sr + i·si by
 // pr + i·pi in place. The caller slices si to len(sr).

@@ -3,6 +3,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -88,88 +89,193 @@ func (v *vecStreams) equalBits(t *testing.T, what string, want *vecStreams) {
 	}
 }
 
-// TestVectorBodiesExact holds each AVX body to the Go expression it
-// replaces, bit for bit: the wrapper with useAVX set (whole vectors in
-// assembly, the tail in Go) against the same wrapper with useAVX clear
-// (every element in Go), on misaligned bases, every length from 0 to 70,
-// and inputs and matrix entries that include ±0, subnormals and
-// products that underflow or overflow. Guard elements around each stream
+// vecCase is one vector sweep under test over an n-qubit state: vec is
+// the wrapper (whole groups in the AVX body, the ends in Go) and ref the
+// Go loop it stands in for, both over [lo, hi) of total indices.
+type vecCase struct {
+	name           string
+	maskLo, maskHi int // the sweep's index expansion; maskHi is 0 for a 2×2
+	total          int
+	vec, ref       func(re, im []float64, lo, hi int)
+}
+
+// vecCases returns every vector sweep on every qubit and pair of an
+// n-qubit state: the 2×2, both block forms, the dense 4×4, and the
+// complex diagonal twice, once with one unit-phase row. Matrix entries and
+// phases are edgeFloat's.
+func vecCases(r *rand.Rand, n int) []vecCase {
+	dim := 1 << n
+	split4 := func() *gates.Split4 {
+		var m gates.Split4
+		for j := 0; j < 4; j++ {
+			for c := 0; c < 4; c++ {
+				m.Re[j][c], m.Im[j][c] = edgeFloat(r), edgeFloat(r)
+			}
+		}
+		return &m
+	}
+	var cs []vecCase
+	for q := 0; q < n; q++ {
+		var m gates.Split2
+		for j := 0; j < 2; j++ {
+			for c := 0; c < 2; c++ {
+				m.Re[j][c], m.Im[j][c] = edgeFloat(r), edgeFloat(r)
+			}
+		}
+		s := 1 << q
+		cs = append(cs, vecCase{
+			name: fmt.Sprintf("2x2 q=%d", q), maskLo: s, total: dim / 2,
+			vec: func(re, im []float64, lo, hi int) { sweep1QVec(re, im, &m, s, lo, hi) },
+			ref: func(re, im []float64, lo, hi int) { sweep1Q(re, im, &m, s, lo, hi) },
+		})
+	}
+	for q := 0; q < n; q++ {
+		for q2 := q + 1; q2 < n; q2++ {
+			lo, hi := 1<<q, 1<<q2
+			pair := func(form string) vecCase {
+				return vecCase{name: fmt.Sprintf("%s (%d,%d)", form, q, q2), maskLo: lo, maskHi: hi, total: dim / 4}
+			}
+			for _, offs := range [][2]int{{lo, hi}, {hi, lo}} {
+				m, offA, offB := split4(), offs[0], offs[1]
+				c := pair(fmt.Sprintf("block gate=%d sel=%d", offA, offB))
+				c.vec = func(re, im []float64, a, b int) { sweep2QBlockVec(re, im, m, lo, hi, offA, offB, a, b) }
+				c.ref = func(re, im []float64, a, b int) { sweep2QBlock(re, im, m, lo, hi, offA, offB, a, b) }
+				cs = append(cs, c)
+			}
+			m := split4()
+			c := pair("dense")
+			c.vec = func(re, im []float64, a, b int) { sweep2QVec(re, im, m, lo, hi, a, b) }
+			c.ref = func(re, im []float64, a, b int) { sweep2Q(re, im, m, lo, hi, a, b) }
+			cs = append(cs, c)
+			for _, unit := range []bool{false, true} {
+				src := [4]int{0, 1, 2, 3}
+				var phRe, phIm [4]float64
+				for k := range phRe {
+					phRe[k], phIm[k] = edgeFloat(r), edgeFloat(r)
+				}
+				k := r.Intn(4)
+				phIm[k] = 0.5 // a complex diagonal: some phase is not real
+				name := "diag"
+				if unit {
+					u := (k + 1 + r.Intn(3)) % 4
+					phRe[u], phIm[u] = 1, 0
+					name = fmt.Sprintf("diag unit row %d", u)
+				}
+				c := pair(name)
+				c.vec = func(re, im []float64, a, b int) { sweep2QDiagVec(re, im, &src, &phRe, &phIm, lo, hi, a, b) }
+				c.ref = func(re, im []float64, a, b int) { sweep2QMono(re, im, &src, &phRe, &phIm, lo, hi, a, b) }
+				cs = append(cs, c)
+			}
+		}
+	}
+	return cs
+}
+
+// checkVecCase runs c's wrapper and its Go loop over [lo, hi) on the same
+// state, planes carved off elements into guarded buffers, and requires
+// every element's bits to agree, guards included.
+func checkVecCase(t *testing.T, r *rand.Rand, c vecCase, n, off, lo, hi int) {
+	t.Helper()
+	vec := newVecStreams(r, 2, 1<<n, off)
+	ref := vec.clone()
+	c.vec(vec.stream(0), vec.stream(1), lo, hi)
+	c.ref(ref.stream(0), ref.stream(1), lo, hi)
+	vec.equalBits(t, fmt.Sprintf("%s [%d, %d)", c.name, lo, hi), ref)
+}
+
+// TestVectorBodiesExact holds each vector sweep — the 2×2, both block
+// forms, the dense 4×4 and the complex diagonal, at every stride of a
+// 9-qubit state, strides 1 and 2 included — to the Go loop it replaces,
+// bit for bit: every range of 0 to 70 indices at a random start, the three
+// ranges of a three-shard split, plane bases off by 0–3 elements, and
+// states, matrices and phases that include ±0, subnormals and products
+// that underflow or overflow. A complex diagonal with one unit-phase row
+// must equal the per-quadruple form, which multiplies that row too. It
+// also holds phaseRun, whose whole vectors run in phaseRunAVX, to its Go
+// loop at every length from 0 to 70. Guard elements around each plane
 // must keep their marker.
 func TestVectorBodiesExact(t *testing.T) {
 	needAVX(t)
+	const n = 9
 	r := rand.New(rand.NewSource(47))
-	for n := 0; n <= 70; n++ {
-		for off := 0; off < 4; off++ {
-			var pm [8]float64
-			for i := range pm {
-				pm[i] = edgeFloat(r)
-			}
-			var dm gates.Split4
-			for j := 0; j < 4; j++ {
-				for c := 0; c < 4; c++ {
-					dm.Re[j][c], dm.Im[j][c] = edgeFloat(r), edgeFloat(r)
-				}
-			}
-			pr, pi := edgeFloat(r), edgeFloat(r)
-
-			pair := newVecStreams(r, 4, n, off)
-			dense := newVecStreams(r, 8, n, off)
-			phase := newVecStreams(r, 2, n, off)
-			pairGo, denseGo, phaseGo := pair.clone(), dense.clone(), phase.clone()
-
-			useAVX = true
-			pairRun(&pm, pair.stream(0), pair.stream(1), pair.stream(2), pair.stream(3))
-			denseRun(&dm, dense.stream(0), dense.stream(1), dense.stream(2), dense.stream(3),
-				dense.stream(4), dense.stream(5), dense.stream(6), dense.stream(7))
-			phaseRun(pr, pi, phase.stream(0), phase.stream(1))
-			useAVX = false
-			pairRun(&pm, pairGo.stream(0), pairGo.stream(1), pairGo.stream(2), pairGo.stream(3))
-			denseRun(&dm, denseGo.stream(0), denseGo.stream(1), denseGo.stream(2), denseGo.stream(3),
-				denseGo.stream(4), denseGo.stream(5), denseGo.stream(6), denseGo.stream(7))
-			phaseRun(pr, pi, phaseGo.stream(0), phaseGo.stream(1))
-
-			pair.equalBits(t, "pair", pairGo)
-			dense.equalBits(t, "dense", denseGo)
-			phase.equalBits(t, "phase", phaseGo)
+	for _, c := range vecCases(r, n) {
+		for cnt := 0; cnt <= 70; cnt++ {
+			lo := r.Intn(c.total - cnt + 1)
+			checkVecCase(t, r, c, n, cnt%4, lo, lo+cnt)
 		}
+		for w := 0; w < 3; w++ {
+			lo, hi := shardRange(c.total, 3, w)
+			checkVecCase(t, r, c, n, w+1, lo, hi)
+		}
+	}
+	for cnt := 0; cnt <= 70; cnt++ {
+		pr, pi := edgeFloat(r), edgeFloat(r)
+		phase := newVecStreams(r, 2, cnt, cnt%4)
+		phaseGo := phase.clone()
+		phaseRun(pr, pi, phase.stream(0), phase.stream(1))
+		useAVX = false
+		phaseRun(pr, pi, phaseGo.stream(0), phaseGo.stream(1))
+		useAVX = true
+		phase.equalBits(t, "phaseRun", phaseGo)
 	}
 }
 
-// TestVectorBodiesStopAtWholeVectors calls each assembly body directly on
-// streams whose length is not a multiple of 4: it must write exactly the
-// first len&^3 elements and leave the rest, and the guards, as they were.
+// TestVectorBodiesStopAtWholeVectors gives each vector sweep a range of
+// whole tile groups, so that the AVX body does all of the work: it must
+// write exactly the amplitudes of that range, as the Go loop does, and
+// leave every other amplitude, and the guards, as they were.
 func TestVectorBodiesStopAtWholeVectors(t *testing.T) {
 	needAVX(t)
+	const n = 9
 	r := rand.New(rand.NewSource(48))
-	var pm [8]float64
-	for i := range pm {
-		pm[i] = 2*r.Float64() - 1
-	}
-	var dm gates.Split4
-	for j := 0; j < 4; j++ {
-		for c := 0; c < 4; c++ {
-			dm.Re[j][c], dm.Im[j][c] = 2*r.Float64()-1, 2*r.Float64()-1
+	for _, c := range vecCases(r, n) {
+		for trial := 0; trial < 8; trial++ {
+			lo := r.Intn(c.total)
+			g := newVecGeom(c.maskLo, c.maskHi, lo, lo+r.Intn(c.total-lo+1))
+			if w := newVecGeom(c.maskLo, c.maskHi, g.lo, g.hi); w.lo != g.lo || w.hi != g.hi {
+				t.Fatalf("%s: [%d, %d) is not whole groups", c.name, g.lo, g.hi)
+			}
+			checkVecCase(t, r, c, n, trial%4, g.lo, g.hi)
 		}
 	}
-	for n := 0; n <= 11; n++ {
-		pair := newVecStreams(r, 4, n, 1)
-		dense := newVecStreams(r, 8, n, 3)
-		phase := newVecStreams(r, 2, n, 2)
-		pairGo, denseGo, phaseGo := pair.clone(), dense.clone(), phase.clone()
-		v := n &^ 3
-		pairRunAVX(&pm, pair.stream(0), pair.stream(1), pair.stream(2), pair.stream(3))
-		denseRunAVX(&dm, dense.stream(0), dense.stream(1), dense.stream(2), dense.stream(3),
-			dense.stream(4), dense.stream(5), dense.stream(6), dense.stream(7))
-		phaseRunAVX(0.6, -0.8, phase.stream(0), phase.stream(1))
-		useAVX = false
-		pairRun(&pm, pairGo.stream(0)[:v], pairGo.stream(1), pairGo.stream(2), pairGo.stream(3))
-		denseRun(&dm, denseGo.stream(0)[:v], denseGo.stream(1), denseGo.stream(2), denseGo.stream(3),
-			denseGo.stream(4), denseGo.stream(5), denseGo.stream(6), denseGo.stream(7))
-		phaseRun(0.6, -0.8, phaseGo.stream(0)[:v], phaseGo.stream(1))
+	useAVX = false
+	phase := newVecStreams(r, 2, 11, 3)
+	phaseGo := phase.clone()
+	phaseRunAVX(0.6, -0.8, phase.stream(0), phase.stream(1))
+	phaseRun(0.6, -0.8, phaseGo.stream(0)[:8], phaseGo.stream(1))
+	useAVX = true
+	phase.equalBits(t, "phaseRunAVX", phaseGo)
+}
+
+// TestQAOAPlanVectorMatchesGo executes a served 20-qubit QAOA job's whole
+// plan (maxCutQAOA(1, 20, 30, 2): 2×2, block, dense and complex-diagonal
+// kernels on low and high pairs) with the vector bodies and without, on
+// one, two and three shards, and requires every amplitude's bits to agree.
+func TestQAOAPlanVectorMatchesGo(t *testing.T) {
+	needAVX(t)
+	pl, err := Compile(maxCutQAOA(1, 20, 30, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 3} {
+		vec, ref := mustState(t, 20), mustState(t, 20)
 		useAVX = true
-		pair.equalBits(t, "pairRunAVX", pairGo)
-		dense.equalBits(t, "denseRunAVX", denseGo)
-		phase.equalBits(t, "phaseRunAVX", phaseGo)
+		if err := pl.Execute(vec, shards); err != nil {
+			t.Fatal(err)
+		}
+		useAVX = false
+		err := pl.Execute(ref, shards)
+		useAVX = true
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vec.re {
+			if math.Float64bits(vec.re[i]) != math.Float64bits(ref.re[i]) ||
+				math.Float64bits(vec.im[i]) != math.Float64bits(ref.im[i]) {
+				t.Fatalf("shards=%d amp[%d]: vector (%v, %v) != Go (%v, %v)",
+					shards, i, vec.re[i], vec.im[i], ref.re[i], ref.im[i])
+			}
+		}
 	}
 }
 
