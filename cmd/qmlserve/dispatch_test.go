@@ -1,14 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -26,7 +24,7 @@ import (
 // slowBundle builds a 22-qubit p=2 QAOA statevector job: ~1.5 s on one
 // shard, a wide-open window to SIGKILL its worker mid-run. Identical
 // (intent, samples, seed) ⇒ identical sampled counts wherever it runs.
-func slowBundle(t *testing.T, seed uint64) []byte {
+func slowBundle(t testing.TB, seed uint64) []byte {
 	t.Helper()
 	const n = 22
 	reg := qdt.NewIsingVars("ising_vars", "s", n)
@@ -45,53 +43,13 @@ func slowBundle(t *testing.T, seed uint64) []byte {
 	return raw
 }
 
-// startProc launches one qmlserve process (worker or dispatcher mode,
-// per args) and waits for its listen address.
-func startProc(t *testing.T, bin string, args ...string) *server {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	s := &server{cmd: cmd, logs: &logBuffer{}}
-	addrc := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			s.logs.WriteLine(line)
-			if m := listenRE.FindStringSubmatch(line); m != nil {
-				select {
-				case addrc <- m[1]:
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case s.addr = <-addrc:
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		t.Fatalf("qmlserve did not report its address; logs:\n%s", s.logs)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
-	return s
-}
-
-func postJob(t *testing.T, s *server, raw []byte) string {
+func postJob(t testing.TB, s *server, raw []byte) string {
 	return postJobTraced(t, s, raw, "")
 }
 
 // postJobTraced submits with an optional X-Trace-Id and checks the
 // accepted trace echoes on the 202 header.
-func postJobTraced(t *testing.T, s *server, raw []byte, trace string) string {
+func postJobTraced(t testing.TB, s *server, raw []byte, trace string) string {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, s.url("/v1/jobs"), bytes.NewReader(raw))
 	if err != nil {
@@ -123,7 +81,7 @@ func postJobTraced(t *testing.T, s *server, raw []byte, trace string) string {
 
 // scrapeMetrics GETs /metrics off a process and runs the strict
 // exposition parser, returning families by name.
-func scrapeMetrics(t *testing.T, s *server) map[string]obs.Family {
+func scrapeMetrics(t testing.TB, s *server) map[string]obs.Family {
 	t.Helper()
 	resp, err := http.Get(s.url("/metrics"))
 	if err != nil {
@@ -147,7 +105,7 @@ func scrapeMetrics(t *testing.T, s *server) map[string]obs.Family {
 
 // metric is the first sample of the named family on s's /metrics that
 // carries every given label.
-func metric(t *testing.T, s *server, name string, labels ...obs.Label) float64 {
+func metric(t testing.TB, s *server, name string, labels ...obs.Label) float64 {
 	t.Helper()
 	f := scrapeMetrics(t, s)[name]
 	v, ok := f.Value(labels...)
@@ -165,23 +123,13 @@ func metric(t *testing.T, s *server, name string, labels ...obs.Label) float64 {
 // dispatcher itself is SIGKILLed and restarted on its journal, still
 // answer status and result for the pre-crash job.
 func TestDispatchAcceptance(t *testing.T) {
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not in PATH; cannot build the server binary")
-	}
-	bin := filepath.Join(t.TempDir(), "qmlserve")
-	build := exec.Command(goBin, "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building qmlserve: %v\n%s", err, out)
-	}
+	p := newProcTest(t)
 
 	// Two in-memory workers, single-shard so the acceptance job runs
 	// ~1.5 s — a wide window to kill one mid-job.
-	w1 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
-	logOnFailure(t, "worker w1", w1)
-	w2 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
-	logOnFailure(t, "worker w2", w2)
-	dataDir := t.TempDir()
+	w1 := p.start("worker w1", "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	w2 := p.start("worker w2", "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	dataDir := p.TempDir()
 	dispArgs := []string{
 		"-addr", "127.0.0.1:0",
 		"-dispatch", w1.addr + "," + w2.addr,
@@ -189,11 +137,10 @@ func TestDispatchAcceptance(t *testing.T) {
 		"-probe-interval", "100ms",
 		"-debug-addr", "127.0.0.1:0",
 	}
-	disp := startProc(t, bin, dispArgs...)
-	logOnFailure(t, "dispatcher", disp)
+	disp := p.start("dispatcher", dispArgs...)
 
 	const trace = "trace-acceptance-01"
-	id := postJobTraced(t, disp, slowBundle(t, 7), trace)
+	id := postJobTraced(p, disp, slowBundle(p, 7), trace)
 
 	// Wait until the dispatcher reports the job running on a known
 	// worker, then SIGKILL that worker.
@@ -201,16 +148,16 @@ func TestDispatchAcceptance(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for victim == "" {
 		if time.Now().After(deadline) {
-			t.Fatalf("job never reached running; logs:\n%s", disp.logs)
+			p.Fatalf("job never reached running")
 		}
-		st := getJSON(t, disp.url("/v1/jobs/"+id), http.StatusOK)
+		st := getJSON(p, disp.url("/v1/jobs/"+id), http.StatusOK)
 		if st["state"] == "running" && st["worker"] != nil && st["worker"] != "" {
 			victim = st["worker"].(string)
 			break
 		}
 		switch st["state"] {
 		case "done", "failed", "canceled":
-			t.Fatalf("job finished before the kill window: %v", st)
+			p.Fatalf("job finished before the kill window: %v", st)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -219,52 +166,52 @@ func TestDispatchAcceptance(t *testing.T) {
 		victimProc, survivor = w2, w1
 	}
 	if err := victimProc.cmd.Process.Kill(); err != nil { // SIGKILL mid-job
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	victimProc.cmd.Wait()
 
 	// The dispatcher must re-forward to the survivor and finish there.
-	fin := waitDone(t, disp, id)
+	fin := waitDone(p, disp, id)
 	if fin["worker"] != survivor.addr {
-		t.Fatalf("job finished on %v, want survivor %s; status %v", fin["worker"], survivor.addr, fin)
+		p.Fatalf("job finished on %v, want survivor %s; status %v", fin["worker"], survivor.addr, fin)
 	}
-	if fin["reforwards"].(float64) < 1 {
-		t.Fatalf("job was not re-forwarded: %v", fin)
+	if rf, _ := fin["reforwards"].(float64); rf < 1 { // omitted when 0
+		p.Fatalf("job was not re-forwarded: %v", fin)
 	}
-	resFleet := getJSON(t, disp.url("/v1/jobs/"+id+"/result"), http.StatusOK)
+	resFleet := getJSON(p, disp.url("/v1/jobs/"+id+"/result"), http.StatusOK)
 
 	// Tracing: the inbound X-Trace-Id is on the status document with a
 	// span log, in the surviving worker's structured logs, and in the
 	// dispatcher's journal file.
 	if fin["trace_id"] != trace {
-		t.Fatalf("status trace_id = %v, want %q", fin["trace_id"], trace)
+		p.Fatalf("status trace_id = %v, want %q", fin["trace_id"], trace)
 	}
 	if spans, ok := fin["spans"].([]any); !ok || len(spans) < 3 {
-		t.Fatalf("status spans: %v", fin["spans"])
+		p.Fatalf("status spans: %v", fin["spans"])
 	}
 	if !strings.Contains(survivor.logs.String(), trace) {
-		t.Fatalf("trace %q absent from the surviving worker's logs:\n%s", trace, survivor.logs)
+		p.Fatalf("trace %q absent from the surviving worker's logs", trace)
 	}
 	journal, err := os.ReadFile(filepath.Join(dataDir, "journal.jsonl"))
 	if err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	if !strings.Contains(string(journal), trace) {
-		t.Fatalf("trace %q absent from the dispatcher journal", trace)
+		p.Fatalf("trace %q absent from the dispatcher journal", trace)
 	}
 
 	// /metrics: both tiers serve a valid exposition with the latency
 	// histograms the PR promises.
-	dispFams := scrapeMetrics(t, disp)
+	dispFams := scrapeMetrics(p, disp)
 	for _, name := range []string{"fleet_roundtrip_seconds", "store_journal_append_seconds", "fleet_submitted_total", "build_info", "go_goroutines"} {
 		if _, ok := dispFams[name]; !ok {
-			t.Fatalf("dispatcher /metrics missing %s", name)
+			p.Fatalf("dispatcher /metrics missing %s", name)
 		}
 	}
-	workerFams := scrapeMetrics(t, survivor)
+	workerFams := scrapeMetrics(p, survivor)
 	for _, name := range []string{"jobs_queue_wait_seconds", "jobs_run_seconds", "sim_execute_seconds", "jobs_submitted_total"} {
 		if _, ok := workerFams[name]; !ok {
-			t.Fatalf("worker /metrics missing %s", name)
+			p.Fatalf("worker /metrics missing %s", name)
 		}
 	}
 
@@ -273,70 +220,68 @@ func TestDispatchAcceptance(t *testing.T) {
 	debugRE := regexp.MustCompile(`msg="qmlserve debug listening" addr=(\S+)`)
 	m := debugRE.FindStringSubmatch(disp.logs.String())
 	if m == nil {
-		t.Fatalf("debug listener address not logged:\n%s", disp.logs)
+		p.Fatalf("debug listener address not logged")
 	}
 	for _, path := range []string{"/debug/pprof/cmdline", "/metrics"} {
 		resp, err := http.Get("http://" + m[1] + path)
 		if err != nil {
-			t.Fatalf("GET %s on debug listener: %v", path, err)
+			p.Fatalf("GET %s on debug listener: %v", path, err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || len(body) == 0 {
-			t.Fatalf("debug %s = %d (%d bytes)", path, resp.StatusCode, len(body))
+			p.Fatalf("debug %s = %d (%d bytes)", path, resp.StatusCode, len(body))
 		}
 	}
 
 	// Reference: the same bundle on a fresh single node produces the
 	// same counts (deterministic in bundle+shots+seed) — the re-run lost
 	// nothing.
-	w3 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
-	logOnFailure(t, "reference w3", w3)
-	refID := postJob(t, w3, slowBundle(t, 7))
-	waitDone(t, w3, refID)
-	resRef := getJSON(t, w3.url("/v1/jobs/"+refID+"/result"), http.StatusOK)
+	w3 := p.start("reference w3", "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	refID := postJob(p, w3, slowBundle(p, 7))
+	waitDone(p, w3, refID)
+	resRef := getJSON(p, w3.url("/v1/jobs/"+refID+"/result"), http.StatusOK)
 	if fmt.Sprint(resFleet["entries"]) != fmt.Sprint(resRef["entries"]) {
-		t.Fatalf("re-forwarded counts differ from the single-node run:\n fleet %v\n ref   %v",
+		p.Fatalf("re-forwarded counts differ from the single-node run:\n fleet %v\n ref   %v",
 			resFleet["entries"], resRef["entries"])
 	}
 
 	// Fleet health surfaced the death: victim ejected, job re-forwarded.
-	if n := metric(t, disp, "fleet_reforwarded_total"); n < 1 {
-		t.Fatalf("fleet_reforwarded_total = %v, missed the reforward", n)
+	if n := metric(p, disp, "fleet_reforwarded_total"); n < 1 {
+		p.Fatalf("fleet_reforwarded_total = %v, missed the reforward", n)
 	}
 	for w, want := range map[*server]float64{victimProc: 0, survivor: 1} {
-		if h := metric(t, disp, "fleet_worker_healthy", obs.Label{Name: "worker", Value: w.addr}); h != want {
-			t.Fatalf("fleet_worker_healthy{worker=%q} = %v, want %v", w.addr, h, want)
+		if h := metric(p, disp, "fleet_worker_healthy", obs.Label{Name: "worker", Value: w.addr}); h != want {
+			p.Fatalf("fleet_worker_healthy{worker=%q} = %v, want %v", w.addr, h, want)
 		}
 	}
 
 	// Dispatcher crash: SIGKILL, restart on the same journal. The
 	// pre-crash job must still answer status and (proxied) result.
 	if err := disp.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	disp.cmd.Wait()
-	disp2 := startProc(t, bin, dispArgs...)
-	logOnFailure(t, "restarted dispatcher", disp2)
+	disp2 := p.start("restarted dispatcher", dispArgs...)
 
-	st := getJSON(t, disp2.url("/v1/jobs/"+id), http.StatusOK)
+	st := getJSON(p, disp2.url("/v1/jobs/"+id), http.StatusOK)
 	if st["state"] != "done" || st["worker"] != survivor.addr {
-		t.Fatalf("recovered status: %v", st)
+		p.Fatalf("recovered status: %v", st)
 	}
-	resAgain := getJSON(t, disp2.url("/v1/jobs/"+id+"/result"), http.StatusOK)
+	resAgain := getJSON(p, disp2.url("/v1/jobs/"+id+"/result"), http.StatusOK)
 	if fmt.Sprint(resAgain["entries"]) != fmt.Sprint(resFleet["entries"]) {
-		t.Fatalf("result changed across dispatcher restart:\n before %v\n after  %v",
+		p.Fatalf("result changed across dispatcher restart:\n before %v\n after  %v",
 			resFleet["entries"], resAgain["entries"])
 	}
-	list := getJSON(t, disp2.url("/v1/jobs?state=done"), http.StatusOK)
+	list := getJSON(p, disp2.url("/v1/jobs?state=done"), http.StatusOK)
 	if list["count"].(float64) < 1 {
-		t.Fatalf("history after restart: %v", list)
+		p.Fatalf("history after restart: %v", list)
 	}
-	if n := metric(t, disp2, "fleet_recovered_total"); n < 1 {
-		t.Fatalf("restart replayed nothing: fleet_recovered_total = %v", n)
+	if n := metric(p, disp2, "fleet_recovered_total"); n < 1 {
+		p.Fatalf("restart replayed nothing: fleet_recovered_total = %v", n)
 	}
 
 	// Graceful exit: SIGTERM drains and exits 0, even with a client parked
 	// on a long-poll for a job still running on the surviving worker.
-	termWithParkedWait(t, disp2)
+	termWithParkedWait(p, disp2)
 }

@@ -32,7 +32,7 @@ import (
 // testBundle builds a small 4-qubit QAOA bundle for the statevector
 // engine; identical (intent, samples, seed) means identical cache key and
 // therefore identical sampled counts.
-func testBundle(t *testing.T, seed uint64) []byte {
+func testBundle(t testing.TB, seed uint64) []byte {
 	t.Helper()
 	reg := qdt.NewIsingVars("ising_vars", "s", 4)
 	seq, err := algolib.BuildQAOA(reg, graph.Cycle(4), []float64{0.39}, []float64{1.17})
@@ -52,7 +52,7 @@ func testBundle(t *testing.T, seed uint64) []byte {
 
 // cacheKeyOf computes the content address the pool will derive for a
 // bundle's raw JSON, so injected journal records carry the true key.
-func cacheKeyOf(t *testing.T, raw []byte) string {
+func cacheKeyOf(t testing.TB, raw []byte) string {
 	t.Helper()
 	b, err := bundle.FromJSON(raw, qop.ValidateOptions{})
 	if err != nil {
@@ -86,20 +86,68 @@ func (l *logBuffer) String() string {
 
 // server wraps one qmlserve process life.
 type server struct {
+	name string
 	cmd  *exec.Cmd
 	addr string
 	logs *logBuffer
 }
 
-// logOnFailure registers a cleanup that, when the test has failed, logs
-// what s logged under name, so a rare failure of a process-level test is
-// read from the run that saw it.
-func logOnFailure(t *testing.T, name string, s *server) {
-	t.Cleanup(func() {
-		if t.Failed() {
-			t.Logf("%s (%s) logs:\n%s", name, s.addr, s.logs)
-		}
-	})
+// procTest is one process-level test of the qmlserve binary: it builds
+// the binary and starts processes from it. Its Fatal, Fatalf, Error and
+// Errorf log what every process it started has logged so far, then the
+// failure message, so the message is the last thing the failure prints
+// and a kept output tail holds it. Helpers take it as a testing.TB, so
+// their failures go the same way.
+type procTest struct {
+	*testing.T
+	bin   string
+	procs []*server
+}
+
+// newProcTest builds qmlserve into a temporary directory, or skips t
+// without a go toolchain.
+func newProcTest(t *testing.T) *procTest {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not in PATH; cannot build the server binary")
+	}
+	p := &procTest{T: t, bin: filepath.Join(t.TempDir(), "qmlserve")}
+	if out, err := exec.Command(goBin, "build", "-o", p.bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building qmlserve: %v\n%s", err, out)
+	}
+	return p
+}
+
+func (p *procTest) printLogs() {
+	p.Helper()
+	for _, s := range p.procs {
+		p.Logf("%s (%s) logs:\n%s", s.name, s.addr, s.logs)
+	}
+}
+
+func (p *procTest) Fatal(args ...any) {
+	p.Helper()
+	p.printLogs()
+	p.T.Fatal(args...)
+}
+
+func (p *procTest) Fatalf(format string, args ...any) {
+	p.Helper()
+	p.printLogs()
+	p.T.Fatalf(format, args...)
+}
+
+func (p *procTest) Error(args ...any) {
+	p.Helper()
+	p.printLogs()
+	p.T.Error(args...)
+}
+
+func (p *procTest) Errorf(format string, args ...any) {
+	p.Helper()
+	p.printLogs()
+	p.T.Errorf(format, args...)
 }
 
 // listenRE matches the slog text line the server emits once bound:
@@ -107,17 +155,25 @@ func logOnFailure(t *testing.T, name string, s *server) {
 //	time=... level=INFO msg="qmlserve listening" addr=127.0.0.1:43210 mode=worker ...
 var listenRE = regexp.MustCompile(`msg="qmlserve listening" addr=(\S+)`)
 
-func startServer(t *testing.T, bin, dataDir string) *server {
-	t.Helper()
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "1", "-data-dir", dataDir)
+// start launches one qmlserve process (worker or dispatcher mode, per
+// args) under name and waits for its listen address. The process is
+// killed when the test ends, if it is still running.
+func (p *procTest) start(name string, args ...string) *server {
+	p.Helper()
+	cmd := exec.Command(p.bin, args...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
-	s := &server{cmd: cmd, logs: &logBuffer{}}
+	s := &server{name: name, cmd: cmd, logs: &logBuffer{}}
+	p.procs = append(p.procs, s)
+	p.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
 	addrc := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)
@@ -135,15 +191,14 @@ func startServer(t *testing.T, bin, dataDir string) *server {
 	select {
 	case s.addr = <-addrc:
 	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		t.Fatalf("qmlserve did not report its address; logs:\n%s", s.logs)
+		p.Fatalf("%s did not report its address", name)
 	}
 	return s
 }
 
 func (s *server) url(path string) string { return "http://" + s.addr + path }
 
-func getJSON(t *testing.T, url string, wantCode int) map[string]any {
+func getJSON(t testing.TB, url string, wantCode int) map[string]any {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -161,7 +216,7 @@ func getJSON(t *testing.T, url string, wantCode int) map[string]any {
 	return out
 }
 
-func waitDone(t *testing.T, s *server, id string) map[string]any {
+func waitDone(t testing.TB, s *server, id string) map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -186,49 +241,40 @@ func waitDone(t *testing.T, s *server, id string) map[string]any {
 // key's semantics (same bundle+shots+seed ⇒ same counts), and (c)
 // tolerate the torn final journal line the crash left behind.
 func TestRestartAcceptance(t *testing.T) {
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not in PATH; cannot build the server binary")
-	}
-	bin := filepath.Join(t.TempDir(), "qmlserve")
-	build := exec.Command(goBin, "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building qmlserve: %v\n%s", err, out)
-	}
+	p := newProcTest(t)
 
 	// A stray argument prints the flag set's usage, every flag in it, and
 	// exits 2.
 	var usage bytes.Buffer
-	stray := exec.Command(bin, "stray")
+	stray := exec.Command(p.bin, "stray")
 	stray.Stderr = &usage
 	if err := stray.Run(); stray.ProcessState == nil || stray.ProcessState.ExitCode() != 2 {
-		t.Fatalf("qmlserve stray: %v, want exit code 2", err)
+		p.Fatalf("qmlserve stray: %v, want exit code 2", err)
 	}
 	for _, f := range []string{"addr", "workers", "queue", "cache", "max-shards", "data-dir", "fsync", "dispatch", "probe-interval", "log-format", "debug-addr"} {
 		if !strings.Contains(usage.String(), "  -"+f+" ") {
-			t.Errorf("usage does not name -%s:\n%s", f, usage.String())
+			p.Errorf("usage does not name -%s:\n%s", f, usage.String())
 		}
 	}
-	dataDir := t.TempDir()
+	dataDir := p.TempDir()
 
 	// Life 1: accept and finish one job, then die without warning.
-	s1 := startServer(t, bin, dataDir)
-	logOnFailure(t, "first life", s1)
-	resp, err := http.Post(s1.url("/v1/jobs"), "application/json", bytes.NewReader(testBundle(t, 42)))
+	s1 := p.start("first life", "-addr", "127.0.0.1:0", "-workers", "1", "-data-dir", dataDir)
+	resp, err := http.Post(s1.url("/v1/jobs"), "application/json", bytes.NewReader(testBundle(p, 42)))
 	if err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	var sub struct {
 		ID string `json:"id"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil || sub.ID == "" {
-		t.Fatalf("submit: %v (%+v)", err, sub)
+		p.Fatalf("submit: %v (%+v)", err, sub)
 	}
 	resp.Body.Close()
-	waitDone(t, s1, sub.ID)
-	res1 := getJSON(t, s1.url("/v1/jobs/"+sub.ID+"/result"), http.StatusOK)
+	waitDone(p, s1, sub.ID)
+	res1 := getJSON(p, s1.url("/v1/jobs/"+sub.ID+"/result"), http.StatusOK)
 	if err := s1.cmd.Process.Kill(); err != nil { // SIGKILL: no shutdown path runs
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	s1.cmd.Wait()
 
@@ -239,77 +285,72 @@ func TestRestartAcceptance(t *testing.T) {
 	// plus a torn final line from the append the crash interrupted.
 	st, err := store.Open(dataDir, store.Options{})
 	if err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	now := time.Now()
-	twin, other := testBundle(t, 42), testBundle(t, 43)
+	twin, other := testBundle(p, 42), testBundle(p, 43)
 	if err := st.Append(store.Event{T: store.EvSubmitted, Job: "job-00000002", At: now,
-		Key: cacheKeyOf(t, twin), Engine: "gate.statevector", Bundle: twin}); err != nil {
-		t.Fatal(err)
+		Key: cacheKeyOf(p, twin), Engine: "gate.statevector", Bundle: twin}); err != nil {
+		p.Fatal(err)
 	}
 	if err := st.Append(store.Event{T: store.EvSubmitted, Job: "job-00000003", At: now,
-		Key: cacheKeyOf(t, other), Engine: "gate.statevector", Bundle: other}); err != nil {
-		t.Fatal(err)
+		Key: cacheKeyOf(p, other), Engine: "gate.statevector", Bundle: other}); err != nil {
+		p.Fatal(err)
 	}
 	if err := st.Append(store.Event{T: store.EvStarted, Job: "job-00000003", At: now, Shards: 1}); err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	f, err := os.OpenFile(filepath.Join(dataDir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	if _, err := f.WriteString(`{"t":"done","job":"job-000`); err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	f.Close()
 
 	// Life 2: recovery must serve history and re-run the interrupted work.
-	s2 := startServer(t, bin, dataDir)
-	logOnFailure(t, "second life", s2)
-	defer func() {
-		s2.cmd.Process.Kill()
-		s2.cmd.Wait()
-	}()
+	s2 := p.start("second life", "-addr", "127.0.0.1:0", "-workers", "1", "-data-dir", dataDir)
 
-	st1 := getJSON(t, s2.url("/v1/jobs/"+sub.ID), http.StatusOK)
+	st1 := getJSON(p, s2.url("/v1/jobs/"+sub.ID), http.StatusOK)
 	if st1["state"] != "done" {
-		t.Fatalf("recovered terminal job: %v", st1)
+		p.Fatalf("recovered terminal job: %v", st1)
 	}
-	res1Again := getJSON(t, s2.url("/v1/jobs/"+sub.ID+"/result"), http.StatusOK)
+	res1Again := getJSON(p, s2.url("/v1/jobs/"+sub.ID+"/result"), http.StatusOK)
 	if fmt.Sprint(res1Again["entries"]) != fmt.Sprint(res1["entries"]) {
-		t.Fatalf("terminal result changed across restart:\n before %v\n after  %v", res1["entries"], res1Again["entries"])
+		p.Fatalf("terminal result changed across restart:\n before %v\n after  %v", res1["entries"], res1Again["entries"])
 	}
 
-	waitDone(t, s2, "job-00000002")
-	waitDone(t, s2, "job-00000003")
-	res2 := getJSON(t, s2.url("/v1/jobs/job-00000002/result"), http.StatusOK)
+	waitDone(p, s2, "job-00000002")
+	waitDone(p, s2, "job-00000003")
+	res2 := getJSON(p, s2.url("/v1/jobs/job-00000002/result"), http.StatusOK)
 	// Same bundle+shots+seed as the pre-crash job ⇒ identical counts.
 	if fmt.Sprint(res2["entries"]) != fmt.Sprint(res1["entries"]) {
-		t.Fatalf("requeued twin's counts differ from the pre-crash run:\n pre  %v\n post %v", res1["entries"], res2["entries"])
+		p.Fatalf("requeued twin's counts differ from the pre-crash run:\n pre  %v\n post %v", res1["entries"], res2["entries"])
 	}
-	res3 := getJSON(t, s2.url("/v1/jobs/job-00000003/result"), http.StatusOK)
+	res3 := getJSON(p, s2.url("/v1/jobs/job-00000003/result"), http.StatusOK)
 	if len(res3["entries"].([]any)) == 0 {
-		t.Fatal("re-run job has no entries")
+		p.Fatal("re-run job has no entries")
 	}
 
-	requeued, recovered := metric(t, s2, "jobs_requeued_total"), metric(t, s2, "jobs_recovered_total")
+	requeued, recovered := metric(p, s2, "jobs_requeued_total"), metric(p, s2, "jobs_recovered_total")
 	if requeued != 2 || recovered != 3 {
-		t.Fatalf("jobs_requeued_total=%v jobs_recovered_total=%v, want 2/3", requeued, recovered)
+		p.Fatalf("jobs_requeued_total=%v jobs_recovered_total=%v, want 2/3", requeued, recovered)
 	}
-	if torn := metric(t, s2, "store_journal_truncated_tail"); torn != 1 {
-		t.Fatalf("torn tail not reported: store_journal_truncated_tail = %v", torn)
+	if torn := metric(p, s2, "store_journal_truncated_tail"); torn != 1 {
+		p.Fatalf("torn tail not reported: store_journal_truncated_tail = %v", torn)
 	}
-	list := getJSON(t, s2.url("/v1/jobs?state=done"), http.StatusOK)
+	list := getJSON(p, s2.url("/v1/jobs?state=done"), http.StatusOK)
 	if list["count"].(float64) < 3 {
-		t.Fatalf("history listing: %v", list)
+		p.Fatalf("history listing: %v", list)
 	}
 
 	// Graceful path: SIGTERM drains and exits 0, flushing the journal —
 	// with a client parked on a long-poll, which must not hold the drain.
-	termWithParkedWait(t, s2)
+	termWithParkedWait(p, s2)
 }
 
 // termWithParkedWait is the SIGTERM tail of the process tests: it submits
@@ -318,7 +359,7 @@ func TestRestartAcceptance(t *testing.T) {
 // unfinished status, not held until the drain finishes the job — and that
 // the process exits 0 well inside its 10 s shutdown budget, without the
 // "shutdown" warning that budget running out would log.
-func termWithParkedWait(t *testing.T, s *server) {
+func termWithParkedWait(t testing.TB, s *server) {
 	t.Helper()
 	id := postJob(t, s, slowBundle(t, 99))
 	wrote := make(chan struct{})
@@ -369,28 +410,28 @@ func termWithParkedWait(t *testing.T, s *server) {
 	select {
 	case r := <-parked:
 		if r.err != nil || r.code != http.StatusOK {
-			t.Fatalf("parked poll across SIGTERM: code=%d err=%v; logs:\n%s", r.code, r.err, s.logs)
+			t.Fatalf("parked poll across SIGTERM: code=%d err=%v", r.code, r.err)
 		}
 		if r.state != "queued" && r.state != "running" {
-			t.Fatalf("parked poll was held until the job was %s; the signal should have released it; logs:\n%s", r.state, s.logs)
+			t.Fatalf("parked poll was held until the job was %s; the signal should have released it", r.state)
 		}
 	case <-time.After(8 * time.Second):
-		t.Fatalf("parked poll still unanswered 8s after SIGTERM; logs:\n%s", s.logs)
+		t.Fatalf("parked poll still unanswered 8s after SIGTERM")
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.cmd.Wait() }()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("graceful shutdown exit: %v; logs:\n%s", err, s.logs)
+			t.Fatalf("graceful shutdown exit: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatalf("qmlserve did not exit on SIGTERM; logs:\n%s", s.logs)
+		t.Fatalf("qmlserve did not exit on SIGTERM")
 	}
 	if took := time.Since(start); took > 8*time.Second {
-		t.Fatalf("shutdown took %v with a parked poll, want well under the 10s budget; logs:\n%s", took, s.logs)
+		t.Fatalf("shutdown took %v with a parked poll, want well under the 10s budget", took)
 	}
-	if logs := s.logs.String(); strings.Contains(logs, "msg=shutdown ") {
-		t.Fatalf("shutdown budget ran out:\n%s", logs)
+	if strings.Contains(s.logs.String(), "msg=shutdown ") {
+		t.Fatal("shutdown budget ran out: the log holds msg=shutdown")
 	}
 }

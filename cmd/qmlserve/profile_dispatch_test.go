@@ -6,8 +6,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os/exec"
-	"path/filepath"
 	"regexp"
 	"testing"
 
@@ -21,7 +19,7 @@ import (
 // profileBundle builds a 20-qubit p=2 QAOA statevector job — big enough
 // that kernel sweep time dominates the execute stage, so the kernel
 // table's total must land within 10% of the execute span.
-func profileBundle(t *testing.T, seed uint64) []byte {
+func profileBundle(t testing.TB, seed uint64) []byte {
 	t.Helper()
 	const n = 20
 	reg := qdt.NewIsingVars("ising_vars", "s", n)
@@ -42,7 +40,7 @@ func profileBundle(t *testing.T, seed uint64) []byte {
 
 // profileSweepBundle builds a symbolic 16-qubit QAOA sweep over n points
 // — per-point work small enough for CI, large enough to profile.
-func profileSweepBundle(t *testing.T, n int) []byte {
+func profileSweepBundle(t testing.TB, n int) []byte {
 	t.Helper()
 	const nq = 16
 	reg := qdt.NewIsingVars("ising_vars", "s", nq)
@@ -74,56 +72,45 @@ func profileSweepBundle(t *testing.T, n int) []byte {
 // 10% of its execute span — and the dispatcher's /debug/events flight
 // recorder must have witnessed the work.
 func TestProfiledAcceptance(t *testing.T) {
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not in PATH; cannot build the server binary")
-	}
-	bin := filepath.Join(t.TempDir(), "qmlserve")
-	build := exec.Command(goBin, "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building qmlserve: %v\n%s", err, out)
-	}
+	p := newProcTest(t)
 
-	w1 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
-	logOnFailure(t, "worker w1", w1)
-	w2 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
-	logOnFailure(t, "worker w2", w2)
-	disp := startProc(t, bin,
+	w1 := p.start("worker w1", "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	w2 := p.start("worker w2", "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	disp := p.start("dispatcher",
 		"-addr", "127.0.0.1:0",
 		"-dispatch", w1.addr+","+w2.addr,
-		"-data-dir", t.TempDir(),
+		"-data-dir", p.TempDir(),
 		"-probe-interval", "100ms",
 		"-debug-addr", "127.0.0.1:0",
 	)
-	logOnFailure(t, "dispatcher", disp)
 
 	// Profiled 20q job through the dispatcher (?profile=true is the wire
 	// form the dispatcher itself forwards to workers).
 	resp, err := http.Post(disp.url("/v1/jobs?profile=true"), "application/json",
-		bytes.NewReader(profileBundle(t, 7)))
+		bytes.NewReader(profileBundle(p, 7)))
 	if err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d (%s)", resp.StatusCode, body)
+		p.Fatalf("submit = %d (%s)", resp.StatusCode, body)
 	}
 	var sub struct {
 		ID string `json:"id"`
 	}
 	if err := json.Unmarshal(body, &sub); err != nil || sub.ID == "" {
-		t.Fatalf("submit body: %v (%s)", err, body)
+		p.Fatalf("submit body: %v (%s)", err, body)
 	}
-	fin := waitDone(t, disp, sub.ID)
+	fin := waitDone(p, disp, sub.ID)
 
 	prof, ok := fin["profile"].(map[string]any)
 	if !ok {
-		t.Fatalf("dispatcher status has no kernel table: %v", fin["profile"])
+		p.Fatalf("dispatcher status has no kernel table: %v", fin["profile"])
 	}
 	kernels, ok := prof["kernels"].([]any)
 	if !ok || len(kernels) == 0 {
-		t.Fatalf("kernel table empty: %v", prof)
+		p.Fatalf("kernel table empty: %v", prof)
 	}
 	totalNs, _ := prof["total_ns"].(float64)
 	// The dispatcher's span log records its own stages; the execute span
@@ -131,7 +118,7 @@ func TestProfiledAcceptance(t *testing.T) {
 	// names the worker and the remote job ID — follow it.
 	spans, ok := fin["spans"].([]any)
 	if !ok || len(spans) == 0 {
-		t.Fatalf("status has no span log: %v", fin["spans"])
+		p.Fatalf("status has no span log: %v", fin["spans"])
 	}
 	var workerAddr, remoteID string
 	assignRE := regexp.MustCompile(`^(\S+) as (\S+)$`)
@@ -145,9 +132,9 @@ func TestProfiledAcceptance(t *testing.T) {
 		}
 	}
 	if workerAddr == "" || remoteID == "" {
-		t.Fatalf("assignment not recorded in the span log: %v", fin["spans"])
+		p.Fatalf("assignment not recorded in the span log: %v", fin["spans"])
 	}
-	wst := getJSON(t, "http://"+workerAddr+"/v1/jobs/"+remoteID, http.StatusOK)
+	wst := getJSON(p, "http://"+workerAddr+"/v1/jobs/"+remoteID, http.StatusOK)
 	var execNs float64
 	for _, el := range wst["spans"].([]any) {
 		span, _ := el.(map[string]any)
@@ -156,57 +143,57 @@ func TestProfiledAcceptance(t *testing.T) {
 		}
 	}
 	if execNs <= 0 {
-		t.Fatalf("no execute span on the worker status: %v", wst["spans"])
+		p.Fatalf("no execute span on the worker status: %v", wst["spans"])
 	}
 	// The acceptance bound: kernel-time total within 10% of the execute
 	// stage, observed through the dispatcher.
 	if math.Abs(totalNs-execNs) > 0.10*execNs {
-		t.Fatalf("kernel total %.0f ns vs execute span %.0f ns: off by more than 10%%", totalNs, execNs)
+		p.Fatalf("kernel total %.0f ns vs execute span %.0f ns: off by more than 10%%", totalNs, execNs)
 	}
 
 	// Profiled 8-point sweep, scattered over both workers.
 	resp, err = http.Post(disp.url("/v1/sweeps?profile=true"), "application/json",
-		bytes.NewReader(profileSweepBundle(t, 8)))
+		bytes.NewReader(profileSweepBundle(p, 8)))
 	if err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("sweep submit = %d (%s)", resp.StatusCode, body)
+		p.Fatalf("sweep submit = %d (%s)", resp.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &sub); err != nil || sub.ID == "" {
-		t.Fatalf("sweep submit body: %v (%s)", err, body)
+		p.Fatalf("sweep submit body: %v (%s)", err, body)
 	}
-	sfin := waitDone(t, disp, sub.ID)
+	sfin := waitDone(p, disp, sub.ID)
 	if sfin["progress"] != float64(1) {
-		t.Fatalf("terminal sweep progress = %v", sfin["progress"])
+		p.Fatalf("terminal sweep progress = %v", sfin["progress"])
 	}
 	ranges, ok := sfin["ranges"].([]any)
 	if !ok || len(ranges) == 0 {
-		t.Fatalf("sweep status has no range table: %v", sfin["ranges"])
+		p.Fatalf("sweep status has no range table: %v", sfin["ranges"])
 	}
 	for _, el := range ranges {
 		r := el.(map[string]any)
 		if r["state"] != "done" || r["worker"] == "" {
-			t.Fatalf("unaccounted range: %v", r)
+			p.Fatalf("unaccounted range: %v", r)
 		}
 	}
 	sprof, ok := sfin["profile"].(map[string]any)
 	if !ok {
-		t.Fatalf("sweep status has no merged profile: %v", sfin["profile"])
+		p.Fatalf("sweep status has no merged profile: %v", sfin["profile"])
 	}
 	if sprof["points"] != float64(8) || sprof["points_profiled"] != float64(8) {
-		t.Fatalf("merged profile coverage: %v", sprof)
+		p.Fatalf("merged profile coverage: %v", sprof)
 	}
 	if kinds, ok := sprof["kinds"].([]any); !ok || len(kinds) == 0 {
-		t.Fatalf("merged profile has no per-kind rows: %v", sprof)
+		p.Fatalf("merged profile has no per-kind rows: %v", sprof)
 	}
 
 	// The always-on per-kind instruments are on the worker exposition.
 	for _, name := range []string{"sim_kernels_total", "sim_kernel_seconds"} {
-		if _, ok := scrapeMetrics(t, w1)[name]; !ok {
-			t.Fatalf("worker /metrics missing %s", name)
+		if _, ok := scrapeMetrics(p, w1)[name]; !ok {
+			p.Fatalf("worker /metrics missing %s", name)
 		}
 	}
 
@@ -215,16 +202,16 @@ func TestProfiledAcceptance(t *testing.T) {
 	debugRE := regexp.MustCompile(`msg="qmlserve debug listening" addr=(\S+)`)
 	m := debugRE.FindStringSubmatch(disp.logs.String())
 	if m == nil {
-		t.Fatalf("debug listener address not logged:\n%s", disp.logs)
+		p.Fatalf("debug listener address not logged")
 	}
 	resp, err = http.Get("http://" + m[1] + "/debug/events")
 	if err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/events = %d (%s)", resp.StatusCode, body)
+		p.Fatalf("GET /debug/events = %d (%s)", resp.StatusCode, body)
 	}
 	var events struct {
 		Recorded uint64 `json:"recorded"`
@@ -233,10 +220,10 @@ func TestProfiledAcceptance(t *testing.T) {
 		} `json:"events"`
 	}
 	if err := json.Unmarshal(body, &events); err != nil {
-		t.Fatalf("/debug/events is not JSON: %v (%s)", err, body)
+		p.Fatalf("/debug/events is not JSON: %v (%s)", err, body)
 	}
 	if events.Recorded == 0 || len(events.Events) == 0 {
-		t.Fatal("flight recorder is empty after a dispatched fleet workload")
+		p.Fatal("flight recorder is empty after a dispatched fleet workload")
 	}
 	sawForward := false
 	for _, ev := range events.Events {
@@ -245,6 +232,6 @@ func TestProfiledAcceptance(t *testing.T) {
 		}
 	}
 	if !sawForward {
-		t.Fatalf("no fleet_forward event recorded: %s", body)
+		p.Fatalf("no fleet_forward event recorded: %s", body)
 	}
 }

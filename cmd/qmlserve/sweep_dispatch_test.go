@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -25,7 +24,7 @@ import (
 // leaves a wide window to SIGKILL a range owner mid-sweep. Binding is
 // deterministic, so the same template yields identical per-point counts
 // wherever each range lands.
-func slowSweepBundle(t *testing.T, n int) []byte {
+func slowSweepBundle(t testing.TB, n int) []byte {
 	t.Helper()
 	const nq = 21
 	reg := qdt.NewIsingVars("ising_vars", "s", nq)
@@ -64,7 +63,7 @@ func rangesAssigned(st map[string]any) bool {
 
 // postSweep submits a sweep bundle to a process's POST /v1/sweeps and
 // returns the accepted job ID.
-func postSweep(t *testing.T, s *server, raw []byte) string {
+func postSweep(t testing.TB, s *server, raw []byte) string {
 	t.Helper()
 	resp, err := http.Post(s.url("/v1/sweeps"), "application/json", bytes.NewReader(raw))
 	if err != nil {
@@ -88,7 +87,7 @@ func postSweep(t *testing.T, s *server, raw []byte) string {
 // sweepEntries long-polls GET /v1/sweeps/{id}?wait= until the merged
 // result document lands, then returns per-point entry renderings keyed
 // by global point index.
-func sweepEntries(t *testing.T, s *server, id string) map[int]string {
+func sweepEntries(t testing.TB, s *server, id string) map[int]string {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for {
@@ -131,34 +130,23 @@ func sweepEntries(t *testing.T, s *server, id string) map[int]string {
 // to the survivor, and the merged result set is per-point identical to
 // the same sweep on a fresh single node.
 func TestSweepDispatchAcceptance(t *testing.T) {
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not in PATH; cannot build the server binary")
-	}
-	bin := filepath.Join(t.TempDir(), "qmlserve")
-	build := exec.Command(goBin, "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building qmlserve: %v\n%s", err, out)
-	}
+	p := newProcTest(t)
 
 	// Any failure from here on, in this body or in a helper, prints what
 	// each process logged: a rare failure is read once.
-	w1 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
-	logOnFailure(t, "worker w1", w1)
-	w2 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
-	logOnFailure(t, "worker w2", w2)
-	dataDir := t.TempDir()
-	disp := startProc(t, bin,
+	w1 := p.start("worker w1", "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	w2 := p.start("worker w2", "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	dataDir := p.TempDir()
+	disp := p.start("dispatcher",
 		"-addr", "127.0.0.1:0",
 		"-dispatch", w1.addr+","+w2.addr,
 		"-data-dir", dataDir,
 		"-probe-interval", "100ms",
 	)
-	logOnFailure(t, "dispatcher", disp)
 
 	const n = 8
-	raw := slowSweepBundle(t, n)
-	id := postSweep(t, disp, raw)
+	raw := slowSweepBundle(p, n)
+	id := postSweep(p, disp, raw)
 
 	// Scatter order follows the -dispatch flag order, so the range
 	// [0,4) lands on w1. Kill w1 once the sweep is running and both
@@ -169,71 +157,70 @@ func TestSweepDispatchAcceptance(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			t.Fatalf("sweep never reached running with both ranges assigned")
+			p.Fatalf("sweep never reached running with both ranges assigned")
 		}
-		st := getJSON(t, disp.url("/v1/jobs/"+id), http.StatusOK)
+		st := getJSON(p, disp.url("/v1/jobs/"+id), http.StatusOK)
 		if st["state"] == "running" && rangesAssigned(st) {
 			break
 		}
 		switch st["state"] {
 		case "done", "failed", "canceled":
-			t.Fatalf("sweep finished before the kill window: %v", st)
+			p.Fatalf("sweep finished before the kill window: %v", st)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err := w1.cmd.Process.Kill(); err != nil { // SIGKILL mid-sweep
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	w1.cmd.Wait()
 
 	// The generic job route long-polls the sweep to terminal and carries
 	// the grid progress fields; the lost range must have re-forwarded.
-	fin := getJSON(t, disp.url("/v1/jobs/"+id+"?wait=120s"), http.StatusOK)
+	fin := getJSON(p, disp.url("/v1/jobs/"+id+"?wait=120s"), http.StatusOK)
 	if fin["state"] != "done" {
-		t.Fatalf("sweep finished %v: %v", fin["state"], fin)
+		p.Fatalf("sweep finished %v: %v", fin["state"], fin)
 	}
 	if fin["sweep"] != true || fin["points"].(float64) != n || fin["points_done"].(float64) != n {
-		t.Fatalf("sweep progress fields: %v", fin)
+		p.Fatalf("sweep progress fields: %v", fin)
 	}
 	if rf, _ := fin["reforwards"].(float64); rf < 1 { // omitted when 0
-		t.Fatalf("no range was re-forwarded after the worker kill: %v", fin)
+		p.Fatalf("no range was re-forwarded after the worker kill: %v", fin)
 	}
-	merged := sweepEntries(t, disp, id)
+	merged := sweepEntries(p, disp, id)
 	if len(merged) != n {
-		t.Fatalf("merged %d points, want %d", len(merged), n)
+		p.Fatalf("merged %d points, want %d", len(merged), n)
 	}
 
 	// The dispatcher journaled ONE record for the whole grid: a single
 	// submitted event carrying the point count, not one per point.
 	journal, err := os.ReadFile(filepath.Join(dataDir, "journal.jsonl"))
 	if err != nil {
-		t.Fatal(err)
+		p.Fatal(err)
 	}
 	if got := strings.Count(string(journal), `"t":"submitted"`); got != 1 {
-		t.Fatalf("journal has %d submitted records, want 1", got)
+		p.Fatalf("journal has %d submitted records, want 1", got)
 	}
 	if !strings.Contains(string(journal), fmt.Sprintf(`"points":%d`, n)) {
-		t.Fatal("journal submit record does not carry the grid size")
+		p.Fatal("journal submit record does not carry the grid size")
 	}
 
 	// Reference: the same sweep template on a fresh single node. Bind
 	// determinism means every point's counts must match the merged
 	// fleet set, including the points that moved workers mid-flight.
-	w3 := startProc(t, bin, "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
-	logOnFailure(t, "reference w3", w3)
-	refID := postSweep(t, w3, raw)
-	ref := sweepEntries(t, w3, refID)
+	w3 := p.start("reference w3", "-addr", "127.0.0.1:0", "-workers", "1", "-max-shards", "1")
+	refID := postSweep(p, w3, raw)
+	ref := sweepEntries(p, w3, refID)
 	for i := 0; i < n; i++ {
 		if merged[i] == "" || merged[i] != ref[i] {
-			t.Fatalf("point %d differs after the mid-sweep kill:\n fleet %s\n ref   %s", i, merged[i], ref[i])
+			p.Fatalf("point %d differs after the mid-sweep kill:\n fleet %s\n ref   %s", i, merged[i], ref[i])
 		}
 	}
 
 	// Fleet health surfaced the death and the range move.
-	if n := metric(t, disp, "fleet_sweeps_total"); n != 1 {
-		t.Fatalf("fleet_sweeps_total = %v, want 1", n)
+	if n := metric(p, disp, "fleet_sweeps_total"); n != 1 {
+		p.Fatalf("fleet_sweeps_total = %v, want 1", n)
 	}
-	if n := metric(t, disp, "fleet_reforwarded_total"); n < 1 {
-		t.Fatalf("fleet_reforwarded_total = %v, missed the range reforward", n)
+	if n := metric(p, disp, "fleet_reforwarded_total"); n < 1 {
+		p.Fatalf("fleet_reforwarded_total = %v, missed the range reforward", n)
 	}
 }

@@ -17,11 +17,12 @@
 // fold into one matrix, diagonal gates merge into phase tables, CX/CZ/CP/
 // SWAP chains on a qubit pair fold with their surrounding single-qubit
 // gates into dense 4×4 kernels, lone controlled permutations specialize)
-// swept in cache-blocked order by a persistent shard pool that barriers
-// between kernels. A dense 4×4 kernel that finalizes as permutation ×
-// phase — a pure CX/CZ/SWAP chain — executes on a monomial fast path: 4
+// swept by a persistent shard pool that barriers between kernels. A
+// dense 4×4 kernel that finalizes diagonal — a CX chain around phase
+// gates, such as the QAOA ZZ phase — executes on a diagonal sweep: 4
 // complex multiplies per amplitude quadruple instead of the dense
-// sweep's 16 multiplies and 12 adds (~2.3× on chain-heavy circuits).
+// sweep's 16 multiplies and 12 adds; one that finalizes block-diagonal
+// executes as two 2×2 blocks.
 // The per-job shard grant is a scheduling decision of the serving layer
 // — see below.
 //
@@ -30,8 +31,8 @@
 // float loops over contiguous streams instead of interleaved complex128
 // arithmetic; kernel matrices and phase tables split once at compile
 // time. The gc compiler emits them as scalar instructions; on amd64 with
-// AVX the long runs of the 2×2, block, dense 4×4 and monomial phase
-// sweeps run in hand-written 4-lane bodies that round exactly as the Go
+// AVX the 2×2, block, dense 4×4 and diagonal sweeps run, at every
+// stride, in hand-written 4-lane bodies that round exactly as the Go
 // expressions do, so amplitudes do not depend on the CPU. Shard workers
 // first-touch their own contiguous plane ranges at state creation,
 // placing pages with their owners on NUMA machines. The

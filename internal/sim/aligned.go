@@ -3,11 +3,11 @@ package sim
 import "unsafe"
 
 // cacheLine is the alignment granted to amplitude planes and scratch
-// buffers: one x86/ARM cache line. Aligning the plane base means the
-// cache-blocked sweeps' per-block slices start on a line boundary whenever
-// the block start index is a multiple of 8 floats (every power-of-two
-// stride ≥ 8 qualifies), so a block never straddles a line at its start.
-// The AVX run bodies load unaligned and do not rely on this.
+// buffers: one x86/ARM cache line. Aligning the plane base means a
+// sweep's contiguous runs start on a line boundary whenever their start
+// index is a multiple of 8 floats (every power-of-two stride ≥ 8
+// qualifies), so a run never straddles a line at its start. The AVX
+// bodies load unaligned and do not rely on this.
 const cacheLine = 64
 
 // alignedFloats allocates an n-element float64 slice whose backing array

@@ -36,27 +36,27 @@
 //     has gates. All static validation happens here; executing a compiled
 //     plan performs no per-gate checks. At finalize, one function picks
 //     each dense 4×4's sweep from its matrix's exact zeros. A kernel that
-//     ended up monomial — permutation × phase, the shape pure CX/CZ/SWAP
-//     chains (plus X/Z/S-style 1Q gates) fuse to — is decomposed once
-//     (PlanStats.Monomial2Q) and executes on a 4-multiply sweep instead
-//     of the dense kernel's 16 multiplies + 12 adds, ~2.3× on
-//     chain-heavy circuits. A kernel that ended up block-diagonal over one
+//     ended up diagonal — a CX chain around phase gates, such as the QAOA
+//     ZZ phase CX·RZ·CX — executes on a 4-multiply sweep instead of the
+//     dense kernel's 16 multiplies + 12 adds (PlanStats.Monomial2Q and
+//     the profile kind monomial count these; the serving benchmark reads
+//     that label). A kernel that ended up block-diagonal over one
 //     qubit of its pair — a one-qubit gate on the other qubit, chosen by
 //     this one's bit, the shape a QAOA ZZ phase fused with an RX takes —
 //     executes as two 2×2 blocks (PlanStats.Block2Q): 8 complex
-//     multiply-adds per quadruple instead of 16. Every form computes the
-//     dense sum with exact-zero terms left out and the rest in the same
-//     order, so amplitudes match the dense sweep under ==.
+//     multiply-adds per quadruple instead of 16; a CX with phase gates
+//     on its pair is one. Any other permutation — SWAP, a 3-cycle — sweeps
+//     dense. Every form computes the dense sum with exact-zero terms left
+//     out and the rest in the same order, so amplitudes match the dense
+//     sweep under ==.
 //
 //  2. Kernels iterate their natural index space directly instead of
 //     scanning all 2^n indices and branching: a one-qubit kernel walks the
 //     2^(n-1) amplitude pairs, a two-qubit dense kernel the 2^(n-2)
 //     quadruples, a controlled permutation only the 2^(n-k) indices its k
-//     constrained bits select. High-stride kernels (target qubits whose
-//     pair halves sit far apart) run in cache-blocked order: the index
-//     expansion hoists out of the inner loop and the two (or four)
-//     quadrant streams advance through bounded contiguous runs that stay
-//     cache-resident while they are transformed.
+//     constrained bits select. Each of the 2×2, block, dense and
+//     diagonal forms has one Go loop for every stride, and one AVX body
+//     (see "Vector bodies").
 //
 //  3. Execute sweeps each kernel across a persistent shard pool: the
 //     index space splits into P contiguous shards owned by long-lived
@@ -198,26 +198,24 @@
 //
 // # Vector bodies
 //
-// On amd64, when CPUID and XGETBV report AVX (useAVX), the 2×2, block and
-// dense 4×4 sweeps at every stride, and a monomial that is a complex
-// diagonal below blockedStrideMin (the QAOA ZZ phase on a low pair), run
-// in the AVX bodies of sweep_amd64.s: one assembly call sweeps a shard's
-// whole index range (vecsweep.go). A body walks tile groups — a tile is
-// four consecutive amplitudes starting at a multiple of 4, a group is a
-// tile with its partner tiles at the kernel's masks of 4 and above — and
-// steps from one group's first index to the next with an OR, an increment
-// and an AND, so no Go call and no index expansion runs per contiguous
-// run. A mask of 1 or 2 lies inside the tile: the body pairs the tile's
-// halves in registers (VMOVDDUP and VPERMILPD at stride 1, VBROADCASTF128
-// at stride 2; a dense 4×4 on masks 1 and 2 broadcasts each of the tile's
-// four amplitudes) and gives every lane its own coefficients, so a
-// stride-1 2×2 is C0·even + C1·odd with C0 = [m00, m10, m00, m10]. A
-// block kernel whose selecting qubit is the low one needs no shuffle: its
-// lanes alternate the two blocks' matrices. A complex diagonal scales
-// each tile by its lanes' phases ([p0, p1, p0, p1] and [p2, p3, p2, p3]
-// for a lowest qubit of 0). The coefficients are laid out once per call,
-// and the few indices at a shard's ends that fill no whole group run in
-// the Go loop.
+// On amd64, when CPUID and XGETBV report AVX (useAVX), the 2×2, block,
+// dense 4×4 and diagonal sweeps run at every stride in the AVX bodies of
+// sweep_amd64.s: one assembly call sweeps a shard's whole index range
+// (vecsweep.go). A body walks tile groups — a tile is four consecutive
+// amplitudes starting at a multiple of 4, a group is a tile with its
+// partner tiles at the kernel's masks of 4 and above — and steps from one
+// group's first index to the next with an OR, an increment and an AND, so
+// no Go call and no index expansion runs per contiguous run. A mask of 1
+// or 2 lies inside the tile: the body pairs the tile's halves in
+// registers (VMOVDDUP and VPERMILPD at stride 1, VBROADCASTF128 at stride
+// 2; a dense 4×4 on masks 1 and 2 broadcasts each of the tile's four
+// amplitudes) and gives every lane its own coefficients, so a stride-1
+// 2×2 is C0·even + C1·odd with C0 = [m00, m10, m00, m10]. A block kernel
+// whose selecting qubit is the low one needs no shuffle: its lanes
+// alternate the two blocks' matrices. A diagonal scales each tile by its
+// lanes' phases ([p0, p1, p0, p1] and [p2, p3, p2, p3] for a lowest qubit
+// of 0). The coefficients are laid out once per call, and the few indices
+// at a shard's ends that fill no whole group run in the Go loop.
 //
 // Each lane computes its Go loop's expression for its amplitude: the same
 // products, the same left-to-right grouping, every subtraction with the
@@ -225,23 +223,16 @@
 // VSUBPD rounds as MULSD, ADDSD or SUBSD does, and shuffles only move
 // bits, so every amplitude — the sign of a zero included — is
 // bit-identical with or without the bodies, and counts, golden files and
-// cache keys do not depend on the CPU. The complex-diagonal body computes
-// the per-quadruple form's expression, which multiplies every row, unit
-// phases included, as the Go loop at those strides does. From
-// blockedStrideMin up every monomial keeps its run form on every CPU:
-// that form skips unit-phase rows that the per-quadruple form multiplies
-// by 1+0i, which may flip the sign of a zero, so its threshold must not
-// move with the CPU; it scales its phased fixed rows with the phase-run
-// body (phaseRunAVX).
+// cache keys do not depend on the CPU. Each form has one Go loop, the
+// same at every stride, and the diagonal's multiplies every row by its
+// full complex phase, unit and real phases included, as its body does, so
+// no form skips on one CPU a product it computes on another.
 //
 // Still scalar: the kDiag phase tables (sweepDiag gathers each phase
-// through an index per amplitude); the monomial shapes other than the
-// complex diagonal below blockedStrideMin (transpositions, real phases,
-// cycles) and the moved rows of the run form; the controlled
-// permutations and phases, permute and init. Other architectures, CPUs
-// without AVX and builds with the purego tag run the Go bodies only,
-// with every run form from blockedStrideMin. vec_amd64_test.go holds
-// each body and each sweep to its Go expression, bit for bit;
+// through an index per amplitude), the controlled permutations and
+// phases, permute and init. Other architectures, CPUs without AVX and
+// builds with the purego tag run the Go loops only. vec_amd64_test.go
+// holds each body and each sweep to its Go loop, bit for bit;
 // TestAssemblyHasNoFMA keeps FMA out of the assembly.
 //
 // External packages see none of this: Amplitude, Probability and the

@@ -63,9 +63,9 @@ type pairForm uint8
 const (
 	// pairDense pays 16 complex multiply-adds per quadruple.
 	pairDense pairForm = iota
-	// pairMono is permutation × phase (exactly one nonzero per row and
-	// column): 4 complex multiplies per quadruple.
-	pairMono
+	// pairDiag is diagonal: each slot scales by its own phase, 4 complex
+	// multiplies per quadruple.
+	pairDiag
 	// pairBlockLo is block-diagonal over the higher qubit: a 2×2 gate on
 	// the lower qubit, chosen by the higher qubit's bit. The sweep reads
 	// m4s's two diagonal 2×2 blocks only: 8 complex multiply-adds per
@@ -112,12 +112,11 @@ type kernel struct {
 	m4  gates.Matrix4
 	m4s gates.Split4
 	// form is the sweep a kGate2Q kernel runs, decided by finalize2Q
-	// from m4's exact zeros. The monomial form reads msrc/mph*
-	// (out[r] = mph[r]·in[msrc[r]]); the dense and block forms read m4s.
-	form  pairForm
-	msrc  [4]int
-	mphRe [4]float64
-	mphIm [4]float64
+	// from m4's exact zeros. The diagonal form reads dRe/dIm
+	// (out[r] = d[r]·in[r]); the dense and block forms read m4s.
+	form pairForm
+	dRe  [4]float64
+	dIm  [4]float64
 
 	// kCtrlPerm / kCtrlPhase
 	inserts []bitInsert
@@ -167,9 +166,11 @@ type PlanStats struct {
 	// MergedDiag counts diagonal gates (CZ/CP/Diagonal) merged into an
 	// earlier phase kernel.
 	MergedDiag int
-	// Monomial2Q counts dense 4×4 kernels that finalized as permutation ×
-	// phase — pure CX/CZ/SWAP/S-style chains — and execute on the
-	// 4-multiply monomial sweep instead of the full dense sweep.
+	// Monomial2Q counts dense 4×4 kernels that finalized diagonal — a CX
+	// chain around phase gates, such as the QAOA ZZ phase CX·RZ·CX — and
+	// execute on the 4-multiply diagonal sweep instead of the full dense
+	// sweep. A permutation kernel (CX or SWAP chains) finalizes as block
+	// or dense instead.
 	Monomial2Q int
 	// Block2Q counts dense 4×4 kernels that finalized block-diagonal — a
 	// one-qubit gate on one qubit of the pair chosen by the other's bit,
@@ -270,22 +271,22 @@ func compile(c *circuit.Circuit, par *paramRec, fuseScan int) (*Plan, error) {
 }
 
 // finalize2Q picks the sweep a kGate2Q kernel runs from the exact zeros of
-// its final matrix m4 — monomial, then block-diagonal, else dense — and
+// its final matrix m4 — diagonal, then block-diagonal, else dense — and
 // fills the planes that sweep reads. compile's finalize and ParamPlan.Bind
 // both call it, so a bound kernel takes the form a concrete compile of its
 // point would; st's Monomial2Q and Block2Q follow the kernel's old and
 // new form.
 func (k *kernel) finalize2Q(st *PlanStats) {
 	switch k.form {
-	case pairMono:
+	case pairDiag:
 		st.Monomial2Q--
 	case pairBlockLo, pairBlockHi:
 		st.Block2Q--
 	}
-	if src, ph, ok := monomial4(k.m4); ok {
-		k.form, k.msrc = pairMono, src
+	if isDiag4(k.m4) {
+		k.form = pairDiag
 		for r := 0; r < 4; r++ {
-			k.mphRe[r], k.mphIm[r] = real(ph[r]), imag(ph[r])
+			k.dRe[r], k.dIm[r] = real(k.m4[r][r]), imag(k.m4[r][r])
 		}
 		st.Monomial2Q++
 		return
@@ -303,38 +304,10 @@ func (k *kernel) finalize2Q(st *PlanStats) {
 	k.m4s = m.Split()
 }
 
-// monomial4 decomposes m as out[r] = ph[r]·in[src[r]] when every row and
-// column holds exactly one nonzero entry. The zero test is exact, like
-// isDiag4's: products and Kronecker factors of exact-zero patterns stay
-// exactly zero, so gate chains that are structurally permutation×phase
-// are recognized without a tolerance; a false negative only costs the
-// fast path, never correctness.
-func monomial4(m gates.Matrix4) (src [4]int, ph [4]complex128, ok bool) {
-	var colUsed [4]bool
-	for r := 0; r < 4; r++ {
-		found := -1
-		for c := 0; c < 4; c++ {
-			if m[r][c] != 0 {
-				if found >= 0 {
-					return src, ph, false
-				}
-				found = c
-			}
-		}
-		if found < 0 || colUsed[found] {
-			return src, ph, false
-		}
-		colUsed[found] = true
-		src[r] = found
-		ph[r] = m[r][found]
-	}
-	return src, ph, true
-}
-
 // blockLo reports whether m is block-diagonal over its higher qubit:
 // every entry that would flip that qubit is exactly zero, so m acts as a
 // 2×2 on the lower qubit chosen by the higher one's bit. The zero test is
-// exact, as in monomial4.
+// exact, as in isDiag4.
 func blockLo(m gates.Matrix4) bool {
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 4; c++ {
@@ -620,7 +593,8 @@ func mat4CPhase(ph complex128) gates.Matrix4 {
 
 // isDiag4 reports whether every off-diagonal entry is exactly zero (float
 // products of diagonal factors stay exactly diagonal, so the check is not
-// tolerance-sensitive; a false negative only costs a fusion hop).
+// tolerance-sensitive; a false negative only costs a fusion hop or the
+// diagonal sweep).
 func isDiag4(m gates.Matrix4) bool {
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
@@ -1002,10 +976,10 @@ func (k *kernel) apply(st *State, shards int, run func(total int, fn func(w, lo,
 	case kGate2Q:
 		maskLo, maskHi := 1<<k.q, 1<<k.q2
 		switch k.form {
-		case pairMono:
-			src, phRe, phIm := &k.msrc, &k.mphRe, &k.mphIm
+		case pairDiag:
+			dRe, dIm := &k.dRe, &k.dIm
 			run(dim/4, func(_, lo, hi int) {
-				sweep2QMonoAuto(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
+				sweep2QDiagAuto(re, im, dRe, dIm, maskLo, maskHi, lo, hi)
 			})
 		case pairBlockLo, pairBlockHi:
 			offA, offB := maskLo, maskHi
@@ -1081,71 +1055,12 @@ func (k *kernel) apply(st *State, shards int, run func(total int, fn func(w, lo,
 // units, sums of products associate left to right — so the split kernels
 // produce bit-identical amplitudes to the former []complex128 kernels and
 // sampled counts are unchanged across the layout refactor.
-
-// blockedStrideMin is the smallest kernel stride worth the cache-blocked
-// (run) sweep form when its runs are Go loops: below it the contiguous
-// runs are too short for the per-run setup to pay off. With useAVX the
-// 2×2, block and dense sweeps take their vector bodies at every stride
-// instead (vecsweep.go).
-const blockedStrideMin = 64
-
-// cacheBlockAmps bounds the contiguous run length of a blocked sweep so
-// each block's quadrant slices (4 streams for a 1Q kernel, 8 for a 2Q one,
-// counting both planes) stay L2-resident while they are being transformed:
-// 4096 amplitudes per stream is 32 KiB per plane, at most 256 KiB in
-// flight.
-const cacheBlockAmps = 1 << 12
-
-// pairRun applies blockPair with the matrix m (blockPair's argument
-// order) to the four streams, each cut to len(r0), in place.
-func pairRun(m *[8]float64, r0, i0, r1, i1 []float64) {
-	n := len(r0)
-	i0, r1, i1 = i0[:n], r1[:n], i1[:n]
-	m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7]
-	for r := 0; r < n; r++ {
-		r0[r], i0[r], r1[r], i1[r] = blockPair(m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i, r0[r], i0[r], r1[r], i1[r])
-	}
-}
-
-// denseRun applies the dense 4×4 m to the eight quadrant streams, each cut
-// to len(r0), in place.
-func denseRun(m *gates.Split4, r0, i0, r1, i1, r2, i2, r3, i3 []float64) {
-	n := len(r0)
-	i0, r1, i1, r2, i2, r3, i3 = i0[:n], r1[:n], i1[:n], r2[:n], i2[:n], r3[:n], i3[:n]
-	mr, mi := &m.Re, &m.Im
-	for r := 0; r < n; r++ {
-		a0r, a0i := r0[r], i0[r]
-		a1r, a1i := r1[r], i1[r]
-		a2r, a2i := r2[r], i2[r]
-		a3r, a3i := r3[r], i3[r]
-		r0[r] = (mr[0][0]*a0r - mi[0][0]*a0i) + (mr[0][1]*a1r - mi[0][1]*a1i) + (mr[0][2]*a2r - mi[0][2]*a2i) + (mr[0][3]*a3r - mi[0][3]*a3i)
-		i0[r] = (mr[0][0]*a0i + mi[0][0]*a0r) + (mr[0][1]*a1i + mi[0][1]*a1r) + (mr[0][2]*a2i + mi[0][2]*a2r) + (mr[0][3]*a3i + mi[0][3]*a3r)
-		r1[r] = (mr[1][0]*a0r - mi[1][0]*a0i) + (mr[1][1]*a1r - mi[1][1]*a1i) + (mr[1][2]*a2r - mi[1][2]*a2i) + (mr[1][3]*a3r - mi[1][3]*a3i)
-		i1[r] = (mr[1][0]*a0i + mi[1][0]*a0r) + (mr[1][1]*a1i + mi[1][1]*a1r) + (mr[1][2]*a2i + mi[1][2]*a2r) + (mr[1][3]*a3i + mi[1][3]*a3r)
-		r2[r] = (mr[2][0]*a0r - mi[2][0]*a0i) + (mr[2][1]*a1r - mi[2][1]*a1i) + (mr[2][2]*a2r - mi[2][2]*a2i) + (mr[2][3]*a3r - mi[2][3]*a3i)
-		i2[r] = (mr[2][0]*a0i + mi[2][0]*a0r) + (mr[2][1]*a1i + mi[2][1]*a1r) + (mr[2][2]*a2i + mi[2][2]*a2r) + (mr[2][3]*a3i + mi[2][3]*a3r)
-		r3[r] = (mr[3][0]*a0r - mi[3][0]*a0i) + (mr[3][1]*a1r - mi[3][1]*a1i) + (mr[3][2]*a2r - mi[3][2]*a2i) + (mr[3][3]*a3r - mi[3][3]*a3i)
-		i3[r] = (mr[3][0]*a0i + mi[3][0]*a0r) + (mr[3][1]*a1i + mi[3][1]*a1r) + (mr[3][2]*a2i + mi[3][2]*a2r) + (mr[3][3]*a3i + mi[3][3]*a3r)
-	}
-}
-
-// phaseRun scales sr + i·si, si cut to len(sr), by pr + i·pi in place:
-// the whole vectors in phaseRunAVX with useAVX, the rest in Go; both
-// compute the same expression, so the split between them moves no bit.
-func phaseRun(pr, pi float64, sr, si []float64) {
-	n := len(sr)
-	si = si[:n]
-	v := 0
-	if useAVX && n >= 4 {
-		v = n &^ 3
-		phaseRunAVX(pr, pi, sr[:v], si[:v])
-	}
-	for r := v; r < n; r++ {
-		ar, ai := sr[r], si[r]
-		sr[r] = ar*pr - ai*pi
-		si[r] = ar*pi + ai*pr
-	}
-}
+//
+// Each of the 2×2, block, dense 4×4 and diagonal forms has one Go loop,
+// which walks its index range one pair or quadruple at a time, and one AVX
+// body (vecsweep.go); its *Auto function runs the body with useAVX and
+// the loop otherwise. The loop is what the body is held to bit for bit,
+// and it sweeps the few indices at a shard's ends the body leaves.
 
 // sweep1Q applies a 2×2 unitary to the amplitude pairs indexed by
 // [lo, hi) ⊂ [0, 2^(n-1)): pair p expands to indices (i, i|stride) with
@@ -1166,40 +1081,13 @@ func sweep1Q(re, im []float64, m *gates.Split2, stride, lo, hi int) {
 	}
 }
 
-// sweep1QBlocked is the cache-blocked form for high-stride targets: the
-// pair index expands once per block and the four half-streams (two planes
-// × two halves) then advance as plain consecutive runs, bounded by
-// cacheBlockAmps so all streams stay cache-resident while being
-// transformed. Per-pair bit surgery disappears from the inner loop, which
-// is straight-line float math over equal-length slices.
-func sweep1QBlocked(re, im []float64, m *gates.Split2, stride, lo, hi int) {
-	low := stride - 1
-	mat := [8]float64{m.Re[0][0], m.Im[0][0], m.Re[0][1], m.Im[0][1], m.Re[1][0], m.Im[1][0], m.Re[1][1], m.Im[1][1]}
-	for p := lo; p < hi; {
-		i := (p&^low)<<1 | p&low
-		run := stride - p&low
-		if run > hi-p {
-			run = hi - p
-		}
-		if run > cacheBlockAmps {
-			run = cacheBlockAmps
-		}
-		pairRun(&mat, re[i:i+run], im[i:], re[i|stride:], im[i|stride:])
-		p += run
-	}
-}
-
-// sweep1QAuto picks the vector sweep with useAVX, else the blocked sweep
-// for high-stride targets.
+// sweep1QAuto is sweep1QVec with useAVX, else sweep1Q.
 func sweep1QAuto(re, im []float64, m *gates.Split2, stride, lo, hi int) {
-	switch {
-	case useAVX:
+	if useAVX {
 		sweep1QVec(re, im, m, stride, lo, hi)
-	case stride >= blockedStrideMin:
-		sweep1QBlocked(re, im, m, stride, lo, hi)
-	default:
-		sweep1Q(re, im, m, stride, lo, hi)
+		return
 	}
+	sweep1Q(re, im, m, stride, lo, hi)
 }
 
 // sweep2Q applies a dense 4×4 unitary to the amplitude quadruples indexed
@@ -1229,40 +1117,13 @@ func sweep2Q(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi int) {
 	}
 }
 
-// sweep2QBlocked is the cache-blocked form for pairs whose lower qubit is
-// high: the quadruple index expands once per block and the eight quadrant
-// streams (four per plane) advance as consecutive runs bounded by
-// cacheBlockAmps, keeping all slices cache-resident with no per-quad bit
-// surgery.
-func sweep2QBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi int) {
-	lowLo, lowHi := maskLo-1, maskHi-1
-	for c := lo; c < hi; {
-		x := (c&^lowLo)<<1 | c&lowLo
-		i := (x&^lowHi)<<1 | x&lowHi
-		run := maskLo - c&lowLo
-		if run > hi-c {
-			run = hi - c
-		}
-		if run > cacheBlockAmps {
-			run = cacheBlockAmps
-		}
-		denseRun(m, re[i:i+run], im[i:], re[i|maskLo:], im[i|maskLo:],
-			re[i|maskHi:], im[i|maskHi:], re[i|maskLo|maskHi:], im[i|maskLo|maskHi:])
-		c += run
-	}
-}
-
-// sweep2QAuto picks the vector sweep with useAVX, else the blocked sweep
-// when the lower pair qubit's stride gives long enough contiguous runs.
+// sweep2QAuto is sweep2QVec with useAVX, else sweep2Q.
 func sweep2QAuto(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi int) {
-	switch {
-	case useAVX:
+	if useAVX {
 		sweep2QVec(re, im, m, maskLo, maskHi, lo, hi)
-	case maskLo >= blockedStrideMin:
-		sweep2QBlocked(re, im, m, maskLo, maskHi, lo, hi)
-	default:
-		sweep2Q(re, im, m, maskLo, maskHi, lo, hi)
+		return
 	}
+	sweep2Q(re, im, m, maskLo, maskHi, lo, hi)
 }
 
 // blockPair is the arithmetic body of both block sweeps: a 2×2 block
@@ -1278,7 +1139,7 @@ func blockPair(m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i, a0r, a0i, a1r, a1
 }
 
 // blockMat is the diagonal 2×2 block of m at rows and columns b, b+1 in
-// blockPair's argument order, the matrix pairRun takes.
+// blockPair's argument order, the matrix sweep2QBlockVec lays out.
 func blockMat(m *gates.Split4, b int) [8]float64 {
 	return [8]float64{m.Re[b][b], m.Im[b][b], m.Re[b][b+1], m.Im[b][b+1], m.Re[b+1][b], m.Im[b+1][b], m.Re[b+1][b+1], m.Im[b+1][b+1]}
 }
@@ -1309,407 +1170,51 @@ func sweep2QBlock(re, im []float64, m *gates.Split4, maskLo, maskHi, offA, offB,
 	}
 }
 
-// sweep2QBlockBlocked is the cache-blocked block sweep: runs bounded as in
-// sweep2QBlocked, each block applied to its two quadrant streams per plane
-// while they are cache-resident.
-func sweep2QBlockBlocked(re, im []float64, m *gates.Split4, maskLo, maskHi, offA, offB, lo, hi int) {
-	lowLo, lowHi := maskLo-1, maskHi-1
-	p, q := blockMat(m, 0), blockMat(m, 2)
-	for c := lo; c < hi; {
-		x := (c&^lowLo)<<1 | c&lowLo
-		i := (x&^lowHi)<<1 | x&lowHi
-		run := maskLo - c&lowLo
-		if run > hi-c {
-			run = hi - c
-		}
-		if run > cacheBlockAmps {
-			run = cacheBlockAmps
-		}
-		pairRun(&p, re[i:i+run], im[i:], re[i|offA:], im[i|offA:])
-		pairRun(&q, re[i|offB:][:run], im[i|offB:], re[i|offA|offB:], im[i|offA|offB:])
-		c += run
-	}
-}
-
-// sweep2QBlockAuto picks the block sweep's form as sweep2QAuto does.
+// sweep2QBlockAuto is sweep2QBlockVec with useAVX, else sweep2QBlock.
 func sweep2QBlockAuto(re, im []float64, m *gates.Split4, maskLo, maskHi, offA, offB, lo, hi int) {
-	switch {
-	case useAVX:
+	if useAVX {
 		sweep2QBlockVec(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
-	case maskLo >= blockedStrideMin:
-		sweep2QBlockBlocked(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
-	default:
-		sweep2QBlock(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
+		return
 	}
+	sweep2QBlock(re, im, m, maskLo, maskHi, offA, offB, lo, hi)
 }
 
-// sweep2QMono applies a monomial (permutation × phase) 4×4 kernel to the
-// amplitude quadruples indexed by [lo, hi): each output slot is one
-// scaled input slot, 4 complex multiplies per quadruple where the dense
-// sweep pays 16 multiplies and 12 adds.
-func sweep2QMono(re, im []float64, src *[4]int, phRe, phIm *[4]float64, maskLo, maskHi, lo, hi int) {
+// sweep2QDiag applies a diagonal 4×4 kernel, the phases dRe + i·dIm, to
+// the amplitude quadruples indexed by [lo, hi), expanded as in sweep2Q:
+// every slot scales in place, unit phases included, 4 complex multiplies
+// per quadruple where the dense sweep pays 16 multiplies and 12 adds.
+func sweep2QDiag(re, im []float64, dRe, dIm *[4]float64, maskLo, maskHi, lo, hi int) {
 	lowLo, lowHi := maskLo-1, maskHi-1
-	s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
-	p0r, p1r, p2r, p3r := phRe[0], phRe[1], phRe[2], phRe[3]
-	p0i, p1i, p2i, p3i := phIm[0], phIm[1], phIm[2], phIm[3]
-	if a, b, ok := monoTransposition(src, phRe, phIm); ok {
-		// The permutation is one transposition and every fixed row keeps
-		// unit phase (the shape CX/CZ chains with folded S/T produce):
-		// only two of the four quadrant slots change per quadruple, so
-		// half the loads, stores and multiplies drop out. Unit-phase rows
-		// were exact out = 1·a − 0·b identities; skipping them changes at
-		// most the sign of a zero amplitude.
-		off := [4]int{0, maskLo, maskHi, maskLo | maskHi}
-		offA, offB := off[a], off[b]
-		par, pai := phRe[a], phIm[a]
-		pbr, pbi := phRe[b], phIm[b]
-		for c := lo; c < hi; c++ {
-			x := (c&^lowLo)<<1 | c&lowLo
-			i := (x&^lowHi)<<1 | x&lowHi
-			ia, ib := i|offA, i|offB
-			avr, avi := re[ia], im[ia]
-			bvr, bvi := re[ib], im[ib]
-			re[ia] = par*bvr - pai*bvi
-			im[ia] = par*bvi + pai*bvr
-			re[ib] = pbr*avr - pbi*avi
-			im[ib] = pbr*avi + pbi*avr
-		}
-		return
-	}
-	if p0i == 0 && p1i == 0 && p2i == 0 && p3i == 0 {
-		// Real phases (CX/CZ/SWAP/X/Z chains): the planes decouple —
-		// out = p·in on each plane separately, half the multiplies. The
-		// dropped −pi·in terms were exact zeros, so amplitudes match the
-		// general path up to the sign of a zero, which no probability or
-		// sampled count can observe.
-		for c := lo; c < hi; c++ {
-			x := (c&^lowLo)<<1 | c&lowLo
-			i := (x&^lowHi)<<1 | x&lowHi
-			j := i | maskLo
-			k := i | maskHi
-			l := j | maskHi
-			qr := [4]float64{re[i], re[j], re[k], re[l]}
-			qi := [4]float64{im[i], im[j], im[k], im[l]}
-			re[i], im[i] = p0r*qr[s0], p0r*qi[s0]
-			re[j], im[j] = p1r*qr[s1], p1r*qi[s1]
-			re[k], im[k] = p2r*qr[s2], p2r*qi[s2]
-			re[l], im[l] = p3r*qr[s3], p3r*qi[s3]
-		}
-		return
-	}
-	if s0 == 0 && s1 == 1 && s2 == 2 && s3 == 3 {
-		// A complex diagonal (the QAOA ZZ phase on a low pair): every
-		// slot scales in place. src[r] == r, so these are the gather
-		// loop's expressions on the same operands, without the gather
-		// through indexed arrays.
-		for c := lo; c < hi; c++ {
-			x := (c&^lowLo)<<1 | c&lowLo
-			i := (x&^lowHi)<<1 | x&lowHi
-			j := i | maskLo
-			k := i | maskHi
-			l := j | maskHi
-			a0r, a0i := re[i], im[i]
-			a1r, a1i := re[j], im[j]
-			a2r, a2i := re[k], im[k]
-			a3r, a3i := re[l], im[l]
-			re[i] = p0r*a0r - p0i*a0i
-			im[i] = p0r*a0i + p0i*a0r
-			re[j] = p1r*a1r - p1i*a1i
-			im[j] = p1r*a1i + p1i*a1r
-			re[k] = p2r*a2r - p2i*a2i
-			im[k] = p2r*a2i + p2i*a2r
-			re[l] = p3r*a3r - p3i*a3i
-			im[l] = p3r*a3i + p3i*a3r
-		}
-		return
-	}
-	sweep2QMonoGather(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
-}
-
-// sweep2QMonoGather is sweep2QMono's general path: each output slot
-// gathers its source slot through the quadruple's indexed copy.
-func sweep2QMonoGather(re, im []float64, src *[4]int, phRe, phIm *[4]float64, maskLo, maskHi, lo, hi int) {
-	lowLo, lowHi := maskLo-1, maskHi-1
-	s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
-	p0r, p1r, p2r, p3r := phRe[0], phRe[1], phRe[2], phRe[3]
-	p0i, p1i, p2i, p3i := phIm[0], phIm[1], phIm[2], phIm[3]
+	p0r, p1r, p2r, p3r := dRe[0], dRe[1], dRe[2], dRe[3]
+	p0i, p1i, p2i, p3i := dIm[0], dIm[1], dIm[2], dIm[3]
 	for c := lo; c < hi; c++ {
 		x := (c&^lowLo)<<1 | c&lowLo
 		i := (x&^lowHi)<<1 | x&lowHi
 		j := i | maskLo
 		k := i | maskHi
 		l := j | maskHi
-		qr := [4]float64{re[i], re[j], re[k], re[l]}
-		qi := [4]float64{im[i], im[j], im[k], im[l]}
-		re[i] = p0r*qr[s0] - p0i*qi[s0]
-		im[i] = p0r*qi[s0] + p0i*qr[s0]
-		re[j] = p1r*qr[s1] - p1i*qi[s1]
-		im[j] = p1r*qi[s1] + p1i*qr[s1]
-		re[k] = p2r*qr[s2] - p2i*qi[s2]
-		im[k] = p2r*qi[s2] + p2i*qr[s2]
-		re[l] = p3r*qr[s3] - p3i*qi[s3]
-		im[l] = p3r*qi[s3] + p3i*qr[s3]
+		a0r, a0i := re[i], im[i]
+		a1r, a1i := re[j], im[j]
+		a2r, a2i := re[k], im[k]
+		a3r, a3i := re[l], im[l]
+		re[i] = p0r*a0r - p0i*a0i
+		im[i] = p0r*a0i + p0i*a0r
+		re[j] = p1r*a1r - p1i*a1i
+		im[j] = p1r*a1i + p1i*a1r
+		re[k] = p2r*a2r - p2i*a2i
+		im[k] = p2r*a2i + p2i*a2r
+		re[l] = p3r*a3r - p3i*a3i
+		im[l] = p3r*a3i + p3i*a3r
 	}
 }
 
-// monoTransposition reports whether the monomial's permutation is exactly
-// one transposition (a b) with every fixed row keeping unit phase — the
-// dominant kernel shape compiled from CX/CZ chains, with or without folded
-// S/T phases on the moved rows.
-func monoTransposition(src *[4]int, phRe, phIm *[4]float64) (a, b int, ok bool) {
-	a = -1
-	for r := 0; r < 4; r++ {
-		if src[r] == r {
-			if phRe[r] != 1 || phIm[r] != 0 {
-				return 0, 0, false
-			}
-			continue
-		}
-		if a < 0 {
-			a = r
-			continue
-		}
-		if b != 0 {
-			return 0, 0, false // third moved row
-		}
-		b = r
+// sweep2QDiagAuto is sweep2QDiagVec with useAVX, else sweep2QDiag.
+func sweep2QDiagAuto(re, im []float64, dRe, dIm *[4]float64, maskLo, maskHi, lo, hi int) {
+	if useAVX {
+		sweep2QDiagVec(re, im, dRe, dIm, maskLo, maskHi, lo, hi)
+		return
 	}
-	if a < 0 || b == 0 {
-		return 0, 0, false
-	}
-	if src[a] != b || src[b] != a {
-		return 0, 0, false
-	}
-	return a, b, true
-}
-
-// monoComplexPlanes is the cycle-walking blocked monomial for complex
-// phases, operating on both planes' quadrant runs together: unit-phase
-// fixed rows skip their streams entirely, fixed rows with phase scale in
-// place, and each k-cycle loops over only the 2k streams it moves —
-// instead of one 16-stream loop whose slice bases spill out of the
-// register file.
-func monoComplexPlanes(qr, qi *[4][]float64, src *[4]int, phRe, phIm *[4]float64) {
-	var done [4]bool
-	for r0 := 0; r0 < 4; r0++ {
-		if done[r0] {
-			continue
-		}
-		done[r0] = true
-		if src[r0] == r0 {
-			pr, pi := phRe[r0], phIm[r0]
-			if pr == 1 && pi == 0 {
-				continue
-			}
-			phaseRun(pr, pi, qr[r0], qi[r0])
-			continue
-		}
-		r1 := src[r0]
-		if src[r1] == r0 {
-			done[r1] = true
-			p0r, p0i := phRe[r0], phIm[r0]
-			p1r, p1i := phRe[r1], phIm[r1]
-			ar0 := qr[r0]
-			ai0 := qi[r0][:len(ar0)]
-			ar1 := qr[r1][:len(ar0)]
-			ai1 := qi[r1][:len(ar0)]
-			for n := range ar0 {
-				v0r, v0i := ar0[n], ai0[n]
-				v1r, v1i := ar1[n], ai1[n]
-				ar0[n] = p0r*v1r - p0i*v1i
-				ai0[n] = p0r*v1i + p0i*v1r
-				ar1[n] = p1r*v0r - p1i*v0i
-				ai1[n] = p1r*v0i + p1i*v0r
-			}
-			continue
-		}
-		// 3- or 4-cycle: collect it and rotate with per-element buffering.
-		cyc := [4]int{r0, r1, src[r1], -1}
-		n := 3
-		if src[cyc[2]] != r0 {
-			cyc[3] = src[cyc[2]]
-			n = 4
-		}
-		for _, r := range cyc[1:n] {
-			done[r] = true
-		}
-		if n == 3 {
-			p0r, p0i := phRe[cyc[0]], phIm[cyc[0]]
-			p1r, p1i := phRe[cyc[1]], phIm[cyc[1]]
-			p2r, p2i := phRe[cyc[2]], phIm[cyc[2]]
-			s0r := qr[cyc[0]]
-			s0i := qi[cyc[0]][:len(s0r)]
-			s1r := qr[cyc[1]][:len(s0r)]
-			s1i := qi[cyc[1]][:len(s0r)]
-			s2r := qr[cyc[2]][:len(s0r)]
-			s2i := qi[cyc[2]][:len(s0r)]
-			for k := range s0r {
-				v0r, v0i := s0r[k], s0i[k]
-				v1r, v1i := s1r[k], s1i[k]
-				v2r, v2i := s2r[k], s2i[k]
-				s0r[k] = p0r*v1r - p0i*v1i
-				s0i[k] = p0r*v1i + p0i*v1r
-				s1r[k] = p1r*v2r - p1i*v2i
-				s1i[k] = p1r*v2i + p1i*v2r
-				s2r[k] = p2r*v0r - p2i*v0i
-				s2i[k] = p2r*v0i + p2i*v0r
-			}
-			continue
-		}
-		p0r, p0i := phRe[cyc[0]], phIm[cyc[0]]
-		p1r, p1i := phRe[cyc[1]], phIm[cyc[1]]
-		p2r, p2i := phRe[cyc[2]], phIm[cyc[2]]
-		p3r, p3i := phRe[cyc[3]], phIm[cyc[3]]
-		s0r := qr[cyc[0]]
-		s0i := qi[cyc[0]][:len(s0r)]
-		s1r := qr[cyc[1]][:len(s0r)]
-		s1i := qi[cyc[1]][:len(s0r)]
-		s2r := qr[cyc[2]][:len(s0r)]
-		s2i := qi[cyc[2]][:len(s0r)]
-		s3r := qr[cyc[3]][:len(s0r)]
-		s3i := qi[cyc[3]][:len(s0r)]
-		for k := range s0r {
-			v0r, v0i := s0r[k], s0i[k]
-			v1r, v1i := s1r[k], s1i[k]
-			v2r, v2i := s2r[k], s2i[k]
-			v3r, v3i := s3r[k], s3i[k]
-			s0r[k] = p0r*v1r - p0i*v1i
-			s0i[k] = p0r*v1i + p0i*v1r
-			s1r[k] = p1r*v2r - p1i*v2i
-			s1i[k] = p1r*v2i + p1i*v2r
-			s2r[k] = p2r*v3r - p2i*v3i
-			s2i[k] = p2r*v3i + p2i*v3r
-			s3r[k] = p3r*v0r - p3i*v0i
-			s3i[k] = p3r*v0i + p3i*v0r
-		}
-	}
-}
-
-// monoRealPlane applies out[r] = ph[r]·in[src[r]] over one plane's four
-// equal-length quadrant runs for a real-phase monomial, walking the
-// permutation's cycles: identity rows with unit phase skip their loads and
-// stores entirely (a CX kernel moves only two of the four quadrants, so
-// half the block's traffic vanishes), fixed points with phase scale in
-// place, and 2/3/4-cycles run as tight swap-scale loops over just the
-// streams they touch.
-func monoRealPlane(q *[4][]float64, src *[4]int, ph *[4]float64) {
-	var done [4]bool
-	for r0 := 0; r0 < 4; r0++ {
-		if done[r0] {
-			continue
-		}
-		done[r0] = true
-		if src[r0] == r0 {
-			if p := ph[r0]; p != 1 {
-				s := q[r0]
-				for i := range s {
-					s[i] = p * s[i]
-				}
-			}
-			continue
-		}
-		r1 := src[r0]
-		if src[r1] == r0 {
-			done[r1] = true
-			p0, p1 := ph[r0], ph[r1]
-			a := q[r0]
-			b := q[r1][:len(a)]
-			for i := range a {
-				va, vb := a[i], b[i]
-				a[i] = p0 * vb
-				b[i] = p1 * va
-			}
-			continue
-		}
-		r2 := src[r1]
-		if src[r2] == r0 {
-			done[r1], done[r2] = true, true
-			p0, p1, p2 := ph[r0], ph[r1], ph[r2]
-			s0 := q[r0]
-			s1 := q[r1][:len(s0)]
-			s2 := q[r2][:len(s0)]
-			for i := range s0 {
-				v0, v1, v2 := s0[i], s1[i], s2[i]
-				s0[i] = p0 * v1
-				s1[i] = p1 * v2
-				s2[i] = p2 * v0
-			}
-			continue
-		}
-		r3 := src[r2]
-		done[r1], done[r2], done[r3] = true, true, true
-		p0, p1, p2, p3 := ph[r0], ph[r1], ph[r2], ph[r3]
-		s0 := q[r0]
-		s1 := q[r1][:len(s0)]
-		s2 := q[r2][:len(s0)]
-		s3 := q[r3][:len(s0)]
-		for i := range s0 {
-			v0, v1, v2, v3 := s0[i], s1[i], s2[i], s3[i]
-			s0[i] = p0 * v1
-			s1[i] = p1 * v2
-			s2[i] = p2 * v3
-			s3[i] = p3 * v0
-		}
-	}
-}
-
-// sweep2QMonoBlocked is the cache-blocked monomial form for pairs whose
-// lower qubit stride gives long contiguous quadrant runs (mirrors
-// sweep2QBlocked's block expansion).
-func sweep2QMonoBlocked(re, im []float64, src *[4]int, phRe, phIm *[4]float64, maskLo, maskHi, lo, hi int) {
-	lowLo, lowHi := maskLo-1, maskHi-1
-	allReal := phIm[0] == 0 && phIm[1] == 0 && phIm[2] == 0 && phIm[3] == 0
-	for c := lo; c < hi; {
-		x := (c&^lowLo)<<1 | c&lowLo
-		i := (x&^lowHi)<<1 | x&lowHi
-		run := maskLo - c&lowLo
-		if run > hi-c {
-			run = hi - c
-		}
-		if run > cacheBlockAmps {
-			run = cacheBlockAmps
-		}
-		qr := [4][]float64{
-			re[i : i+run],
-			re[i|maskLo:][:run],
-			re[i|maskHi:][:run],
-			re[i|maskLo|maskHi:][:run],
-		}
-		qi := [4][]float64{
-			im[i : i+run],
-			im[i|maskLo:][:run],
-			im[i|maskHi:][:run],
-			im[i|maskLo|maskHi:][:run],
-		}
-		if allReal {
-			// Real phases decouple the planes (see sweep2QMono): each
-			// plane is an in-place permute-and-scale of its quadrant runs,
-			// cycle by cycle, touching only the quadrants the permutation
-			// moves — four live streams per loop instead of sixteen.
-			monoRealPlane(&qr, src, phRe)
-			monoRealPlane(&qi, src, phRe)
-		} else {
-			monoComplexPlanes(&qr, &qi, src, phRe, phIm)
-		}
-		c += run
-	}
-}
-
-// sweep2QMonoAuto picks the blocked monomial sweep when the lower pair
-// qubit's stride gives long enough contiguous runs, on every CPU: its run
-// form skips unit-phase rows that the per-quadruple form multiplies by
-// 1+0i, which may flip the sign of a zero. Below that stride, a complex
-// diagonal takes its vector sweep with useAVX, which multiplies every row
-// as the per-quadruple form does.
-func sweep2QMonoAuto(re, im []float64, src *[4]int, phRe, phIm *[4]float64, maskLo, maskHi, lo, hi int) {
-	switch {
-	case maskLo >= blockedStrideMin:
-		sweep2QMonoBlocked(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
-	case useAVX && isComplexDiag(src, phIm):
-		sweep2QDiagVec(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
-	default:
-		sweep2QMono(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
-	}
+	sweep2QDiag(re, im, dRe, dIm, maskLo, maskHi, lo, hi)
 }
 
 // sweepCtrlPerm exchanges amplitude pairs (i, i^flip) over the compact

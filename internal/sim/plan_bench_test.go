@@ -144,11 +144,11 @@ func BenchmarkFusedEvolve20Shards(b *testing.B) {
 	}
 }
 
-// monomialChainCircuit builds the monomial-heavy workload: brickwork
+// monomialChainCircuit builds the permutation-chain workload: brickwork
 // layers whose pair kernels fuse from pure CX/CZ/SWAP chains plus
-// phase-type single-qubit gates, so every dense 4×4 finalizes as
-// permutation×phase and executes on the 4-multiply monomial sweep. An
-// opening H layer spreads amplitude so the sweeps move real weight.
+// phase-type single-qubit gates, so every pair kernel after the first
+// layer is permutation × phase. An opening H layer spreads amplitude so
+// the sweeps move real weight.
 func monomialChainCircuit(n, layers int) *circuit.Circuit {
 	c := circuit.New(n, 0)
 	for q := 0; q < n; q++ {
@@ -171,17 +171,24 @@ func monomialChainCircuit(n, layers int) *circuit.Circuit {
 	return c
 }
 
-// BenchmarkMonomialEvolve20 runs the monomial-heavy circuit through the
-// compiled plan — the acceptance benchmark for the permutation×phase
-// fast path (4 complex multiplies per quadruple instead of 16×mul+12×add).
+// BenchmarkMonomialEvolve20 runs the permutation-chain circuit through
+// the compiled plan. Its 76 kernels all sweep as dense 4×4s: the 10 of
+// the first layer fold the opening H gates, and the 66 permutation ×
+// phase chains after them are neither diagonal nor block-diagonal.
 func BenchmarkMonomialEvolve20(b *testing.B) {
 	c := monomialChainCircuit(20, 4)
 	pl, err := Compile(c)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if pl.Stats().Monomial2Q == 0 {
-		b.Fatalf("benchmark circuit produced no monomial kernels: %+v", pl.Stats())
+	dense := 0
+	for _, k := range pl.kernels {
+		if k.kind == kGate2Q && k.form == pairDense {
+			dense++
+		}
+	}
+	if dense != 76 || len(pl.kernels) != 76 {
+		b.Fatalf("benchmark circuit has %d kernels, %d of them dense 4×4, want 76 and 76: %+v", len(pl.kernels), dense, pl.Stats())
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -357,8 +364,7 @@ func BenchmarkRunNoisy(b *testing.B) {
 // over and over keeps the state's norm and never drifts into subnormals.
 // The forms are the ones a served QAOA job's kernels take: a dense 2×2, a
 // block-diagonal pair with the gate on the lower ("block-lo") or the
-// higher ("block-hi") qubit, a dense 4×4 and a complex diagonal (the ZZ
-// phase).
+// higher ("block-hi") qubit, a dense 4×4 and a diagonal (the ZZ phase).
 func strideKernel(form string, q int) (kernel, error) {
 	u := gates.Mul2(mustUnitary1(gates.RX, 0.7), mustUnitary1(gates.RZ, 0.4))
 	if form == "2x2" {
@@ -386,7 +392,7 @@ func strideKernel(form string, q int) (kernel, error) {
 		for r := 0; r < 4; r++ {
 			m[r][r] = cmplx.Exp(complex(0, 0.3+0.2*float64(r)))
 		}
-		want = pairMono
+		want = pairDiag
 	}
 	k := kernel{kind: kGate2Q, support: 3 << q, q: q, q2: q + 1, m4: m}
 	var st PlanStats
@@ -409,8 +415,10 @@ func mustUnitary1(n gates.Name, theta float64) gates.Matrix2 {
 // 20-qubit state on one shard, for each sweep form of a served QAOA job
 // and each lowest qubit in {0, 1, 2, 3, 5, 6, 12}: the low strides, where
 // a sweep's contiguous runs are shorter than a vector or a cache line,
-// against the strides where they are not. Each sub-benchmark reports
-// ns/amp; compare a form across its qubits.
+// against the strides where they are not. A form runs the same AVX body
+// at every qubit, or with -tags purego the same Go loop: no form changes
+// at a stride threshold. Each sub-benchmark reports ns/amp; compare a
+// form across its qubits.
 func BenchmarkKernelStrides(b *testing.B) {
 	const n = 20
 	st, err := NewState(n)

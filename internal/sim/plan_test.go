@@ -319,14 +319,13 @@ func TestCompileLoneCXStaysSpecialized(t *testing.T) {
 // TestCompileParityCXSandwich is the acceptance parity suite for the 4×4
 // path: brickwork CX ladders with single-qubit gates sandwiched between
 // them, checked against the direct per-gate engine at 1e-9 across shard
-// counts {1, 4, GOMAXPROCS} — including high qubit pairs that exercise the
-// cache-blocked sweep order.
+// counts {1, 4, GOMAXPROCS} — including high qubit pairs.
 func TestCompileParityCXSandwich(t *testing.T) {
 	shardCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, n := range []int{2, 5, 9, 12} {
 		c := cxBrickworkCircuit(n, 3)
-		// Append a chain on the two highest qubits so n ≥ 8 exercises
-		// sweep2QBlocked (lower pair stride ≥ blockedStrideMin).
+		// Append a chain on the two highest qubits so n ≥ 8 exercises a
+		// pair whose lower stride is 64 or more.
 		if n >= 8 {
 			c.RY(0.4, n-2).CX(n-2, n-1).RZ(0.9, n-1).CX(n-2, n-1)
 		}
@@ -441,36 +440,36 @@ func monomialCircuit(r *rand.Rand, n, depth int) *circuit.Circuit {
 	return c
 }
 
-// TestCompileMonomialStats checks the fast-path detection: a CX·CZ·CX
-// chain on one pair fuses into a dense 4×4 that finalizes as monomial,
-// while folding in a Hadamard (a genuinely dense 1Q gate) keeps the
-// kernel on the dense sweep.
+// TestCompileMonomialStats checks the form finalize gives a fused pair
+// kernel from its matrix's exact zeros. A CX chain around phase gates is
+// diagonal and counts in Monomial2Q; a CX beside a T is block-diagonal
+// (Block2Q); a SWAP·CX chain, a 3-cycle of the basis states, is dense, and
+// so is a CX pair around a Hadamard.
 func TestCompileMonomialStats(t *testing.T) {
-	c := circuit.New(3, 0)
-	c.CX(0, 1)
-	c.CZGate(0, 1)
-	c.CX(0, 1)
-	pl, err := Compile(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Stats().Fused2Q == 0 {
-		t.Fatalf("chain did not fuse: %+v", pl.Stats())
-	}
-	if pl.Stats().Monomial2Q != 1 {
-		t.Fatalf("CX·CZ·CX kernel not detected monomial: %+v", pl.Stats())
-	}
-
-	c2 := circuit.New(3, 0)
-	c2.CX(0, 1)
-	c2.H(0)
-	c2.CX(0, 1)
-	pl2, err := Compile(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl2.Stats().Monomial2Q != 0 {
-		t.Fatalf("H-bearing kernel wrongly detected monomial: %+v", pl2.Stats())
+	for _, tc := range []struct {
+		name        string
+		build       func(c *circuit.Circuit)
+		mono, block int
+	}{
+		{"CX·CZ·CX", func(c *circuit.Circuit) { c.CX(0, 1).CZGate(0, 1).CX(0, 1) }, 1, 0},
+		{"CX·S·CX·CZ", func(c *circuit.Circuit) { c.CX(0, 1).S(1).CX(0, 1).CZGate(0, 1) }, 1, 0},
+		{"CX·T", func(c *circuit.Circuit) { c.CX(0, 1).T(0) }, 0, 1},
+		{"SWAP·CX", func(c *circuit.Circuit) { c.Swap(0, 1).CX(0, 1) }, 0, 0},
+		{"CX·H·CX", func(c *circuit.Circuit) { c.CX(0, 1).H(0).CX(0, 1) }, 0, 0},
+	} {
+		c := circuit.New(3, 0)
+		tc.build(c)
+		pl, err := Compile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := pl.Stats()
+		if st.Fused2Q == 0 || st.Kernels != 1 || pl.kernels[0].kind != kGate2Q {
+			t.Fatalf("%s did not fuse into one pair kernel: %+v", tc.name, st)
+		}
+		if st.Monomial2Q != tc.mono || st.Block2Q != tc.block {
+			t.Errorf("%s: Monomial2Q %d, Block2Q %d, want %d and %d", tc.name, st.Monomial2Q, st.Block2Q, tc.mono, tc.block)
+		}
 	}
 }
 
@@ -509,15 +508,16 @@ func TestCompileParityMonomial(t *testing.T) {
 	}
 }
 
-// TestCompileParityMonomialBlocked pins the cache-blocked monomial sweep:
-// a chain on a high qubit pair (lower-qubit stride ≥ blockedStrideMin)
-// must match the direct path.
+// TestCompileParityMonomialBlocked pins a permutation × phase chain on a
+// high qubit pair (lower-qubit stride 2^12): it fuses into one pair
+// kernel, which is neither diagonal nor block-diagonal and so finalizes
+// dense, and the plan must match the direct path.
 func TestCompileParityMonomialBlocked(t *testing.T) {
 	const n = 14
 	c := circuit.New(n, 0)
 	// Spread amplitude across the low qubits only: a Hadamard on 12 or 13
-	// would fold into the pair kernel and (rightly) disqualify the
-	// monomial form. X/T on the pair keep it permutation×phase.
+	// would fold into the pair kernel. X/T on the pair keep it
+	// permutation × phase.
 	for q := 0; q < 12; q++ {
 		c.H(q)
 		c.T(q)
@@ -535,8 +535,14 @@ func TestCompileParityMonomialBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Stats().Monomial2Q == 0 {
-		t.Fatalf("high-pair chain not monomial: %+v", pl.Stats())
+	var pair []pairForm
+	for _, k := range pl.kernels {
+		if k.kind == kGate2Q {
+			pair = append(pair, k.form)
+		}
+	}
+	if st := pl.Stats(); len(pair) != 1 || pair[0] != pairDense || st.Monomial2Q != 0 || st.Block2Q != 0 {
+		t.Fatalf("high-pair chain finalized to pair forms %v, want one dense kernel: %+v", pair, st)
 	}
 	for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		st := mustState(t, n)
@@ -572,9 +578,8 @@ func randomBlockMatrix(r *rand.Rand, hole bool) gates.Matrix4 {
 // TestBlockSweepExact holds the block sweep to the dense sweep it stands
 // in for. On random block-diagonal matrices in both forms — the gate on
 // the lower or on the higher qubit of the pair — for pairs whose lower
-// qubit's stride is below blockedStrideMin, at least it, and above
-// cacheBlockAmps, and on shard grants {1, 4, GOMAXPROCS}, every amplitude
-// must equal sweep2QAuto's under ==.
+// qubit's stride runs from 1 to 2^13, and on shard grants
+// {1, 4, GOMAXPROCS}, every amplitude must equal sweep2QAuto's under ==.
 func TestBlockSweepExact(t *testing.T) {
 	const n = 15
 	r := rand.New(rand.NewSource(40))
@@ -841,24 +846,31 @@ func TestCompileRejectsBadDiagonalTable(t *testing.T) {
 	}
 }
 
-// TestSweep2QMonoDiagonalExact holds sweep2QMono's identity-permutation
-// branch to the general gather path it stands in for: complex diagonal
-// phases, unit-phase rows among them, on pairs at every low stride the
-// per-quadruple form serves and on shard-sized sub-ranges; every
-// amplitude's bits must agree, ±0 inputs included.
+// TestSweep2QMonoDiagonalExact holds sweep2QDiag, the diagonal kernel's
+// Go loop, to the dense sweep of the same matrix: complex, real and
+// unit-phase rows, on pairs at strides from 1 to 2^9 and on shard-sized
+// sub-ranges; every amplitude must equal the dense sweep's under ==, ±0
+// inputs included (the dense sweep adds the off-diagonal 0·a terms the
+// diagonal loop leaves out, which can change only the sign of a zero).
 func TestSweep2QMonoDiagonalExact(t *testing.T) {
 	const n = 10
 	r := rand.New(rand.NewSource(471))
-	src := [4]int{0, 1, 2, 3}
-	for _, pr := range [][2]int{{0, 1}, {0, 9}, {1, 2}, {1, 5}, {2, 3}, {4, 8}} {
+	for _, pr := range [][2]int{{0, 1}, {0, 9}, {1, 2}, {1, 5}, {2, 3}, {4, 8}, {6, 7}, {8, 9}} {
 		for trial := 0; trial < 4; trial++ {
 			var phRe, phIm [4]float64
 			for k := range phRe {
 				a := 2 * math.Pi * r.Float64()
 				phRe[k], phIm[k] = math.Cos(a), math.Sin(a)
 			}
-			if trial == 1 {
+			switch trial {
+			case 1:
 				phRe[2], phIm[2] = 1, 0
+			case 2:
+				phIm = [4]float64{}
+			}
+			var dense gates.Split4
+			for k := range phRe {
+				dense.Re[k][k], dense.Im[k][k] = phRe[k], phIm[k]
 			}
 			got := mustState(t, n)
 			for i := range got.re {
@@ -871,12 +883,11 @@ func TestSweep2QMonoDiagonalExact(t *testing.T) {
 			maskLo, maskHi := 1<<pr[0], 1<<pr[1]
 			quads := got.Dim() / 4
 			lo, hi := r.Intn(quads/2), quads/2+r.Intn(quads/2)
-			sweep2QMono(got.re, got.im, &src, &phRe, &phIm, maskLo, maskHi, lo, hi)
-			sweep2QMonoGather(want.re, want.im, &src, &phRe, &phIm, maskLo, maskHi, lo, hi)
+			sweep2QDiag(got.re, got.im, &phRe, &phIm, maskLo, maskHi, lo, hi)
+			sweep2Q(want.re, want.im, &dense, maskLo, maskHi, lo, hi)
 			for i := range got.re {
-				if math.Float64bits(got.re[i]) != math.Float64bits(want.re[i]) ||
-					math.Float64bits(got.im[i]) != math.Float64bits(want.im[i]) {
-					t.Fatalf("pair %v trial %d amp[%d]: diagonal branch (%v, %v) != gather (%v, %v)",
+				if got.re[i] != want.re[i] || got.im[i] != want.im[i] {
+					t.Fatalf("pair %v trial %d amp[%d]: diagonal (%v, %v) != dense (%v, %v)",
 						pr, trial, i, got.re[i], got.im[i], want.re[i], want.im[i])
 				}
 			}

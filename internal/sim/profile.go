@@ -25,7 +25,8 @@ import (
 // Kernel kind ordinals for the labeled instrument families. The enum is
 // the executor's sweep classification: both permutation shapes (the
 // controlled subspace exchange and the full-state relabeling) report as
-// "permute".
+// "permute", and "monomial" is a two-qubit kernel on the diagonal sweep
+// (gate2q one on the dense or a block sweep).
 const (
 	pkGate1Q = iota
 	pkGate2Q
@@ -58,7 +59,7 @@ func kindOrdinal(k *kernel) int {
 	case kGate1Q:
 		return pkGate1Q
 	case kGate2Q:
-		if k.form == pairMono {
+		if k.form == pairDiag {
 			return pkMonomial
 		}
 		return pkGate2Q

@@ -213,7 +213,7 @@ func randomMixedCircuit(r *rand.Rand, n, depth int) *circuit.Circuit {
 				}
 			}
 		case 6:
-			// Long-range CX to hit high-stride / blocked sweeps.
+			// Long-range CX to hit high-stride sweeps.
 			a, b := twoDistinct(r, n)
 			c.CX(a, b)
 		case 7:

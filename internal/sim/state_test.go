@@ -297,7 +297,7 @@ func TestApply2KronOfSingles(t *testing.T) {
 }
 
 // TestApply2HighPairBlockedSweep pushes a dense pair onto high qubits of a
-// state large enough to shard, exercising the cache-blocked sweep on one
+// state large enough to shard, exercising a high-stride pair sweep on one
 // shard and on four: both must match the complex128 reference bit for bit.
 func TestApply2HighPairBlockedSweep(t *testing.T) {
 	n := 15
@@ -317,7 +317,7 @@ func TestApply2HighPairBlockedSweep(t *testing.T) {
 		}
 		for k := range ref {
 			if got := s.Amplitude(uint64(k)); got != ref[k] {
-				t.Fatalf("shards=%d: blocked sweep %v != reference %v at %d", shards, got, ref[k], k)
+				t.Fatalf("shards=%d: high-pair sweep %v != reference %v at %d", shards, got, ref[k], k)
 			}
 		}
 	}

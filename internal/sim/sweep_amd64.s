@@ -3,8 +3,8 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// AVX bodies of the 2×2, block, dense 4×4 and complex-diagonal sweeps and
-// of the monomial run form's phase runs (see sweep_amd64.go). Every lane
+// AVX bodies of the 2×2, block, dense 4×4 and diagonal sweeps (see
+// sweep_amd64.go). Every lane
 // of a body is its Go expression, operation for operation: the same
 // products, the same grouping, the same operand order for every
 // subtraction, and no fused multiply-add, so each lane rounds as the
@@ -330,7 +330,7 @@ densedone:
 
 // func phaseSweepAVX(re, im []float64, cf *phaseCoefs, geo *vecGeom)
 //
-// The complex diagonal: every tile of a group scaled by its phases.
+// The diagonal: every tile of a group scaled by its phases.
 TEXT ·phaseSweepAVX(SB), NOSPLIT, $0-64
 	MOVQ re_base+0(FP), SI
 	MOVQ im_base+24(FP), DI
@@ -368,39 +368,5 @@ phase1:
 	JNZ phase1
 
 phasesweepdone:
-	VZEROUPPER
-	RET
-
-// func phaseRunAVX(pr, pi float64, sr, si []float64)
-//
-// The loop count is len(sr) rounded down to a multiple of 4. The in-place
-// complex scale sr + i·si ← (sr + i·si)·(pr + i·pi):
-// sr = ar*pr - ai*pi, si = ar*pi + ai*pr.
-TEXT ·phaseRunAVX(SB), NOSPLIT, $0-64
-	VBROADCASTSD pr+0(FP), Y8
-	VBROADCASTSD pi+8(FP), Y9
-	MOVQ sr_base+16(FP), SI
-	MOVQ sr_len+24(FP), CX
-	MOVQ si_base+40(FP), DI
-	ANDQ $-4, CX
-	XORQ AX, AX
-
-phaseloop:
-	CMPQ AX, CX
-	JGE  phasedone
-	VMOVUPD (SI)(AX*8), Y0 // ar
-	VMOVUPD (DI)(AX*8), Y1 // ai
-	VMULPD Y8, Y0, Y2
-	VMULPD Y9, Y1, Y3
-	VSUBPD Y3, Y2, Y2
-	VMULPD Y9, Y0, Y4
-	VMULPD Y8, Y1, Y5
-	VADDPD Y5, Y4, Y4
-	VMOVUPD Y2, (SI)(AX*8)
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  phaseloop
-
-phasedone:
 	VZEROUPPER
 	RET

@@ -3,7 +3,7 @@
 package sim
 
 // useAVX is false: this build has no vector bodies, and every sweep runs
-// its Go loops only.
+// its one Go loop only.
 const useAVX = false
 
 // The vector bodies' stand-ins. useAVX is false, so nothing calls them.
@@ -19,5 +19,3 @@ func denseSweepAVX(re, im []float64, cf *denseCoefs, geo *vecGeom) {
 func phaseSweepAVX(re, im []float64, cf *phaseCoefs, geo *vecGeom) {
 	panic("sim: no vector body in this build")
 }
-
-func phaseRunAVX(pr, pi float64, sr, si []float64) { panic("sim: no vector body in this build") }

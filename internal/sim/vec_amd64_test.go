@@ -101,8 +101,8 @@ type vecCase struct {
 
 // vecCases returns every vector sweep on every qubit and pair of an
 // n-qubit state: the 2×2, both block forms, the dense 4×4, and the
-// complex diagonal twice, once with one unit-phase row. Matrix entries and
-// phases are edgeFloat's.
+// diagonal three times: with complex phases, with real phases, and with
+// one unit-phase row. Matrix entries and phases are edgeFloat's.
 func vecCases(r *rand.Rand, n int) []vecCase {
 	dim := 1 << n
 	split4 := func() *gates.Split4 {
@@ -147,23 +147,23 @@ func vecCases(r *rand.Rand, n int) []vecCase {
 			c.vec = func(re, im []float64, a, b int) { sweep2QVec(re, im, m, lo, hi, a, b) }
 			c.ref = func(re, im []float64, a, b int) { sweep2Q(re, im, m, lo, hi, a, b) }
 			cs = append(cs, c)
-			for _, unit := range []bool{false, true} {
-				src := [4]int{0, 1, 2, 3}
-				var phRe, phIm [4]float64
-				for k := range phRe {
-					phRe[k], phIm[k] = edgeFloat(r), edgeFloat(r)
+			for _, shape := range []string{"diag", "real diag", "diag unit row"} {
+				var dRe, dIm [4]float64
+				for k := range dRe {
+					dRe[k], dIm[k] = edgeFloat(r), edgeFloat(r)
 				}
-				k := r.Intn(4)
-				phIm[k] = 0.5 // a complex diagonal: some phase is not real
-				name := "diag"
-				if unit {
-					u := (k + 1 + r.Intn(3)) % 4
-					phRe[u], phIm[u] = 1, 0
+				name := shape
+				switch shape {
+				case "real diag":
+					dIm = [4]float64{}
+				case "diag unit row":
+					u := r.Intn(4)
+					dRe[u], dIm[u] = 1, 0
 					name = fmt.Sprintf("diag unit row %d", u)
 				}
 				c := pair(name)
-				c.vec = func(re, im []float64, a, b int) { sweep2QDiagVec(re, im, &src, &phRe, &phIm, lo, hi, a, b) }
-				c.ref = func(re, im []float64, a, b int) { sweep2QMono(re, im, &src, &phRe, &phIm, lo, hi, a, b) }
+				c.vec = func(re, im []float64, a, b int) { sweep2QDiagVec(re, im, &dRe, &dIm, lo, hi, a, b) }
+				c.ref = func(re, im []float64, a, b int) { sweep2QDiag(re, im, &dRe, &dIm, lo, hi, a, b) }
 				cs = append(cs, c)
 			}
 		}
@@ -184,16 +184,14 @@ func checkVecCase(t *testing.T, r *rand.Rand, c vecCase, n, off, lo, hi int) {
 }
 
 // TestVectorBodiesExact holds each vector sweep — the 2×2, both block
-// forms, the dense 4×4 and the complex diagonal, at every stride of a
-// 9-qubit state, strides 1 and 2 included — to the Go loop it replaces,
-// bit for bit: every range of 0 to 70 indices at a random start, the three
-// ranges of a three-shard split, plane bases off by 0–3 elements, and
-// states, matrices and phases that include ±0, subnormals and products
-// that underflow or overflow. A complex diagonal with one unit-phase row
-// must equal the per-quadruple form, which multiplies that row too. It
-// also holds phaseRun, whose whole vectors run in phaseRunAVX, to its Go
-// loop at every length from 0 to 70. Guard elements around each plane
-// must keep their marker.
+// forms, the dense 4×4 and the diagonal, at every stride of a 9-qubit
+// state, strides 1 and 2 included — to the Go loop it replaces, bit for
+// bit: every range of 0 to 70 indices at a random start, the three ranges
+// of a three-shard split, plane bases off by 0–3 elements, and states,
+// matrices and phases that include ±0, subnormals and products that
+// underflow or overflow. A diagonal with real phases or with a unit-phase
+// row must equal the Go loop, which multiplies every row by its full
+// complex phase. Guard elements around each plane must keep their marker.
 func TestVectorBodiesExact(t *testing.T) {
 	needAVX(t)
 	const n = 9
@@ -207,16 +205,6 @@ func TestVectorBodiesExact(t *testing.T) {
 			lo, hi := shardRange(c.total, 3, w)
 			checkVecCase(t, r, c, n, w+1, lo, hi)
 		}
-	}
-	for cnt := 0; cnt <= 70; cnt++ {
-		pr, pi := edgeFloat(r), edgeFloat(r)
-		phase := newVecStreams(r, 2, cnt, cnt%4)
-		phaseGo := phase.clone()
-		phaseRun(pr, pi, phase.stream(0), phase.stream(1))
-		useAVX = false
-		phaseRun(pr, pi, phaseGo.stream(0), phaseGo.stream(1))
-		useAVX = true
-		phase.equalBits(t, "phaseRun", phaseGo)
 	}
 }
 
@@ -238,17 +226,10 @@ func TestVectorBodiesStopAtWholeVectors(t *testing.T) {
 			checkVecCase(t, r, c, n, trial%4, g.lo, g.hi)
 		}
 	}
-	useAVX = false
-	phase := newVecStreams(r, 2, 11, 3)
-	phaseGo := phase.clone()
-	phaseRunAVX(0.6, -0.8, phase.stream(0), phase.stream(1))
-	phaseRun(0.6, -0.8, phaseGo.stream(0)[:8], phaseGo.stream(1))
-	useAVX = true
-	phase.equalBits(t, "phaseRunAVX", phaseGo)
 }
 
 // TestQAOAPlanVectorMatchesGo executes a served 20-qubit QAOA job's whole
-// plan (maxCutQAOA(1, 20, 30, 2): 2×2, block, dense and complex-diagonal
+// plan (maxCutQAOA(1, 20, 30, 2): 2×2, block, dense and diagonal
 // kernels on low and high pairs) with the vector bodies and without, on
 // one, two and three shards, and requires every amplitude's bits to agree.
 func TestQAOAPlanVectorMatchesGo(t *testing.T) {
@@ -280,11 +261,12 @@ func TestQAOAPlanVectorMatchesGo(t *testing.T) {
 }
 
 // vecSweepKernels returns a 2×2 kernel on q and, when q2 > q, one kernel
-// of every two-qubit form on the pair (q, q2): the dense and both block
-// forms, whose run forms have vector bodies, and the monomial shapes,
-// whose run form sweeps its phased fixed rows with the phase body — a
-// complex diagonal, a transposition with unit-phase fixed rows, a 3-cycle
-// and a transposition beside a phased and a unit-phase fixed row.
+// of every two-qubit form on the pair (q, q2), each finalized from its
+// matrix: the dense and both block forms; the diagonal with complex
+// phases, with real phases (CZ·Z-style) and with unit-phase rows; and the
+// permutation shapes, which finalize as block or dense: a transposition
+// with unit-phase fixed rows (a phased SWAP), a 3-cycle, and a
+// transposition beside a phased and a unit-phase fixed row (a phased CX).
 func vecSweepKernels(t *testing.T, r *rand.Rand, q, q2 int) []kernel {
 	t.Helper()
 	cplx := func() complex128 { return complex(2*r.Float64()-1, 2*r.Float64()-1) }
@@ -308,34 +290,49 @@ func vecSweepKernels(t *testing.T, r *rand.Rand, q, q2 int) []kernel {
 			dense[i][j] = cplx()
 		}
 	}
-	var diag, trans, cycle, fixed gates.Matrix4
+	var diag, realDiag, unitDiag, trans, cycle, fixed gates.Matrix4
 	for i := 0; i < 4; i++ {
 		diag[i][i] = phase()
+		realDiag[i][i] = complex(float64(1-2*r.Intn(2)), 0)
 	}
+	unitDiag[0][0], unitDiag[1][1], unitDiag[2][2], unitDiag[3][3] = 1, phase(), 1, phase()
 	trans[0][0], trans[1][2], trans[2][1], trans[3][3] = 1, phase(), phase(), 1
 	cycle[0][1], cycle[1][2], cycle[2][0], cycle[3][3] = phase(), phase(), phase(), phase()
 	fixed[0][0], fixed[1][1], fixed[2][3], fixed[3][2] = phase(), 1, phase(), phase()
-	mats := []gates.Matrix4{dense, randomBlockMatrix(r, false), swapPair(randomBlockMatrix(r, false)), diag, trans, cycle, fixed}
-	var st PlanStats
-	for _, m := range mats {
-		k := kernel{kind: kGate2Q, support: 1<<q | 1<<q2, q: q, q2: q2, m4: m}
+	for _, c := range []struct {
+		name string
+		m    gates.Matrix4
+		want pairForm
+	}{
+		{"dense", dense, pairDense},
+		{"block-lo", randomBlockMatrix(r, false), pairBlockLo},
+		{"block-hi", swapPair(randomBlockMatrix(r, false)), pairBlockHi},
+		{"diag", diag, pairDiag},
+		{"real diag", realDiag, pairDiag},
+		{"unit-row diag", unitDiag, pairDiag},
+		{"transposition", trans, pairDense},
+		{"3-cycle", cycle, pairDense},
+		{"fixed rows", fixed, pairBlockLo},
+	} {
+		k := kernel{kind: kGate2Q, support: 1<<q | 1<<q2, q: q, q2: q2, m4: c.m}
+		var st PlanStats
 		k.finalize2Q(&st)
+		if k.form != c.want {
+			t.Fatalf("%s kernel finalized to form %d, want %d", c.name, k.form, c.want)
+		}
 		ks = append(ks, k)
-	}
-	if st.Monomial2Q != 4 || st.Block2Q != 2 {
-		t.Fatalf("kernel forms: %+v, want 4 monomial and 2 block", st)
 	}
 	return ks
 }
 
-// TestVectorSweepsMatchGo runs every run-form sweep with the vector bodies
-// on and with them off — the Go loops at the Go threshold, the path a CPU
+// TestVectorSweepsMatchGo runs every kernel vecSweepKernels builds with
+// the vector bodies on and with them off — the Go loops, the path a CPU
 // without AVX or a purego build takes — and requires every amplitude's
 // bits to agree, at each stride from 1 to 2^14 and on shard grants
-// {1, 3, 4, GOMAXPROCS}. Three shards put run starts and run ends at
+// {1, 3, 4, GOMAXPROCS}. Three shards put range starts and ends at
 // arbitrary offsets. The states hold edgeFloat's ±0 and subnormals, so a
-// sweep form that multiplies a zero by a unit phase where the other skips
-// it (flipping the zero's sign) on only one path fails here.
+// body that multiplies a zero by a unit phase where the Go loop skips it,
+// or the other way round, flips the zero's sign and fails here.
 func TestVectorSweepsMatchGo(t *testing.T) {
 	needAVX(t)
 	const n = 15

@@ -4,7 +4,7 @@ import "repro/internal/gates"
 
 // ---- vector sweeps: the whole shard range of a kernel in one body ----
 //
-// With useAVX, the 2×2, block, dense 4×4 and complex-diagonal sweeps run
+// With useAVX, the 2×2, block, dense 4×4 and diagonal sweeps run
 // their shard's range in the AVX bodies of sweep_amd64.s at every stride.
 // A body walks tile groups: a tile is 4 consecutive amplitudes starting
 // at a multiple of 4, and a group is the tile at amplitude index i with
@@ -203,33 +203,22 @@ func sweep2QVec(re, im []float64, m *gates.Split4, maskLo, maskHi, lo, hi int) {
 	sweep2Q(re, im, m, maskLo, maskHi, g.hi, hi)
 }
 
-// sweep2QDiagVec is sweep2QMono's complex-diagonal loop (src is the
-// identity, some phase is not real) with the whole groups of [lo, hi) in
-// phaseSweepAVX. Like that loop, and unlike the run form, it scales every
-// row, unit phases included, so it matches the per-quadruple form bit for
-// bit, the sign of a zero included.
-func sweep2QDiagVec(re, im []float64, src *[4]int, phRe, phIm *[4]float64, maskLo, maskHi, lo, hi int) {
+// sweep2QDiagVec is sweep2QDiag with the whole groups of [lo, hi) in
+// phaseSweepAVX and the few quadruples at either end in sweep2QDiag.
+func sweep2QDiagVec(re, im []float64, dRe, dIm *[4]float64, maskLo, maskHi, lo, hi int) {
 	g := newVecGeom(maskLo, maskHi, lo, hi)
 	if g.groups == 0 {
-		sweep2QMono(re, im, src, phRe, phIm, maskLo, maskHi, lo, hi)
+		sweep2QDiag(re, im, dRe, dIm, maskLo, maskHi, lo, hi)
 		return
 	}
 	var cf phaseCoefs
 	for o := range cf {
 		for l := 0; l < 4; l++ {
 			row := quadRow(g.tileOffset(o)+l, maskLo, maskHi)
-			cf[o][0][l], cf[o][1][l] = phRe[row], phIm[row]
+			cf[o][0][l], cf[o][1][l] = dRe[row], dIm[row]
 		}
 	}
-	sweep2QMono(re, im, src, phRe, phIm, maskLo, maskHi, lo, g.lo)
+	sweep2QDiag(re, im, dRe, dIm, maskLo, maskHi, lo, g.lo)
 	phaseSweepAVX(re, im, &cf, &g)
-	sweep2QMono(re, im, src, phRe, phIm, maskLo, maskHi, g.hi, hi)
-}
-
-// isComplexDiag reports whether a monomial kernel is the shape
-// sweep2QMono sweeps with its complex-diagonal loop: the identity
-// permutation with some phase that is not real.
-func isComplexDiag(src *[4]int, phIm *[4]float64) bool {
-	return src[0] == 0 && src[1] == 1 && src[2] == 2 && src[3] == 3 &&
-		(phIm[0] != 0 || phIm[1] != 0 || phIm[2] != 0 || phIm[3] != 0)
+	sweep2QDiag(re, im, dRe, dIm, maskLo, maskHi, g.hi, hi)
 }
