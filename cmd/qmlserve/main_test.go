@@ -362,21 +362,36 @@ func TestRestartAcceptance(t *testing.T) {
 func termWithParkedWait(t testing.TB, s *server) {
 	t.Helper()
 	id := postJob(t, s, slowBundle(t, 99))
-	wrote := make(chan struct{})
-	var wroteOnce sync.Once
-	// The parked poll gets a client of its own, with keep-alives off: it
-	// always dials, and a request on a fresh connection is never silently
-	// retried — on a stale pooled one the transport may retry it, after the
-	// SIGTERM below has closed the listener.
-	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	// The parked poll travels over a connection the server has already
+	// accepted and served: a transport of its own holding one connection,
+	// which one full GET opens first. A poll on a new connection could
+	// still sit in the listen backlog when SIGTERM's Shutdown closes the
+	// listener, which resets it.
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	resp, err := client.Get(s.url("/v1/jobs/" + id))
+	if err != nil {
+		t.Fatalf("GET before the parked poll: %v", err)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET before the parked poll: code=%d err=%v", resp.StatusCode, err)
+	}
 	type reply struct {
 		code  int
 		state string
 		err   error
 	}
+	reused := make(chan bool, 1)
+	wrote := make(chan struct{})
+	var gotOnce, wroteOnce sync.Once
 	parked := make(chan reply, 1)
 	go func() {
-		trace := &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { wroteOnce.Do(func() { close(wrote) }) }}
+		trace := &httptrace.ClientTrace{
+			GotConn:      func(info httptrace.GotConnInfo) { gotOnce.Do(func() { reused <- info.Reused }) },
+			WroteRequest: func(httptrace.WroteRequestInfo) { wroteOnce.Do(func() { close(wrote) }) },
+		}
 		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
 			http.MethodGet, s.url("/v1/jobs/"+id+"?wait=30s"), nil)
 		if err != nil {
@@ -395,6 +410,14 @@ func termWithParkedWait(t testing.TB, s *server) {
 		resp.Body.Close()
 		parked <- reply{code: resp.StatusCode, state: st.State, err: err}
 	}()
+	select {
+	case ok := <-reused:
+		if !ok {
+			t.Fatal("the parked poll dialed a new connection instead of reusing the served one")
+		}
+	case r := <-parked:
+		t.Fatalf("parked poll ended before it had a connection: code=%d err=%v", r.code, r.err)
+	}
 	<-wrote
 	// One full round trip on another connection after the poll was
 	// written: the server has had the poll for longer than it takes to

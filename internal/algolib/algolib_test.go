@@ -416,7 +416,7 @@ func TestQAOAExpectedCutAtZeroAngles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := st.ExpectationDiagonal(func(k uint64) float64 { return g.CutValueBits(k) })
+	cut := expectDiag(st, func(k uint64) float64 { return g.CutValueBits(k) })
 	if math.Abs(cut-2) > 1e-9 {
 		t.Errorf("zero-angle expected cut = %v, want 2", cut)
 	}
@@ -523,4 +523,15 @@ func TestCSwapLowering(t *testing.T) {
 	if _, err := NewCSwap(reg, 0, 0, 1); err == nil {
 		t.Error("duplicate cswap bits accepted")
 	}
+}
+
+// expectDiag returns Σ_k |amp_k|² f(k) over st, summed in index order.
+func expectDiag(st *sim.State, f func(uint64) float64) float64 {
+	total := 0.0
+	for k := 0; k < st.Dim(); k++ {
+		if p := st.Probability(uint64(k)); p > 0 {
+			total += p * f(uint64(k))
+		}
+	}
+	return total
 }

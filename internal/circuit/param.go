@@ -23,9 +23,6 @@ type ParamRef struct {
 	Scale float64 `json:"scale"`
 }
 
-// Concrete reports whether the reference denotes a concrete parameter.
-func (r ParamRef) Concrete() bool { return r.Index < 0 }
-
 // GateRefs appends a parameterized gate carrying symbolic parameter
 // references. refs must parallel params; concrete entries use
 // ParamRef{Index: -1} and read their value from params.

@@ -73,9 +73,6 @@ const (
 	// cache-affinity worker may carry than the least-loaded node before the
 	// router spills the job to the latter.
 	affinitySlack = 4
-	// vnodes is the virtual-node count per worker on the consistent-hash
-	// ring.
-	vnodes = 64
 	// maxRecords bounds retained terminal job records, as a worker pool's
 	// default jobs.Options.MaxRecords does.
 	maxRecords = 65536
@@ -199,7 +196,6 @@ type Dispatcher struct {
 	// and every lifecycle move goes through its Transition.
 	*jobs.Table[*fwdJob]
 	opts Options
-	ring *ring
 	hc   *http.Client
 	met  *fleetMetrics
 	reg  *obs.Registry
@@ -272,7 +268,6 @@ func New(opts Options) (*Dispatcher, error) {
 		return nil, errors.New("fleet: no workers configured")
 	}
 	d.met = newFleetMetrics(reg, d)
-	d.ring = buildRing(d.names, vnodes)
 	var reattach []*fwdJob
 	if opts.Store != nil {
 		reattach = d.recover()
@@ -608,8 +603,9 @@ func (d *Dispatcher) forward(j *fwdJob, r *sweepRange) bool {
 // pick chooses a worker for the range. A sweep's range goes to the node
 // the scatter spread it to, else to the least-loaded healthy worker. A
 // plain job goes to the in-flight primary's worker when its key is already
-// dispatched (dispatcher-level coalescing), else to the consistent-hash
-// affinity node unless the slack rule spills to the least-loaded. Workers
+// dispatched (dispatcher-level coalescing), else to its key's affinity
+// worker (affinityWorker) unless the slack rule spills to the
+// least-loaded. Workers
 // in tried are excluded.
 func (d *Dispatcher) pick(j *fwdJob, r *sweepRange, tried map[string]bool) string {
 	d.mu.Lock()
@@ -636,7 +632,7 @@ func (d *Dispatcher) pick(j *fwdJob, r *sweepRange, tried map[string]bool) strin
 	if primary := d.inflight[j.Key]; primary != nil && primary != j && ok(primary.ranges[0].worker) {
 		return primary.ranges[0].worker
 	}
-	affinity := d.ring.lookup(j.Key, ok)
+	affinity := affinityWorker(j.Key, d.names, ok)
 	if affinity == "" {
 		return least.name
 	}

@@ -326,7 +326,7 @@ func TestEjectReadmitRejoin(t *testing.T) {
 	if readmitted := d.met.readmitted.Value(); readmitted != 1 {
 		t.Fatalf("fleet_readmitted_total = %d, want 1", readmitted)
 	}
-	// Search for a seed whose key has w1 affinity (the ring is port-
+	// Search for a seed whose key has w1 affinity (affinity is port-
 	// dependent, so probe deterministically rather than sampling), then
 	// check it routes to the readmitted worker again.
 	var b *bundle.Bundle
@@ -336,13 +336,13 @@ func TestEjectReadmitRejoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.ring.lookup(key, nil) == w1.srv.URL {
+		if affinityWorker(key, d.names, nil) == w1.srv.URL {
 			b = cand
 			break
 		}
 	}
 	if b == nil {
-		t.Fatal("ring maps no key to w1 — the ring is broken")
+		t.Fatal("no key has w1 affinity — affinityWorker is broken")
 	}
 	st, err := d.Submit(b, jobs.SubmitOptions{})
 	if err != nil {

@@ -32,17 +32,18 @@
 //
 // # Routing
 //
-// Submissions are routed load-aware with cache-key affinity. A
-// consistent-hash ring (virtual nodes per worker) maps each submission's
-// content address — the same canonical bundle+shots+seed key the result
-// caches use — to a preferred worker, so identical bundles land on the
-// node that already holds the result in its cache and duplicates of a
-// running job coalesce in that worker's pool. The affinity choice yields
-// to load only when that worker is carrying four more outstanding
-// dispatched jobs than the least-loaded node, in which case
-// the least-loaded healthy worker takes the job (fleet_affinity_spills_total).
+// Submissions are routed load-aware with cache-key affinity. Rendezvous
+// hashing maps each submission's content address — the same canonical
+// bundle+shots+seed key the result caches use — to a preferred worker:
+// of the healthy workers, the one whose hash with the key is highest. So
+// identical bundles land on the node that already holds the result in its
+// cache, and duplicates of a running job coalesce in that worker's pool.
+// The affinity choice yields to load only when that worker is carrying
+// four more outstanding dispatched jobs than the least-loaded node, in
+// which case the least-loaded healthy worker takes the job
+// (fleet_affinity_spills_total).
 // While a job with some key is in flight through the dispatcher, later
-// duplicates are pinned to its worker even if the ring has shifted, so
+// duplicates are pinned to its worker even if affinity has shifted, so
 // dispatcher-level coalescing survives ejects and readmissions.
 //
 // # Watching
@@ -70,9 +71,9 @@
 //
 // A prober asks every worker for GET /v1/engines on ProbeInterval, a
 // liveness check (a worker's counters are on its own /metrics). EjectAfter
-// consecutive failures mark the worker unhealthy — it leaves the routing
-// ring (its keys rehash to the surviving nodes, which is the consistent
-// hash's minimal-movement rehash) but keeps being probed, and a single
+// consecutive failures mark the worker unhealthy — it leaves routing (its
+// keys, and only its keys, move to their next-highest surviving worker)
+// but keeps being probed, and a single
 // success readmits it. Every dispatcher→worker HTTP call carries both a
 // context deadline and a hard client timeout (RequestTimeout), so a hung
 // worker can stall at most one request, never wedge a dispatcher

@@ -1,31 +1,32 @@
 package fleet
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "hash/fnv"
 
-// ring is a consistent-hash ring over worker names. Each worker
-// contributes vnodes virtual points; a key routes to the first point
-// clockwise from its hash. The ring is built once over the configured
-// fleet and never rebuilt — health is applied at lookup time by walking
-// to the next point whose worker passes the filter, which is exactly the
-// minimal-movement rehash: ejecting a worker moves only the keys it
-// owned, and readmitting it moves them back.
-type ring struct {
-	points []ringPoint
-}
-
-type ringPoint struct {
-	hash   uint64
-	worker string
+// affinityWorker returns the worker a cache key has affinity for: of the
+// workers ok accepts (nil accepts all), the one with the highest mix64
+// hash of (key, worker) — rendezvous, or highest-random-weight, hashing.
+// Each worker's weight for a key does not depend on the others, so
+// ejecting a worker moves only the keys it held, each to its
+// next-highest worker, and readmitting it moves them back. Ties go to the
+// lower name. Empty string when ok accepts no worker.
+func affinityWorker(key string, workers []string, ok func(string) bool) string {
+	kh := hash64(key)
+	best, bestH := "", uint64(0)
+	for _, w := range workers {
+		if ok != nil && !ok(w) {
+			continue
+		}
+		if h := mix64(kh ^ hash64(w)); best == "" || h > bestH || (h == bestH && w < best) {
+			best, bestH = w, h
+		}
+	}
+	return best
 }
 
 // mix64 is the splitmix64 finalizer. FNV-1a alone diffuses trailing-byte
-// differences weakly — the 64 vnode hashes of one worker would cluster
-// in a band of ~vnodes×prime ≈ 2^46 out of 2^64, collapsing the worker
-// to effectively one ring point — so every ring hash gets a final
-// avalanche pass.
+// differences weakly — worker names that differ only in a port digit
+// would hash close together — so every hash gets a final avalanche pass,
+// and so does each (key, worker) combination.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -39,49 +40,4 @@ func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return mix64(h.Sum64())
-}
-
-// buildRing hashes vnodes virtual points per worker. The vnode counter
-// is hashed BEFORE the name so it diffuses through the whole string, and
-// the result is finalized with mix64.
-func buildRing(workers []string, vnodes int) *ring {
-	r := &ring{points: make([]ringPoint, 0, len(workers)*vnodes)}
-	for _, w := range workers {
-		for v := 0; v < vnodes; v++ {
-			h := fnv.New64a()
-			h.Write([]byte{byte(v), byte(v >> 8), '#'})
-			h.Write([]byte(w))
-			r.points = append(r.points, ringPoint{hash: mix64(h.Sum64()), worker: w})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].worker < r.points[j].worker
-	})
-	return r
-}
-
-// lookup walks clockwise from the key's hash and returns the first
-// worker accepted by ok (nil ok accepts all). Empty string when no
-// worker qualifies.
-func (r *ring) lookup(key string, ok func(string) bool) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := hash64(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	seen := map[string]bool{}
-	for i := 0; i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if seen[p.worker] {
-			continue
-		}
-		seen[p.worker] = true
-		if ok == nil || ok(p.worker) {
-			return p.worker
-		}
-	}
-	return ""
 }

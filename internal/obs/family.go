@@ -21,23 +21,22 @@ const maxFamilyValues = 32
 // CounterFamily is a set of counters sharing one name, split by a fixed
 // single-label enum. Obtain one from Registry.CounterFamily.
 type CounterFamily struct {
-	label  string
-	values []string
-	index  map[string]int
-	kids   []*Counter
+	label string
+	index map[string]int
+	kids  []*Counter
 }
 
 // CounterFamily registers name with one child counter per enum value
 // under the given label. The value set is fixed: unknown values panic in
 // With, and the set cannot grow after registration.
 func (r *Registry) CounterFamily(name, help, label string, values []string) *CounterFamily {
+	checkFamilyValues(name, values)
 	f := &CounterFamily{
-		label:  label,
-		values: checkFamilyValues(name, values),
-		index:  make(map[string]int, len(values)),
-		kids:   make([]*Counter, len(values)),
+		label: label,
+		index: make(map[string]int, len(values)),
+		kids:  make([]*Counter, len(values)),
 	}
-	for i, v := range f.values {
+	for i, v := range values {
 		f.index[v] = i
 		f.kids[i] = r.Counter(name, help, Label{Name: label, Value: v})
 	}
@@ -59,33 +58,25 @@ func (f *CounterFamily) With(value string) *Counter {
 	return f.kids[i]
 }
 
-// Values returns the enum, in At ordinal order.
-func (f *CounterFamily) Values() []string {
-	out := make([]string, len(f.values))
-	copy(out, f.values)
-	return out
-}
-
 // HistogramFamily is a set of histograms sharing one name and bucket
 // layout, split by a fixed single-label enum. Obtain one from
 // Registry.HistogramFamily.
 type HistogramFamily struct {
-	label  string
-	values []string
-	index  map[string]int
-	kids   []*Histogram
+	label string
+	index map[string]int
+	kids  []*Histogram
 }
 
 // HistogramFamily registers name with one child histogram per enum value
 // under the given label (nil buckets = DefBuckets).
 func (r *Registry) HistogramFamily(name, help string, buckets []float64, label string, values []string) *HistogramFamily {
+	checkFamilyValues(name, values)
 	f := &HistogramFamily{
-		label:  label,
-		values: checkFamilyValues(name, values),
-		index:  make(map[string]int, len(values)),
-		kids:   make([]*Histogram, len(values)),
+		label: label,
+		index: make(map[string]int, len(values)),
+		kids:  make([]*Histogram, len(values)),
 	}
-	for i, v := range f.values {
+	for i, v := range values {
 		f.index[v] = i
 		f.kids[i] = r.Histogram(name, help, buckets, Label{Name: label, Value: v})
 	}
@@ -105,23 +96,15 @@ func (f *HistogramFamily) With(value string) *Histogram {
 	return f.kids[i]
 }
 
-// Values returns the enum, in At ordinal order.
-func (f *HistogramFamily) Values() []string {
-	out := make([]string, len(f.values))
-	copy(out, f.values)
-	return out
-}
-
-func checkFamilyValues(name string, values []string) []string {
+func checkFamilyValues(name string, values []string) {
 	if len(values) == 0 {
 		panic("obs: family " + name + " registered with no values")
 	}
 	if len(values) > maxFamilyValues {
 		panic(fmt.Sprintf("obs: family %s has %d values (max %d) — labels must be a small fixed enum", name, len(values), maxFamilyValues))
 	}
-	out := make([]string, len(values))
 	seen := map[string]bool{}
-	for i, v := range values {
+	for _, v := range values {
 		if v == "" {
 			panic("obs: family " + name + " has an empty label value")
 		}
@@ -129,7 +112,5 @@ func checkFamilyValues(name string, values []string) []string {
 			panic("obs: family " + name + " repeats label value " + strconv.Quote(v))
 		}
 		seen[v] = true
-		out[i] = v
 	}
-	return out
 }

@@ -65,13 +65,13 @@
 //     execution option (Options.Shards, Plan.Execute) plumbed down from
 //     the serving layer, which grants a large lone simulation all shards
 //     while concurrent small jobs stay single-shard; 0 selects
-//     automatically. The full-sweep reductions (State.Norm,
-//     State.ExpectationDiagonal, the sampling CDF in Run) parallelize
-//     over the same shard machinery.
+//     automatically. The engine's one full-state reduction, the sampling
+//     CDF in Run, builds over the same pool in fixed blocks, so its sums
+//     — and every count — do not depend on the shard count.
 //
-// Evolve and Run compile internally, so callers keep the one-call API;
-// Compile and Plan.Execute are exported for callers that reuse a plan
-// across states.
+// Evolve (Compile, NewState, Plan.Execute) and Run compile internally, so
+// callers keep the one-call API; Compile and Plan.Execute are exported
+// for callers that reuse a plan across states.
 //
 // One executor, one validation site, one pool — noise trajectories
 // included. A gate reaches a state in exactly one way: Compile lowers and
@@ -106,15 +106,16 @@
 //
 // Everything a run needs that is O(2^n) is its arena: the two aligned
 // planes (and, through the State, its lazily allocated staging planes),
-// the 2^n-entry sampling CDF and its per-block sums. RunPlan — every plain
-// job, and every point of a sweep — builds a runner (the arena plus a
-// shard pool), runs once and closes it, and the closing runner leaves its
-// arena in a per-width sync.Pool. The next RunPlan of that width starts on
-// it, and NewState takes (and clears) its state, so runs of one width back
-// to back — a sweep lane's points, plain jobs of one size — reuse warm
-// pages, and a warm run allocates only what it returns (the Counts map,
-// the profile), the shard pool and one closure per kernel, nothing that
-// grows with the state. What nobody takes is dropped by the garbage
+// the 2^n-entry sampling CDF and its per-block sums. runPlan — behind
+// every plain job, every readout-only noisy job and every point of a
+// sweep — builds a runner (the arena plus a shard pool), runs once and
+// closes it, and the closing runner leaves its arena in a per-width
+// sync.Pool. The next run of that width starts on it, and NewState takes
+// (and clears) its state, so runs of one width back to back — a sweep
+// lane's points, plain jobs of one size — reuse warm pages, and a warm
+// run allocates only what it returns (the Counts map, the profile), the
+// shard pool and one closure per kernel, nothing that grows with the
+// state. What nobody takes is dropped by the garbage
 // collector. What reuse costs is the reset: every run begins by clearing
 // both planes to |0…0⟩ on the pool, 16·2^n bytes of streaming writes,
 // which is the very pass a fresh state gets as its first touch. There is
@@ -122,15 +123,15 @@
 // CDF build and sampling run over the same data — so amplitudes and
 // counts cannot depend on what an arena held before (runner_test.go pins
 // it bitwise); the staging planes and the CDF are fully overwritten
-// before they are read. With KeepState the Result takes the state, which
-// never enters the pool. A runner is single-goroutine, and concurrent
-// sweep lanes each take their own arena from the pool. A noisy job's
-// runners — each trajectory worker's, and the readout-only path's — stay
-// outside the pool (a worker's branch state shares its pool and its
-// staging planes), so a noisy run's footprint does not depend on what the
-// pool held. Closing a runner
-// waits for its shard workers to exit, so a lane's next point never runs
-// beside the previous point's workers.
+// before they are read. A runner is single-goroutine, and concurrent
+// sweep lanes each take their own arena from the pool. A readout-only
+// noisy run is a plain run whose shots draw from their own streams
+// (runner.Run's readout), so it takes and leaves an arena like any other.
+// A trajectory worker's runner stays outside the pool (its branch state
+// shares its pool and its staging planes), so a trajectory run's
+// footprint does not depend on what the pool held. Closing a runner waits
+// for its shard workers to exit, so a lane's next point never runs beside
+// the previous point's workers.
 //
 // # Parametric plans
 //
@@ -235,8 +236,8 @@
 // holds each body and each sweep to its Go loop, bit for bit;
 // TestAssemblyHasNoFMA keeps FMA out of the assembly.
 //
-// External packages see none of this: Amplitude, Probability and the
-// Evolve/Run APIs still speak complex128, and nothing outside the
+// External packages see none of this: they read a state through
+// Amplitude (complex128) and Probability alone, and nothing outside the
 // package may assume plane layout, alignment, or scratch reuse.
 //
 // # Profiling and the flight recorder

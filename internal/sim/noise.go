@@ -64,11 +64,15 @@ func (n NoiseModel) Zero() bool {
 
 // RunNoisy executes the circuit under the noise model by quantum
 // trajectories: each shot evolves a statevector with randomly inserted
-// Pauli errors and samples one outcome. Noiseless runs fall through to the
-// fast path, and models with zero gate-error probabilities (pure readout
-// noise) evolve a single shared state and sample every shot from its CDF.
-// Options.KeepState is rejected whenever the model is non-zero:
-// trajectories have no single final state.
+// Pauli errors and samples one outcome. Noiseless runs are Run. A model
+// with zero gate-error probabilities (pure readout noise) leaves every
+// trajectory's evolution identical, so it runs as Run does — one
+// evolution on a spare arena, one CDF, a binary search per shot — except
+// that shot s draws from its own child stream, unscaled, and flips its
+// measured bits from the same stream (see readout), the draw order a
+// trajectory has. Such a run evolves even at 0 shots, as Run does. It
+// observes the "compile", "execute" and "sample" stages; Options.Profile
+// is ignored under any non-zero model, so the Result carries no profile.
 //
 // Trajectories run the engine every other job runs: the circuit compiles
 // once, unfused (an error may follow any gate, so no two gates share a
@@ -108,12 +112,6 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 	if noise.Zero() {
 		return Run(c, opts)
 	}
-	if opts.KeepState {
-		// Each trajectory evolves and discards its own statevector; there
-		// is no single final state a Result could carry, so accepting the
-		// flag would silently return Final == nil. Reject it instead.
-		return nil, fmt.Errorf("sim: KeepState is not supported with a non-zero noise model: trajectories have no single final state")
-	}
 	if opts.Shots < 0 {
 		return nil, fmt.Errorf("sim: negative shot count %d", opts.Shots)
 	}
@@ -124,14 +122,6 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 	if c.NumQubits < 1 || c.NumQubits > MaxQubits {
 		return nil, fmt.Errorf("sim: qubit count %d out of [1,%d]", c.NumQubits, MaxQubits)
 	}
-	mm := c.MeasureMap()
-	res := &Result{Counts: Counts{}, Shots: opts.Shots}
-
-	qubits := make([]int, 0, len(mm))
-	for q := range mm {
-		qubits = append(qubits, q)
-	}
-	sort.Ints(qubits)
 
 	// Child streams derive serially from the master so the per-shot
 	// randomness is independent of how shots are scheduled.
@@ -142,14 +132,16 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 	}
 
 	if noise.Prob1Q == 0 && noise.Prob2Q == 0 {
-		// Pure readout noise leaves every trajectory's unitary evolution
-		// identical: evolve one state through the compiled plan, build its
-		// sampling CDF once, and draw every shot by binary search instead
-		// of re-evolving 2^n amplitudes and linearly scanning them per
-		// shot. Each shot still consumes its own child stream in the same
-		// draw order as a full trajectory.
-		return runReadoutOnly(c, noise, opts, res, mm, qubits, rngs)
+		opts.Profile = false
+		return run(c, opts, &readout{streams: rngs, flip: noise.ReadoutFlip})
 	}
+
+	mm := c.MeasureMap()
+	qubits := make([]int, 0, len(mm))
+	for q := range mm {
+		qubits = append(qubits, q)
+	}
+	sort.Ints(qubits)
 
 	stageStart := time.Now()
 	np, err := compileNoisy(c, noise)
@@ -188,6 +180,7 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 			return nil, err
 		}
 	}
+	res := &Result{Counts: Counts{}, Shots: opts.Shots}
 	for _, local := range counts {
 		for reg, n := range local {
 			res.Counts[reg] += n
@@ -418,61 +411,11 @@ func (np *noisyPlan) finish(st *State, f int, r *rng.Rand, width int, sweep func
 	return nil
 }
 
-// runReadoutOnly is the trajectory engine's fast path for models with
-// gate-error probabilities of zero: one compiled evolution shared by every
-// shot, one CDF build, and an O(n)-deep binary search per draw in place of
-// the O(2^n) linear probability scan per shot. Shot draws follow the same
-// child-stream order as full trajectories (outcome first, then one flip
-// draw per measured qubit), and the serial shot loop makes counts
-// trivially identical across shard grants.
-func runReadoutOnly(c *circuit.Circuit, noise NoiseModel, opts Options, res *Result, mm map[int]int, qubits []int, rngs []*rng.Rand) (*Result, error) {
-	stageStart := time.Now()
-	pl, err := Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	observeStage(simCompile, opts.Stages, "compile", stageStart)
-	if opts.Shots == 0 {
-		return res, nil
-	}
-	runner, err := newRunner(c.NumQubits, opts.Shards)
-	if err != nil {
-		return nil, err
-	}
-	defer runner.Close()
-	st, err := runner.reset()
-	if err != nil {
-		return nil, err
-	}
-	// Evolve even when nothing is measured: runtime errors (an init on
-	// qubits not in |0…0⟩) must surface exactly as the per-shot
-	// trajectory path surfaces them.
-	stageStart = time.Now()
-	if err := pl.executeOn(st, runner.pool, nil); err != nil {
-		return nil, err
-	}
-	observeStage(simExecute, opts.Stages, "execute", stageStart)
-	if len(mm) == 0 {
-		return res, nil
-	}
-	stageStart = time.Now()
-	cdf, _, lastPos := runner.buildCDF(st)
-	for shot := 0; shot < opts.Shots; shot++ {
-		r := rngs[shot]
-		// Unscaled draw, matching sampleIndex's trajectory semantics: the
-		// clamp catches u beyond the drifted top of the distribution.
-		k := sampleCDF(cdf, lastPos, r.Float64())
-		res.Counts[projectRegister(k, qubits, mm, noise.ReadoutFlip, r)]++
-	}
-	observeStage(simSample, opts.Stages, "sample", stageStart)
-	return res, nil
-}
-
 // projectRegister maps a sampled basis index onto the classical register
 // defined by mm, flipping each measured bit with probability flip. The
 // draw order — one Float64 per measured qubit, ascending qubit order,
-// only when flip > 0 — is part of the seeded-stream contract the
-// trajectory and readout-only paths share; r may be nil when flip is 0.
+// only when flip > 0 — is part of the seeded-stream contract trajectories
+// and readout-only runs share; r may be nil when flip is 0.
 func projectRegister(k uint64, qubits []int, mm map[int]int, flip float64, r *rng.Rand) uint64 {
 	var reg uint64
 	for _, q := range qubits {
@@ -490,8 +433,8 @@ func projectRegister(k uint64, qubits []int, mm map[int]int, flip float64, r *rn
 // sampleIndex draws one basis index from the Born distribution by a
 // linear scan. Only the one-draw-per-state trajectory path uses it — a
 // CDF would cost the same 2^n pass it saves; shots drawn repeatedly from
-// one evolved state go through buildCDF + sampleCDF instead
-// (runReadoutOnly, Run).
+// one evolved state go through buildCDF + sampleCDF in runner.Run
+// instead, readout-only noisy runs included.
 func sampleIndex(st *State, r *rng.Rand) uint64 {
 	u := r.Float64()
 	acc := 0.0

@@ -107,27 +107,6 @@ func TestRunNoisyValidation(t *testing.T) {
 	}
 }
 
-// TestRunNoisyRejectsKeepState locks in the contract: trajectories have
-// no single final state, so KeepState must fail loudly instead of
-// silently returning Final == nil. The noiseless fall-through still
-// honors the flag.
-func TestRunNoisyRejectsKeepState(t *testing.T) {
-	c := bellCircuit()
-	if _, err := RunNoisy(c, NoiseModel{Prob1Q: 0.01}, Options{Shots: 10, KeepState: true}); err == nil {
-		t.Error("KeepState accepted by the trajectory engine")
-	}
-	if _, err := RunNoisy(c, NoiseModel{ReadoutFlip: 0.1}, Options{Shots: 10, KeepState: true}); err == nil {
-		t.Error("KeepState accepted by the readout-only path")
-	}
-	res, err := RunNoisy(c, NoiseModel{}, Options{Shots: 10, KeepState: true})
-	if err != nil {
-		t.Fatalf("zero-noise KeepState rejected: %v", err)
-	}
-	if res.Final == nil {
-		t.Error("zero-noise fall-through dropped the state")
-	}
-}
-
 // TestRunNoisyReadoutOnlySharedState exercises the readout-only fast path
 // (one evolution, shared CDF, binary-search draws): determinism by seed,
 // sensitivity to the seed, and agreement with the exact distribution.

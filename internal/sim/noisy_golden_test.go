@@ -17,7 +17,9 @@ import (
 // committed file was written by the commit BEFORE trajectories moved from
 // the per-gate State methods onto the compiled kernels, so the test pins
 // that refactor (and any later one) to the counts the per-gate path
-// sampled. Regenerate only for a deliberate change of the seeded-stream
+// sampled; its "flip" rows were generated by the code before readout-only
+// runs moved onto the sampling loop plain runs use, and pin that move the
+// same way. Regenerate only for a deliberate change of the seeded-stream
 // contract. The test uses nothing of the package but RunNoisy's signature,
 // so the identical file compiles against either engine.
 var updateGolden = flag.Bool("update-golden", false, "rewrite internal/sim/testdata/noisy_golden.txt from the current RunNoisy")
@@ -83,7 +85,7 @@ func countsDigest(counts Counts) string {
 }
 
 // TestRunNoisyGolden holds RunNoisy's counts, over widths on both sides of
-// parallelThreshold, every kernel class, three noise models and four
+// parallelThreshold, every kernel class, four noise models (one readout-only) and four
 // grants, to the digests the per-gate trajectory engine produced. A row
 // must read the same at every grant: the jobs cache dedups on
 // bundle+shots+seed alone.
@@ -95,6 +97,7 @@ func TestRunNoisyGolden(t *testing.T) {
 		{"bench", NoiseModel{Prob1Q: 0.001, Prob2Q: 0.01, ReadoutFlip: 0.02}},
 		{"gate", NoiseModel{Prob1Q: 0.05, Prob2Q: 0.1}},
 		{"2q+flip", NoiseModel{Prob2Q: 0.3, ReadoutFlip: 0.5}},
+		{"flip", NoiseModel{ReadoutFlip: 0.05}},
 	}
 	var rows []string
 	for _, n := range []int{2, 3, 5, 8, 10, 13, 14} {

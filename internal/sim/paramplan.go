@@ -226,15 +226,6 @@ func CompileParametric(c *circuit.Circuit) (*ParamPlan, error) {
 // NumParams returns the length Bind vectors must have.
 func (pp *ParamPlan) NumParams() int { return pp.nParams }
 
-// NumQubits returns the qubit count the template was compiled for.
-func (pp *ParamPlan) NumQubits() int { return pp.tmpl.n }
-
-// Stats returns the template's fusion statistics. All fields are
-// bind-invariant except Monomial2Q and Block2Q, which each bound plan
-// re-derives from its concrete matrices (exactly as a concrete compile
-// would).
-func (pp *ParamPlan) Stats() PlanStats { return pp.tmpl.stats }
-
 // Binds returns how many Bind calls completed, and how many of those
 // took the degenerate-point fallback (a full concrete recompile).
 func (pp *ParamPlan) Binds() (binds, fallbacks uint64) {

@@ -93,19 +93,13 @@ func bindParity(t *testing.T, c *circuit.Circuit, pp *ParamPlan, v []float64, sh
 	if err != nil {
 		t.Fatalf("BindValues: %v", err)
 	}
-	opts := Options{Shots: 512, Seed: 42, Shards: shards, KeepState: true}
-	want, err := Run(bound, opts)
-	if err != nil {
-		t.Fatalf("concrete Run: %v", err)
-	}
+	opts := Options{Shots: 512, Seed: 42, Shards: shards}
+	want, wantSt := runKept(t, bound, mustCompile(t, bound), opts)
 	pl, err := pp.Bind(v)
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	got, err := RunPlan(c, pl, opts)
-	if err != nil {
-		t.Fatalf("RunPlan: %v", err)
-	}
+	got, gotSt := runKept(t, c, pl, opts)
 	if len(got.Counts) != len(want.Counts) {
 		t.Fatalf("shards=%d: %d distinct outcomes, want %d", shards, len(got.Counts), len(want.Counts))
 	}
@@ -114,10 +108,10 @@ func bindParity(t *testing.T, c *circuit.Circuit, pp *ParamPlan, v []float64, sh
 			t.Fatalf("shards=%d: counts[%d]=%d, want %d", shards, k, got.Counts[k], n)
 		}
 	}
-	for i := range want.Final.re {
-		if got.Final.re[i] != want.Final.re[i] || got.Final.im[i] != want.Final.im[i] {
+	for i := range wantSt.re {
+		if gotSt.re[i] != wantSt.re[i] || gotSt.im[i] != wantSt.im[i] {
 			t.Fatalf("shards=%d: amplitude %d differs: (%v,%v) vs (%v,%v)",
-				shards, i, got.Final.re[i], got.Final.im[i], want.Final.re[i], want.Final.im[i])
+				shards, i, gotSt.re[i], gotSt.im[i], wantSt.re[i], wantSt.im[i])
 		}
 	}
 }

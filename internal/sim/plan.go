@@ -197,9 +197,6 @@ type Plan struct {
 	fuseScan int
 }
 
-// NumQubits returns the qubit count the plan was compiled for.
-func (pl *Plan) NumQubits() int { return pl.n }
-
 // Stats returns the compile-time fusion statistics.
 func (pl *Plan) Stats() PlanStats { return pl.stats }
 
@@ -900,30 +897,40 @@ func mergeDiag(dst, src *kernel) {
 // pool with a barrier between kernels. shards ≤ 0 selects automatically
 // (single-shard below the parallel threshold, GOMAXPROCS above).
 func (pl *Plan) Execute(st *State, shards int) error {
+	_, err := pl.execute(st, shards, false)
+	return err
+}
+
+// execute is the body of Execute and ExecuteProfiled: one shard pool for
+// one pass over the kernels.
+func (pl *Plan) execute(st *State, shards int, profile bool) (*Profile, error) {
 	if st.n != pl.n {
-		return fmt.Errorf("sim: plan compiled for %d qubits, state has %d", pl.n, st.n)
+		return nil, fmt.Errorf("sim: plan compiled for %d qubits, state has %d", pl.n, st.n)
 	}
 	pool := newShardPool(resolveShards(st.Dim(), shards))
 	defer pool.close()
-	return pl.executeOn(st, pool, nil)
+	return pl.executeOn(st, pool, profile)
 }
 
 // executeOn runs the kernel sequence on an existing pool; Run reuses the
 // same pool afterwards for the CDF build. Every kernel feeds the
-// always-on per-kind instruments; when prof is non-nil, each sweep
-// closure is additionally wrapped to accumulate per-shard times for the
-// opt-in kernel table. Neither layer touches amplitudes or shard
-// ranges, so execution stays bit-identical profiled or not.
+// always-on per-kind instruments; with profile, each sweep closure is
+// additionally wrapped to accumulate per-shard times for the opt-in
+// kernel table, which it returns (nil without profile). Neither layer
+// touches amplitudes or shard ranges, so execution stays bit-identical
+// profiled or not.
 //
 // A kernel's wall time runs from the previous kernel's end (the first
 // kernel's from the batch start) to its own: the windows tile the kernel
 // loop, so the per-kernel bookkeeping between sweeps, and whatever delays
 // the goroutine there, counts toward the next kernel instead of falling
 // outside every window.
-func (pl *Plan) executeOn(st *State, pool *shardPool, prof *execProfiler) error {
+func (pl *Plan) executeOn(st *State, pool *shardPool, profile bool) (*Profile, error) {
 	batchStart := time.Now()
 	run := pool.do
-	if prof != nil {
+	var prof *execProfiler
+	if profile {
+		prof = newExecProfiler(pool.shards, len(pl.kernels))
 		run = func(total int, fn func(w, lo, hi int)) {
 			pool.do(total, func(w, lo, hi int) {
 				shardStart := time.Now()
@@ -940,7 +947,7 @@ func (pl *Plan) executeOn(st *State, pool *shardPool, prof *execProfiler) error 
 			prof.begin()
 		}
 		if err := k.apply(st, pool.shards, run); err != nil {
-			return err
+			return nil, err
 		}
 		end := time.Now()
 		kernelDur := end.Sub(last)
@@ -954,7 +961,10 @@ func (pl *Plan) executeOn(st *State, pool *shardPool, prof *execProfiler) error 
 	obs.RecordDur(obs.FlightKernelBatch, "",
 		fmt.Sprintf("kernels=%d shards=%d n=%d", len(pl.kernels), pool.shards, pl.n),
 		time.Since(batchStart))
-	return nil
+	if prof == nil {
+		return nil, nil
+	}
+	return prof.finish(), nil
 }
 
 // apply sweeps one kernel over st: the only place the engine applies a

@@ -604,7 +604,7 @@ func TestBlockSweepExact(t *testing.T) {
 					for i := range got.re {
 						got.re[i], got.im[i] = 2*r.Float64()-1, 2*r.Float64()-1
 					}
-					want := got.Clone()
+					want := cloneState(got)
 					if err := pl.Execute(got, shards); err != nil {
 						t.Fatal(err)
 					}
@@ -661,20 +661,14 @@ func TestBlockKernelsMatchDense(t *testing.T) {
 					t.Fatalf("n=%d seed=%d: %d block kernels, stats %+v", n, seed, blocks, pl.Stats())
 				}
 				for _, shards := range []int{1, 4} {
-					opts := Options{Shots: 2048, Seed: uint64(seed), KeepState: true, Shards: shards}
-					got, err := RunPlan(c, pl, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := RunPlan(c, dense, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
+					opts := Options{Shots: 2048, Seed: uint64(seed), Shards: shards}
+					got, gotSt := runKept(t, c, pl, opts)
+					want, wantSt := runKept(t, c, dense, opts)
 					if !maps.Equal(got.Counts, want.Counts) {
 						t.Fatalf("n=%d seed=%d shards=%d: block plan counts differ from the dense plan's", n, seed, shards)
 					}
-					for i := uint64(0); i < uint64(got.Final.Dim()); i++ {
-						if a, b := got.Final.Amplitude(i), want.Final.Amplitude(i); a != b {
+					for i := uint64(0); i < uint64(gotSt.Dim()); i++ {
+						if a, b := gotSt.Amplitude(i), wantSt.Amplitude(i); a != b {
 							t.Fatalf("n=%d seed=%d shards=%d amp[%d]: block %v != dense %v", n, seed, shards, i, a, b)
 						}
 					}
@@ -879,7 +873,7 @@ func TestSweep2QMonoDiagonalExact(t *testing.T) {
 					got.re[i] = math.Copysign(0, float64(r.Intn(2))-0.5)
 				}
 			}
-			want := got.Clone()
+			want := cloneState(got)
 			maskLo, maskHi := 1<<pr[0], 1<<pr[1]
 			quads := got.Dim() / 4
 			lo, hi := r.Intn(quads/2), quads/2+r.Intn(quads/2)

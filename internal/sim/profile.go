@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -172,14 +171,5 @@ func (p *execProfiler) finish() *Profile {
 // returning the per-kernel table. Profiling never changes amplitudes —
 // sweep bodies and shard ranges are identical with and without it.
 func (pl *Plan) ExecuteProfiled(st *State, shards int) (*Profile, error) {
-	if st.n != pl.n {
-		return nil, fmt.Errorf("sim: plan compiled for %d qubits, state has %d", pl.n, st.n)
-	}
-	pool := newShardPool(resolveShards(st.Dim(), shards))
-	defer pool.close()
-	prof := newExecProfiler(pool.shards, len(pl.kernels))
-	if err := pl.executeOn(st, pool, prof); err != nil {
-		return nil, err
-	}
-	return prof.finish(), nil
+	return pl.execute(st, shards, true)
 }

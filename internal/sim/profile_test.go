@@ -20,25 +20,20 @@ func TestProfileParity(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	c := randomMixedCircuit(r, 10, 80)
 	c.MeasureAll()
+	pl := mustCompile(t, c)
 	for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		base, err := Run(c, Options{Shots: 1500, Seed: 7, Shards: shards, KeepState: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prof, err := Run(c, Options{Shots: 1500, Seed: 7, Shards: shards, KeepState: true, Profile: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		base, baseSt := runKept(t, c, pl, Options{Shots: 1500, Seed: 7, Shards: shards})
+		prof, profSt := runKept(t, c, pl, Options{Shots: 1500, Seed: 7, Shards: shards, Profile: true})
 		if base.Profile != nil {
 			t.Fatal("Profile set without Options.Profile")
 		}
 		if prof.Profile == nil {
 			t.Fatal("Options.Profile set but Result.Profile is nil")
 		}
-		for i := uint64(0); i < uint64(base.Final.Dim()); i++ {
+		for i := uint64(0); i < uint64(baseSt.Dim()); i++ {
 			// Exact equality — profiling wraps timers around sweeps, it must
 			// never reorder or regroup the arithmetic.
-			if a, b := base.Final.Amplitude(i), prof.Final.Amplitude(i); a != b {
+			if a, b := baseSt.Amplitude(i), profSt.Amplitude(i); a != b {
 				t.Fatalf("shards=%d amp[%d]: unprofiled %v != profiled %v", shards, i, a, b)
 			}
 		}

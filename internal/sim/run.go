@@ -71,9 +71,6 @@ func (c Counts) MostFrequent() (value uint64, count int, ok bool) {
 type Result struct {
 	Counts Counts
 	Shots  int
-	// Final gives access to the pre-measurement state (nil unless
-	// KeepState was set), used by expectation-value helpers and tests.
-	Final *State
 	// Profile is the kernel-granular execution profile (nil unless
 	// Options.Profile was set).
 	Profile *Profile
@@ -81,9 +78,8 @@ type Result struct {
 
 // Options configure Run.
 type Options struct {
-	Shots     int
-	Seed      uint64
-	KeepState bool
+	Shots int
+	Seed  uint64
 	// Shards is the parallelism grant for this execution, the most
 	// goroutines it sweeps on at once: the statevector splits into this
 	// many contiguous shards owned by persistent workers (RunNoisy splits
@@ -118,14 +114,20 @@ func Evolve(c *circuit.Circuit) (*State, error) {
 	return EvolveShards(c, 0)
 }
 
-// EvolveShards is Evolve with an explicit shard count (0 = auto): a
-// zero-shot Run that keeps its state.
+// EvolveShards is Evolve with an explicit shard count (0 = auto).
 func EvolveShards(c *circuit.Circuit, shards int) (*State, error) {
-	res, err := Run(c, Options{Shards: shards, KeepState: true})
+	pl, err := Compile(c)
 	if err != nil {
 		return nil, err
 	}
-	return res.Final, nil
+	st, err := NewState(c.NumQubits)
+	if err != nil {
+		return nil, err
+	}
+	if err := pl.Execute(st, shards); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // Run executes the circuit for opts.Shots shots and returns counts over
@@ -133,15 +135,21 @@ func EvolveShards(c *circuit.Circuit, shards int) (*State, error) {
 // circuit is compiled once into a fused kernel plan and executed across
 // opts.Shards persistent shards (0 = auto); the sampling CDF builds on
 // the same shard pool. A circuit with no measurements yields empty counts
-// (but still evolves, and the state is available with KeepState).
+// (but still evolves, so a failing init still fails the run).
 func Run(c *circuit.Circuit, opts Options) (*Result, error) {
+	return run(c, opts, nil)
+}
+
+// run is Run with a readout-only noise run's sampling (nil for none; see
+// readout), the body Run and RunNoisy's readout-only branch share.
+func run(c *circuit.Circuit, opts Options, ro *readout) (*Result, error) {
 	stageStart := time.Now()
 	pl, err := Compile(c)
 	if err != nil {
 		return nil, err
 	}
 	observeStage(simCompile, opts.Stages, "compile", stageStart)
-	return RunPlan(c, pl, opts)
+	return runPlan(c, pl, opts, ro)
 }
 
 // RunPlan is Run with a precompiled plan: one runner, one run. pl must
@@ -151,6 +159,12 @@ func Run(c *circuit.Circuit, opts Options) (*Result, error) {
 // spareArenas), so a caller with many plans of one width (a sweep lane's
 // bound points) allocates the arena once.
 func RunPlan(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error) {
+	return runPlan(c, pl, opts, nil)
+}
+
+// runPlan is RunPlan with a readout-only noise run's sampling (nil for
+// none): the one place a sampled run gets its runner.
+func runPlan(c *circuit.Circuit, pl *Plan, opts Options, ro *readout) (*Result, error) {
 	r, err := newRunner(c.NumQubits, opts.Shards)
 	if err != nil {
 		return nil, err
@@ -159,7 +173,7 @@ func RunPlan(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error) {
 		r.arena = *a
 	}
 	defer r.closeToSpare()
-	return r.Run(c, pl, opts)
+	return r.Run(c, pl, opts, ro)
 }
 
 // sampleCDF inverts the CDF for one draw u: the first index with

@@ -106,17 +106,11 @@ func TestRunRejectsMidCircuitMeasurement(t *testing.T) {
 func TestRunNoMeasurements(t *testing.T) {
 	c := circuit.New(2, 0)
 	c.H(0)
-	res, err := Run(c, Options{Shots: 100, Seed: 0, KeepState: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, final := runKept(t, c, mustCompile(t, c), Options{Shots: 100, Seed: 0})
 	if len(res.Counts) != 0 {
 		t.Error("unmeasured circuit produced counts")
 	}
-	if res.Final == nil {
-		t.Fatal("KeepState did not keep state")
-	}
-	if math.Abs(res.Final.Probability(0)-0.5) > 1e-12 {
+	if math.Abs(final.Probability(0)-0.5) > 1e-12 {
 		t.Error("final state wrong")
 	}
 }

@@ -21,9 +21,10 @@ const cdfBlock = 4096
 // by resetting the planes to |0…0⟩ on the pool — the same shard-owned
 // clear a fresh state gets as its first touch — so a reused arena and a
 // new one execute identical code on identical data: amplitudes and counts
-// do not depend on what ran before. RunPlan builds a runner on a spare
-// arena of its width, runs once and leaves the arena for the next run;
-// a noisy job's runners keep their arenas to themselves.
+// do not depend on what ran before. Every sampled run — Run, RunPlan and
+// a readout-only RunNoisy — builds a runner on a spare arena of its
+// width (runPlan), runs once and leaves the arena for the next run; the
+// trajectory workers' runners keep their arenas to themselves.
 //
 // A runner is not safe for concurrent use; give each goroutine its own.
 type runner struct {
@@ -34,8 +35,7 @@ type runner struct {
 
 // arena is what a runner holds that grows with the state.
 type arena struct {
-	// st is nil until the first run and after a KeepState run handed the
-	// state to its Result.
+	// st is nil until the first run.
 	st *State
 	// cdf holds 2^n prefix sums; blockSum and blockLast one entry per
 	// cdfBlock. All three are fully overwritten by every buildCDF.
@@ -44,14 +44,14 @@ type arena struct {
 	blockLast []int
 }
 
-// spareArenas holds, per qubit count, the arenas RunPlan's runners leave
-// when they close. The next RunPlan of that width starts with one, and
-// NewState takes its state, so back-to-back runs (every plain job and
-// every point of a sweep lane) and a NewState after a run sweep warm pages
-// instead of faulting in and zeroing 24·2^n fresh bytes. A noisy job's
-// runners neither take nor leave one. A sync.Pool drops what
-// nobody took within two garbage collections, so an idle width holds no
-// memory for long.
+// spareArenas holds, per qubit count, the arenas runPlan's runners leave
+// when they close. The next runPlan of that width starts with one, and
+// NewState takes its state, so back-to-back runs (every plain job, every
+// readout-only noisy job and every point of a sweep lane) and a NewState
+// after a run sweep warm pages instead of faulting in and zeroing 24·2^n
+// fresh bytes. Trajectory workers' runners neither take nor leave one. A
+// sync.Pool drops what nobody took within two garbage collections, so an
+// idle width holds no memory for long.
 var spareArenas [MaxQubits + 1]sync.Pool
 
 // spareArena returns a closed runner's arena for n qubits, or nil.
@@ -75,8 +75,7 @@ func newRunner(n, shards int) (runner, error) {
 // exited. Results already returned stay valid.
 func (r *runner) Close() { r.pool.close() }
 
-// closeToSpare closes the runner and leaves its arena in spareArenas. A
-// KeepState result owns its state, which the runner no longer holds.
+// closeToSpare closes the runner and leaves its arena in spareArenas.
 func (r *runner) closeToSpare() {
 	r.Close()
 	if r.st != nil || r.cdf != nil {
@@ -112,12 +111,25 @@ func (r *runner) reset() (*State, error) {
 	return r.st, nil
 }
 
+// readout is a readout-only noise run's sampling: shot s draws its
+// outcome from streams[s], unscaled, and then, on the same stream, flips
+// each measured bit with probability flip (see projectRegister). This is
+// the draw order a full trajectory gives each shot, so RunNoisy's counts
+// for a model without gate errors are those of its trajectories.
+type readout struct {
+	streams []*rng.Rand
+	flip    float64
+}
+
 // Run executes pl from |0…0⟩ and samples opts.Shots shots over the
 // classical register c's measurements define. pl must have been compiled
 // from c or from a bound copy of it. opts.Shards is ignored (see
-// newRunner). With opts.KeepState the Result takes the state and the
-// runner allocates new planes on its next run.
-func (r *runner) Run(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error) {
+// newRunner). With ro nil every shot draws from one stream seeded by
+// opts.Seed, scaled by the CDF's total mass; with ro set shot s draws
+// from ro.streams[s], which must hold opts.Shots streams, unscaled — an
+// unscaled draw u is u·1.0 exactly, and the clamp in sampleCDF catches a
+// u beyond the drifted top of the distribution.
+func (r *runner) Run(c *circuit.Circuit, pl *Plan, opts Options, ro *readout) (*Result, error) {
 	if opts.Shots < 0 {
 		return nil, fmt.Errorf("sim: negative shot count %d", opts.Shots)
 	}
@@ -128,22 +140,13 @@ func (r *runner) Run(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	var prof *execProfiler
-	if opts.Profile {
-		prof = newExecProfiler(r.pool.shards, len(pl.kernels))
-	}
 	stageStart := time.Now()
-	if err := pl.executeOn(st, r.pool, prof); err != nil {
+	prof, err := pl.executeOn(st, r.pool, opts.Profile)
+	if err != nil {
 		return nil, err
 	}
 	observeStage(simExecute, opts.Stages, "execute", stageStart)
-	res := &Result{Counts: Counts{}, Shots: opts.Shots}
-	if opts.KeepState {
-		res.Final, r.st = st, nil
-	}
-	if prof != nil {
-		res.Profile = prof.finish()
-	}
+	res := &Result{Counts: Counts{}, Shots: opts.Shots, Profile: prof}
 	mm := c.MeasureMap()
 	if len(mm) == 0 || opts.Shots == 0 {
 		return res, nil
@@ -158,10 +161,16 @@ func (r *runner) Run(c *circuit.Circuit, pl *Plan, opts Options) (*Result, error
 	}
 	sort.Ints(qubits)
 
-	draws := rng.New(opts.Seed)
+	draws, scale, flip := rng.New(opts.Seed), acc, 0.0
+	if ro != nil {
+		scale, flip = 1, ro.flip
+	}
 	for shot := 0; shot < opts.Shots; shot++ {
-		k := sampleCDF(cdf, lastPos, draws.Float64()*acc)
-		res.Counts[projectRegister(k, qubits, mm, 0, nil)]++
+		if ro != nil {
+			draws = ro.streams[shot]
+		}
+		k := sampleCDF(cdf, lastPos, draws.Float64()*scale)
+		res.Counts[projectRegister(k, qubits, mm, flip, draws)]++
 	}
 	observeStage(simSample, opts.Stages, "sample", stageStart)
 	return res, nil

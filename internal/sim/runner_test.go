@@ -33,6 +33,39 @@ func runnerCircuits(t testing.TB, n int) (a, b *circuit.Circuit) {
 	return a, b
 }
 
+// runKept is RunPlan that also returns the run's final state: pl runs on
+// a runner that starts on a spare arena of its width, as RunPlan's does,
+// and the runner's state is taken before it closes, so the arena goes
+// back to spareArenas without it and no later run or NewState reuses it.
+func runKept(t testing.TB, c *circuit.Circuit, pl *Plan, opts Options) (*Result, *State) {
+	t.Helper()
+	r, err := newRunner(c.NumQubits, opts.Shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := spareArena(r.n); a != nil {
+		r.arena = *a
+	}
+	res, err := r.Run(c, pl, opts, nil)
+	st := r.st
+	r.st = nil
+	r.closeToSpare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, st
+}
+
+// mustCompile compiles c or fails the test.
+func mustCompile(t testing.TB, c *circuit.Circuit) *Plan {
+	t.Helper()
+	pl, err := Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
 func amplitudes(st *State) []complex128 {
 	out := make([]complex128, st.Dim())
 	for k := range out {
@@ -56,11 +89,8 @@ func TestRunnerDirtyReuseParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 4} {
-		opts := Options{Shots: 3000, Seed: 17, Shards: shards, KeepState: true}
-		want, err := Run(cb, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		opts := Options{Shots: 3000, Seed: 17, Shards: shards}
+		want, wantSt := runKept(t, cb, pb, opts)
 		r, err := newRunner(n, shards)
 		if err != nil {
 			t.Fatal(err)
@@ -70,11 +100,12 @@ func TestRunnerDirtyReuseParity(t *testing.T) {
 			c  *circuit.Circuit
 			pl *Plan
 		}{{cb, pb}, {ca, pa}} {
-			if _, err := r.Run(dirty.c, dirty.pl, Options{Shots: 100, Seed: 1}); err != nil {
+			if _, err := r.Run(dirty.c, dirty.pl, Options{Shots: 100, Seed: 1}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		got, err := r.Run(cb, pb, opts)
+		got, err := r.Run(cb, pb, opts, nil)
+		gotSt := r.st
 		r.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -82,40 +113,9 @@ func TestRunnerDirtyReuseParity(t *testing.T) {
 		if !reflect.DeepEqual(got.Counts, want.Counts) {
 			t.Errorf("shards=%d: counts differ between a reused Runner and a fresh Run", shards)
 		}
-		if !reflect.DeepEqual(amplitudes(got.Final), amplitudes(want.Final)) {
+		if !reflect.DeepEqual(amplitudes(gotSt), amplitudes(wantSt)) {
 			t.Errorf("shards=%d: amplitudes differ between a reused Runner and a fresh Run", shards)
 		}
-	}
-}
-
-// TestRunnerKeepStateSurvivesNextRun hands a KeepState result's state
-// away for good: the Runner's next run does not write to it.
-func TestRunnerKeepStateSurvivesNextRun(t *testing.T) {
-	const n = 8
-	ca, cb := runnerCircuits(t, n)
-	pa, err := Compile(ca)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := Compile(cb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := newRunner(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	kept, err := r.Run(cb, pb, Options{Shots: 10, Seed: 3, KeepState: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := amplitudes(kept.Final)
-	if _, err := r.Run(ca, pa, Options{Shots: 10, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(amplitudes(kept.Final), before) {
-		t.Fatal("the Runner's next run overwrote a state it had handed out")
 	}
 }
 
@@ -141,7 +141,7 @@ func TestRunnerWarmAllocs(t *testing.T) {
 		}
 		defer r.Close()
 		run := func() {
-			if _, err := r.Run(c, pl, opts); err != nil {
+			if _, err := r.Run(c, pl, opts, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -174,9 +174,9 @@ func TestRunnerWarmAllocs(t *testing.T) {
 
 // TestSpareArenaReuse: the arena RunPlan's Runner closes with goes to the
 // next RunPlan or NewState of its width. NewState on a spare state is
-// exactly |0…0⟩ (every other amplitude +0), a state a KeepState result
-// took never comes back, and a run that starts on a dirty spare arena is
-// bitwise a fresh one (TestRunnerDirtyReuseParity's Run draws one too).
+// exactly |0…0⟩ (every other amplitude +0), a state runKept took never
+// comes back, and a run that starts on a dirty spare arena is bitwise a
+// fresh one (TestRunnerDirtyReuseParity's first run draws one too).
 func TestSpareArenaReuse(t *testing.T) {
 	const n = 11
 	ca, cb := runnerCircuits(t, n)
@@ -194,7 +194,7 @@ func TestSpareArenaReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Run(cb, pb, Options{Shots: 10, Seed: 1}); err != nil {
+		if _, err := r.Run(cb, pb, Options{Shots: 10, Seed: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 		planes := r.st.re
@@ -222,18 +222,15 @@ func TestSpareArenaReuse(t *testing.T) {
 		t.Error("NewState never took a closed Runner's state")
 	}
 
-	kept, err := RunPlan(cb, pb, Options{Shots: 10, Seed: 3, KeepState: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := amplitudes(kept.Final)
+	_, kept := runKept(t, cb, pb, Options{Shots: 10, Seed: 3})
+	before := amplitudes(kept)
 	for i := 0; i < 3; i++ {
 		st, err := NewState(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if &st.re[0] == &kept.Final.re[0] {
-			t.Fatal("NewState handed out the state a KeepState result owns")
+		if &st.re[0] == &kept.re[0] {
+			t.Fatal("NewState handed out the state runKept took")
 		}
 		if err := pa.Execute(st, 1); err != nil {
 			t.Fatal(err)
@@ -242,23 +239,17 @@ func TestSpareArenaReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(amplitudes(kept.Final), before) {
-		t.Fatal("a later run overwrote a state a KeepState result owns")
+	if !reflect.DeepEqual(amplitudes(kept), before) {
+		t.Fatal("a later run overwrote the state runKept took")
 	}
 
-	want, err := RunPlan(cb, pb, Options{Shots: 500, Seed: 9, KeepState: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantSt := runKept(t, cb, pb, Options{Shots: 500, Seed: 9})
 	for _, shards := range []int{1, 4} {
 		if _, err := RunPlan(ca, pa, Options{Shots: 10, Seed: 1, Shards: shards}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunPlan(cb, pb, Options{Shots: 500, Seed: 9, Shards: shards, KeepState: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Counts, want.Counts) || !reflect.DeepEqual(amplitudes(got.Final), amplitudes(want.Final)) {
+		got, gotSt := runKept(t, cb, pb, Options{Shots: 500, Seed: 9, Shards: shards})
+		if !reflect.DeepEqual(got.Counts, want.Counts) || !reflect.DeepEqual(amplitudes(gotSt), amplitudes(wantSt)) {
 			t.Errorf("shards=%d: a run on a spare arena differs from the first run", shards)
 		}
 	}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // shardPool is the persistent executor behind every kernel sweep — plan
 // execution and noise trajectories alike — and the sampling CDF build: P
@@ -124,36 +121,4 @@ func resolveShards(dim, requested int) int {
 		requested = maxShards
 	}
 	return requested
-}
-
-// parallelSum is the fork-join reduction used by the one-shot State
-// methods (Norm, ExpectationDiagonal): shard partials are summed in shard
-// order, so the result is deterministic for a fixed GOMAXPROCS.
-func parallelSum(n int, f func(lo, hi int) float64) float64 {
-	if n < parallelThreshold {
-		return f(0, n)
-	}
-	shards := resolveShards(n, 0)
-	if shards == 1 {
-		return f(0, n)
-	}
-	partials := make([]float64, shards)
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		lo, hi := shardRange(n, shards, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partials[w] = f(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0.0
-	for _, p := range partials {
-		total += p
-	}
-	return total
 }

@@ -441,15 +441,13 @@ func TestRunCountsMatchTwoPassReference(t *testing.T) {
 	}
 	sort.Ints(qubits)
 
+	pl := mustCompile(t, c)
 	var baseline Counts
 	for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		res, err := Run(c, Options{Shots: shots, Seed: seed, Shards: shards, KeepState: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, final := runKept(t, c, pl, Options{Shots: shots, Seed: seed, Shards: shards})
 		// Reference counts: the serial two-pass CDF over the same final
 		// state, inverted with an identical RNG stream.
-		cdf, acc, lastPos := referenceCDF(res.Final)
+		cdf, acc, lastPos := referenceCDF(final)
 		want := Counts{}
 		rr := rng.New(seed)
 		for shot := 0; shot < shots; shot++ {

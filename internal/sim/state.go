@@ -3,8 +3,7 @@ package sim
 import "fmt"
 
 // parallelThreshold is the index-space size from which an automatic shard
-// count and the one-shot reductions use more than one goroutine. Below it,
-// synchronization dominates.
+// count uses more than one goroutine. Below it, synchronization dominates.
 const parallelThreshold = 1 << 13
 
 // MaxQubits bounds state allocation (2^26 amplitudes = 1 GiB).
@@ -98,28 +97,6 @@ func (s *State) Probability(k uint64) float64 {
 	return s.re[k]*s.re[k] + s.im[k]*s.im[k]
 }
 
-// Norm returns Σ|amp|², which must stay 1 under unitary evolution. The
-// reduction parallelizes over shards for large states.
-func (s *State) Norm() float64 {
-	re, im := s.re, s.im
-	return parallelSum(len(re), func(lo, hi int) float64 {
-		total := 0.0
-		rr, ii := re[lo:hi], im[lo:hi:hi]
-		for k := range rr {
-			total += rr[k]*rr[k] + ii[k]*ii[k]
-		}
-		return total
-	})
-}
-
-// Clone returns a deep copy (without the scratch buffer).
-func (s *State) Clone() *State {
-	cp := &State{n: s.n, re: alignedFloats(len(s.re)), im: alignedFloats(len(s.im))}
-	copy(cp.re, s.re)
-	copy(cp.im, s.im)
-	return cp
-}
-
 // scratchPlanes returns the lazily allocated full-size staging planes.
 func (s *State) scratchPlanes() planes {
 	if s.scratch.re == nil {
@@ -137,22 +114,4 @@ func splitComplexSlice(vs []complex128) (re, im []float64) {
 		re[i], im[i] = real(v), imag(v)
 	}
 	return re, im
-}
-
-// ExpectationDiagonal returns Σ_k |amp_k|² f(k) for a diagonal observable
-// f over basis indices — the QAOA expected-cut evaluator. The reduction
-// parallelizes over shards for large states, so f must be safe for
-// concurrent calls.
-func (s *State) ExpectationDiagonal(f func(uint64) float64) float64 {
-	re, im := s.re, s.im
-	return parallelSum(len(re), func(lo, hi int) float64 {
-		total := 0.0
-		for k := lo; k < hi; k++ {
-			p := re[k]*re[k] + im[k]*im[k]
-			if p > 0 {
-				total += p * f(uint64(k))
-			}
-		}
-		return total
-	})
 }

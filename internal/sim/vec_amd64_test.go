@@ -351,7 +351,7 @@ func TestVectorSweepsMatchGo(t *testing.T) {
 			for i := range vec.re {
 				vec.re[i], vec.im[i] = edgeFloat(r), edgeFloat(r)
 			}
-			ref := vec.Clone()
+			ref := cloneState(vec)
 			useAVX = true
 			if err := pl.Execute(vec, shards); err != nil {
 				t.Fatal(err)

@@ -19,9 +19,6 @@ func identityLayout(n int) Layout {
 	return l
 }
 
-// Physical returns the physical qubit currently holding logical qubit l.
-func (l Layout) Physical(logical int) int { return l[logical] }
-
 // coupling is an adjacency view over the context's coupling map.
 type coupling struct {
 	n   int
