@@ -138,20 +138,42 @@ func BenchmarkTranspileQFT(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeCounts measures schema-driven decoding of 1024 outcomes.
+// BenchmarkDecodeCounts measures schema-driven decoding. "phase" decodes
+// 1024 outcomes of a 10-qubit AS_PHASE register; "ising_vars12" is what a
+// served 12-qubit Max-Cut pays per gate job: about 720 distinct outcomes
+// of 1024 shots on an AS_BOOL ising_vars register, decoded and then put
+// in result order by Sort.
 func BenchmarkDecodeCounts(b *testing.B) {
-	reg := qdt.NewPhaseRegister("reg_phase", "phase", 10)
-	schema := qop.DefaultResultSchema(reg.ID, reg.Width, "AS_PHASE", "LSB_0")
-	counts := map[uint64]int{}
-	for k := uint64(0); k < 1024; k++ {
-		counts[k] = int(k%17) + 1
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := result.DecodeCounts(counts, schema, reg); err != nil {
-			b.Fatal(err)
+	b.Run("phase", func(b *testing.B) {
+		reg := qdt.NewPhaseRegister("reg_phase", "phase", 10)
+		schema := qop.DefaultResultSchema(reg.ID, reg.Width, "AS_PHASE", "LSB_0")
+		counts := map[uint64]int{}
+		for k := uint64(0); k < 1024; k++ {
+			counts[k] = int(k%17) + 1
 		}
-	}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := result.DecodeCounts(counts, schema, reg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ising_vars12", func(b *testing.B) {
+		reg := qdt.NewIsingVars("ising_vars", "s", 12)
+		schema := qop.DefaultResultSchema(reg.ID, reg.Width, "AS_BOOL", "LSB_0")
+		counts := map[uint64]int{}
+		for k := uint64(0); len(counts) < 720; k++ {
+			counts[k*2654435761%(1<<12)] = 1 + int(k%5)/3
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			entries, err := result.DecodeCounts(counts, schema, reg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			(&result.Result{Entries: entries}).Sort()
+		}
+	})
 }
 
 // BenchmarkSchemaValidate measures JSON Schema validation of a Listing-4

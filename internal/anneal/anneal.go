@@ -19,6 +19,26 @@
 // in the same order, so samples are bit-identical to theirs
 // (testdata/sample_golden.txt pins them).
 //
+// # Metropolis acceptance
+//
+// A move of energy change delta is accepted when delta < 0, with
+// probability ½ when delta == 0, and with probability exp(−β·delta)
+// when delta > 0, each non-negative case drawing one Float64 from the
+// read's stream (Isakov, Zintchenko, Rønnow and Troyer, Comput. Phys.
+// Commun. 192 (2015), tabulate the same factors). When every h_i and J_ij
+// is an integer, every local field is an integer, so a delta ≥ 0 is
+// exactly 2k in float64 for some k in 0..L, L = max_i(|h_i| + Σ_j |J_ij|).
+// For such a model with L ≤ 64, SampleModel fills one row per sweep once
+// per call — ½ at k = 0 and exp(−β_s·2k) at k = 1..L, each computed by
+// the very function the math.Exp path calls — and the reads look their
+// probability up instead of calling math.Exp. The table holds at most maxAcceptEntries
+// values (512 KiB, which covers every such model at the default 1000
+// sweeps), whatever Sweeps is; a larger one, a model with a fractional
+// term and a model with L > 64 take the math.Exp path. Both paths go
+// through one inlined acceptance function, draw the same numbers in the
+// same order and compare them with bit-equal probabilities, so a read's
+// samples do not depend on which path it took.
+//
 // The package also provides the classical baselines (random sampling,
 // greedy descent, tabu search) used by the E11 ablation benchmarks.
 package anneal
@@ -193,6 +213,7 @@ func SampleModel(m *ising.Model, p Params) (*Result, error) {
 
 	masks := make([]uint64, p.NumReads)
 	betas := schedule(p)
+	table := newAcceptTable(m, betas)
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -209,7 +230,7 @@ func SampleModel(m *ising.Model, p Params) (*Result, error) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				masks[i] = annealOnce(m, betas, readRNGs[i])
+				masks[i] = annealOnce(m, betas, table, readRNGs[i])
 			}
 		}(lo, hi)
 	}
@@ -236,27 +257,110 @@ func sortSamples(samples []Sample) {
 	})
 }
 
+// maxAcceptEntries bounds an acceptTable: 2^16 probabilities, 512 KiB,
+// whatever Sweeps is. It covers every model with L ≤ 64 at the default
+// 1000 sweeps.
+const maxAcceptEntries = 1 << 16
+
+// acceptTable holds an integer-valued model's Metropolis acceptance
+// probabilities, one row of stride = L+1 entries per sweep: row s holds
+// metropolis(2k, β_s) — ½ at k = 0, exp(−β_s·2k) at k = 1..L — so each
+// entry is the value the math.Exp path computes for a delta of 2k. The
+// zero value is no table.
+type acceptTable struct {
+	p      []float64
+	stride int
+}
+
+// newAcceptTable tabulates the model's acceptance probabilities under
+// betas when every h_i and J_ij is an integer and L = max_i(|h_i| +
+// Σ_j |J_ij|) ≤ 64: each local field is then an integer in [−L, L], so a
+// delta ≥ 0 is exactly 2k in float64 for some k in 0..L. It returns no
+// table for any other model, and when the table would hold more than
+// maxAcceptEntries values.
+func newAcceptTable(m *ising.Model, betas []float64) acceptTable {
+	bound := 0.0
+	for i := 0; i < m.N; i++ {
+		sum := math.Abs(m.H[i])
+		_, js := m.Row(i)
+		for _, j := range js {
+			if !integral(j) {
+				return acceptTable{}
+			}
+			sum += math.Abs(j)
+		}
+		if !integral(m.H[i]) || sum > 64 {
+			return acceptTable{}
+		}
+		bound = max(bound, sum)
+	}
+	stride := int(bound) + 1
+	if len(betas)*stride > maxAcceptEntries {
+		return acceptTable{}
+	}
+	t := acceptTable{p: make([]float64, len(betas)*stride), stride: stride}
+	for s, beta := range betas {
+		row := t.row(s)
+		for k := range row {
+			row[k] = metropolis(float64(2*k), beta)
+		}
+	}
+	return t
+}
+
+// row returns sweep s's probabilities, nil without a table.
+func (t acceptTable) row(s int) []float64 {
+	if t.p == nil {
+		return nil
+	}
+	return t.p[s*t.stride : (s+1)*t.stride]
+}
+
+// integral reports whether v is a finite integer.
+func integral(v float64) bool { return v == math.Trunc(v) && !math.IsInf(v, 0) }
+
 // annealOnce runs one read: random start, one Metropolis sweep per beta,
-// local fields maintained incrementally.
-func annealOnce(m *ising.Model, betas []float64, r *rng.Rand) uint64 {
+// local fields maintained incrementally. A move downhill always goes;
+// any other draws once and goes with its acceptance probability, read
+// from table's row for the sweep when there is one.
+func annealOnce(m *ising.Model, betas []float64, table acceptTable, r *rng.Rand) uint64 {
 	s := randomSpins(m.N, r)
 	fields := localFields(m, s)
-	for _, beta := range betas {
+	for t, beta := range betas {
+		row := table.row(t)
 		for i := range s {
 			delta := -2 * float64(s[i]) * fields[i]
-			// Zero-cost moves accept with probability ½: deterministic
-			// acceptance of ties in a fixed sweep order creates limit
-			// cycles on plateaus (e.g. the 4-cycle's energy-0 band) that
-			// never descend to the ground state.
-			accept := delta < 0 ||
-				(delta == 0 && r.Float64() < 0.5) ||
-				(delta > 0 && r.Float64() < math.Exp(-beta*delta))
-			if accept {
+			if delta < 0 || delta >= 0 && r.Float64() < acceptance(delta, beta, row) {
 				flip(m, s, fields, i)
 			}
 		}
 	}
 	return ising.BitsFromSpins(s)
+}
+
+// acceptance is the Metropolis acceptance probability of a move of
+// energy change delta ≥ 0 at inverse temperature beta, from row when row
+// is set (delta is then 2k exactly, and row[k] holds that very value) and
+// from metropolis otherwise. It is the one acceptance rule of both paths.
+func acceptance(delta, beta float64, row []float64) float64 {
+	if row != nil {
+		return row[int(delta)/2]
+	}
+	return metropolis(delta, beta)
+}
+
+// metropolis computes acceptance's probability: exp(−beta·delta), and ½
+// for a zero-cost move. Accepting ties deterministically in a fixed
+// sweep order creates limit cycles on plateaus (e.g. the 4-cycle's
+// energy-0 band) that never descend to the ground state. It is kept out
+// of line so that acceptance inlines into the sweep.
+//
+//go:noinline
+func metropolis(delta, beta float64) float64 {
+	if delta == 0 {
+		return 0.5
+	}
+	return math.Exp(-beta * delta)
 }
 
 // localFields returns every spin's local field h_i + Σ_j J_ij s_j, the sum

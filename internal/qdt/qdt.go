@@ -199,8 +199,9 @@ func ParsePhaseScale(s string) (float64, error) {
 
 // IndexFromBits converts a measured classical bit vector (bits[i] is the
 // outcome of logical carrier i) into the basis-state index k according to
-// the declared bit order. This is the single place in the middle layer
-// where significance order is applied; everything downstream works on k.
+// the declared bit order. Significance is the single place in the middle
+// layer that defines significance order; everything downstream works on
+// k.
 func (d *DataType) IndexFromBits(bits []uint8) (uint64, error) {
 	if len(bits) != d.Width {
 		return 0, fmt.Errorf("qdt %q: got %d bits, want width %d", d.ID, len(bits), d.Width)
@@ -211,7 +212,7 @@ func (d *DataType) IndexFromBits(bits []uint8) (uint64, error) {
 			return 0, fmt.Errorf("qdt %q: bit %d has value %d", d.ID, i, b)
 		}
 		if b == 1 {
-			k |= 1 << uint(d.significance(i))
+			k |= 1 << uint(d.Significance(i))
 		}
 	}
 	return k, nil
@@ -224,12 +225,14 @@ func (d *DataType) BitsFromIndex(k uint64) ([]uint8, error) {
 	}
 	bits := make([]uint8, d.Width)
 	for i := range bits {
-		bits[i] = uint8((k >> uint(d.significance(i))) & 1)
+		bits[i] = uint8((k >> uint(d.Significance(i))) & 1)
 	}
 	return bits, nil
 }
 
-func (d *DataType) significance(i int) int {
+// Significance returns the index bit that carrier i sets under the
+// declared bit order: i for LSB_0, Width−1−i for MSB_0.
+func (d *DataType) Significance(i int) int {
 	if d.BitOrder == MSB0 {
 		return d.Width - 1 - i
 	}
@@ -250,7 +253,13 @@ type Value struct {
 
 // Decode interprets a basis-state index according to the register's
 // measurement semantics.
-func (d *DataType) Decode(k uint64) (Value, error) {
+func (d *DataType) Decode(k uint64) (Value, error) { return d.DecodeInto(k, nil, nil) }
+
+// DecodeInto is Decode writing an AS_BOOL value's flags into bools and an
+// AS_SPIN value's spins into spins when that slice is Width long (it
+// allocates one otherwise), so a caller decoding many outcomes can carve
+// them from one backing slice.
+func (d *DataType) DecodeInto(k uint64, bools []bool, spins []int8) (Value, error) {
 	v := Value{Semantics: d.MeasurementSemantics, Index: k}
 	if d.Width < 64 && k >= uint64(1)<<uint(d.Width) {
 		return v, fmt.Errorf("qdt %q: index %d exceeds width %d", d.ID, k, d.Width)
@@ -259,12 +268,16 @@ func (d *DataType) Decode(k uint64) (Value, error) {
 	case AsInt:
 		v.Int = d.toInt(k)
 	case AsBool:
-		v.Bools = make([]bool, d.Width)
+		if v.Bools = bools; len(bools) != d.Width {
+			v.Bools = make([]bool, d.Width)
+		}
 		for i := 0; i < d.Width; i++ {
 			v.Bools[i] = (k>>uint(i))&1 == 1
 		}
 	case AsSpin:
-		v.Spins = make([]int8, d.Width)
+		if v.Spins = spins; len(spins) != d.Width {
+			v.Spins = make([]int8, d.Width)
+		}
 		for i := 0; i < d.Width; i++ {
 			if (k>>uint(i))&1 == 1 {
 				v.Spins[i] = 1

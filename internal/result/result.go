@@ -6,8 +6,9 @@
 package result
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/qdt"
 	"repro/internal/qop"
@@ -42,14 +43,46 @@ type Result struct {
 }
 
 // Sort orders entries by descending count, ties by ascending index, and
-// is idempotent.
+// ties of both by their current order, so it is stable and idempotent.
+// It sorts a pointer-free row of (count, index, position) and then moves
+// every entry once, along the cycles of the permutation the row spells:
+// no entry is swapped twice.
 func (r *Result) Sort() {
-	sort.SliceStable(r.Entries, func(i, j int) bool {
-		if r.Entries[i].Count != r.Entries[j].Count {
-			return r.Entries[i].Count > r.Entries[j].Count
+	type row struct {
+		count int
+		index uint64
+		pos   int
+	}
+	rows := make([]row, len(r.Entries))
+	for i, e := range r.Entries {
+		rows[i] = row{e.Count, e.Index, i}
+	}
+	slices.SortFunc(rows, func(a, b row) int {
+		if a.count != b.count {
+			return cmp.Compare(b.count, a.count)
 		}
-		return r.Entries[i].Index < r.Entries[j].Index
+		if a.index != b.index {
+			return cmp.Compare(a.index, b.index)
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
+	// Slot i takes the entry at rows[i].pos. A placed slot's pos is set
+	// to its own index, so each cycle is walked once.
+	for i := range rows {
+		if rows[i].pos == i {
+			continue
+		}
+		first := r.Entries[i]
+		j := i
+		for rows[j].pos != i {
+			next := rows[j].pos
+			r.Entries[j] = r.Entries[next]
+			rows[j].pos = j
+			j = next
+		}
+		r.Entries[j] = first
+		rows[j].pos = j
+	}
 }
 
 // Top returns the most frequent entry.
@@ -82,8 +115,14 @@ func (r *Result) Expectation(f func(Entry) float64) float64 {
 }
 
 // DecodeCounts converts raw classical-register counts (clbit cb = bit cb
-// of the key) into decoded entries using the result schema's clbit→
-// register-bit mapping and datatype.
+// of the key) into decoded entries, in ascending key order, using the
+// result schema's clbit→register-bit mapping and datatype. A key's bits
+// above the register's clbits are ignored. The schema's clbit order is a
+// permutation of the register's carriers, so one shift per clbit maps a
+// key to its basis index, with the significance the datatype declares.
+// All entries' bitstrings share one backing string, and an AS_BOOL or
+// AS_SPIN register's flags or spins one backing slice, each entry's part
+// capped at the register width.
 func DecodeCounts(counts map[uint64]int, schema *qop.ResultSchema, reg *qdt.DataType) ([]Entry, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("result: nil result schema")
@@ -96,50 +135,63 @@ func DecodeCounts(counts map[uint64]int, schema *qop.ResultSchema, reg *qdt.Data
 	shadow.MeasurementSemantics = qdt.MeasurementSemantics(schema.Datatype)
 	shadow.BitOrder = qdt.BitOrder(schema.BitSignificance)
 
-	// clbit cb carries register bit bitOf[cb].
-	bitOf := make([]int, len(schema.ClbitOrder))
+	// Clbit cb carries register carrier carrier[cb], which sets index bit
+	// shift[cb].
+	w := reg.Width
+	carrier := make([]int, w)
+	shift := make([]uint, w)
 	for cb, ref := range schema.ClbitOrder {
 		_, bit, err := qop.ParseBitRef(ref)
 		if err != nil {
 			return nil, err
 		}
-		bitOf[cb] = bit
+		carrier[cb], shift[cb] = bit, uint(shadow.Significance(bit))
 	}
 
 	keys := make([]uint64, 0, len(counts))
 	for k := range counts {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 
-	// One scratch for the register bits of the outcome at hand (neither
-	// IndexFromBits nor the rendering below keeps it; every iteration
-	// rewrites the same positions, the rest stay zero) and one backing
-	// string for all bitstrings, carved per entry.
-	entries := make([]Entry, 0, len(keys))
-	bits := make([]uint8, reg.Width)
-	text := make([]byte, 0, len(keys)*reg.Width)
-	for _, key := range keys {
-		for cb := range bitOf {
-			bits[bitOf[cb]] = uint8(key >> uint(cb) & 1)
-		}
-		k, err := shadow.IndexFromBits(bits)
-		if err != nil {
-			return nil, err
-		}
-		value, err := shadow.Decode(k)
-		if err != nil {
-			return nil, err
-		}
+	entries := make([]Entry, len(keys))
+	text := make([]byte, len(keys)*w)
+	var bools []bool
+	var spins []int8
+	switch shadow.MeasurementSemantics {
+	case qdt.AsBool:
+		bools = make([]bool, len(keys)*w)
+	case qdt.AsSpin:
+		spins = make([]int8, len(keys)*w)
+	}
+	for e, key := range keys {
+		lo, hi := e*w, (e+1)*w
 		// Carrier 0 first, regardless of significance order.
-		for _, b := range bits {
-			text = append(text, '0'+b)
+		line := text[lo:hi:hi]
+		var k uint64
+		for cb, s := range shift {
+			bit := key >> uint(cb) & 1
+			k |= bit << s
+			line[carrier[cb]] = '0' + byte(bit)
 		}
-		entries = append(entries, Entry{Index: k, Value: value, Count: counts[key]})
+		var value qdt.Value
+		var err error
+		switch {
+		case bools != nil:
+			value, err = shadow.DecodeInto(k, bools[lo:hi:hi], nil)
+		case spins != nil:
+			value, err = shadow.DecodeInto(k, nil, spins[lo:hi:hi])
+		default:
+			value, err = shadow.Decode(k)
+		}
+		if err != nil {
+			return nil, err
+		}
+		entries[e] = Entry{Index: k, Value: value, Count: counts[key]}
 	}
 	all := string(text)
 	for i := range entries {
-		entries[i].Bitstring = all[i*reg.Width : (i+1)*reg.Width]
+		entries[i].Bitstring = all[i*w : (i+1)*w]
 	}
 	return entries, nil
 }

@@ -1,7 +1,12 @@
 package result
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/qdt"
@@ -169,5 +174,150 @@ func TestDecodeCountsManyOutcomes(t *testing.T) {
 	// three per outcome was 865.
 	if bound := float64(len(counts) * 3 / 2); allocs > bound {
 		t.Errorf("DecodeCounts of %d outcomes allocates %.0f times, want <= %.0f", len(counts), allocs, bound)
+	}
+}
+
+// refDecodeCounts is DecodeCounts as it decoded before the per-clbit
+// shift table: the register bits of each key in a scratch slice, turned
+// into an index by IndexFromBits and decoded by Decode, one typed value
+// allocated per outcome. TestDecodeCountsMatchesReference holds the
+// table to it.
+func refDecodeCounts(counts map[uint64]int, schema *qop.ResultSchema, reg *qdt.DataType) ([]Entry, error) {
+	if err := schema.Validate(reg.ID, reg.Width); err != nil {
+		return nil, err
+	}
+	shadow := *reg
+	shadow.MeasurementSemantics = qdt.MeasurementSemantics(schema.Datatype)
+	shadow.BitOrder = qdt.BitOrder(schema.BitSignificance)
+	bitOf := make([]int, len(schema.ClbitOrder))
+	for cb, ref := range schema.ClbitOrder {
+		_, bit, err := qop.ParseBitRef(ref)
+		if err != nil {
+			return nil, err
+		}
+		bitOf[cb] = bit
+	}
+	keys := make([]uint64, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	entries := make([]Entry, 0, len(keys))
+	bits := make([]uint8, reg.Width)
+	for _, key := range keys {
+		for cb := range bitOf {
+			bits[bitOf[cb]] = uint8(key >> uint(cb) & 1)
+		}
+		k, err := shadow.IndexFromBits(bits)
+		if err != nil {
+			return nil, err
+		}
+		value, err := shadow.Decode(k)
+		if err != nil {
+			return nil, err
+		}
+		var text []byte
+		for _, b := range bits {
+			text = append(text, '0'+b)
+		}
+		entries = append(entries, Entry{Bitstring: string(text), Index: k, Value: value, Count: counts[key]})
+	}
+	return entries, nil
+}
+
+// refSort is Result.Sort as a stable sort of whole entries.
+func refSort(entries []Entry) {
+	sort.SliceStable(entries, func(i, j int) bool {
+		if entries[i].Count != entries[j].Count {
+			return entries[i].Count > entries[j].Count
+		}
+		return entries[i].Index < entries[j].Index
+	})
+}
+
+// TestDecodeCountsMatchesReference decodes random counts under every
+// datatype (AS_INT and AS_FIXED signed and unsigned), both significance
+// orders and identity, reversed and shuffled clbit orders, with keys that
+// carry bits above the register, and holds the entries — before and after
+// Sort — to the reference decode and a stable sort of whole entries.
+func TestDecodeCountsMatchesReference(t *testing.T) {
+	type kind struct {
+		sem    qdt.MeasurementSemantics
+		signed bool
+	}
+	kinds := []kind{
+		{qdt.AsInt, false}, {qdt.AsInt, true}, {qdt.AsBool, false}, {qdt.AsPhase, false},
+		{qdt.AsSpin, false}, {qdt.AsFixed, false}, {qdt.AsFixed, true},
+	}
+	r := rand.New(rand.NewSource(1))
+	for _, width := range []int{1, 5, 12} {
+		for _, k := range kinds {
+			for _, order := range []string{"LSB_0", "MSB_0"} {
+				for _, clbits := range []string{"identity", "reversed", "shuffled"} {
+					name := fmt.Sprintf("width=%d %s signed=%v %s %s", width, k.sem, k.signed, order, clbits)
+					reg := qdt.New("r", "r", width, qdt.FixedPoint, k.sem)
+					reg.Signed, reg.FractionBits, reg.PhaseScale = k.signed, width/2, fmt.Sprintf("1/%d", 1<<width)
+					schema := qop.DefaultResultSchema("r", width, string(k.sem), order)
+					switch clbits {
+					case "reversed":
+						slices.Reverse(schema.ClbitOrder)
+					case "shuffled":
+						r.Shuffle(width, func(i, j int) {
+							schema.ClbitOrder[i], schema.ClbitOrder[j] = schema.ClbitOrder[j], schema.ClbitOrder[i]
+						})
+					}
+					// Few distinct counts, so (count, index) ties are
+					// common; keys past the register's clbits decode to
+					// the same index as their low bits.
+					counts := map[uint64]int{}
+					for range 3 << width {
+						counts[r.Uint64()&(1<<(width+1)-1)] = 1 + r.Intn(4)
+					}
+					got, err := DecodeCounts(counts, schema, reg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want, err := refDecodeCounts(counts, schema, reg)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", name, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: decoded\n%+v\nreference\n%+v", name, got, want)
+					}
+					res := &Result{Entries: got}
+					res.Sort()
+					refSort(want)
+					if !reflect.DeepEqual(res.Entries, want) {
+						t.Fatalf("%s: sorted\n%+v\nreference\n%+v", name, res.Entries, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortIsStable sorts entries whose (count, index) pairs repeat, told
+// apart only by their bitstrings, in many shuffled orders: Sort must keep
+// each tie in its input order, as a stable sort does, and leave a sorted
+// slice as it is.
+func TestSortIsStable(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		n := r.Intn(40)
+		entries := make([]Entry, n)
+		for i := range entries {
+			entries[i] = Entry{Index: uint64(r.Intn(4)), Count: r.Intn(3), Bitstring: fmt.Sprint(i)}
+		}
+		want := slices.Clone(entries)
+		refSort(want)
+		res := &Result{Entries: entries}
+		res.Sort()
+		if !reflect.DeepEqual(res.Entries, want) {
+			t.Fatalf("trial %d: sorted\n%+v\nstable reference\n%+v", trial, res.Entries, want)
+		}
+		res.Sort()
+		if !reflect.DeepEqual(res.Entries, want) {
+			t.Fatalf("trial %d: a second Sort moved entries", trial)
+		}
 	}
 }

@@ -106,7 +106,8 @@
 //
 // Everything a run needs that is O(2^n) is its arena: the two aligned
 // planes (and, through the State, its lazily allocated staging planes),
-// the 2^n-entry sampling CDF and its per-block sums. runPlan — behind
+// the 2^n-entry sampling CDF, its per-block sums and the shot tally's
+// scratch (see "Sampling"). runPlan — behind
 // every plain job, every readout-only noisy job and every point of a
 // sweep — builds a runner (the arena plus a shard pool), runs once and
 // closes it, and the closing runner leaves its arena in a per-width
@@ -132,6 +133,33 @@
 // footprint does not depend on what the pool held. Closing a runner waits
 // for its shard workers to exit, so a lane's next point never runs beside
 // the previous point's workers.
+//
+// # Sampling
+//
+// A run draws its shots from the CDF of the final state's Born
+// distribution (buildCDF): per-block sums of |amp|², serial block
+// offsets, then each block's running prefix, in 4096-entry blocks that do
+// not depend on the shard count. Sums and prefixes are serial add chains,
+// so a shard runs four blocks' chains side by side in one loop, each
+// chain still left to right: every CDF entry has the bits one block at a
+// time gives. A draw u maps to the first index whose CDF entry exceeds u,
+// clamped to the last index with positive probability (sampleCDF, a
+// binary search probing what sort.Search probes, in its order).
+//
+// A plain run draws every shot from one stream seeded by Options.Seed and
+// counts shots by basis index before it looks at the register: in a
+// dense per-index histogram when 2^n ≤ 8·shots, and by sorting the shot
+// indices otherwise, so the scratch (in the arena) is at most
+// min(2^n, 8·shots) uint32s. Each distinct index is then projected once
+// onto the classical register through a shift table — one (qubit, clbit)
+// pair per measured qubit, ascending — into a Counts map sized for the
+// distinct indices. A readout-only noisy run instead gives shot s its own
+// stream, and flips each measured bit from that stream as it projects, so
+// it projects shot by shot in shot order; a trajectory samples its own
+// state by a linear scan (sampleIndex) and projects the same way. The
+// draws, their order and the index each selects are those of a per-shot
+// loop over sort.Search and a per-bit map projection, so counts are
+// unchanged by the tally (sample_test.go holds them to that loop).
 //
 // # Parametric plans
 //

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -136,12 +135,7 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 		return run(c, opts, &readout{streams: rngs, flip: noise.ReadoutFlip})
 	}
 
-	mm := c.MeasureMap()
-	qubits := make([]int, 0, len(mm))
-	for q := range mm {
-		qubits = append(qubits, q)
-	}
-	sort.Ints(qubits)
+	shifts := shiftTable(c.MeasureMap())
 
 	stageStart := time.Now()
 	np, err := compileNoisy(c, noise)
@@ -171,7 +165,7 @@ func RunNoisy(c *circuit.Circuit, noise NoiseModel, opts Options) (*Result, erro
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			counts[w], errs[w] = np.run(shards, rngs[lo:hi], qubits, mm, noise.ReadoutFlip)
+			counts[w], errs[w] = np.run(shards, rngs[lo:hi], shifts, noise.ReadoutFlip)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -295,7 +289,7 @@ func (np *noisyPlan) applyKernel(i int, st *State, width int, sweep func(int, fu
 // one error-free evolution (the runner's state) just far enough for each:
 // a shot with errors copies it into the branch arena and finishes there, a
 // shot without samples it at the end (see RunNoisy for why this is exact).
-func (np *noisyPlan) run(shards int, rngs []*rng.Rand, qubits []int, mm map[int]int, flip float64) (Counts, error) {
+func (np *noisyPlan) run(shards int, rngs []*rng.Rand, shifts []shift, flip float64) (Counts, error) {
 	counts := Counts{}
 	if len(rngs) == 0 {
 		return counts, nil
@@ -371,11 +365,11 @@ func (np *noisyPlan) run(shards int, rngs []*rng.Rand, qubits []int, mm map[int]
 		}
 		// With nothing measured the shots still evolve: an init onto
 		// qubits an injected error moved out of |0…0⟩ must surface.
-		if len(mm) == 0 {
+		if len(shifts) == 0 {
 			continue
 		}
 		r := rngs[s]
-		counts[projectRegister(sampleIndex(st, r), qubits, mm, flip, r)]++
+		counts[projectRegister(sampleIndex(st, r), shifts, flip, r)]++
 	}
 	if failErr != nil {
 		return nil, failErr
@@ -409,25 +403,6 @@ func (np *noisyPlan) finish(st *State, f int, r *rng.Rand, width int, sweep func
 		}
 	}
 	return nil
-}
-
-// projectRegister maps a sampled basis index onto the classical register
-// defined by mm, flipping each measured bit with probability flip. The
-// draw order — one Float64 per measured qubit, ascending qubit order,
-// only when flip > 0 — is part of the seeded-stream contract trajectories
-// and readout-only runs share; r may be nil when flip is 0.
-func projectRegister(k uint64, qubits []int, mm map[int]int, flip float64, r *rng.Rand) uint64 {
-	var reg uint64
-	for _, q := range qubits {
-		bit := k >> uint(q) & 1
-		if flip > 0 && r.Float64() < flip {
-			bit ^= 1
-		}
-		if bit == 1 {
-			reg |= 1 << uint(mm[q])
-		}
-	}
-	return reg
 }
 
 // sampleIndex draws one basis index from the Born distribution by a

@@ -66,7 +66,7 @@ func runNoisyReference(c *circuit.Circuit, noise NoiseModel, shots int, seed uin
 			continue
 		}
 		k := sampleIndex(st, r)
-		counts[projectRegister(k, qubits, mm, noise.ReadoutFlip, r)]++
+		counts[refProjectRegister(k, qubits, mm, noise.ReadoutFlip, r)]++
 	}
 	return counts, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/circuit"
@@ -275,8 +274,8 @@ func BenchmarkBuildCDF20(b *testing.B) {
 }
 
 // BenchmarkSamplingStage20 measures the full sampling stage as Run pays
-// it — CDF build plus 4096 binary-search draws and register projections —
-// on the same evolved 20-qubit state.
+// it — CDF build plus 4096 binary-search draws, their tally and the
+// register projections — on the same evolved 20-qubit state.
 func BenchmarkSamplingStage20(b *testing.B) {
 	c := deepCircuit(20, 1)
 	c.MeasureAll()
@@ -284,12 +283,7 @@ func BenchmarkSamplingStage20(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mm := c.MeasureMap()
-	qubits := make([]int, 0, len(mm))
-	for q := range mm {
-		qubits = append(qubits, q)
-	}
-	sort.Ints(qubits)
+	shifts := shiftTable(c.MeasureMap())
 	runner, err := newRunner(st.NumQubits(), 0)
 	if err != nil {
 		b.Fatal(err)
@@ -300,12 +294,7 @@ func BenchmarkSamplingStage20(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cdf, acc, lastPos := runner.buildCDF(st)
-		r := rng.New(42)
-		counts := Counts{}
-		for shot := 0; shot < shots; shot++ {
-			k := sampleCDF(cdf, lastPos, r.Float64()*acc)
-			counts[projectRegister(k, qubits, mm, 0, nil)]++
-		}
+		counts := runner.countShots(cdf, lastPos, acc, shots, rng.New(42), shifts)
 		if counts.TotalShots() != shots {
 			b.Fatal("lost shots")
 		}

@@ -175,20 +175,3 @@ func runPlan(c *circuit.Circuit, pl *Plan, opts Options, ro *readout) (*Result, 
 	defer r.closeToSpare()
 	return r.Run(c, pl, opts, ro)
 }
-
-// sampleCDF inverts the CDF for one draw u: the first index with
-// cdf[k] > u, clamped to the last positive-probability index. The clamp is
-// the float-drift guard: when rounding leaves cdf's top fractionally below
-// u, the search lands past every positive-probability state, and without
-// the clamp the draw would assign mass to a basis state the distribution
-// gives zero probability (the old guard bumped the final CDF entry, which
-// is exactly that bug for an all-ones state outside the support).
-// Zero-probability states inside the support have cdf[k] == cdf[k-1] and
-// are correctly skipped by the strict inequality.
-func sampleCDF(cdf []float64, lastPos int, u float64) uint64 {
-	k := sort.Search(len(cdf), func(i int) bool { return cdf[i] > u })
-	if k > lastPos {
-		k = lastPos
-	}
-	return uint64(k)
-}

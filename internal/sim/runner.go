@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -42,6 +41,10 @@ type arena struct {
 	cdf       []float64
 	blockSum  []float64
 	blockLast []int
+	// tally is the shot count's scratch (see countShots): at most
+	// min(2^n, denseTally·shots) entries, grown to the largest a run of
+	// this arena has needed, and overwritten by every run that uses it.
+	tally []uint32
 }
 
 // spareArenas holds, per qubit count, the arenas runPlan's runners leave
@@ -146,31 +149,24 @@ func (r *runner) Run(c *circuit.Circuit, pl *Plan, opts Options, ro *readout) (*
 		return nil, err
 	}
 	observeStage(simExecute, opts.Stages, "execute", stageStart)
-	res := &Result{Counts: Counts{}, Shots: opts.Shots, Profile: prof}
+	res := &Result{Shots: opts.Shots, Profile: prof}
 	mm := c.MeasureMap()
 	if len(mm) == 0 || opts.Shots == 0 {
+		res.Counts = Counts{}
 		return res, nil
 	}
 
 	stageStart = time.Now()
 	cdf, acc, lastPos := r.buildCDF(st)
-
-	qubits := make([]int, 0, len(mm))
-	for q := range mm {
-		qubits = append(qubits, q)
-	}
-	sort.Ints(qubits)
-
-	draws, scale, flip := rng.New(opts.Seed), acc, 0.0
-	if ro != nil {
-		scale, flip = 1, ro.flip
-	}
-	for shot := 0; shot < opts.Shots; shot++ {
-		if ro != nil {
-			draws = ro.streams[shot]
+	shifts := shiftTable(mm)
+	if ro == nil {
+		res.Counts = r.countShots(cdf, lastPos, acc, opts.Shots, rng.New(opts.Seed), shifts)
+	} else {
+		res.Counts = Counts{}
+		for _, draws := range ro.streams[:opts.Shots] {
+			k := sampleCDF(cdf, lastPos, draws.Float64())
+			res.Counts[projectRegister(uint64(k), shifts, ro.flip, draws)]++
 		}
-		k := sampleCDF(cdf, lastPos, draws.Float64()*scale)
-		res.Counts[projectRegister(k, qubits, mm, flip, draws)]++
 	}
 	observeStage(simSample, opts.Stages, "sample", stageStart)
 	return res, nil
@@ -190,6 +186,13 @@ func (r *runner) Run(c *circuit.Circuit, pl *Plan, opts Options, ro *readout) (*
 // bit-identical for any parallelism grant: the shard count is a
 // scheduling decision, never a result change (the jobs result cache
 // dedups on bundle+shots+seed alone and relies on this).
+//
+// Each block's sum and running prefix are serial add chains, so one
+// block at a time is bound by the adder's latency. A shard therefore
+// runs cdfLanes whole blocks' chains side by side in one loop (blockMass4
+// and blockPrefix4), each chain still left to right, and only its last
+// blocks, or a state smaller than one block, one at a time: every entry
+// keeps its bits.
 func (r *runner) buildCDF(st *State) (_ []float64, acc float64, lastPos int) {
 	dim := st.Dim()
 	nBlocks := (dim + cdfBlock - 1) / cdfBlock
@@ -200,27 +203,15 @@ func (r *runner) buildCDF(st *State) (_ []float64, acc float64, lastPos int) {
 	}
 	cdf, blockSum, blockLast := r.cdf, r.blockSum, r.blockLast
 	re, im := st.re, st.im
+	// With two blocks or more, dim is a power of two and every block is
+	// whole.
 	r.pool.do(nBlocks, func(_, lo, hi int) {
-		for b := lo; b < hi; b++ {
-			sum := 0.0
-			last := -1
-			base, end := b*cdfBlock, min((b+1)*cdfBlock, dim)
-			// Equal-length block slices over the split planes: |amp|² is
-			// the same expression, and the same float grouping, as
-			// State.Probability, so the CDF — and every sampled count —
-			// is unchanged by reading the planes directly.
-			rr, ii := re[base:end], im[base:end:end]
-			out := cdf[base:end:end]
-			for k := range rr {
-				p := rr[k]*rr[k] + ii[k]*ii[k]
-				out[k] = p
-				sum += p
-				if p > 0 {
-					last = base + k
-				}
-			}
-			blockSum[b] = sum
-			blockLast[b] = last
+		b := lo
+		for ; b+cdfLanes <= hi; b += cdfLanes {
+			blockMass4(re, im, cdf, blockSum, blockLast, b)
+		}
+		for ; b < hi; b++ {
+			blockMass(re, im, cdf, blockSum, blockLast, b)
 		}
 	})
 	for b, s := range blockSum {
@@ -234,13 +225,108 @@ func (r *runner) buildCDF(st *State) (_ []float64, acc float64, lastPos int) {
 		}
 	}
 	r.pool.do(nBlocks, func(_, lo, hi int) {
-		for b := lo; b < hi; b++ {
-			run := blockSum[b]
-			for i := b * cdfBlock; i < min((b+1)*cdfBlock, dim); i++ {
-				run += cdf[i]
-				cdf[i] = run
-			}
+		b := lo
+		for ; b+cdfLanes <= hi; b += cdfLanes {
+			blockPrefix4(cdf, blockSum, b)
+		}
+		for ; b < hi; b++ {
+			blockPrefix(cdf, blockSum, b)
 		}
 	})
 	return cdf, acc, lastPos
+}
+
+// cdfLanes is the number of blocks whose add chains buildCDF interleaves.
+const cdfLanes = 4
+
+// blockMass stashes block b's probabilities into cdf and records its sum
+// and its last positive-probability index (−1 for none). Equal-length
+// block slices over the split planes: |amp|² is the same expression, and
+// the same float grouping, as State.Probability, so the CDF — and every
+// sampled count — is unchanged by reading the planes directly.
+func blockMass(re, im, cdf, blockSum []float64, blockLast []int, b int) {
+	base, end := b*cdfBlock, min((b+1)*cdfBlock, len(re))
+	sum := 0.0
+	last := -1
+	rr, ii := re[base:end], im[base:end:end]
+	out := cdf[base:end:end]
+	for k := range rr {
+		p := rr[k]*rr[k] + ii[k]*ii[k]
+		out[k] = p
+		sum += p
+		if p > 0 {
+			last = base + k
+		}
+	}
+	blockSum[b] = sum
+	blockLast[b] = last
+}
+
+// blockMass4 is blockMass on the whole blocks b to b+3, their four sums
+// accumulated side by side, each in blockMass's order.
+func blockMass4(re, im, cdf, blockSum []float64, blockLast []int, b int) {
+	type block = [cdfBlock]float64
+	at := func(s []float64, l int) *block { return (*block)(s[(b+l)*cdfBlock:]) }
+	r0, r1, r2, r3 := at(re, 0), at(re, 1), at(re, 2), at(re, 3)
+	i0, i1, i2, i3 := at(im, 0), at(im, 1), at(im, 2), at(im, 3)
+	o0, o1, o2, o3 := at(cdf, 0), at(cdf, 1), at(cdf, 2), at(cdf, 3)
+	var s0, s1, s2, s3 float64
+	l0, l1, l2, l3 := -1, -1, -1, -1
+	for k := range cdfBlock {
+		p0 := r0[k]*r0[k] + i0[k]*i0[k]
+		p1 := r1[k]*r1[k] + i1[k]*i1[k]
+		p2 := r2[k]*r2[k] + i2[k]*i2[k]
+		p3 := r3[k]*r3[k] + i3[k]*i3[k]
+		o0[k], o1[k], o2[k], o3[k] = p0, p1, p2, p3
+		s0 += p0
+		s1 += p1
+		s2 += p2
+		s3 += p3
+		if p0 > 0 {
+			l0 = k
+		}
+		if p1 > 0 {
+			l1 = k
+		}
+		if p2 > 0 {
+			l2 = k
+		}
+		if p3 > 0 {
+			l3 = k
+		}
+	}
+	for l, last := range [cdfLanes]int{l0, l1, l2, l3} {
+		if last >= 0 {
+			last += (b + l) * cdfBlock
+		}
+		blockLast[b+l] = last
+	}
+	blockSum[b], blockSum[b+1], blockSum[b+2], blockSum[b+3] = s0, s1, s2, s3
+}
+
+// blockPrefix overwrites block b of cdf with its running prefix from its
+// offset blockSum[b], left to right.
+func blockPrefix(cdf, blockSum []float64, b int) {
+	run := blockSum[b]
+	out := cdf[b*cdfBlock : min((b+1)*cdfBlock, len(cdf))]
+	for i, p := range out {
+		run += p
+		out[i] = run
+	}
+}
+
+// blockPrefix4 is blockPrefix on the whole blocks b to b+3, the four
+// chains side by side, each left to right.
+func blockPrefix4(cdf, blockSum []float64, b int) {
+	type block = [cdfBlock]float64
+	at := func(l int) *block { return (*block)(cdf[(b+l)*cdfBlock:]) }
+	c0, c1, c2, c3 := at(0), at(1), at(2), at(3)
+	s0, s1, s2, s3 := blockSum[b], blockSum[b+1], blockSum[b+2], blockSum[b+3]
+	for k := range cdfBlock {
+		s0 += c0[k]
+		s1 += c1[k]
+		s2 += c2[k]
+		s3 += c3[k]
+		c0[k], c1[k], c2[k], c3[k] = s0, s1, s2, s3
+	}
 }

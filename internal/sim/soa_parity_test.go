@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/circuit"
@@ -435,11 +434,7 @@ func TestRunCountsMatchTwoPassReference(t *testing.T) {
 	c := randomMixedCircuit(r, 9, 60)
 	c.MeasureAll()
 	mm := c.MeasureMap()
-	qubits := make([]int, 0, len(mm))
-	for q := range mm {
-		qubits = append(qubits, q)
-	}
-	sort.Ints(qubits)
+	qubits := refQubits(mm)
 
 	pl := mustCompile(t, c)
 	var baseline Counts
@@ -451,8 +446,8 @@ func TestRunCountsMatchTwoPassReference(t *testing.T) {
 		want := Counts{}
 		rr := rng.New(seed)
 		for shot := 0; shot < shots; shot++ {
-			k := sampleCDF(cdf, lastPos, rr.Float64()*acc)
-			want[projectRegister(k, qubits, mm, 0, nil)]++
+			k := refSampleCDF(cdf, lastPos, rr.Float64()*acc)
+			want[refProjectRegister(k, qubits, mm, 0, nil)]++
 		}
 		if !reflect.DeepEqual(res.Counts, want) {
 			t.Fatalf("shards=%d: counts diverge from two-pass reference CDF", shards)
